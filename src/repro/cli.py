@@ -154,8 +154,7 @@ def cmd_balance(args) -> int:
         mesh, args.parts, method=args.method, seed=args.seed, eps=args.eps
     )
     dmesh = distribute(
-        mesh, assignment, nparts=args.parts, sanitize=args.sanitize,
-        codec=args.codec,
+        mesh, assignment, nparts=args.parts, sanitize=args.sanitize
     )
     balancer = ParMA(dmesh)
     before = (imbalances(dmesh.entity_counts()) - 1) * 100
@@ -175,8 +174,10 @@ def cmd_balance(args) -> int:
 
 
 def cmd_bench(_args) -> int:
-    print("run:  pytest benchmarks/ --benchmark-only")
-    print("scale with:  REPRO_BENCH_SCALE=medium|large")
+    print("pipeline:  python3 benchmarks/pipeline/run.py [--seed S]")
+    print("compare:   python3 benchmarks/pipeline/diff.py A.json B.json")
+    print("paper tables:  pytest benchmarks/ --benchmark-only")
+    print("scale them with:  REPRO_BENCH_SCALE=medium|large")
     return 0
 
 
@@ -580,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="run with the runtime sanitizers on (alias freeze proxies)",
-    )
-    p_bal.add_argument(
-        "--codec",
-        choices=("binary", "pickle"),
-        default="binary",
-        help="wire codec for the part networks (pickle = A/B escape hatch)",
     )
     p_bal.set_defaults(fn=cmd_balance)
 

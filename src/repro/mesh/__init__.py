@@ -32,7 +32,6 @@ from .quality import (
 from .reorder import bfs_element_order, compact, dead_fraction
 from .sets import EntitySet, SetManager
 from .stats import MeshStats, edge_length_histogram, memory_estimate, mesh_stats
-from .store import EntityStore
 from .tag import Tag, TagManager
 from .topology import (
     EDGE,
@@ -55,7 +54,6 @@ __all__ = [
     "EDGE",
     "Ent",
     "EntitySet",
-    "EntityStore",
     "MeshCore",
     "HEX",
     "Mesh",

@@ -13,28 +13,21 @@ indexed by integer entity handles:
   row kept **sorted ascending** so membership tests and removals are
   binary searches and wire traversals are deterministic,
 * ``free[d]``    — LIFO free-list of dead slots; :meth:`create` pops it, so
-  handles **are reused** (unlike the legacy object store).  Consumers that
-  key external state by handle must register a destroy listener on the
-  owning :class:`~repro.mesh.mesh.Mesh` to evict stale entries eagerly.
+  handles **are reused**.  Consumers that key external state by handle
+  must register a destroy listener on the owning
+  :class:`~repro.mesh.mesh.Mesh` to evict stale entries eagerly.
 
 Padded fixed-stride rows are the mutable-topology variant of CSR: every
 row's prefix is the CSR segment and the count array is the (implicit)
 indptr diff.  :meth:`downward_csr` / :meth:`upward_csr` emit true
 ``(indptr, indices)`` pairs for batch consumers.
-
-The legacy per-object :class:`repro.mesh.store.EntityStore` is retained
-unchanged as the baseline for ``benchmarks/bench_mesh_core.py`` and its
-standalone tests; the live mesh is backed exclusively by this module via
-the :class:`DimStore` facade views.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from .topology import type_info
 
 #: Padded row widths per dimension: canonical vertices (hex has 8) and
 #: one-level downward entities (hex has 6 faces).  Upward rows grow
@@ -316,98 +309,3 @@ class MeshCore:
         col = self.nup[dim][lo] + (np.arange(len(lo)) - starts[lo])
         self.up[dim][lo, col] = hi
         self.nup[dim][: len(counts)] += counts.astype(np.int32)
-
-    # -- compat helpers -----------------------------------------------------
-
-    def compact_map(self, dim: int) -> Dict[int, int]:
-        live = self.live_ids(dim)
-        return dict(zip(live.tolist(), range(len(live))))
-
-    def stores(self) -> List["DimStore"]:
-        return [DimStore(self, d) for d in range(4)]
-
-
-class DimStore:
-    """Per-dimension facade over :class:`MeshCore`.
-
-    Exposes the exact API of the legacy :class:`repro.mesh.store.EntityStore`
-    so partition/adapt/io consumers that take a per-dimension store keep
-    working unchanged; hot paths bypass it and hit the core arrays.
-    """
-
-    __slots__ = ("core", "dim")
-
-    def __init__(self, core: MeshCore, dim: int) -> None:
-        self.core = core
-        self.dim = dim
-
-    # -- creation / destruction -------------------------------------------
-
-    def create(
-        self, etype: int, verts: Tuple[int, ...], down: Tuple[int, ...]
-    ) -> int:
-        info = type_info(etype)
-        if info.dim != self.dim:
-            raise ValueError(
-                f"type {info.name} has dim {info.dim}, store holds dim {self.dim}"
-            )
-        if self.dim > 0 and len(verts) != info.nverts:
-            raise ValueError(
-                f"{info.name} needs {info.nverts} vertices, got {len(verts)}"
-            )
-        return self.core.create(self.dim, etype, verts, down)
-
-    def destroy(self, idx: int) -> None:
-        self.core.destroy(self.dim, idx)
-
-    # -- accessors ---------------------------------------------------------
-
-    def alive(self, idx: int) -> bool:
-        return self.core.is_alive(self.dim, idx)
-
-    def etype(self, idx: int) -> int:
-        self._check(idx)
-        return int(self.core.etype[self.dim][idx])
-
-    def verts(self, idx: int) -> Tuple[int, ...]:
-        self._check(idx)
-        return self.core.verts_row(self.dim, idx)
-
-    def down(self, idx: int) -> Tuple[int, ...]:
-        self._check(idx)
-        return self.core.down_row(self.dim, idx)
-
-    def up(self, idx: int) -> List[int]:
-        self._check(idx)
-        return self.core.up_row(self.dim, idx)
-
-    def add_up(self, idx: int, upper: int) -> None:
-        self._check(idx)
-        self.core.add_up(self.dim, idx, upper)
-
-    def remove_up(self, idx: int, upper: int) -> None:
-        self._check(idx)
-        self.core.remove_up(self.dim, idx, upper)
-
-    def up_count(self, idx: int) -> int:
-        self._check(idx)
-        return int(self.core.nup[self.dim][idx])
-
-    # -- iteration / size --------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.core.n_alive[self.dim]
-
-    @property
-    def capacity(self) -> int:
-        """Slot high-water mark (live + dead + reusable)."""
-        return self.core.top[self.dim]
-
-    def indices(self) -> Iterator[int]:
-        return iter(self.core.live_ids(self.dim).tolist())
-
-    def compact_map(self) -> Dict[int, int]:
-        return self.core.compact_map(self.dim)
-
-    def _check(self, idx: int) -> None:
-        self.core.check(self.dim, idx)

@@ -60,8 +60,6 @@ class Mesh:
         self.model = model
         #: Array-native topology storage (SoA/CSR; see repro.mesh.core).
         self.core = MeshCore()
-        #: EntityStore-compatible per-dimension views over the core.
-        self._stores = self.core.stores()
         self._coords = np.zeros((_INITIAL_VERTEX_CAPACITY, 3), dtype=float)
         #: find-by-vertices lookup for edges/faces/regions (sorted vert tuples).
         self._lookup: Tuple[Dict[Tuple[int, ...], int], ...] = ({}, {}, {})

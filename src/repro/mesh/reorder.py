@@ -129,8 +129,8 @@ def _transfer_entity_data(mesh, new_mesh, vertex_map, element_map) -> None:
 
 def dead_fraction(mesh: Mesh) -> float:
     """Fraction of allocated entity slots that are dead (worth compacting)."""
-    alive = sum(len(mesh._stores[d]) for d in range(4))
-    capacity = sum(mesh._stores[d].capacity for d in range(4))
+    alive = sum(mesh.count(d) for d in range(4))
+    capacity = sum(mesh.core.top)
     if capacity == 0:
         return 0.0
     return 1.0 - alive / capacity

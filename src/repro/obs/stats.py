@@ -79,8 +79,7 @@ class CommStats:
     wire_bytes: int = 0
     supersteps: int = 0
     seconds: float = 0.0
-    #: Bytes of codec-encoded batch buffers the operation built (zero on
-    #: the pickle escape hatch, where no batches are encoded).
+    #: Bytes of codec-encoded batch buffers the operation built.
     encoded_bytes: int = 0
     #: Logical records coalesced into those batch buffers.
     messages_coalesced: int = 0

@@ -1,14 +1,13 @@
 """Compact binary wire codec for the simulated message-passing runtime.
 
-The distributed-mesh services historically shipped one pickled Python dict
-per migrated/ghosted element and one pickled tuple per synchronized field
-value.  Pickle is general but verbose: every record repeats dict keys,
-type markers and framing, which inflates the off-node ``wire_bytes`` the
-network charges and the wall time every hot path pays to serialize.  This
-module provides the compact alternative the paper's communication volumes
-assume (Section II-D "message buffer management"): per-destination batches
-encoded as struct-packed typed arrays with interned global-id and
-classification tables.
+This is the one serialization every off-node message uses, and the format
+the paper's communication volumes assume (Section II-D "message buffer
+management"): per-destination batches encoded as struct-packed typed
+arrays with interned global-id and classification tables.  A general
+object serializer repeats dict keys, type markers and framing per record;
+on the recorded ring-migration scenario pickle cost 3.3x the off-node
+``wire_bytes`` of these frames
+(``benchmarks/results/BENCH_migration_codec.json``).
 
 Wire format (``RW`` frames, version 1)
 --------------------------------------
@@ -37,8 +36,7 @@ kind  constructor              schema
 ====  =======================  =============================================
 
 Versioning rule: decoders accept exactly the versions they know; any other
-version byte raises :class:`CodecError` (the escape hatch is the pickle
-codec, selected per :class:`~repro.partition.dmesh.DistributedMesh`).
+version byte raises :class:`CodecError`.
 Standalone integers use LEB128 (zigzag for signed).  Bulk integer columns
 are *adaptive width*: one prefix byte (1/2/4/8) chosen from the column's
 value range, then the raw little-endian column at that width — so ref and
@@ -463,8 +461,7 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
         for extent in shape:
             count *= extent
         arr, pos = _r_array(buf, pos, count, dt)
-        # .copy() makes the result writable and independent of the buffer,
-        # matching the mutability pickle-delivered arrays always had.
+        # .copy() makes the result writable and independent of the buffer.
         return arr.reshape(shape).copy(), pos
     if tag == _T_NPSCALAR:
         n, pos = _r_uint(buf, pos, end)

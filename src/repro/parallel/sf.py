@@ -27,7 +27,7 @@ BSP supersteps, charges ``sf.*`` counters, opens a superstep-aligned span
 on the communicator's tracer, and returns a byte-deterministic
 :class:`~repro.obs.stats.SFStats` record.
 
-The communicator is duck-typed: anything exposing ``nparts``, ``codec``,
+The communicator is duck-typed: anything exposing ``nparts``,
 ``counters``, ``tracer`` and ``router()`` works —
 :class:`~repro.partition.dmesh.DistributedMesh` does, and the standalone
 :class:`SFComm` serves forest users with no mesh at all.
@@ -52,7 +52,7 @@ from .codec import (
     encode_value_batch,
     loads,
 )
-from .network import CODECS, Network
+from .network import Network
 from .perf import GLOBAL, PerfCounters
 from .routing import BufferedRouter
 from .topology import MachineTopology, flat
@@ -120,8 +120,7 @@ class SFDatatype:
 class _ValuesDatatype(SFDatatype):
     """Field-value batches: handles are entities, payloads float arrays.
 
-    This is byte-identical to the legacy field-sync wire format — the
-    entity handle itself travels in the frame's entity columns — so the
+    The entity handle itself travels in the frame's entity columns, so the
     handle check below doubles as an end-to-end forest/wire consistency
     assertion.
     """
@@ -185,7 +184,7 @@ class _IntRowsDatatype(SFDatatype):
 
 #: Generic payloads (any codec-encodable value), shipped positionally.
 GENERIC = SFDatatype()
-#: ``(entity, float array)`` field values — the legacy field-sync format.
+#: ``(entity, float array)`` field values — the field-sync wire format.
 VALUES = _ValuesDatatype()
 #: Element-closure bundles — the migration/ghosting wire format.
 BUNDLES = _BundlesDatatype()
@@ -202,7 +201,7 @@ class SFComm:
     """Minimal communicator satisfying the :class:`StarForest` contract.
 
     A :class:`~repro.partition.dmesh.DistributedMesh` already exposes the
-    same surface (``nparts``/``codec``/``counters``/``tracer``/``router``);
+    same surface (``nparts``/``counters``/``tracer``/``router``);
     this class serves forest users that have no mesh — tests, generic
     halo-exchange experiments — without dragging the partition layer in.
     """
@@ -212,36 +211,26 @@ class SFComm:
         nparts: int,
         topology: Optional[MachineTopology] = None,
         counters: Optional[PerfCounters] = None,
-        codec: str = "binary",
         sanitize: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if nparts < 1:
             raise ValueError(f"need at least one part, got {nparts}")
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (expected {CODECS})")
         self.nparts = nparts
         self.topology = topology if topology is not None else flat(nparts)
         self.counters = counters if counters is not None else GLOBAL
-        self.codec = codec
         self.sanitize = sanitize
         self.tracer = tracer if tracer is not None else current_tracer()
         self.fault_injector = None
         self._network: Optional[Network] = None
 
-    def router(self, trusted: bool = False) -> BufferedRouter:
-        """A coalescing router over the lazily built network.
-
-        ``trusted`` is accepted for interface parity with
-        :meth:`~repro.partition.dmesh.DistributedMesh.router`; the
-        standalone communicator keeps one (copying) channel.
-        """
+    def router(self) -> BufferedRouter:
+        """A coalescing router over the lazily built network."""
         if self._network is None:
             self._network = Network(
                 self.nparts,
                 topology=self.topology,
                 counters=self.counters,
-                codec=self.codec,
                 sanitize=self.sanitize,
                 tracer=self.tracer,
                 fault_injector=self.fault_injector,
@@ -249,7 +238,6 @@ class SFComm:
         else:
             self._network.tracer = self.tracer
             self._network.fault_injector = self.fault_injector
-            self._network.codec = self.codec
         return BufferedRouter(self._network)
 
 
@@ -362,17 +350,13 @@ class StarForest:
         dst: int,
         items: List[Tuple[Any, Any]],
         datatype: SFDatatype,
-        binary: bool,
     ) -> None:
-        if binary:
-            blob = datatype.encode(items)
-            counters = self.comm.counters
-            counters.add("sf.bytes.encoded", len(blob))
-            counters.add("net.bytes.encoded", len(blob))
-            counters.add("net.messages.coalesced", len(items))
-            router.post(src, dst, _TAG_SF, blob)
-        else:
-            router.post(src, dst, _TAG_SF, items)
+        blob = datatype.encode(items)
+        counters = self.comm.counters
+        counters.add("sf.bytes.encoded", len(blob))
+        counters.add("net.bytes.encoded", len(blob))
+        counters.add("net.messages.coalesced", len(items))
+        router.post(src, dst, _TAG_SF, blob)
 
     def _stats(self, probe: CommProbe, op: str, records: int,
                sf_ops: int) -> SFStats:
@@ -430,7 +414,6 @@ class StarForest:
         """
         comm = self.comm
         probe = CommProbe(comm.counters)
-        binary = comm.codec == "binary"
         records = 0
         with trace_span(
             comm.tracer, "sf.bcast", sf=self.name, datatype=datatype.name
@@ -444,17 +427,14 @@ class StarForest:
                 if rpid == lpid:
                     local.append((lpid, rpid, items))
                     continue
-                self._post(router, rpid, lpid, items, datatype, binary)
+                self._post(router, rpid, lpid, items, datatype)
             inboxes = router.exchange()
             for lpid, rpid, items in local:
                 self._deliver(lpid, rpid, items, leaf_set, batch_set)
             for lpid in sorted(inboxes):
                 for src, _tag, payload in inboxes[lpid]:
-                    if isinstance(payload, (bytes, bytearray)):
-                        expected = [lh for _rh, lh in groups[(src, lpid)]]
-                        items = datatype.decode(payload, expected)
-                    else:
-                        items = payload
+                    expected = [lh for _rh, lh in groups[(src, lpid)]]
+                    items = datatype.decode(payload, expected)
                     self._deliver(lpid, src, items, leaf_set, batch_set)
             comm.counters.add("sf.ops.bcast")
             comm.counters.add("sf.records", records)
@@ -465,7 +445,6 @@ class StarForest:
         leaf_data: Callable[[int, Any], Any],
         datatype: SFDatatype,
         router: BufferedRouter,
-        binary: bool,
     ) -> Tuple[Dict[int, List[Tuple[Any, int, Any, Any]]], int]:
         """Leaf→root transport shared by reduce and fetch_and_op.
 
@@ -484,17 +463,14 @@ class StarForest:
                 for (rh, lh), (_wire_rh, value) in zip(entries, items):
                     rows.append((rh, lpid, lh, value))
                 continue
-            self._post(router, lpid, rpid, items, datatype, binary)
+            self._post(router, lpid, rpid, items, datatype)
         inboxes = router.exchange()
         for rpid in sorted(inboxes):
             rows = arrivals.setdefault(rpid, [])
             for src, _tag, payload in inboxes[rpid]:
                 entries = groups[(rpid, src)]
-                if isinstance(payload, (bytes, bytearray)):
-                    expected = [rh for rh, _lh in entries]
-                    items = datatype.decode(payload, expected)
-                else:
-                    items = payload
+                expected = [rh for rh, _lh in entries]
+                items = datatype.decode(payload, expected)
                 for (rh, lh), (_wire_rh, value) in zip(entries, items):
                     rows.append((rh, src, lh, value))
         return arrivals, records
@@ -520,14 +496,12 @@ class StarForest:
             raise ValueError(f"unknown reduce op {op!r} (expected one of {OPS})")
         comm = self.comm
         probe = CommProbe(comm.counters)
-        binary = comm.codec == "binary"
         with trace_span(
             comm.tracer, "sf.reduce", sf=self.name, op=op,
             datatype=datatype.name,
         ):
             router = comm.router()
-            arrivals, records = self._gather(leaf_data, datatype, router,
-                                             binary)
+            arrivals, records = self._gather(leaf_data, datatype, router)
             for rpid in sorted(arrivals):
                 rows = sorted(
                     arrivals[rpid], key=lambda row: (row[0], row[1], row[2])
@@ -569,15 +543,13 @@ class StarForest:
             raise ValueError(f"unknown reduce op {op!r} (expected one of {OPS})")
         comm = self.comm
         probe = CommProbe(comm.counters)
-        binary = comm.codec == "binary"
         fetched: Dict[Tuple[int, Any], Any] = {}
         with trace_span(
             comm.tracer, "sf.fetch_and_op", sf=self.name, op=op,
             datatype=datatype.name,
         ):
             router = comm.router()
-            arrivals, records = self._gather(leaf_data, datatype, router,
-                                             binary)
+            arrivals, records = self._gather(leaf_data, datatype, router)
             returns: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
             for rpid in sorted(arrivals):
                 rows = sorted(
@@ -605,16 +577,13 @@ class StarForest:
                     for lh, value in items:
                         fetched[(lpid, lh)] = value
                     continue
-                self._post(router, rpid, lpid, items, datatype, binary)
+                self._post(router, rpid, lpid, items, datatype)
             groups = self._groups(key=lambda entry: entry[1])
             inboxes = router.exchange()
             for lpid in sorted(inboxes):
                 for src, _tag, payload in inboxes[lpid]:
-                    if isinstance(payload, (bytes, bytearray)):
-                        expected = [lh for _rh, lh in groups[(src, lpid)]]
-                        items = datatype.decode(payload, expected)
-                    else:
-                        items = payload
+                    expected = [lh for _rh, lh in groups[(src, lpid)]]
+                    items = datatype.decode(payload, expected)
                     for lh, value in items:
                         fetched[(lpid, lh)] = value
             comm.counters.add("sf.ops.fetch_and_op")

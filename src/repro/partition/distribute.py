@@ -37,7 +37,6 @@ def distribute(
     counters: Optional[PerfCounters] = None,
     sanitize: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
-    codec: str = "binary",
 ) -> DistributedMesh:
     """Split ``mesh`` into a :class:`DistributedMesh` by element assignment.
 
@@ -45,9 +44,7 @@ def distribute(
     dict keyed by element handle, or a sequence aligned with the elements in
     id order.  ``nparts`` defaults to ``max(assignment) + 1``; empty parts
     are allowed.  ``tracer`` is forwarded to the resulting
-    :class:`DistributedMesh` (``None`` resolves to the installed default),
-    as is ``codec`` (the wire codec of the part networks: ``"binary"`` or
-    ``"pickle"``).
+    :class:`DistributedMesh` (``None`` resolves to the installed default).
     """
     dim = mesh.dim()
     if dim < 1:
@@ -81,15 +78,13 @@ def distribute(
         counters=counters,
         sanitize=sanitize,
         tracer=tracer,
-        codec=codec,
     )
 
     with trace_span(dmesh.tracer, "distribute", nparts=nparts):
         # holders[d][gid] -> [(pid, local Ent)] for remote links.
         holders: List[Dict[int, List]] = [{}, {}, {}, {}]
 
-        store = mesh._stores[dim]
-        etypes = {store.etype(e.idx) for e in elements}
+        etypes = {mesh.etype(e) for e in elements}
         single_type = etypes.pop() if len(etypes) == 1 else None
 
         with trace_span(dmesh.tracer, "distribute.build_parts"):
@@ -119,7 +114,7 @@ def distribute(
 
         # Future gid allocations must not collide with the global ids.
         for d in range(4):
-            dmesh.note_gid(d, mesh._stores[d].capacity)
+            dmesh.note_gid(d, mesh.core.top[d])
     return dmesh
 
 
@@ -177,7 +172,7 @@ def _build_part(mesh, dmesh, part, local_elements, single_type, holders):
         lookup = mesh._lookup[d - 1]
         for ent in local_mesh.entities(d):
             key = tuple(
-                sorted(global_verts[i] for i in local_mesh._stores[d].verts(ent.idx))
+                sorted(global_verts[i] for i in local_mesh.core.verts_row(d, ent.idx))
             )
             global_idx = lookup.get(key)
             if global_idx is None:

@@ -22,7 +22,7 @@ import numpy as np
 from ..gmodel.model import Model
 from ..mesh.entity import Ent
 from ..obs.tracer import Tracer, current as current_tracer
-from ..parallel.network import CODECS, Network
+from ..parallel.network import Network
 from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
@@ -40,32 +40,23 @@ class DistributedMesh:
         counters: Optional[PerfCounters] = None,
         sanitize: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
-        codec: str = "binary",
     ) -> None:
         if nparts < 1:
             raise ValueError(f"need at least one part, got {nparts}")
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (expected {CODECS})")
         self.model = model
-        #: Wire codec for the part networks and the distributed services'
-        #: batch encoding: ``"binary"`` (default, compact coalesced
-        #: buffers) or ``"pickle"`` (per-record escape hatch for A/B
-        #: measurement).  Assign at any time — :meth:`router`
-        #: re-propagates it to the cached networks.
-        self.codec = codec
-        #: Alias-sanitizer mode for the part networks (None = REPRO_SANITIZE).
+        #: Alias-sanitizer mode for the part network (None = REPRO_SANITIZE).
         self.sanitize = sanitize
         #: Observability hook (:class:`~repro.obs.Tracer`): the part
-        #: networks charge each superstep's traffic to it and the
+        #: network charges each superstep's traffic to it and the
         #: distributed services open spans on it.  ``None`` resolves to the
         #: installed default tracer (normally also ``None``); assign at any
-        #: time — :meth:`router` re-propagates it to the cached networks.
+        #: time — :meth:`router` re-propagates it to the cached network.
         self.tracer = tracer if tracer is not None else current_tracer()
         #: Fault-injection hook (:class:`~repro.resilience.FaultInjector`):
-        #: when assigned, the part networks route every post/exchange
+        #: when assigned, the part network routes every post/exchange
         #: through it (message drop/duplicate/corrupt/delay, scheduled rank
         #: crashes).  Assign at any time — :meth:`router` re-propagates it
-        #: to the cached networks, like :attr:`tracer`.
+        #: to the cached network, like :attr:`tracer`.
         self.fault_injector = None
         self._auto_topology = topology is None
         self.topology = topology if topology is not None else flat(nparts)
@@ -79,7 +70,6 @@ class DistributedMesh:
         # uniqueness guarantee deterministically.
         self._gid_next = [0, 0, 0, 0]
         self._network: Optional[Network] = None
-        self._trusted_network: Optional[Network] = None
 
     # -- parts ------------------------------------------------------------
 
@@ -111,47 +101,24 @@ class DistributedMesh:
 
     # -- communication -----------------------------------------------------
 
-    def router(self, trusted: bool = False) -> BufferedRouter:
-        """A coalescing router over the (lazily rebuilt) part network.
-
-        ``trusted`` selects a channel that skips the off-node pickling
-        round-trip; use it only for payloads of immutable values (the link
-        rebuild's integer tuples), where sender/receiver aliasing cannot
-        violate distributed-memory semantics.
-        """
+    def router(self) -> BufferedRouter:
+        """A coalescing router over the (lazily rebuilt) part network."""
         if self._network is None or self._network.nparts != self.nparts:
             self._network = Network(
                 self.nparts,
                 topology=self.topology,
                 counters=self.counters,
-                codec=self.codec,
-                sanitize=self.sanitize,
-                tracer=self.tracer,
-                fault_injector=self.fault_injector,
-            )
-            self._trusted_network = Network(
-                self.nparts,
-                topology=self.topology,
-                counters=self.counters,
-                copy_off_node=False,
-                codec=self.codec,
                 sanitize=self.sanitize,
                 tracer=self.tracer,
                 fault_injector=self.fault_injector,
             )
         else:
-            # The tracer / fault-injector / codec attributes may have been
-            # (re)assigned since the networks were built; keep them
-            # pointing at the current ones.
+            # The tracer / fault-injector attributes may have been
+            # (re)assigned since the network was built; keep it pointing
+            # at the current ones.
             self._network.tracer = self.tracer
-            self._trusted_network.tracer = self.tracer
             self._network.fault_injector = self.fault_injector
-            self._trusted_network.fault_injector = self.fault_injector
-            self._network.codec = self.codec
-            self._trusted_network.codec = self.codec
-        return BufferedRouter(
-            self._trusted_network if trusted else self._network
-        )
+        return BufferedRouter(self._network)
 
     # -- global ids ---------------------------------------------------------
 

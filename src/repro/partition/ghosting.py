@@ -22,18 +22,11 @@ Ring discovery, in supersteps:
 2. **rings ≥ 1** — the *front* is the set of bridge entities in the
    closure of the previous ring's new ghost elements.  A ghost front
    entity is queried at its home part by global id; a real shared front
-   entity at every co-holder (1 exchange).  With
-   ``Overlap(include_closure=True)`` (the default) a home part also
-   *refers* the request to every other real holder of the entity
-   (1 exchange) — that referral is what makes the depth-k region exact
-   when a ring wraps around a part corner onto a third part.  Bundles
-   again arrive via one ``bcast``.
-
-With ``include_closure=False`` the referral pass is skipped: each ring
-costs one less superstep and pulls only from parts the requester already
-knows, truncating rings that wrap corners — the locality approximation
-the pre-SF implementation always made (see
-:mod:`repro.partition.legacy`).
+   entity at every co-holder (1 exchange).  A home part also *refers*
+   the request to every other real holder of the entity (1 exchange) —
+   that referral is what makes the depth-k region exact when a ring wraps
+   around a part corner onto a third part.  Bundles again arrive via one
+   ``bcast``.
 
 Ghost elements and the closure entities created for them are marked on the
 receiving part: they are excluded from load accounting, never own
@@ -43,7 +36,6 @@ before any migration).  Requested tag values travel with the copies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -65,14 +57,11 @@ class Overlap:
 
     ``depth`` rings of elements are ghosted, each ring being adjacency
     through ``bridge_dim`` (vertices give the widest ring, faces the
-    narrowest).  ``include_closure`` keeps the region exact across part
-    corners via the referral pass; switching it off trades exactness at
-    corners for one fewer superstep per ring beyond the first.
+    narrowest).
     """
 
     depth: int = 1
     bridge_dim: int = 0
-    include_closure: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 0:
@@ -83,18 +72,13 @@ class Overlap:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "depth": self.depth,
-            "bridge_dim": self.bridge_dim,
-            "include_closure": self.include_closure,
-        }
+        return {"depth": self.depth, "bridge_dim": self.bridge_dim}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Overlap":
         return cls(
             depth=int(payload.get("depth", 1)),
             bridge_dim=int(payload.get("bridge_dim", 0)),
-            include_closure=bool(payload.get("include_closure", True)),
         )
 
     @classmethod
@@ -109,71 +93,36 @@ class Overlap:
         )
 
 
-_legacy_warned = False
-
-
-def _resolve_overlap(
-    bridge_dim: Optional[int],
-    layers: Optional[int],
-    overlap: Optional[Any],
-    depth: Optional[int],
-) -> Overlap:
+def _resolve_overlap(overlap: Optional[Any], depth: Optional[int]) -> Overlap:
     """Map the accepted argument spellings onto one :class:`Overlap`."""
-    global _legacy_warned
-    legacy = bridge_dim is not None or layers is not None
     if overlap is not None:
-        if legacy or depth is not None:
-            raise ValueError(
-                "pass either overlap= or the bridge_dim/layers/depth "
-                "arguments, not both"
-            )
+        if depth is not None:
+            raise ValueError("pass either overlap= or depth=, not both")
         return Overlap.coerce(overlap)
     if depth is not None:
-        if legacy:
-            raise ValueError(
-                "pass either depth= or the legacy bridge_dim/layers "
-                "arguments, not both"
-            )
         return Overlap(depth=depth)
-    if legacy:
-        if not _legacy_warned:
-            _legacy_warned = True
-            warnings.warn(
-                "ghost_layer(bridge_dim=..., layers=...) is deprecated; "
-                "pass overlap=Overlap(depth=..., bridge_dim=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return Overlap(
-            depth=1 if layers is None else layers,
-            bridge_dim=0 if bridge_dim is None else bridge_dim,
-        )
     return Overlap()
 
 
 def ghost_layer(
     dmesh: DistributedMesh,
-    bridge_dim: Optional[int] = None,
-    layers: Optional[int] = None,
-    tags: Sequence[str] = (),
     *,
+    tags: Sequence[str] = (),
     overlap: Optional[Any] = None,
     depth: Optional[int] = None,
 ) -> GhostStats:
     """Create a depth-k ghost overlap; returns a :class:`GhostStats` record.
 
     The overlap is configured with ``overlap=Overlap(...)`` (or the
-    ``depth=k`` shortcut for ``Overlap(depth=k)``); the positional
-    ``bridge_dim``/``layers`` spelling is a deprecated shim that warns once
-    per process and maps onto the same :class:`Overlap`.  ``tags`` lists
-    tag names whose element values are copied along.
+    ``depth=k`` shortcut for ``Overlap(depth=k)``).  ``tags`` lists tag
+    names whose element values are copied along.
 
     ``stats.ghosts_created`` counts ghost *elements*; ``per_dimension``
     additionally counts the closure entities (vertices, edges, faces) the
     copies brought along; ``stats.layers`` echoes the overlap depth and
     ``stats.sf_ops`` the star-forest broadcasts executed (one per ring).
     """
-    ov = _resolve_overlap(bridge_dim, layers, overlap, depth)
+    ov = _resolve_overlap(overlap, depth)
     dim = dmesh.element_dim()
     if not 0 <= ov.bridge_dim < dim:
         raise ValueError(
@@ -186,7 +135,6 @@ def ghost_layer(
     with trace_span(
         dmesh.tracer, "ghost_layer",
         depth=ov.depth, bridge_dim=ov.bridge_dim,
-        include_closure=ov.include_closure,
     ):
         prev_new: Dict[int, List[Ent]] = {}
         for ring in range(ov.depth):
@@ -314,7 +262,7 @@ def _ring_forest(
 
     queues: Dict[Tuple[int, int], List[Ent]] = {}
     seen: Dict[Tuple[int, int], Set[Ent]] = {}
-    refer = ov.include_closure and not first
+    refer = not first
     if refer:
         router = dmesh.router()
     for pid in sorted(requests):

@@ -22,8 +22,7 @@ state and are not checkpointed" gap:
   configuration in the manifest and re-applies it on restore).
 
 Tag and field blobs are stored in the :mod:`repro.parallel.codec` binary
-format (blobs from older checkpoints, which used raw pickle, are sniffed by
-magic and still load).  Durability: every file is written atomically
+format.  Durability: every file is written atomically
 (``*.tmp`` + fsync + rename), the manifest carries a SHA-256 per part file,
 and any integrity violation surfaces as a typed
 :class:`CorruptCheckpointError` instead of a cold
@@ -39,7 +38,6 @@ import hashlib
 import io as _io
 import json
 import os
-import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -89,12 +87,14 @@ def _encode_blob(obj: Any) -> np.ndarray:
     return np.frombuffer(codec.dumps(obj), dtype=np.uint8)
 
 
-def _decode_blob(arr: np.ndarray) -> Any:
-    """Decode a stored blob; pre-codec checkpoints used raw pickle."""
-    data = arr.tobytes()
-    if data[: len(codec.MAGIC)] == codec.MAGIC:
-        return codec.loads(data)
-    return pickle.loads(data)
+def _decode_blob(parts_data, pid: int, key: str) -> Any:
+    """Decode part ``pid``'s stored ``key`` blob; a bad frame names the file."""
+    try:
+        return codec.loads(parts_data[pid][key].tobytes())
+    except codec.CodecError as exc:
+        raise CorruptCheckpointError(
+            f"part{pid}.npz: undecodable {key}: {exc}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,17 @@ def save_dmesh(
     }
     for part in dmesh:
         mesh = part.mesh
-        store = mesh._stores[dim]
+        core = mesh.core
         elements = [
-            i for i in store.indices() if Ent(dim, i) not in part.ghosts
+            i for i in core.live_ids(dim).tolist()
+            if Ent(dim, i) not in part.ghosts
         ]
         vert_ids = [
-            i for i in mesh._stores[0].indices()
+            i for i in core.live_ids(0).tolist()
             if Ent(0, i) not in part.ghosts
         ]
         vert_map = {idx: pos for pos, idx in enumerate(vert_ids)}
-        etypes = sorted({store.etype(i) for i in elements})
+        etypes = sorted({int(core.etype[dim][i]) for i in elements})
         if len(etypes) > 1:
             raise ValueError(
                 "checkpointing supports single-element-type parts"
@@ -196,7 +197,10 @@ def save_dmesh(
         )
         conn = (
             np.asarray(
-                [[vert_map[v] for v in store.verts(i)] for i in elements],
+                [
+                    [vert_map[v] for v in core.verts_row(dim, i)]
+                    for i in elements
+                ],
                 dtype=np.int64,
             )
             if elements
@@ -358,7 +362,7 @@ def load_checkpoint(
         fields = _restore_fields(dmesh, manifest, parts_data)
     except CorruptCheckpointError:
         raise
-    except (KeyError, ValueError, IndexError, pickle.UnpicklingError) as exc:
+    except (KeyError, ValueError, IndexError) as exc:
         raise CorruptCheckpointError(
             f"{path}: inconsistent checkpoint contents: "
             f"{type(exc).__name__}: {exc}"
@@ -462,7 +466,7 @@ def _restore_same_parts(
             # (each element's closure covers every edge and face).
             for element in mesh.entities(mesh.dim()):
                 mesh.classify_closure_missing(element)
-        tags_data = _decode_blob(data["tag_blob"])
+        tags_data = _decode_blob(parts_data, pid, "tag_blob")
         if tags_data:
             dims = sorted({d for _n, entries in tags_data for d, _k, _v in entries})
             _apply_tags(part, tags_data, _key_index(part, dims))
@@ -565,8 +569,8 @@ def _restore_regrouped(
 
     # Tags: first saved part wins on shared entities (deterministic).
     merged: Dict[str, Dict[Tuple[int, Tuple[int, ...]], Any]] = {}
-    for data in parts_data:
-        for name, entries in _decode_blob(data["tag_blob"]):
+    for pid in range(len(parts_data)):
+        for name, entries in _decode_blob(parts_data, pid, "tag_blob"):
             bucket = merged.setdefault(name, {})
             for d, key, value in entries:
                 bucket.setdefault((d, tuple(key)), value)
@@ -596,8 +600,9 @@ def _restore_fields(
     if not metas:
         return {}
     merged: Dict[str, Dict[Tuple[int, ...], np.ndarray]] = {}
-    for data in parts_data:
-        for name, entries in _decode_blob(data["field_blob"]).items():
+    for pid in range(len(parts_data)):
+        entries_by_name = _decode_blob(parts_data, pid, "field_blob")
+        for name, entries in entries_by_name.items():
             bucket = merged.setdefault(name, {})
             for key, value in entries:
                 bucket.setdefault(tuple(key), value)

@@ -14,7 +14,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 from .bisection import recursive_bisection
 from .graph import dual_graph
@@ -82,11 +81,8 @@ def entity_counts_from_assignment(
     counts = np.zeros((nparts, 4), dtype=np.int64)
     np.add.at(counts[:, dim], assignment, 1)
     for d in range(dim):
-        store = mesh._stores[d]
-        for idx in store.indices():
-            holders = {
-                part_of[e.idx] for e in mesh.adjacent(Ent(d, idx), dim)
-            }
+        for ent in mesh.entities(d):
+            holders = {part_of[e.idx] for e in mesh.adjacent(ent, dim)}
             for p in holders:
                 counts[p, d] += 1
     return counts

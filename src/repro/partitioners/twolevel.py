@@ -22,7 +22,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 from ..parallel.topology import MachineTopology
 from .bisection import recursive_bisection
@@ -112,11 +111,8 @@ def boundary_locality(
     on_node = 0
     off_node = 0
     for d in range(dim):
-        store = mesh._stores[d]
-        for idx in store.indices():
-            holders = {
-                part_of[e.idx] for e in mesh.adjacent(Ent(d, idx), dim)
-            }
+        for ent in mesh.entities(d):
+            holders = {part_of[e.idx] for e in mesh.adjacent(ent, dim)}
             if len(holders) < 2:
                 continue
             copies = len(holders) - 1

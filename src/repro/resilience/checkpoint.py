@@ -76,9 +76,7 @@ def _normalize_ghost_config(config: Any) -> Dict[str, Any]:
     """Canonicalize any accepted ghost-config spelling.
 
     Returns ``{"overlap": <overlap dict>, "tags": [names...]}`` — the only
-    form written to manifests.  Legacy manifests/configs with
-    ``bridge_dim``/``layers`` keys map onto the same shape, so restoring an
-    old checkpoint never trips the :func:`ghost_layer` deprecation shim.
+    form written to manifests.
     """
     if isinstance(config, Overlap):
         return {"overlap": config.to_dict(), "tags": []}
@@ -89,22 +87,9 @@ def _normalize_ghost_config(config: Any) -> Dict[str, Any]:
         )
     config = dict(config)
     tags = list(config.pop("tags", ()))
-    if "overlap" in config:
-        overlap = Overlap.coerce(config.pop("overlap"))
-        if config:
-            raise ValueError(
-                f"unexpected ghost_config keys: {sorted(config)}"
-            )
-    else:
-        unknown = set(config) - {"bridge_dim", "layers"}
-        if unknown:
-            raise ValueError(
-                f"unexpected ghost_config keys: {sorted(unknown)}"
-            )
-        overlap = Overlap(
-            depth=int(config.get("layers", 1)),
-            bridge_dim=int(config.get("bridge_dim", 0)),
-        )
+    overlap = Overlap.coerce(config.pop("overlap", Overlap()))
+    if config:
+        raise ValueError(f"unexpected ghost_config keys: {sorted(config)}")
     return {"overlap": overlap.to_dict(), "tags": tags}
 
 
@@ -142,10 +127,9 @@ class CheckpointManager:
         Optional ghost configuration recorded in every manifest and
         re-applied by :meth:`restore`, so ghosted workloads resume with
         their halo already rebuilt.  Accepts an
-        :class:`~repro.partition.ghosting.Overlap`, a dict
-        ``{"overlap": Overlap | overlap-dict, "tags": [...]}``, or the
-        legacy keyword dict (``bridge_dim``, ``layers``, ``tags``); all
-        forms are normalized to the overlap form in the manifest.
+        :class:`~repro.partition.ghosting.Overlap` or a dict
+        ``{"overlap": Overlap | overlap-dict, "tags": [...]}``; both are
+        normalized to the dict form in the manifest.
     """
 
     PREFIX = "ckpt-"

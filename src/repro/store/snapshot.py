@@ -447,7 +447,6 @@ class SnapshotStore:
         topology: Optional[MachineTopology] = None,
         counters: Optional[PerfCounters] = None,
         tracer: Optional[Tracer] = None,
-        codec: str = "binary",
         sanitize: Optional[bool] = None,
     ) -> Tuple[DistributedMesh, Dict[str, DistributedField], StoreStats]:
         """Parallel restore at any part count; ``(dmesh, fields, stats)``.
@@ -482,7 +481,6 @@ class SnapshotStore:
             counters=use_counters,
             sanitize=sanitize,
             tracer=use_tracer,
-            codec=codec,
         )
         probe = CommProbe(use_counters)
         before = {

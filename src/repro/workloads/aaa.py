@@ -49,10 +49,9 @@ def aaa_mesh(
     )
     rng = np.random.default_rng(seed)
 
-    store = mesh._stores[0]
     coords = mesh._coords
     h = 1.0 / n  # cross-section spacing before deformation
-    for idx in store.indices():
+    for idx in mesh.core.live_ids(0).tolist():
         x, y, z = coords[idx]
         t = x / length
         # Aneurysm sac: radius grows smoothly in the middle of the vessel.

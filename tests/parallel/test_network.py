@@ -41,7 +41,7 @@ def test_off_node_messages_are_copied():
     net.post(0, 1, 0, payload)
     (src, tag, received), = net.exchange()[1]
     assert received == payload
-    assert received is not payload  # pickled copy, MPI semantics
+    assert received is not payload  # codec round-trip copy, MPI semantics
 
 
 def test_on_node_messages_share_reference():
@@ -65,17 +65,18 @@ def test_traffic_classification():
     assert perf.get("net.messages.on_node") == 1
     assert perf.get("net.messages.off_node") == 1
     assert perf.get("net.messages.self") == 1
-    # The default network codec is binary; charged bytes match it exactly.
-    assert perf.get("net.bytes.off_node") == wire_size("off", codec="binary")
+    assert perf.get("net.bytes.off_node") == wire_size("off")
 
 
-def test_pickle_codec_escape_hatch_charges_pickle_bytes():
-    topo = MachineTopology(nodes=2, cores_per_node=1)
+@pytest.mark.parametrize(
+    "payload", ["off", {"k": [1, 2.5, None]}, b"\x00" * 57, bytearray(b"ab")]
+)
+def test_wire_size_is_what_exchange_charges(payload):
     perf = PerfCounters()
-    net = Network(2, topology=topo, counters=perf, codec="pickle")
-    net.post(0, 1, 0, "off")
+    net = Network(2, counters=perf)  # flat topology: off-node pair
+    net.post(0, 1, 0, payload)
     net.exchange()
-    assert perf.get("net.bytes.off_node") == wire_size("off", codec="pickle")
+    assert perf.get("net.bytes.off_node") == wire_size(payload)
 
 
 def test_bytes_payloads_charged_at_face_value():
@@ -88,9 +89,9 @@ def test_bytes_payloads_charged_at_face_value():
     assert perf.get("net.bytes.off_node") == len(blob)
 
 
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        Network(2, counters=PerfCounters(), codec="json")
+def test_codec_is_not_an_option():
+    with pytest.raises(TypeError):
+        Network(2, counters=PerfCounters(), codec="pickle")
 
 
 def test_stats_accumulate_across_exchanges():

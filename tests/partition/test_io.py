@@ -296,3 +296,25 @@ def test_missing_part_file_is_typed(tmp_path):
     (path / "part0.npz").unlink()
     with pytest.raises(CorruptCheckpointError, match="missing"):
         load_dmesh(path)
+
+
+def test_pickled_blob_is_rejected_not_unpickled(tmp_path):
+    import hashlib
+    import io
+    import json
+    import pickle
+
+    path = make_checkpoint(tmp_path)
+    part_file = path / "part1.npz"
+    arrays = dict(np.load(part_file))
+    arrays["tag_blob"] = np.frombuffer(pickle.dumps({}), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    part_file.write_bytes(buffer.getvalue())
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["files"]["part1.npz"] = hashlib.sha256(
+        buffer.getvalue()
+    ).hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz.*tag_blob"):
+        load_dmesh(path)

@@ -1,12 +1,9 @@
-"""Depth-k overlap semantics: exact regions, Overlap config, legacy shim."""
-
-import warnings
+"""Depth-k overlap semantics: exact regions, Overlap config."""
 
 import pytest
 
 from repro.mesh import rect_tri
-from repro.partition import Overlap, delete_ghosts, distribute, ghost_layer
-from repro.partition.ghosting import _resolve_overlap
+from repro.partition import Overlap, distribute, ghost_layer
 
 
 def strip(mesh, nparts, axis=0):
@@ -101,29 +98,6 @@ def test_depth_k_region_is_exact(maker, nparts, depth):
     assert actual_regions(dm) == expected
 
 
-def test_without_closure_is_subset_and_matches_at_depth_one():
-    mesh = rect_tri(8)
-    assignment = blocks(mesh, 2)
-    dm = distribute(mesh, assignment)
-    ghost_layer(dm, overlap=Overlap(depth=1, include_closure=False))
-    shallow = actual_regions(dm)
-    delete_ghosts(dm)
-    ghost_layer(dm, overlap=Overlap(depth=1))
-    assert actual_regions(dm) == shallow  # depth 1 needs no referrals
-    delete_ghosts(dm)
-
-    ghost_layer(dm, overlap=Overlap(depth=2, include_closure=False))
-    truncated = actual_regions(dm)
-    delete_ghosts(dm)
-    ghost_layer(dm, overlap=Overlap(depth=2))
-    full = actual_regions(dm)
-    for pid in full:
-        assert truncated[pid] <= full[pid]
-    # On the corner-wrapping block partition the approximation really is
-    # smaller somewhere — otherwise this test tests nothing.
-    assert any(truncated[pid] < full[pid] for pid in full)
-
-
 def test_depth_zero_is_a_noop():
     mesh = rect_tri(4)
     dm = distribute(mesh, strip(mesh, 2))
@@ -137,9 +111,14 @@ def test_overlap_validation_and_roundtrip():
         Overlap(depth=-1)
     with pytest.raises(ValueError):
         Overlap(bridge_dim=3)
-    ov = Overlap(depth=2, bridge_dim=1, include_closure=False)
+    ov = Overlap(depth=2, bridge_dim=1)
     assert Overlap.coerce(ov) is ov
+    assert ov.to_dict() == {"depth": 2, "bridge_dim": 1}
     assert Overlap.coerce(ov.to_dict()) == ov
+    # Manifests written before the knob was dropped still load.
+    assert Overlap.from_dict({**ov.to_dict(), "include_closure": False}) == ov
+    with pytest.raises(TypeError):
+        Overlap(include_closure=False)
     with pytest.raises(TypeError):
         Overlap.coerce(2)
     # Overlap above the element dimension is caught at the mesh.
@@ -153,32 +132,9 @@ def test_argument_spellings_are_exclusive():
     mesh = rect_tri(2)
     dm = distribute(mesh, strip(mesh, 2))
     with pytest.raises(ValueError):
-        ghost_layer(dm, bridge_dim=0, overlap=Overlap())
-    with pytest.raises(ValueError):
-        ghost_layer(dm, layers=2, depth=2)
-    with pytest.raises(ValueError):
         ghost_layer(dm, overlap=Overlap(), depth=1)
-
-
-def test_legacy_kwargs_warn_once_and_still_work(monkeypatch):
-    import repro.partition.ghosting as ghosting
-
-    monkeypatch.setattr(ghosting, "_legacy_warned", False)
-    mesh = rect_tri(4)
-    dm = distribute(mesh, strip(mesh, 2))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stats = ghost_layer(dm, bridge_dim=0, layers=2)
-        delete_ghosts(dm)
+    # The pre-Overlap spellings are gone, not silently rebound to ``tags``.
+    with pytest.raises(TypeError):
+        ghost_layer(dm, 0, 2)
+    with pytest.raises(TypeError):
         ghost_layer(dm, bridge_dim=0)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1  # once per process, not per call
-    assert "Overlap" in str(deprecations[0].message)
-    assert stats.layers == 2 and stats.ghosts_created > 0
-    # The shim maps onto the identical Overlap.
-    monkeypatch.setattr(ghosting, "_legacy_warned", True)
-    assert _resolve_overlap(1, 2, None, None) == Overlap(depth=2, bridge_dim=1)
-    assert _resolve_overlap(None, None, None, 3) == Overlap(depth=3)
-    assert _resolve_overlap(None, None, None, None) == Overlap()

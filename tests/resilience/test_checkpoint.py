@@ -138,9 +138,13 @@ def test_ghost_config_reapplied_on_restore(tmp_path):
         tmp_path / "ck", ghost_config=Overlap(depth=1, bridge_dim=0)
     )
     assert manager.ghost_config == {
-        "overlap": {"depth": 1, "bridge_dim": 0, "include_closure": True},
+        "overlap": {"depth": 1, "bridge_dim": 0},
         "tags": [],
     }
+    with pytest.raises(ValueError, match="unexpected ghost_config keys"):
+        CheckpointManager(
+            tmp_path / "ck", ghost_config={"bridge_dim": 0, "layers": 1}
+        )
     manager.save(dm, step=0)
     restored, _, _ = manager.restore(model=mesh.model)
     restored.verify()
@@ -151,35 +155,6 @@ def test_ghost_config_reapplied_on_restore(tmp_path):
     assert total(restored) == total(dm)
     assert any(part.ghosts for part in restored)
     assert np.array_equal(restored.entity_counts(), ghosted_counts)
-
-
-def test_legacy_ghost_config_manifest_still_restores(tmp_path):
-    """Manifests written before the Overlap API restore without warnings."""
-    import warnings
-
-    from repro.partition import ghost_layer
-
-    dm, mesh = make_dmesh()
-    ghost_layer(dm)
-    manager = CheckpointManager(
-        tmp_path / "ck", ghost_config={"bridge_dim": 0, "layers": 1}
-    )
-    # The legacy dict is normalized to the overlap form at construction.
-    assert manager.ghost_config["overlap"]["depth"] == 1
-    manager.save(dm, step=0)
-    # Rewrite the manifest's ghost_config back to the legacy spelling, as an
-    # old on-disk checkpoint would carry it.
-    import json
-
-    ckpt = manager.latest().path
-    manifest_path = ckpt / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["extra"]["ghost_config"] = {"bridge_dim": 0, "layers": 1}
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        restored, _, _ = manager.restore(model=mesh.model)
-    assert any(part.ghosts for part in restored)
 
 
 def test_restore_at_different_part_count(tmp_path):

@@ -47,9 +47,8 @@ def part_signature(dmesh):
     return out
 
 
-@pytest.mark.parametrize("codec", ["binary", "pickle"])
 @pytest.mark.parametrize("depth", [2, 3])
-def test_store_load_then_reghost(tmp_path, depth, codec):
+def test_store_load_then_reghost(tmp_path, depth):
     dm, mesh = make_dmesh(nparts=4, n=5)
     overlap = Overlap(depth=depth, bridge_dim=0)
     ghost_layer(dm, overlap=overlap)
@@ -64,9 +63,7 @@ def test_store_load_then_reghost(tmp_path, depth, codec):
     want_elems = owned_gid_set(dm, 2)
     want_sum = round(field_checksum(dm, f), 9)
     for target in (2, 6):
-        dm2, fields, _ = store.load_at(
-            nparts=target, model=mesh.model, codec=codec
-        )
+        dm2, fields, _ = store.load_at(nparts=target, model=mesh.model)
         ghost_layer(dm2, overlap=overlap)
         dm2.verify()
         assert owned_gid_set(dm2, 2) == want_elems

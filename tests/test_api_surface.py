@@ -510,23 +510,24 @@ def test_parallel_placement_surface():
 
 
 def test_wire_codec_surface():
-    """The binary wire codec knob is part of the pinned public API."""
+    """One wire codec, no knob: the removed names stay removed."""
     import repro
-    from repro.parallel import CODECS, CodecError, Network, codec
+    import repro.mesh
+    import repro.parallel
+    from repro.parallel import CodecError, codec
 
     # CodecError is one class, importable from the top level too.
     assert repro.CodecError is CodecError
     assert "CodecError" in repro.__all__
     assert issubclass(CodecError, ValueError)
-    # The codec registry and defaults.
-    assert CODECS == ("binary", "pickle")
-    assert Network(2).codec == "binary"
-    # The knob threads from distribute through DistributedMesh.
+    # No codec registry, no per-mesh selector, no frozen object store.
+    assert not hasattr(repro.parallel, "CODECS")
+    assert "CODECS" not in repro.parallel.__all__
+    assert not hasattr(repro.mesh, "EntityStore")
     mesh = rect_tri(2)
-    dm = distribute(mesh, strips(mesh, 2), codec="pickle")
-    assert dm.codec == "pickle"
-    with pytest.raises(ValueError):
-        distribute(mesh, strips(mesh, 2), codec="gzip")
+    with pytest.raises(TypeError):
+        distribute(mesh, strips(mesh, 2), codec="pickle")
+    assert not hasattr(distribute(mesh, strips(mesh, 2)), "codec")
     # The wire-format module surface used by the services.
     for name in (
         "MAGIC",
@@ -613,6 +614,8 @@ def test_services_return_typed_stats():
 def test_star_forest_surface():
     """StarForest, Overlap and SFStats are pinned, and every distributed
     service routes through the forest (sf_ops > 0 on its stats)."""
+    import dataclasses
+
     import repro
     from repro import DistributedField, Overlap, SFStats, StarForest
     from repro.parallel import StarForest as p_StarForest
@@ -625,7 +628,10 @@ def test_star_forest_surface():
     assert OPS == ("replace", "sum", "min", "max")
 
     # Overlap is frozen and validated.
-    ov = Overlap(depth=2, bridge_dim=1, include_closure=False)
+    ov = Overlap(depth=2, bridge_dim=1)
+    assert [f.name for f in dataclasses.fields(Overlap)] == [
+        "depth", "bridge_dim"
+    ]
     with pytest.raises(Exception):
         ov.depth = 3
     with pytest.raises(ValueError):

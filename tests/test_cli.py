@@ -60,7 +60,10 @@ def test_balance_runs_parma(capsys):
 
 def test_bench_hint(capsys):
     assert main(["bench"]) == 0
-    assert "pytest benchmarks/" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "benchmarks/pipeline/run.py" in out
+    assert "benchmarks/pipeline/diff.py" in out
+    assert "pytest benchmarks/" in out
 
 
 def test_unknown_kind_fails():
