@@ -66,11 +66,11 @@ class Field:
             self._values = values
             self._mask = mask
 
-    def _entity_destroyed(self, ent: Ent) -> None:
-        if ent.dim == self.entity_dim and ent.idx < len(self._mask):
-            if self._mask[ent.idx]:
-                self._mask[ent.idx] = False
-                self._count -= 1
+    def _entity_destroyed(self, dim: int, ids: np.ndarray) -> None:
+        if dim == self.entity_dim:
+            known = ids[ids < len(self._mask)]
+            self._count -= int(self._mask[known].sum())
+            self._mask[known] = False
 
     def _coerce(self, value) -> np.ndarray:
         arr = np.asarray(value, dtype=float)

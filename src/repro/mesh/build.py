@@ -1,13 +1,18 @@
-"""Vectorized bulk mesh construction from element connectivity.
+"""Vectorized bulk mesh construction: the landing kernel.
 
 Creating entities one at a time through :meth:`repro.mesh.mesh.Mesh.create`
-is the right interface for mesh *modification*, but constructing a
-multi-hundred-thousand-element mesh that way is dominated by per-entity
-Python overhead.  :func:`from_connectivity` instead derives all intermediate
-entities (unique edges, unique faces) with NumPy ``sort``/``unique`` passes —
-the guide-recommended vectorization — and block-appends them into the SoA
-core (:class:`repro.mesh.core.MeshCore`), producing a mesh identical to the
-incremental path (verified by the test suite).
+is the right interface for mesh *modification*, but constructing or
+receiving thousands of entities that way is dominated by per-entity Python
+overhead.  :func:`land_vertices` and :func:`land_rows` are the one bulk
+find-or-create kernel: they take a block of vertices, or a block of
+explicit closure rows of one dimension, and land them on a possibly
+non-empty mesh with block allocation, template-derived downward rows, one
+``bulk_add_up`` and one lookup update.  Migration and ghosting land received
+element closures through it (:mod:`repro.partition.migration`);
+:func:`from_connectivity` derives the unique edge/face rows of a whole mesh
+with NumPy ``sort``/``unique`` passes and lands them on an empty one,
+producing a mesh identical to the incremental path (verified by the test
+suite).
 
 Orientation note: the canonical vertex order of each auto-derived edge/face
 is taken from its first occurrence in element order, matching what the
@@ -16,14 +21,170 @@ incremental path produces when elements are created in the same order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gmodel.model import Model
-from .entity import Ent
-from .mesh import Mesh
-from .topology import EDGE, TRI, VERTEX, type_info
+from ..gmodel.model import Model, ModelEntity
+from .core import DOWN_WIDTH, VERT_WIDTH
+from .mesh import Mesh, vertex_keys
+from .topology import EDGE, VERTEX, type_info
+
+
+def _classify_block(
+    mesh: Mesh,
+    dim: int,
+    ids: np.ndarray,
+    cref: Optional[np.ndarray],
+    classes: Sequence[ModelEntity],
+) -> None:
+    """``ids[k]`` is classified on ``classes[cref[k] - 1]`` (0 = none)."""
+    if cref is None or not len(classes):
+        return
+    has = cref > 0
+    mesh._gclass[dim].update(
+        zip(ids[has].tolist(), [classes[c - 1] for c in cref[has].tolist()])
+    )
+
+
+def land_vertices(
+    mesh: Mesh,
+    coords: np.ndarray,
+    cref: Optional[np.ndarray] = None,
+    classes: Sequence[ModelEntity] = (),
+) -> np.ndarray:
+    """Create ``len(coords)`` vertices in one block; returns their ids.
+
+    Ids are what the same number of ``create_vertex`` calls would return
+    (free-list slots first).  ``cref``/``classes`` classify them, see
+    :func:`land_rows`.
+    """
+    coords = np.asarray(coords, dtype=float)
+    core = mesh.core
+    ids = core.alloc_block(0, len(coords))
+    core.write_block(0, ids, VERTEX, None, None)
+    mesh._reserve_coords(core.top[0])
+    if len(ids):
+        mesh._coords[ids] = 0.0
+        mesh._coords[ids, : coords.shape[1]] = coords
+    _classify_block(mesh, 0, ids, cref, classes)
+    return ids
+
+
+def _probe(lookup, rows: np.ndarray) -> np.ndarray:
+    """Ids of the entities on vertex rows ``rows`` (-1 where absent)."""
+    if not lookup:
+        return np.full(len(rows), -1, dtype=np.int64)
+    return np.fromiter(
+        (lookup.get(key, -1) for key in vertex_keys(rows)),
+        dtype=np.int64, count=len(rows),
+    )
+
+
+def _down_rows(mesh: Mesh, etype: int, verts: np.ndarray) -> np.ndarray:
+    """One-level downward ids of rows of one type, by template + lookup."""
+    info = type_info(etype)
+    if info.dim == 1:
+        return verts
+    if info.dim == 2:
+        templates = [(a, b) for a, b in info.edges]
+    else:
+        templates = [locals_ for _ftype, locals_ in info.faces]
+    lookup = mesh._lookup[info.dim - 2]
+    down = np.empty((len(verts), len(templates)), dtype=np.int64)
+    # Group template slots by width so each group is one rectangular probe.
+    for width in sorted({len(t) for t in templates}):
+        slots = [k for k, t in enumerate(templates) if len(t) == width]
+        locals_ = np.asarray([templates[k] for k in slots], dtype=np.int64)
+        found = _probe(lookup, verts[:, locals_].reshape(-1, width))
+        down[:, slots] = found.reshape(len(verts), len(slots))
+    if (down < 0).any():
+        raise ValueError(
+            f"cannot land {info.name} rows: a bounding entity is missing "
+            f"(every closure entity must be landed first)"
+        )
+    return down
+
+
+def land_rows(
+    mesh: Mesh,
+    dim: int,
+    etypes: np.ndarray,
+    verts: np.ndarray,
+    cref: Optional[np.ndarray] = None,
+    classes: Sequence[ModelEntity] = (),
+    down: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Find-or-create a block of explicit dim-``dim`` rows (``dim`` >= 1).
+
+    ``verts[k]`` holds row ``k``'s canonical local vertex ids (padded on
+    the right when types of different size are mixed) and ``etypes[k]``
+    its type code; rows must be distinct entities.  Rows whose sorted
+    vertex key is already in the mesh resolve to the existing entity; the
+    rest are created in row order with the ids the same sequence of
+    ``create`` calls would return, their downward rows taken from the type
+    templates by lookup — so the dimension below must be landed first and
+    nothing is auto-derived.  A caller that derived the rows from their
+    upper entities already knows the downward ids and passes them as
+    ``down`` (same row order, template slot order, padded like ``verts``),
+    which skips the lookups.  New rows ``k`` with ``cref[k] > 0`` are
+    classified on ``classes[cref[k] - 1]``.
+
+    Returns ``(ids, created)``: the local id of every row and the boolean
+    mask of the rows this call created.
+    """
+    etypes = np.asarray(etypes)
+    verts = np.asarray(verts, dtype=np.int64)
+    n = len(etypes)
+    ids = np.empty(n, dtype=np.int64)
+    lookup = mesh._lookup[dim - 1]
+    groups = []
+    for etype in np.unique(etypes).tolist():
+        info = type_info(etype)
+        if info.dim != dim:
+            raise ValueError(f"{info.name} row in a dim-{dim} block")
+        rows = np.nonzero(etypes == etype)[0]
+        group_verts = verts[rows, : info.nverts]
+        ids[rows] = _probe(lookup, group_verts)
+        groups.append((etype, rows, group_verts))
+    created = ids < 0
+    core = mesh.core
+    new_ids = core.alloc_block(dim, int(created.sum()))
+    ids[created] = new_ids
+    lowers, uppers = [], []
+    for etype, rows, group_verts in groups:
+        fresh = created[rows]
+        if not fresh.any():
+            continue
+        group_verts = group_verts[fresh]
+        group_ids = ids[rows[fresh]]
+        if down is None:
+            group_down = _down_rows(mesh, etype, group_verts)
+        else:
+            ndown = type_info(etype).downward_count(dim - 1)
+            group_down = down[rows[fresh], :ndown]
+        core.write_block(dim, group_ids, etype, group_verts, group_down)
+        lowers.append(group_down.reshape(-1))
+        uppers.append(np.repeat(group_ids, group_down.shape[1]))
+        lookup.update(zip(vertex_keys(group_verts), group_ids.tolist()))
+    if lowers:
+        core.bulk_add_up(dim - 1, np.concatenate(lowers), np.concatenate(uppers))
+    if cref is not None:
+        _classify_block(mesh, dim, new_ids, np.asarray(cref)[created], classes)
+    return ids, created
+
+
+def _unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct entities among vertex rows.
+
+    Returns ``(sorted keys, rows, inverse)``: the distinct sorted-vertex
+    keys in lexicographic order, one row per key in the orientation of its
+    first occurrence, and for every input row the position of its entity.
+    """
+    keys, first, inverse = np.unique(
+        np.sort(rows, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return keys, rows[first], inverse.reshape(-1)
 
 
 def from_connectivity(
@@ -60,127 +221,71 @@ def from_connectivity(
         raise ValueError("element connectivity references unknown vertices")
 
     mesh = Mesh(model)
-    core = mesh.core
-
-    # Vertices: one block append plus the coordinate columns.
-    nverts = len(coords)
-    core.append_block(0, np.full(nverts, VERTEX, dtype=np.int16), None, None)
-    mesh._coords = np.zeros((max(nverts, 1), 3), dtype=float)
-    mesh._coords[:nverts, : coords.shape[1]] = coords
-
+    # On an empty mesh the landed vertex ids are 0..n-1: the connectivity's
+    # vertex indices are already local ids.
+    land_vertices(mesh, coords)
     if len(elements) == 0:
         return mesh
 
-    # Unique edges across all elements.
-    edge_locals = np.asarray(info.edges, dtype=np.int64)  # (ne_per, 2)
-    elem_edge_verts = elements[:, edge_locals]  # (ne, ne_per, 2)
-    flat_edges = elem_edge_verts.reshape(-1, 2)
-    edge_keys = np.sort(flat_edges, axis=1)
-    unique_edge_keys, first_occurrence, edge_inverse = np.unique(
-        edge_keys, axis=0, return_index=True, return_inverse=True
+    # Each level's downward ids fall out of the derivation (the inverse of
+    # ``np.unique``, or a sorted join on the edge keys), so the kernel is
+    # handed them instead of probing its lookup once per bounding entity.
+    n_elems = len(elements)
+    edge_locals = np.asarray(info.edges, dtype=np.int64)
+    edge_keys, edges, edge_of = _unique_rows(
+        elements[:, edge_locals].reshape(-1, 2)
     )
-    edge_canonical = flat_edges[first_occurrence]  # orientation of first use
+    edge_ids, _ = land_rows(mesh, 1, np.full(len(edges), EDGE, np.int16), edges)
+    elem_down = edge_ids[edge_of].reshape(n_elems, -1)
 
-    edge_ids = core.append_block(
-        1,
-        np.full(len(unique_edge_keys), EDGE, dtype=np.int16),
-        edge_canonical,
-        edge_canonical,
-    )
-    lookup_edges = mesh._lookup[0]
-    for eid, key in enumerate(map(tuple, unique_edge_keys.tolist())):
-        lookup_edges[key] = eid
-    core.bulk_add_up(0, edge_canonical.reshape(-1), np.repeat(edge_ids, 2))
-
-    if info.dim == 2:
-        # Elements are the faces; their downward entities are the edges.
-        elem_edges = edge_inverse.reshape(len(elements), -1)
-        face_ids = core.append_block(
-            2,
-            np.full(len(elements), etype, dtype=np.int16),
-            elements,
-            elem_edges,
-        )
-        lookup_faces = mesh._lookup[1]
-        face_keys = np.sort(elements, axis=1)
-        for fid, key in enumerate(map(tuple, face_keys.tolist())):
-            lookup_faces[key] = fid
-        core.bulk_add_up(
-            1, elem_edges.reshape(-1), np.repeat(face_ids, elem_edges.shape[1])
-        )
-    else:
-        # Unique faces across all elements (tets: all faces are triangles;
-        # mixed-face cells like prisms use a per-face-type pass).
-        face_specs = info.faces
-        face_sizes = {len(locals_) for _ftype, locals_ in face_specs}
-        if len(face_sizes) != 1:
-            return _from_connectivity_mixed_faces(mesh, info, etype, elements)
-        (face_size,) = face_sizes
-        ftype = face_specs[0][0]
-        face_locals = np.asarray(
-            [locals_ for _ft, locals_ in face_specs], dtype=np.int64
-        )
-        elem_face_verts = elements[:, face_locals]  # (ne, nf_per, fs)
-        flat_faces = elem_face_verts.reshape(-1, face_size)
-        face_keys = np.sort(flat_faces, axis=1)
-        unique_face_keys, first_face, face_inverse = np.unique(
-            face_keys, axis=0, return_index=True, return_inverse=True
-        )
-        face_canonical = flat_faces[first_face]
-
-        # Each unique face's downward edges: a sorted join against the
-        # lexicographically-sorted unique edge keys (no per-key dict walk).
-        finfo = type_info(ftype)
-        face_edge_locals = np.asarray(finfo.edges, dtype=np.int64)
-        face_edge_verts = face_canonical[:, face_edge_locals]  # (nf, fe, 2)
-        fe_keys = np.sort(face_edge_verts, axis=2).reshape(-1, 2)
+    if info.dim == 3:
+        # Unique faces per face type (prisms and pyramids mix tris and
+        # quads), landed as one padded block.
         span = np.int64(len(coords))
-        edge_codes = unique_edge_keys[:, 0] * span + unique_edge_keys[:, 1]
-        face_edge_ids = np.searchsorted(
-            edge_codes, fe_keys[:, 0] * span + fe_keys[:, 1]
-        ).reshape(len(face_canonical), -1)
+        edge_codes = edge_keys[:, 0] * span + edge_keys[:, 1]
+        types, rows, downs, slots_of = [], [], [], []
+        start = 0
+        for ftype in sorted({ftype for ftype, _locals in info.faces}):
+            slots = [k for k, (ft, _l) in enumerate(info.faces) if ft == ftype]
+            face_locals = np.asarray(
+                [info.faces[k][1] for k in slots], dtype=np.int64
+            )
+            _keys, faces, face_of = _unique_rows(
+                elements[:, face_locals].reshape(-1, face_locals.shape[1])
+            )
+            pairs = np.sort(
+                faces[:, np.asarray(type_info(ftype).edges, dtype=np.int64)],
+                axis=2,
+            )
+            face_down = edge_ids[
+                np.searchsorted(edge_codes, pairs[:, :, 0] * span + pairs[:, :, 1])
+            ]
+            padded = np.zeros((len(faces), VERT_WIDTH[2]), dtype=np.int64)
+            padded[:, : faces.shape[1]] = faces
+            padded_down = np.zeros((len(faces), DOWN_WIDTH[2]), dtype=np.int64)
+            padded_down[:, : face_down.shape[1]] = face_down
+            types.append(np.full(len(faces), ftype, dtype=np.int16))
+            rows.append(padded)
+            downs.append(padded_down)
+            slots_of.append((slots, start + face_of))
+            start += len(faces)
+        face_ids, _ = land_rows(
+            mesh, 2, np.concatenate(types), np.concatenate(rows),
+            down=np.concatenate(downs),
+        )
+        elem_down = np.empty((n_elems, len(info.faces)), dtype=np.int64)
+        for slots, face_of in slots_of:
+            elem_down[:, slots] = face_ids[face_of].reshape(n_elems, len(slots))
 
-        face_ids = core.append_block(
-            2,
-            np.full(len(unique_face_keys), ftype, dtype=np.int16),
-            face_canonical,
-            face_edge_ids,
-        )
-        lookup_faces = mesh._lookup[1]
-        for fid, key in enumerate(map(tuple, unique_face_keys.tolist())):
-            lookup_faces[key] = fid
-        core.bulk_add_up(
-            1,
-            face_edge_ids.reshape(-1),
-            np.repeat(face_ids, face_edge_ids.shape[1]),
-        )
-
-        elem_faces = face_inverse.reshape(len(elements), -1)
-        region_ids = core.append_block(
-            3,
-            np.full(len(elements), etype, dtype=np.int16),
-            elements,
-            elem_faces,
-        )
-        lookup_regions = mesh._lookup[2]
-        region_keys = np.sort(elements, axis=1)
-        for rid, key in enumerate(map(tuple, region_keys.tolist())):
-            lookup_regions[key] = rid
-        core.bulk_add_up(
-            2, elem_faces.reshape(-1), np.repeat(region_ids, elem_faces.shape[1])
-        )
+    land_rows(
+        mesh, info.dim, np.full(n_elems, etype, dtype=np.int16), elements,
+        down=elem_down,
+    )
 
     if classify:
         if model is None:
             raise ValueError("classify=True requires a geometric model")
         classify_cheap(mesh, model)
-    return mesh
-
-
-def _from_connectivity_mixed_faces(mesh, info, etype, elements):
-    """Fallback for cell types with mixed face shapes (prism, pyramid)."""
-    for row in elements.tolist():
-        mesh.create(etype, [Ent(0, v) for v in row])
     return mesh
 
 

@@ -12,8 +12,8 @@ indexed by integer entity handles:
 * ``up[d]``      — padded one-level upward rows (``nup[d]`` counts), each
   row kept **sorted ascending** so membership tests and removals are
   binary searches and wire traversals are deterministic,
-* ``free[d]``    — LIFO free-list of dead slots; :meth:`create` pops it, so
-  handles **are reused**.  Consumers that key external state by handle
+* ``free[d]``    — LIFO free-list of dead slots; :meth:`create` and the
+  block allocator :meth:`alloc_block` pop it, so handles **are reused**.  Consumers that key external state by handle
   must register a destroy listener on the owning
   :class:`~repro.mesh.mesh.Mesh` to evict stale entries eagerly.
 
@@ -25,7 +25,7 @@ indptr diff.  :meth:`downward_csr` / :meth:`upward_csr` emit true
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,38 +143,59 @@ class MeshCore:
         self._version[dim] += 1
         return idx
 
-    def append_block(
+    def alloc_block(self, dim: int, n: int) -> np.ndarray:
+        """The ids ``n`` sequential :meth:`create` calls would hand out.
+
+        Pops the free-list first (LIFO), then extends ``top`` — so a bulk
+        landing reuses dead slots exactly like the scalar path, and
+        ghost → unghost → ghost cycles do not grow the arrays.  The slots
+        are not live until :meth:`write_block` fills them.
+        """
+        free = self.free[dim]
+        k = min(n, len(free))
+        recycled = free[len(free) - k:][::-1]
+        del free[len(free) - k:]
+        start = self.top[dim]
+        self._grow(dim, start + n - k)
+        self.top[dim] = start + n - k
+        ids = np.empty(n, dtype=_ID)
+        ids[:k] = recycled
+        ids[k:] = np.arange(start, start + n - k, dtype=_ID)
+        return ids
+
+    def write_block(
         self,
         dim: int,
-        etypes: np.ndarray,
-        verts: np.ndarray,
-        down: np.ndarray,
-    ) -> np.ndarray:
-        """Bulk-append ``len(etypes)`` entities at the top; returns their ids.
+        ids: np.ndarray,
+        etypes,
+        verts: Optional[np.ndarray],
+        down: Optional[np.ndarray],
+    ) -> None:
+        """Fill allocated slots ``ids`` with uniform-width rows, bulk.
 
-        Used by :func:`repro.mesh.build.from_connectivity`; block appends
-        never consult the free-list (bulk construction happens on fresh
-        meshes where it is empty anyway).
+        ``verts`` is ``(len(ids), nverts)`` (ignored for vertices, whose
+        canonical vertex is themselves) and ``down`` ``(len(ids), ndown)``
+        or ``None``; ``etypes`` is a scalar or a per-row column.
         """
-        n = len(etypes)
-        start = self.top[dim]
-        self._grow(dim, start + n)
-        ids = np.arange(start, start + n, dtype=_ID)
-        self.etype[dim][start : start + n] = etypes
-        self.alive[dim][start : start + n] = True
+        n = len(ids)
+        if n == 0:
+            return
+        self.etype[dim][ids] = etypes
+        self.alive[dim][ids] = True
         if dim == 0:
-            self.nverts[dim][start : start + n] = 1
-            self.verts[dim][start : start + n, 0] = ids
+            self.nverts[dim][ids] = 1
+            self.verts[dim][ids, 0] = ids
         else:
-            self.nverts[dim][start : start + n] = verts.shape[1]
-            self.verts[dim][start : start + n, : verts.shape[1]] = verts
+            self.nverts[dim][ids] = verts.shape[1]
+            self.verts[dim][ids, : verts.shape[1]] = verts
         if down is not None and down.size:
-            self.ndown[dim][start : start + n] = down.shape[1]
-            self.down[dim][start : start + n, : down.shape[1]] = down
-        self.top[dim] = start + n
+            self.ndown[dim][ids] = down.shape[1]
+            self.down[dim][ids, : down.shape[1]] = down
+        else:
+            self.ndown[dim][ids] = 0
+        self.nup[dim][ids] = 0
         self.n_alive[dim] += n
         self._version[dim] += 1
-        return ids
 
     def destroy(self, dim: int, idx: int) -> None:
         """Mark ``idx`` dead and push its slot onto the free-list."""
@@ -189,6 +210,34 @@ class MeshCore:
         self.ndown[dim][idx] = 0
         self.n_alive[dim] -= 1
         self.free[dim].append(int(idx))
+        self._version[dim] += 1
+
+    def check_destroyable(self, dim: int, ids: np.ndarray) -> None:
+        """Raise unless every id is live and bounds nothing."""
+        bad = (ids < 0) | (ids >= self.top[dim])
+        if bad.any() or not self.alive[dim][ids].all():
+            raise KeyError(f"dim-{dim} destroy batch names a dead entity")
+        if self.nup[dim][ids].any():
+            raise ValueError(
+                f"cannot destroy dim-{dim} batch: some entities still bound "
+                f"higher entities"
+            )
+
+    def destroy_block(self, dim: int, ids: np.ndarray) -> None:
+        """Mark ``ids`` dead; slots go on the free-list in the given order.
+
+        The bulk twin of :meth:`destroy`: every id must be live, distinct
+        and bound nothing.
+        """
+        ids = np.asarray(ids, dtype=_ID)
+        if len(ids) == 0:
+            return
+        self.check_destroyable(dim, ids)
+        self.alive[dim][ids] = False
+        self.nverts[dim][ids] = 0
+        self.ndown[dim][ids] = 0
+        self.n_alive[dim] -= len(ids)
+        self.free[dim].extend(ids.tolist())
         self._version[dim] += 1
 
     # -- per-entity accessors ----------------------------------------------
@@ -293,19 +342,52 @@ class MeshCore:
     ) -> None:
         """Record ``upper_ids[k]`` as an upward user of ``lower_ids[k]``, bulk.
 
-        ``upper_ids`` must arrive grouped in ascending order per lower id
-        when sorted stably by lower id (true for construction order, where
-        uppers are appended ascending) so rows come out sorted.
+        New entries are appended behind each row's current prefix and the
+        touched rows re-sorted, so rows stay ascending whether they were
+        empty or not and whether the upper ids are fresh (ascending) or
+        recycled free-list slots.
         """
         if len(lower_ids) == 0:
             return
         order = np.argsort(lower_ids, kind="stable")
         lo = np.asarray(lower_ids, dtype=np.int64)[order]
         hi = np.asarray(upper_ids, dtype=_ID)[order]
-        counts = np.bincount(lo, minlength=self.top[dim])
-        self._grow_up_width(dim, int(counts.max()) + int(self.nup[dim].max()))
-        starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        col = self.nup[dim][lo] + (np.arange(len(lo)) - starts[lo])
+        # Run-length decode of the sorted lower ids: one run per touched row.
+        starts = np.flatnonzero(np.r_[True, lo[1:] != lo[:-1]])
+        counts = np.diff(np.r_[starts, len(lo)])
+        rows = lo[starts]
+        nup = self.nup[dim]
+        self._grow_up_width(dim, int((nup[rows] + counts).max()))
+        col = nup[lo] + (np.arange(len(lo)) - np.repeat(starts, counts))
         self.up[dim][lo, col] = hi
-        self.nup[dim][: len(counts)] += counts.astype(np.int32)
+        nup[rows] += counts.astype(np.int32)
+        self._sort_up_rows(dim, rows)
+
+    def bulk_remove_up(
+        self, dim: int, lower_ids: np.ndarray, dead_upper: np.ndarray
+    ) -> None:
+        """Drop every upper id flagged in ``dead_upper`` from the upward rows
+        of ``lower_ids`` (distinct), keeping the survivors in order.
+
+        ``dead_upper`` is a boolean mask over the dim+1 slot array.
+        """
+        if len(lower_ids) == 0:
+            return
+        rows = np.asarray(lower_ids, dtype=np.int64)
+        block = self.up[dim][rows]
+        valid = np.arange(block.shape[1]) < self.nup[dim][rows][:, None]
+        keep = valid & ~dead_upper[block]
+        order = np.argsort(~keep, axis=1, kind="stable")
+        block = np.take_along_axis(block, order, axis=1)
+        kept = keep.sum(axis=1)
+        block[np.arange(block.shape[1]) >= kept[:, None]] = 0
+        self.up[dim][rows] = block
+        self.nup[dim][rows] = kept
+
+    def _sort_up_rows(self, dim: int, rows: np.ndarray) -> None:
+        block = self.up[dim][rows]
+        pad = np.arange(block.shape[1]) >= self.nup[dim][rows][:, None]
+        block[pad] = np.iinfo(_ID).max
+        block.sort(axis=1)
+        block[pad] = 0
+        self.up[dim][rows] = block

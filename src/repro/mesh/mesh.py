@@ -74,28 +74,32 @@ class Mesh:
     # destroy listeners (handle-reuse safety)
     # ------------------------------------------------------------------
 
-    def add_destroy_listener(self, fn: Callable[[Ent], None]) -> None:
-        """Call ``fn(ent)`` whenever an entity is destroyed.
+    def add_destroy_listener(
+        self, fn: Callable[[int, np.ndarray], None]
+    ) -> None:
+        """Call ``fn(dim, ids)`` whenever entities are destroyed.
 
-        Because the core free-list reuses handles, any map keyed by
-        :class:`Ent` outside the mesh (partition gids, field columns) must
-        evict entries eagerly or a recycled handle would alias stale state.
-        Bound methods are held weakly so listeners never keep their owner
-        alive.
+        One call per destroyed batch: ``ids`` is the int array of dead
+        handles of dimension ``dim`` (length 1 for a scalar
+        :meth:`destroy`).  Because the core free-list reuses handles, any
+        map keyed by handle outside the mesh (partition gids, field
+        columns) must evict entries eagerly or a recycled handle would
+        alias stale state.  Bound methods are held weakly so listeners
+        never keep their owner alive.
         """
         try:
             self._destroy_listeners.append(weakref.WeakMethod(fn))
         except TypeError:
             self._destroy_listeners.append(lambda: fn)
 
-    def _notify_destroy(self, ent: Ent) -> None:
+    def _notify_destroy(self, dim: int, ids: np.ndarray) -> None:
         dead = False
         for ref in self._destroy_listeners:
             fn = ref()
             if fn is None:
                 dead = True
             else:
-                fn(ent)
+                fn(dim, ids)
         if dead:
             self._destroy_listeners = [
                 ref for ref in self._destroy_listeners if ref() is not None
@@ -112,10 +116,7 @@ class Mesh:
     ) -> Ent:
         """Create a vertex at ``xyz`` (2D points get z=0)."""
         idx = self.core.create(0, VERTEX, (), ())
-        if idx >= len(self._coords):
-            grown = np.zeros((max(2 * len(self._coords), idx + 1), 3))
-            grown[: len(self._coords)] = self._coords
-            self._coords = grown
+        self._reserve_coords(idx + 1)
         point = np.asarray(xyz, dtype=float)
         self._coords[idx] = 0.0
         self._coords[idx, : point.shape[0]] = point
@@ -123,6 +124,13 @@ class Mesh:
         if classification is not None:
             self.set_classification(ent, classification)
         return ent
+
+    def _reserve_coords(self, need: int) -> None:
+        """Grow the coordinate array to hold vertex ids below ``need``."""
+        if need > len(self._coords):
+            grown = np.zeros((max(2 * len(self._coords), need), 3))
+            grown[: len(self._coords)] = self._coords
+            self._coords = grown
 
     def create(
         self,
@@ -203,7 +211,7 @@ class Mesh:
         self._gclass[ent.dim].pop(ent.idx, None)
         self.tags.drop_entity(ent)
         self.sets.drop_entity(ent)
-        self._notify_destroy(ent)
+        self._notify_destroy(ent.dim, np.array([ent.idx], dtype=np.int64))
         if ent.dim > 0:
             below = ent.dim - 1
             for down_idx in down_ids:
@@ -212,6 +220,44 @@ class Mesh:
                 for down_idx in down_ids:
                     if core.is_alive(below, down_idx) and not core.nup[below][down_idx]:
                         self.destroy(Ent(below, down_idx), cascade=True)
+
+    def destroy_block(self, dim: int, ids: np.ndarray) -> None:
+        """Destroy the entities ``ids`` of one dimension in one sweep.
+
+        The bulk twin of :meth:`destroy` (no cascade): every id must be
+        live, distinct and have no surviving upward user.  Lookup,
+        classification, tag and set entries are evicted, the destroy
+        listeners get one ``(dim, ids)`` call, the lower rows lose their
+        upward links in one vectorized pass, and the slots reach the
+        free-list in the order given — exactly what a ``destroy`` loop
+        over ``ids`` would leave behind.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if len(ids) == 0:
+            return
+        core = self.core
+        core.check_destroyable(dim, ids)
+        if dim >= 1:
+            lookup = self._lookup[dim - 1]
+            counts = core.nverts[dim][ids]
+            for width in np.unique(counts).tolist():
+                rows = core.verts[dim][ids[counts == width], :width]
+                for key in vertex_keys(rows):
+                    lookup.pop(key, None)
+            lowers = np.unique(core.gather_down(dim, ids))
+        core.destroy_block(dim, ids)
+        id_list = ids.tolist()
+        gclass = self._gclass[dim]
+        if gclass:
+            for idx in id_list:
+                gclass.pop(idx, None)
+        self.tags.drop_entities(dim, id_list)
+        self.sets.drop_entities(dim, id_list)
+        self._notify_destroy(dim, ids)
+        if dim >= 1:
+            dead = np.zeros(len(core.alive[dim]), dtype=bool)
+            dead[ids] = True
+            core.bulk_remove_up(dim - 1, lowers, dead)
 
     # ------------------------------------------------------------------
     # queries
@@ -462,6 +508,16 @@ class Mesh:
                 raise KeyError(f"vertex {v.idx} does not exist")
             return v.idx
         raise TypeError(f"expected an Ent vertex handle, got {type(v).__name__}")
+
+
+def vertex_keys(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
+    """The find-by-vertices lookup keys (sorted vertex-id tuples) of a
+    rectangular block of vertex rows.
+
+    Column-wise ``tolist`` + ``zip`` builds the key tuples without an
+    intermediate list per row.
+    """
+    return zip(*np.sort(rows, axis=1).T.tolist())
 
 
 def _ordered_unique(items: Iterator[Ent]) -> List[Ent]:

@@ -9,7 +9,7 @@ entity is dropped by the owning mesh.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .entity import Ent
 
@@ -82,8 +82,14 @@ class SetManager:
         return iter(sorted(self._sets))
 
     def drop_entity(self, ent: Ent) -> None:
+        self.drop_entities(ent.dim, (ent.idx,))
+
+    def drop_entities(self, dim: int, ids: Iterable[int]) -> None:
+        """Batch :meth:`drop_entity` for handles ``ids`` of one dimension."""
         for eset in self._sets.values():
-            eset.remove(ent)
+            if len(eset):
+                for idx in ids:
+                    eset.remove(Ent(dim, idx))
 
     def __contains__(self, name: str) -> bool:
         return name in self._sets

@@ -10,7 +10,7 @@ from every tag so no stale values survive mesh modification.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from .entity import Ent
 
@@ -83,8 +83,14 @@ class TagManager:
 
     def drop_entity(self, ent: Ent) -> None:
         """Remove ``ent``'s value from every tag (called on entity destroy)."""
+        self.drop_entities(ent.dim, (ent.idx,))
+
+    def drop_entities(self, dim: int, ids: Iterable[int]) -> None:
+        """Batch :meth:`drop_entity` for handles ``ids`` of one dimension."""
         for tag in self._tags.values():
-            tag.remove(ent)
+            if len(tag):
+                for idx in ids:
+                    tag.remove(Ent(dim, idx))
 
     def __contains__(self, name: str) -> bool:
         return name in self._tags

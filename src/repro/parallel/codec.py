@@ -30,7 +30,7 @@ buffers raise :class:`CodecError` instead of unpickling garbage.  Kinds:
 kind  constructor              schema
 ====  =======================  =============================================
 0     :func:`dumps`            one generic value (tagged, recursive)
-1     :func:`encode_element_batch`  element closure bundles (migration/ghosting)
+1     :func:`encode_element_block`  element closure blocks (migration/ghosting)
 2     :func:`encode_value_batch`    ``(entity, ndarray)`` field-value batch
 3     :func:`encode_int_rows`       ragged integer rows (link rendezvous)
 ====  =======================  =============================================
@@ -61,6 +61,13 @@ __all__ = [
     "VERSION",
     "dumps",
     "loads",
+    "ElementBlock",
+    "EXTRA_HOME",
+    "EXTRA_TAGS",
+    "encode_element_block",
+    "decode_element_block",
+    "block_from_bundles",
+    "bundles_from_block",
     "encode_element_batch",
     "decode_element_batch",
     "encode_value_batch",
@@ -494,308 +501,402 @@ def loads(data: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# kind 1: element closure bundles
+# kind 1: element closure blocks
 # ---------------------------------------------------------------------------
 
-_X_TAGS = 0x01  # bundle carries a ghost tag dict
-_X_HOME = 0x02  # bundle carries a ghost home (pid, entity)
+EXTRA_TAGS = 0x01  # bundle carries a ghost tag dict
+EXTRA_HOME = 0x02  # bundle carries a ghost home (pid, entity)
 
 
-def encode_element_batch(bundles: Sequence[dict]) -> bytes:
-    """Encode element bundles (``_pack_element`` dicts) as one kind-1 frame.
+def _w_column(out: bytearray, col: np.ndarray, signed: bool = False) -> None:
+    """Append an adaptive-width integer column straight from an array:
+    the same bytes :func:`_w_ints`/:func:`_w_uints` write for its list."""
+    lo = int(col.min()) if len(col) else 0
+    hi = int(col.max()) if len(col) else 0
+    for size, _code, mn, mx in _INT_WIDTHS if signed else _UINT_WIDTHS:
+        if mn <= lo and hi <= mx:
+            out.append(size)
+            out += col.astype("<%s%d" % ("ui"[signed], size)).tobytes()
+            return
+    raise CodecError(f"integer out of range for wire column ({lo}..{hi})")
 
-    The batch interns global ids, classification pairs, vertex records and
-    intermediate-entity records across all bundles, so closure entities
-    shared between elements bound for the same part are shipped once.
+
+def _w_u1(out: bytearray, col: np.ndarray) -> None:
+    """Append a fixed one-byte column (dims, type codes, small counts)."""
+    if len(col) and (int(col.min()) < 0 or int(col.max()) > 0xFF):
+        raise CodecError("integer out of range for wire column dtype u1")
+    out += col.astype("u1").tobytes()
+
+
+def _r_column(buf, pos: int, count: int, signed: bool = False
+              ) -> Tuple[np.ndarray, int]:
+    """Read an adaptive-width integer column back as an int64 array."""
+    if pos >= len(buf):
+        raise CodecError("truncated adaptive column")
+    size = buf[pos]
+    if size not in _SIGNED_CODE:
+        raise CodecError(f"invalid adaptive column width {size}")
+    col, pos = _r_array(buf, pos + 1, count, "<%s%d" % ("iu"[not signed], size))
+    return col.astype(np.int64), pos
+
+
+def ragged_matrix(flat: np.ndarray, counts: np.ndarray, fill: int) -> np.ndarray:
+    """``(len(counts), max count)`` matrix of a flat CSR column, padded."""
+    width = int(counts.max()) if len(counts) else 0
+    if len(flat) == len(counts) * width:
+        return flat.reshape(len(counts), width)
+    out = np.full((len(counts), width), fill, dtype=flat.dtype)
+    out[np.arange(width) < counts[:, None]] = flat
+    return out
+
+
+class ElementBlock:
+    """A set of element closures in flight, as the kind-1 frame's columns.
+
+    One block is what one part sends another in one migrate/ghost superstep:
+    ``len(block)`` *bundles* (an element plus its downward closure), with
+    every global id, classification, vertex and intermediate entity interned
+    once per block.  The attributes are the frame's sections, verbatim:
+
+    * ``classes`` ``(nc, 2)`` — the classification table, ``(dim, tag)``;
+      classification *refs* below are 1-based, 0 = unclassified;
+    * ``gids`` ``(ng,)`` — the global-id pool (all dimensions);
+    * ``vert_gref``/``vert_cref``/``vert_coords`` — the vertex table;
+    * ``mid_dim``/``mid_gref`` (1-based, 0 = no gid)/``mid_etype``/
+      ``mid_cref``/``mid_nverts`` + flat ``mid_vrefs`` (gid-pool refs, the
+      sender's canonical vertex order) — the intermediate-entity table;
+    * per bundle: ``b_vcounts`` + flat ``b_vrefs`` (vertex-table refs),
+      ``b_mcounts`` + flat ``b_mrefs`` (mid-table refs), the element columns
+      ``e_dim``/``e_etype``/``e_gref``/``e_cref``/``e_nverts`` + flat
+      ``e_vrefs``, and the ``extras`` flag column;
+    * ``home_pid``/``home_idx`` — one entry per bundle flagged ``EXTRA_HOME``
+      (the ghost's owner part and the element's handle there);
+    * ``tags`` — one dict per bundle flagged ``EXTRA_TAGS``.
+
+    :func:`encode_element_block`/:func:`decode_element_block` move a block
+    to and from bytes; :func:`encode_element_batch`/
+    :func:`decode_element_batch` are the list-of-dict view on top.
     """
-    # First-seen-order interning tables, fully inlined (this is the hot
-    # path: one dict probe per gid/classification/vertex/mid occurrence),
-    # with the per-bundle wire columns accumulated in the same pass.
-    gid_index: Dict[int, int] = {}
-    gid_rows: List[int] = []
-    class_index: Dict[Tuple[int, int], int] = {}
-    class_rows: List[Tuple[int, int]] = []
-    vert_index: Dict[tuple, int] = {}
-    vert_rows: List[tuple] = []
-    mid_index: Dict[tuple, int] = {}
-    mid_rows: List[tuple] = []
 
-    bvcounts: List[int] = []
-    bvrefs: List[int] = []
-    bmcounts: List[int] = []
-    bmrefs: List[int] = []
-    edims: List[int] = []
-    eetypes: List[int] = []
-    egrefs: List[int] = []
-    ecrefs: List[int] = []
-    envs: List[int] = []
-    evrefs: List[int] = []
-    extras_rows: List[Tuple[int, Any, Any]] = []
+    __slots__ = (
+        "classes", "gids", "vert_gref", "vert_cref", "vert_coords",
+        "mid_dim", "mid_gref", "mid_etype", "mid_cref", "mid_nverts",
+        "mid_vrefs", "b_vcounts", "b_vrefs", "b_mcounts", "b_mrefs",
+        "e_dim", "e_etype", "e_gref", "e_cref", "e_nverts", "e_vrefs",
+        "extras", "home_pid", "home_idx", "tags",
+    )
 
-    pack3 = _F64X3.pack
-    for bundle in bundles:
-        nv = 0
-        for gid, coords, gclass in bundle["verts"]:
-            gref = gid_index.get(gid)
-            if gref is None:
-                gref = gid_index[gid] = len(gid_rows)
-                gid_rows.append(gid)
-            if gclass is None:
-                cref = 0
-            else:
-                ckey = (gclass[0], gclass[1])
-                cref = class_index.get(ckey)
-                if cref is None:
-                    cref = class_index[ckey] = len(class_rows)
-                    class_rows.append(ckey)
-                cref += 1
-            # Coordinates are keyed by their packed bytes, so NaN components
-            # (never tuple-equal) still intern to one table row.
-            key = (gref, pack3(coords[0], coords[1], coords[2]), cref)
-            ref = vert_index.get(key)
-            if ref is None:
-                ref = vert_index[key] = len(vert_rows)
-                vert_rows.append(key)
-            bvrefs.append(ref)
-            nv += 1
-        bvcounts.append(nv)
+    def __init__(self, **columns: Any) -> None:
+        for name in self.__slots__:
+            setattr(self, name, columns[name])
 
-        nm = 0
-        for d, gid, etype, vert_gids, gclass in bundle["mids"]:
-            if gid is None:
-                gref = 0
-            else:
-                gref = gid_index.get(gid)
-                if gref is None:
-                    gref = gid_index[gid] = len(gid_rows)
-                    gid_rows.append(gid)
-                gref += 1
-            if gclass is None:
-                cref = 0
-            else:
-                ckey = (gclass[0], gclass[1])
-                cref = class_index.get(ckey)
-                if cref is None:
-                    cref = class_index[ckey] = len(class_rows)
-                    class_rows.append(ckey)
-                cref += 1
-            vg = []
-            for g in vert_gids:
-                r = gid_index.get(g)
-                if r is None:
-                    r = gid_index[g] = len(gid_rows)
-                    gid_rows.append(g)
-                vg.append(r)
-            row = (d, gref, etype, tuple(vg), cref)
-            ref = mid_index.get(row)
-            if ref is None:
-                ref = mid_index[row] = len(mid_rows)
-                mid_rows.append(row)
-            bmrefs.append(ref)
-            nm += 1
-        bmcounts.append(nm)
+    def __len__(self) -> int:
+        return len(self.extras)
 
-        d, gid, etype, vert_gids, gclass = bundle["element"]
-        edims.append(d)
-        eetypes.append(etype)
-        gref = gid_index.get(gid)
-        if gref is None:
-            gref = gid_index[gid] = len(gid_rows)
-            gid_rows.append(gid)
-        egrefs.append(gref)
-        if gclass is None:
-            ecrefs.append(0)
-        else:
-            ckey = (gclass[0], gclass[1])
-            cref = class_index.get(ckey)
-            if cref is None:
-                cref = class_index[ckey] = len(class_rows)
-                class_rows.append(ckey)
-            ecrefs.append(cref + 1)
-        ne = 0
-        for g in vert_gids:
-            r = gid_index.get(g)
-            if r is None:
-                r = gid_index[g] = len(gid_rows)
-                gid_rows.append(g)
-            evrefs.append(r)
-            ne += 1
-        envs.append(ne)
 
-        extras = 0
-        if "tags" in bundle:
-            extras |= _X_TAGS
-        if "home" in bundle:
-            extras |= _X_HOME
-        extras_rows.append((extras, bundle.get("tags"), bundle.get("home")))
-
+def encode_element_block(block: ElementBlock) -> bytes:
+    """Write one :class:`ElementBlock` as a kind-1 frame."""
     out = bytearray()
     state = [0]
-    _w_uint(out, len(extras_rows))
+    _w_uint(out, len(block))
 
     # Section 1: classification table (zigzag dim, tag pairs).
-    _w_uint(out, len(class_rows))
-    for dim, tag in class_rows:
-        _w_int(out, dim)
-        _w_int(out, tag)
+    _w_uint(out, len(block.classes))
+    for value in block.classes.reshape(-1).tolist():
+        _w_int(out, value)
 
     # Section 2: global-id pool (adaptive signed column).
-    _w_uint(out, len(gid_rows))
-    _w_ints(out, gid_rows)
+    _w_uint(out, len(block.gids))
+    _w_column(out, block.gids, signed=True)
 
     # Section 3: vertex table (gid ref, class ref columns + f64 coords).
-    _w_uint(out, len(vert_rows))
-    _w_uints(out, [row[0] for row in vert_rows])
-    _w_uints(out, [row[2] for row in vert_rows])
-    for _gref, cbytes, _cref in vert_rows:
-        out += cbytes
+    _w_uint(out, len(block.vert_gref))
+    _w_column(out, block.vert_gref)
+    _w_column(out, block.vert_cref)
+    out += np.ascontiguousarray(block.vert_coords, dtype="<f8").tobytes()
 
     # Section 4: intermediate-entity table (columns + CSR vertex refs).
-    _w_uint(out, len(mid_rows))
-    _w_array(out, [row[0] for row in mid_rows], "u1")
-    _w_uints(out, [row[1] for row in mid_rows])
-    _w_array(out, [row[2] for row in mid_rows], "u1")
-    _w_uints(out, [row[4] for row in mid_rows])
-    _w_array(out, [len(row[3]) for row in mid_rows], "u1")
-    _w_uints(out, [g for row in mid_rows for g in row[3]])
+    _w_uint(out, len(block.mid_dim))
+    _w_u1(out, block.mid_dim)
+    _w_column(out, block.mid_gref)
+    _w_u1(out, block.mid_etype)
+    _w_column(out, block.mid_cref)
+    _w_u1(out, block.mid_nverts)
+    _w_column(out, block.mid_vrefs)
 
     # Section 5: per-bundle records (CSR vert/mid refs + element columns).
-    _w_uints(out, bvcounts)
-    _w_uints(out, bvrefs)
-    _w_uints(out, bmcounts)
-    _w_uints(out, bmrefs)
-    _w_array(out, edims, "u1")
-    _w_array(out, eetypes, "u1")
-    _w_uints(out, egrefs)
-    _w_uints(out, ecrefs)
-    _w_array(out, envs, "u1")
-    _w_uints(out, evrefs)
-    _w_array(out, [row[0] for row in extras_rows], "u1")
+    _w_column(out, block.b_vcounts)
+    _w_column(out, block.b_vrefs)
+    _w_column(out, block.b_mcounts)
+    _w_column(out, block.b_mrefs)
+    _w_u1(out, block.e_dim)
+    _w_u1(out, block.e_etype)
+    _w_column(out, block.e_gref)
+    _w_column(out, block.e_cref)
+    _w_u1(out, block.e_nverts)
+    _w_column(out, block.e_vrefs)
+    _w_u1(out, block.extras)
 
-    # Section 6: ghost extras, in bundle order (generic-coded tag dicts,
-    # LEB-coded home handles).
-    for extras, tags, home in extras_rows:
-        if extras & _X_TAGS:
-            _enc(tags, out, state)
-        if extras & _X_HOME:
-            pid, ent = home
-            _w_uint(out, int(pid))
-            _w_uint(out, ent.dim)
-            _w_int(out, ent.idx)
-
+    # Section 6: ghost extras — home columns (owner pid, owner-local
+    # element index; only when some bundle carries one), then the
+    # generic-coded tag dicts in bundle order.
+    if len(block.home_pid):
+        _w_column(out, block.home_pid)
+        _w_column(out, block.home_idx)
+    for tags in block.tags:
+        _enc(tags, out, state)
     return _frame(KIND_ELEMENTS, state[0], bytes(out))
 
 
-def decode_element_batch(data: Any) -> List[dict]:
-    """Decode a kind-1 frame back into ``_pack_element``-shaped bundles."""
+def decode_element_block(data: Any) -> ElementBlock:
+    """Parse a kind-1 frame into an :class:`ElementBlock` (refs validated)."""
     body = _unframe(data, KIND_ELEMENTS)
     end = len(body)
     pos = 0
-    n_bundles, pos = _r_uint(body, pos, end)
+    n, pos = _r_uint(body, pos, end)
 
-    n_classes, pos = _r_uint(body, pos, end)
-    class_rows: List[Tuple[int, int]] = []
-    for _ in range(n_classes):
-        dim, pos = _r_int(body, pos, end)
-        tag, pos = _r_int(body, pos, end)
-        class_rows.append((dim, tag))
-
-    def check_refs(refs: list, bound: int, what: str) -> None:
-        if refs and max(refs) >= bound:
+    def check_refs(refs: np.ndarray, bound: int, what: str) -> None:
+        if len(refs) and int(refs.max()) >= bound:
             raise CodecError(f"{what} ref out of range (>= {bound})")
 
+    def r_bytes(pos: int, count: int) -> Tuple[np.ndarray, int]:
+        col, pos = _r_array(body, pos, count, "u1")
+        return col.astype(np.int64), pos
+
+    n_classes, pos = _r_uint(body, pos, end)
+    flat_classes = []
+    for _ in range(2 * n_classes):
+        value, pos = _r_int(body, pos, end)
+        flat_classes.append(value)
+    classes = np.asarray(flat_classes, dtype=np.int64).reshape(n_classes, 2)
+
     n_gids, pos = _r_uint(body, pos, end)
-    gid_pool, pos = _r_ints(body, pos, n_gids)
+    gids, pos = _r_column(body, pos, n_gids, signed=True)
 
     n_verts, pos = _r_uint(body, pos, end)
-    vgrefs, pos = _r_uints(body, pos, n_verts)
-    vcrefs, pos = _r_uints(body, pos, n_verts)
-    coords_col, pos = _r_array(body, pos, 3 * n_verts, "<f8")
-    check_refs(vgrefs, n_gids, "vertex gid")
-    check_refs(vcrefs, n_classes + 1, "vertex classification")
-    coords_rows = coords_col.reshape(n_verts, 3).tolist() if n_verts else []
-    vert_rows = [
-        (gid_pool[g], tuple(xyz), class_rows[c - 1] if c else None)
-        for g, xyz, c in zip(vgrefs, coords_rows, vcrefs)
-    ]
+    vert_gref, pos = _r_column(body, pos, n_verts)
+    vert_cref, pos = _r_column(body, pos, n_verts)
+    coords, pos = _r_array(body, pos, 3 * n_verts, "<f8")
+    check_refs(vert_gref, n_gids, "vertex gid")
+    check_refs(vert_cref, n_classes + 1, "vertex classification")
 
     n_mids, pos = _r_uint(body, pos, end)
-    mdims, pos = _r_list(body, pos, n_mids, "u1")
-    mgrefs, pos = _r_uints(body, pos, n_mids)
-    metypes, pos = _r_list(body, pos, n_mids, "u1")
-    mcrefs, pos = _r_uints(body, pos, n_mids)
-    mnverts, pos = _r_list(body, pos, n_mids, "u1")
-    mvrefs, pos = _r_uints(body, pos, sum(mnverts))
-    check_refs(mgrefs, n_gids + 1, "mid gid")
-    check_refs(mcrefs, n_classes + 1, "mid classification")
-    check_refs(mvrefs, n_gids, "mid vertex gid")
+    mid_dim, pos = r_bytes(pos, n_mids)
+    mid_gref, pos = _r_column(body, pos, n_mids)
+    mid_etype, pos = r_bytes(pos, n_mids)
+    mid_cref, pos = _r_column(body, pos, n_mids)
+    mid_nverts, pos = r_bytes(pos, n_mids)
+    mid_vrefs, pos = _r_column(body, pos, int(mid_nverts.sum()))
+    check_refs(mid_gref, n_gids + 1, "mid gid")
+    check_refs(mid_cref, n_classes + 1, "mid classification")
+    check_refs(mid_vrefs, n_gids, "mid vertex gid")
+
+    b_vcounts, pos = _r_column(body, pos, n)
+    b_vrefs, pos = _r_column(body, pos, int(b_vcounts.sum()))
+    b_mcounts, pos = _r_column(body, pos, n)
+    b_mrefs, pos = _r_column(body, pos, int(b_mcounts.sum()))
+    e_dim, pos = r_bytes(pos, n)
+    e_etype, pos = r_bytes(pos, n)
+    e_gref, pos = _r_column(body, pos, n)
+    e_cref, pos = _r_column(body, pos, n)
+    e_nverts, pos = r_bytes(pos, n)
+    e_vrefs, pos = _r_column(body, pos, int(e_nverts.sum()))
+    extras, pos = r_bytes(pos, n)
+    check_refs(b_vrefs, n_verts, "bundle vertex")
+    check_refs(b_mrefs, n_mids, "bundle mid")
+    check_refs(e_gref, n_gids, "element gid")
+    check_refs(e_cref, n_classes + 1, "element classification")
+    check_refs(e_vrefs, n_gids, "element vertex gid")
+
+    n_home = int(np.count_nonzero(extras & EXTRA_HOME))
+    home_pid = home_idx = np.empty(0, dtype=np.int64)
+    if n_home:
+        home_pid, pos = _r_column(body, pos, n_home)
+        home_idx, pos = _r_column(body, pos, n_home)
+    tags = []
+    for _ in range(int(np.count_nonzero(extras & EXTRA_TAGS))):
+        value, pos = _dec(body, pos, end)
+        tags.append(value)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing byte(s) after element batch")
+    return ElementBlock(
+        classes=classes, gids=gids, vert_gref=vert_gref, vert_cref=vert_cref,
+        vert_coords=coords.reshape(n_verts, 3), mid_dim=mid_dim,
+        mid_gref=mid_gref, mid_etype=mid_etype, mid_cref=mid_cref,
+        mid_nverts=mid_nverts, mid_vrefs=mid_vrefs, b_vcounts=b_vcounts,
+        b_vrefs=b_vrefs, b_mcounts=b_mcounts, b_mrefs=b_mrefs, e_dim=e_dim,
+        e_etype=e_etype, e_gref=e_gref, e_cref=e_cref, e_nverts=e_nverts,
+        e_vrefs=e_vrefs, extras=extras, home_pid=home_pid, home_idx=home_idx,
+        tags=tags,
+    )
+
+
+def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
+    """Intern a list of bundle dicts into an :class:`ElementBlock`.
+
+    A bundle is ``{"verts": [(gid, xyz, class)], "mids": [(dim, gid|None,
+    etype, vertex gids, class)], "element": (dim, gid, etype, vertex gids,
+    class)}`` plus optional ``"tags"`` (dict) and ``"home"`` ``(pid,
+    Ent)``, where a class is ``(dim, tag)`` or ``None``.  Tables intern in
+    first-seen order, so the block (and its frame) is a pure function of
+    the bundles.
+    """
+    gid_index: Dict[int, int] = {}
+    class_index: Dict[Tuple[int, int], int] = {}
+    vert_index: Dict[tuple, int] = {}
+    mid_index: Dict[tuple, int] = {}
+    cols: Dict[str, list] = {
+        name: [] for name in (
+            "b_vcounts", "b_vrefs", "b_mcounts", "b_mrefs", "e_dim",
+            "e_etype", "e_gref", "e_cref", "e_nverts", "e_vrefs", "extras",
+            "home_pid", "home_idx", "tags",
+        )
+    }
+
+    def gref(gid: int) -> int:
+        return gid_index.setdefault(gid, len(gid_index))
+
+    def cref(gclass) -> int:
+        if gclass is None:
+            return 0
+        key = (gclass[0], gclass[1])
+        return class_index.setdefault(key, len(class_index)) + 1
+
+    pack3 = _F64X3.pack
+    for bundle in bundles:
+        for gid, coords, gclass in bundle["verts"]:
+            # Coordinates are keyed by their packed bytes, so NaN components
+            # (never tuple-equal) still intern to one table row.
+            key = (gref(gid), pack3(coords[0], coords[1], coords[2]),
+                   cref(gclass))
+            cols["b_vrefs"].append(vert_index.setdefault(key, len(vert_index)))
+        cols["b_vcounts"].append(len(bundle["verts"]))
+
+        for d, gid, etype, vert_gids, gclass in bundle["mids"]:
+            row = (d, 0 if gid is None else gref(gid) + 1, etype,
+                   cref(gclass))
+            row += (tuple([gref(g) for g in vert_gids]),)
+            cols["b_mrefs"].append(mid_index.setdefault(row, len(mid_index)))
+        cols["b_mcounts"].append(len(bundle["mids"]))
+
+        d, gid, etype, vert_gids, gclass = bundle["element"]
+        cols["e_dim"].append(d)
+        cols["e_etype"].append(etype)
+        cols["e_gref"].append(gref(gid))
+        cols["e_cref"].append(cref(gclass))
+        cols["e_vrefs"].extend([gref(g) for g in vert_gids])
+        cols["e_nverts"].append(len(vert_gids))
+
+        extras = 0
+        if "tags" in bundle:
+            extras |= EXTRA_TAGS
+            cols["tags"].append(bundle["tags"])
+        if "home" in bundle:
+            extras |= EXTRA_HOME
+            pid, ent = bundle["home"]
+            if ent.dim != d:
+                raise CodecError(
+                    f"ghost home {ent} is not of the element's dimension {d}"
+                )
+            cols["home_pid"].append(int(pid))
+            cols["home_idx"].append(ent.idx)
+        cols["extras"].append(extras)
+
+    def column(values) -> np.ndarray:
+        try:
+            return np.asarray(values, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise CodecError("integer out of range for wire column") from None
+
+    mids = list(mid_index)
+    coords = np.frombuffer(
+        b"".join(key[1] for key in vert_index), dtype="<f8"
+    ).reshape(len(vert_index), 3)
+    tags = cols.pop("tags")
+    return ElementBlock(
+        classes=column(list(class_index)).reshape(len(class_index), 2),
+        gids=column(list(gid_index)),
+        vert_gref=column([key[0] for key in vert_index]),
+        vert_cref=column([key[2] for key in vert_index]),
+        vert_coords=coords,
+        mid_dim=column([row[0] for row in mids]),
+        mid_gref=column([row[1] for row in mids]),
+        mid_etype=column([row[2] for row in mids]),
+        mid_cref=column([row[3] for row in mids]),
+        mid_nverts=column([len(row[4]) for row in mids]),
+        mid_vrefs=column([ref for row in mids for ref in row[4]]),
+        tags=tags,
+        **{name: column(values) for name, values in cols.items()},
+    )
+
+
+def bundles_from_block(block: ElementBlock) -> List[dict]:
+    """The list-of-dict view of a block (inverse of :func:`block_from_bundles`)."""
+    gid_pool = block.gids.tolist()
+    class_rows = [None] + [tuple(row) for row in block.classes.tolist()]
+    vert_rows = [
+        (gid_pool[g], tuple(xyz), class_rows[c])
+        for g, xyz, c in zip(
+            block.vert_gref.tolist(), block.vert_coords.tolist(),
+            block.vert_cref.tolist(),
+        )
+    ]
     mid_rows = []
     cursor = 0
-    for d, gref, et, c, nv in zip(mdims, mgrefs, metypes, mcrefs, mnverts):
-        mid_rows.append(
-            (
-                d,
-                gid_pool[gref - 1] if gref else None,
-                et,
-                tuple([gid_pool[r] for r in mvrefs[cursor:cursor + nv]]),
-                class_rows[c - 1] if c else None,
-            )
-        )
+    mid_vrefs = block.mid_vrefs.tolist()
+    for d, g, et, c, nv in zip(
+        block.mid_dim.tolist(), block.mid_gref.tolist(),
+        block.mid_etype.tolist(), block.mid_cref.tolist(),
+        block.mid_nverts.tolist(),
+    ):
+        mid_rows.append((
+            d, gid_pool[g - 1] if g else None, et,
+            tuple([gid_pool[r] for r in mid_vrefs[cursor:cursor + nv]]),
+            class_rows[c],
+        ))
         cursor += nv
 
-    bvcounts, pos = _r_uints(body, pos, n_bundles)
-    bvrefs, pos = _r_uints(body, pos, sum(bvcounts))
-    bmcounts, pos = _r_uints(body, pos, n_bundles)
-    bmrefs, pos = _r_uints(body, pos, sum(bmcounts))
-    edims, pos = _r_list(body, pos, n_bundles, "u1")
-    eetypes, pos = _r_list(body, pos, n_bundles, "u1")
-    egrefs, pos = _r_uints(body, pos, n_bundles)
-    ecrefs, pos = _r_uints(body, pos, n_bundles)
-    envs, pos = _r_list(body, pos, n_bundles, "u1")
-    evrefs, pos = _r_uints(body, pos, sum(envs))
-    extras_col, pos = _r_list(body, pos, n_bundles, "u1")
-    check_refs(bvrefs, n_verts, "bundle vertex")
-    check_refs(bmrefs, n_mids, "bundle mid")
-    check_refs(egrefs, n_gids, "element gid")
-    check_refs(ecrefs, n_classes + 1, "element classification")
-    check_refs(evrefs, n_gids, "element vertex gid")
-
+    b_vrefs = block.b_vrefs.tolist()
+    b_mrefs = block.b_mrefs.tolist()
+    e_vrefs = block.e_vrefs.tolist()
+    homes = iter(zip(block.home_pid.tolist(), block.home_idx.tolist()))
+    tags = iter(block.tags)
     bundles: List[dict] = []
     vcur = mcur = ecur = 0
-    for i in range(n_bundles):
-        nv = bvcounts[i]
-        nm = bmcounts[i]
-        ne = envs[i]
-        c = ecrefs[i]
+    for nv, nm, d, et, g, c, ne, extras in zip(
+        block.b_vcounts.tolist(), block.b_mcounts.tolist(),
+        block.e_dim.tolist(), block.e_etype.tolist(), block.e_gref.tolist(),
+        block.e_cref.tolist(), block.e_nverts.tolist(), block.extras.tolist(),
+    ):
         bundle = {
-            "verts": [vert_rows[r] for r in bvrefs[vcur:vcur + nv]],
-            "mids": [mid_rows[r] for r in bmrefs[mcur:mcur + nm]],
+            "verts": [vert_rows[r] for r in b_vrefs[vcur:vcur + nv]],
+            "mids": [mid_rows[r] for r in b_mrefs[mcur:mcur + nm]],
             "element": (
-                edims[i],
-                gid_pool[egrefs[i]],
-                eetypes[i],
-                tuple([gid_pool[r] for r in evrefs[ecur:ecur + ne]]),
-                class_rows[c - 1] if c else None,
+                d, gid_pool[g], et,
+                tuple([gid_pool[r] for r in e_vrefs[ecur:ecur + ne]]),
+                class_rows[c],
             ),
         }
         vcur += nv
         mcur += nm
         ecur += ne
+        if extras & EXTRA_TAGS:
+            bundle["tags"] = next(tags)
+        if extras & EXTRA_HOME:
+            pid, idx = next(homes)
+            bundle["home"] = (pid, Ent(d, idx))
         bundles.append(bundle)
-
-    for i in range(n_bundles):
-        extras = int(extras_col[i])
-        if extras & _X_TAGS:
-            tags, pos = _dec(body, pos, end)
-            bundles[i]["tags"] = tags
-        if extras & _X_HOME:
-            pid, pos = _r_uint(body, pos, end)
-            dim, pos = _r_uint(body, pos, end)
-            idx, pos = _r_int(body, pos, end)
-            bundles[i]["home"] = (pid, Ent(dim, idx))
-    if pos != end:
-        raise CodecError(f"{end - pos} trailing byte(s) after element batch")
     return bundles
+
+
+def encode_element_batch(bundles: Sequence[dict]) -> bytes:
+    """Encode bundle dicts as one kind-1 frame (the dict view's writer)."""
+    return encode_element_block(block_from_bundles(bundles))
+
+
+def decode_element_batch(data: Any) -> List[dict]:
+    """Decode a kind-1 frame into bundle dicts (the dict view's reader)."""
+    return bundles_from_block(decode_element_block(data))
 
 
 # ---------------------------------------------------------------------------

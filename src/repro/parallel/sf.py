@@ -43,11 +43,11 @@ from ..obs.stats import CommProbe, SFStats
 from ..obs.tracer import Tracer, current as current_tracer, trace_span
 from .codec import (
     CodecError,
-    decode_element_batch,
+    decode_element_block,
     decode_int_rows,
     decode_value_batch,
     dumps,
-    encode_element_batch,
+    encode_element_block,
     encode_int_rows,
     encode_value_batch,
     loads,
@@ -147,21 +147,28 @@ class _ValuesDatatype(SFDatatype):
 
 
 class _BundlesDatatype(SFDatatype):
-    """Element-closure bundles (``_pack_element`` dicts), interned batch."""
+    """Element closures as one columnar block per part pair.
+
+    The batch for a pair is a single
+    :class:`~repro.parallel.codec.ElementBlock` (one bundle per leaf, in
+    leaf order) rather than an item list, so this datatype pairs with
+    ``bcast(batch_data=..., batch_set=...)``: the sender hands over the
+    block it packed and the receiver lands the block it gets.
+    """
 
     name = "bundles"
 
-    def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
-        return encode_element_batch([payload for _handle, payload in items])
+    def encode(self, items: Any) -> bytes:
+        return encode_element_block(items)
 
-    def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
-        bundles = decode_element_batch(blob)
-        if len(bundles) != len(handles):
+    def decode(self, blob: Any, handles: List[Any]) -> Any:
+        block = decode_element_block(blob)
+        if len(block) != len(handles):
             raise CodecError(
-                f"star-forest element batch carries {len(bundles)} "
+                f"star-forest element batch carries {len(block)} "
                 f"bundle(s) where {len(handles)} expected"
             )
-        return list(zip(handles, bundles))
+        return block
 
 
 class _IntRowsDatatype(SFDatatype):
@@ -348,7 +355,7 @@ class StarForest:
         router: BufferedRouter,
         src: int,
         dst: int,
-        items: List[Tuple[Any, Any]],
+        items: Any,
         datatype: SFDatatype,
     ) -> None:
         blob = datatype.encode(items)
@@ -379,9 +386,9 @@ class StarForest:
     def _deliver(
         lpid: int,
         rpid: int,
-        items: List[Tuple[Any, Any]],
+        items: Any,
         leaf_set: Optional[Callable[[int, Any, Any], None]],
-        batch_set: Optional[Callable[[int, int, List[Tuple[Any, Any]]], None]],
+        batch_set: Optional[Callable[[int, int, Any], None]],
     ) -> None:
         if batch_set is not None:
             batch_set(lpid, rpid, items)
@@ -393,12 +400,11 @@ class StarForest:
 
     def bcast(
         self,
-        root_data: Callable[[int, Any], Any],
+        root_data: Optional[Callable[[int, Any], Any]] = None,
         leaf_set: Optional[Callable[[int, Any, Any], None]] = None,
         datatype: SFDatatype = GENERIC,
-        batch_set: Optional[
-            Callable[[int, int, List[Tuple[Any, Any]]], None]
-        ] = None,
+        batch_set: Optional[Callable[[int, int, Any], None]] = None,
+        batch_data: Optional[Callable[[int, int, List[Any]], Any]] = None,
     ) -> SFStats:
         """Root values travel to their leaves; one superstep, always.
 
@@ -406,8 +412,14 @@ class StarForest:
         leaf of that root (called once per leaf, in wire order).  Delivery
         is either per item — ``leaf_set(leaf_pid, leaf_handle, payload)`` —
         or per batch — ``batch_set(leaf_pid, root_pid, items)`` with the
-        full ``(handle, payload)`` list for one part pair, for receivers
-        (ghost/migration unpack) that exploit batch-level interning.
+        full ``(handle, payload)`` list for one part pair.
+
+        ``batch_data(root_pid, leaf_pid, root_handles)`` is the send-side
+        twin of ``batch_set``: one call per part pair with all root handles
+        in wire order, returning the whole batch in the form ``datatype``
+        encodes (an item list, or for :data:`BUNDLES` one columnar block of
+        ``len(root_handles)`` records).  ``batch_set`` then receives what
+        ``datatype.decode`` returns.
 
         The exchange runs even when the forest is empty, so a fixed call
         sequence costs a fixed superstep count regardless of data.
@@ -420,9 +432,12 @@ class StarForest:
         ):
             groups = self._groups(key=lambda entry: entry[1])
             router = comm.router()
-            local: List[Tuple[int, int, List[Tuple[Any, Any]]]] = []
+            local: List[Tuple[int, int, Any]] = []
             for (rpid, lpid), entries in sorted(groups.items()):
-                items = [(lh, root_data(rpid, rh)) for rh, lh in entries]
+                if batch_data is not None:
+                    items = batch_data(rpid, lpid, [rh for rh, _lh in entries])
+                else:
+                    items = [(lh, root_data(rpid, rh)) for rh, lh in entries]
                 records += len(items)
                 if rpid == lpid:
                     local.append((lpid, rpid, items))

@@ -37,14 +37,18 @@ before any migration).  Requested tag values travel with the copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..mesh.entity import Ent
+from ..parallel.codec import ElementBlock
 from ..obs.stats import CommProbe, GhostDeleteStats, GhostStats
 from ..obs.tracer import trace_span
 from ..parallel.sf import BUNDLES, StarForest
 from .dmesh import DistributedMesh
-from .migration import _pack_element, _unpack_batch
+from .migration import _land_block, _pack_block
 from .part import Part
 
 _TAG_REQUEST = 10
@@ -313,74 +317,78 @@ def _ring_forest(
 def _fill_ring(
     dmesh: DistributedMesh, forest: StarForest, tags: Sequence[str]
 ) -> Tuple[int, List[int], Dict[int, List[Ent]]]:
-    """One ``bcast`` of element-closure bundles materializes the ring."""
+    """One ``bcast`` of element-closure blocks materializes the ring."""
+    dim = dmesh.element_dim()
     per_dim = [0, 0, 0, 0]
     created_total = 0
     new_elements: Dict[int, List[Ent]] = {}
 
-    def pack(owner: int, element: Ent) -> dict:
-        part = dmesh.part(owner)
-        bundle = _pack_element(part, element)
-        bundle["tags"] = {
-            name: part.mesh.tag(name).get(element)
-            for name in tags
-            if part.mesh.tags.find(name) is not None
-        }
-        bundle["home"] = (owner, element)
-        return bundle
+    def pack(owner: int, _requester: int, elements: List[Ent]) -> ElementBlock:
+        return _pack_block(
+            dmesh.part(owner), dim,
+            np.fromiter((e.idx for e in elements), np.int64, len(elements)),
+            home=True, tags=tags,
+        )
 
-    def unpack(requester: int, _owner: int, items) -> None:
+    def land(requester: int, _owner: int, block: ElementBlock) -> None:
         nonlocal created_total
-        part = dmesh.part(requester)
-        bundles = [bundle for _handle, bundle in items]
-        created, fresh = _unpack_ghost_batch(part, bundles, per_dim)
-        created_total += created
+        fresh = _land_ghost_block(dmesh.part(requester), block, per_dim)
+        created_total += len(fresh)
         new_elements.setdefault(requester, []).extend(fresh)
 
-    forest.bcast(pack, batch_set=unpack, datatype=BUNDLES)
+    forest.bcast(batch_data=pack, batch_set=land, datatype=BUNDLES)
     dmesh.counters.add("ghosting.elements", created_total)
     return created_total, per_dim, new_elements
 
 
-def _unpack_ghost_batch(
-    part: Part, bundles, per_dim: List[int]
-) -> Tuple[int, List[Ent]]:
-    """Create one decoded ghost batch.
+def _land_ghost_block(
+    part: Part, block: ElementBlock, per_dim: List[int]
+) -> List[Ent]:
+    """Land one received ghost block; returns the new ghost elements.
 
-    Returns ``(ghost elements created, their local handles)``; ``per_dim``
-    accumulates every created entity (elements plus closure) per dimension.
-    All bundles in a coalesced buffer come from the same owner part, so the
-    before/after ghost classification runs once for the whole batch and the
-    mesh surgery goes through the deduplicating
-    :func:`~repro.partition.migration._unpack_batch`.
+    Bundles whose element the part already holds are skipped.  Every
+    entity the landing *created* — and only those, whether or not they
+    carry a gid — is registered as a ghost of the block's owner part;
+    ``per_dim`` accumulates them per dimension.
     """
-    fresh = [
-        b for b in bundles
-        if part.by_gid(b["element"][0], b["element"][1]) is None
-    ]
-    if not fresh:
-        return 0, []
-    before = [part.gid_index_set(d) for d in range(4)]
-    elements = _unpack_batch(part, fresh)
-    element_home = {
-        element: bundle["home"]
-        for bundle, element in zip(fresh, elements)
-    }
-    home_pid = fresh[0]["home"][0]
+    if not len(block):
+        return []
+    if len(block.home_pid) != len(block):
+        raise ValueError("ghost block carries a bundle without a home")
+    dim = int(block.e_dim[0])
+    held = part._by_gid[dim]
+    keep = np.fromiter(
+        (gid not in held for gid in block.gids[block.e_gref].tolist()),
+        dtype=bool, count=len(block),
+    )
+    if not keep.any():
+        return []
+    ids, created = _land_block(part, block, keep)
+    elements = [Ent(dim, idx) for idx in ids.tolist()]
+    # A ghost block comes from one owner part.
+    home_pid = block.home_pid[keep].tolist()
+    home_idx = block.home_idx[keep].tolist()
+    owner = home_pid[0]
     for d in range(4):
-        for idx in part.gid_index_set(d) - before[d]:
-            ghost = Ent(d, idx)
-            per_dim[d] += 1
-            part.ghosts.add(ghost)
-            part.ghost_home[ghost] = element_home.get(
-                ghost, (home_pid, None)
-            )
-    mesh = part.mesh
-    for bundle, element in zip(fresh, elements):
-        for name, value in bundle.get("tags", {}).items():
-            if value is not None:
-                mesh.tag(name).set(element, value)
-    return len(fresh), elements
+        per_dim[d] += len(created[d])
+        if d == dim:
+            continue
+        ghosts = list(map(Ent, repeat(d), created[d].tolist()))
+        part.ghosts.update(ghosts)
+        part.ghost_home.update(zip(ghosts, repeat((owner, None))))
+    fresh = set(created[dim].tolist())
+    for element, pid, idx in zip(elements, home_pid, home_idx):
+        if element.idx in fresh:
+            part.ghosts.add(element)
+            part.ghost_home[element] = (pid, Ent(dim, idx))
+    if block.tags:
+        mesh = part.mesh
+        tags = [t for t, kept in zip(block.tags, keep.tolist()) if kept]
+        for element, values in zip(elements, tags):
+            for name, value in values.items():
+                if value is not None:
+                    mesh.tag(name).set(element, value)
+    return elements
 
 
 def delete_ghosts(dmesh: DistributedMesh) -> GhostDeleteStats:
@@ -395,23 +403,23 @@ def delete_ghosts(dmesh: DistributedMesh) -> GhostDeleteStats:
     with trace_span(dmesh.tracer, "delete_ghosts"):
         for part in dmesh:
             mesh = part.mesh
-            for d in range(3, -1, -1):
-                for ghost in sorted(
-                    (g for g in part.ghosts if g.dim == d), reverse=True
-                ):
-                    if not mesh.has(ghost):
-                        continue
-                    if mesh.up(ghost):
-                        # Still bounds a surviving entity: it was promoted to
-                        # a real boundary entity of this part and must stay.
-                        continue
-                    part.drop_gid(ghost)
-                    part.remotes.pop(ghost, None)
-                    mesh.destroy(ghost)
-                    removed += 1
-                    per_dim[d] += 1
+            core = mesh.core
+            by_dim: List[List[int]] = [[], [], [], []]
+            for ghost in part.ghosts:
+                by_dim[ghost.dim].append(ghost.idx)
+            # Emptied first: the part's destroy listener then has no ghost
+            # entries to evict one by one.
             part.ghosts.clear()
             part.ghost_home.clear()
+            for d in range(3, -1, -1):
+                ids = np.sort(np.asarray(by_dim[d], dtype=np.int64))[::-1]
+                ids = ids[core.alive[d][ids]]
+                # A ghost that still bounds a surviving entity was promoted
+                # to a real boundary entity of this part and must stay.
+                ids = ids[core.nup[d][ids] == 0]
+                mesh.destroy_block(d, ids)
+                removed += len(ids)
+                per_dim[d] += len(ids)
     dmesh.counters.add("ghosting.deleted", removed)
     return GhostDeleteStats(
         entities_removed=removed,

@@ -301,8 +301,12 @@ def _load_part_file(path: Path, name: str, expected_sha: str):
             f"sha256 {actual} != manifest {expected_sha}"
         )
     try:
-        return np.load(_io.BytesIO(data), allow_pickle=True)
-    except Exception as exc:  # zipfile.BadZipFile, pickle errors, ...
+        # Part files hold numeric arrays only; reading every member here
+        # makes an object array (which would need unpickling) fail now,
+        # as a corrupt checkpoint, instead of at first use.
+        with np.load(_io.BytesIO(data), allow_pickle=False) as npz:
+            return {key: npz[key] for key in npz.files}
+    except Exception as exc:  # zipfile.BadZipFile, object arrays, ...
         raise CorruptCheckpointError(
             f"{path}: unparseable part file {name}: {exc}"
         ) from None
@@ -398,34 +402,39 @@ def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
     """Give every intermediate entity (0 < d < element dim) a global id.
 
     The checkpoint persists gids only for vertices and elements; edges (and
-    faces, in 3D) are re-derived from connectivity.  Distributed services
-    assume *every* entity carries a gid — ghosting, for one, detects the
-    entities an element bundle created by diffing the gid table — so
-    restore must re-establish that invariant.  Gids are assigned from the
-    sorted vertex-gid keys: the same shared entity gets the same gid on
-    every holding part, distinct entities get distinct gids, and the result
-    is independent of part count and local numbering.
+    faces, in 3D) are re-derived from connectivity.  Restore re-establishes
+    the invariant that *every* entity carries a gid.  Gids are assigned from
+    the sorted vertex-gid keys — rank in one global ``np.unique`` over every
+    part's key rows, offset by the dimension's next free gid: the same
+    shared entity gets the same gid on every holding part, distinct
+    entities get distinct gids, and the result is independent of part count
+    and local numbering.
     """
     dim = dmesh.element_dim()
     for d in range(1, dim):
-        keys = set()
+        ids_of, keys_of = [], []
         for part in dmesh:
-            gid0 = part.gid_array(0)
-            for ent in part.mesh.entities(d):
-                keys.add(
-                    tuple(sorted(gid0[v.idx] for v in part.mesh.verts_of(ent)))
-                )
+            core = part.mesh.core
+            ids = core.live_ids(d)
+            rows = core.verts[d][ids]
+            used = np.arange(rows.shape[1]) < core.nverts[d][ids][:, None]
+            # Sorted vertex gids, short rows padded with -1 on the right:
+            # row order is then the order of the sorted-gid tuples.
+            keys = np.where(used, part.gids_of(0, rows), np.iinfo(np.int64).max)
+            keys.sort(axis=1)
+            keys[np.sort(~used, axis=1)] = -1
+            ids_of.append(ids)
+            keys_of.append(keys)
+        distinct, rank = np.unique(
+            np.concatenate(keys_of), axis=0, return_inverse=True
+        )
+        rank = rank.reshape(-1)
         base = dmesh._gid_next[d]
-        gid_of = {key: base + i for i, key in enumerate(sorted(keys))}
-        for part in dmesh:
-            gid0 = part.gid_array(0)
-            for ent in part.mesh.entities(d):
-                if not part.has_gid(ent):
-                    key = tuple(
-                        sorted(gid0[v.idx] for v in part.mesh.verts_of(ent))
-                    )
-                    part.set_gid(ent, gid_of[key])
-        dmesh._gid_next[d] = base + len(keys)
+        start = 0
+        for part, ids in zip(dmesh, ids_of):
+            part.set_gids(d, ids, base + rank[start:start + len(ids)])
+            start += len(ids)
+        dmesh._gid_next[d] = base + len(distinct)
 
 
 def _restore_same_parts(

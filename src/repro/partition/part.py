@@ -31,6 +31,7 @@ alias stale bookkeeping.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -70,16 +71,26 @@ class Part:
         self._mesh = mesh
         mesh.add_destroy_listener(self._entity_destroyed)
 
-    def _entity_destroyed(self, ent: Ent) -> None:
-        """Eagerly evict all bookkeeping for a destroyed entity.
+    def _entity_destroyed(self, dim: int, ids: np.ndarray) -> None:
+        """Eagerly evict all bookkeeping for a destroyed batch of entities.
 
         Handle reuse makes lazy cleanup unsound: by the time a sweep runs,
         the handle may already name a different live entity.
         """
-        self.drop_gid(ent)
-        self.remotes.pop(ent, None)
-        self.ghosts.discard(ent)
-        self.ghost_home.pop(ent, None)
+        col = self._gid_arr[dim]
+        known = ids[ids < len(col)]
+        gids = col[known]
+        col[known] = _UNSET
+        by_gid = self._by_gid[dim]
+        for gid in gids[gids != _UNSET].tolist():
+            by_gid.pop(gid, None)
+        if self.remotes or self.ghosts or self.ghost_home:
+            ents = list(map(Ent, repeat(dim), ids.tolist()))
+            self.ghosts.difference_update(ents)
+            for links in (self.remotes, self.ghost_home):
+                if links:
+                    for ent in ents:
+                        links.pop(ent, None)
 
     # -- global ids ----------------------------------------------------------
 
@@ -130,6 +141,28 @@ class Part:
                 col[ent.idx] = _UNSET
                 self._by_gid[ent.dim].pop(int(gid), None)
 
+    def set_gids(self, dim: int, ids: np.ndarray, gids: np.ndarray) -> None:
+        """Vectorized gid assignment under the *adopt* rule.
+
+        ``ids[k]`` takes ``gids[k]`` only when the gid is set (not -1), the
+        entity has no gid yet and the gid is still free on this part (first
+        row wins among equal gids in one call) — identity of non-vertex
+        entities is their vertex-gid tuple, so their gids are advisory and
+        a conflicting one is dropped rather than raised on.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        gids = np.asarray(gids, dtype=np.int64)
+        if len(ids) == 0:
+            return
+        col = self._gid_col(dim, int(ids.max()))
+        by_gid = self._by_gid[dim]
+        take = (gids != _UNSET) & (col[ids] == _UNSET)
+        take[take] = [g not in by_gid for g in gids[take].tolist()]
+        _uniq, first = np.unique(gids[take], return_index=True)
+        ids, gids = ids[take][first], gids[take][first]
+        col[ids] = gids
+        by_gid.update(zip(gids.tolist(), ids.tolist()))
+
     # -- batch gid access ------------------------------------------------------
 
     def gid_array(self, dim: int) -> np.ndarray:
@@ -142,10 +175,10 @@ class Part:
     def gids_of(self, dim: int, ids: np.ndarray) -> np.ndarray:
         """Vectorized gid lookup for an array of entity handles."""
         ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return np.empty(0, dtype=np.int64)
+        if ids.size == 0:
+            return np.empty(ids.shape, dtype=np.int64)
         col = self._gid_arr[dim]
-        if len(ids) and int(ids.max()) >= len(col):
+        if int(ids.max()) >= len(col):
             col = self._gid_col(dim, int(ids.max()))
         return col[ids]
 

@@ -60,6 +60,37 @@ def test_from_connectivity_tet_matches_incremental():
     verify(bulk, check_classification=False)
 
 
+@pytest.mark.parametrize("kind", ["prism", "pyramid", "hex"])
+def test_from_connectivity_mixed_face_cells_match_incremental(kind):
+    # Cells whose faces mix triangles and quads take the same bulk path
+    # (one padded face block), not a per-element fallback.
+    from repro.mesh import PRISM, PYRAMID, extrude_to_prisms
+
+    if kind == "prism":
+        source, etype = extrude_to_prisms(rect_tri(2), 2, 0.5), PRISM
+    elif kind == "hex":
+        source, etype = box_hex(2), HEX
+    else:
+        source, etype = Mesh(), PYRAMID
+        pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (.5, .5, 1), (.5, .5, -1)]
+        v = [source.create_vertex(p) for p in pts]
+        source.create(PYRAMID, v[:5])
+        source.create(PYRAMID, [v[0], v[3], v[2], v[1], v[5]])
+    coords = source.coords_view()[: source.count(0)]
+    cells = source.core.verts_matrix(3, source.entity_ids(3))
+    bulk = from_connectivity(coords, cells, etype)
+    assert bulk.entity_counts() == source.entity_counts()
+    for dim in range(1, 4):
+        assert {
+            (bulk.etype(e), tuple(sorted(x.idx for x in bulk.verts_of(e))))
+            for e in bulk.entities(dim)
+        } == {
+            (source.etype(e), tuple(sorted(x.idx for x in source.verts_of(e))))
+            for e in source.entities(dim)
+        }
+    verify(bulk, check_classification=False)
+
+
 def test_from_connectivity_validates_shape():
     coords = np.zeros((3, 2))
     with pytest.raises(ValueError):

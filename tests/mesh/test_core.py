@@ -86,13 +86,18 @@ def test_verts_matrix_matches_rows():
         assert tuple(vmat[k].tolist()) == core.verts_row(2, idx)
 
 
-def test_append_block_matches_incremental():
+def test_alloc_block_hands_out_what_sequential_creates_would():
     core = MeshCore()
-    n = 5
-    block = core.append_block(0, np.full(n, VERTEX), np.empty((n, 0), int),
-                              np.empty((n, 0), int))
-    assert block.tolist() == list(range(n))
-    assert all(core.is_alive(0, i) for i in range(n))
+    block = core.alloc_block(0, 5)
+    core.write_block(0, block, VERTEX, None, None)
+    assert block.tolist() == list(range(5))
+    assert all(core.is_alive(0, i) for i in range(5))
+    # Free-list slots go first, LIFO, then the top is extended.
+    core.destroy_block(0, np.array([1, 3]))
+    assert core.free[0] == [1, 3]
+    block = core.alloc_block(0, 3)
+    assert block.tolist() == [3, 1, 5]
+    assert core.free[0] == [] and core.top[0] == 6
 
 
 # -- find-after-destroy regression ------------------------------------------

@@ -11,6 +11,11 @@ Two properties under test:
 2. **Corruption safety**: truncated or bit-flipped buffers raise the typed
    :class:`~repro.parallel.codec.CodecError` instead of unpickling garbage
    (the CRC is validated before any record is interpreted).
+
+Both hold for frames built from bundle dicts (the list-of-dict view) and for
+frames the columnar writer produces straight from mesh arrays
+(``_pack_block``); for the latter, block → dict view → block is also the
+identity, i.e. the packer emits the view's canonical table order.
 """
 
 import random
@@ -285,3 +290,83 @@ def test_int_rows_round_trip_includes_extremes():
     flipped[-1] ^= 0xFF
     with pytest.raises(codec.CodecError):
         codec.decode_int_rows(bytes(flipped))
+
+
+# -- frames written straight from mesh columns --------------------------------
+
+
+_COLUMNAR_PARTS = {}
+
+
+def _columnar_dmesh(kind):
+    """A small distributed mesh to pack blocks from (built once per kind)."""
+    if kind not in _COLUMNAR_PARTS:
+        from repro.mesh import box_tet, extrude_to_prisms, rect_tri
+        from repro.partition import distribute
+
+        mesh = {
+            "tet": lambda: box_tet(3),
+            "tri": lambda: rect_tri(5),
+            "prism": lambda: extrude_to_prisms(rect_tri(3), 2, 0.5),
+        }[kind]()
+        nparts = 3
+        assignment = [
+            min(int(mesh.centroid(e)[0] * nparts), nparts - 1)
+            for e in mesh.entities(mesh.dim())
+        ]
+        _COLUMNAR_PARTS[kind] = distribute(mesh, assignment)
+    return _COLUMNAR_PARTS[kind]
+
+
+def _columnar_block(seed):
+    """A block packed from core arrays: random part, random element subset,
+    half of them ghost-style (home, and sometimes tags)."""
+    from repro.partition.migration import _pack_block
+
+    rng = random.Random(4000 + seed)
+    dmesh = _columnar_dmesh(rng.choice(("tet", "tri", "prism")))
+    part = dmesh.part(rng.randrange(dmesh.nparts))
+    dim = dmesh.element_dim()
+    ids = part.mesh.entity_ids(dim).tolist()
+    chosen = rng.sample(ids, rng.randrange(1, min(len(ids), 24) + 1))
+    ghost = rng.random() < 0.5
+    tags = ()
+    if ghost and rng.random() < 0.5:
+        tag = part.mesh.tag("w")
+        for idx in chosen[::2]:
+            tag.set(Ent(dim, idx), _random_tag_value(rng))
+        tags = ("w", "absent")
+    return _pack_block(part, dim, np.asarray(chosen), home=ghost, tags=tags)
+
+
+def _block_columns(block):
+    out = {}
+    for name in codec.ElementBlock.__slots__:
+        value = getattr(block, name)
+        out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_columnar_frames_round_trip_and_reject_corruption(seed):
+    rng = random.Random(5000 + seed)
+    block = _columnar_block(seed)
+    blob = codec.encode_element_block(block)
+
+    # bytes -> block -> bytes, and block -> dict view -> block: identity.
+    parsed = codec.decode_element_block(blob)
+    assert repr(_block_columns(parsed)) == repr(_block_columns(block))
+    assert codec.encode_element_block(parsed) == blob
+    bundles = codec.bundles_from_block(block)
+    assert len(bundles) == len(block)
+    again = codec.block_from_bundles(bundles)
+    assert repr(_block_columns(again)) == repr(_block_columns(block))
+    assert codec.encode_element_batch(codec.decode_element_batch(blob)) == blob
+
+    # Truncation and bit flips never decode.
+    with pytest.raises(codec.CodecError):
+        codec.decode_element_block(blob[: rng.randrange(0, len(blob))])
+    flipped = bytearray(blob)
+    flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+    with pytest.raises(codec.CodecError):
+        codec.decode_element_block(bytes(flipped))

@@ -1,0 +1,166 @@
+"""Array-native closure transport: the locks on migrate/ghost/unghost.
+
+* slot reuse — ``ghost -> delete_ghosts`` cycles leave every core and part
+  column exactly where it started (the ``peak_rss_mb`` guard);
+* the scalar path is gone — no ``Mesh.create``/``Mesh.destroy``/``add_up``/
+  ``remove_up`` call on the migrate, ghost and unghost paths;
+* the ghost registry is the set of *created* entities, so an entity that
+  travels without a gid is still registered and stripped.
+"""
+
+import numpy as np
+
+from repro.mesh import Ent, Mesh, MeshCore, box_tet
+from repro.parallel import PerfCounters
+from repro.partition import delete_ghosts, distribute, ghost_layer, migrate
+
+NPARTS = 8
+
+
+def strips(mesh, nparts=NPARTS):
+    return [
+        min(int(mesh.centroid(e)[0] * nparts), nparts - 1)
+        for e in mesh.entities(mesh.dim())
+    ]
+
+
+def distributed_box():
+    mesh = box_tet(4)
+    return distribute(mesh, strips(mesh), counters=PerfCounters())
+
+
+def part_columns(dm):
+    """Every handle-indexed column of every part, as plain Python."""
+    state = []
+    for part in dm:
+        core = part.mesh.core
+        state.append({
+            "top": list(core.top),
+            "n_alive": list(core.n_alive),
+            "free": [list(free) for free in core.free],
+            "alive": [core.alive[d][: core.top[d]].tolist() for d in range(4)],
+            "gids": [
+                part.gid_array(d)[: core.top[d]].tolist() for d in range(4)
+            ],
+            "by_gid": [sorted(part._by_gid[d].items()) for d in range(4)],
+            "remotes": sorted(
+                (ent, sorted(copies.items()))
+                for ent, copies in part.remotes.items()
+            ),
+            "ghosts": sorted(part.ghosts),
+            "ghost_home": sorted(part.ghost_home.items()),
+            "counts": part.mesh.entity_counts(),
+        })
+    return state
+
+
+def test_ghost_unghost_cycles_reuse_every_slot():
+    dm = distributed_box()
+    before = part_columns(dm)
+    ghost_layer(dm, depth=2)
+    delete_ghosts(dm)
+    warm = part_columns(dm)
+    for _ in range(3):
+        assert ghost_layer(dm, depth=2).ghosts_created > 0
+        delete_ghosts(dm)
+        dm.verify()
+        # Later cycles land in the slots the first one freed: high-water
+        # marks, free-lists and every column repeat exactly.
+        assert part_columns(dm) == warm
+    for was, now in zip(before, warm):
+        for key in ("n_alive", "by_gid", "remotes", "ghosts", "ghost_home", "counts"):
+            assert now[key] == was[key], key
+        # Against the pre-ghost state: live handles and their gids are
+        # untouched, and everything the ghosts added above the old top is
+        # dead again and on the free-list.
+        for d in range(4):
+            top = was["top"][d]
+            assert now["alive"][d][:top] == was["alive"][d]
+            assert now["gids"][d][:top] == was["gids"][d]
+            assert not any(now["alive"][d][top:])
+            assert sorted(now["free"][d]) == sorted(
+                was["free"][d] + list(range(top, now["top"][d]))
+            )
+
+
+def test_transport_paths_make_no_scalar_core_calls(monkeypatch):
+    calls = {"create": 0, "destroy": 0, "add_up": 0, "remove_up": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    dm = distributed_box()
+    edim = dm.element_dim()
+    monkeypatch.setattr(Mesh, "create", counting("create", Mesh.create))
+    monkeypatch.setattr(Mesh, "destroy", counting("destroy", Mesh.destroy))
+    monkeypatch.setattr(MeshCore, "add_up", counting("add_up", MeshCore.add_up))
+    monkeypatch.setattr(
+        MeshCore, "remove_up", counting("remove_up", MeshCore.remove_up)
+    )
+
+    assert ghost_layer(dm, depth=2).ghosts_created > 0
+    assert delete_ghosts(dm).entities_removed > 0
+    plan = {}
+    for part in dm:
+        chosen = sorted(part.mesh.entities(edim))[:16]
+        plan[part.pid] = {e: (part.pid + 1) % NPARTS for e in chosen}
+    assert migrate(dm, plan).elements_moved == 16 * NPARTS
+    ghost_layer(dm)
+    delete_ghosts(dm)
+    dm.verify()
+    assert calls == {"create": 0, "destroy": 0, "add_up": 0, "remove_up": 0}
+
+
+def test_gidless_closure_entity_is_registered_and_stripped():
+    """An edge with no gid on the owner still arrives, is a ghost, and goes."""
+    dm = distributed_box()
+    owner = dm.part(3)
+    # Strip the gid of an interior edge of an element part 2 will ghost.
+    shared_vertex = next(e for e in sorted(owner.remotes) if e.dim == 0
+                         and 2 in owner.remotes[e])
+    element = owner.mesh.adjacent(shared_vertex, 3)[0]
+    edge = next(
+        e for e in owner.mesh.adjacent(element, 1)
+        if e not in owner.remotes
+    )
+    owner.drop_gid(edge)
+    key = tuple(sorted(owner.gid(v) for v in owner.mesh.verts_of(edge)))
+
+    before = [part.mesh.entity_counts() for part in dm]
+    ghost_layer(dm)
+    dm.verify()
+    requester = dm.part(2)
+    local = requester.mesh.find(
+        1, [requester.by_gid(0, g) for g in key]
+    )
+    assert local is not None and not requester.has_gid(local)
+    assert requester.is_ghost(local)
+    assert requester.ghost_home[local] == (3, None)
+
+    delete_ghosts(dm)
+    dm.verify()
+    assert [part.mesh.entity_counts() for part in dm] == before
+    assert not any(part.ghosts or part.ghost_home for part in dm)
+
+
+def test_set_gids_follows_the_adopt_rule():
+    dm = distributed_box()
+    part = dm.part(0)
+    edges = part.mesh.entity_ids(1)[:4]
+    had = part.gids_of(1, edges).copy()
+    part.drop_gid(Ent(1, int(edges[0])))
+    part.drop_gid(Ent(1, int(edges[1])))
+    taken = int(had[2])
+    # edges[0]: free gid -> adopts; edges[1]: gid taken elsewhere -> stays
+    # unset; edges[2]: already has one -> keeps it; edges[3]: -1 -> no-op.
+    part.set_gids(1, edges, np.asarray([90_001, taken, 90_002, -1]))
+    assert part.gids_of(1, edges).tolist() == [90_001, -1, taken, int(had[3])]
+    assert part.by_gid(1, 90_001) == Ent(1, int(edges[0]))
+    assert part.by_gid(1, 90_002) is None
+    # First row wins among equal gids in one call.
+    part.drop_gid(Ent(1, int(edges[0])))
+    part.set_gids(1, edges[:2], np.asarray([90_003, 90_003]))
+    assert part.gids_of(1, edges[:2]).tolist() == [90_003, -1]

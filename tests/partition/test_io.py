@@ -318,3 +318,79 @@ def test_pickled_blob_is_rejected_not_unpickled(tmp_path):
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptCheckpointError, match=r"part1\.npz.*tag_blob"):
         load_dmesh(path)
+
+
+class _Tripwire:
+    """Unpickling this flips a flag — proof a loader ran ``pickle``."""
+
+    fired = False
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    _Tripwire.fired = True
+    return 0
+
+
+def test_object_array_in_part_file_is_rejected_never_unpickled(tmp_path):
+    import hashlib
+    import io
+    import json
+
+    path = make_checkpoint(tmp_path)
+    part_file = path / "part1.npz"
+    arrays = dict(np.load(part_file))
+    arrays["vgids"] = np.asarray([_Tripwire()], dtype=object)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    part_file.write_bytes(buffer.getvalue())
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["files"]["part1.npz"] = hashlib.sha256(
+        buffer.getvalue()
+    ).hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    _Tripwire.fired = False
+    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz"):
+        load_dmesh(path)
+    assert not _Tripwire.fired
+
+
+def _reference_intermediate_gids(dmesh):
+    """The scalar loop ``_restore_intermediate_gids`` replaced, verbatim in
+    effect: gid = base + rank of the sorted vertex-gid tuple."""
+    expected = {}
+    dim = dmesh.element_dim()
+    for d in range(1, dim):
+        keys = set()
+        for part in dmesh:
+            for ent in part.mesh.entities(d):
+                keys.add(tuple(sorted(
+                    part.gid(v) for v in part.mesh.verts_of(ent)
+                )))
+        gid_of = {key: i for i, key in enumerate(sorted(keys))}
+        for part in dmesh:
+            for ent in part.mesh.entities(d):
+                key = tuple(sorted(
+                    part.gid(v) for v in part.mesh.verts_of(ent)
+                ))
+                expected[(part.pid, ent)] = gid_of[key]
+        expected[("count", d)] = len(keys)
+    return expected
+
+
+@pytest.mark.parametrize("make", [lambda: box_tet(3), lambda: rect_tri(5)])
+def test_restored_intermediate_gids_match_the_reference_loop(tmp_path, make):
+    mesh = make()
+    dm = distribute(mesh, strips(mesh, 4))
+    save_dmesh(dm, tmp_path / "c")
+    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=2)
+    restored.verify()
+    expected = _reference_intermediate_gids(restored)
+    for d in range(1, restored.element_dim()):
+        # The loader starts each dimension's gids at the manifest's base.
+        base = restored._gid_next[d] - expected[("count", d)]
+        for part in restored:
+            for ent in part.mesh.entities(d):
+                assert part.gid(ent) == base + expected[(part.pid, ent)]
