@@ -508,15 +508,28 @@ EXTRA_TAGS = 0x01  # bundle carries a ghost tag dict
 EXTRA_HOME = 0x02  # bundle carries a ghost home (pid, entity)
 
 
+#: Wire dtype of an adaptive column, by (signed, itemsize).
+_COLUMN_DTYPE = {
+    (signed, size): np.dtype("<%s%d" % ("ui"[signed], size))
+    for signed in (False, True) for size in (1, 2, 4, 8)
+}
+
+
 def _w_column(out: bytearray, col: np.ndarray, signed: bool = False) -> None:
     """Append an adaptive-width integer column straight from an array:
-    the same bytes :func:`_w_ints`/:func:`_w_uints` write for its list."""
-    lo = int(col.min()) if len(col) else 0
-    hi = int(col.max()) if len(col) else 0
-    for size, _code, mn, mx in _INT_WIDTHS if signed else _UINT_WIDTHS:
+    the same bytes :func:`_w_ints`/:func:`_w_uints` write for its list
+    (which is how columns too short to repay numpy's per-call overhead are
+    written, as in :func:`_w_array`)."""
+    widths = _INT_WIDTHS if signed else _UINT_WIDTHS
+    if len(col) < 32:
+        _w_ints(out, col.tolist(), widths)
+        return
+    lo = int(col.min())
+    hi = int(col.max())
+    for size, _code, mn, mx in widths:
         if mn <= lo and hi <= mx:
             out.append(size)
-            out += col.astype("<%s%d" % ("ui"[signed], size)).tobytes()
+            out += col.astype(_COLUMN_DTYPE[signed, size]).tobytes()
             return
     raise CodecError(f"integer out of range for wire column ({lo}..{hi})")
 
@@ -533,10 +546,10 @@ def _r_column(buf, pos: int, count: int, signed: bool = False
     """Read an adaptive-width integer column back as an int64 array."""
     if pos >= len(buf):
         raise CodecError("truncated adaptive column")
-    size = buf[pos]
-    if size not in _SIGNED_CODE:
-        raise CodecError(f"invalid adaptive column width {size}")
-    col, pos = _r_array(buf, pos + 1, count, "<%s%d" % ("iu"[not signed], size))
+    dtype = _COLUMN_DTYPE.get((signed, buf[pos]))
+    if dtype is None:
+        raise CodecError(f"invalid adaptive column width {buf[pos]}")
+    col, pos = _r_array(buf, pos + 1, count, dtype)
     return col.astype(np.int64), pos
 
 
@@ -980,28 +993,27 @@ def decode_value_batch(data: Any) -> List[Tuple[Ent, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-def encode_int_rows(rows: Sequence[Sequence[int]]) -> bytes:
-    """Encode ragged integer rows (CSR lengths + one adaptive column)."""
+def encode_int_rows(lengths: np.ndarray, flat: np.ndarray) -> bytes:
+    """Encode ragged integer rows held as CSR columns: ``lengths[k]`` values
+    of ``flat`` per row (unsigned adaptive lengths + one signed adaptive
+    column, straight from the arrays)."""
     out = bytearray()
-    _w_uint(out, len(rows))
-    _w_uints(out, [len(row) for row in rows])
-    _w_ints(out, [value for row in rows for value in row])
+    _w_uint(out, len(lengths))
+    _w_column(out, lengths)
+    _w_column(out, flat, signed=True)
     return _frame(KIND_INT_ROWS, 0, bytes(out))
 
 
-def decode_int_rows(data: Any) -> List[Tuple[int, ...]]:
-    """Decode a kind-3 frame back into integer tuples."""
+def decode_int_rows(data: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a kind-3 frame back into its ``(lengths, flat)`` columns."""
     body = _unframe(data, KIND_INT_ROWS)
     end = len(body)
-    pos = 0
-    count, pos = _r_uint(body, pos, end)
-    lengths, pos = _r_uints(body, pos, count)
-    flat, pos = _r_ints(body, pos, sum(lengths))
+    count, pos = _r_uint(body, 0, end)
+    lengths, pos = _r_column(body, pos, count)
+    total = int(lengths.sum())
+    if total < 0:
+        raise CodecError("int-row lengths overflow")
+    flat, pos = _r_column(body, pos, total, signed=True)
     if pos != end:
         raise CodecError(f"{end - pos} trailing byte(s) after int rows")
-    rows: List[Tuple[int, ...]] = []
-    cursor = 0
-    for n in lengths:
-        rows.append(tuple(flat[cursor:cursor + n]))
-        cursor += n
-    return rows
+    return lengths, flat

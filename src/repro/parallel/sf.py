@@ -177,16 +177,25 @@ class _IntRowsDatatype(SFDatatype):
     name = "int_rows"
 
     def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
-        return encode_int_rows([payload for _handle, payload in items])
+        rows = [payload for _handle, payload in items]
+        return encode_int_rows(
+            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+            np.asarray([v for row in rows for v in row], dtype=np.int64),
+        )
 
     def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
-        rows = decode_int_rows(blob)
-        if len(rows) != len(handles):
+        lengths, flat = decode_int_rows(blob)
+        if len(lengths) != len(handles):
             raise CodecError(
-                f"star-forest int-row batch carries {len(rows)} row(s) "
+                f"star-forest int-row batch carries {len(lengths)} row(s) "
                 f"where {len(handles)} expected"
             )
-        return list(zip(handles, rows))
+        values = flat.tolist()
+        ends = np.cumsum(lengths).tolist()
+        return [
+            (handle, tuple(values[end - n:end]))
+            for handle, n, end in zip(handles, lengths.tolist(), ends)
+        ]
 
 
 #: Generic payloads (any codec-encodable value), shipped positionally.

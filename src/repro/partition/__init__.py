@@ -22,7 +22,8 @@ from .io import (
     save_dmesh,
 )
 from .ghosting import Overlap, delete_ghosts, ghost_layer
-from .migration import MigrationPlan, migrate, rebuild_links, surface_closure
+from .links import surface_ids
+from .migration import MigrationPlan, migrate, rebuild_links
 from .multipart import (
     merge_parts,
     move_elements_to_new_part,
@@ -68,6 +69,6 @@ __all__ = [
     "refine_distributed",
     "save_dmesh",
     "spawn_empty_part",
-    "surface_closure",
+    "surface_ids",
     "synchronize",
 ]

@@ -13,18 +13,20 @@ distribution invertible and easy to debug.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..mesh.build import from_connectivity
 from ..mesh.core import first_occurrence_unique
 from ..mesh.entity import Ent
-from ..mesh.mesh import Mesh
+from ..mesh.mesh import Mesh, vertex_keys
 from ..obs.tracer import Tracer, trace_span
 from ..parallel.perf import PerfCounters
 from ..parallel.topology import MachineTopology
 from .dmesh import DistributedMesh
+from .links import link_answers, link_rows, ragged_arange, split_rows
+from .part import Part
 
 Assignment = Union[Dict[Ent, int], Sequence[int], np.ndarray]
 
@@ -49,19 +51,22 @@ def distribute(
     dim = mesh.dim()
     if dim < 1:
         raise ValueError("cannot distribute a mesh without elements")
-    elements: List[Ent] = list(mesh.entities(dim))
+    element_ids = mesh.entity_ids(dim)
 
     if isinstance(assignment, dict):
         try:
-            parts_of = np.asarray([assignment[e] for e in elements], dtype=np.int64)
+            parts_of = np.asarray(
+                [assignment[Ent(dim, i)] for i in element_ids.tolist()],
+                dtype=np.int64,
+            )
         except KeyError as missing:
             raise ValueError(f"assignment misses element {missing}") from None
     else:
         parts_of = np.asarray(assignment, dtype=np.int64)
-        if parts_of.shape != (len(elements),):
+        if parts_of.shape != (len(element_ids),):
             raise ValueError(
                 f"assignment length {parts_of.shape} != element count "
-                f"{len(elements)}"
+                f"{len(element_ids)}"
             )
     if len(parts_of) and parts_of.min() < 0:
         raise ValueError("negative part id in assignment")
@@ -81,36 +86,37 @@ def distribute(
     )
 
     with trace_span(dmesh.tracer, "distribute", nparts=nparts):
-        # holders[d][gid] -> [(pid, local Ent)] for remote links.
-        holders: List[Dict[int, List]] = [{}, {}, {}, {}]
+        etypes = np.unique(mesh.core.etype[dim][element_ids])
+        single_type = int(etypes[0]) if len(etypes) == 1 else None
 
-        etypes = {mesh.etype(e) for e in elements}
-        single_type = etypes.pop() if len(etypes) == 1 else None
-
+        # held[d]: per non-empty part, (pid, global ids of its dim-d
+        # entities in local id order) — local ids are 0..n-1 on a fresh part.
+        held: List[List[Tuple[int, np.ndarray]]] = [[] for _ in range(dim)]
         with trace_span(dmesh.tracer, "distribute.build_parts"):
             for pid in range(nparts):
-                local_elements = [
-                    e for e, p in zip(elements, parts_of) if p == pid
-                ]
-                part = dmesh.part(pid)
-                if not local_elements:
+                local_elements = element_ids[parts_of == pid]
+                if not len(local_elements):
                     continue
-                _build_part(
-                    mesh, dmesh, part, local_elements, single_type, holders
+                global_ids = _build_part(
+                    mesh, dmesh.part(pid), local_elements, single_type
                 )
+                for d in range(dim):  # elements are never shared
+                    held[d].append((pid, global_ids[d]))
 
-        # Symmetric remote links for entities held by more than one part.
+        # Symmetric remote links for entities held by more than one part:
+        # the grouping job of the link rendezvous, keyed by global id.
         with trace_span(dmesh.tracer, "distribute.link_boundaries"):
-            for dim_h in range(dim):  # elements are never shared
-                for gid, held in holders[dim_h].items():
-                    if len(held) < 2:
-                        continue
-                    for pid, ent in held:
-                        dmesh.part(pid).remotes[ent] = {
-                            other_pid: other_ent
-                            for other_pid, other_ent in held
-                            if other_pid != pid
-                        }
+            for d, holders in enumerate(held):
+                gids = np.concatenate([g for _pid, g in holders])
+                counts = [len(g) for _pid, g in holders]
+                answers = link_answers(
+                    np.full(len(gids), d),
+                    gids[:, None],
+                    np.repeat([pid for pid, _g in holders], counts),
+                    ragged_arange(np.zeros(len(counts), dtype=np.int64), counts),
+                )
+                for pid, lengths, flat in split_rows(*answers):
+                    dmesh.part(pid).remotes.update(link_rows(lengths, flat))
 
         # Future gid allocations must not collide with the global ids.
         for d in range(4):
@@ -118,77 +124,74 @@ def distribute(
     return dmesh
 
 
-def _build_part(mesh, dmesh, part, local_elements, single_type, holders):
-    """Construct one part's serial mesh and record gid holders."""
+def _build_part(
+    mesh: Mesh, part: Part, element_ids: np.ndarray, single_type: Optional[int]
+) -> List[np.ndarray]:
+    """Construct one part's serial mesh from the global elements
+    ``element_ids``: closure, global ids, copied classification.
+
+    Returns, per dimension, the global id of every local entity in local
+    id order (a fresh part's ids are ``0..n-1``).
+    """
     dim = mesh.dim()
     # Compact global vertex ids used by this part: first-occurrence order
     # over the row-major element connectivity, extracted in one gather.
-    element_ids = np.fromiter(
-        (e.idx for e in local_elements), dtype=np.int64, count=len(local_elements)
-    )
     if single_type is not None:
         vmat = mesh.core.verts_matrix(dim, element_ids)
-        global_verts_arr = first_occurrence_unique(vmat.reshape(-1))
+        global_verts = first_occurrence_unique(vmat.reshape(-1))
         local_of = np.zeros(mesh.core.top[0], dtype=np.int64)
-        local_of[global_verts_arr] = np.arange(len(global_verts_arr))
-        conn = local_of[vmat]
-        global_verts: List[int] = global_verts_arr.tolist()
-        coords = mesh.coords_view()[global_verts_arr]
-        local_mesh = from_connectivity(coords, conn, single_type)
+        local_of[global_verts] = np.arange(len(global_verts))
+        local_mesh = from_connectivity(
+            mesh.coords_view()[global_verts], local_of[vmat], single_type
+        )
     else:
-        global_verts = []
         seen: Dict[int, int] = {}
-        conn_rows: List[List[int]] = []
-        for element in local_elements:
+        local_mesh = Mesh()
+        for idx in element_ids.tolist():
+            element = Ent(dim, idx)
             row = []
             for v in mesh.verts_of(element):
                 local = seen.get(v.idx)
                 if local is None:
-                    local = seen[v.idx] = len(global_verts)
-                    global_verts.append(v.idx)
-                row.append(local)
-            conn_rows.append(row)
-        coords = mesh.coords_view()[global_verts]
-        local_mesh = Mesh()
-        vhandles = [local_mesh.create_vertex(c) for c in coords]
-        for element, row in zip(local_elements, conn_rows):
-            local_mesh.create(
-                mesh.etype(element), [vhandles[i] for i in row]
-            )
+                    local = seen[v.idx] = len(seen)
+                    local_mesh.create_vertex(mesh.coords(v))
+                row.append(Ent(0, local))
+            local_mesh.create(mesh.etype(element), row)
+        global_verts = np.fromiter(seen, dtype=np.int64, count=len(seen))
     local_mesh.model = mesh.model
     part.mesh = local_mesh
 
-    # Vertices: gid = global id; classification copied; holder recorded.
-    for local_idx, global_idx in enumerate(global_verts):
-        ent = Ent(0, local_idx)
-        part.set_gid(ent, global_idx)
-        gent = mesh.classification(Ent(0, global_idx))
-        if gent is not None:
-            local_mesh.set_classification(ent, gent)
-        holders[0].setdefault(global_idx, []).append((part.pid, ent))
-
-    # Edges and faces: match to the global mesh by sorted global vertex ids.
+    # Edges and faces match the global mesh by sorted global vertex ids,
+    # one lookup probe per row; elements were created in ``element_ids``
+    # order by both construction paths.
+    core = local_mesh.core
+    global_ids = [global_verts]
     for d in range(1, dim):
-        lookup = mesh._lookup[d - 1]
-        for ent in local_mesh.entities(d):
-            key = tuple(
-                sorted(global_verts[i] for i in local_mesh.core.verts_row(d, ent.idx))
+        nverts = core.nverts[d][: core.top[d]]
+        found = np.full(core.top[d], -1, dtype=np.int64)
+        for width in np.unique(nverts).tolist():
+            rows = np.flatnonzero(nverts == width)
+            keys = vertex_keys(global_verts[core.verts[d][rows, :width]])
+            found[rows] = np.fromiter(
+                (mesh._lookup[d - 1].get(key, -1) for key in keys),
+                dtype=np.int64, count=len(rows),
             )
-            global_idx = lookup.get(key)
-            if global_idx is None:
-                raise AssertionError(
-                    f"part {part.pid}: local entity {ent} has no global match"
-                )
-            part.set_gid(ent, global_idx)
-            gent = mesh.classification(Ent(d, global_idx))
-            if gent is not None:
-                local_mesh.set_classification(ent, gent)
-            holders[d].setdefault(global_idx, []).append((part.pid, ent))
+        if (found < 0).any():
+            raise AssertionError(
+                f"part {part.pid}: local entity "
+                f"{Ent(d, int(np.flatnonzero(found < 0)[0]))} has no global "
+                f"match"
+            )
+        global_ids.append(found)
+    global_ids.append(element_ids)
 
-    # Elements: created in local_elements order by both construction paths.
-    for local_idx, element in enumerate(local_elements):
-        ent = Ent(dim, local_idx)
-        part.set_gid(ent, element.idx)
-        gent = mesh.classification(element)
-        if gent is not None:
-            local_mesh.set_classification(ent, gent)
+    for d, gids in enumerate(global_ids):
+        part.set_gids(d, np.arange(len(gids)), gids)
+        gclass = mesh._gclass[d]
+        if gclass:
+            local_mesh._gclass[d].update(
+                (local, gent)
+                for local, gent in enumerate(map(gclass.get, gids.tolist()))
+                if gent is not None
+            )
+    return global_ids

@@ -26,6 +26,7 @@ from ..parallel.network import Network
 from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
+from .links import link_answers, link_rows, split_rows, surface_ids
 from .part import Part
 
 
@@ -178,9 +179,28 @@ class DistributedMesh:
         * remote-copy links are symmetric and connect entities with equal
           gids and dimensions,
         * shared entities' vertex gid sets agree across parts,
+        * links are complete: every non-ghost identity held by two or more
+          parts is linked among all its holders,
         * ghosts mirror a live entity on their home part.
         """
         from ..mesh.verify import verify as verify_mesh
+
+        # Identity of every linked entity, one batched gather per part and
+        # dimension; dead link ends have none and are reported below.
+        keys: List[Dict[Ent, Tuple[int, ...]]] = []
+        for part in self.parts:
+            known: Dict[Ent, Tuple[int, ...]] = {}
+            by_dim: List[List[Ent]] = [[], [], [], []]
+            for ent in part.remotes:
+                if part.mesh.has(ent):
+                    by_dim[ent.dim].append(ent)
+            for d, ents in enumerate(by_dim):
+                rows = part.entity_keys(d, [e.idx for e in ents]).tolist()
+                known.update(
+                    (e, tuple(g for g in row if g >= 0))
+                    for e, row in zip(ents, rows)
+                )
+            keys.append(known)
 
         for part in self.parts:
             if check_meshes and part.mesh.count(0):
@@ -194,7 +214,7 @@ class DistributedMesh:
                     raise AssertionError(
                         f"part {part.pid}: remote link from dead entity {ent}"
                     )
-                key = _entity_key(part, ent)
+                key = keys[part.pid][ent]
                 for other_pid, other_ent in copies.items():
                     if other_pid == part.pid:
                         raise AssertionError(
@@ -206,7 +226,9 @@ class DistributedMesh:
                             f"part {part.pid}: {ent} links to dead "
                             f"{other_ent} on part {other_pid}"
                         )
-                    other_key = _entity_key(other, other_ent)
+                    other_key = keys[other_pid].get(other_ent)
+                    if other_key is None:  # no link back: reported below
+                        other_key = other.entity_key(other_ent)
                     if other_key != key:
                         raise AssertionError(
                             f"identity mismatch: part {part.pid} {ent} "
@@ -230,6 +252,39 @@ class DistributedMesh:
                     raise AssertionError(
                         f"part {part.pid}: ghost {ghost} home entity is dead"
                     )
+        self._verify_links_complete()
+
+    def _verify_links_complete(self) -> None:
+        """Every identity on two or more part surfaces is linked among all
+        its holders — the links a from-scratch rebuild would derive exist."""
+        surfaces = [surface_ids(part) for part in self.parts]
+        for d in range(self.element_dim()):
+            held = [
+                (part, ids[d]) for part, ids in zip(self.parts, surfaces)
+                if d < len(ids) and len(ids[d])
+            ]
+            if len(held) < 2:
+                continue
+            idx = np.concatenate([ids for _part, ids in held])
+            dest, lengths, flat = link_answers(
+                np.full(len(idx), d),
+                np.concatenate(
+                    [part.entity_keys(d, ids) for part, ids in held]
+                ),
+                np.repeat(
+                    [part.pid for part, _ids in held],
+                    [len(ids) for _part, ids in held],
+                ),
+                idx,
+            )
+            for pid, rows, values in split_rows(dest, lengths, flat):
+                remotes = self.part(pid).remotes
+                for ent, copies in link_rows(rows, values):
+                    if remotes.get(ent) != copies:
+                        raise AssertionError(
+                            f"incomplete remote links: part {pid} {ent} is "
+                            f"held by {copies} but links {remotes.get(ent)}"
+                        )
 
     def __repr__(self) -> str:
         counts = self.entity_counts().sum(axis=0)
@@ -238,12 +293,3 @@ class DistributedMesh:
             f"verts={counts[0]}, edges={counts[1]}, faces={counts[2]}, "
             f"regions={counts[3]})"
         )
-
-
-def _entity_key(part: Part, ent: Ent):
-    """Vertex-gid identity of an entity (see migration.entity_key)."""
-    if ent.dim == 0:
-        return (part.gid(ent),)
-    return tuple(sorted(part.gid(v) for v in part.mesh.verts_of(ent)))
-
-

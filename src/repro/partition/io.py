@@ -51,7 +51,7 @@ from ..parallel.perf import PerfCounters
 from ..parallel.topology import MachineTopology
 from .dmesh import DistributedMesh
 from .fieldsync import DistributedField
-from .migration import entity_key, rebuild_links
+from .migration import rebuild_links
 from .part import Part
 
 _MANIFEST = "manifest.json"
@@ -105,8 +105,8 @@ def _decode_blob(parts_data, pid: int, key: str) -> Any:
 def _part_tags(part: Part) -> List[Tuple[str, List[Tuple[int, Tuple[int, ...], Any]]]]:
     """Tag data of one part as ``[(name, [(dim, key, value), ...]), ...]``.
 
-    Entities are identified by :func:`~repro.partition.migration.entity_key`
-    (sorted vertex-gid tuples), which survives both the local-index
+    Entities are identified by :meth:`Part.entity_key` (sorted vertex-gid
+    tuples), which survives both the local-index
     relabeling of a reload and restores at a different part count.  Ghost
     entities' values are runtime state and are skipped.
     """
@@ -117,7 +117,7 @@ def _part_tags(part: Part) -> List[Tuple[str, List[Tuple[int, Tuple[int, ...], A
         for ent, value in tag.items():
             if ent in part.ghosts:
                 continue
-            entries.append((ent.dim, entity_key(part, ent), value))
+            entries.append((ent.dim, part.entity_key(ent), value))
         out.append((name, entries))
     return out
 
@@ -133,7 +133,7 @@ def _part_fields(
         for ent, value in local.items():
             if ent in part.ghosts:
                 continue
-            entries.append((entity_key(part, ent), np.asarray(value)))
+            entries.append((part.entity_key(ent), np.asarray(value)))
         out[dfield.name] = entries
     return out
 
@@ -317,7 +317,7 @@ def _key_index(part: Part, dims: Sequence[int]) -> Dict[Tuple[int, Tuple[int, ..
     index: Dict[Tuple[int, Tuple[int, ...]], Ent] = {}
     for d in dims:
         for ent in part.mesh.entities(d):
-            index[(d, entity_key(part, ent))] = ent
+            index[(d, part.entity_key(ent))] = ent
     return index
 
 

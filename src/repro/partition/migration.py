@@ -25,21 +25,70 @@ operation.
    entities left bounding nothing in one closure sweep
    (:func:`_remove_elements` → ``Mesh.destroy_block`` per dimension; their
    copies may live on, on other parts);
-4. **relink** — remote-copy links are rebuilt from scratch by a rendezvous
-   over each part's surface entities (:func:`rebuild_links`), restoring the
-   symmetric partition-boundary structure the partition model derives from.
+4. **relink** — remote-copy links are repaired *by delta*: only entities in
+   the closure of a moved element can gain or lose a copy, so only they are
+   posted — by the parts that sent or received them — through a two-superstep
+   hash-home rendezvous, array-native end to end.
 
 No phase calls ``Mesh.create``/``Mesh.destroy`` per entity; ghosting ships
 and lands its copies through the same two functions.
 
-The rebuild-from-scratch choice trades some traffic for simplicity and is
-what keeps this implementation verifiably correct under arbitrary plans;
-PUMI's incremental update is an optimization of the same result.
+The relink protocol
+-------------------
+
+*Candidates.*  A source part, after landing and before removal (keys need
+the vertex gids of entities about to die, and the destroy listener evicts
+their links): the unique closure of its leaving elements per dimension, each
+entity's key (sorted vertex gids, :meth:`Part.entity_keys`) and the copies
+``remotes`` lists for it.  A destination part: the closure of the elements
+it landed (:func:`_capture_candidates`).
+
+*Surface filter.*  A copy can only be shared if it lies on its part's
+topological surface after the move
+(:func:`~repro.partition.links.surface_masks`).  Live candidates that ended
+up interior post nothing and lose their entry (:func:`_delta_post`).
+
+*Rows.*  To the key's home ``sum(key) % nparts``: a live surface candidate
+posts "I hold ``key`` at ``idx``"; a destroyed candidate that had copies
+posts a *tombstone*; and a source's rows carry the copies it knew inline as
+*proxies* — "``q`` holds ``key`` at ``j``" — which is how a third party (a
+part sharing the entity that neither sent nor received around it) gets its
+answer without scanning or posting anything.  A tombstone cancels a stale
+proxy: the third party destroyed its copy in the same call (land precedes
+remove, so a handle is never recycled inside one ``migrate``).
+
+*Home, answers, apply.*  Each home concatenates the rows it received, runs
+one ``lexsort`` by ``(dim, key, part, alive)``, drops tombstoned parts,
+dedupes copies named twice and answers every holder of a key left with two
+or more holders with the list of the others
+(:func:`~repro.partition.links.link_answers`); an answered entity's
+``remotes`` entry is replaced.  Posting parts then drop the entries of
+their own live candidates no answer came for, so an entity nobody else
+holds any more ends unshared.
+
+*Why it is complete.*  A holder set changes only when some part creates a
+copy (only by landing) or destroys one (only by removal), so every entity
+whose holders change is in the closure of a moved element.  Its source held
+it before and, links being symmetric, knew every old holder; every new
+holder is a destination and posts itself; a third party always ends with at
+least one co-holder (the destination), so only posting parts ever need the
+"now unshared" outcome.
+
+:func:`rebuild_links` is the same rendezvous fed every surface entity of
+every part, all rows alive, no proxies, links wiped first — for callers with
+no plan to take a delta from (loaders, distributed adaptation) and as the
+oracle the delta is tested against (``tests/partition/test_relink_delta.py``).
+``migrate`` itself falls back to it when one call moves at least
+:data:`_REBUILD_SHARE` of the mesh's elements: an incremental update cannot
+beat a rebuild when (nearly) everything moves, because every shared entity
+then costs a tombstone and proxies on top of the row a rebuild would post
+for it anyway.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,6 +108,14 @@ from ..parallel.codec import (
 )
 from ..parallel.sf import BUNDLES, StarForest
 from .dmesh import DistributedMesh
+from .links import (
+    link_answers,
+    link_rows,
+    ragged_arange,
+    split_rows,
+    surface_ids,
+    surface_masks,
+)
 from .part import Part
 
 #: A migration plan: for each source part, the elements it sends away.
@@ -66,6 +123,12 @@ MigrationPlan = Dict[int, Dict[Ent, int]]
 
 _TAG_CANDIDATE = 2
 _TAG_LINKS = 3
+
+#: ``migrate`` relinks by delta while one call moves less than this share of
+#: the mesh's elements, and by :func:`rebuild_links` from there on: when
+#: (nearly) every element moves, every shared entity costs a tombstone and
+#: proxies on top of the row a rebuild would post for it anyway.
+_REBUILD_SHARE = 0.5
 
 
 def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
@@ -88,11 +151,11 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
     probe = CommProbe(dmesh.counters)
     tracer = dmesh.tracer
     dim = dmesh.element_dim()
+    total = sum(part.mesh.count(dim) for part in dmesh)
     moved = 0
     packed = [0, 0, 0, 0]
 
     with trace_span(tracer, "migrate"):
-        dests = set()
         blocks: Dict[Tuple[int, int], ElementBlock] = {}
         removals: Dict[int, np.ndarray] = {}
         forest = StarForest(dmesh, name="migrate")
@@ -128,34 +191,55 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                     for d in range(1, dim):
                         packed[d] += int(mids[d])
                     packed[dim] += len(queue)
-                    dests.add(dest)
                 if leaving:
                     removals[pid] = np.asarray(leaving)
                     moved += len(leaving)
 
-        # Only parts that send/receive elements — plus every part that
-        # shares anything with them — can see their links change.  The
-        # neighbor sets must be snapshotted NOW, before removal drops the
-        # dying links.
-        affected = set(removals) | dests
-        for pid in list(affected):
-            affected.update(dmesh.part(pid).neighbors())
+        landed: Dict[int, List[np.ndarray]] = {}
+
+        def land(lpid: int, _rpid: int, block: ElementBlock) -> None:
+            ids, _created = _land_block(dmesh.part(lpid), block)
+            landed.setdefault(lpid, []).append(ids)
 
         with trace_span(tracer, "migrate.unpack"):
             forest.bcast(
                 batch_data=lambda rpid, lpid, _elements: blocks[(rpid, lpid)],
-                batch_set=lambda lpid, _rpid, block: _land_block(
-                    dmesh.part(lpid), block
-                ),
+                batch_set=land,
                 datatype=BUNDLES,
             )
 
+        # Relink by delta unless the call moves so much of the mesh that
+        # tombstones and proxies would outweigh a from-scratch rebuild.
+        by_delta = moved < _REBUILD_SHARE * total
+        streams: Dict[int, Streams] = {}
+        captured: Dict[int, Captured] = {}
+        if by_delta:
+            with trace_span(tracer, "migrate.relink"):
+                for pid in sorted(set(removals) | set(landed)):
+                    part = dmesh.part(pid)
+                    if pid in removals:
+                        streams[pid] = _closure_streams(
+                            part.mesh.core, dim, removals[pid]
+                        )
+                    captured[pid] = _capture_candidates(
+                        part, dim, streams.get(pid),
+                        np.concatenate(landed.get(pid, [_NONE])),
+                    )
+
         with trace_span(tracer, "migrate.remove"):
             for pid, leaving in removals.items():
-                _remove_elements(dmesh.part(pid), dim, leaving)
+                _remove_elements(
+                    dmesh.part(pid), dim, leaving, streams.get(pid)
+                )
 
         with trace_span(tracer, "migrate.relink"):
-            rebuild_links(dmesh, only_parts=affected if moved else [])
+            if by_delta:
+                _rendezvous(dmesh, {
+                    pid: _delta_post(dmesh.part(pid), rows, dmesh.nparts)
+                    for pid, rows in captured.items()
+                })
+            else:
+                rebuild_links(dmesh)
     dmesh.counters.add("migration.elements", moved)
     return MigrateStats(
         elements_moved=moved,
@@ -185,9 +269,11 @@ def _row_unique_stable(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return mat[keep], keep.sum(axis=1)
 
 
-def _closure_streams(
-    core, dim: int, elems: np.ndarray
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+#: ``{d: (flat ids, count per element)}``, see :func:`_closure_streams`.
+Streams = Dict[int, Tuple[np.ndarray, np.ndarray]]
+
+
+def _closure_streams(core, dim: int, elems: np.ndarray) -> Streams:
     """Downward closure of ``elems`` per dimension below ``dim``.
 
     ``{d: (flat ids, count per element)}`` with each element's entities in
@@ -215,9 +301,7 @@ def _interleave(pieces: List[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     offset = np.cumsum(total) - total
     out = np.empty(int(total.sum()), dtype=np.int64)
     for flat, counts in pieces:
-        starts = np.cumsum(counts) - counts
-        within = np.arange(len(flat)) - np.repeat(starts, counts)
-        out[np.repeat(offset, counts) + within] = flat
+        out[ragged_arange(offset, counts)] = flat
         offset = offset + counts
     return out
 
@@ -467,7 +551,9 @@ def _land_block(
     return ids, created
 
 
-def _remove_elements(part: Part, dim: int, elems: np.ndarray) -> None:
+def _remove_elements(
+    part: Part, dim: int, elems: np.ndarray, streams: Optional[Streams] = None
+) -> None:
     """Destroy dim-``dim`` elements and the boundary entities left unused.
 
     One closure sweep: the elements go in the order given, then each lower
@@ -475,14 +561,16 @@ def _remove_elements(part: Part, dim: int, elems: np.ndarray) -> None:
     the order a per-element sweep would have reached them (an entity dies
     with the last removed element that holds it) — so the free-lists end
     up exactly as the scalar loop left them.  Part bookkeeping is evicted
-    by the destroy listener.
+    by the destroy listener.  ``streams`` is the elements'
+    :func:`_closure_streams`, when the caller already has it.
     """
     mesh = part.mesh
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
     if not len(elems):
         return
-    streams = _closure_streams(core, dim, elems)
+    if streams is None:
+        streams = _closure_streams(core, dim, elems)
     mesh.destroy_block(dim, elems)
     for d in range(dim - 1, -1, -1):
         flat = streams[d][0]
@@ -496,179 +584,233 @@ def _remove_element(part: Part, element: Ent) -> None:
     _remove_elements(part, element.dim, np.array([element.idx]))
 
 
-def surface_closure(part: Part) -> List[Ent]:
-    """All entities on the part's topological surface (any dimension < D).
 
-    An entity shared with another part necessarily lies on this part's
-    surface, so this is a complete (and cheap) candidate set for remote-link
-    discovery.  The surface consists of the facets (dimension D-1 entities)
-    with exactly one upward element, plus their closures.
+
+# ---------------------------------------------------------------------------
+# relink: remote-copy links through a hash-home rendezvous
+# ---------------------------------------------------------------------------
+#
+# A *candidate row* on the wire is ``(dim + 4 * n, idx, key..., q0, j0, ...,
+# q(n-1), j(n-1))``: the posting part holds the entity with sorted
+# vertex-gid ``key`` at ``Ent(dim, idx)`` — or, with ``idx == -1``, held it
+# and destroyed it (a tombstone) — and knew ``n`` other copies before the
+# move, part ``qk`` holding ``Ent(dim, jk)`` (proxies, posted on behalf of
+# parts that may not post themselves).  A full rebuild posts ``n == 0`` rows
+# only: ``(dim, idx, key...)``.
+
+
+#: One dimension of a part's candidates: ``(dim, idx, key rows, copies per
+#: row, flat (q, j) pairs of those copies)``.
+Piece = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def _candidate_rows(
+    pieces: Sequence[Piece], nparts: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wire rows of one part's candidates, sorted by hash home.
+
+    Returns ``(home, lengths, flat)``; a row's home is the sum of its key
+    modulo ``nparts`` (in int64, so every poster wraps alike).
     """
-    mesh = part.mesh
-    dim = mesh.dim()
-    if dim == 0:
-        return list(mesh.entities(0))
-    result: List[Ent] = []
-    seen = set()
-    for facet in mesh.entities(dim - 1):
-        if len(mesh.up(facet)) != 1:
-            continue
-        for ent in [facet] + [
-            e for d in range(facet.dim - 1, -1, -1)
-            for e in mesh.adjacent(facet, d)
-        ]:
-            if ent not in seen:
-                seen.add(ent)
-                result.append(ent)
-    return result
+    homes, lengths, flats = [_NONE], [_NONE], [_NONE]
+    for d, idx, keys, ncopies, copies in pieces:
+        used = keys >= 0
+        nkey = used.sum(axis=1)
+        n = 2 + nkey + 2 * ncopies
+        starts = np.cumsum(n) - n
+        flat = np.empty(int(n.sum()), dtype=np.int64)
+        flat[starts] = d + 4 * ncopies
+        flat[starts + 1] = idx
+        flat[ragged_arange(starts + 2, nkey)] = keys[used]
+        flat[ragged_arange(starts + 2 + nkey, 2 * ncopies)] = copies
+        homes.append(np.where(used, keys, 0).sum(axis=1) % nparts)
+        lengths.append(n)
+        flats.append(flat)
+    home, n, flat = map(np.concatenate, (homes, lengths, flats))
+    order = np.argsort(home, kind="stable")
+    starts = (np.cumsum(n) - n)[order]
+    return home[order], n[order], flat[ragged_arange(starts, n[order])]
 
 
-def entity_key(part: Part, ent: Ent) -> Tuple[int, ...]:
-    """Global identity of an entity: its sorted bounding-vertex gids.
+def _post_rows(
+    dmesh: DistributedMesh, router, src: int, tag: int,
+    dest: np.ndarray, lengths: np.ndarray, flat: np.ndarray,
+) -> None:
+    """Post ``src``'s rows (sorted by ``dest``), one kind-3 frame each."""
+    if not len(lengths):
+        return  # (and no zero-valued counter springs into being)
+    encoded = 0
+    for pid, rows, values in split_rows(dest, lengths, flat):
+        blob = encode_int_rows(rows, values)
+        encoded += len(blob)
+        router.post(src, pid, tag, blob)
+    dmesh.counters.add("net.bytes.encoded", encoded)
+    dmesh.counters.add("net.messages.coalesced", len(lengths))
 
-    Vertices carry authoritative gids; every higher entity is identified by
-    the gids of its vertices, so entities created independently on several
-    parts (e.g. by coordinated refinement of a shared edge) match without
-    any global id coordination.
-    """
-    if ent.dim == 0:
-        return (part.gid(ent),)
-    return tuple(
-        sorted(part.gid(v) for v in part.mesh.verts_of(ent))
+
+def _home_answers(messages) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rendezvous at one hash home: the candidate frames it received,
+    in source order, to answer rows for every holder of a shared key."""
+    frames = [decode_int_rows(blob) for _src, _tag, blob in messages]
+    lengths = np.concatenate([rows for rows, _values in frames])
+    flat = np.concatenate([values for _rows, values in frames])
+    src = np.repeat(
+        [src for src, _tag, _blob in messages],
+        [len(rows) for rows, _values in frames],
+    )
+    starts = np.cumsum(lengths) - lengths
+    dim = flat[starts] & 3
+    ncopies = flat[starts] >> 2
+    idx = flat[starts + 1]
+    nkey = lengths - 2 - 2 * ncopies
+    keys = ragged_matrix(flat[ragged_arange(starts + 2, nkey)], nkey, -1)
+    proxies = flat[ragged_arange(starts + 2 + nkey, 2 * ncopies)].reshape(-1, 2)
+    row = np.repeat(np.arange(len(lengths)), ncopies)
+    return link_answers(
+        np.concatenate((dim, dim[row])),
+        np.concatenate((keys, keys[row])),
+        np.concatenate((src, proxies[:, 0])),
+        np.concatenate((idx, proxies[:, 1])),
+        np.concatenate((idx >= 0, np.ones(len(row), dtype=bool))),
     )
 
 
-def _surface_entity_ids(part: Part) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """Fast raw-id surface scan: ``(dim, idx, sorted vertex-gid key)``.
+#: What one part brings to a rendezvous: its candidate rows ``(home,
+#: lengths, flat)`` and the ``(dim, idx)`` keys of the ``remotes`` entries
+#: that are stale unless an answer restores them.
+Post = Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Set[Tuple[int, int]]]
 
-    Equivalent to :func:`surface_closure` + :func:`entity_key` — this runs
-    once per part per migration and dominates the link-rebuild cost.
+
+def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
+    """Match posted candidates at their hash homes; write the links back.
+
+    Two supersteps: every posting part sends its candidate rows to the
+    rows' homes; every home groups what it got and answers each holder of a
+    key with two or more holders — posters and proxied third parties alike
+    — with the list of the others, which replaces that entity's ``remotes``
+    entry.  A posting part then drops its stale entries no answer came for
+    (after, not before: replacing an entry in place allocates and frees in
+    step, where wipe-then-refill walks the allocator through thousands of
+    net-new containers and the garbage collector with it).  Both exchanges
+    run even when nothing is posted, so a fixed call sequence costs a fixed
+    superstep count.
     """
-    mesh = part.mesh
-    dim = mesh.dim()
-    if dim == 0:
-        return []
-    core = mesh.core
-    fdim = dim - 1
-    facets = core.live_ids(fdim)
-    surf = facets[core.nup[fdim][facets] == 1]
-    gid0 = part.gid_array(0).tolist()
-    out: List[Tuple[int, int, Tuple[int, ...]]] = []
-    seen = [set() for _ in range(dim)]
-    ghost_idx = [
-        {g.idx for g in part.ghosts if g.dim == d} for d in range(dim)
-    ]
-    # Bulk row extraction: one tolist per array instead of per-entity calls.
-    surf_list = surf.tolist()
-    fvert_counts = core.nverts[fdim][surf].tolist()
-    fvert_rows = core.verts[fdim][surf].tolist()
-    if fdim == 2:
-        fdown_counts = core.ndown[2][surf].tolist()
-        fdown_rows = core.down[2][surf].tolist()
-        edge_verts = core.verts[1][: core.top[1], :2].tolist()
-
-    def emit(d: int, idx: int, verts) -> None:
-        if idx in seen[d] or idx in ghost_idx[d]:
-            return
-        seen[d].add(idx)
-        key = tuple(sorted(gid0[v] for v in verts))
-        out.append((d, idx, key))
-
-    for i, fidx in enumerate(surf_list):
-        fverts = fvert_rows[i][: fvert_counts[i]]
-        emit(fdim, fidx, fverts)
-        if fdim >= 1:
-            for v in fverts:
-                emit(0, v, (v,))
-        if fdim == 2:
-            for eidx in fdown_rows[i][: fdown_counts[i]]:
-                emit(1, eidx, edge_verts[eidx])
-    return out
-
-
-def rebuild_links(
-    dmesh: DistributedMesh, only_parts: Optional[Iterable[int]] = None
-) -> None:
-    """Recompute remote-copy links from vertex global ids.
-
-    Rendezvous algorithm: each participating part posts (dim, key, local
-    handle) for all of its surface entities — where ``key`` is the sorted
-    vertex-gid tuple — to the key's home part (sum of the key modulo
-    nparts); home parts group arrivals and answer every holder of a
-    multiply-held key with the full holder list.  Links of participating
-    parts are then rewritten wholesale.  Payloads are pure integers,
-    shipped as columnar int-row buffers.
-
-    ``only_parts`` restricts the rebuild to a set of parts that is *closed
-    under sharing* — every part that might share an entity with a member
-    must itself be a member (migration passes the moved parts plus all
-    their neighbors, which has that property).  ``None`` rebuilds all.
-    """
-    nparts = dmesh.nparts
-    if only_parts is None:
-        participants = list(range(nparts))
-    else:
-        participants = sorted(set(only_parts))
     router = dmesh.router()
-    for pid in participants:
-        part = dmesh.part(pid)
-        # Columnar int rows: (dim, local idx, *vertex-gid key).
-        batches: Dict[int, List[Tuple[int, ...]]] = {}
-        for d, idx, key in _surface_entity_ids(part):
-            batches.setdefault(sum(key) % nparts, []).append((d, idx) + key)
-        for home, rows in batches.items():
-            blob = encode_int_rows(rows)
-            dmesh.counters.add("net.bytes.encoded", len(blob))
-            dmesh.counters.add("net.messages.coalesced", len(rows))
-            router.post(part.pid, home, _TAG_CANDIDATE, blob)
-
+    for pid, (rows, _stale) in posts.items():
+        _post_rows(dmesh, router, pid, _TAG_CANDIDATE, *rows)
     inboxes = router.exchange()
     router = dmesh.router()
     for home in sorted(inboxes):
-        groups: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, int]]] = {}
-        for src, _tag, blob in inboxes[home]:
-            for row in decode_int_rows(blob):
-                groups.setdefault((row[0], row[2:]), []).append((src, row[1]))
-        # Rows: (dim, local idx, other holders' pid/idx pairs flattened).
-        answers: Dict[int, List[Tuple[int, ...]]] = {}
-        for (d, _key), holders in sorted(groups.items()):
-            if len(holders) < 2:
-                continue
-            for pid, idx in holders:
-                others = tuple(
-                    value for q, j in holders if q != pid for value in (q, j)
-                )
-                answers.setdefault(pid, []).append((d, idx) + others)
-        for pid, rows in answers.items():
-            blob = encode_int_rows(rows)
-            dmesh.counters.add("net.bytes.encoded", len(blob))
-            dmesh.counters.add("net.messages.coalesced", len(rows))
-            router.post(home, pid, _TAG_LINKS, blob)
-
+        if inboxes[home]:
+            _post_rows(
+                dmesh, router, home, _TAG_LINKS, *_home_answers(inboxes[home])
+            )
     responses = router.exchange()
-    participant_set = set(participants)
-    full_rebuild = len(participants) == nparts
-    for pid in participants:
-        part = dmesh.part(pid)
-        if full_rebuild:
-            part.remotes.clear()
-            continue
-        # Partial rebuild: recompute only links *among* participants; a
-        # participant's links to outside parts cannot have changed (no
-        # elements moved on either side of those boundaries) and outside
-        # parts do not post, so their entries must be preserved.
-        for ent in list(part.remotes):
-            copies = part.remotes[ent]
-            for q in [q for q in copies if q in participant_set]:
-                del copies[q]
-            if not copies:
-                del part.remotes[ent]
     for pid in sorted(responses):
-        part = dmesh.part(pid)
+        remotes = dmesh.part(pid).remotes
+        stale = posts[pid][1] if pid in posts else set()
         for _src, _tag, blob in responses[pid]:
-            for row in decode_int_rows(blob):
-                d, idx = row[0], row[1]
-                entry = part.remotes.setdefault(Ent(d, idx), {})
-                for i in range(2, len(row), 2):
-                    entry[row[i]] = Ent(d, row[i + 1])
+            for ent, copies in link_rows(*decode_int_rows(blob)):
+                remotes[ent] = copies
+                stale.discard(ent)
+        for key in stale:
+            remotes.pop(key, None)
     dmesh.counters.add("migration.relinks")
+
+
+def rebuild_links(dmesh: DistributedMesh) -> None:
+    """Recompute every remote-copy link from vertex global ids.
+
+    The from-scratch row source of :func:`_rendezvous`: every existing
+    link is stale and every part posts all of its surface entities
+    (:func:`~repro.partition.links.surface_ids`; ghosts excluded).  For
+    callers with no plan to take a delta from — loaders, distributed
+    adaptation — and the oracle ``migrate``'s delta is tested against.
+    """
+    posts = {}
+    for part in dmesh:
+        rows = _candidate_rows(
+            [
+                (d, ids, part.entity_keys(d, ids),
+                 np.zeros(len(ids), dtype=np.int64), _NONE)
+                for d, ids in enumerate(surface_ids(part))
+            ],
+            dmesh.nparts,
+        )
+        posts[part.pid] = (rows, set(part.remotes))
+    _rendezvous(dmesh, posts)
+
+
+#: One dimension of a part's delta candidates before removal: ``(ids, key
+#: rows, remote copies of the leading ids as they were)``.
+Captured = List[Tuple[np.ndarray, np.ndarray, List[Optional[Dict[int, Ent]]]]]
+
+
+def _capture_candidates(
+    part: Part, dim: int, leaving: Optional[Streams], landed: np.ndarray
+) -> Captured:
+    """Delta candidates of one part, taken after landing, before removal.
+
+    Only entities in the closure of a moved element can gain or lose a
+    copy.  Per dimension: the closure of the part's leaving elements
+    (``leaving``, their :func:`_closure_streams`) with the remote copies
+    each has now — removal evicts those links and the vertex gids the keys
+    are made of — followed by what only the closure of the ``landed``
+    element ids adds.
+    """
+    core = part.mesh.core
+    arrived = _closure_streams(core, dim, landed) if len(landed) else None
+    captured: Captured = []
+    for d in range(dim):
+        # Unique ids through handle masks: two scatters and a scan.
+        mask = np.zeros(core.top[d], dtype=bool)
+        if leaving:
+            mask[leaving[d][0]] = True
+        ids = left = np.flatnonzero(mask)
+        if arrived:
+            mask[arrived[d][0]] = True
+            mask[left] = False
+            ids = np.concatenate((left, np.flatnonzero(mask)))
+        copies = list(map(part.remotes.get, zip(repeat(d), left.tolist())))
+        captured.append((ids, part.entity_keys(d, ids), copies))
+    return captured
+
+
+def _delta_post(part: Part, captured: Captured, nparts: int) -> Post:
+    """What one part posts for a delta relink, after removal.
+
+    A copy can only be shared if it lies on its part's surface after the
+    move: live surface candidates post themselves (with the copies they
+    knew as proxies) and destroyed candidates that had copies post a
+    tombstone (with the same).  Every live candidate's ``remotes`` entry is
+    stale — the answers restore what is still shared.
+    """
+    alive_of = part.mesh.core.alive
+    masks = surface_masks(part)
+    pieces: List[Piece] = []
+    stale: Set[Tuple[int, int]] = set()
+    for d, (ids, keys, copies) in enumerate(captured):
+        alive = alive_of[d][ids]
+        stale.update(filter(
+            part.remotes.__contains__, zip(repeat(d), ids[alive].tolist())
+        ))
+        # (An emptied part has no surface, and nothing of it is alive.)
+        surface = alive & masks[d][ids] if d < len(masks) else alive
+        posted = surface.copy()
+        ncopies = np.zeros(len(ids), dtype=np.int64)
+        pairs: List[int] = []
+        nleft = len(copies)  # the leading ids: closure of what left
+        had = np.fromiter(map(bool, copies), dtype=bool, count=nleft)
+        for k in np.flatnonzero(
+            had & (surface[:nleft] | ~alive[:nleft])
+        ).tolist():
+            posted[k] = True
+            ncopies[k] = len(copies[k])
+            for q, ent in copies[k].items():
+                pairs += (q, ent.idx)
+        pieces.append((
+            d, np.where(surface, ids, -1)[posted], keys[posted],
+            ncopies[posted], np.asarray(pairs, dtype=np.int64),
+        ))
+    return _candidate_rows(pieces, nparts), stale

@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..mesh.core import VERT_WIDTH
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 
@@ -186,6 +187,42 @@ class Part:
         """Handles of dimension ``dim`` that currently carry a gid."""
         col = self._gid_arr[dim]
         return set(np.nonzero(col != _UNSET)[0].tolist())
+
+    # -- global identity -------------------------------------------------------
+
+    def entity_keys(self, dim: int, ids: np.ndarray) -> np.ndarray:
+        """Global identities of a batch of entities, one row each.
+
+        Vertices carry authoritative gids; every higher entity is identified
+        by the gids of its bounding vertices, so entities created
+        independently on several parts (e.g. by coordinated refinement of a
+        shared edge) match without any global id coordination.  Row ``k`` is
+        the ascending vertex gids of ``ids[k]``, left-padded with -1 to the
+        dimension's vertex width.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        gid0 = self.gid_array(0)
+        if dim == 0:
+            keys = gid0[ids][:, None]
+            used = np.ones(keys.shape, dtype=bool)
+        else:
+            core = self.mesh.core
+            used = np.arange(VERT_WIDTH[dim]) < core.nverts[dim][ids][:, None]
+            keys = np.where(used, gid0[core.verts[dim][ids]], _UNSET)
+        if (keys[used] == _UNSET).any():
+            raise KeyError(
+                f"part {self.pid}: a dim-{dim} entity has a vertex without "
+                f"a global id"
+            )
+        keys.sort(axis=1)
+        return keys
+
+    def entity_key(self, ent: Ent) -> Tuple[int, ...]:
+        """One entity's identity: its sorted bounding-vertex gids."""
+        if ent.dim == 0:
+            return (self.gid(ent),)
+        row = self.entity_keys(ent.dim, [ent.idx])[0]
+        return tuple(row[row != _UNSET].tolist())
 
     # -- residence / ownership -------------------------------------------------
 

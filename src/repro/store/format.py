@@ -40,7 +40,6 @@ from ..parallel import codec
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
 from ..partition.io import CorruptCheckpointError, _atomic_write_bytes, _sha256
-from ..partition.migration import entity_key
 
 __all__ = [
     "FORMAT",
@@ -200,7 +199,7 @@ def state_from_dmesh(
                 if ent in part.ghosts or not part.mesh.has(ent):
                     continue
                 state.tags.setdefault(
-                    (name, ent.dim, entity_key(part, ent)), value
+                    (name, ent.dim, part.entity_key(ent)), value
                 )
     for dfield in fields:
         bucket = state.fields.setdefault(dfield.name, {})
@@ -217,7 +216,7 @@ def state_from_dmesh(
                     or not part.has_gid(ent)
                 ):
                     continue
-                bucket.setdefault(entity_key(part, ent), np.asarray(value))
+                bucket.setdefault(part.entity_key(ent), np.asarray(value))
     return state
 
 

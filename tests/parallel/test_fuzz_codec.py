@@ -232,7 +232,7 @@ def test_bit_flipped_buffers_raise_codec_error(seed):
 
 
 def test_wrong_kind_is_rejected():
-    blob = codec.encode_int_rows([(1, 2, 3)])
+    blob = codec.encode_int_rows(np.array([3]), np.array([1, 2, 3]))
     with pytest.raises(codec.CodecError):
         codec.decode_element_batch(blob)
     with pytest.raises(codec.CodecError):
@@ -282,14 +282,97 @@ def test_value_batch_round_trip_and_corruption():
         codec.decode_value_batch(blob[:-3])
 
 
+def _int_row_columns(rows):
+    return (
+        np.asarray([len(row) for row in rows], dtype=np.int64),
+        np.asarray([v for row in rows for v in row], dtype=np.int64),
+    )
+
+
 def test_int_rows_round_trip_includes_extremes():
     rows = [(0,), (), (1, -(2**62), 2**62, 5)]
-    blob = codec.encode_int_rows(rows)
-    assert codec.decode_int_rows(blob) == rows
+    lengths, flat = _int_row_columns(rows)
+    blob = codec.encode_int_rows(lengths, flat)
+    back_lengths, back_flat = codec.decode_int_rows(blob)
+    assert back_lengths.tolist() == lengths.tolist()
+    assert back_flat.tolist() == flat.tolist()
     flipped = bytearray(blob)
     flipped[-1] ^= 0xFF
     with pytest.raises(codec.CodecError):
         codec.decode_int_rows(bytes(flipped))
+
+
+def _random_int_rows(rng: random.Random):
+    """Ragged rows shaped like link-rendezvous traffic, with the column
+    width pushed through every adaptive size."""
+    span = rng.choice([100, 30_000, 2_000_000_000, MAX_GID])
+    return [
+        tuple(
+            rng.randrange(-span, span) if rng.random() < 0.2
+            else rng.randrange(0, span)
+            for _ in range(rng.choice([0, 2, 3, 4, 5, 9, rng.randrange(300)]))
+        )
+        for _ in range(rng.choice([0, 1, 7, rng.randrange(400)]))
+    ]
+
+
+def _list_writer(rows) -> bytes:
+    """The kind-3 frame as the per-value list writers lay it out."""
+    out = bytearray()
+    codec._w_uint(out, len(rows))
+    codec._w_uints(out, [len(row) for row in rows])
+    codec._w_ints(out, [v for row in rows for v in row])
+    return codec._frame(codec.KIND_INT_ROWS, 0, bytes(out))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_int_rows_array_writer_matches_list_writer(seed):
+    rows = _random_int_rows(random.Random(4000 + seed))
+    lengths, flat = _int_row_columns(rows)
+    blob = codec.encode_int_rows(lengths, flat)
+    assert blob == _list_writer(rows)
+    back_lengths, back_flat = codec.decode_int_rows(blob)
+    assert back_lengths.dtype == back_flat.dtype == np.int64
+    assert back_lengths.tolist() == lengths.tolist()
+    assert back_flat.tolist() == flat.tolist()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_int_rows_truncated_or_flipped_raise_codec_error(seed):
+    rng = random.Random(5000 + seed)
+    lengths, flat = _int_row_columns(_random_int_rows(rng))
+    blob = codec.encode_int_rows(lengths, flat)
+    with pytest.raises(codec.CodecError):
+        codec.decode_int_rows(blob[: rng.randrange(len(blob))])
+    flipped = bytearray(blob)
+    pos = rng.randrange(len(blob))
+    flipped[pos] ^= 1 << rng.randrange(8)
+    if pos in (4, 5):
+        # The flags and reserved header bytes say nothing about a kind-3
+        # body and are outside its CRC: the rows must come back unchanged.
+        back_lengths, back_flat = codec.decode_int_rows(bytes(flipped))
+        assert back_lengths.tolist() == lengths.tolist()
+        assert back_flat.tolist() == flat.tolist()
+    else:
+        with pytest.raises(codec.CodecError):
+            codec.decode_int_rows(bytes(flipped))
+
+
+def test_int_rows_reader_rejects_inconsistent_body():
+    """A frame with a valid CRC whose columns disagree is still an error."""
+    def framed(body: bytes) -> bytes:
+        return codec._frame(codec.KIND_INT_ROWS, 0, body)
+
+    good = codec.encode_int_rows(np.array([2, 1]), np.array([7, 8, 9]))
+    body = bytes(good[codec.HEADER_SIZE:])
+    for bad in (
+        body + b"\x00",            # trailing byte
+        body[:-1],                 # value column one byte short
+        bytes([5]) + body[1:],     # more rows declared than lengths shipped
+        body[:1] + bytes([3]) + body[2:],  # invalid adaptive width
+    ):
+        with pytest.raises(codec.CodecError):
+            codec.decode_int_rows(framed(bad))
 
 
 # -- frames written straight from mesh columns --------------------------------

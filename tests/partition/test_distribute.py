@@ -189,3 +189,60 @@ def test_partition_model_custom_owner_rule():
     pm = build_partition_model(dm, owner_rule=max)
     shared = next(e for e in dm.part(0).remotes if e.dim == 0)
     assert pm.owner(0, shared) == 1
+
+
+# -- bulk build vs the per-entity reference ----------------------------------
+
+
+def _mixed_mesh():
+    from repro.mesh import TET
+    from repro.mesh.generate import extrude_to_prisms
+
+    mesh = extrude_to_prisms(rect_tri(3), layers=2)
+    for face in list(mesh.entities(2)):
+        verts = mesh.verts_of(face)
+        if len(verts) == 3 and all(mesh.coords(v)[2] == 1.0 for v in verts):
+            apex = np.mean([mesh.coords(v) for v in verts], axis=0) + [0, 0, 0.3]
+            mesh.create(TET, list(verts) + [mesh.create_vertex(apex)])
+    return mesh
+
+
+@pytest.mark.parametrize("kind", ["tri", "tet", "mixed"])
+@pytest.mark.parametrize("nparts", [1, 3, 8])
+def test_bulk_build_matches_per_entity_reference(kind, nparts):
+    """gids, classification and links as the per-entity loop derives them:
+    every local entity matched to the global mesh by its sorted global
+    vertex ids, one ``set_gid``/``classification`` read at a time, holders
+    grouped by gid in a dict."""
+    mesh = {"tri": lambda: rect_tri(5), "tet": lambda: box_tet(3),
+            "mixed": _mixed_mesh}[kind]()
+    dim = mesh.dim()
+    rng = np.random.default_rng(nparts)
+    dm = distribute(mesh, rng.integers(0, nparts, mesh.count(dim)), nparts=nparts)
+    dm.verify()
+
+    holders = {}
+    for part in dm:
+        local = part.mesh
+        for d in range(dim + 1):
+            assert local.count(d) == local.core.top[d]  # no holes
+            for ent in local.entities(d):
+                verts = [
+                    Ent(0, part.gid(v)) for v in
+                    ([ent] if d == 0 else local.verts_of(ent))
+                ]
+                match = verts[0] if d == 0 else mesh.find(d, verts)
+                assert match is not None
+                assert part.gid(ent) == match.idx
+                assert part.by_gid(d, match.idx) == ent
+                assert local.classification(ent) == mesh.classification(match)
+                if d == 0:
+                    assert (local.coords(ent) == mesh.coords(match)).all()
+                holders.setdefault((d, match.idx), []).append((part.pid, ent))
+    for part in dm:
+        expected = {
+            ent: {q: other for q, other in held if q != part.pid}
+            for (d, _gid), held in holders.items() if len(held) > 1 and d < dim
+            for pid, ent in held if pid == part.pid
+        }
+        assert part.remotes == expected

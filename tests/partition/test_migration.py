@@ -10,7 +10,7 @@ from repro.partition import (
     migrate,
     move_elements_to_new_part,
     rebuild_links,
-    surface_closure,
+    surface_ids,
 )
 
 
@@ -165,9 +165,9 @@ def test_move_elements_to_new_part(dm):
 
 def test_surface_closure_is_shared_superset(dm):
     for part in dm:
-        surface = set(surface_closure(part))
+        surface = surface_ids(part)
         for ent in part.remotes:
-            assert ent in surface
+            assert ent.idx in surface[ent.dim]
 
 
 def test_rebuild_links_is_idempotent(dm):

@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mesh import box_tet, rect_tri
 from repro.mesh.quality import measure
-from repro.partition import distribute, migrate
-from repro.partition.migration import surface_closure
+from repro.partition import distribute, migrate, surface_ids
 
 NPARTS = 4
 
@@ -86,9 +85,9 @@ def test_shared_entities_subset_of_surface(assignment):
     """Every shared entity lies on its part's topological surface."""
     dm = fresh_dmesh(assignment)
     for part in dm:
-        surface = set(surface_closure(part))
+        surface = surface_ids(part)
         for ent in part.remotes:
-            assert ent in surface
+            assert ent.idx in surface[ent.dim]
 
 
 @settings(max_examples=8, deadline=None,
@@ -148,11 +147,11 @@ def test_3d_random_migration(seed):
     )
 )
 def test_sequential_migrations_keep_links_consistent(steps):
-    """Chained migrations (the partial link-rebuild path) never desync.
+    """Chained migrations (each relinked by delta) never desync.
 
-    Regression guard for the affected-set computation: the neighbor
-    snapshot must be taken before dying links are dropped, or a later
-    partial rebuild misses parts and leaves stale links behind.
+    Regression guard for the pre-removal capture: a source's old copies
+    must be read before removal evicts the dying links, or third parties
+    keep stale links to entities that moved away.
     """
     dm = fresh_dmesh([i % NPARTS for i in range(_NELEMS)])
     for src, nth, dest, batch in steps:
@@ -328,6 +327,11 @@ def _apply_ops(nparts, seed):
             dest = dest_draw % dm.nparts
             if dest != part.pid:
                 migrate(dm, {part.pid: {element: dest}})
+                # The delta relink against its oracle, on meshes the
+                # destroy/create ops have punched holes into.
+                links = {p.pid: dict(p.remotes) for p in dm}
+                rebuild_links(dm)
+                assert {p.pid: dict(p.remotes) for p in dm} == links
                 _fill_missing_values(dm, dfield)
         elif op == "ghost":
             if not any(part.ghosts for part in dm):

@@ -115,3 +115,77 @@ def test_check_meshes_flag_skips_serial_checks(dm):
     first_edge = int(core.live_ids(1)[0])
     core.nup[1][first_edge] = 0
     dm.verify(check_meshes=False)  # only link invariants checked
+
+
+# -- completeness: a link missing on *both* sides ----------------------------
+#
+# The symmetry walk only sees the links that exist, so deleting one link
+# on both of its ends used to verify clean (and ``total_owned`` silently
+# counted the entity twice).  The completeness invariant — every identity on
+# two or more part surfaces is linked among all its holders — catches it.
+
+
+@pytest.fixture
+def dm3d():
+    from repro.mesh import box_tet
+
+    mesh = box_tet(3)
+    assignment = [
+        min(int(mesh.centroid(e)[0] * 4), 3) for e in mesh.entities(3)
+    ]
+    return mesh, distribute(mesh, assignment)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2], ids=["vertex", "edge", "face"])
+def test_detects_symmetrically_missing_link(dm3d, dim):
+    mesh, dm = dm3d
+    dm.verify()
+    assert dm.total_owned(dim) == mesh.count(dim)
+    part0 = dm.part(0)
+    ent = next(e for e in sorted(part0.remotes) if e.dim == dim)
+    for other_pid, other_ent in part0.remotes.pop(ent).items():
+        back = dm.part(other_pid).remotes[other_ent]
+        del back[0]
+        if not back:
+            del dm.part(other_pid).remotes[other_ent]
+    # Symmetric, so the link walk alone has nothing to object to ...
+    assert dm.total_owned(dim) == mesh.count(dim) + 1
+    with pytest.raises(AssertionError, match="incomplete remote links"):
+        dm.verify()
+
+
+def test_detects_one_missing_holder_among_three():
+    """A vertex held by three parts whose links name only two of them,
+    consistently on every side."""
+    mesh = rect_tri(4)
+    quadrant = [
+        int(mesh.centroid(e)[0] >= 0.5) + 2 * int(mesh.centroid(e)[1] >= 0.5)
+        for e in mesh.entities(2)
+    ]
+    dm = distribute(mesh, quadrant)
+    part0 = dm.part(0)
+    v = next(e for e in sorted(part0.remotes) if len(part0.remotes[e]) == 3)
+    dropped, dropped_ent = sorted(part0.remotes[v].items())[-1]
+    for pid, ent in [(0, v)] + sorted(part0.remotes[v].items())[:-1]:
+        del dm.part(pid).remotes[ent][dropped]
+    for pid in list(dm.part(dropped).remotes[dropped_ent]):
+        del dm.part(dropped).remotes[dropped_ent][pid]
+    del dm.part(dropped).remotes[dropped_ent]
+    with pytest.raises(AssertionError, match="incomplete remote links"):
+        dm.verify()
+
+
+def test_completeness_holds_with_ghosts(dm):
+    """Ghost copies are not holders: a ghosted mesh still verifies, and a
+    symmetric deletion under the ghost layer is still caught."""
+    ghost_layer(dm)
+    dm.verify()
+    part0 = dm.part(0)
+    v = shared_vertex(part0)
+    for other_pid, other_ent in part0.remotes.pop(v).items():
+        back = dm.part(other_pid).remotes[other_ent]
+        del back[0]
+        if not back:
+            del dm.part(other_pid).remotes[other_ent]
+    with pytest.raises(AssertionError, match="incomplete remote links"):
+        dm.verify()

@@ -1,16 +1,24 @@
-"""The wire budget: exact comm counts of two recorded scenarios.
+"""The wire budget: exact comm counts of recorded scenarios.
 
-Both scenarios run ``box_tet(4)`` on 8 x-strips with a fresh counter
-registry.  The numbers are what the retired A/B benchmarks measured for the
-surviving arm (``benchmarks/results/BENCH_sf_parity.json`` and
+The first two scenarios run ``box_tet(4)`` on 8 x-strips with a fresh
+counter registry.  The numbers are what the retired A/B benchmarks measured
+for the surviving arm (``benchmarks/results/BENCH_sf_parity.json`` and
 ``BENCH_migration_codec.json``): the star-forest services cost exactly the
 supersteps and encoded bytes of the hand-rolled exchanges they replaced,
 and the binary wire codec ships the ring-migration scenario in under a
 third of the pickle bytes.  Budgets are ``<=`` so later work may lower
 them, never raise them.
+
+The relink budgets below them pin link maintenance on its own: a
+from-scratch ``rebuild_links`` ships byte for byte what it shipped before
+its rendezvous went array-native, and ``migrate``'s delta relink ships a
+typical step (5 % of every part, ring-wise) in a sixth of a rebuild's
+bytes.
 """
 
 import math
+
+import pytest
 
 from repro.mesh import box_tet
 from repro.obs.stats import CommProbe
@@ -22,6 +30,8 @@ from repro.partition import (
     distribute,
     ghost_layer,
     migrate,
+    migration,
+    rebuild_links,
     synchronize,
 )
 
@@ -37,8 +47,8 @@ def strips(mesh):
     ]
 
 
-def distributed_box():
-    mesh = box_tet(4)
+def distributed_box(n=4):
+    mesh = box_tet(n)
     return distribute(mesh, strips(mesh), counters=PerfCounters())
 
 
@@ -94,3 +104,76 @@ def test_ring_migration_budget():
     assert elements_moved == 1152
     assert probe.wire_bytes() <= 516_313
     assert probe.wire_bytes() <= 0.5 * PICKLE_RING_BYTES
+
+
+# -- link maintenance on its own ----------------------------------------------
+
+
+@pytest.fixture
+def relinks(monkeypatch):
+    """Comm cost of every link rendezvous run during the test, in order."""
+    costs = []
+    rendezvous = migration._rendezvous
+
+    def measured(dm, posts):
+        probe = CommProbe(dm.counters)
+        rendezvous(dm, posts)
+        costs.append({
+            "rows": probe.messages_coalesced(),
+            "encoded_bytes": probe.encoded_bytes(),
+            "wire_bytes": probe.wire_bytes(),
+            "messages": probe.messages(),
+            "supersteps": probe.supersteps(),
+        })
+
+    monkeypatch.setattr(migration, "_rendezvous", measured)
+    return costs
+
+
+def test_rebuild_links_ships_exactly_what_it_shipped(relinks):
+    """Recorded on the freshly distributed box at the last commit whose
+    rendezvous posted Python tuples: same rows, same frames, same bytes."""
+    dm = distributed_box()
+    before = {part.pid: dict(part.remotes) for part in dm}
+    rebuild_links(dm)
+    assert relinks == [{
+        "rows": 4334,
+        "encoded_bytes": 40_746,
+        "wire_bytes": 37_923,
+        "messages": 128,
+        "supersteps": 2,
+    }]
+    assert {part.pid: dict(part.remotes) for part in dm} == before
+
+
+def test_ring_step_delta_budget(relinks):
+    """The typical shape the file never had: one 5 % ring step."""
+    dm = distributed_box(8)
+    edim = dm.element_dim()
+    plan = {}
+    for part in dm:
+        elements = sorted(part.mesh.entities(edim))
+        plan[part.pid] = {
+            e: (part.pid + 1) % NPARTS
+            for e in elements[: round(0.05 * len(elements))]
+        }
+    stats = migrate(dm, plan)
+    assert stats.elements_moved == 152
+    assert stats.supersteps == 3
+    (delta,) = relinks
+    assert delta["supersteps"] == 2
+    assert delta["rows"] <= 1_938
+    assert delta["encoded_bytes"] <= 22_202
+    assert delta["wire_bytes"] <= 21_989
+    assert delta["messages"] <= 128
+
+    # The same state relinked from scratch: same links, six times the bytes.
+    links = {part.pid: dict(part.remotes) for part in dm}
+    rebuild_links(dm)
+    rebuild = relinks[1]
+    assert {part.pid: dict(part.remotes) for part in dm} == links
+    assert rebuild["rows"] == 14_270
+    assert delta["encoded_bytes"] < rebuild["encoded_bytes"]
+    assert delta["encoded_bytes"] <= 0.17 * rebuild["encoded_bytes"]
+    assert delta["wire_bytes"] <= 0.19 * rebuild["wire_bytes"]
+    dm.verify()

@@ -5,14 +5,19 @@ elements; the bulk transport paths only show their edge cases — many part
 pairs, recycled slots in every dimension, corner-wrapping depth-2 rings —
 at 10^4 elements and tens of parts.  One pass of distribute → migrate →
 ghost (depth 1, then depth 2) → sync → unghost at 24,000 tets on 32 parts,
-checking after every step that the distributed representation verifies,
-that the owned element/vertex gid sets are the serial mesh's, and that
-every copy of a field value equals its owner's.
+checking after every step that the distributed representation verifies
+(link symmetry *and* completeness), that the owned element/vertex gid sets
+are the serial mesh's, and that every copy of a field value equals its
+owner's.  A second pass takes a spiked partition of the same mesh through
+heavy-part splitting and ParMA diffusion — dozens of small migrations, each
+relinked by delta — and compares the links it ends with against a
+from-scratch ``rebuild_links``.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import ParMA, heavy_part_splitting, imbalances
 from repro.parallel import PerfCounters
 from repro.partition import (
     DistributedField,
@@ -20,9 +25,10 @@ from repro.partition import (
     distribute,
     ghost_layer,
     migrate,
+    rebuild_links,
     synchronize,
 )
-from repro.partitioners import partition
+from repro.partitioners import element_centroids, partition
 from repro.workloads import aaa_mesh
 
 pytestmark = pytest.mark.scale
@@ -50,6 +56,14 @@ def check(dm, serial, field=None):
         assert field.max_copy_disagreement() == 0.0
 
 
+def check_link_oracle(dm):
+    """Links as the migrations left them == links rebuilt from scratch."""
+    links = {part.pid: dict(part.remotes) for part in dm}
+    rebuild_links(dm)
+    for part in dm:
+        assert part.remotes == links[part.pid], f"part {part.pid} links drifted"
+
+
 def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     serial = aaa_mesh(n=N, seed=0)
     assert serial.count(3) == 24_000
@@ -69,6 +83,7 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     moved = migrate(dm, plan).elements_moved
     assert moved == sum(len(p) for p in plan.values()) > 0
     check(dm, serial)
+    check_link_oracle(dm)
 
     field = DistributedField(dm, "u")
     for depth in (1, 2):
@@ -83,3 +98,35 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
         check(dm, serial, field)
         after = np.asarray([part.mesh.entity_counts() for part in dm])
         assert (after < counts).any() and not any(p.ghosts for p in dm)
+
+
+def test_split_and_improve_at_bench_scale_match_the_link_oracle():
+    serial = aaa_mesh(n=N, seed=0)
+    # A spiked partition (the ``rebalance`` benchmark's recipe): weighted
+    # RCB with light weights in an oblique band, heavy ones at both ends.
+    _elements, centroids = element_centroids(serial)
+    length = float(centroids[:, 0].max())
+    along = centroids[:, 0] / length
+    band = np.abs((centroids[:, 0] + 0.8 * centroids[:, 1]) / length - 0.5)
+    weights = np.ones(len(centroids))
+    weights[band < 0.12] = 0.25
+    weights[(along < 0.15) | (along > 0.85)] = 3.0
+    dm = distribute(
+        serial, partition(serial, NPARTS, "rcb", weights=weights),
+        nparts=NPARTS, counters=PerfCounters(),
+    )
+    check(dm, serial)
+    assert imbalances(dm.entity_counts())[3] > 1.5
+
+    migrations = dm.counters.get("migration.relinks")
+    split = heavy_part_splitting(dm, 0.05)
+    assert split.final_peak <= split.initial_peak
+    check(dm, serial)
+    check_link_oracle(dm)
+
+    ParMA(dm).improve("Rgn", 0.05)
+    assert imbalances(dm.entity_counts())[3] <= 1.08
+    check(dm, serial)
+    assert dm.counters.get("migration.relinks") - migrations >= 10
+    check_link_oracle(dm)
+    check(dm, serial)

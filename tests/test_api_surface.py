@@ -76,16 +76,39 @@ def test_part_counters():
 
 
 def test_entity_key_shapes():
-    from repro.partition.migration import entity_key
-
     mesh = rect_tri(2)
     dm = distribute(mesh, strips(mesh, 2))
     part = dm.part(0)
     v = next(part.mesh.entities(0))
-    assert entity_key(part, v) == (part.gid(v),)
+    assert part.entity_key(v) == (part.gid(v),)
     e = next(part.mesh.entities(1))
-    key = entity_key(part, e)
+    key = part.entity_key(e)
     assert len(key) == 2 and key == tuple(sorted(key))
+    # The scalar name wraps the row-batched helper: one ascending gid row
+    # per entity, left-padded with -1 to the dimension's vertex width.
+    faces = part.mesh.entity_ids(2)
+    rows = part.entity_keys(2, faces)
+    assert rows.shape == (len(faces), 4) and (rows[:, 0] == -1).all()
+    assert tuple(rows[0, 1:].tolist()) == part.entity_key(Ent(2, int(faces[0])))
+
+
+def test_link_maintenance_surface():
+    """One relink implementation: the columnar surface scan replaced
+    ``surface_closure`` and ``rebuild_links`` lost its partial-rebuild
+    argument when ``migrate`` started relinking by delta."""
+    import inspect
+
+    import repro.partition as partition_pkg
+    from repro.partition import migration, rebuild_links, surface_ids
+
+    assert "surface_ids" in partition_pkg.__all__
+    assert not hasattr(partition_pkg, "surface_closure")
+    assert not hasattr(migration, "_surface_entity_ids")
+    assert list(inspect.signature(rebuild_links).parameters) == ["dmesh"]
+    mesh = rect_tri(2)
+    dm = distribute(mesh, strips(mesh, 2))
+    ids = surface_ids(dm.part(0))
+    assert len(ids) == 2 and all(a.dtype.kind == "i" for a in ids)
 
 
 def test_spawn_empty_part():
@@ -542,6 +565,11 @@ def test_wire_codec_surface():
         "decode_int_rows",
     ):
         assert hasattr(codec, name), name
+    # Kind-3 frames are written from and read back into CSR columns.
+    lengths, flat = codec.decode_int_rows(
+        codec.encode_int_rows(np.array([2, 0, 1]), np.array([7, -8, 9]))
+    )
+    assert lengths.tolist() == [2, 0, 1] and flat.tolist() == [7, -8, 9]
 
 
 def test_stats_carry_codec_counters():
