@@ -24,13 +24,9 @@ from repro.field import ShockPlaneSize
 from repro.mesh import rect_tri
 from repro.mesh.quality import measure
 from repro.mesh.verify import verify
-from repro.partition import (
-    adapt_distributed,
-    distribute,
-    load_dmesh,
-    save_dmesh,
-)
+from repro.partition import adapt_distributed, distribute
 from repro.partitioners import partition
+from repro.store import SnapshotStore
 
 
 def total_area(dm):
@@ -72,11 +68,15 @@ def main() -> None:
           f"{dm.entity_counts()[:, 2].tolist()}")
 
     with tempfile.TemporaryDirectory() as ckpt:
-        save_dmesh(dm, ckpt)
-        restored = load_dmesh(ckpt, model=mesh.model)
+        store = SnapshotStore(ckpt)
+        store.save(dm)
+        restored, _fields, _stats = store.load_at(model=mesh.model)
         restored.verify()
+        # The restart is on the partition ParMA just paid for.
+        saved = dm.entity_counts()[:, 2].tolist()
+        assert restored.entity_counts()[:, 2].tolist() == saved, saved
         print(f"checkpoint round-trip verified "
-              f"({restored.entity_counts()[:, 2].sum()} elements)")
+              f"({sum(saved)} elements, per part {saved})")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,9 @@ Subpackages
     (``CheckpointManager``), and the ``resilient_spmd`` checkpoint/restart
     recovery driver behind ``python -m repro chaos``.
 ``repro.store``
-    Parallel incremental snapshot I/O: the chunked, part-count-agnostic
-    ``repro.store/1`` epoch format with SHA-256 chunk manifests,
+    Parallel incremental snapshot I/O, the one on-disk format: chunked,
+    part-count-agnostic ``repro.store/1`` epochs with SHA-256 chunk
+    manifests and an owner column that keeps the saved partition,
     differential epochs with deterministic compaction, star-forest
     repartition-on-load (``SnapshotStore``), and the content-addressed
     ``SnapshotCache`` the serving tier uses to warm-start jobs from a

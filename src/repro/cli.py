@@ -37,9 +37,11 @@ release ships for quick experiments without writing a driver script:
     Save, parallel-load, or inspect a ``repro.store/1`` snapshot store
     (:mod:`repro.store`): ``save`` partitions a generated mesh and writes
     a chunked epoch (differential when the store has a tip), ``load``
-    restores it at any ``--parts`` via the star-forest redistribution and
-    prints a deterministic parity signature (owned-gid digest + field
-    checksums), ``inspect`` dumps the epoch chain.
+    restores it on the saved partition — or at any ``--parts`` via the
+    star-forest redistribution — and prints a deterministic parity
+    signature (owned-gid and partition digests + field checksums),
+    ``inspect`` dumps the epoch chain, ``migrate`` converts a checkpoint
+    directory an earlier version wrote (``--from``) into one full epoch.
 ``serve``
     Run a JSON job list through the multi-tenant mesh-job service
     (:mod:`repro.svc`): bounded admission, locality-aware gang placement
@@ -299,9 +301,7 @@ def cmd_chaos(args) -> int:
     ckdir = Path(args.checkpoint_dir) if args.checkpoint_dir else (
         outdir / "checkpoints"
     )
-    manager = CheckpointManager(
-        ckdir, keep=args.keep, backend=getattr(args, "backend", "dmesh")
-    )
+    manager = CheckpointManager(ckdir, keep=args.keep)
 
     tracer = obs.Tracer(counters=GLOBAL)
     obs.install(tracer)
@@ -339,18 +339,34 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
+    import hashlib
     import json
     from pathlib import Path
 
     from repro.store import (
-        CorruptSnapshotError,
+        CorruptCheckpointError,
         SnapshotStore,
+        convert_dmesh2,
+        element_partition,
         field_checksum,
         owned_gid_set,
     )
 
+    def digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
     store = SnapshotStore(Path(args.store), chunk_records=args.chunk_records)
-    if args.action == "save":
+    if args.action == "migrate":
+        if not args.source:
+            print("repro snapshot: migrate needs --from <dir>", file=sys.stderr)
+            return 2
+        try:
+            info = convert_dmesh2(args.source, store)
+        except CorruptCheckpointError as exc:
+            print(f"repro snapshot: {exc}", file=sys.stderr)
+            return 1
+        doc = {"migrated": info.to_dict(), "store": str(store.root)}
+    elif args.action == "save":
         from repro.partition import DistributedField, distribute
         from repro.partitioners import partition
 
@@ -366,40 +382,35 @@ def cmd_snapshot(args) -> int:
             for v in part.mesh.entities(0):
                 local.set(v, part.mesh.coords(v))
         info = store.save(dmesh, [coord], full=args.full)
-        print(
-            json.dumps(
-                {"saved": info.to_dict(), "store": str(store.root)},
-                indent=1,
-                sort_keys=True,
-            )
-        )
-        return 0
-    if args.action == "load":
+        doc = {
+            "saved": info.to_dict(),
+            "store": str(store.root),
+            "partition_sha256": digest(element_partition(dmesh)),
+        }
+    elif args.action == "load":
         try:
             dmesh, fields, stats = store.load_at(
                 nparts=args.parts, epoch=args.epoch
             )
             dmesh.verify()
-        except CorruptSnapshotError as exc:
+        except CorruptCheckpointError as exc:
             print(f"repro snapshot: {exc}", file=sys.stderr)
             return 1
         dim = dmesh.element_dim()
-        signature = {
+        doc = {
             "nparts": dmesh.nparts,
             "elements": len(owned_gid_set(dmesh, dim)),
-            "owned_gids_sha256": __import__("hashlib").sha256(
-                json.dumps(sorted(owned_gid_set(dmesh, dim))).encode()
-            ).hexdigest(),
+            "owned_gids_sha256": digest(sorted(owned_gid_set(dmesh, dim))),
+            "partition_sha256": digest(element_partition(dmesh)),
             "fields": {
                 name: round(field_checksum(dmesh, dfield), 9)
                 for name, dfield in sorted(fields.items())
             },
             "stats": stats.to_dict(),
         }
-        print(json.dumps(signature, indent=1, sort_keys=True))
-        return 0
-    # inspect
-    print(json.dumps(store.inspect(), indent=1, sort_keys=True))
+    else:
+        doc = store.inspect()
+    print(json.dumps(doc, indent=1, sort_keys=True))
     return 0
 
 
@@ -662,24 +673,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="recovery budget before giving up (default: 3)",
     )
     p_chaos.add_argument(
-        "--backend",
-        choices=("dmesh", "store"),
-        default="dmesh",
-        help="checkpoint epoch format (store = chunked differential "
-        "repro.store/1 epochs; default: dmesh)",
-    )
-    p_chaos.add_argument(
         "--out", default="chaos-out", help="output directory (created)"
     )
     p_chaos.set_defaults(fn=cmd_chaos)
 
     p_snap = sub.add_parser(
         "snapshot",
-        help="save/load/inspect a repro.store/1 snapshot store",
+        help="save/load/inspect/migrate-into a repro.store/1 snapshot store",
     )
-    p_snap.add_argument("action", choices=("save", "load", "inspect"))
+    p_snap.add_argument(
+        "action", choices=("save", "load", "inspect", "migrate")
+    )
     p_snap.add_argument(
         "--store", required=True, help="snapshot store directory"
+    )
+    p_snap.add_argument(
+        "--from",
+        dest="source",
+        default=None,
+        help="migrate: the old-format checkpoint directory to convert",
     )
     p_snap.add_argument(
         "--kind", default="rect", choices=("rect", "box", "aaa", "wing")

@@ -14,13 +14,6 @@ from .dadapt import (
 from .distribute import distribute
 from .dmesh import DistributedMesh
 from .fieldsync import DistributedField, accumulate, synchronize
-from .io import (
-    CorruptCheckpointError,
-    load_checkpoint,
-    load_dmesh,
-    read_manifest,
-    save_dmesh,
-)
 from .ghosting import Overlap, delete_ghosts, ghost_layer
 from .links import surface_ids
 from .migration import MigrationPlan, migrate, rebuild_links
@@ -40,7 +33,6 @@ from .pmodel import (
 )
 
 __all__ = [
-    "CorruptCheckpointError",
     "DistributedAdaptStats",
     "DistributedField",
     "DistributedMesh",
@@ -57,9 +49,6 @@ __all__ = [
     "delete_ghosts",
     "distribute",
     "ghost_layer",
-    "load_checkpoint",
-    "load_dmesh",
-    "read_manifest",
     "merge_parts",
     "migrate",
     "move_elements_to_new_part",
@@ -67,7 +56,6 @@ __all__ = [
     "parts_per_node",
     "rebuild_links",
     "refine_distributed",
-    "save_dmesh",
     "spawn_empty_part",
     "surface_ids",
     "synchronize",

@@ -6,19 +6,19 @@ or corrupt and which ranks to crash at which superstep, and the
 :class:`FaultInjector` executes the plan deterministically through hooks in
 :class:`~repro.parallel.network.Network` and the
 :func:`~repro.parallel.executor.spmd` executor.  On the recovery side,
-:class:`CheckpointManager` rotates atomic, hash-validated ``repro.dmesh/2``
-checkpoints (tags, fields, ghost configuration included), and
-:func:`resilient_spmd` runs a workload in checkpoint epochs, classifying
-failures as injected vs. real and restarting from the newest valid
-checkpoint — including onto a different part count via the migration
-rendezvous.
+:class:`CheckpointManager` rotates atomic, hash-validated ``repro.store/1``
+checkpoints (the partition, tags, fields and ghost configuration
+included), and :func:`resilient_spmd` runs a workload in checkpoint epochs,
+classifying failures as injected vs. real and restarting from the newest
+valid checkpoint — on the saved partition, or onto a different part count
+via the store's star-forest redistribution.
 
 The three layers compose but stand alone: inject faults without recovery
 to harden an algorithm, or checkpoint without faults for plain
 restartability.
 """
 
-from ..partition.io import CorruptCheckpointError
+from ..store.format import CorruptCheckpointError
 from .checkpoint import CheckpointInfo, CheckpointManager, NoCheckpointError
 from .faults import (
     ENDPOINT_KINDS,

@@ -16,7 +16,12 @@ module is that layout for a :class:`~repro.partition.dmesh.DistributedMesh`:
 * **SHA-256 chunk manifest** — ``manifest.json`` names every chunk with
   its hash, record count and byte size; any integrity violation surfaces
   as a typed :class:`CorruptSnapshotError` naming the offending file and
-  the full expected-vs-actual digests.
+  the full expected-vs-actual digests;
+* **the owner column** — the one part-dependent file of an epoch: the part
+  id of every live element in ascending gid order, so a load at the saved
+  part count restores the saved partition.  It is control-plane metadata
+  like the removal lists — hashed, always written whole, outside the
+  canonical records and their diff.
 
 An epoch directory is self-describing: its manifest carries the format id,
 ``kind`` (``"full"`` or ``"delta"``), the parent epoch index for deltas,
@@ -27,8 +32,10 @@ loads them in parallel at any part count.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -39,12 +46,12 @@ from ..mesh.entity import Ent
 from ..parallel import codec
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
-from ..partition.io import CorruptCheckpointError, _atomic_write_bytes, _sha256
 
 __all__ = [
     "FORMAT",
     "MANIFEST",
     "DEFAULT_CHUNK_RECORDS",
+    "CorruptCheckpointError",
     "CorruptSnapshotError",
     "SnapshotState",
     "state_from_dmesh",
@@ -53,14 +60,18 @@ __all__ = [
     "write_epoch",
     "read_epoch_manifest",
     "load_chunk",
+    "load_owner",
     "epoch_sections",
     "owned_gid_set",
+    "element_partition",
     "field_checksum",
 ]
 
 #: Current snapshot format id, stored in every epoch manifest.
 FORMAT = "repro.store/1"
 MANIFEST = "manifest.json"
+#: The owner column's file name inside an epoch directory.
+OWNER_FILE = "owner.bin"
 #: Default records per chunk; small enough that modest meshes shard into
 #: several chunks (parallel readers need more chunks than ranks).
 DEFAULT_CHUNK_RECORDS = 256
@@ -70,13 +81,26 @@ DEFAULT_CHUNK_RECORDS = 256
 _FIXED_SECTIONS = ("verts", "elems", "tags")
 
 
-class CorruptSnapshotError(CorruptCheckpointError):
-    """A ``repro.store/1`` epoch failed integrity validation.
+class CorruptCheckpointError(RuntimeError):
+    """A checkpoint failed integrity validation (hash, schema, or parse)."""
 
-    Subclasses :class:`~repro.partition.io.CorruptCheckpointError` so the
-    checkpoint manager's validate/skip/fallback machinery treats corrupt
-    store epochs exactly like corrupt legacy checkpoints.
-    """
+
+class CorruptSnapshotError(CorruptCheckpointError):
+    """A ``repro.store/1`` epoch failed integrity validation."""
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: tmp file, fsync, rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +110,7 @@ class CorruptSnapshotError(CorruptCheckpointError):
 
 @dataclass
 class SnapshotState:
-    """The part-count-agnostic content of one snapshot epoch.
+    """The part-count-agnostic content of one snapshot epoch, plus ``owner``.
 
     ``verts`` maps vertex gid -> ``((x, y, z), (class_dim, class_tag))``;
     ``elems`` maps element gid -> bounding vertex gids in connectivity
@@ -94,6 +118,12 @@ class SnapshotState:
     maps field name -> ``{entity key: value array}``.  Ghost copies never
     appear (they are reconstructible runtime state), and shared entities
     appear exactly once.
+
+    ``owner`` is the one part-dependent member: the part id of every live
+    element of the *materialized* mesh in ascending gid order (so on a
+    sparse delta state it is longer than ``elems``), or ``None`` when the
+    state did not come from a partition.  It is not a record section: no
+    diff sees it and :meth:`record_count` does not count it.
     """
 
     element_dim: int = 2
@@ -113,6 +143,7 @@ class SnapshotState:
     field_meta: Dict[str, Tuple[int, Tuple[int, ...]]] = field(
         default_factory=dict
     )
+    owner: Optional[np.ndarray] = None
 
     def record_count(self) -> int:
         return (
@@ -136,6 +167,7 @@ def state_from_dmesh(
     """
     dim = dmesh.element_dim()
     state = SnapshotState(element_dim=dim, gid_next=list(dmesh._gid_next))
+    owner_of: Dict[int, int] = {}
     for part in dmesh:
         mesh = part.mesh
         core = mesh.core
@@ -167,6 +199,7 @@ def state_from_dmesh(
             for egid, row in zip(egids.tolist(), vert_gids.tolist()):
                 if egid not in elems:
                     elems[egid] = tuple(row)
+                    owner_of[egid] = part.pid
 
         # Vertices: coordinates and classification, batch-gathered.
         vids = core.live_ids(0)
@@ -217,6 +250,9 @@ def state_from_dmesh(
                 ):
                     continue
                 bucket.setdefault(part.entity_key(ent), np.asarray(value))
+    state.owner = np.asarray(
+        [owner_of[egid] for egid in sorted(owner_of)], dtype=np.int64
+    )
     return state
 
 
@@ -375,8 +411,6 @@ def write_epoch(
     path = Path(path)
     staging = path.with_name(path.name + ".tmp")
     if staging.exists():
-        import shutil
-
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
     sections = _section_records(state)
@@ -403,6 +437,19 @@ def write_epoch(
         "payload_bytes": 0,
         "records": 0,
     }
+
+    def put(name: str, payload: Any, count: int) -> Dict[str, Any]:
+        """Write one hashed codec frame; returns its manifest entry."""
+        blob = codec.dumps(payload)
+        _atomic_write_bytes(staging / name, blob)
+        manifest["payload_bytes"] += len(blob)
+        return {
+            "file": name,
+            "sha256": _sha256(blob),
+            "count": count,
+            "bytes": len(blob),
+        }
+
     for section in sorted(sections):
         records = sections[section]
         chunks: List[Dict[str, Any]] = []
@@ -410,20 +457,16 @@ def write_epoch(
             batch = records[ci : ci + chunk_records]
             if not batch and chunks:
                 break
-            blob = codec.dumps(batch)
             name = f"{section}-{len(chunks):06d}.bin"
-            _atomic_write_bytes(staging / name, blob)
-            chunks.append(
-                {
-                    "file": name,
-                    "sha256": _sha256(blob),
-                    "count": len(batch),
-                    "bytes": len(blob),
-                }
-            )
-            manifest["payload_bytes"] += len(blob)
+            chunks.append(put(name, batch, len(batch)))
             manifest["records"] += len(batch)
         manifest["sections"][section] = chunks
+    if state.owner is not None:
+        # Packed at the narrowest unsigned width that holds ``nparts - 1``.
+        width = np.min_scalar_type(int(nparts) - 1)
+        manifest["owner"] = put(
+            OWNER_FILE, state.owner.astype(width), len(state.owner)
+        )
     if kind == "delta":
         manifest["removed"] = removed or {
             "verts": [],
@@ -432,24 +475,34 @@ def write_epoch(
             "fields": {},
         }
     if extra:
-        manifest["extra"] = extra
+        # As a reader will parse it (string keys, lists): the digest below
+        # must be the one recomputed from the parsed manifest.
+        manifest["extra"] = json.loads(json.dumps(extra))
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
     _atomic_write_bytes(
         staging / MANIFEST,
         json.dumps(manifest, indent=1, sort_keys=True).encode(),
     )
     if path.exists():
-        import shutil
-
         shutil.rmtree(path)
     os.replace(staging, path)
     return manifest
+
+
+def _manifest_digest(manifest: Dict[str, Any]) -> str:
+    """SHA-256 of the manifest's canonical JSON, its own digest key aside."""
+    body = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    return _sha256(json.dumps(body, indent=1, sort_keys=True).encode())
 
 
 def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse and schema-check one epoch manifest.
 
     Raises :class:`CorruptSnapshotError` naming the manifest file on any
-    missing file, bad JSON, wrong format id, or missing key.
+    missing file, bad JSON, wrong format id, missing key, or content that
+    does not match the digest the manifest carries of itself (the manifest
+    names every other file's hash, so it is the one file nothing else
+    vouches for; epochs written before the digest existed carry none).
     """
     path = Path(path)
     manifest_path = path / MANIFEST
@@ -457,7 +510,7 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(f"{path}: missing {MANIFEST}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or bad UTF-8
         raise CorruptSnapshotError(
             f"{manifest_path}: unreadable manifest: {exc}"
         ) from None
@@ -465,7 +518,8 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: unsupported snapshot format "
             f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r} "
-            f"(expected {FORMAT!r})"
+            f"(expected {FORMAT!r}; a checkpoint directory written by an "
+            "older version converts with `python -m repro snapshot migrate`)"
         )
     for key in (
         "kind", "index", "element_dim", "etype", "gid_next", "sections",
@@ -478,42 +532,83 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: delta epoch names no parent"
         )
+    digest = manifest.get("manifest_sha256")
+    if digest is not None and digest != _manifest_digest(manifest):
+        raise CorruptSnapshotError(
+            f"{manifest_path}: integrity failure: manifest content does "
+            f"not match its own sha256 {digest}"
+        )
     return manifest
+
+
+def _load_frame(path: Path, entry: Dict[str, Any]) -> Tuple[Any, int]:
+    """Read, hash-validate and decode one manifest-listed codec frame.
+
+    Integrity errors name the offending file and quote the full
+    expected-vs-actual SHA-256 digests, so a corrupt file is directly
+    actionable from the exception alone.
+    """
+    file_path = path / entry["file"]
+    if not file_path.is_file():
+        raise CorruptSnapshotError(f"{path}: missing file {entry['file']}")
+    data = file_path.read_bytes()
+    actual = _sha256(data)
+    if actual != entry["sha256"]:
+        raise CorruptSnapshotError(
+            f"{file_path}: integrity failure: "
+            f"sha256 {actual} != manifest {entry['sha256']}"
+        )
+    try:
+        return codec.loads(data), len(data)
+    except Exception as exc:
+        raise CorruptSnapshotError(
+            f"{file_path}: undecodable frame: {exc}"
+        ) from None
 
 
 def load_chunk(
     path: Union[str, Path], entry: Dict[str, Any]
 ) -> Tuple[List[Any], int]:
-    """Read, hash-validate and decode one chunk; ``(records, bytes read)``.
-
-    Integrity errors name the offending file and quote the full
-    expected-vs-actual SHA-256 digests, so a corrupt chunk is directly
-    actionable from the exception alone.
-    """
+    """One chunk's records, hash-validated; ``(records, bytes read)``."""
     path = Path(path)
-    chunk_path = path / entry["file"]
-    if not chunk_path.is_file():
-        raise CorruptSnapshotError(f"{path}: missing chunk {entry['file']}")
-    data = chunk_path.read_bytes()
-    actual = _sha256(data)
-    if actual != entry["sha256"]:
-        raise CorruptSnapshotError(
-            f"{chunk_path}: integrity failure: "
-            f"sha256 {actual} != manifest {entry['sha256']}"
-        )
-    try:
-        records = codec.loads(data)
-    except Exception as exc:
-        raise CorruptSnapshotError(
-            f"{chunk_path}: undecodable chunk: {exc}"
-        ) from None
+    records, nbytes = _load_frame(path, entry)
     if not isinstance(records, list) or len(records) != int(entry["count"]):
         raise CorruptSnapshotError(
-            f"{chunk_path}: chunk carries "
+            f"{path / entry['file']}: chunk carries "
             f"{len(records) if isinstance(records, list) else '?'} record(s) "
             f"where the manifest promises {entry['count']}"
         )
-    return records, len(data)
+    return records, nbytes
+
+
+def load_owner(
+    path: Union[str, Path], manifest: Dict[str, Any], live_elements: int
+) -> Tuple[Optional[np.ndarray], int]:
+    """The epoch's owner column, hash-validated; ``(column, bytes read)``.
+
+    ``(None, 0)`` for an epoch written before the column existed — it loads
+    by regrouping.  A column that is present must be ``live_elements`` part
+    ids below the manifest's ``nparts``, else :class:`CorruptSnapshotError`
+    naming the file: never a silent fall-back that discards the partition.
+    """
+    entry = manifest.get("owner")
+    if entry is None:
+        return None, 0
+    owner, nbytes = _load_frame(Path(path), entry)
+    nparts = int(manifest.get("nparts", 1))
+    if not (
+        isinstance(owner, np.ndarray)
+        and owner.dtype.kind == "u"
+        and owner.shape == (live_elements,)
+        and live_elements == int(entry["count"])
+        and int(owner.max(initial=0)) < nparts
+    ):
+        raise CorruptSnapshotError(
+            f"{Path(path) / entry['file']}: owner column does not assign "
+            f"{live_elements} live element(s) (manifest count "
+            f"{entry['count']}) to parts below {nparts}"
+        )
+    return owner, nbytes
 
 
 def epoch_sections(manifest: Dict[str, Any]) -> List[Tuple[str, int, Dict]]:
@@ -591,6 +686,22 @@ def owned_gid_set(dmesh: DistributedMesh, dim: int) -> frozenset:
             if part.owns(ent) and not part.is_ghost(ent):
                 out.add(part.gid(ent))
     return frozenset(out)
+
+
+def element_partition(dmesh: DistributedMesh) -> List[List[int]]:
+    """Per part, the sorted gids of the elements it holds (ghosts aside).
+
+    A restore at the saved part count must reproduce this exactly.
+    """
+    dim = dmesh.element_dim()
+    return [
+        sorted(
+            part.gid(ent)
+            for ent in part.mesh.entities(dim)
+            if not part.is_ghost(ent)
+        )
+        for part in dmesh
+    ]
 
 
 def field_checksum(dmesh: DistributedMesh, dfield: DistributedField) -> float:

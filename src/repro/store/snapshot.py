@@ -14,10 +14,12 @@ Loading is the Hapla et al. (arXiv 2004.08729) parallel read: the target
 parts each take a *disjoint contiguous range of chunks* across the whole
 chain, decode them locally, and one
 :class:`~repro.parallel.sf.StarForest` bcast redistributes every record to
-the part that owns it under the target partition — elements dealt in
-contiguous sorted-gid blocks, vertices/tags/fields to the parts whose
-elements reference them.  Restoring a snapshot written at 4 parts onto
-1, 2 or 8 parts yields identical owned-gid sets and field checksums; the
+the part that owns it under the target partition — at the saved part count
+the partition the epoch's owner column recorded, at any other count
+contiguous sorted-gid blocks; vertices/tags/fields follow to the parts
+whose elements reference them.  Restoring a snapshot written at 4 parts
+onto 4 parts puts every element back on the part that held it; onto 1, 2
+or 8 parts it yields identical owned-gid sets and field checksums.  The
 wire traffic is charged to ``sf.*``/``net.*`` counters and the comm
 matrix like every other distributed service, plus ``store.*`` counters
 for the I/O itself.
@@ -42,8 +44,8 @@ from ..parallel.sf import StarForest
 from ..parallel.topology import MachineTopology
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
-from ..partition.io import _key_index, _restore_intermediate_gids
 from ..partition.migration import rebuild_links
+from ..partition.part import Part
 from .format import (
     DEFAULT_CHUNK_RECORDS,
     FORMAT,
@@ -54,6 +56,7 @@ from .format import (
     diff_states,
     epoch_sections,
     load_chunk,
+    load_owner,
     read_epoch_manifest,
     state_from_dmesh,
     state_from_records,
@@ -61,6 +64,54 @@ from .format import (
 )
 
 __all__ = ["EpochInfo", "SnapshotStore", "StoreStats"]
+
+
+def _key_index(part: Part, dims: Sequence[int]) -> Dict[Tuple[int, Tuple[int, ...]], Ent]:
+    """Map ``(dim, entity key)`` -> local entity for the requested dims."""
+    index: Dict[Tuple[int, Tuple[int, ...]], Ent] = {}
+    for d in dims:
+        for ent in part.mesh.entities(d):
+            index[(d, part.entity_key(ent))] = ent
+    return index
+
+
+def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
+    """Give every intermediate entity (0 < d < element dim) a global id.
+
+    A snapshot persists gids only for vertices and elements; edges (and
+    faces, in 3D) are re-derived from connectivity.  Restore re-establishes
+    the invariant that *every* entity carries a gid.  Gids are assigned from
+    the sorted vertex-gid keys — rank in one global ``np.unique`` over every
+    part's key rows, offset by the dimension's next free gid: the same
+    shared entity gets the same gid on every holding part, distinct
+    entities get distinct gids, and the result is independent of part count
+    and local numbering.
+    """
+    dim = dmesh.element_dim()
+    for d in range(1, dim):
+        ids_of, keys_of = [], []
+        for part in dmesh:
+            core = part.mesh.core
+            ids = core.live_ids(d)
+            rows = core.verts[d][ids]
+            used = np.arange(rows.shape[1]) < core.nverts[d][ids][:, None]
+            # Sorted vertex gids, short rows padded with -1 on the right:
+            # row order is then the order of the sorted-gid tuples.
+            keys = np.where(used, part.gids_of(0, rows), np.iinfo(np.int64).max)
+            keys.sort(axis=1)
+            keys[np.sort(~used, axis=1)] = -1
+            ids_of.append(ids)
+            keys_of.append(keys)
+        distinct, rank = np.unique(
+            np.concatenate(keys_of), axis=0, return_inverse=True
+        )
+        rank = rank.reshape(-1)
+        base = dmesh._gid_next[d]
+        start = 0
+        for part, ids in zip(dmesh, ids_of):
+            part.set_gids(d, ids, base + rank[start:start + len(ids)])
+            start += len(ids)
+        dmesh._gid_next[d] = base + len(distinct)
 
 
 @dataclass(frozen=True)
@@ -140,9 +191,8 @@ class SnapshotStore:
         Directory holding the epochs (created if needed).  Each epoch is a
         subdirectory ``<prefix><index>``.
     prefix:
-        Epoch directory name prefix.  The checkpoint manager passes its
-        own ``ckpt-`` prefix so store epochs and legacy ``repro.dmesh/2``
-        checkpoints share one rotation namespace.
+        Epoch directory name prefix (the checkpoint manager's epochs are
+        ``ckpt-<index>``).
     chunk_records:
         Records per chunk file; the parallelism floor of a load is
         ``total chunks``, so smaller chunks spread reads wider.
@@ -180,8 +230,8 @@ class SnapshotStore:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _indexed_dirs(self) -> List[Tuple[int, Path]]:
-        """Every ``<prefix><index>`` directory, any format, sorted."""
+    def indexed_dirs(self) -> List[Tuple[int, Path]]:
+        """Every ``<prefix><index>`` directory, readable or not, sorted."""
         out: List[Tuple[int, Path]] = []
         for entry in sorted(self.root.iterdir()):
             if not entry.is_dir() or not entry.name.startswith(self.prefix):
@@ -200,10 +250,10 @@ class SnapshotStore:
     def next_index(self) -> int:
         """One past the highest index of *any* sibling directory.
 
-        Legacy checkpoints sharing the prefix count too, so a manager that
-        switches backends keeps a single monotone index sequence.
+        Unreadable epochs count too, so indices stay monotone and a new
+        epoch never reuses a corrupt one's directory.
         """
-        dirs = self._indexed_dirs()
+        dirs = self.indexed_dirs()
         return dirs[-1][0] + 1 if dirs else 0
 
     @staticmethod
@@ -222,14 +272,13 @@ class SnapshotStore:
         )
 
     def epochs(self) -> List[EpochInfo]:
-        """All store-format epochs with readable manifests, oldest first.
+        """All epochs with readable manifests, oldest first.
 
-        Directories in other formats (e.g. legacy ``repro.dmesh/2``
-        checkpoints under a shared prefix) and unreadable manifests are
+        Directories whose manifest is unreadable or in another format are
         skipped; :meth:`inspect` reports them.
         """
         infos: List[EpochInfo] = []
-        for index, path in self._indexed_dirs():
+        for index, path in self.indexed_dirs():
             try:
                 manifest = read_epoch_manifest(path)
             except CorruptSnapshotError:
@@ -292,6 +341,10 @@ class SnapshotStore:
             else:
                 apply_delta(state, epoch_state, manifest.get("removed", {}))
         assert state is not None
+        state.owner, nbytes = load_owner(
+            chain[-1][0].path, chain[-1][1], len(state.elems)
+        )
+        self.counters.add("store.bytes.read", nbytes)
         return state
 
     # -- writing -------------------------------------------------------------
@@ -302,7 +355,6 @@ class SnapshotStore:
         fields: Sequence[DistributedField] = (),
         extra: Optional[Dict[str, Any]] = None,
         full: bool = False,
-        index: Optional[int] = None,
     ) -> EpochInfo:
         """Write one epoch; differential against the tip when possible.
 
@@ -324,38 +376,46 @@ class SnapshotStore:
                     except CorruptSnapshotError:
                         parent = None
                         parent_state = None
-            idx = self.next_index() if index is None else int(index)
-            path = self._epoch_path(idx)
+            idx = self.next_index()
             if parent_state is None:
-                manifest = write_epoch(
-                    path,
-                    state,
-                    kind="full",
-                    index=idx,
-                    chunk_records=self.chunk_records,
-                    nparts=dmesh.nparts,
-                    extra=extra,
-                )
+                info = self._write_epoch(idx, state, dmesh.nparts, extra)
                 self.counters.add("store.epochs.full")
             else:
                 upserts, removed = diff_states(parent_state, state)
-                manifest = write_epoch(
-                    path,
-                    upserts,
-                    kind="delta",
-                    index=idx,
-                    parent=parent.index,
-                    removed=removed,
-                    chunk_records=self.chunk_records,
-                    nparts=dmesh.nparts,
-                    extra=extra,
+                # The owner column is never differential: a delta carries
+                # the whole current partition beside its sparse records.
+                upserts.owner = state.owner
+                info = self._write_epoch(
+                    idx, upserts, dmesh.nparts, extra,
+                    kind="delta", parent=parent.index, removed=removed,
                 )
                 self.counters.add("store.epochs.delta")
-            info = self._info(manifest, path)
             self.counters.add("store.chunks.written", info.chunks)
             self.counters.add("store.bytes.written", info.payload_bytes)
             self.counters.add("store.records.written", info.records)
             return info
+
+    def _write_epoch(
+        self,
+        index: int,
+        state: SnapshotState,
+        nparts: int,
+        extra: Optional[Dict[str, Any]],
+        **delta: Any,
+    ) -> EpochInfo:
+        """Write ``state`` as epoch ``index`` (replacing one there): a full
+        epoch unless ``delta`` carries ``kind``/``parent``/``removed``."""
+        path = self._epoch_path(index)
+        manifest = write_epoch(
+            path,
+            state,
+            index=index,
+            chunk_records=self.chunk_records,
+            nparts=nparts,
+            extra=extra,
+            **delta,
+        )
+        return self._info(manifest, path)
 
     def compact(self, index: Optional[int] = None) -> EpochInfo:
         """Rewrite epoch ``index`` (default: tip) as a full snapshot, in place.
@@ -375,38 +435,39 @@ class SnapshotStore:
             manifest = read_epoch_manifest(path)
             if manifest["kind"] == "full":
                 return self._info(manifest, path)
-            state = self.materialize(int(index))
-            new_manifest = write_epoch(
-                path,
-                state,
-                kind="full",
-                index=int(index),
-                chunk_records=self.chunk_records,
-                nparts=int(manifest.get("nparts", 1)),
-                extra=manifest.get("extra"),
+            info = self._write_epoch(
+                int(index),
+                self.materialize(int(index)),
+                int(manifest.get("nparts", 1)),
+                manifest.get("extra"),
             )
             self.counters.add("store.compactions")
-            return self._info(new_manifest, path)
+            return info
 
     def prune(self, keep: int) -> List[int]:
         """Delete all but the newest ``keep`` epochs; returns pruned indices.
 
-        The oldest surviving epoch is compacted first when it is a delta,
-        so no survivor's chain dangles.  ``keep <= 0`` prunes nothing (the
-        unlimited sentinel, matching the checkpoint manager).
+        Every indexed directory counts, so an unreadable epoch ages out
+        like any other.  Before anything is deleted the oldest survivor
+        that still materializes is compacted (a no-op on a full epoch), so
+        no restorable survivor's chain dangles.  ``keep <= 0`` prunes
+        nothing (the unlimited sentinel, matching the checkpoint manager).
         """
         if keep <= 0:
             return []
-        infos = self.epochs()
-        cut = infos[: max(0, len(infos) - keep)]
+        dirs = self.indexed_dirs()
+        cut = dirs[: max(0, len(dirs) - keep)]
         if not cut:
             return []
-        survivors = infos[len(cut):]
-        if survivors and survivors[0].kind == "delta":
-            self.compact(survivors[0].index)
-        for info in cut:
-            shutil.rmtree(info.path, ignore_errors=True)
-        return [info.index for info in cut]
+        for index, _path in dirs[len(cut):]:
+            try:
+                self.compact(index)
+                break
+            except CorruptSnapshotError:
+                continue  # restore will skip it too; try the next survivor
+        for _index, path in cut:
+            shutil.rmtree(path, ignore_errors=True)
+        return [index for index, _path in cut]
 
     def inspect(self) -> Dict[str, Any]:
         """JSON-safe summary: epochs, chunk/byte totals, delta ratios."""
@@ -421,7 +482,7 @@ class SnapshotStore:
             )
         unreadable = []
         known = {e["index"] for e in epochs}
-        for index, path in self._indexed_dirs():
+        for index, path in self.indexed_dirs():
             if index in known:
                 continue
             try:
@@ -454,11 +515,16 @@ class SnapshotStore:
         Each target part reads a disjoint contiguous range of the chain's
         chunks and decodes them locally; a single star-forest bcast then
         moves every live record to the parts that need it under the target
-        partition (elements in contiguous sorted-gid blocks, vertices and
-        tag/field records to every part whose elements reference them).
-        The result carries rebuilt remote-copy links and re-derived
-        intermediate-entity gids — structurally verified equal to a fresh
-        distribution of the same mesh.
+        partition (vertices and tag/field records to every part whose
+        elements reference them).  When ``nparts`` is the count the epoch
+        was saved at (the default) and the epoch has an owner column, the
+        target partition is the saved one — every element returns to the
+        part that held it, empty parts stay empty; at any other count
+        elements are dealt in contiguous sorted-gid blocks.  The result
+        carries rebuilt remote-copy links and re-derived intermediate-entity
+        gids — structurally verified equal to a fresh distribution of the
+        same mesh.  Local ids follow the sorted-gid build order, not the
+        saved local order.
         """
         tip = self.tip()
         target_index = tip.index if (epoch is None and tip) else epoch
@@ -600,10 +666,11 @@ class SnapshotStore:
                             (name, tuple(int(g) for g in rec[0]))
                         ] = loc
 
-        # Phase 3 — target assignment.  Elements: contiguous sorted-gid
-        # blocks (element j of M -> part j*P//M, the same deal the serial
-        # regroup path uses).  Vertices follow the elements referencing
-        # them; tag/field records go to every part holding all their key
+        # Phase 3 — target assignment.  Elements: the saved partition when
+        # loading at the saved part count from an epoch that has an owner
+        # column, else contiguous sorted-gid blocks (element j of M -> part
+        # j*P//M).  Vertices follow the elements referencing them;
+        # tag/field records go to every part holding all their key
         # vertices (supersets cost a few duplicate deliveries, dropped at
         # apply time by the key index).
         ordered = sorted(live["e"])
@@ -611,6 +678,11 @@ class SnapshotStore:
         elem_target = {
             egid: j * nparts // total for j, egid in enumerate(ordered)
         }
+        if nparts == int(top_manifest.get("nparts", 1)):
+            owner, nbytes = load_owner(chain[-1][0].path, top_manifest, total)
+            counters.add("store.bytes.read", nbytes)
+            if owner is not None:
+                elem_target = dict(zip(ordered, owner.tolist()))
         part_vgids: List[set] = [set() for _ in range(nparts)]
         vert_targets: Dict[int, set] = {}
         for egid, (rpid, handle) in live["e"].items():
@@ -671,7 +743,7 @@ class SnapshotStore:
 
         # Phase 5 — build each part's serial mesh from its staged block,
         # then re-derive intermediate gids and rebuild remote-copy links
-        # (the migration rendezvous), exactly like the regroup restore.
+        # (the migration rendezvous).
         dim = int(top_manifest["element_dim"])
         dmesh._gid_next = [int(g) for g in top_manifest["gid_next"]]
         model = dmesh.model

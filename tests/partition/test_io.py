@@ -1,18 +1,48 @@
-"""Tests for distributed-mesh checkpointing."""
+"""What a save -> load of a distributed mesh keeps, and what is refused.
+
+These ran against ``partition/io.py`` (``repro.dmesh/2``) until that format
+was retired; the same behaviours are now asked of the one checkpoint
+format, ``repro.store/1`` through :class:`SnapshotStore` — and, for the two
+never-unpickle tests, of the ``repro.dmesh/2`` converter.  A chunk file is
+to a store epoch what a part file was to the old directory, so the
+format-poking tests damage those.  The test ids did not move.
+"""
+
+import hashlib
+import io
+import json
+import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.mesh import box_tet, rect_tri
 from repro.partition import (
-    CorruptCheckpointError,
     DistributedField,
     distribute,
-    load_checkpoint,
-    load_dmesh,
+    ghost_layer,
     migrate,
-    save_dmesh,
 )
+from repro.store import (
+    CorruptCheckpointError,
+    SnapshotStore,
+    convert_dmesh2,
+    element_partition,
+)
+
+DMESH2_FIXTURE = (
+    Path(__file__).resolve().parents[1] / "data" / "dmesh2-rect3-2parts"
+)
+
+
+def roundtrip(dm, tmp_path, fields=(), **load_kwargs):
+    """Save ``dm`` as the store's first epoch and load it back."""
+    store = SnapshotStore(tmp_path / "c")
+    store.save(dm, fields)
+    restored, loaded, _stats = store.load_at(**load_kwargs)
+    return restored, loaded
 
 
 def strips(mesh, nparts, axis=0):
@@ -25,8 +55,7 @@ def strips(mesh, nparts, axis=0):
 def test_roundtrip_counts_and_links(tmp_path):
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "ckpt")
-    restored = load_dmesh(tmp_path / "ckpt", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
     # Remote-link structure identical (same residence sets per shared gid).
@@ -46,8 +75,7 @@ def test_roundtrip_counts_and_links(tmp_path):
 def test_roundtrip_3d(tmp_path):
     mesh = box_tet(2)
     dm = distribute(mesh, strips(mesh, 2, axis=2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
@@ -55,8 +83,7 @@ def test_roundtrip_3d(tmp_path):
 def test_roundtrip_classification(tmp_path):
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     for part in restored:
         for v in part.mesh.entities(0):
             assert part.mesh.classification(v) is not None
@@ -67,8 +94,7 @@ def test_roundtrip_classification(tmp_path):
 def test_roundtrip_without_model(tmp_path):
     mesh = rect_tri(2)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c")
+    restored, _ = roundtrip(dm, tmp_path)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
@@ -76,22 +102,26 @@ def test_roundtrip_without_model(tmp_path):
 def test_roundtrip_with_empty_part(tmp_path):
     mesh = rect_tri(2)
     dm = distribute(mesh, [0] * mesh.count(2), nparts=3)
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     restored.verify()
+    # Parts that were empty stay empty; nothing is dealt onto them.
+    assert element_partition(restored) == element_partition(dm)
     assert restored.part(1).mesh.count(2) == 0
 
 
 def test_restored_mesh_is_operational(tmp_path):
-    """Migration works on a reloaded checkpoint (gid allocator restored)."""
+    """Migration and ghosting work on a reloaded checkpoint (gid allocator
+    and links restored)."""
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     element = next(restored.part(0).mesh.entities(2))
     migrate(restored, {0: {element: 1}})
     restored.verify()
     assert restored.entity_counts()[:, 2].sum() == mesh.count(2)
+    ghost_layer(restored)
+    restored.verify()
+    assert any(part.ghosts for part in restored)
 
 
 def test_checkpoint_after_adaptation(tmp_path):
@@ -101,13 +131,12 @@ def test_checkpoint_after_adaptation(tmp_path):
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 3))
     refine_distributed(dm, UniformSize(0.15))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     restored.verify()
     assert np.array_equal(restored.entity_counts(), dm.entity_counts())
 
 
-# -- v2 format: tags, fields, ghosts ------------------------------------------
+# -- tags, fields, ghosts ------------------------------------------------------
 
 
 def test_roundtrip_tags(tmp_path):
@@ -120,8 +149,7 @@ def test_roundtrip_tags(tmp_path):
         etag = part.mesh.tag("region")
         for e in part.mesh.entities(2):
             etag.set(e, f"r{part.gid(e) % 3}")
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     for part in restored:
         vtag = part.mesh.tags.find("vlabel")
         assert vtag is not None
@@ -138,9 +166,7 @@ def test_roundtrip_fields(tmp_path):
     dm = distribute(mesh, strips(mesh, 3))
     df = DistributedField(dm, "u")
     df.set_from_coords(lambda x: x[0] + 2.0 * x[1])
-    save_dmesh(dm, tmp_path / "c", fields=[df])
-    restored, fields, manifest = load_checkpoint(tmp_path / "c", model=mesh.model)
-    assert manifest["format"] == "repro.dmesh/2"
+    restored, fields = roundtrip(dm, tmp_path, [df], model=mesh.model)
     assert set(fields) == {"u"}
     ref = fields["u"]
     for part in restored:
@@ -154,8 +180,7 @@ def test_all_entities_have_gids_after_restore(tmp_path):
     """The all-entities-carry-gids invariant survives the round-trip."""
     mesh = box_tet(2)
     dm = distribute(mesh, strips(mesh, 2, axis=2))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     for part in restored:
         for dim in range(4):
             for ent in part.mesh.entities(dim):
@@ -169,14 +194,11 @@ def test_all_entities_have_gids_after_restore(tmp_path):
 
 
 def test_ghosted_mesh_roundtrip_excludes_ghosts(tmp_path):
-    from repro.partition import ghost_layer
-
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 3))
     pre_ghost = dm.entity_counts().copy()
     ghost_layer(dm)
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
     restored.verify()
     # Ghosts are runtime state: the snapshot holds only real entities.
     assert not any(part.ghosts for part in restored)
@@ -195,8 +217,7 @@ def test_restore_8_parts_at_other_counts(tmp_path, target):
     """Checkpoint at 8 parts, restart at 4 and 16 (the DMPlex property)."""
     mesh = rect_tri(6)
     dm = distribute(mesh, strips(mesh, 8))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=target)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model, nparts=target)
     restored.verify()
     assert restored.nparts == target
     for dim in range(3):
@@ -213,9 +234,8 @@ def test_restore_other_count_keeps_tags_and_fields(tmp_path):
             tag.set(e, int(part.gid(e)))
     df = DistributedField(dm, "u")
     df.set_from_coords(lambda x: 5.0 * x[0])
-    save_dmesh(dm, tmp_path / "c", fields=[df])
-    restored, fields, _ = load_checkpoint(
-        tmp_path / "c", model=mesh.model, nparts=2
+    restored, fields = roundtrip(
+        dm, tmp_path, [df], model=mesh.model, nparts=2
     )
     restored.verify()
     for part in restored:
@@ -230,8 +250,7 @@ def test_restore_other_count_keeps_tags_and_fields(tmp_path):
 def test_restored_regrouped_mesh_is_operational(tmp_path):
     mesh = rect_tri(4)
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=2)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model, nparts=2)
     element = next(restored.part(0).mesh.entities(2))
     migrate(restored, {0: {element: 1}})
     restored.verify()
@@ -242,82 +261,93 @@ def test_restored_regrouped_mesh_is_operational(tmp_path):
 
 
 def make_checkpoint(tmp_path):
+    """A one-epoch store; returns ``(store, epoch directory)``."""
     mesh = rect_tri(3)
     dm = distribute(mesh, strips(mesh, 2))
-    save_dmesh(dm, tmp_path / "c")
-    return tmp_path / "c"
+    store = SnapshotStore(tmp_path / "c")
+    return store, store.save(dm).path
 
 
 def test_missing_manifest_is_typed(tmp_path):
-    path = make_checkpoint(tmp_path)
+    store, path = make_checkpoint(tmp_path)
     (path / "manifest.json").unlink()
     with pytest.raises(CorruptCheckpointError, match="manifest"):
-        load_dmesh(path)
+        store.load_at(epoch=0)
 
 
 def test_unparseable_manifest_is_typed(tmp_path):
-    path = make_checkpoint(tmp_path)
+    store, path = make_checkpoint(tmp_path)
     (path / "manifest.json").write_text("{nope")
-    with pytest.raises(CorruptCheckpointError):
-        load_dmesh(path)
+    with pytest.raises(CorruptCheckpointError, match="manifest"):
+        store.load_at(epoch=0)
 
 
 def test_unsupported_format_is_typed(tmp_path):
-    import json
-
-    path = make_checkpoint(tmp_path)
+    store, path = make_checkpoint(tmp_path)
     manifest = json.loads((path / "manifest.json").read_text())
-    manifest["format"] = "repro.dmesh/99"
+    manifest["format"] = "repro.store/99"
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptCheckpointError, match="format"):
-        load_dmesh(path)
+        store.load_at(epoch=0)
 
 
 def test_tampered_part_file_fails_hash_validation(tmp_path):
-    path = make_checkpoint(tmp_path)
-    part_file = path / "part0.npz"
-    data = bytearray(part_file.read_bytes())
+    store, path = make_checkpoint(tmp_path)
+    chunk = path / "elems-000000.bin"
+    data = bytearray(chunk.read_bytes())
     data[len(data) // 2] ^= 0xFF
-    part_file.write_bytes(bytes(data))
-    with pytest.raises(CorruptCheckpointError, match="sha256"):
-        load_dmesh(path)
+    chunk.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpointError, match=r"elems-000000.*sha256"):
+        store.load_at()
 
 
 def test_truncated_part_file_is_typed_not_badzipfile(tmp_path):
-    path = make_checkpoint(tmp_path)
-    part_file = path / "part1.npz"
-    part_file.write_bytes(part_file.read_bytes()[:20])
-    with pytest.raises(CorruptCheckpointError):
-        load_dmesh(path)
+    store, path = make_checkpoint(tmp_path)
+    chunk = path / "verts-000000.bin"
+    chunk.write_bytes(chunk.read_bytes()[:20])
+    with pytest.raises(CorruptCheckpointError, match="verts-000000"):
+        store.load_at()
 
 
 def test_missing_part_file_is_typed(tmp_path):
-    path = make_checkpoint(tmp_path)
-    (path / "part0.npz").unlink()
+    store, path = make_checkpoint(tmp_path)
+    (path / "elems-000000.bin").unlink()
     with pytest.raises(CorruptCheckpointError, match="missing"):
-        load_dmesh(path)
+        store.load_at()
 
 
-def test_pickled_blob_is_rejected_not_unpickled(tmp_path):
-    import hashlib
-    import io
-    import json
-    import pickle
+# -- the old directories: decoded, never unpickled -----------------------------
 
-    path = make_checkpoint(tmp_path)
+
+def tampered_dmesh2(tmp_path, **arrays):
+    """A copy of the ``repro.dmesh/2`` fixture whose ``part1.npz`` has the
+    given members replaced — and the manifest hash redone, so only the
+    parser stands between the member and the program."""
+    path = tmp_path / "old"
+    shutil.copytree(DMESH2_FIXTURE, path)
     part_file = path / "part1.npz"
-    arrays = dict(np.load(part_file))
-    arrays["tag_blob"] = np.frombuffer(pickle.dumps({}), dtype=np.uint8)
+    members = dict(np.load(part_file))
+    members.update(arrays)
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
+    np.savez_compressed(buffer, **members)
     part_file.write_bytes(buffer.getvalue())
     manifest = json.loads((path / "manifest.json").read_text())
     manifest["files"]["part1.npz"] = hashlib.sha256(
         buffer.getvalue()
     ).hexdigest()
     (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz.*tag_blob"):
-        load_dmesh(path)
+    return path
+
+
+def test_pickled_blob_is_rejected_not_unpickled(tmp_path):
+    path = tampered_dmesh2(
+        tmp_path,
+        tag_blob=np.frombuffer(pickle.dumps({}), dtype=np.uint8),
+    )
+    store = SnapshotStore(tmp_path / "st")
+    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz.*CodecError"):
+        convert_dmesh2(path, store)
+    assert store.epochs() == []
 
 
 class _Tripwire:
@@ -335,26 +365,15 @@ def _trip():
 
 
 def test_object_array_in_part_file_is_rejected_never_unpickled(tmp_path):
-    import hashlib
-    import io
-    import json
-
-    path = make_checkpoint(tmp_path)
-    part_file = path / "part1.npz"
-    arrays = dict(np.load(part_file))
-    arrays["vgids"] = np.asarray([_Tripwire()], dtype=object)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    part_file.write_bytes(buffer.getvalue())
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["files"]["part1.npz"] = hashlib.sha256(
-        buffer.getvalue()
-    ).hexdigest()
-    (path / "manifest.json").write_text(json.dumps(manifest))
+    path = tampered_dmesh2(
+        tmp_path, vgids=np.asarray([_Tripwire()], dtype=object)
+    )
     _Tripwire.fired = False
+    store = SnapshotStore(tmp_path / "st")
     with pytest.raises(CorruptCheckpointError, match=r"part1\.npz"):
-        load_dmesh(path)
+        convert_dmesh2(path, store)
     assert not _Tripwire.fired
+    assert store.epochs() == []
 
 
 def _reference_intermediate_gids(dmesh):
@@ -384,8 +403,7 @@ def _reference_intermediate_gids(dmesh):
 def test_restored_intermediate_gids_match_the_reference_loop(tmp_path, make):
     mesh = make()
     dm = distribute(mesh, strips(mesh, 4))
-    save_dmesh(dm, tmp_path / "c")
-    restored = load_dmesh(tmp_path / "c", model=mesh.model, nparts=2)
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model, nparts=2)
     restored.verify()
     expected = _reference_intermediate_gids(restored)
     for d in range(1, restored.element_dim()):

@@ -68,9 +68,9 @@ def test_restore_falls_back_past_corrupt_checkpoint(tmp_path):
     manager = CheckpointManager(tmp_path / "ck")
     manager.save(dm, step=0)
     newest = manager.save(dm, step=1)
-    # Flip bytes in a part file of the newest checkpoint.
-    part_file = newest.path / "part0.npz"
-    part_file.write_bytes(b"garbage" + part_file.read_bytes()[7:])
+    # Overwrite the head of a chunk file of the newest checkpoint.
+    chunk = newest.path / "elems-000000.bin"
+    chunk.write_bytes(b"garbage" + chunk.read_bytes()[7:])
     assert not manager.validate(newest)
     restored, _, info = manager.restore(model=mesh.model)
     restored.verify()

@@ -10,8 +10,10 @@ checking after every step that the distributed representation verifies
 are the serial mesh's, and that every copy of a field value equals its
 owner's.  A second pass takes a spiked partition of the same mesh through
 heavy-part splitting and ParMA diffusion — dozens of small migrations, each
-relinked by delta — and compares the links it ends with against a
-from-scratch ``rebuild_links``.
+relinked by delta — compares the links it ends with against a from-scratch
+``rebuild_links``, then checkpoints: ``save`` → ``load_at()`` must come back
+on the partition ParMA just paid for (same elements per part, same
+imbalances), and ``load_at(nparts=12)`` as the same mesh and field on 12.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.partition import (
     synchronize,
 )
 from repro.partitioners import element_centroids, partition
+from repro.store import SnapshotStore, element_partition, field_checksum
 from repro.workloads import aaa_mesh
 
 pytestmark = pytest.mark.scale
@@ -100,7 +103,7 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
         assert (after < counts).any() and not any(p.ghosts for p in dm)
 
 
-def test_split_and_improve_at_bench_scale_match_the_link_oracle():
+def test_split_and_improve_at_bench_scale_match_the_link_oracle(tmp_path):
     serial = aaa_mesh(n=N, seed=0)
     # A spiked partition (the ``rebalance`` benchmark's recipe): weighted
     # RCB with light weights in an oblique band, heavy ones at both ends.
@@ -130,3 +133,23 @@ def test_split_and_improve_at_bench_scale_match_the_link_oracle():
     assert dm.counters.get("migration.relinks") - migrations >= 10
     check_link_oracle(dm)
     check(dm, serial)
+
+    # Checkpoint/restart: the balance ParMA bought survives the restart...
+    field = DistributedField(dm, "x", 0, 1)
+    field.set_from_coords(lambda x: x[0] + 0.5 * x[2])
+    store = SnapshotStore(tmp_path / "st")
+    store.save(dm, [field])
+    restarted, fields, _ = store.load_at(model=serial.model)
+    check(restarted, serial, fields["x"])
+    assert element_partition(restarted) == element_partition(dm)
+    assert np.array_equal(restarted.entity_counts(), dm.entity_counts())
+    assert np.array_equal(
+        imbalances(restarted.entity_counts()), imbalances(dm.entity_counts())
+    )
+    # ...and M -> N: the same mesh and field on 12 parts.
+    narrower, fields, _ = store.load_at(nparts=12, model=serial.model)
+    check(narrower, serial, fields["x"])
+    assert narrower.nparts == 12
+    assert field_checksum(narrower, fields["x"]) == pytest.approx(
+        field_checksum(dm, field), abs=1e-9
+    )

@@ -1,5 +1,7 @@
 """Direct tests for public API members not covered elsewhere."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -355,10 +357,25 @@ def test_top_level_resilience_surface():
         assert getattr(repro, name) is getattr(resilience, name)
         assert name in repro.__all__, name
     assert "resilience" in repro.__all__
-    # CorruptCheckpointError is one class, wherever it is imported from.
-    from repro.partition import CorruptCheckpointError as from_partition
+    # CorruptCheckpointError is one class, wherever it is imported from,
+    # and the store's error is in its family: one ``except`` catches both.
+    from repro import partition, store
 
-    assert repro.CorruptCheckpointError is from_partition
+    assert repro.CorruptCheckpointError is store.CorruptCheckpointError
+    assert issubclass(store.CorruptSnapshotError, repro.CorruptCheckpointError)
+    # The checkpoint format lives in ``repro.store`` alone: the partition
+    # package (which cannot import it) no longer fronts a second one.
+    for gone in (
+        "CorruptCheckpointError",
+        "save_dmesh",
+        "load_dmesh",
+        "load_checkpoint",
+        "read_manifest",
+    ):
+        assert not hasattr(partition, gone), gone
+    assert list(
+        inspect.signature(resilience.CheckpointManager.__init__).parameters
+    ) == ["self", "root", "keep", "ghost_config"]
     # RankFailure (structured SpmdError records) is pinned too.
     from repro.parallel import RankFailure
 
@@ -431,14 +448,17 @@ def test_store_subpackage_all():
         assert hasattr(store, name), name
     for name in (
         "FORMAT",
+        "CorruptCheckpointError",
         "CorruptSnapshotError",
         "SnapshotCache",
         "SnapshotState",
         "SnapshotStore",
         "StoreStats",
         "cache_key",
+        "convert_dmesh2",
         "current_cache",
         "diff_states",
+        "element_partition",
         "field_checksum",
         "install_cache",
         "owned_gid_set",

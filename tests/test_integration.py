@@ -24,12 +24,11 @@ from repro.partition import (
     delete_ghosts,
     distribute,
     ghost_layer,
-    load_dmesh,
     refine_distributed,
-    save_dmesh,
     synchronize,
 )
 from repro.partitioners import partition
+from repro.store import SnapshotStore
 
 
 def total_measure(dm):
@@ -107,9 +106,15 @@ def test_checkpoint_restart_mid_workflow(tmp_path):
     mesh = rect_tri(4)
     dm = distribute(mesh, partition(mesh, 2, method="rcb"))
     refine_distributed(dm, UniformSize(0.15))
-    save_dmesh(dm, tmp_path / "ckpt")
+    store = SnapshotStore(tmp_path / "ckpt")
+    store.save(dm)
 
-    restarted = load_dmesh(tmp_path / "ckpt", model=mesh.model)
+    restarted, _fields, _stats = store.load_at(model=mesh.model)
+    # The restart is on the saved partition, part for part.
+    assert (
+        restarted.entity_counts()[:, 2].tolist()
+        == dm.entity_counts()[:, 2].tolist()
+    )
     refine_distributed(restarted, UniformSize(0.08))
     check_all(restarted)
     assert total_measure(restarted) == pytest.approx(1.0)
