@@ -39,9 +39,10 @@ Subpackages
 ``repro.workloads``
     Synthetic stand-ins for the paper's evaluation meshes.
 ``repro.analysis``
-    SPMD correctness tooling: the ``python -m repro lint`` AST lint and the
-    runtime sanitizers (alias freeze proxies, collective-order checking,
-    deadlock detection) used by ``spmd(..., sanitize=True)``.
+    SPMD correctness tooling: the ``python -m repro analyze`` dataflow
+    analyzer and the runtime sanitizers (alias freeze proxies,
+    collective-order checking, deadlock detection) used by
+    ``spmd(..., sanitize=True)``.
 ``repro.obs``
     Observability: superstep tracing (Chrome trace export), per-superstep
     part-to-part communication matrices, typed operation statistics, and

@@ -1,26 +1,31 @@
-"""SPMD correctness tooling: AST lint, flow analysis, runtime sanitizers.
+"""SPMD correctness tooling: one static analyzer and the runtime sanitizers.
 
 The paper's infrastructure leans on ``apf::verify``-style invariant checking
 after every distributed operation.  This package is the analogous correctness
-net for the *communication* layer of the reproduction: a custom AST lint that
-knows the hazard classes of thread-based SPMD programs (collective mismatch,
-unordered message posting, on-node payload aliasing), an interprocedural
-rank-taint dataflow analysis for the hazards pattern matching cannot see
-(aliased collectives, divergent early exits, cross-function divergence,
-stale ghost reads, nondeterministic wire payloads), and runtime sanitizers
-that catch the same classes dynamically while the simulated runtime executes.
+net for the *communication* layer of the reproduction: an interprocedural
+rank-taint dataflow analyzer that knows the hazard classes of thread-based
+SPMD programs (collectives under rank-divergent control flow, mismatched
+collective sequences, on-node payload aliasing, stale ghost reads,
+nondeterministic wire payloads, rank state leaking into shared state), and
+runtime sanitizers that catch the same classes dynamically while the
+simulated runtime executes.
 
-* :mod:`repro.analysis.lint` — the lint engine (``python -m repro lint``).
-* :mod:`repro.analysis.rules` — the SPMD001..SPMD006 rule visitors.
-* :mod:`repro.analysis.flow` — CFG + call-graph dataflow, the SPMD101..
-  SPMD105 rules, and the baseline machinery (``python -m repro analyze``).
-* :mod:`repro.analysis.suppress` — the shared ``# noqa`` policy (justified
-  suppressions, ``# repro: noqa`` file opt-out, SPMD007).
-* :mod:`repro.analysis.sanitizers` — freeze proxies and sanitizer errors used
-  by :mod:`repro.parallel` when sanitize mode is on.
+* ``engine.py`` — ``python -m repro analyze``: the worklist summary
+  fixpoint, baselines (``repro.analysis/1``), text/JSON/SARIF.
+* ``program.py`` — modules, defs, classes, and import-aware call resolution.
+* ``cfg.py`` / ``taint.py`` — control-flow graphs and the token lattice the
+  dataflow runs over.
+* ``rules.py`` — the SPMD003..SPMD006 and SPMD101..SPMD105 checks,
+  evaluated in one walk per body.
+* ``suppress.py`` — the ``# noqa`` policy (justified suppressions,
+  ``# repro: noqa`` file opt-out, SPMD007).
+* ``sanitizers.py`` — freeze proxies and sanitizer errors used by
+  :mod:`repro.parallel` when sanitize mode is on.
+
+Only the sanitizer names are re-exported here, so importing
+:mod:`repro.parallel` never loads the analyzer.
 """
 
-from .lint import Finding, format_json, format_text, lint_source, run_paths
 from .sanitizers import (
     CollectiveMismatchError,
     DeadlockError,
@@ -36,16 +41,11 @@ from .sanitizers import (
 __all__ = [
     "CollectiveMismatchError",
     "DeadlockError",
-    "Finding",
     "FrozenDict",
     "FrozenList",
     "FrozenSet",
     "PayloadAliasError",
     "SanitizerError",
-    "format_json",
-    "format_text",
     "freeze",
-    "lint_source",
-    "run_paths",
     "sanitize_default",
 ]

@@ -1,17 +1,21 @@
-"""The SPMD flow-analysis engine: ``python -m repro analyze``.
+"""The SPMD analyzer: ``python -m repro analyze``.
 
 Pipeline, per invocation:
 
 1. parse every ``.py`` file under the given paths into one
-   :class:`~repro.analysis.flow.callgraph.Program` (whole-program, so taint
-   follows calls across files);
-2. build each function's CFG once, then iterate the **summary fixpoint**:
-   per round, recompute each function's dataflow environments (which depend
-   on callee summaries), its return tokens, collective sequence, and
-   divergence-prone parameters, until no summary changes;
-3. re-scan every function with reporting enabled, emitting SPMD101–105
-   findings with the converged summaries;
-4. apply the shared suppression policy (``# noqa`` with justification,
+   :class:`~repro.analysis.program.Program` (whole-program, so taint
+   follows calls across files, resolved through each module's imports);
+2. run the **summary fixpoint** as a worklist over every body — module
+   function, method, nested ``def`` and each module's top-level
+   ``<module>`` code: a body's CFG dataflow environments, return tokens,
+   collective sequence and divergence-prone parameters are recomputed only
+   when a callee's summary changed, in program order, each body at most
+   :data:`MAX_ROUNDS` times so recursion terminates;
+3. every recomputation scans the body with the rules (``rules.py``), so
+   each body's last scan already holds its findings under the converged
+   summaries; only a body whose callees changed after its cap ran out is
+   scanned once more;
+4. apply the suppression policy (``# noqa`` with justification,
    ``# repro: noqa`` file headers, SPMD007 for bare suppressions);
 5. diff against the committed baseline (``repro.analysis/1``) and render
    text, JSON, or SARIF — all three byte-deterministic for identical
@@ -24,32 +28,40 @@ how the analyzed paths were spelled on the command line.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import heapq
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from .. import suppress
-from ..lint import iter_python_files
-from ..rules.base import Finding
-from ..rules.communication import COLLECTIVE_CALLS
-from .callgraph import FunctionInfo, Program
-from .cfg import CFG, build_cfg, dataflow
-from .rules import HINTS, FunctionScan
+from . import suppress
+from .cfg import build_cfg, dataflow
+from .program import FunctionInfo, Program, module_name
+from .rules import HINTS, Finding, FunctionScan
 from .taint import (
-    EMPTY,
+    COLLECTIVE_CALLS,
     Evaluator,
     Summary,
-    Tokens,
     initial_env,
     make_transfer,
 )
 
 SCHEMA = "repro.analysis/1"
 
-#: Fixpoint safety valve; token sets are finite so convergence is fast, and
-#: genuine recursion cycles stabilize within a few rounds.
+#: Recomputations allowed per body; token sets are finite so convergence is
+#: fast, and genuine recursion cycles stabilize within a few rounds.
 MAX_ROUNDS = 10
 
 
@@ -60,6 +72,7 @@ class FlowAnalyzer:
         self.sources = sources
         self.program = Program(COLLECTIVE_CALLS)
         self.parse_findings: List[Finding] = []
+        known = set(sources)
         for path in sorted(sources):
             try:
                 tree = ast.parse(sources[path], filename=path)
@@ -75,103 +88,68 @@ class FlowAnalyzer:
                     )
                 )
                 continue
-            self.program.add_module(path, tree)
-        self._cfgs: Dict[int, CFG] = {}
+            self.program.add_module(path, module_name(path, known), tree)
 
-    # -- machinery ---------------------------------------------------------
-
-    def _cfg(self, info: FunctionInfo) -> CFG:
-        key = id(info.node)
-        if key not in self._cfgs:
-            self._cfgs[key] = build_cfg(list(info.node.body))  # type: ignore[attr-defined]
-        return self._cfgs[key]
-
-    def _envs(
+    def _scan(
         self, info: FunctionInfo, summaries: Dict[int, Summary]
-    ) -> Dict[int, Dict[str, Tokens]]:
-        evaluator = Evaluator(self.program, summaries, info)
-        return dataflow(
-            self._cfg(info), initial_env(info), make_transfer(evaluator)
+    ) -> Tuple[Summary, List[Finding]]:
+        """Dataflow environments of one body, then its rule scan."""
+        env_at = dataflow(
+            build_cfg(info.body),
+            initial_env(info),
+            make_transfer(Evaluator(self.program, summaries, info)),
         )
-
-    def _ret_tokens(
-        self,
-        info: FunctionInfo,
-        env_at: Dict[int, Dict[str, Tokens]],
-        summaries: Dict[int, Summary],
-    ) -> Tokens:
-        evaluator = Evaluator(self.program, summaries, info)
-        out: Tokens = EMPTY
-        for stmt in self._iter_own_statements(info.node):
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                env = env_at.get(id(stmt), {})
-                out |= evaluator.tokens(stmt.value, env)
-        return frozenset(t for t in out if not t.startswith("DIRTY:"))
-
-    @staticmethod
-    def _iter_own_statements(node: ast.AST):
-        """Statements of a function excluding nested def/class bodies."""
-        stack = list(getattr(node, "body", []))
-        while stack:
-            stmt = stack.pop()
-            if isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield stmt
-            for field in ("body", "orelse", "finalbody"):
-                stack.extend(getattr(stmt, field, []) or [])
-            for handler in getattr(stmt, "handlers", []) or []:
-                stack.extend(handler.body)
+        return FunctionScan(info, self.program, summaries, env_at).run()
 
     # -- analysis ----------------------------------------------------------
 
     def run(self) -> List[Finding]:
         functions = self.program.functions
+        index = {id(f.node): i for i, f in enumerate(functions)}
+        callers: List[Set[int]] = [set() for _ in functions]
+        for i, info in enumerate(functions):
+            for target in self.program.callees(info):
+                callers[index[id(target.node)]].add(i)
         summaries: Dict[int, Summary] = {
             id(f.node): Summary() for f in functions
         }
-        for _round in range(MAX_ROUNDS):
-            changed = False
-            for info in functions:
-                env_at = self._envs(info, summaries)
-                scan = FunctionScan(
-                    info, self.program, summaries, env_at, report=False
-                ).run()
-                new = Summary(
-                    ret=self._ret_tokens(info, env_at, summaries),
-                    seq=scan.seq,
-                    divergence_params=scan.divergence_params,
-                )
-                if new.key() != summaries[id(info.node)].key():
-                    summaries[id(info.node)] = new
-                    changed = True
-            if not changed:
-                break
+        findings_of: List[List[Finding]] = [[] for _ in functions]
+        runs = [0] * len(functions)
+        stale: Set[int] = set()
+        queue = list(range(len(functions)))
+        queued = set(queue)
+        while queue:
+            i = heapq.heappop(queue)
+            queued.discard(i)
+            info = functions[i]
+            runs[i] += 1
+            new, findings_of[i] = self._scan(info, summaries)
+            stale.discard(i)
+            if new == summaries[id(info.node)]:
+                continue
+            summaries[id(info.node)] = new
+            for caller in callers[i]:
+                if runs[caller] >= MAX_ROUNDS:
+                    stale.add(caller)
+                elif caller not in queued:
+                    heapq.heappush(queue, caller)
+                    queued.add(caller)
+        for i in sorted(stale):
+            findings_of[i] = self._scan(functions[i], summaries)[1]
 
         findings = list(self.parse_findings)
-        for info in functions:
-            env_at = self._envs(info, summaries)
-            scan = FunctionScan(
-                info, self.program, summaries, env_at, report=True
-            ).run()
-            findings.extend(scan.findings)
-
-        findings = self._suppress_and_sort(findings)
-        return findings
+        for found in findings_of:
+            findings.extend(found)
+        return self._suppress_and_sort(findings)
 
     def _suppress_and_sort(self, findings: List[Finding]) -> List[Finding]:
         by_path: Dict[str, List[Finding]] = {}
         for finding in findings:
             by_path.setdefault(finding.path, []).append(finding)
         out: List[Finding] = []
-        for path in sorted(set(by_path) | set(self.sources)):
-            source = self.sources.get(path)
-            if source is None:
-                out.extend(by_path.get(path, []))
-                continue
+        for path in sorted(self.sources):
             out.extend(
-                suppress.apply(by_path.get(path, []), source, path)
+                suppress.apply(by_path.get(path, []), self.sources[path], path)
             )
         seen: Set[Tuple] = set()
         unique: List[Finding] = []
@@ -188,6 +166,18 @@ class FlowAnalyzer:
 def analyze_source(source: str, path: str = "<string>") -> List[Finding]:
     """Analyze one source string (the fixture-corpus entry point)."""
     return FlowAnalyzer({path: source}).run()
+
+
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Expand files and directory trees into a sorted ``.py`` stream."""
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            yield path
+        elif not path.exists():
+            raise FileNotFoundError(f"analysis target does not exist: {path}")
 
 
 def analyze_paths(paths: Iterable[Path]) -> List[Finding]:
@@ -359,18 +349,14 @@ def format_sarif(
 
 def default_target() -> Path:
     """With no explicit paths, analyze the installed ``repro`` package."""
-    return Path(__file__).resolve().parent.parent.parent
+    return Path(__file__).resolve().parent.parent
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="SPMD flow analysis (SPMD101..SPMD105)",
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``analyze`` arguments, shared by :func:`main` and ``repro.cli``."""
+    parser.add_argument(
+        "paths", nargs="*", help="files/dirs (default: the repro package)"
     )
-    parser.add_argument("paths", nargs="*", help="files or directories")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text"
     )
@@ -384,7 +370,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="rewrite the --baseline file from the current findings",
     )
-    args = parser.parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro analyze")
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Analyze, gate against the baseline, print; 1 on new findings, 2 on
+    a bad path or baseline."""
     paths = [Path(p) for p in args.paths] or [default_target()]
     try:
         findings = analyze_paths(paths)

@@ -1,9 +1,14 @@
-"""The SPMD1xx rule family: flow-analysis upgrades of the syntactic lint.
+"""The SPMD rule family, evaluated over the dataflow results.
 
 | Code    | Hazard                                                            |
 |---------|-------------------------------------------------------------------|
-| SPMD101 | collective reached under rank-divergent control flow (dataflow    |
-|         | upgrade of SPMD001: aliases, early exits, cross-function)         |
+| SPMD003 | in-place mutation of a received payload (on-node messages alias   |
+|         | the sender's object) without a defensive copy                     |
+| SPMD004 | mutable default argument (shared across rank threads)             |
+| SPMD005 | bare ``except:`` (swallows the abort wake-up; the job hangs)      |
+| SPMD006 | concrete annotation with a ``None`` default                       |
+| SPMD101 | collective reached under rank-divergent control flow (aliases,    |
+|         | early exits, cross-function)                                      |
 | SPMD102 | branch-inconsistent collective *sequences* (static twin of the    |
 |         | runtime collective-order ledger)                                  |
 | SPMD103 | nondeterminism source flowing into a wire or report path          |
@@ -12,14 +17,17 @@
 | SPMD105 | rank-tainted value escaping into module/class state shared across |
 |         | rank threads                                                      |
 
-Each function is scanned once per fixpoint round by :class:`FunctionScan`,
-a structured walk over the body that pairs ``if``/``else`` arms (the CFG
+SPMD000 (syntax error) comes from the engine and SPMD007 (unjustified
+suppression) from :mod:`repro.analysis.suppress`.
+
+Each body is scanned by :class:`FunctionScan` whenever its dataflow is
+recomputed: a structured walk that pairs ``if``/``else`` arms (the CFG
 cannot — arm pairing is a tree property), compares their collective
 sequences, and consults the per-statement taint environments computed by
-:mod:`repro.analysis.flow.taint` over the CFG.  Scans double as summary
-producers: the collective sequence and divergence-prone parameters they
-derive feed the next fixpoint round, which is how a helper's collectives
-become visible at its call sites in another file.
+:mod:`repro.analysis.taint` over the CFG.  Scans double as summary
+producers: the collective sequence, return taint and divergence-prone
+parameters they derive feed the fixpoint, which is how a helper's
+collectives become visible at its call sites in another file.
 """
 
 from __future__ import annotations
@@ -29,19 +37,34 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rules.aliasing import MUTATING_METHODS
-from ..rules.base import Finding
-from ..rules.communication import POSTING_CALLS
-from .callgraph import FunctionInfo, Program
+from .program import FunctionInfo, Program, _is_mutable_literal
 from .taint import (
     EMPTY,
-    Evaluator,
+    MUTATING_METHODS,
+    PAYLOAD,
+    POSTING_CALLS,
     RANK,
+    Evaluator,
     Summary,
-    SYNC_CALLS,
     Tokens,
     _receiver_name,
 )
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One hazard at a source location."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+    hint: str
+
+    def format(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+
 
 #: Methods that read ghost/copy values of a distributed field.
 GHOST_READS: Set[str] = {
@@ -68,7 +91,43 @@ WIRE_SINKS: Set[str] = POSTING_CALLS | {
 REPORT_CALL_SINKS: Set[str] = {"dumps", "dump"}
 _REPORT_FUNC_RE = re.compile(r"report|to_dict|to_json|summary", re.IGNORECASE)
 
+#: Annotations considered concrete (a ``= None`` default contradicts them).
+_CONCRETE_ANNOTATIONS = {
+    "bool",
+    "int",
+    "float",
+    "complex",
+    "str",
+    "bytes",
+    "list",
+    "dict",
+    "set",
+    "tuple",
+    "List",
+    "Dict",
+    "Set",
+    "Tuple",
+    "Sequence",
+    "Mapping",
+    "Callable",
+    "Iterable",
+    "Iterator",
+    "FrozenSet",
+}
+
 HINTS: Dict[str, str] = {
+    "SPMD003": (
+        "copy before mutating (payload = list(payload) / dict(payload) / "
+        "copy.deepcopy(payload)); on-node messages alias the sender's object"
+    ),
+    "SPMD004": (
+        "default to None and create the container inside the function body"
+    ),
+    "SPMD005": (
+        "catch a specific exception; a bare except swallows CommAbortedError "
+        "and turns a clean SPMD abort into a hang"
+    ),
+    "SPMD006": "annotate as Optional[...] (PEP 484 forbids implicit Optional)",
     "SPMD101": (
         "make every rank reach the collective (hoist it, or split the "
         "communicator for the subset that participates)"
@@ -113,13 +172,6 @@ class _Arm:
     terminated: bool = False
 
 
-@dataclass
-class ScanResult:
-    seq: Tuple[str, ...]
-    divergence_params: frozenset
-    findings: List[Finding]
-
-
 class FunctionScan:
     """One structured pass over one function."""
 
@@ -129,48 +181,19 @@ class FunctionScan:
         program: Program,
         summaries: Dict[int, Summary],
         env_at: Dict[int, Dict[str, Tokens]],
-        report: bool,
     ) -> None:
         self.info = info
         self.program = program
         self.summaries = summaries
         self.env_at = env_at
-        self.report = report
         self.evaluator = Evaluator(program, summaries, info)
         self.findings: List[Finding] = []
         self.divergence_params: Set[int] = set()
+        self.ret: Tokens = EMPTY
         #: Line of the rank-divergent early exit we are downstream of.
         self._diverged_at: Optional[int] = None
-        self._local_names = self._collect_locals()
-        self._global_decls = self._collect_globals()
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _collect_locals(self) -> Set[str]:
-        names: Set[str] = set(self.info.param_names())
-        for sub in ast.walk(self.info.node):
-            if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    sub.targets
-                    if isinstance(sub, ast.Assign)
-                    else [sub.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                for name in ast.walk(sub.target):
-                    if isinstance(name, ast.Name):
-                        names.add(name.id)
-        return names
-
-    def _collect_globals(self) -> Set[str]:
-        return {
-            name
-            for sub in ast.walk(self.info.node)
-            if isinstance(sub, ast.Global)
-            for name in sub.names
-        }
 
     def _env(self, stmt: ast.stmt) -> Dict[str, Tokens]:
         return self.env_at.get(id(stmt), {})
@@ -178,8 +201,6 @@ class FunctionScan:
     def _emit(
         self, code: str, node: ast.AST, message: str
     ) -> None:
-        if not self.report:
-            return
         self.findings.append(
             Finding(
                 path=self.info.path,
@@ -203,14 +224,12 @@ class FunctionScan:
         analyzed function contributes that function's summarized sequence.
         """
         sites: List[Tuple[ast.Call, Tuple[str, ...], str]] = []
-        for call in ast.walk(stmt):
-            if not isinstance(call, ast.Call):
-                continue
+        for call in self.program.calls(stmt):
             op = self.evaluator._collective_op(call, env)
             if op is not None:
                 sites.append((call, (op,), op))
                 continue
-            for target in self.program.resolve_call(call):
+            for target in self.program.resolve_call(call, self.info)[0]:
                 summary = self.summaries.get(id(target.node))
                 if summary is not None and summary.seq:
                     sites.append(
@@ -221,13 +240,18 @@ class FunctionScan:
 
     # -- the walk ----------------------------------------------------------
 
-    def run(self) -> ScanResult:
-        arm = self._walk(list(self.info.node.body))  # type: ignore[attr-defined]
-        return ScanResult(
+    def run(self) -> Tuple[Summary, List[Finding]]:
+        """The body's summary under the current callee summaries, and its
+        findings."""
+        if isinstance(self.info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._check_defaults(self.info.node)
+        arm = self._walk(self.info.body)
+        summary = Summary(
+            ret=frozenset(t for t in self.ret if not t.startswith("DIRTY:")),
             seq=tuple(arm.seq),
             divergence_params=frozenset(self.divergence_params),
-            findings=self.findings,
         )
+        return summary, self.findings
 
     def _walk(self, stmts: Sequence[ast.stmt]) -> _Arm:
         arm = _Arm()
@@ -273,11 +297,13 @@ class FunctionScan:
         # Simple statement.
         self._simple_checks_expr(stmt, env)
         self._check_shared_state(stmt, env)
+        self._check_payload_store(stmt, env)
         for _call, ops, _label in self._collective_sites(stmt, env):
             arm.seq.extend(ops)
         if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
             arm.terminated = True
-            if isinstance(stmt, ast.Return):
+            if isinstance(stmt, ast.Return) and stmt.value is not None:
+                self.ret |= self.evaluator.tokens(stmt.value, env)
                 self._check_report_return(stmt, env)
 
     def _if(self, stmt: ast.If, arm: _Arm, env: Dict[str, Tokens]) -> None:
@@ -370,6 +396,12 @@ class FunctionScan:
         body = self._walk(stmt.body)
         arm.seq.extend(body.seq)
         for handler in stmt.handlers:
+            if handler.type is None:
+                self._emit(
+                    "SPMD005",
+                    handler,
+                    "bare 'except:' catches abort/interrupt signals",
+                )
             caught = self._walk(handler.body)
             if caught.seq:
                 arm.seq.append(f"?except@{handler.lineno}")
@@ -391,12 +423,89 @@ class FunctionScan:
     def _simple_checks_expr(
         self, node: ast.AST, env: Dict[str, Tokens]
     ) -> None:
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
+        for call in self.program.calls(node):
             self._check_nondet_sink(call, env)
             self._check_ghost_read(call, env)
             self._check_divergent_callee(call, env)
+            self._check_payload_mutation(call, env)
+
+    # SPMD003 ---------------------------------------------------------------
+
+    def _check_payload_mutation(
+        self, call: ast.Call, env: Dict[str, Tokens]
+    ) -> None:
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in MUTATING_METHODS
+            and PAYLOAD in self.evaluator.tokens(func.value, env)
+        ):
+            name = _receiver_name(func) or ast.unparse(func.value)
+            self._emit(
+                "SPMD003",
+                call,
+                f"received payload '{name}' mutated in place via "
+                f".{func.attr}() without a defensive copy",
+            )
+
+    def _check_payload_store(
+        self, stmt: ast.stmt, env: Dict[str, Tokens]
+    ) -> None:
+        if isinstance(stmt, (ast.Assign, ast.Delete)):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            targets = [stmt.target]
+        else:
+            return
+        for node in (sub for target in targets for sub in ast.walk(target)):
+            if (
+                isinstance(node, (ast.Subscript, ast.Attribute))
+                and not isinstance(node.ctx, ast.Load)
+                and PAYLOAD in self.evaluator.tokens(node.value, env)
+            ):
+                name = _receiver_name(node) or ast.unparse(node.value)
+                self._emit(
+                    "SPMD003",
+                    node,
+                    f"received payload '{name}' mutated in place by item/"
+                    f"attribute assignment without a defensive copy",
+                )
+
+    # SPMD004 / SPMD006 -----------------------------------------------------
+
+    def _check_defaults(self, node) -> None:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        pairs = list(zip(positional[first:], args.defaults))
+        pairs += [
+            (a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        for arg, default in pairs:
+            if _is_mutable_literal(default):
+                self._emit(
+                    "SPMD004",
+                    default,
+                    f"mutable default for argument '{arg.arg}' of "
+                    f"'{node.name}' is shared across all rank threads",
+                )
+            elif (
+                isinstance(default, ast.Constant)
+                and default.value is None
+                and arg.annotation is not None
+            ):
+                head = arg.annotation
+                if isinstance(head, ast.Subscript):
+                    head = head.value
+                name = getattr(head, "id", getattr(head, "attr", None))
+                if name in _CONCRETE_ANNOTATIONS:
+                    self._emit(
+                        "SPMD006",
+                        arg,
+                        f"argument '{arg.arg}' of '{node.name}' is annotated "
+                        f"'{name}' but defaults to None",
+                    )
 
     # SPMD103 ---------------------------------------------------------------
 
@@ -472,7 +581,7 @@ class FunctionScan:
     def _check_divergent_callee(
         self, call: ast.Call, env: Dict[str, Tokens]
     ) -> None:
-        for target in self.program.resolve_call(call):
+        for target in self.program.resolve_call(call, self.info)[0]:
             summary = self.summaries.get(id(target.node))
             if summary is None or not summary.divergence_params:
                 continue
@@ -492,9 +601,9 @@ class FunctionScan:
     # SPMD105 ---------------------------------------------------------------
 
     def _module_global_line(self, name: str) -> Optional[int]:
-        if name in self._local_names and name not in self._global_decls:
+        if name in self.info.local_names and name not in self.info.global_decls:
             return None
-        return self.program.module_globals.get(self.info.path, {}).get(name)
+        return self.info.module.globals.get(name)
 
     def _class_shared_attr(self, target: ast.AST) -> Optional[str]:
         """``Cls.attr`` / ``self.<class-mutable>`` shared-state stores."""
@@ -506,7 +615,7 @@ class FunctionScan:
         if not isinstance(base, ast.Attribute):
             return None
         value = base.value
-        if isinstance(value, ast.Name) and value.id in self.program.classes:
+        if isinstance(value, ast.Name) and value.id in self.program.class_names:
             return f"{value.id}.{base.attr}"
         if (
             isinstance(value, ast.Attribute)
@@ -557,9 +666,7 @@ class FunctionScan:
                         f"which is shared across all rank threads",
                     )
         else:
-            for call in ast.walk(stmt):
-                if not isinstance(call, ast.Call):
-                    continue
+            for call in self.program.calls(stmt):
                 func = call.func
                 if (
                     not isinstance(func, ast.Attribute)
@@ -597,7 +704,7 @@ class FunctionScan:
     ) -> Optional[str]:
         if isinstance(target, ast.Name):
             line = self._module_global_line(target.id)
-            if line is not None and target.id in self._global_decls:
+            if line is not None and target.id in self.info.global_decls:
                 return f"module global '{target.id}' (bound at line {line})"
             return None
         if isinstance(target, ast.Subscript):

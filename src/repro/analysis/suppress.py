@@ -1,10 +1,10 @@
-"""Suppression policy shared by the syntactic lint and the flow analyzer.
+"""Suppression policy of ``python -m repro analyze``.
 
-Three mechanisms, one module, so ``repro lint`` and ``repro analyze`` agree:
+Three mechanisms:
 
 * **line suppression** — flake8-style ``# noqa`` on the offending line: a
   blanket ``# noqa`` suppresses every code, ``# noqa: SPMD003`` one code,
-  ``# noqa: SPMD001, SPMD101`` several.
+  ``# noqa: SPMD003, SPMD101`` several.
 * **file suppression** — a ``# repro: noqa`` comment in the first
   :data:`FILE_HEADER_LINES` lines suppresses the whole file (generated
   files, vendored code).
@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import List, Sequence
 
-from .rules.base import Finding
+from .rules import Finding
 
 #: Lines at the top of a file searched for ``# repro: noqa``.
 FILE_HEADER_LINES = 5
@@ -90,22 +90,15 @@ def unjustified_findings(path: str, lines: Sequence[str]) -> List[Finding]:
     return findings
 
 
-def apply(
-    findings: List[Finding],
-    source: str,
-    path: str,
-    check_justification: bool = True,
-) -> List[Finding]:
+def apply(findings: List[Finding], source: str, path: str) -> List[Finding]:
     """Full suppression pass for one file's findings.
 
-    Drops findings covered by file- or line-level suppressions, and (unless
-    ``check_justification`` is off) appends SPMD007 findings for bare
-    code-listing suppressions — which are themselves subject to blanket
-    ``# noqa`` and file-level suppression.
+    Drops findings covered by file- or line-level suppressions and appends
+    SPMD007 findings for bare code-listing suppressions — which are
+    themselves subject to blanket ``# noqa`` and file-level suppression.
     """
     lines = source.splitlines()
     if file_suppressed(lines):
         return []
-    if check_justification:
-        findings = findings + unjustified_findings(path, lines)
+    findings = findings + unjustified_findings(path, lines)
     return [f for f in findings if not line_suppressed(f, lines)]

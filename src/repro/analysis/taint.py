@@ -1,4 +1,4 @@
-"""Rank-taint lattice and transfer functions for the SPMD flow analysis.
+"""Rank-taint lattice and transfer functions for the SPMD analyzer.
 
 The abstract domain is a *token set* per name — the powerset lattice over a
 small token universe, joined by union:
@@ -23,7 +23,14 @@ small token universe, joined by union:
 ``DIRTY:<line>``
     carried by a *field-like* object after an owner-side mutation at
     ``<line>`` with no ``synchronize``/``accumulate`` yet on this path
-    (the SPMD104 state, riding the same dataflow).
+    (the SPMD104 state, riding the same dataflow);
+``INBOX`` / ``PAYLOAD``
+    the value is an ``exchange`` inbox map, or a message payload a receive
+    call returned — on-node messages travel *by reference*, so a payload
+    aliases the sender's object (the SPMD003 state).  Subscripting,
+    iterating, attribute loads and method calls derive ``PAYLOAD`` from
+    either; copy calls (:data:`COPY_CALLS`), comprehensions and arithmetic
+    build fresh values and clear both.
 
 Taint propagates through assignments, arithmetic, containers, f-strings,
 attribute loads, and — via :class:`Summary` substitution — interprocedural
@@ -36,15 +43,103 @@ collectives (``bcast``, ``allreduce``, ``allgather``, ``alltoall``) return
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..rules.communication import COLLECTIVE_CALLS
-from .callgraph import ClassInfo, FunctionInfo, Program
+from .program import FunctionInfo, Program
 
 Tokens = FrozenSet[str]
 EMPTY: Tokens = frozenset()
 RANK = "RANK"
+PAYLOAD = "PAYLOAD"
+INBOX = "INBOX"
+#: Tokens that mean "aliases a received message"; fresh values drop them.
+ALIAS: Tokens = frozenset({PAYLOAD, INBOX})
+
+#: User-facing collective entry points of Comm / Network / neighbor exchange.
+COLLECTIVE_CALLS: Set[str] = {
+    "barrier",
+    "bcast",
+    "scatter",
+    "gather",
+    "allgather",
+    "reduce",
+    "allreduce",
+    "alltoall",
+    "scan",
+    "exscan",
+    "split",
+    "dup",
+    "node_comm",
+    "leader_comm",
+    "exchange",
+    "neighbor_exchange",
+    "dense_exchange",
+}
+
+#: Calls that enqueue or transmit a message.
+POSTING_CALLS: Set[str] = {
+    "post",
+    "send",
+    "isend",
+    "sendrecv",
+    "transmit",
+    "_csend",
+}
+
+#: Calls whose return value is a message payload (possibly by-reference).
+RECEIVE_CALLS: Set[str] = {
+    "recv",
+    "irecv",
+    "sendrecv",
+    "wait",
+    "_crecv",
+    "bcast",
+    "gather",
+    "allgather",
+    "alltoall",
+    "scatter",
+    "scan",
+    "exscan",
+}
+
+#: Calls returning the whole inbox map of a superstep.
+EXCHANGE_CALLS: Set[str] = {"exchange", "neighbor_exchange", "dense_exchange"}
+
+#: In-place mutators of list/dict/set/ndarray payloads.
+MUTATING_METHODS: Set[str] = {
+    "append",
+    "extend",
+    "insert",
+    "remove",
+    "pop",
+    "popitem",
+    "clear",
+    "sort",
+    "reverse",
+    "update",
+    "setdefault",
+    "add",
+    "discard",
+    "difference_update",
+    "intersection_update",
+    "symmetric_difference_update",
+    "fill",
+    "resize",
+    "put",
+}
+
+#: Calls that build a fresh container: a defensive copy clears ``PAYLOAD``.
+COPY_CALLS: Set[str] = {
+    "list",
+    "dict",
+    "set",
+    "tuple",
+    "sorted",
+    "copy",
+    "deepcopy",
+    "array",
+}
 
 #: Collectives whose *result* is identical on every rank (replicated data).
 SYMMETRIC_COLLECTIVES: Set[str] = {
@@ -122,8 +217,35 @@ SYNC_CALLS: Set[str] = {
 }
 
 
+#: Expressions that compute a fresh value (never an alias of an operand).
+_FRESH = (
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Compare,
+    ast.JoinedStr,
+    ast.FormattedValue,
+    ast.Slice,
+)
+
+
 def _rank_named(name: str) -> bool:
     return name in ("rank", "vrank") or name.endswith("_rank")
+
+
+def _derive(tokens: Tokens) -> Tokens:
+    """Tokens of an element, attribute or method result of a value: what
+    is reached through an inbox is a payload."""
+    if INBOX in tokens:
+        return (tokens - {INBOX}) | {PAYLOAD}
+    return tokens
+
+
+def _iterated(tokens: Tokens) -> Tokens:
+    """Tokens bound by iterating a value (set order injects ``ND:set``)."""
+    bound = _derive(tokens) - {"SET"}
+    if "SET" in tokens:
+        bound |= {"ND:set"}
+    return bound
 
 
 @dataclass
@@ -138,9 +260,6 @@ class Summary:
     #: collectives behind divergent control flow inside this function.
     divergence_params: FrozenSet[int] = frozenset()
 
-    def key(self) -> Tuple:
-        return (self.ret, self.seq, self.divergence_params)
-
 
 class Evaluator:
     """Expression-token evaluation for one function's body."""
@@ -154,7 +273,7 @@ class Evaluator:
         self.program = program
         self.summaries = summaries
         self.info = info
-        self.cls: Optional[ClassInfo] = program.class_of(info)
+        self.cls = info.cls
 
     # -- entry point -------------------------------------------------------
 
@@ -170,6 +289,8 @@ class Evaluator:
         for child in ast.iter_child_nodes(expr):
             if isinstance(child, ast.expr):
                 out |= self.tokens(child, env)
+        if isinstance(expr, _FRESH):
+            return out - ALIAS
         return out
 
     # -- atoms -------------------------------------------------------------
@@ -184,7 +305,7 @@ class Evaluator:
         return out
 
     def _eval_Attribute(self, expr: ast.Attribute, env) -> Tokens:
-        out = self.tokens(expr.value, env)
+        out = _derive(self.tokens(expr.value, env))
         if _rank_named(expr.attr):
             return out | {RANK}
         if (
@@ -195,7 +316,9 @@ class Evaluator:
             out |= env.get(key, EMPTY)
             if self.cls is not None and expr.attr in self.cls.collective_attrs:
                 out |= {f"COLL:{self.cls.collective_attrs[expr.attr]}"}
-        if expr.attr in COLLECTIVE_CALLS:
+        if expr.attr in COLLECTIVE_CALLS and not self.program.external(
+            expr.value, self.info
+        ):
             # An *unCalled* collective attribute is a bound collective.
             out |= {f"COLL:{expr.attr}"}
         return out
@@ -228,29 +351,33 @@ class Evaluator:
         inner = dict(env)
         for gen in expr.generators:
             iter_tokens = self.tokens(gen.iter, inner)
-            bound = iter_tokens - {"SET"}
             if "SET" in iter_tokens:
                 # Iterating an unordered container injects its hash order.
-                bound |= {"ND:set"}
                 out |= {"ND:set"}
             for name in _target_names(gen.target):
-                inner[name] = bound
+                inner[name] = _iterated(iter_tokens)
         for elt in elts:
             out |= self.tokens(elt, inner)
-        return out
+        return out - ALIAS  # a comprehension builds a fresh container
 
     def _eval_Subscript(self, expr: ast.Subscript, env) -> Tokens:
-        return (
-            self.tokens(expr.value, env) - {"SET"}
-        ) | self.tokens(expr.slice, env)
+        return (_derive(self.tokens(expr.value, env)) - {"SET"}) | (
+            self.tokens(expr.slice, env) - ALIAS
+        )
 
     # -- calls -------------------------------------------------------------
 
     def _collective_op(
         self, call: ast.Call, env: Dict[str, Tokens]
     ) -> Optional[str]:
-        """The collective op a call invokes, through aliases if needed."""
+        """The collective op a call invokes, through aliases if needed.
+
+        A call rooted at a module outside the analyzed set (``np.split``)
+        is a library call, never a collective.
+        """
         func = call.func
+        if self.program.resolve_call(call, self.info)[1]:
+            return None
         if isinstance(func, ast.Attribute) and func.attr in COLLECTIVE_CALLS:
             return func.attr
         if isinstance(func, ast.Name) and func.id in COLLECTIVE_CALLS:
@@ -277,6 +404,8 @@ class Evaluator:
         merged: Tokens = EMPTY
         for tokens in args:
             merged |= tokens
+        # A call result aliases its arguments only through a summary.
+        merged -= ALIAS
 
         # Nondeterminism sources.
         nd = self._nondet_kind(expr)
@@ -289,6 +418,10 @@ class Evaluator:
         op = self._collective_op(expr, env)
         if op is not None:
             payload = merged - {"SET"}
+            if op in EXCHANGE_CALLS:
+                payload |= {INBOX}
+            elif op in RECEIVE_CALLS:
+                payload |= {PAYLOAD}
             if op in ASYMMETRIC_COLLECTIVES:
                 return payload | {RANK}
             if op in SYMMETRIC_COLLECTIVES:
@@ -304,27 +437,33 @@ class Evaluator:
             return merged
         if name in SET_PRODUCERS:
             receiver = (
-                self.tokens(func.value, env)
+                self.tokens(func.value, env) - ALIAS
                 if isinstance(func, ast.Attribute)
                 else EMPTY
             )
             if name == "keys" and "SET" not in receiver:
                 return merged | receiver  # dict order is insertion order
             return merged | receiver | {"SET"}
-        # Analyzed functions: substitute argument tokens into the summary.
-        resolved = self.program.resolve_call(expr)
+        resolved, external = self.program.resolve_call(expr, self.info)
         if resolved:
+            # Analyzed functions: substitute argument tokens into the summary.
             out: Tokens = EMPTY
             for target in resolved:
                 out |= self._substitute(target, expr, env)
-            return out
-        # Unknown call: taint flows args+receiver -> result, but a result is
-        # neither a bound collective nor (without evidence) an unordered set.
-        if isinstance(func, ast.Attribute):
-            merged |= self.tokens(func.value, env)
-        return frozenset(
-            t for t in merged if not t.startswith(("COLL:", "DIRTY:"))
-        ) - {"SET"}
+        else:
+            # Unknown call: taint flows args+receiver -> result, but a result
+            # is neither a bound collective nor (without evidence) an
+            # unordered set; a method result aliases its receiver unless the
+            # method is a copy.
+            if isinstance(func, ast.Attribute):
+                receiver = _derive(self.tokens(func.value, env))
+                merged |= receiver - ALIAS if name in COPY_CALLS else receiver
+            out = frozenset(
+                t for t in merged if not t.startswith(("COLL:", "DIRTY:"))
+            ) - {"SET"}
+        if name in RECEIVE_CALLS and not external:
+            out |= {PAYLOAD}
+        return out
 
     def _substitute(
         self, target: FunctionInfo, call: ast.Call, env
@@ -338,7 +477,7 @@ class Evaluator:
             if token.startswith("P:"):
                 index = int(token[2:])
                 if 0 <= index < len(actuals):
-                    out |= actuals[index]
+                    out |= actuals[index] - ALIAS
             else:
                 out.add(token)
         return frozenset(out)
@@ -415,8 +554,13 @@ def _bind(
 
 
 def _receiver_name(func: ast.AST) -> Optional[str]:
-    """Base name of a method receiver (``f.x.m`` -> ``f``)."""
-    expr = func.value if isinstance(func, ast.Attribute) else None
+    """Base name of a method receiver or store target (``f.x.m`` -> ``f``,
+    ``p["k"]`` -> ``p``)."""
+    expr = (
+        func.value
+        if isinstance(func, (ast.Attribute, ast.Subscript))
+        else None
+    )
     while isinstance(expr, (ast.Attribute, ast.Subscript)):
         expr = expr.value
     return expr.id if isinstance(expr, ast.Name) else None
@@ -445,43 +589,39 @@ def _effect_roots(stmt: ast.stmt) -> List[ast.AST]:
     return [stmt]
 
 
-def _field_effects(stmt: ast.stmt, env: Dict[str, Tokens]) -> None:
+def _field_effects(
+    stmt: ast.stmt, env: Dict[str, Tokens], program: Program
+) -> None:
     """Apply DIRTY/sync effects of calls a statement itself evaluates."""
     for root in _effect_roots(stmt):
-        _field_effects_expr(root, env)
+        for call in program.calls(root):
+            _field_effect(call, env)
 
 
-def _field_effects_expr(root: ast.AST, env: Dict[str, Tokens]) -> None:
-    for call in ast.walk(root):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            name = func.attr
-            receiver = _receiver_name(func)
-        elif isinstance(func, ast.Name):
-            name = func.id
-            receiver = None
-        else:
-            continue
-        if name in SYNC_CALLS:
-            targets = [receiver] if receiver is not None else []
-            targets += [
-                arg.id for arg in call.args if isinstance(arg, ast.Name)
-            ]
-            for target in targets:
-                if target in env:
-                    env[target] = frozenset(
-                        t for t in env[target] if not t.startswith("DIRTY:")
-                    )
-        elif name in FIELD_MUTATORS and receiver is not None:
-            env[receiver] = env.get(receiver, EMPTY) | {
-                f"DIRTY:{call.lineno}"
-            }
+def _field_effect(call: ast.Call, env: Dict[str, Tokens]) -> None:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        name = func.attr
+        receiver = _receiver_name(func)
+    elif isinstance(func, ast.Name):
+        name = func.id
+        receiver = None
+    else:
+        return
+    if name in SYNC_CALLS:
+        targets = [receiver] if receiver is not None else []
+        targets += [arg.id for arg in call.args if isinstance(arg, ast.Name)]
+        for target in targets:
+            if target in env:
+                env[target] = frozenset(
+                    t for t in env[target] if not t.startswith("DIRTY:")
+                )
+    elif name in FIELD_MUTATORS and receiver is not None:
+        env[receiver] = env.get(receiver, EMPTY) | {f"DIRTY:{call.lineno}"}
 
 
 def make_transfer(evaluator: Evaluator):
-    """Per-statement transfer for :func:`repro.analysis.flow.cfg.dataflow`."""
+    """Per-statement transfer for :func:`repro.analysis.cfg.dataflow`."""
 
     def transfer(
         stmt: ast.stmt, env: Dict[str, Tokens]
@@ -505,14 +645,11 @@ def make_transfer(evaluator: Evaluator):
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             _bind(stmt.target, evaluator.tokens(stmt.value, env), env)
         elif isinstance(stmt, ast.AugAssign):
-            extra = evaluator.tokens(stmt.value, env)
+            extra = evaluator.tokens(stmt.value, env) - ALIAS
             if isinstance(stmt.target, ast.Name):
                 env[stmt.target.id] = env.get(stmt.target.id, EMPTY) | extra
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_tokens = evaluator.tokens(stmt.iter, env)
-            bound = iter_tokens - {"SET"}
-            if "SET" in iter_tokens:
-                bound |= {"ND:set"}
+            bound = _iterated(evaluator.tokens(stmt.iter, env))
             for name in _target_names(stmt.target):
                 env[name] = bound
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
@@ -526,7 +663,7 @@ def make_transfer(evaluator: Evaluator):
         elif isinstance(stmt, ast.ExceptHandler):
             if stmt.name:
                 env[stmt.name] = EMPTY
-        _field_effects(stmt, env)
+        _field_effects(stmt, env, evaluator.program)
         return env
 
     return transfer

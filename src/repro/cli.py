@@ -13,12 +13,10 @@ release ships for quick experiments without writing a driver script:
     multi-criteria improvement, before/after report.
 ``bench``
     Point at the benchmark suite (delegates to pytest).
-``lint``
-    Run the SPMD correctness lint (:mod:`repro.analysis`) over the package
-    source (or explicit paths); exits nonzero on findings.
 ``analyze``
-    Run the SPMD *flow* analysis (:mod:`repro.analysis.flow`): CFG +
-    call-graph rank-taint dataflow with the SPMD101..SPMD105 rule family,
+    Run the SPMD analyzer (:mod:`repro.analysis.engine`) over the package
+    source (or explicit paths): CFG + import-aware call-graph rank-taint
+    dataflow with the SPMD003..SPMD006 and SPMD101..SPMD105 rules,
     ``--format=text|json|sarif`` output, and a committed-findings
     ``--baseline`` so CI fails only on *new* findings.
 ``trace``
@@ -183,37 +181,10 @@ def cmd_bench(_args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.lint import (
-        default_target,
-        format_json,
-        format_text,
-        run_paths,
-    )
-
-    paths = [Path(p) for p in args.paths] or [default_target()]
-    try:
-        findings = run_paths(paths)
-    except OSError as exc:
-        print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    formatter = format_json if args.format == "json" else format_text
-    print(formatter(findings))
-    return 1 if findings else 0
-
-
 def cmd_analyze(args) -> int:
-    from repro.analysis.flow import main as analyze_main
+    from repro.analysis.engine import run
 
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    return analyze_main(argv)
+    return run(args)
 
 
 def cmd_trace(args) -> int:
@@ -598,32 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="how to run the benchmarks")
     p_bench.set_defaults(fn=cmd_bench)
 
-    p_lint = sub.add_parser("lint", help="SPMD correctness lint (SPMD001..)")
-    p_lint.add_argument(
-        "paths", nargs="*", help="files/dirs (default: the repro package)"
-    )
-    p_lint.add_argument("--format", choices=("text", "json"), default="text")
-    p_lint.set_defaults(fn=cmd_lint)
+    from repro.analysis.engine import add_arguments as add_analyze_args
 
     p_an = sub.add_parser(
-        "analyze", help="SPMD flow analysis (SPMD101..SPMD105)"
+        "analyze", help="SPMD analysis (SPMD003..SPMD007, SPMD101..SPMD105)"
     )
-    p_an.add_argument(
-        "paths", nargs="*", help="files/dirs (default: the repro package)"
-    )
-    p_an.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    p_an.add_argument(
-        "--baseline",
-        default=None,
-        help="accepted-findings file (repro.analysis/1)",
-    )
-    p_an.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings",
-    )
+    add_analyze_args(p_an)
     p_an.set_defaults(fn=cmd_analyze)
 
     p_trace = sub.add_parser(

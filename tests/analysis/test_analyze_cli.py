@@ -6,22 +6,25 @@ analyzer's *own* JSON report must be byte-identical across runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.analysis.flow import (
+from repro.analysis.engine import (
     SCHEMA,
     analyze_paths,
     format_json,
     format_sarif,
     load_baseline,
+    main as analyze_main,
     split_baselined,
     write_baseline,
 )
-from repro.analysis.flow.engine import main as analyze_main
 
 BUGGY = textwrap.dedent(
     """
@@ -141,6 +144,28 @@ def test_cli_json_two_invocations_byte_identical(tree, capsys):
     analyze_main([str(tree), "--format", "json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_missing_path_exits_2(tmp_path, capsys):
+    assert analyze_main([str(tmp_path / "nope.py")]) == 2
+
+
+def test_parallel_import_loads_no_analyzer_module():
+    """``repro.analysis`` re-exports only the sanitizers the runtime uses."""
+    code = (
+        "import sys, repro.parallel; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.analysis.')))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "['repro.analysis.sanitizers']"
 
 
 def test_package_tree_is_flow_clean():

@@ -1,8 +1,10 @@
-"""Each SPMD lint rule triggered on a deliberately-buggy fixture.
+"""The syntactic-lint fixtures, run through the one analyzer.
 
-Every fixture is the *minimal* program exhibiting the hazard class the rule
-exists for; a sibling "clean" fixture pins down that the rule does not fire
-on the correct version of the same code.
+Every fixture is the *minimal* program exhibiting the hazard class it names;
+a sibling "clean" fixture pins down that the analyzer does not fire on the
+correct version of the same code.  Assertions pin ``(code, line)``.  The
+former SPMD001 (collective in a rank branch) is reported as SPMD101 and the
+former SPMD002 (posting driven by set iteration) as SPMD103.
 """
 
 import json
@@ -10,23 +12,23 @@ import textwrap
 from pathlib import Path
 
 import repro
-from repro.analysis.lint import (
+from repro.analysis.engine import (
+    analyze_paths,
+    analyze_source,
     format_json,
     format_text,
-    lint_source,
-    run_paths,
 )
 
 
 def lint(code):
-    return lint_source(textwrap.dedent(code))
+    return analyze_source(textwrap.dedent(code), path="fixture.py")
 
 
-def codes(code):
-    return [f.code for f in lint(code)]
+def hits(code):
+    return [(f.code, f.line) for f in lint(code)]
 
 
-# -- SPMD001: collective inside a rank-dependent branch ----------------------
+# -- collective inside a rank-dependent branch (SPMD101) ---------------------
 
 
 def test_spmd001_collective_in_rank_branch():
@@ -35,7 +37,7 @@ def test_spmd001_collective_in_rank_branch():
         if comm.rank == 0:
             comm.barrier()
     """
-    assert "SPMD001" in codes(buggy)
+    assert hits(buggy) == [("SPMD101", 4)]
 
 
 def test_spmd001_exchange_in_rank_branch():
@@ -44,7 +46,7 @@ def test_spmd001_exchange_in_rank_branch():
         if rank % 2 == 0:
             net.exchange()
     """
-    assert "SPMD001" in codes(buggy)
+    assert hits(buggy) == [("SPMD101", 4)]
 
 
 def test_spmd001_clean_when_every_rank_calls():
@@ -54,7 +56,7 @@ def test_spmd001_clean_when_every_rank_calls():
         value = comm.bcast(42 if is_root else None)
         return value
     """
-    assert "SPMD001" not in codes(clean)
+    assert hits(clean) == []
 
 
 def test_spmd001_point_to_point_in_branch_is_fine():
@@ -63,19 +65,19 @@ def test_spmd001_point_to_point_in_branch_is_fine():
         if comm.rank == 0:
             comm.send("x", dest=1)
     """
-    assert "SPMD001" not in codes(clean)
+    assert hits(clean) == []
 
 
 def test_spmd001_local_alias_of_collective():
-    # `b = world.bcast; b(x)` is the aliasing pattern that defeated the
-    # original attribute-name match.
+    # `b = world.bcast; b(x)` is the aliasing pattern that defeats an
+    # attribute-name match.
     buggy = """
     def prog(comm, data):
         b = comm.bcast
         if comm.rank == 0:
             b(data)
     """
-    assert "SPMD001" in codes(buggy)
+    assert hits(buggy) == [("SPMD101", 5)]
 
 
 def test_spmd001_self_attribute_collective_alias():
@@ -90,7 +92,7 @@ def test_spmd001_self_attribute_collective_alias():
             if world.rank == 0:
                 self._sync()
     """
-    assert "SPMD001" in codes(buggy)
+    assert hits(buggy) == [("SPMD101", 8)]
 
 
 def test_spmd001_plain_method_call_is_not_an_alias():
@@ -103,7 +105,7 @@ def test_spmd001_plain_method_call_is_not_an_alias():
             if world.rank == 0:
                 self._log()
     """
-    assert "SPMD001" not in codes(clean)
+    assert hits(clean) == []
 
 
 def test_spmd001_nested_function_resets_branch_context():
@@ -114,10 +116,10 @@ def test_spmd001_nested_function_resets_branch_context():
                 c.barrier()
     """
     # The nested function is defined, not called, in the branch.
-    assert "SPMD001" not in codes(clean)
+    assert hits(clean) == []
 
 
-# -- SPMD002: posting driven by unordered iteration --------------------------
+# -- posting driven by unordered iteration (SPMD103) -------------------------
 
 
 def test_spmd002_posting_over_set_literal():
@@ -126,7 +128,7 @@ def test_spmd002_posting_over_set_literal():
         for dst in {3, 1, 2}:
             net.post(0, dst, 0, "payload")
     """
-    assert "SPMD002" in codes(buggy)
+    assert hits(buggy) == [("SPMD103", 4)]
 
 
 def test_spmd002_posting_over_set_variable():
@@ -136,7 +138,7 @@ def test_spmd002_posting_over_set_variable():
         for dst in targets:
             net.post(0, dst, 0, "payload")
     """
-    assert "SPMD002" in codes(buggy)
+    assert hits(buggy) == [("SPMD103", 5)]
 
 
 def test_spmd002_clean_when_sorted():
@@ -145,7 +147,7 @@ def test_spmd002_clean_when_sorted():
         for dst in sorted(set(neighbors)):
             net.post(0, dst, 0, "payload")
     """
-    assert "SPMD002" not in codes(clean)
+    assert hits(clean) == []
 
 
 # -- SPMD003: mutating a received payload ------------------------------------
@@ -157,7 +159,7 @@ def test_spmd003_mutating_recv_result():
         data = comm.recv(source=0)
         data.append(99)
     """
-    assert "SPMD003" in codes(buggy)
+    assert hits(buggy) == [("SPMD003", 4)]
 
 
 def test_spmd003_mutating_inbox_payload():
@@ -167,7 +169,7 @@ def test_spmd003_mutating_inbox_payload():
         for src, tag, payload in inboxes[0]:
             payload["seen"] = True
     """
-    assert "SPMD003" in codes(buggy)
+    assert hits(buggy) == [("SPMD003", 5)]
 
 
 def test_spmd003_clean_after_defensive_copy():
@@ -177,7 +179,7 @@ def test_spmd003_clean_after_defensive_copy():
         data = list(data)
         data.append(99)
     """
-    assert "SPMD003" not in codes(clean)
+    assert hits(clean) == []
 
 
 def test_spmd003_fresh_comprehension_is_not_tainted():
@@ -187,7 +189,7 @@ def test_spmd003_fresh_comprehension_is_not_tainted():
         ordered = [payload for _s, _t, payload in inboxes[0]]
         ordered.append("mine")
     """
-    assert "SPMD003" not in codes(clean)
+    assert hits(clean) == []
 
 
 def test_spmd003_alias_of_tainted_name_is_tainted():
@@ -197,7 +199,7 @@ def test_spmd003_alias_of_tainted_name_is_tainted():
         alias = data
         alias.update(x=1)
     """
-    assert "SPMD003" in codes(buggy)
+    assert hits(buggy) == [("SPMD003", 5)]
 
 
 # -- SPMD004: mutable default argument ---------------------------------------
@@ -208,7 +210,7 @@ def test_spmd004_mutable_default():
     def prog(comm, cache={}):
         cache[comm.rank] = 1
     """
-    assert "SPMD004" in codes(buggy)
+    assert hits(buggy) == [("SPMD004", 2)]
 
 
 def test_spmd004_clean_none_default():
@@ -216,7 +218,7 @@ def test_spmd004_clean_none_default():
     def prog(comm, cache=None):
         cache = {} if cache is None else cache
     """
-    assert "SPMD004" not in codes(clean)
+    assert hits(clean) == []
 
 
 # -- SPMD005: bare except ----------------------------------------------------
@@ -230,7 +232,7 @@ def test_spmd005_bare_except():
         except:
             pass
     """
-    assert "SPMD005" in codes(buggy)
+    assert hits(buggy) == [("SPMD005", 5)]
 
 
 def test_spmd005_specific_except_is_fine():
@@ -241,7 +243,7 @@ def test_spmd005_specific_except_is_fine():
         except ValueError:
             pass
     """
-    assert "SPMD005" not in codes(clean)
+    assert hits(clean) == []
 
 
 # -- SPMD006: implicit-Optional annotation -----------------------------------
@@ -252,7 +254,7 @@ def test_spmd006_implicit_optional():
     def verify(mesh, check_classification: bool = None):
         pass
     """
-    assert "SPMD006" in codes(buggy)
+    assert hits(buggy) == [("SPMD006", 2)]
 
 
 def test_spmd006_explicit_optional_is_fine():
@@ -262,19 +264,19 @@ def test_spmd006_explicit_optional_is_fine():
     def verify(mesh, check_classification: Optional[bool] = None):
         pass
     """
-    assert "SPMD006" not in codes(clean)
+    assert hits(clean) == []
 
 
-# -- suppression, formatting, engine -----------------------------------------
+# -- suppression, formatting -------------------------------------------------
 
 
 def test_noqa_with_code_suppresses():
     suppressed = """
     def prog(comm):
         if comm.rank == 0:
-            comm.barrier()  # noqa: SPMD001 - fixture exercises the hang path
+            comm.barrier()  # noqa: SPMD101 - fixture exercises the hang path
     """
-    assert "SPMD001" not in codes(suppressed)
+    assert hits(suppressed) == []
 
 
 def test_blanket_noqa_suppresses():
@@ -282,7 +284,7 @@ def test_blanket_noqa_suppresses():
     def prog(comm, cache={}):  # noqa
         pass
     """
-    assert codes(suppressed) == []
+    assert hits(suppressed) == []
 
 
 def test_noqa_other_code_does_not_suppress():
@@ -291,27 +293,25 @@ def test_noqa_other_code_does_not_suppress():
         if comm.rank == 0:
             comm.barrier()  # noqa: SPMD999
     """
-    assert "SPMD001" in codes(buggy)
+    assert hits(buggy) == [("SPMD101", 4), ("SPMD007", 4)]
 
 
 def test_bare_code_suppression_is_reported_as_spmd007():
     buggy = """
     def prog(comm):
         if comm.rank == 0:
-            comm.barrier()  # noqa: SPMD001
+            comm.barrier()  # noqa: SPMD101
     """
-    result = codes(buggy)
-    assert "SPMD001" not in result
-    assert "SPMD007" in result
+    assert hits(buggy) == [("SPMD007", 4)]
 
 
 def test_justified_suppression_has_no_spmd007():
     suppressed = """
     def prog(comm):
         if comm.rank == 0:
-            comm.barrier()  # noqa: SPMD001 - fixture exercises the hang path
+            comm.barrier()  # noqa: SPMD101 - fixture exercises the hang path
     """
-    assert codes(suppressed) == []
+    assert hits(suppressed) == []
 
 
 def test_file_level_noqa_header_suppresses_whole_file():
@@ -321,7 +321,7 @@ def test_file_level_noqa_header_suppresses_whole_file():
         if comm.rank == 0:
             comm.barrier()
     """
-    assert codes(suppressed) == []
+    assert hits(suppressed) == []
 
 
 def test_repro_noqa_below_header_window_does_not_suppress():
@@ -332,11 +332,13 @@ def test_repro_noqa_below_header_window_does_not_suppress():
             pass
         """
     )
-    assert "SPMD004" in [f.code for f in lint_source(buggy)]
+    assert [(f.code, f.line) for f in analyze_source(buggy)] == [
+        ("SPMD004", 9)
+    ]
 
 
 def test_syntax_error_becomes_finding():
-    assert codes("def broken(:") == ["SPMD000"]
+    assert [code for code, _ in hits("def broken(:")] == ["SPMD000"]
 
 
 def test_json_format_round_trips():
@@ -348,18 +350,19 @@ def test_json_format_round_trips():
         """
     )
     decoded = json.loads(format_json(findings))
-    assert decoded[0]["code"] == "SPMD003"
-    assert decoded[0]["line"] == findings[0].line
+    assert decoded["new"][0]["code"] == "SPMD003"
+    assert decoded["new"][0]["line"] == findings[0].line
 
 
 def test_text_format_mentions_hint_and_count():
     findings = lint("def f(x=[]):\n    pass\n")
     text = format_text(findings)
-    assert "SPMD004" in text and "hint:" in text and "1 finding(s)" in text
+    assert "SPMD004" in text and "hint:" in text and "1 new finding(s)" in text
 
 
 def test_package_tree_is_lint_clean():
-    """Acceptance criterion: the shipped package has zero findings."""
+    """Acceptance criterion: the shipped package has zero findings, with no
+    baseline applied."""
     package_dir = Path(repro.__file__).resolve().parent
-    findings = run_paths([package_dir])
+    findings = analyze_paths([package_dir])
     assert findings == [], "\n".join(f.format() for f in findings)

@@ -155,7 +155,7 @@ def test_collective_mismatch_detected():
         if comm.rank == 0:
             comm.bcast("x", root=0)
         else:
-            comm.barrier()  # noqa: SPMD001 - deliberately mismatched fixture
+            comm.barrier()  # noqa: SPMD101 - deliberately mismatched fixture
 
     with pytest.raises(SpmdError) as info:
         run(2, prog)

@@ -161,7 +161,7 @@ def test_abort_wakeup_leaves_results_for_successful_ranks_unreported():
     def prog(comm):
         if comm.rank == 0:
             raise RuntimeError("fail before entering the collective")
-        comm.barrier()  # noqa: SPMD001 - deliberately unmatched to test abort
+        comm.barrier()  # noqa: SPMD101 - deliberately unmatched to test abort
 
     with pytest.raises(SpmdError) as info:
         spmd(2, prog, counters=PerfCounters(), timeout=30.0)

@@ -77,31 +77,31 @@ def test_requires_subcommand():
         main([])
 
 
-def test_lint_clean_package(capsys):
-    assert main(["lint"]) == 0
-    assert "clean: 0 findings" in capsys.readouterr().out
+def test_analyze_clean_package(capsys):
+    assert main(["analyze"]) == 0
+    assert "clean: 0 new findings" in capsys.readouterr().out
 
 
-def test_lint_reports_findings_on_buggy_file(tmp_path, capsys):
+def test_analyze_reports_findings_on_buggy_file(tmp_path, capsys):
     buggy = tmp_path / "buggy.py"
     buggy.write_text(
         "def prog(comm):\n"
         "    if comm.rank == 0:\n"
         "        comm.barrier()\n"
     )
-    assert main(["lint", str(buggy)]) == 1
+    assert main(["analyze", str(buggy)]) == 1
     out = capsys.readouterr().out
-    assert "SPMD001" in out and "1 finding(s)" in out
+    assert "SPMD101" in out and "1 new finding(s)" in out
 
 
-def test_lint_json_format(tmp_path, capsys):
+def test_analyze_json_format(tmp_path, capsys):
     import json
 
     buggy = tmp_path / "buggy.py"
     buggy.write_text("def f(x=[]):\n    pass\n")
-    assert main(["lint", str(buggy), "--format=json"]) == 1
+    assert main(["analyze", str(buggy), "--format=json"]) == 1
     decoded = json.loads(capsys.readouterr().out)
-    assert decoded[0]["code"] == "SPMD004"
+    assert [f["code"] for f in decoded["new"]] == ["SPMD004"]
 
 
 def test_trace_runs_script_and_writes_artifacts(tmp_path, capsys):
