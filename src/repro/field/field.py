@@ -45,14 +45,12 @@ class Field:
         self.shape: Tuple[int, ...] = (
             (shape,) if isinstance(shape, int) else tuple(shape)
         )
+        #: Components per value: the product of ``shape``.
+        self.ncomp = int(np.prod(self.shape))
         self._values = np.zeros((16, self.ncomp), dtype=float)
         self._mask = np.zeros(16, dtype=bool)
         self._count = 0
         mesh.add_destroy_listener(self._entity_destroyed)
-
-    @property
-    def ncomp(self) -> int:
-        return int(np.prod(self.shape))
 
     # -- storage -----------------------------------------------------------
 
@@ -162,6 +160,17 @@ class Field:
                 f"{Ent(self.entity_dim, missing)}"
             )
         return self._values[ids].copy()
+
+    def has_many(self, ids: np.ndarray) -> np.ndarray:
+        """Which of ``ids`` (handles of the field's dimension) carry a
+        value: :meth:`has` for an array, as one boolean gather."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(ids) or int(ids.max()) < len(self._mask):
+            return self._mask[ids]
+        held = np.zeros(len(ids), dtype=bool)
+        inside = ids < len(self._mask)
+        held[inside] = self._mask[ids[inside]]
+        return held
 
     def set_ids(self) -> np.ndarray:
         """Handles currently carrying a value, ascending."""

@@ -31,7 +31,10 @@ kind  constructor              schema
 ====  =======================  =============================================
 0     :func:`dumps`            one generic value (tagged, recursive)
 1     :func:`encode_element_block`  element closure blocks (migration/ghosting)
-2     :func:`encode_value_batch`    ``(entity, ndarray)`` field-value batch
+2     :func:`encode_value_columns`  field-value batch: entity columns + one
+                                   stacked ``<f8`` block (its ``(entity,
+                                   ndarray)`` list view:
+                                   :func:`encode_value_batch`)
 3     :func:`encode_int_rows`       ragged integer rows (link rendezvous)
 ====  =======================  =============================================
 
@@ -72,6 +75,9 @@ __all__ = [
     "decode_element_batch",
     "encode_value_batch",
     "decode_value_batch",
+    "value_head",
+    "encode_value_columns",
+    "decode_value_columns",
     "encode_int_rows",
     "decode_int_rows",
 ]
@@ -175,7 +181,6 @@ def _r_int(buf, pos: int, end: int) -> Tuple[int, int]:
 
 #: struct format codes for the wire column dtypes (all little-endian).
 _PACK_CODE = {"<u4": "I", "u1": "B", "<i8": "q", "<f8": "d"}
-_PACK_SIZE = {"I": 4, "B": 1, "q": 8, "d": 8}
 
 
 def _w_array(out: bytearray, values, dtype: str) -> None:
@@ -216,8 +221,6 @@ _UINT_WIDTHS = (
     (4, "I", 0, 0xFFFFFFFF),
     (8, "Q", 0, 0xFFFFFFFFFFFFFFFF),
 )
-_SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
-_UNSIGNED_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _w_ints(out: bytearray, values, widths=_INT_WIDTHS) -> None:
@@ -242,39 +245,6 @@ def _w_ints(out: bytearray, values, widths=_INT_WIDTHS) -> None:
 
 def _w_uints(out: bytearray, values) -> None:
     _w_ints(out, values, _UINT_WIDTHS)
-
-
-def _r_ints(buf, pos: int, count: int, codes=_SIGNED_CODE) -> Tuple[list, int]:
-    if pos >= len(buf):
-        raise CodecError("truncated adaptive column")
-    size = buf[pos]
-    pos += 1
-    code = codes.get(size)
-    if code is None:
-        raise CodecError(f"invalid adaptive column width {size}")
-    nbytes = size * count
-    if pos + nbytes > len(buf):
-        raise CodecError("truncated adaptive column")
-    return (
-        list(struct.unpack_from("<%d%s" % (count, code), buf, pos)),
-        pos + nbytes,
-    )
-
-
-def _r_uints(buf, pos: int, count: int) -> Tuple[list, int]:
-    return _r_ints(buf, pos, count, _UNSIGNED_CODE)
-
-
-def _r_list(buf, pos: int, count: int, dtype: str) -> Tuple[list, int]:
-    """Read a numeric column back as a plain Python list."""
-    code = _PACK_CODE[dtype]
-    nbytes = _PACK_SIZE[code] * count
-    if pos + nbytes > len(buf):
-        raise CodecError("truncated numeric column")
-    return (
-        list(struct.unpack_from("<%d%s" % (count, code), buf, pos)),
-        pos + nbytes,
-    )
 
 
 def _r_array(buf, pos: int, count: int, dtype: str) -> Tuple[np.ndarray, int]:
@@ -950,34 +920,68 @@ def encode_value_batch(items: Sequence[Tuple[Ent, np.ndarray]]) -> bytes:
     return _frame(KIND_VALUES, state[0], bytes(out))
 
 
-def decode_value_batch(data: Any) -> List[Tuple[Ent, np.ndarray]]:
-    """Decode a kind-2 frame into ``(entity, writable array)`` pairs."""
+def value_head(dims: Any, ids: np.ndarray) -> bytes:
+    """The entity section of a kind-2 column frame: the count, the dims and
+    ids columns, and the flag saying one stacked value column follows.
+
+    ``dims`` is a column or one dimension for every row.  The section is
+    fixed by the entities alone, so a caller shipping many frames over the
+    same entities encodes it once and compares received sections with it
+    byte for byte.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    out = bytearray()
+    _w_uint(out, len(ids))
+    if np.ndim(dims):
+        _w_u1(out, np.asarray(dims))
+    elif 0 <= dims <= 0xFF:
+        out += bytes((int(dims),)) * len(ids)
+    else:
+        raise CodecError("integer out of range for wire column dtype u1")
+    _w_column(out, ids, signed=True)
+    out.append(1)  # homogeneous: one stacked column
+    return bytes(out)
+
+
+def encode_value_columns(head: bytes, values: np.ndarray) -> bytes:
+    """Encode one kind-2 frame from an entity section and a value column.
+
+    ``head`` is :func:`value_head` of the frame's entities and ``values``
+    their float64 values, one row each, one shape for every row.  The
+    bytes are exactly those :func:`encode_value_batch` writes for the same
+    ``(Ent, value)`` pairs, without materializing them: the values go out
+    as one contiguous ``<f8`` block.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    count, _pos = _r_uint(head, 0, len(head))
+    if len(values) != count:
+        raise CodecError(f"{len(values)} value row(s) for {count} entities")
+    out = bytearray(head)
+    shape = values.shape[1:] if count else ()
+    _w_uint(out, len(shape))
+    for extent in shape:
+        _w_uint(out, extent)
+    out += np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return _frame(KIND_VALUES, 0, bytes(out))
+
+
+def _read_values(data: Any) -> Tuple[np.ndarray, np.ndarray, Any]:
+    """A kind-2 frame's ``(dims, ids, values)``: ``values`` is one stacked
+    array for a homogeneous frame, else a list of per-record arrays."""
     body = _unframe(data, KIND_VALUES)
     end = len(body)
-    pos = 0
-    count, pos = _r_uint(body, pos, end)
-    dims, pos = _r_list(body, pos, count, "u1")
-    idxs, pos = _r_ints(body, pos, count)
+    count, pos = _r_uint(body, 0, end)
+    dims, pos = _r_array(body, pos, count, "u1")
+    ids, pos = _r_column(body, pos, count, signed=True)
     if pos >= end and count:
         raise CodecError("truncated value batch")
     if count == 0 and pos == end:
-        return []
+        return dims, ids, []
     homogeneous = body[pos]
     pos += 1
-    entities = [Ent(d, i) for d, i in zip(dims, idxs)]
-    values: List[np.ndarray]
+    values: Any
     if homogeneous:
-        ndim, pos = _r_uint(body, pos, end)
-        shape = []
-        for _ in range(ndim):
-            extent, pos = _r_uint(body, pos, end)
-            shape.append(extent)
-        per_value = 1
-        for extent in shape:
-            per_value *= extent
-        col, pos = _r_array(body, pos, count * per_value, "<f8")
-        stacked = col.reshape([count] + shape).copy()
-        values = [stacked[i] for i in range(count)]
+        values, pos = _r_stacked(body, pos, end, count)
     else:
         values = []
         for _ in range(count):
@@ -985,7 +989,56 @@ def decode_value_batch(data: Any) -> List[Tuple[Ent, np.ndarray]]:
             values.append(np.asarray(value))
     if pos != end:
         raise CodecError(f"{end - pos} trailing byte(s) after value batch")
+    return dims, ids, values
+
+
+def _r_stacked(body, pos: int, end: int, count: int) -> Tuple[np.ndarray, int]:
+    """Read the shape and the stacked ``<f8`` column of ``count`` values."""
+    ndim, pos = _r_uint(body, pos, end)
+    shape = []
+    for _ in range(ndim):
+        extent, pos = _r_uint(body, pos, end)
+        shape.append(extent)
+    per_value = 1
+    for extent in shape:
+        per_value *= extent
+    col, pos = _r_array(body, pos, count * per_value, "<f8")
+    return col.reshape([count] + shape).copy(), pos
+
+
+def decode_value_batch(data: Any) -> List[Tuple[Ent, np.ndarray]]:
+    """Decode a kind-2 frame into ``(entity, writable array)`` pairs (the
+    list view of :func:`decode_value_columns`)."""
+    dims, ids, values = _read_values(data)
+    entities = [Ent(d, i) for d, i in zip(dims.tolist(), ids.tolist())]
     return list(zip(entities, values))
+
+
+def decode_value_columns(data: Any) -> Tuple[bytes, np.ndarray]:
+    """Decode a kind-2 column frame into its entity section and values.
+
+    Returns ``(head, values)``: ``head`` is the frame's entity section as
+    :func:`value_head` writes it — compare it with the expected one, or
+    read the entities with :func:`decode_value_batch` — and ``values`` one
+    writable ``(n, *shape)`` float64 array.  A frame of generic records
+    (values that were not float64 arrays of one shape) has no columnar
+    form and raises :class:`CodecError`.
+    """
+    body = _unframe(data, KIND_VALUES)
+    end = len(body)
+    count, pos = _r_uint(body, 0, end)
+    pos += count  # the dims column: one byte per entity
+    if pos >= end or (True, body[pos]) not in _COLUMN_DTYPE:
+        raise CodecError("truncated or invalid entity columns in value batch")
+    pos += 1 + body[pos] * count
+    if pos >= end or body[pos] != 1:
+        raise CodecError("value batch holds generic records, not columns")
+    pos += 1
+    head = bytes(body[:pos])
+    values, pos = _r_stacked(body, pos, end, count)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing byte(s) after value batch")
+    return head, values
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,19 @@ over that one map:
 
 The forest maps ``(leaf part, leaf handle) -> (root part, root handle)``
 where a handle is any hashable, sortable local designator (an
-:class:`~repro.mesh.entity.Ent`, an integer ordinal, a tuple).  Payloads
-ride the coalesced binary codec (:mod:`repro.parallel.codec`): one encoded
-buffer per communicating part pair per operation, with the wire schema
-chosen by an :class:`SFDatatype` (generic values, field-value batches,
-element-closure bundles, integer rows).  Every operation is one or two
-BSP supersteps, charges ``sf.*`` counters, opens a superstep-aligned span
-on the communicator's tracer, and returns a byte-deterministic
-:class:`~repro.obs.stats.SFStats` record.
+:class:`~repro.mesh.entity.Ent`, an integer ordinal, a tuple).  It is built
+leaf by leaf (:meth:`StarForest.add_leaf`) or set whole from integer
+columns (:meth:`StarForest.from_columns`); either way each operation's wire
+order is derived once and kept until the graph changes — set the graph
+once, communicate over it many times.  ``bcast`` and ``reduce`` move
+payloads per leaf (one callback per handle) or per part pair (one batch per
+pair, columns in and out).  Payloads ride the coalesced binary codec
+(:mod:`repro.parallel.codec`): one encoded buffer per communicating part
+pair per operation, with the wire schema chosen by an :class:`SFDatatype`
+(generic values, field-value batches, element-closure bundles, integer
+rows).  Every operation is one or two BSP supersteps, charges ``sf.*``
+counters, opens a superstep-aligned span on the communicator's tracer, and
+returns a byte-deterministic :class:`~repro.obs.stats.SFStats` record.
 
 The communicator is duck-typed: anything exposing ``nparts``,
 ``counters``, ``tracer`` and ``router()`` works —
@@ -35,10 +40,12 @@ The communicator is duck-typed: anything exposing ``nparts``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..mesh.entity import Ent
 from ..obs.stats import CommProbe, SFStats
 from ..obs.tracer import Tracer, current as current_tracer, trace_span
 from .codec import (
@@ -46,11 +53,14 @@ from .codec import (
     decode_element_block,
     decode_int_rows,
     decode_value_batch,
+    decode_value_columns,
     dumps,
     encode_element_block,
     encode_int_rows,
     encode_value_batch,
+    encode_value_columns,
     loads,
+    value_head,
 )
 from .network import Network
 from .perf import GLOBAL, PerfCounters
@@ -74,6 +84,9 @@ OPS = ("replace", "sum", "min", "max")
 
 _TAG_SF = 40
 
+#: ``{(root part, leaf part): (root handles, leaf handles)}`` in wire order.
+Pairs = Dict[Tuple[int, int], Tuple[Sequence[Any], Sequence[Any]]]
+
 
 def _combine(op: str, a: Any, b: Any) -> Any:
     """Fold ``b`` into ``a`` under ``op`` (elementwise on arrays)."""
@@ -84,6 +97,61 @@ def _combine(op: str, a: Any, b: Any) -> Any:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.minimum(a, b) if op == "min" else np.maximum(a, b)
     return min(a, b) if op == "min" else max(a, b)
+
+
+def _listed(handles: Sequence[Any]) -> Sequence[Any]:
+    """Handles as a list: an integer column becomes Python ints."""
+    return handles.tolist() if isinstance(handles, np.ndarray) else handles
+
+
+def _ranked(
+    columns: List[Sequence[Any]],
+) -> Tuple[np.ndarray, Optional[List[Any]]]:
+    """Handle columns joined into one order-preserving int64 key column.
+
+    Integer columns are their own keys; other handles (entities, tuples)
+    are replaced by their rank among the distinct handles, which come back
+    as the keys' labels.
+    """
+    if all(isinstance(column, np.ndarray) for column in columns):
+        return np.concatenate(columns), None
+    handles = [handle for column in columns for handle in _listed(column)]
+    labels = sorted(set(handles))
+    rank = {handle: k for k, handle in enumerate(labels)}
+    keys = np.fromiter(map(rank.__getitem__, handles), np.int64, len(handles))
+    return keys, labels
+
+
+def _fold(
+    op: str, runs: List[Tuple[int, Any, Any, Any]]
+) -> Tuple[Any, np.ndarray]:
+    """Fold one root part's arrived contributions per root handle.
+
+    ``runs`` holds ``(leaf part, root handles, leaf handles, rows)`` per
+    sending part.  Each root folds its rows left to right in the sorted
+    ``(root handle, leaf part, leaf handle)`` order — the per-leaf arm's
+    sequential fold — vectorized as one array operation per position: the
+    k-th contribution of every root with more than k folds in together.
+    Returns the distinct root handles, ascending, and one folded row each.
+    """
+    roots, labels = _ranked([run[1] for run in runs])
+    leaves, _labels = _ranked([run[2] for run in runs])
+    parts = np.repeat([run[0] for run in runs], [len(run[2]) for run in runs])
+    rows = np.concatenate([np.asarray(run[3]) for run in runs])
+    order = np.lexsort((leaves, parts, roots))
+    roots, rows = roots[order], rows[order]
+    first = np.ones(len(roots), dtype=bool)
+    np.not_equal(roots[1:], roots[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(roots))
+    acc = rows[starts]
+    for k in range(1, int(counts.max())):
+        more = np.flatnonzero(counts > k)
+        acc[more] = _combine(op, acc[more], rows[starts[more] + k])
+    keys = roots[starts]
+    if labels is not None:
+        return [labels[k] for k in keys.tolist()], acc
+    return keys, acc
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +166,13 @@ class SFDatatype:
     frame; ``decode`` reverses it, pairing payloads back with the
     ``handles`` the receiver expects (sender and receiver traverse the
     forest in the same sorted order, so positional pairing is exact).
-    The base class is the generic strategy: payloads of any codec-encodable
-    type, shipped positionally via :func:`~repro.parallel.codec.dumps`.
+    ``encode_batch``/``decode_batch`` do the same for the batch arms of
+    :meth:`StarForest.bcast` and :meth:`StarForest.reduce`, where a pair's
+    payloads travel as one batch beside the forest's handles and arrive as
+    ``(handles, payloads)``; the handles reach them through ``prepare``,
+    which the forest calls once per pair and graph.  The base class is the
+    generic strategy: payloads of any codec-encodable type, shipped
+    positionally via :func:`~repro.parallel.codec.dumps`.
     """
 
     name = "generic"
@@ -116,18 +189,45 @@ class SFDatatype:
             )
         return list(zip(handles, payloads))
 
+    def prepare(self, handles: Sequence[Any]) -> Any:
+        """What the batch arms hand ``encode_batch``/``decode_batch`` for
+        one part pair's wire handles: the handles themselves, or whatever
+        the datatype derives from them once per graph."""
+        return handles
+
+    def encode_batch(self, handles: Any, batch: Any) -> bytes:
+        return self.encode(list(zip(_listed(handles), batch)))
+
+    def decode_batch(self, blob: Any, handles: Any) -> Any:
+        items = self.decode(blob, _listed(handles))
+        return handles, [payload for _handle, payload in items]
+
 
 class _ValuesDatatype(SFDatatype):
-    """Field-value batches: handles are entities, payloads float arrays.
+    """Field-value batches: float arrays on entity handles.
 
-    The entity handle itself travels in the frame's entity columns, so the
-    handle check below doubles as an end-to-end forest/wire consistency
-    assertion.
+    Handles are :class:`~repro.mesh.entity.Ent` objects — or, for
+    :meth:`of_dim` instances, plain entity ids of one dimension.  The
+    handles travel in the frame's entity columns, so the handle check below
+    doubles as an end-to-end forest/wire consistency assertion.  In the
+    batch arms a pair's values are one ``(n, *shape)`` float64 array: the
+    frame's entity section is encoded once per pair and graph
+    (:meth:`prepare`), the values are written into the frame and read back
+    as a column, and the handle check is one comparison of entity sections.
     """
 
     name = "values"
 
+    def __init__(self, dim: Optional[int] = None) -> None:
+        self.dim = dim
+
+    def of_dim(self, dim: int) -> "_ValuesDatatype":
+        """The same frames over integer handles: entity ids of ``dim``."""
+        return _VALUES_OF_DIM[dim]
+
     def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
+        if self.dim is not None:
+            items = [(Ent(self.dim, idx), value) for idx, value in items]
         return encode_value_batch(items)
 
     def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
@@ -137,13 +237,41 @@ class _ValuesDatatype(SFDatatype):
                 f"star-forest value batch carries {len(pairs)} value(s) "
                 f"where {len(handles)} expected"
             )
-        for expected, (ent, _value) in zip(handles, pairs):
-            if ent != expected:
+        expected = (
+            handles if self.dim is None
+            else [Ent(self.dim, idx) for idx in handles]
+        )
+        for want, (ent, _value) in zip(expected, pairs):
+            if ent != want:
                 raise CodecError(
                     f"star-forest value batch names {ent} where the forest "
-                    f"expects {expected}"
+                    f"expects {want}"
                 )
-        return pairs
+        return [
+            (handle, value) for handle, (_ent, value) in zip(handles, pairs)
+        ]
+
+    def prepare(self, handles: Sequence[Any]) -> Tuple[Sequence[Any], bytes]:
+        """The pair's handles with their frame entity section."""
+        if self.dim is not None:
+            return handles, value_head(self.dim, handles)
+        count = len(handles)
+        return handles, value_head(
+            np.fromiter((ent.dim for ent in handles), np.int64, count),
+            np.fromiter((ent.idx for ent in handles), np.int64, count),
+        )
+
+    def encode_batch(self, handles: Any, batch: Any) -> bytes:
+        return encode_value_columns(handles[1], batch)
+
+    def decode_batch(self, blob: Any, handles: Any) -> Any:
+        expected, head = handles
+        got, values = decode_value_columns(blob)
+        if got != head:
+            # Name the first entity the frame and the forest disagree on.
+            self.decode(blob, _listed(expected))
+            raise CodecError("star-forest value batch names other entities")
+        return expected, values
 
 
 class _BundlesDatatype(SFDatatype):
@@ -153,7 +281,8 @@ class _BundlesDatatype(SFDatatype):
     :class:`~repro.parallel.codec.ElementBlock` (one bundle per leaf, in
     leaf order) rather than an item list, so this datatype pairs with
     ``bcast(batch_data=..., batch_set=...)``: the sender hands over the
-    block it packed and the receiver lands the block it gets.
+    block it packed and the receiver lands the block it gets (the bundles
+    keep the block's own order, so no handles ride along).
     """
 
     name = "bundles"
@@ -169,6 +298,12 @@ class _BundlesDatatype(SFDatatype):
                 f"bundle(s) where {len(handles)} expected"
             )
         return block
+
+    def encode_batch(self, handles: Any, batch: Any) -> bytes:
+        return encode_element_block(batch)
+
+    def decode_batch(self, blob: Any, handles: Any) -> Any:
+        return self.decode(blob, handles)
 
 
 class _IntRowsDatatype(SFDatatype):
@@ -206,6 +341,7 @@ VALUES = _ValuesDatatype()
 BUNDLES = _BundlesDatatype()
 #: Integer tuples as columnar ragged rows.
 INT_ROWS = _IntRowsDatatype()
+_VALUES_OF_DIM = tuple(_ValuesDatatype(dim) for dim in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +401,64 @@ class SFComm:
 class StarForest:
     """A root↔leaf sharing map over ``(part, local handle)`` pairs.
 
-    Construction is incremental (:meth:`add_leaf`); operations traverse the
-    forest in sorted order, so a forest built in any insertion order
-    produces byte-identical wire traffic and stats.  One exception is
-    load-bearing for parity with the hand-rolled exchanges this primitive
-    replaced: within one (root part, leaf part) pair, items are ordered by
-    *leaf handle* — callers that mint ordinal leaf handles therefore
-    control the exact batch layout on the wire.
+    Built leaf by leaf (:meth:`add_leaf`) or set whole from integer columns
+    (:meth:`from_columns`).  Operations traverse the forest in sorted
+    order, so a forest built in any insertion order produces byte-identical
+    wire traffic and stats; that order is derived on first use and kept
+    until the graph changes.  One exception is load-bearing for parity with
+    the hand-rolled exchanges this primitive replaced: within one (root
+    part, leaf part) pair, items are ordered by *leaf handle* — callers
+    that mint ordinal leaf handles therefore control the exact batch layout
+    on the wire.
     """
 
     def __init__(self, comm: Any, name: str = "sf") -> None:
         self.comm = comm
         self.name = name
         self._leaves: Dict[Tuple[int, Any], Tuple[int, Any]] = {}
+        #: The graph as ``{(root part, leaf part): (root ids, leaf ids)}``
+        #: when :meth:`from_columns` set it; ``_leaves`` is then filled only
+        #: if a leaf-wise edit or listing asks for it.
+        self._columns: Optional[
+            Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
+        ] = None
+        #: Wire-ordered pairs per traversal order, and the root count:
+        #: derived from the graph on first use, dropped by add_leaf.
+        self._cache: Dict[Any, Any] = {}
+
+    @classmethod
+    def from_columns(
+        cls,
+        comm: Any,
+        pairs: Dict[Tuple[int, int], Tuple[Any, Any]],
+        name: str = "sf",
+    ) -> "StarForest":
+        """A forest whose whole graph is set at once, from integer columns.
+
+        ``pairs`` maps ``(root part, leaf part)`` to ``(root handles, leaf
+        handles)``: two equal-length integer arrays, one row per leaf, in
+        any order; the integers are the handles.  PetscSF's contract — set
+        the graph once, communicate many times: operations over the forest
+        walk its columns, never one leaf at a time.
+        """
+        nparts = comm.nparts
+        columns: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        for (rpid, lpid), (roots, leaves) in pairs.items():
+            if not (0 <= rpid < nparts and 0 <= lpid < nparts):
+                raise ValueError(
+                    f"part pair {(rpid, lpid)} out of range [0, {nparts})"
+                )
+            roots = np.asarray(roots, dtype=np.int64)
+            leaves = np.asarray(leaves, dtype=np.int64)
+            if roots.ndim != 1 or roots.shape != leaves.shape:
+                raise ValueError(
+                    f"part pair {(rpid, lpid)}: root and leaf columns differ"
+                )
+            if len(leaves):
+                columns[(rpid, lpid)] = (roots, leaves)
+        forest = cls(comm, name=name)
+        forest._columns = columns
+        return forest
 
     # -- construction -------------------------------------------------------
 
@@ -299,27 +480,55 @@ class StarForest:
             raise ValueError(f"leaf part {leaf_pid} out of range [0, {nparts})")
         if not 0 <= root_pid < nparts:
             raise ValueError(f"root part {root_pid} out of range [0, {nparts})")
+        leaves = self._leaf_map()
         key = (leaf_pid, leaf_handle)
         root = (root_pid, root_handle)
-        existing = self._leaves.get(key)
+        existing = leaves.get(key)
         if existing is not None and existing != root:
             raise ValueError(
                 f"leaf {key} already points at root {existing}; "
                 f"cannot repoint to {root}"
             )
-        self._leaves[key] = root
+        leaves[key] = root
+        self._cache.clear()
+
+    def _leaf_map(self) -> Dict[Tuple[int, Any], Tuple[int, Any]]:
+        """The leaf → root map (a columnar graph is turned into one)."""
+        if self._columns is not None:
+            for (rpid, lpid), (roots, leaves) in self._columns.items():
+                self._leaves.update(zip(
+                    zip(repeat(lpid), leaves.tolist()),
+                    zip(repeat(rpid), roots.tolist()),
+                ))
+            self._columns = None
+        return self._leaves
 
     @property
     def nleaves(self) -> int:
+        if self._columns is not None:
+            return sum(len(leaves) for _roots, leaves in self._columns.values())
         return len(self._leaves)
 
     @property
     def nroots(self) -> int:
-        return len(set(self._leaves.values()))
+        count = self._cache.get("nroots")
+        if count is None:
+            if self._columns is None:
+                count = len(set(self._leaves.values()))
+            else:
+                by_part: Dict[int, List[np.ndarray]] = {}
+                for (rpid, _lpid), (roots, _leaves) in self._columns.items():
+                    by_part.setdefault(rpid, []).append(roots)
+                count = sum(
+                    len(np.unique(np.concatenate(columns)))
+                    for columns in by_part.values()
+                )
+            self._cache["nroots"] = count
+        return count
 
     def leaves(self) -> List[Tuple[Tuple[int, Any], Tuple[int, Any]]]:
         """All ``((leaf part, handle), (root part, handle))`` pairs, sorted."""
-        return sorted(self._leaves.items())
+        return sorted(self._leaf_map().items())
 
     def compose(self, other: "StarForest") -> "StarForest":
         """The forest reaching ``other``'s roots through this forest's.
@@ -335,44 +544,87 @@ class StarForest:
                 "cannot compose star forests over different communicators"
             )
         result = StarForest(self.comm, name=f"{self.name}*{other.name}")
-        for leaf, root in self._leaves.items():
-            target = other._leaves.get(root)
+        targets = other._leaf_map()
+        for leaf, root in self._leaf_map().items():
+            target = targets.get(root)
             if target is not None:
                 result._leaves[leaf] = target
         return result
 
     # -- traversal ----------------------------------------------------------
 
-    def _groups(
-        self, key: Callable[[Tuple[Any, Any]], Any]
-    ) -> Dict[Tuple[int, int], List[Tuple[Any, Any]]]:
-        """``{(root part, leaf part): [(root handle, leaf handle), ...]}``.
+    def _pairs(self, by_root: bool) -> Pairs:
+        """``{(root part, leaf part): (root handles, leaf handles)}``.
 
-        Entries within a pair are sorted by ``key``; pairs themselves are
-        iterated sorted by every operation, which is what makes the wire
-        traffic a pure function of the forest's contents.
+        Pairs ascend; within a pair rows ascend by leaf handle (``bcast``)
+        or by ``(root handle, leaf handle)`` (``reduce``,
+        ``fetch_and_op``) — which makes the wire traffic a pure function of
+        the forest's contents.  Derived once per graph and order.
         """
-        groups: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
-        for (lpid, lh), (rpid, rh) in self._leaves.items():
-            groups.setdefault((rpid, lpid), []).append((rh, lh))
-        for entries in groups.values():
-            entries.sort(key=key)
-        return groups
+        key = ("pairs", by_root)
+        pairs = self._cache.get(key)
+        if pairs is not None:
+            return pairs
+        pairs = {}
+        if self._columns is not None:
+            for pair in sorted(self._columns):
+                roots, leaves = self._columns[pair]
+                order = (
+                    np.lexsort((leaves, roots)) if by_root
+                    else np.argsort(leaves, kind="stable")
+                )
+                pairs[pair] = (roots[order], leaves[order])
+        else:
+            groups: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
+            for (lpid, lh), (rpid, rh) in self._leaves.items():
+                groups.setdefault((rpid, lpid), []).append((rh, lh))
+            for pair in sorted(groups):
+                entries = groups[pair]
+                entries.sort(key=None if by_root else (lambda entry: entry[1]))
+                pairs[pair] = (
+                    [rh for rh, _lh in entries], [lh for _rh, lh in entries]
+                )
+        self._cache[key] = pairs
+        return pairs
 
+    def _prepared(
+        self, datatype: SFDatatype, by_root: bool
+    ) -> Dict[Tuple[int, int], Any]:
+        """Per pair, ``datatype.prepare`` of its wire handles — the leaf
+        handles ``bcast`` ships, the root handles ``reduce`` ships — derived
+        once per graph, like the wire order."""
+        key = ("prepared", datatype, by_root)
+        prepared = self._cache.get(key)
+        if prepared is None:
+            side = 0 if by_root else 1
+            prepared = self._cache[key] = {
+                pair: datatype.prepare(handles[side])
+                for pair, handles in self._pairs(by_root).items()
+            }
+        return prepared
+
+    @staticmethod
     def _post(
-        self,
         router: BufferedRouter,
         src: int,
         dst: int,
-        items: Any,
-        datatype: SFDatatype,
+        blob: bytes,
+        records: int,
+        tally: List[int],
     ) -> None:
-        blob = datatype.encode(items)
-        counters = self.comm.counters
-        counters.add("sf.bytes.encoded", len(blob))
-        counters.add("net.bytes.encoded", len(blob))
-        counters.add("net.messages.coalesced", len(items))
+        tally[0] += len(blob)
+        tally[1] += records
         router.post(src, dst, _TAG_SF, blob)
+
+    def _charge(self, tally: List[int]) -> None:
+        """Charge one operation's posted buffers: encoded bytes and
+        coalesced records (to the shared ``net.*`` counters too)."""
+        encoded, records = tally
+        if encoded:
+            counters = self.comm.counters
+            counters.add("sf.bytes.encoded", encoded)
+            counters.add("net.bytes.encoded", encoded)
+            counters.add("net.messages.coalesced", records)
 
     def _stats(self, probe: CommProbe, op: str, records: int,
                sf_ops: int) -> SFStats:
@@ -413,53 +665,77 @@ class StarForest:
         leaf_set: Optional[Callable[[int, Any, Any], None]] = None,
         datatype: SFDatatype = GENERIC,
         batch_set: Optional[Callable[[int, int, Any], None]] = None,
-        batch_data: Optional[Callable[[int, int, List[Any]], Any]] = None,
+        batch_data: Optional[Callable[[int, int, Any], Any]] = None,
     ) -> SFStats:
         """Root values travel to their leaves; one superstep, always.
 
-        ``root_data(root_pid, root_handle)`` produces the payload for each
-        leaf of that root (called once per leaf, in wire order).  Delivery
-        is either per item — ``leaf_set(leaf_pid, leaf_handle, payload)`` —
-        or per batch — ``batch_set(leaf_pid, root_pid, items)`` with the
-        full ``(handle, payload)`` list for one part pair.
+        Per leaf: ``root_data(root_pid, root_handle)`` produces the payload
+        for each leaf of that root (called once per leaf, in wire order),
+        delivered per item — ``leaf_set(leaf_pid, leaf_handle, payload)`` —
+        or per part pair — ``batch_set(leaf_pid, root_pid, items)`` with the
+        pair's full ``(handle, payload)`` list.
 
-        ``batch_data(root_pid, leaf_pid, root_handles)`` is the send-side
-        twin of ``batch_set``: one call per part pair with all root handles
-        in wire order, returning the whole batch in the form ``datatype``
-        encodes (an item list, or for :data:`BUNDLES` one columnar block of
-        ``len(root_handles)`` records).  ``batch_set`` then receives what
-        ``datatype.decode`` returns.
+        Per batch: ``batch_data(root_pid, leaf_pid, root_handles)`` is the
+        send-side twin of ``batch_set`` — one call per part pair with all
+        root handles in wire order — and returns the pair's payloads as one
+        batch (a payload list; for :data:`VALUES` a value array, one row
+        per leaf; for :data:`BUNDLES` one columnar block).  The forest
+        encodes it beside the pair's leaf handles, and ``batch_set``
+        receives what ``datatype.decode_batch`` returns: ``(leaf handles,
+        payloads)``, or the block.
 
         The exchange runs even when the forest is empty, so a fixed call
         sequence costs a fixed superstep count regardless of data.
         """
+        if batch_data is not None and batch_set is None:
+            raise ValueError("bcast(batch_data=...) needs batch_set")
         comm = self.comm
         probe = CommProbe(comm.counters)
         records = 0
+        tally = [0, 0]
         with trace_span(
             comm.tracer, "sf.bcast", sf=self.name, datatype=datatype.name
         ):
-            groups = self._groups(key=lambda entry: entry[1])
+            pairs = self._pairs(by_root=False)
+            if batch_data is not None:
+                prepared = self._prepared(datatype, by_root=False)
             router = comm.router()
             local: List[Tuple[int, int, Any]] = []
-            for (rpid, lpid), entries in sorted(groups.items()):
-                if batch_data is not None:
-                    items = batch_data(rpid, lpid, [rh for rh, _lh in entries])
+            for (rpid, lpid), (roots, leaves) in pairs.items():
+                records += len(leaves)
+                if batch_data is None:
+                    items = [
+                        (lh, root_data(rpid, rh))
+                        for rh, lh in zip(_listed(roots), _listed(leaves))
+                    ]
+                    if rpid == lpid:
+                        local.append((lpid, rpid, items))
+                        continue
+                    blob = datatype.encode(items)
                 else:
-                    items = [(lh, root_data(rpid, rh)) for rh, lh in entries]
-                records += len(items)
-                if rpid == lpid:
-                    local.append((lpid, rpid, items))
-                    continue
-                self._post(router, rpid, lpid, items, datatype)
+                    handles = prepared[(rpid, lpid)]
+                    blob = datatype.encode_batch(
+                        handles, batch_data(rpid, lpid, roots)
+                    )
+                    if rpid == lpid:
+                        local.append(
+                            (lpid, rpid, datatype.decode_batch(blob, handles))
+                        )
+                        continue
+                self._post(router, rpid, lpid, blob, len(leaves), tally)
             inboxes = router.exchange()
             for lpid, rpid, items in local:
                 self._deliver(lpid, rpid, items, leaf_set, batch_set)
             for lpid in sorted(inboxes):
-                for src, _tag, payload in inboxes[lpid]:
-                    expected = [lh for _rh, lh in groups[(src, lpid)]]
-                    items = datatype.decode(payload, expected)
+                for src, _tag, blob in inboxes[lpid]:
+                    if batch_data is None:
+                        leaves = _listed(pairs[(src, lpid)][1])
+                        items = datatype.decode(blob, leaves)
+                    else:
+                        handles = prepared[(src, lpid)]
+                        items = datatype.decode_batch(blob, handles)
                     self._deliver(lpid, src, items, leaf_set, batch_set)
+            self._charge(tally)
             comm.counters.add("sf.ops.bcast")
             comm.counters.add("sf.records", records)
         return self._stats(probe, "bcast", records, sf_ops=1)
@@ -476,48 +752,107 @@ class StarForest:
         rows (unordered — callers sort) plus the record count.  One
         superstep: posts, one exchange, decode.
         """
-        groups = self._groups(key=lambda entry: (entry[0], entry[1]))
+        pairs = self._pairs(by_root=True)
         arrivals: Dict[int, List[Tuple[Any, int, Any, Any]]] = {}
         records = 0
-        for (rpid, lpid), entries in sorted(groups.items()):
-            items = [(rh, leaf_data(lpid, lh)) for rh, lh in entries]
-            records += len(items)
+        tally = [0, 0]
+        for (rpid, lpid), (roots, leaves) in pairs.items():
+            roots, leaves = _listed(roots), _listed(leaves)
+            values = [leaf_data(lpid, lh) for lh in leaves]
+            records += len(values)
             if rpid == lpid:
-                rows = arrivals.setdefault(rpid, [])
-                for (rh, lh), (_wire_rh, value) in zip(entries, items):
-                    rows.append((rh, lpid, lh, value))
+                arrivals.setdefault(rpid, []).extend(
+                    zip(roots, repeat(lpid), leaves, values)
+                )
                 continue
-            self._post(router, lpid, rpid, items, datatype)
+            blob = datatype.encode(list(zip(roots, values)))
+            self._post(router, lpid, rpid, blob, len(values), tally)
+        self._charge(tally)
         inboxes = router.exchange()
         for rpid in sorted(inboxes):
             rows = arrivals.setdefault(rpid, [])
-            for src, _tag, payload in inboxes[rpid]:
-                entries = groups[(rpid, src)]
-                expected = [rh for rh, _lh in entries]
-                items = datatype.decode(payload, expected)
-                for (rh, lh), (_wire_rh, value) in zip(entries, items):
-                    rows.append((rh, src, lh, value))
+            for src, _tag, blob in inboxes[rpid]:
+                roots, leaves = map(_listed, pairs[(rpid, src)])
+                items = datatype.decode(blob, roots)
+                rows.extend(
+                    (rh, src, lh, value)
+                    for rh, lh, (_wire_rh, value) in zip(roots, leaves, items)
+                )
         return arrivals, records
+
+    def _reduce_batches(
+        self,
+        batch_data: Callable[[int, int, Any], Any],
+        batch_set: Callable[[int, Any, np.ndarray], None],
+        op: str,
+        datatype: SFDatatype,
+        router: BufferedRouter,
+    ) -> int:
+        """The batch arm of :meth:`reduce`; returns the record count."""
+        pairs = self._pairs(by_root=True)
+        prepared = self._prepared(datatype, by_root=True)
+        arrived: Dict[int, List[Tuple[int, Any]]] = {}
+        records = 0
+        tally = [0, 0]
+        for (rpid, lpid), (roots, leaves) in pairs.items():
+            records += len(leaves)
+            blob = datatype.encode_batch(
+                prepared[(rpid, lpid)], batch_data(lpid, rpid, leaves)
+            )
+            if rpid == lpid:
+                arrived.setdefault(rpid, []).append((lpid, blob))
+            else:
+                self._post(router, lpid, rpid, blob, len(leaves), tally)
+        self._charge(tally)
+        inboxes = router.exchange()
+        for rpid in sorted(inboxes):
+            arrived.setdefault(rpid, []).extend(
+                (src, blob) for src, _tag, blob in inboxes[rpid]
+            )
+        for rpid in sorted(arrived):
+            runs = []
+            for lpid, blob in arrived[rpid]:
+                roots, leaves = pairs[(rpid, lpid)]
+                handles = prepared[(rpid, lpid)]
+                _roots, rows = datatype.decode_batch(blob, handles)
+                runs.append((lpid, roots, leaves, rows))
+            if runs:
+                batch_set(rpid, *_fold(op, runs))
+        return records
 
     def reduce(
         self,
-        leaf_data: Callable[[int, Any], Any],
-        root_set: Callable[[int, Any, Any], None],
+        leaf_data: Optional[Callable[[int, Any], Any]] = None,
+        root_set: Optional[Callable[[int, Any, Any], None]] = None,
         op: str = "sum",
         datatype: SFDatatype = GENERIC,
+        batch_data: Optional[Callable[[int, int, Any], Any]] = None,
+        batch_set: Optional[Callable[[int, Any, np.ndarray], None]] = None,
     ) -> SFStats:
         """Leaf values combine onto their root; one superstep, always.
 
-        ``leaf_data(leaf_pid, leaf_handle)`` produces each contribution;
-        per root the contributions are folded with ``op`` in the globally
-        sorted ``(root handle, leaf pid, leaf handle)`` order — the fold is
-        deterministic even for non-associative float addition — and handed
-        to ``root_set(root_pid, root_handle, combined)``.  ``combined``
-        covers the *leaf* contributions only; a caller wanting the root's
-        own value in the fold merges it inside ``root_set``.
+        Per leaf: ``leaf_data(leaf_pid, leaf_handle)`` produces each
+        contribution; per root the contributions are folded with ``op`` in
+        the globally sorted ``(root handle, leaf pid, leaf handle)`` order
+        — the fold is deterministic even for non-associative float addition
+        — and handed to ``root_set(root_pid, root_handle, combined)``.
+        ``combined`` covers the *leaf* contributions only; a caller wanting
+        the root's own value in the fold merges it inside ``root_set``.
+
+        Per batch: ``batch_data(leaf_pid, root_pid, leaf_handles)`` returns
+        a part pair's contributions as one array — a row per leaf handle,
+        in wire order — which travels beside the pair's root handles;
+        ``batch_set(root_pid, root_handles, combined)`` then receives, once
+        per root part, the root handles that got contributions (ascending)
+        and their folded rows.  The fold is the per-leaf one vectorized —
+        one array operation per position within a root's run of
+        contributions — so every root sees the same sequential fold and
+        float sums are bit-identical.
         """
         if op not in OPS:
             raise ValueError(f"unknown reduce op {op!r} (expected one of {OPS})")
+        if (batch_data is None) != (batch_set is None):
+            raise ValueError("reduce needs batch_data and batch_set together")
         comm = self.comm
         probe = CommProbe(comm.counters)
         with trace_span(
@@ -525,23 +860,28 @@ class StarForest:
             datatype=datatype.name,
         ):
             router = comm.router()
-            arrivals, records = self._gather(leaf_data, datatype, router)
-            for rpid in sorted(arrivals):
-                rows = sorted(
-                    arrivals[rpid], key=lambda row: (row[0], row[1], row[2])
+            if batch_data is not None:
+                records = self._reduce_batches(
+                    batch_data, batch_set, op, datatype, router
                 )
-                current_rh: Any = None
-                acc: Any = None
-                started = False
-                for rh, _lpid, _lh, value in rows:
-                    if started and rh == current_rh:
-                        acc = _combine(op, acc, value)
-                    else:
-                        if started:
-                            root_set(rpid, current_rh, acc)
-                        current_rh, acc, started = rh, value, True
-                if started:
-                    root_set(rpid, current_rh, acc)
+            else:
+                arrivals, records = self._gather(leaf_data, datatype, router)
+                for rpid in sorted(arrivals):
+                    rows = sorted(
+                        arrivals[rpid], key=lambda row: (row[0], row[1], row[2])
+                    )
+                    current_rh: Any = None
+                    acc: Any = None
+                    started = False
+                    for rh, _lpid, _lh, value in rows:
+                        if started and rh == current_rh:
+                            acc = _combine(op, acc, value)
+                        else:
+                            if started:
+                                root_set(rpid, current_rh, acc)
+                            current_rh, acc, started = rh, value, True
+                    if started:
+                        root_set(rpid, current_rh, acc)
             comm.counters.add("sf.ops.reduce")
             comm.counters.add("sf.records", records)
         return self._stats(probe, f"reduce.{op}", records, sf_ops=1)
@@ -594,6 +934,7 @@ class StarForest:
                     root_set(rpid, current_rh, acc)
             # Second superstep: fetched values travel back to the leaves.
             router = comm.router()
+            tally = [0, 0]
             for (rpid, lpid), items in sorted(returns.items()):
                 items.sort(key=lambda item: item[0])
                 records += len(items)
@@ -601,13 +942,16 @@ class StarForest:
                     for lh, value in items:
                         fetched[(lpid, lh)] = value
                     continue
-                self._post(router, rpid, lpid, items, datatype)
-            groups = self._groups(key=lambda entry: entry[1])
+                self._post(
+                    router, rpid, lpid, datatype.encode(items), len(items), tally
+                )
+            self._charge(tally)
+            pairs = self._pairs(by_root=False)
             inboxes = router.exchange()
             for lpid in sorted(inboxes):
-                for src, _tag, payload in inboxes[lpid]:
-                    expected = [lh for _rh, lh in groups[(src, lpid)]]
-                    items = datatype.decode(payload, expected)
+                for src, _tag, blob in inboxes[lpid]:
+                    expected = _listed(pairs[(src, lpid)][1])
+                    items = datatype.decode(blob, expected)
                     for lh, value in items:
                         fetched[(lpid, lh)] = value
             comm.counters.add("sf.ops.fetch_and_op")

@@ -15,6 +15,7 @@ from .distribute import distribute
 from .dmesh import DistributedMesh
 from .fieldsync import DistributedField, accumulate, synchronize
 from .ghosting import Overlap, delete_ghosts, ghost_layer
+from .halo import HaloPlan
 from .links import surface_ids
 from .migration import MigrationPlan, migrate, rebuild_links
 from .multipart import (
@@ -36,6 +37,7 @@ __all__ = [
     "DistributedAdaptStats",
     "DistributedField",
     "DistributedMesh",
+    "HaloPlan",
     "MigrationPlan",
     "Overlap",
     "Part",

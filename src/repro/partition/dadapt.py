@@ -95,6 +95,7 @@ def _drop_dead_bookkeeping(part: Part) -> None:
                 part.drop_gid(Ent(dim, idx))
     for ent in [e for e in part.remotes if not part.mesh.has(e)]:
         del part.remotes[ent]
+    part.links_version += 1
 
 
 def refine_distributed(

@@ -116,7 +116,9 @@ def distribute(
                     ragged_arange(np.zeros(len(counts), dtype=np.int64), counts),
                 )
                 for pid, lengths, flat in split_rows(*answers):
-                    dmesh.part(pid).remotes.update(link_rows(lengths, flat))
+                    linked = dmesh.part(pid)
+                    linked.remotes.update(link_rows(lengths, flat))
+                    linked.links_version += 1
 
         # Future gid allocations must not collide with the global ids.
         for d in range(4):

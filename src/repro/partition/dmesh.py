@@ -26,6 +26,7 @@ from ..parallel.network import Network
 from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
+from .halo import HaloPlan
 from .links import link_answers, link_rows, split_rows, surface_ids
 from .part import Part
 
@@ -71,6 +72,8 @@ class DistributedMesh:
         # uniqueness guarantee deterministically.
         self._gid_next = [0, 0, 0, 0]
         self._network: Optional[Network] = None
+        #: The halo plans of one link state: ``(links_version, {dim: plan})``.
+        self._halo: Tuple[Tuple[int, ...], Dict[int, HaloPlan]] = ((), {})
 
     # -- parts ------------------------------------------------------------
 
@@ -99,6 +102,30 @@ class DistributedMesh:
             )
         self._network = None  # force rebuild at next exchange
         return part
+
+    # -- link state ----------------------------------------------------------
+
+    @property
+    def links_version(self) -> Tuple[int, ...]:
+        """The link state: every part's ``links_version``, in part order (a
+        new part lengthens it, so ``add_part`` changes it too)."""
+        return tuple(part.links_version for part in self.parts)
+
+    def halo_plan(self, dim: int) -> HaloPlan:
+        """The owner↔copy graph of dimension ``dim`` under the current links.
+
+        Built from ``Part.remotes`` on first use and kept until
+        :attr:`links_version` moves: set once, then communicated over by
+        every ``synchronize``/``accumulate`` until the links change.
+        """
+        version = self.links_version
+        if self._halo[0] != version:
+            self._halo = (version, {})
+        plans = self._halo[1]
+        plan = plans.get(dim)
+        if plan is None:
+            plan = plans[dim] = HaloPlan(self, dim)
+        return plan
 
     # -- communication -----------------------------------------------------
 

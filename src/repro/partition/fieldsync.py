@@ -10,12 +10,18 @@ patterns:
 * :func:`accumulate` — copies' values are summed on the owner and the total
   redistributed (finite-element assembly of shared dofs).
 
-Both are one-liner applications of the star-forest primitive
+Both run over the star-forest primitive
 (:class:`~repro.parallel.sf.StarForest`): the ownership relation *is* a
 star forest — roots are owner copies, leaves the other copies — so
 ``synchronize`` is ``bcast`` over that forest and ``accumulate`` is
 ``reduce(op="sum")`` over its transpose followed by the same ``bcast``.
-Values ride the coalesced value-batch codec via the ``VALUES`` datatype.
+The forests are set once per link state
+(:class:`~repro.partition.halo.HaloPlan`, kept by
+:meth:`~repro.partition.dmesh.DistributedMesh.halo_plan`).  A call applies
+the field's value mask to them as a column filter, gathers each part pair's
+values with one :meth:`~repro.field.field.Field.get_many`, ships them as
+one ``VALUES`` frame and lands them with one
+:meth:`~repro.field.field.Field.set_many`.
 
 :class:`DistributedField` bundles one :class:`~repro.field.field.Field` per
 part under one name so callers can treat the distributed field as a unit.
@@ -31,8 +37,9 @@ from ..field.field import Field, Shape
 from ..mesh.entity import Ent
 from ..obs.stats import AccumulateStats, CommProbe, SyncStats
 from ..obs.tracer import trace_span
-from ..parallel.sf import VALUES, StarForest
+from ..parallel.sf import VALUES
 from .dmesh import DistributedMesh
+from .halo import Pairs, ids_by_part
 
 
 class DistributedField:
@@ -91,48 +98,47 @@ class DistributedField:
                         worst = max(worst, diff)
         return worst
 
+    def _batch(self, pid: int, _peer: int, ids: np.ndarray) -> np.ndarray:
+        """Part ``pid``'s values on ``ids`` as one ``(n, *shape)`` batch:
+        the sending side of both forests."""
+        field = self.fields[pid]
+        return field.get_many(ids).reshape((len(ids),) + field.shape)
 
-def _ownership_forest(dfield: DistributedField) -> StarForest:
-    """The owner→copy star forest of the field's shared entities.
 
-    Roots are the owner copies holding a value; leaves every other copy of
-    the same entity.  ``bcast`` over this forest is exactly owner→copy
-    synchronization.
+def _holding(
+    pairs: Pairs,
+    by_part: Dict[int, np.ndarray],
+    side: int,
+    fields: Dict[int, Field],
+) -> Pairs:
+    """``pairs`` cut to the rows whose ``side`` end (0 = root, 1 = leaf)
+    holds a value: the field's value mask as a column filter.
+
+    One mask gather per part over ``by_part`` (the plan's ids on that side)
+    settles the common case — every row qualifies, ``pairs`` itself comes
+    back and the plan's kept forest serves — otherwise each pair's columns
+    are filtered.
     """
-    dmesh = dfield.dmesh
-    forest = StarForest(dmesh, name=f"sync.{dfield.name}")
-    for part in dmesh:
-        field = dfield.on(part.pid)
-        for ent in sorted(part.remotes):
-            if ent.dim != dfield.entity_dim or not part.owns(ent):
-                continue
-            if not field.has(ent):
-                continue
-            for other_pid, other_ent in sorted(part.remotes[ent].items()):
-                forest.add_leaf(other_pid, other_ent, part.pid, ent)
-    return forest
+    if all(fields[pid].has_many(ids).all() for pid, ids in by_part.items()):
+        return pairs
+    kept: Pairs = {}
+    for pair, columns in pairs.items():
+        keep = fields[pair[side]].has_many(columns[side])
+        if keep.any():
+            kept[pair] = (columns[0][keep], columns[1][keep])
+    return kept
 
 
-def _contribution_forest(dfield: DistributedField) -> StarForest:
-    """The copy→owner star forest: non-owner copies rooted at the owner.
-
-    The transpose of :func:`_ownership_forest`, restricted to copies that
-    actually hold a value.  ``reduce(op="sum")`` over it is finite-element
-    assembly of the shared dofs.
-    """
-    dmesh = dfield.dmesh
-    forest = StarForest(dmesh, name=f"accum.{dfield.name}")
-    for part in dmesh:
-        field = dfield.on(part.pid)
-        for ent in sorted(part.remotes):
-            if ent.dim != dfield.entity_dim or part.owns(ent):
-                continue
-            if not field.has(ent):
-                continue
-            owner = part.owner(ent)
-            owner_ent = part.remotes[ent][owner]
-            forest.add_leaf(part.pid, ent, owner, owner_ent)
-    return forest
+def _require_values(
+    dfield: DistributedField, roots: Dict[int, np.ndarray]
+) -> None:
+    """Accumulate is all or nothing: before anything moves, every owner
+    copy due a contribution must hold a value."""
+    for pid, ids in roots.items():
+        held = dfield.on(pid).has_many(ids)
+        if not held.all():
+            missing = Ent(dfield.entity_dim, int(ids[~held][0]))
+            raise KeyError(f"field {dfield.name!r} has no value on {missing}")
 
 
 def synchronize(dfield: DistributedField) -> SyncStats:
@@ -140,26 +146,27 @@ def synchronize(dfield: DistributedField) -> SyncStats:
 
     Returns a :class:`SyncStats` record; ``stats.values_sent`` is the number
     of owner-to-copy values shipped and ``stats.sf_ops`` the star-forest
-    operations executed (always one broadcast).
+    operations executed (always one broadcast).  Owner copies without a
+    value send nothing.
     """
     dmesh = dfield.dmesh
+    fields = dfield.fields
     probe = CommProbe(dmesh.counters)
 
-    def batch_set(lpid: int, _rpid: int, items) -> None:
-        # Vectorized owner→copy delivery: one scatter per part pair.
-        field = dfield.on(lpid)
-        ids = np.fromiter(
-            (ent.idx for ent, _value in items), dtype=np.int64, count=len(items)
-        )
-        values = np.asarray([value for _ent, value in items], dtype=float)
-        field.set_many(ids, values)
+    def land(
+        lpid: int, _rpid: int, batch: Tuple[np.ndarray, np.ndarray]
+    ) -> None:
+        leaves, values = batch
+        fields[lpid].set_many(leaves, values)
 
     with trace_span(dmesh.tracer, "synchronize", field=dfield.name):
-        forest = _ownership_forest(dfield)
+        plan = dmesh.halo_plan(dfield.entity_dim)
+        pairs = _holding(plan.owner_to_copy, plan.sync_roots, 0, fields)
+        forest = plan.forest(pairs, f"sync.{dfield.name}")
         forest.bcast(
-            lambda rpid, ent: dfield.on(rpid).get(ent),
-            datatype=VALUES,
-            batch_set=batch_set,
+            batch_data=dfield._batch,
+            batch_set=land,
+            datatype=VALUES.of_dim(dfield.entity_dim),
         )
         sent = forest.nleaves
     dmesh.counters.add("fieldsync.values", sent)
@@ -181,24 +188,37 @@ def accumulate(dfield: DistributedField) -> AccumulateStats:
 
     The finite-element assembly pattern: each part contributes its local
     portion of a shared dof; afterwards every copy holds the global sum.
-    Returns an :class:`AccumulateStats` record whose ``contributions`` is
-    the copy-to-owner value count and ``synced`` the redistribution count;
-    ``sf_ops`` counts the reduce plus the broadcast.
+    Copies without a value contribute nothing; an owner copy due a
+    contribution that holds no value raises ``KeyError`` before any value
+    changes.  Returns an :class:`AccumulateStats` record whose
+    ``contributions`` is the copy-to-owner value count and ``synced`` the
+    redistribution count; ``sf_ops`` counts the reduce plus the broadcast.
     """
     dmesh = dfield.dmesh
+    fields = dfield.fields
     probe = CommProbe(dmesh.counters)
+
+    def fold(rpid: int, roots: np.ndarray, combined: np.ndarray) -> None:
+        field = fields[rpid]
+        field.set_many(
+            roots,
+            field.get_many(roots) + combined.reshape(len(roots), field.ncomp),
+        )
+
     with trace_span(dmesh.tracer, "accumulate", field=dfield.name):
-        forest = _contribution_forest(dfield)
-
-        def fold(rpid: int, ent: Ent, combined) -> None:
-            field = dfield.on(rpid)
-            field.set(ent, field.get(ent) + combined)
-
+        plan = dmesh.halo_plan(dfield.entity_dim)
+        pairs = _holding(plan.copy_to_owner, plan.accum_leaves, 1, fields)
+        _require_values(
+            dfield,
+            plan.accum_roots if pairs is plan.copy_to_owner
+            else ids_by_part(pairs, 0),
+        )
+        forest = plan.forest(pairs, f"accum.{dfield.name}")
         forest.reduce(
-            lambda lpid, ent: dfield.on(lpid).get(ent),
-            fold,
+            batch_data=dfield._batch,
+            batch_set=fold,
             op="sum",
-            datatype=VALUES,
+            datatype=VALUES.of_dim(dfield.entity_dim),
         )
         sent = forest.nleaves
         sync = synchronize(dfield)

@@ -381,6 +381,7 @@ def _land_ghost_block(
         if element.idx in fresh:
             part.ghosts.add(element)
             part.ghost_home[element] = (pid, Ent(dim, idx))
+    part.links_version += 1
     if block.tags:
         mesh = part.mesh
         tags = [t for t, kept in zip(block.tags, keep.tolist()) if kept]
@@ -411,6 +412,7 @@ def delete_ghosts(dmesh: DistributedMesh) -> GhostDeleteStats:
             # entries to evict one by one.
             part.ghosts.clear()
             part.ghost_home.clear()
+            part.links_version += 1
             for d in range(3, -1, -1):
                 ids = np.sort(np.asarray(by_dim[d], dtype=np.int64))[::-1]
                 ids = ids[core.alive[d][ids]]

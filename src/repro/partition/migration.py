@@ -708,7 +708,8 @@ def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
             )
     responses = router.exchange()
     for pid in sorted(responses):
-        remotes = dmesh.part(pid).remotes
+        part = dmesh.part(pid)
+        remotes = part.remotes
         stale = posts[pid][1] if pid in posts else set()
         for _src, _tag, blob in responses[pid]:
             for ent, copies in link_rows(*decode_int_rows(blob)):
@@ -716,6 +717,7 @@ def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
                 stale.discard(ent)
         for key in stale:
             remotes.pop(key, None)
+        part.links_version += 1
     dmesh.counters.add("migration.relinks")
 
 

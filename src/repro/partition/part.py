@@ -54,6 +54,11 @@ class Part:
         self.ghosts: Set[Ent] = set()
         #: for each ghost, the (owner pid, owner-local entity) it mirrors.
         self.ghost_home: Dict[Ent, Tuple[int, Ent]] = {}
+        #: link-state counter: every write of ``remotes``, ``ghosts`` or
+        #: ``ghost_home`` bumps it, and views cached from the links (the
+        #: :meth:`~repro.partition.dmesh.DistributedMesh.halo_plan`) are
+        #: keyed by it — code that edits the links by hand must bump it too.
+        self.links_version = 0
         #: per-dim gid columns indexed by entity handle; -1 = unset.
         self._gid_arr: List[np.ndarray] = [
             np.full(16, _UNSET, dtype=np.int64) for _ in range(4)
@@ -86,6 +91,7 @@ class Part:
         for gid in gids[gids != _UNSET].tolist():
             by_gid.pop(gid, None)
         if self.remotes or self.ghosts or self.ghost_home:
+            self.links_version += 1
             ents = list(map(Ent, repeat(dim), ids.tolist()))
             self.ghosts.difference_update(ents)
             for links in (self.remotes, self.ghost_home):

@@ -282,6 +282,39 @@ def test_value_batch_round_trip_and_corruption():
         codec.decode_value_batch(blob[:-3])
 
 
+@pytest.mark.parametrize(
+    "n, shape", [(0, (1,)), (5, (1,)), (40, (3,)), (1100, (2, 2))]
+)
+def test_value_columns_write_the_list_views_bytes(n, shape):
+    """The column writer is the list view's frame, byte for byte (struct
+    and numpy column paths both), and reads back into the same columns."""
+    rng = np.random.default_rng(n)
+    ids = rng.integers(0, 70_000, n)
+    values = rng.normal(size=(n, *shape))
+    items = [(Ent(1, int(i)), v) for i, v in zip(ids, values)]
+    head = codec.value_head(1, ids)
+    assert head == codec.value_head(np.full(n, 1), ids)
+    blob = codec.encode_value_columns(head, values)
+    assert blob == codec.encode_value_batch(items)
+    back_head, back = codec.decode_value_columns(blob)
+    assert back_head == head and back.tobytes() == values.tobytes()
+    assert back.flags.writeable
+    with pytest.raises(codec.CodecError):
+        codec.encode_value_columns(head, values[:-1] if n else np.zeros((1, 1)))
+
+
+def test_value_columns_reject_generic_and_damaged_frames():
+    generic = codec.encode_value_batch([(Ent(0, 1), np.array([1, 2]))])
+    with pytest.raises(codec.CodecError):
+        codec.decode_value_columns(generic)
+    blob = codec.encode_value_columns(
+        codec.value_head(0, np.arange(5)), np.ones((5, 1))
+    )
+    for cut in range(1, len(blob)):
+        with pytest.raises(codec.CodecError):
+            codec.decode_value_columns(blob[:cut])
+
+
 def _int_row_columns(rows):
     return (
         np.asarray([len(row) for row in rows], dtype=np.int64),

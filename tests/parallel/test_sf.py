@@ -283,3 +283,118 @@ def test_sf_traffic_lands_in_comm_matrix():
     assert set(matrix) == {(0, 1), (0, 2), (1, 0)}
     for (_src, _dst), (nmsg, nbytes) in matrix.items():
         assert nmsg == 1 and nbytes > 0
+
+
+# -- batch arms and columnar graphs ---------------------------------------------
+
+#: Non-associative under float addition: the fold order decides the sum.
+PATTERN = (1e16, 1.0, -1e16, 1.0)
+
+
+def fold_forest(comm):
+    """Three roots on part 0, a leaf of each on every part (part 0's own
+    leaves stay local)."""
+    sf = StarForest(comm, name="fold")
+    for root in range(3):
+        for lpid in reversed(range(comm.nparts)):
+            sf.add_leaf(lpid, Ent(0, 10 * root + lpid), 0, Ent(0, root))
+    return sf
+
+
+def contribution(lpid, leaf):
+    return np.array([PATTERN[(leaf.idx + lpid) % 4], float(leaf.idx)])
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_batch_reduce_matches_per_leaf_reduce(op):
+    sf = fold_forest(SFComm(4, counters=PerfCounters()))
+    per_leaf = {}
+    leafwise = sf.reduce(
+        contribution,
+        lambda pid, h, v: per_leaf.__setitem__((pid, h), v),
+        op=op,
+        datatype=VALUES,
+    )
+    batched = {}
+
+    def batch_set(pid, roots, combined):
+        batched.update(((pid, h), row) for h, row in zip(roots, combined))
+
+    batchwise = sf.reduce(
+        batch_data=lambda lpid, _rpid, leaves: np.stack(
+            [contribution(lpid, h) for h in leaves]
+        ),
+        batch_set=batch_set,
+        op=op,
+        datatype=VALUES,
+    )
+    assert per_leaf.keys() == batched.keys()
+    for key, value in per_leaf.items():
+        assert value.tobytes() == batched[key].tobytes()
+    assert (batchwise.records, batchwise.encoded_bytes, batchwise.messages) == (
+        leafwise.records, leafwise.encoded_bytes, leafwise.messages,
+    )
+    with pytest.raises(ValueError):
+        sf.reduce(batch_data=lambda lpid, rpid, leaves: [], datatype=VALUES)
+
+
+def test_columnar_forest_matches_the_leafwise_forest():
+    """``from_columns`` sets the same graph: same frames, same deliveries."""
+    leafwise = fold_forest(SFComm(4, counters=PerfCounters()))
+    columns = {}
+    for (lpid, leaf), (rpid, root) in leafwise.leaves():
+        roots, leaves = columns.setdefault((rpid, lpid), ([], []))
+        roots.append(root.idx)
+        leaves.append(leaf.idx)
+    columnar = StarForest.from_columns(
+        SFComm(4, counters=PerfCounters()),
+        {pair: (np.array(r), np.array(l)) for pair, (r, l) in columns.items()},
+        name="fold",
+    )
+    assert (columnar.nleaves, columnar.nroots) == (
+        leafwise.nleaves, leafwise.nroots,
+    )
+    got_leafwise, got_columnar = {}, {}
+    stats_leafwise = leafwise.bcast(
+        lambda pid, h: np.array([float(h.idx)]),
+        lambda pid, h, v: got_leafwise.__setitem__((pid, h.idx), v),
+        datatype=VALUES,
+    )
+
+    def land(lpid, _rpid, batch):
+        leaves, values = batch
+        got_columnar.update(((lpid, int(h)), v) for h, v in zip(leaves, values))
+
+    stats_columnar = columnar.bcast(
+        batch_data=lambda _rpid, _lpid, roots: roots.astype(float)[:, None],
+        batch_set=land,
+        datatype=VALUES.of_dim(0),
+    )
+    assert got_leafwise.keys() == got_columnar.keys()
+    for key, value in got_leafwise.items():
+        assert value.tobytes() == got_columnar[key].tobytes()
+    for field in ("records", "encoded_bytes", "wire_bytes", "messages"):
+        assert getattr(stats_leafwise, field) == getattr(stats_columnar, field)
+    assert columnar.leaves() == [
+        ((lpid, leaf.idx), (rpid, root.idx))
+        for (lpid, leaf), (rpid, root) in leafwise.leaves()
+    ]
+    with pytest.raises(ValueError):
+        StarForest.from_columns(SFComm(2), {(0, 2): ([1], [2])})
+    with pytest.raises(ValueError):
+        StarForest.from_columns(SFComm(2), {(0, 1): ([1, 2], [2])})
+
+
+def test_values_batch_checks_wire_handles():
+    sf = StarForest.from_columns(
+        SFComm(2, counters=PerfCounters()),
+        {(0, 1): (np.array([3, 5]), np.array([7, 9]))},
+    )
+    datatype = VALUES.of_dim(0)
+    handles = sf._prepared(datatype, by_root=False)[(0, 1)]
+    blob = datatype.encode_batch(handles, np.array([[1.0], [2.0]]))
+    wrong = datatype.prepare(np.array([7, 8]))
+    with pytest.raises(CodecError, match="expects"):
+        datatype.decode_batch(blob, wrong)
+    leaves, values = datatype.decode_batch(blob, handles)
+    assert leaves.tolist() == [7, 9] and values.tolist() == [[1.0], [2.0]]

@@ -196,7 +196,12 @@ def test_emptying_and_refilling_part_through_chain():
 # handle recycling, destroy listeners, lookup maintenance and batch sync all
 # sit under these ops.
 
-from repro.partition import DistributedField, delete_ghosts, ghost_layer
+from repro.partition import (
+    DistributedField,
+    HaloPlan,
+    delete_ghosts,
+    ghost_layer,
+)
 from repro.partition import synchronize as sync_field
 from repro.partition.migration import _remove_element, rebuild_links
 
@@ -341,6 +346,10 @@ def _apply_ops(nparts, seed):
             sync_field(dfield)
             assert dfield.max_copy_disagreement() == 0.0
         dm.verify()
+        # A links writer that forgets to bump ``links_version`` leaves the
+        # cached halo plan stale: it must equal one built from scratch.
+        for dim in range(dm.element_dim()):
+            assert dm.halo_plan(dim) == HaloPlan(dm, dim)
 
     owned = {}
     for dim in (0, dm.element_dim()):

@@ -581,6 +581,9 @@ def test_wire_codec_surface():
         "decode_element_batch",
         "encode_value_batch",
         "decode_value_batch",
+        "value_head",
+        "encode_value_columns",
+        "decode_value_columns",
         "encode_int_rows",
         "decode_int_rows",
     ):
@@ -719,3 +722,36 @@ def test_star_forest_surface():
     stats = forest.bcast(lambda pid, h: 7, lambda pid, h, v: got.update({h: v}))
     assert isinstance(stats, SFStats)
     assert got == {"a": 7} and stats.nleaves == 1 and stats.supersteps == 1
+
+
+def test_halo_plan_surface():
+    """The halo graph is set once per link state: ``Part.links_version``
+    counters, ``DistributedMesh.halo_plan`` keyed on them, a forest set
+    from integer columns, a field's batch value mask and the datatype's
+    integer-handle form."""
+    import repro.partition as partition_pkg
+    from repro.field import Field
+    from repro.parallel.sf import VALUES, SFComm, StarForest
+    from repro.partition import HaloPlan
+
+    assert "HaloPlan" in partition_pkg.__all__
+    mesh = rect_tri(4)
+    dm = distribute(mesh, strips(mesh, 2))
+    assert dm.links_version == tuple(part.links_version for part in dm)
+    plan = dm.halo_plan(0)
+    assert isinstance(plan, HaloPlan) and dm.halo_plan(0) is plan
+    assert list(plan.owner_to_copy) == list(plan.copy_to_owner) == [(0, 1)]
+    dm.add_part()
+    assert len(dm.links_version) == 3 and dm.halo_plan(0) is not plan
+    field = Field(mesh, "s")
+    field.set(Ent(0, 2), 1.0)
+    assert field.has_many(np.array([2, 3, 10**6])).tolist() == [
+        True, False, False,
+    ]
+    forest = StarForest.from_columns(
+        SFComm(2), {(0, 1): (np.array([3]), np.array([4]))}, name="c"
+    )
+    assert (forest.nleaves, forest.nroots) == (1, 1)
+    assert forest.leaves() == [((1, 4), (0, 3))]
+    assert VALUES.of_dim(0) is VALUES.of_dim(0)
+    assert VALUES.of_dim(0).name == VALUES.name == "values"
