@@ -10,11 +10,13 @@ forest operations:
 
 1. **points broadcast** — each target part's query coordinates (its local
    vertices) are roots broadcast to every source part;
-2. **winner reduce** — each source part batch-locates every query point
-   over its SoA element arrays (:class:`~repro.field.shape.BatchLocator`
-   with element *global ids* as order keys) and contributes a winner key
-   ``(not contained, centroid distance^2, gid, value)`` per point; a
-   ``min`` reduce over the transpose forest elects the global winner.
+2. **samples broadcast** — each source part batch-locates every query
+   point over its SoA element arrays
+   (:class:`~repro.field.shape.BatchLocator` with element *global ids* as
+   order keys) and broadcasts, over the transpose forest, its sample
+   columns back to each target part; the target then elects per point the
+   least winner key ``(not contained, centroid distance^2, gid, value)``
+   over the source parts with one lexsort (:func:`elect`).
 
 Because global ids equal the serial mesh's element ids and the winner key
 is a pure function of geometry, the elected element — and therefore every
@@ -165,6 +167,29 @@ class XferStats:
         }
 
 
+def elect(
+    candidates: Sequence[Tuple[np.ndarray, ...]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each query point's winning sample among the source parts' samples.
+
+    ``candidates`` holds one ``(values, gids, contained, d2)`` sample of the
+    same points per source part, in part order; ``values`` has one row per
+    point.  Per point the winner is the least ``(not contained, d2, gid,
+    *values)`` in Python's tuple order, the earlier part winning a tie
+    (keys are NaN-free) — one stable lexsort whose last, primary key is the
+    point.  Returns the winners' ``(values, contained)``.
+    """
+    values, gids, contained, d2 = (
+        np.concatenate([sample[k] for sample in candidates]) for k in range(4)
+    )
+    point = np.tile(np.arange(len(candidates[0][1])), len(candidates))
+    order = np.lexsort(
+        tuple(values.T[::-1]) + (gids, d2, np.logical_not(contained), point)
+    )
+    winners = order[:: len(candidates)]
+    return values[winners], contained[winners]
+
+
 def transfer_between(
     src_dmesh: DistributedMesh,
     src_field: DistributedField,
@@ -204,21 +229,26 @@ def transfer_between(
             dst_ids[part.pid] = ids
             dst_points[part.pid] = np.array(part.mesh.coords_view()[ids])
 
-        # Phase 1: broadcast each target part's points to every source part.
-        points_sf = StarForest(comm, name="couple.points")
-        for t in range(ndst):
-            for s in range(nsrc):
-                points_sf.add_leaf(s, t, nsrc + t, t)
+        # Phase 1: broadcast each target part's points to every source part
+        # (root and leaf handle: the target's index).
+        cross = [(s, t) for t in range(ndst) for s in range(nsrc)]
+        points_sf = StarForest.from_columns(
+            comm, {(nsrc + t, s): ([t], [t]) for s, t in cross},
+            name="couple.points",
+        )
         received: Dict[int, Dict[int, np.ndarray]] = {
             s: {} for s in range(nsrc)
         }
 
-        def deliver_points(s: int, t: int, pts: np.ndarray) -> None:
-            received[s][t] = np.asarray(pts, dtype=float)
+        def deliver_points(s: int, _rpid: int, batch: Any) -> None:
+            for t, pts in zip(batch[0].tolist(), batch[1]):
+                received[s][t] = np.asarray(pts, dtype=float)
 
         points_sf.bcast(
-            lambda _rpid, t: dst_points[t],
-            leaf_set=deliver_points,
+            batch_data=lambda _rpid, _s, ts: [
+                dst_points[t] for t in ts.tolist()
+            ],
+            batch_set=deliver_points,
         )
 
         # Local batch location on every source part: one locator over the
@@ -240,49 +270,34 @@ def transfer_between(
                     values, locator.order[rows], contained, d2
                 )
 
-        # Phase 2: transpose reduce — every source part contributes one
-        # winner key per query point; min elects the global winner.
-        values_sf = StarForest(comm, name="couple.values")
-        npoints = 0
-        for t in range(ndst):
-            n = len(dst_points[t])
-            npoints += n
-            for j in range(n):
-                for s in range(nsrc):
-                    values_sf.add_leaf(s, (t, j), nsrc + t, (t, j))
-
-        def winner_key(s: int, handle: Tuple[int, int]) -> Tuple[Any, ...]:
-            t, j = handle
-            values, gids, contained, d2 = samples[(s, t)]
-            return (
-                int(not contained[j]),
-                float(d2[j]),
-                int(gids[j]),
-                tuple(float(v) for v in values[j]),
-            )
-
-        winners: Dict[int, List[Optional[Tuple[Any, ...]]]] = {
-            t: [None] * len(dst_points[t]) for t in range(ndst)
+        # Phase 2: the transpose bcast — every source part ships its sample
+        # columns for a target part's points back to it (root handle: the
+        # target's index; leaf handle: the source's).
+        values_sf = StarForest.from_columns(
+            comm, {(s, nsrc + t): ([t], [s]) for s, t in cross},
+            name="couple.values",
+        )
+        candidates: Dict[int, List[Any]] = {
+            t: [None] * nsrc for t in range(ndst)
         }
 
-        def set_winner(
-            _rpid: int, handle: Tuple[int, int], combined: Tuple[Any, ...]
-        ) -> None:
-            t, j = handle
-            winners[t][j] = combined
+        def gather(lpid: int, _s: int, batch: Any) -> None:
+            for s, sample in zip(batch[0].tolist(), batch[1]):
+                candidates[lpid - nsrc][s] = sample
 
-        values_sf.reduce(winner_key, set_winner, op="min")
+        values_sf.bcast(
+            batch_data=lambda s, _lpid, ts: [
+                samples[(s, t)] for t in ts.tolist()
+            ],
+            batch_set=gather,
+        )
 
-        # Write-back: one scatter per target part.
-        contained_total = 0
+        # Election and write-back: one lexsort and one scatter per target.
+        npoints = contained_total = 0
         for t in range(ndst):
-            rows = winners[t]
-            if any(row is None for row in rows):  # pragma: no cover - guard
-                raise CoupleError(
-                    f"target part {t} has unlocated query points"
-                )
-            contained_total += sum(1 for row in rows if row[0] == 0)
-            values = np.array([row[3] for row in rows], dtype=float)
+            values, contained = elect(candidates[t])
+            npoints += len(values)
+            contained_total += int(contained.sum())
             dst_field.on(t).set_many(dst_ids[t], values)
 
         counters.add("couple.xfer.ops")

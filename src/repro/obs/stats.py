@@ -83,8 +83,8 @@ class CommStats:
     encoded_bytes: int = 0
     #: Logical records coalesced into those batch buffers.
     messages_coalesced: int = 0
-    #: Star-forest operations (bcast/reduce/fetch_and_op) the service
-    #: executed; zero for purely local services.
+    #: Star-forest operations (bcast/reduce) the service executed; zero
+    #: for purely local services.
     sf_ops: int = 0
 
     def to_dict(self) -> Dict:
@@ -191,15 +191,13 @@ class AccumulateStats(CommStats):
 class SFStats(CommStats):
     """Outcome of one :class:`~repro.parallel.sf.StarForest` operation."""
 
-    #: Which operation ran: ``"bcast"``, ``"reduce.<op>"``,
-    #: ``"fetch_and_op.<op>"``.
+    #: Which operation ran: ``"bcast"`` or ``"reduce.<op>"``.
     op: str = ""
     #: The forest's name (spans and counters quote the same string).
     forest: str = ""
     nroots: int = 0
     nleaves: int = 0
-    #: Payload records processed (delivered leaf/root items, both
-    #: directions for fetch_and_op).
+    #: Payload records processed (one per leaf of the forest).
     records: int = 0
 
     def summary(self) -> str:

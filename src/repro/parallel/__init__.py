@@ -31,7 +31,6 @@ from .routing import BufferedRouter, NodeRouter
 from .sf import (
     BUNDLES,
     GENERIC,
-    INT_ROWS,
     OPS,
     VALUES,
     SFComm,
@@ -64,7 +63,6 @@ __all__ = [
     "CommWorld",
     "DeadlockError",
     "GENERIC",
-    "INT_ROWS",
     "OPS",
     "PayloadAliasError",
     "SanitizerError",

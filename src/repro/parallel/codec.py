@@ -88,8 +88,8 @@ VERSION = 1
 KIND_VALUE = 0
 KIND_ELEMENTS = 1
 KIND_VALUES = 2
-KIND_INT_ROWS = 3
-_KINDS = (KIND_VALUE, KIND_ELEMENTS, KIND_VALUES, KIND_INT_ROWS)
+KIND_ROWS = 3
+_KINDS = (KIND_VALUE, KIND_ELEMENTS, KIND_VALUES, KIND_ROWS)
 
 #: Header flag: the body contains at least one pickled fallback record.
 FLAG_PICKLED = 0x01
@@ -1054,12 +1054,12 @@ def encode_int_rows(lengths: np.ndarray, flat: np.ndarray) -> bytes:
     _w_uint(out, len(lengths))
     _w_column(out, lengths)
     _w_column(out, flat, signed=True)
-    return _frame(KIND_INT_ROWS, 0, bytes(out))
+    return _frame(KIND_ROWS, 0, bytes(out))
 
 
 def decode_int_rows(data: Any) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a kind-3 frame back into its ``(lengths, flat)`` columns."""
-    body = _unframe(data, KIND_INT_ROWS)
+    body = _unframe(data, KIND_ROWS)
     end = len(body)
     count, pos = _r_uint(body, 0, end)
     lengths, pos = _r_column(body, pos, count)

@@ -4,17 +4,14 @@ Knepley, Lange & Gorman (arXiv 1506.06194) observe that the sharing
 structure of a distributed mesh — owners with read-only copies scattered
 over other processes — is a *star forest*: a disjoint union of stars, each
 a root (the owned entity) pointing at its leaves (the copies).  Every
-distributed-mesh service then reduces to a handful of collective patterns
-over that one map:
+distributed-mesh service then reduces to two collective patterns over that
+one map:
 
 * :meth:`StarForest.bcast` — root values travel to their leaves
-  (migration's pack/send, ghost-bundle delivery, owner→copy field sync);
+  (migration's pack/send, ghost-bundle delivery, owner→copy field sync,
+  the store's record redistribution);
 * :meth:`StarForest.reduce` — leaf values combine onto their root with a
-  pluggable op (field accumulation's copy→owner sums);
-* :meth:`StarForest.fetch_and_op` — leaves atomically read-and-update
-  their root (global counters, unique-id allocation);
-* :meth:`StarForest.compose` — chaining two forests yields the forest of
-  depth-2 sharing, which is how arbitrary-depth overlaps are distributed.
+  pluggable op (field accumulation's copy→owner sums).
 
 The forest maps ``(leaf part, leaf handle) -> (root part, root handle)``
 where a handle is any hashable, sortable local designator (an
@@ -22,15 +19,17 @@ where a handle is any hashable, sortable local designator (an
 leaf by leaf (:meth:`StarForest.add_leaf`) or set whole from integer
 columns (:meth:`StarForest.from_columns`); either way each operation's wire
 order is derived once and kept until the graph changes — set the graph
-once, communicate over it many times.  ``bcast`` and ``reduce`` move
-payloads per leaf (one callback per handle) or per part pair (one batch per
-pair, columns in and out).  Payloads ride the coalesced binary codec
+once, communicate over it many times.  There is one engine: payloads move
+per part pair, one batch each way, columns in and out.  The per-item
+callback spelling (one payload per handle) is an adapter that lists each
+pair's batch and hands it to the same engine, so both spellings put the
+same frames on the wire.  Payloads ride the coalesced binary codec
 (:mod:`repro.parallel.codec`): one encoded buffer per communicating part
 pair per operation, with the wire schema chosen by an :class:`SFDatatype`
-(generic values, field-value batches, element-closure bundles, integer
-rows).  Every operation is one or two BSP supersteps, charges ``sf.*``
-counters, opens a superstep-aligned span on the communicator's tracer, and
-returns a byte-deterministic :class:`~repro.obs.stats.SFStats` record.
+(generic values, field-value columns, element-closure blocks).  Every
+operation is one BSP superstep, charges ``sf.*`` counters, opens a
+superstep-aligned span on the communicator's tracer, and returns a
+byte-deterministic :class:`~repro.obs.stats.SFStats` record.
 
 The communicator is duck-typed: anything exposing ``nparts``,
 ``counters``, ``tracer`` and ``router()`` works —
@@ -51,13 +50,10 @@ from ..obs.tracer import Tracer, current as current_tracer, trace_span
 from .codec import (
     CodecError,
     decode_element_block,
-    decode_int_rows,
     decode_value_batch,
     decode_value_columns,
     dumps,
     encode_element_block,
-    encode_int_rows,
-    encode_value_batch,
     encode_value_columns,
     loads,
     value_head,
@@ -75,11 +71,9 @@ __all__ = [
     "GENERIC",
     "VALUES",
     "BUNDLES",
-    "INT_ROWS",
 ]
 
-#: Reduction operators accepted by :meth:`StarForest.reduce` and
-#: :meth:`StarForest.fetch_and_op`.
+#: Reduction operators accepted by :meth:`StarForest.reduce`.
 OPS = ("replace", "sum", "min", "max")
 
 _TAG_SF = 40
@@ -88,15 +82,13 @@ _TAG_SF = 40
 Pairs = Dict[Tuple[int, int], Tuple[Sequence[Any], Sequence[Any]]]
 
 
-def _combine(op: str, a: Any, b: Any) -> Any:
-    """Fold ``b`` into ``a`` under ``op`` (elementwise on arrays)."""
+def _combine(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fold ``b`` into ``a`` under ``op``, elementwise."""
     if op == "replace":
         return b
     if op == "sum":
         return a + b
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b) if op == "min" else np.maximum(a, b)
-    return min(a, b) if op == "min" else max(a, b)
+    return np.minimum(a, b) if op == "min" else np.maximum(a, b)
 
 
 def _listed(handles: Sequence[Any]) -> Sequence[Any]:
@@ -129,10 +121,10 @@ def _fold(
 
     ``runs`` holds ``(leaf part, root handles, leaf handles, rows)`` per
     sending part.  Each root folds its rows left to right in the sorted
-    ``(root handle, leaf part, leaf handle)`` order — the per-leaf arm's
-    sequential fold — vectorized as one array operation per position: the
-    k-th contribution of every root with more than k folds in together.
-    Returns the distinct root handles, ascending, and one folded row each.
+    ``(root handle, leaf part, leaf handle)`` order — a sequential fold,
+    vectorized as one array operation per position: the k-th contribution
+    of every root with more than k folds in together.  Returns the
+    distinct root handles, ascending, and one folded row each.
     """
     roots, labels = _ranked([run[1] for run in runs])
     leaves, _labels = _ranked([run[2] for run in runs])
@@ -154,66 +146,98 @@ def _fold(
     return keys, acc
 
 
+def _spelling(
+    op: str,
+    items: Tuple[Optional[Callable], Optional[Callable]],
+    batches: Tuple[Optional[Callable], Optional[Callable]],
+) -> Tuple[Callable, Callable]:
+    """The ``(batch_data, batch_set)`` of one call: given whole, or adapted
+    from the whole per-item pair; anything else is a ``ValueError``."""
+    given = [pair for pair in (items, batches) if pair != (None, None)]
+    if len(given) != 1 or None in given[0]:
+        raise ValueError(
+            f"{op} takes (batch_data, batch_set) or its per-item callback "
+            "pair, whole and alone"
+        )
+    return batches if items == (None, None) else _per_item(*items, op)
+
+
+def _per_item(
+    item_data: Callable[[int, Any], Any],
+    item_set: Callable[[int, Any, Any], None],
+    op: str,
+) -> Tuple[Callable, Callable]:
+    """The per-item spelling as a batch pair: each pair's batch lists one
+    ``item_data(pid, handle)`` per sending handle, and each delivered
+    ``(handles, payloads)`` — ``bcast`` prefixes the root part, ``reduce``
+    delivers the pair bare — calls ``item_set(pid, handle, payload)``."""
+    def batch_data(pid: int, _to: int, handles: Any) -> List[Any]:
+        return [item_data(pid, handle) for handle in _listed(handles)]
+
+    def batch_set(pid: int, *delivered: Any) -> None:
+        handles, payloads = delivered[1] if op == "bcast" else delivered
+        for handle, payload in zip(_listed(handles), payloads):
+            item_set(pid, handle, payload)
+
+    return batch_data, batch_set
+
+
 # ---------------------------------------------------------------------------
 # wire datatypes
 # ---------------------------------------------------------------------------
 
 
 class SFDatatype:
-    """Wire strategy for one SF operation's ``(handle, payload)`` items.
+    """Wire strategy for one part pair's batch of payloads.
 
-    ``encode`` turns the item list for one part pair into a single codec
-    frame; ``decode`` reverses it, pairing payloads back with the
-    ``handles`` the receiver expects (sender and receiver traverse the
-    forest in the same sorted order, so positional pairing is exact).
-    ``encode_batch``/``decode_batch`` do the same for the batch arms of
-    :meth:`StarForest.bcast` and :meth:`StarForest.reduce`, where a pair's
-    payloads travel as one batch beside the forest's handles and arrive as
-    ``(handles, payloads)``; the handles reach them through ``prepare``,
-    which the forest calls once per pair and graph.  The base class is the
-    generic strategy: payloads of any codec-encodable type, shipped
-    positionally via :func:`~repro.parallel.codec.dumps`.
+    ``encode(handles, batch)`` turns the pair's batch — its payloads in
+    wire order — into a single codec frame; ``decode(blob, handles)``
+    reverses it, pairing the payloads back with the handles the receiver
+    expects as ``(handles, payloads)`` (sender and receiver traverse the
+    forest in the same sorted order, so positional pairing is exact).  The
+    handles reach both through ``prepare``, which the forest calls once per
+    pair and graph.  The base class is the generic strategy: a list of
+    payloads of any codec-encodable type, shipped positionally via
+    :func:`~repro.parallel.codec.dumps`.
     """
 
     name = "generic"
 
-    def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
-        return dumps([payload for _handle, payload in items])
+    def prepare(self, handles: Sequence[Any]) -> Any:
+        """What ``encode``/``decode`` get for one part pair's wire handles:
+        the handles themselves, or whatever the datatype derives from them
+        once per graph."""
+        return handles
 
-    def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
+    def encode(self, handles: Any, batch: Any) -> bytes:
+        payloads = list(batch)
+        if len(payloads) != len(handles):
+            raise CodecError(
+                f"{len(payloads)} payload(s) for {len(handles)} handle(s)"
+            )
+        return dumps(payloads)
+
+    def decode(self, blob: Any, handles: Any) -> Tuple[Any, List[Any]]:
         payloads = loads(blob)
         if not isinstance(payloads, list) or len(payloads) != len(handles):
             raise CodecError(
                 f"star-forest batch carries {len(payloads)} payload(s) "
                 f"where {len(handles)} expected"
             )
-        return list(zip(handles, payloads))
-
-    def prepare(self, handles: Sequence[Any]) -> Any:
-        """What the batch arms hand ``encode_batch``/``decode_batch`` for
-        one part pair's wire handles: the handles themselves, or whatever
-        the datatype derives from them once per graph."""
-        return handles
-
-    def encode_batch(self, handles: Any, batch: Any) -> bytes:
-        return self.encode(list(zip(_listed(handles), batch)))
-
-    def decode_batch(self, blob: Any, handles: Any) -> Any:
-        items = self.decode(blob, _listed(handles))
-        return handles, [payload for _handle, payload in items]
+        return handles, payloads
 
 
 class _ValuesDatatype(SFDatatype):
     """Field-value batches: float arrays on entity handles.
 
     Handles are :class:`~repro.mesh.entity.Ent` objects — or, for
-    :meth:`of_dim` instances, plain entity ids of one dimension.  The
-    handles travel in the frame's entity columns, so the handle check below
-    doubles as an end-to-end forest/wire consistency assertion.  In the
-    batch arms a pair's values are one ``(n, *shape)`` float64 array: the
-    frame's entity section is encoded once per pair and graph
-    (:meth:`prepare`), the values are written into the frame and read back
-    as a column, and the handle check is one comparison of entity sections.
+    :meth:`of_dim` instances, plain entity ids of one dimension.  A pair's
+    batch is one ``(n, *shape)`` float64 array (or a list of equal-shape
+    rows), one row per handle.  The frame's entity section is encoded once
+    per pair and graph (:meth:`prepare`), the values are written into the
+    frame and read back as a column, and the handles travel in the entity
+    section, so the receive-side check — one comparison of entity sections
+    — doubles as an end-to-end forest/wire consistency assertion.
     """
 
     name = "values"
@@ -225,32 +249,6 @@ class _ValuesDatatype(SFDatatype):
         """The same frames over integer handles: entity ids of ``dim``."""
         return _VALUES_OF_DIM[dim]
 
-    def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
-        if self.dim is not None:
-            items = [(Ent(self.dim, idx), value) for idx, value in items]
-        return encode_value_batch(items)
-
-    def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
-        pairs = decode_value_batch(blob)
-        if len(pairs) != len(handles):
-            raise CodecError(
-                f"star-forest value batch carries {len(pairs)} value(s) "
-                f"where {len(handles)} expected"
-            )
-        expected = (
-            handles if self.dim is None
-            else [Ent(self.dim, idx) for idx in handles]
-        )
-        for want, (ent, _value) in zip(expected, pairs):
-            if ent != want:
-                raise CodecError(
-                    f"star-forest value batch names {ent} where the forest "
-                    f"expects {want}"
-                )
-        return [
-            (handle, value) for handle, (_ent, value) in zip(handles, pairs)
-        ]
-
     def prepare(self, handles: Sequence[Any]) -> Tuple[Sequence[Any], bytes]:
         """The pair's handles with their frame entity section."""
         if self.dim is not None:
@@ -261,17 +259,33 @@ class _ValuesDatatype(SFDatatype):
             np.fromiter((ent.idx for ent in handles), np.int64, count),
         )
 
-    def encode_batch(self, handles: Any, batch: Any) -> bytes:
+    def encode(self, handles: Any, batch: Any) -> bytes:
         return encode_value_columns(handles[1], batch)
 
-    def decode_batch(self, blob: Any, handles: Any) -> Any:
+    def decode(self, blob: Any, handles: Any) -> Tuple[Any, np.ndarray]:
         expected, head = handles
         got, values = decode_value_columns(blob)
         if got != head:
-            # Name the first entity the frame and the forest disagree on.
-            self.decode(blob, _listed(expected))
-            raise CodecError("star-forest value batch names other entities")
+            raise CodecError(self._mismatch(blob, _listed(expected)))
         return expected, values
+
+    def _mismatch(self, blob: Any, expected: List[Any]) -> str:
+        """Name the first entity the frame and the forest disagree on."""
+        ents = [ent for ent, _value in decode_value_batch(blob)]
+        if len(ents) != len(expected):
+            return (
+                f"star-forest value batch carries {len(ents)} value(s) "
+                f"where {len(expected)} expected"
+            )
+        if self.dim is not None:
+            expected = [Ent(self.dim, idx) for idx in expected]
+        for ent, want in zip(ents, expected):
+            if ent != want:
+                return (
+                    f"star-forest value batch names {ent} where the forest "
+                    f"expects {want}"
+                )
+        return "star-forest value batch names other entities"
 
 
 class _BundlesDatatype(SFDatatype):
@@ -279,18 +293,17 @@ class _BundlesDatatype(SFDatatype):
 
     The batch for a pair is a single
     :class:`~repro.parallel.codec.ElementBlock` (one bundle per leaf, in
-    leaf order) rather than an item list, so this datatype pairs with
-    ``bcast(batch_data=..., batch_set=...)``: the sender hands over the
-    block it packed and the receiver lands the block it gets (the bundles
-    keep the block's own order, so no handles ride along).
+    leaf order) rather than a payload list: the sender hands over the block
+    it packed and the receiver lands the block it gets (the bundles keep
+    the block's own order, so no handles ride along).
     """
 
     name = "bundles"
 
-    def encode(self, items: Any) -> bytes:
-        return encode_element_block(items)
+    def encode(self, handles: Any, batch: Any) -> bytes:
+        return encode_element_block(batch)
 
-    def decode(self, blob: Any, handles: List[Any]) -> Any:
+    def decode(self, blob: Any, handles: Any) -> Any:
         block = decode_element_block(blob)
         if len(block) != len(handles):
             raise CodecError(
@@ -299,48 +312,13 @@ class _BundlesDatatype(SFDatatype):
             )
         return block
 
-    def encode_batch(self, handles: Any, batch: Any) -> bytes:
-        return encode_element_block(batch)
-
-    def decode_batch(self, blob: Any, handles: Any) -> Any:
-        return self.decode(blob, handles)
-
-
-class _IntRowsDatatype(SFDatatype):
-    """Integer-tuple payloads as one columnar ragged-row frame."""
-
-    name = "int_rows"
-
-    def encode(self, items: List[Tuple[Any, Any]]) -> bytes:
-        rows = [payload for _handle, payload in items]
-        return encode_int_rows(
-            np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
-            np.asarray([v for row in rows for v in row], dtype=np.int64),
-        )
-
-    def decode(self, blob: Any, handles: List[Any]) -> List[Tuple[Any, Any]]:
-        lengths, flat = decode_int_rows(blob)
-        if len(lengths) != len(handles):
-            raise CodecError(
-                f"star-forest int-row batch carries {len(lengths)} row(s) "
-                f"where {len(handles)} expected"
-            )
-        values = flat.tolist()
-        ends = np.cumsum(lengths).tolist()
-        return [
-            (handle, tuple(values[end - n:end]))
-            for handle, n, end in zip(handles, lengths.tolist(), ends)
-        ]
-
 
 #: Generic payloads (any codec-encodable value), shipped positionally.
 GENERIC = SFDatatype()
-#: ``(entity, float array)`` field values — the field-sync wire format.
+#: Float field values on entities — the field-sync wire format.
 VALUES = _ValuesDatatype()
 #: Element-closure bundles — the migration/ghosting wire format.
 BUNDLES = _BundlesDatatype()
-#: Integer tuples as columnar ragged rows.
-INT_ROWS = _IntRowsDatatype()
 _VALUES_OF_DIM = tuple(_ValuesDatatype(dim) for dim in range(4))
 
 
@@ -530,36 +508,15 @@ class StarForest:
         """All ``((leaf part, handle), (root part, handle))`` pairs, sorted."""
         return sorted(self._leaf_map().items())
 
-    def compose(self, other: "StarForest") -> "StarForest":
-        """The forest reaching ``other``'s roots through this forest's.
-
-        A leaf ``L -> R`` of ``self`` whose root ``R`` is itself a leaf
-        ``R -> S`` of ``other`` contributes ``L -> S`` to the result: two
-        hops of sharing collapsed into one map.  Iterating composition is
-        how depth-k overlaps distribute — the k-th ring's forest is the
-        (k-1)-ring forest composed with one more ring of sharing.
-        """
-        if other.comm is not self.comm:
-            raise ValueError(
-                "cannot compose star forests over different communicators"
-            )
-        result = StarForest(self.comm, name=f"{self.name}*{other.name}")
-        targets = other._leaf_map()
-        for leaf, root in self._leaf_map().items():
-            target = targets.get(root)
-            if target is not None:
-                result._leaves[leaf] = target
-        return result
-
     # -- traversal ----------------------------------------------------------
 
     def _pairs(self, by_root: bool) -> Pairs:
         """``{(root part, leaf part): (root handles, leaf handles)}``.
 
         Pairs ascend; within a pair rows ascend by leaf handle (``bcast``)
-        or by ``(root handle, leaf handle)`` (``reduce``,
-        ``fetch_and_op``) — which makes the wire traffic a pure function of
-        the forest's contents.  Derived once per graph and order.
+        or by ``(root handle, leaf handle)`` (``reduce``) — which makes the
+        wire traffic a pure function of the forest's contents.  Derived
+        once per graph and order.
         """
         key = ("pairs", by_root)
         pairs = self._cache.get(key)
@@ -603,38 +560,62 @@ class StarForest:
             }
         return prepared
 
-    @staticmethod
-    def _post(
-        router: BufferedRouter,
-        src: int,
-        dst: int,
-        blob: bytes,
-        records: int,
-        tally: List[int],
-    ) -> None:
-        tally[0] += len(blob)
-        tally[1] += records
-        router.post(src, dst, _TAG_SF, blob)
+    def _send(
+        self,
+        by_root: bool,
+        datatype: SFDatatype,
+        batch_data: Callable[[int, int, Any], Any],
+        deliver: Callable[[int, int, Any], None],
+    ) -> int:
+        """One superstep of batches: ``bcast`` from roots to leaves, or
+        ``reduce`` (``by_root``) from leaves to roots.
 
-    def _charge(self, tally: List[int]) -> None:
-        """Charge one operation's posted buffers: encoded bytes and
-        coalesced records (to the shared ``net.*`` counters too)."""
-        encoded, records = tally
+        Each part pair's batch is encoded beside its prepared wire handles
+        and posted; a pair within one part never touches the wire.  After
+        the exchange every batch is decoded and handed to ``deliver``
+        (receiving part, sending part, decoded batch) one at a time — the
+        local pairs first, then the arrivals by receiving part.  Returns
+        the record count.
+        """
+        prepared = self._prepared(datatype, by_root)
+        router = self.comm.router()
+        local: List[Tuple[int, int, bytes, Any]] = []
+        records = posted = encoded = 0
+        for (rpid, lpid), (roots, leaves) in self._pairs(by_root).items():
+            src, dst = (lpid, rpid) if by_root else (rpid, lpid)
+            handles = prepared[(rpid, lpid)]
+            blob = datatype.encode(
+                handles, batch_data(src, dst, leaves if by_root else roots)
+            )
+            records += len(leaves)
+            if src == dst:
+                local.append((dst, src, blob, handles))
+                continue
+            posted += len(leaves)
+            encoded += len(blob)
+            router.post(src, dst, _TAG_SF, blob)
         if encoded:
             counters = self.comm.counters
             counters.add("sf.bytes.encoded", encoded)
             counters.add("net.bytes.encoded", encoded)
-            counters.add("net.messages.coalesced", records)
+            counters.add("net.messages.coalesced", posted)
+        inboxes = router.exchange()
+        for dst, src, blob, handles in local:
+            deliver(dst, src, datatype.decode(blob, handles))
+        for dst in sorted(inboxes):
+            for src, _tag, blob in inboxes[dst]:
+                pair = (dst, src) if by_root else (src, dst)
+                deliver(dst, src, datatype.decode(blob, prepared[pair]))
+        return records
 
-    def _stats(self, probe: CommProbe, op: str, records: int,
-               sf_ops: int) -> SFStats:
+    def _stats(self, probe: CommProbe, op: str, records: int) -> SFStats:
         return SFStats(
             op=op,
             forest=self.name,
             nroots=self.nroots,
             nleaves=self.nleaves,
             records=records,
-            sf_ops=sf_ops,
+            sf_ops=1,
             messages=probe.messages(),
             wire_bytes=probe.wire_bytes(),
             supersteps=probe.supersteps(),
@@ -642,20 +623,6 @@ class StarForest:
             encoded_bytes=probe.encoded_bytes(),
             messages_coalesced=probe.messages_coalesced(),
         )
-
-    @staticmethod
-    def _deliver(
-        lpid: int,
-        rpid: int,
-        items: Any,
-        leaf_set: Optional[Callable[[int, Any, Any], None]],
-        batch_set: Optional[Callable[[int, int, Any], None]],
-    ) -> None:
-        if batch_set is not None:
-            batch_set(lpid, rpid, items)
-        elif leaf_set is not None:
-            for handle, payload in items:
-                leaf_set(lpid, handle, payload)
 
     # -- operations ---------------------------------------------------------
 
@@ -669,156 +636,35 @@ class StarForest:
     ) -> SFStats:
         """Root values travel to their leaves; one superstep, always.
 
-        Per leaf: ``root_data(root_pid, root_handle)`` produces the payload
-        for each leaf of that root (called once per leaf, in wire order),
-        delivered per item — ``leaf_set(leaf_pid, leaf_handle, payload)`` —
-        or per part pair — ``batch_set(leaf_pid, root_pid, items)`` with the
-        pair's full ``(handle, payload)`` list.
+        ``batch_data(root_pid, leaf_pid, root_handles)`` is called once per
+        part pair with the pair's root handles in wire order and returns
+        the pair's payloads as one batch (a payload list; for :data:`VALUES`
+        a value array, one row per leaf; for :data:`BUNDLES` one columnar
+        block).  The forest encodes it beside the pair's leaf handles, and
+        ``batch_set(leaf_pid, root_pid, batch)`` receives what the
+        datatype decodes: ``(leaf handles, payloads)``, or the block.
 
-        Per batch: ``batch_data(root_pid, leaf_pid, root_handles)`` is the
-        send-side twin of ``batch_set`` — one call per part pair with all
-        root handles in wire order — and returns the pair's payloads as one
-        batch (a payload list; for :data:`VALUES` a value array, one row
-        per leaf; for :data:`BUNDLES` one columnar block).  The forest
-        encodes it beside the pair's leaf handles, and ``batch_set``
-        receives what ``datatype.decode_batch`` returns: ``(leaf handles,
-        payloads)``, or the block.
+        The per-item spelling ``bcast(root_data, leaf_set)`` —
+        ``root_data(root_pid, root_handle)`` per leaf in wire order,
+        ``leaf_set(leaf_pid, leaf_handle, payload)`` per delivery — runs
+        through the same batches and puts the same frames on the wire.  A
+        call takes exactly one of the two spellings.
 
         The exchange runs even when the forest is empty, so a fixed call
         sequence costs a fixed superstep count regardless of data.
         """
-        if batch_data is not None and batch_set is None:
-            raise ValueError("bcast(batch_data=...) needs batch_set")
+        batch_data, batch_set = _spelling(
+            "bcast", (root_data, leaf_set), (batch_data, batch_set)
+        )
         comm = self.comm
         probe = CommProbe(comm.counters)
-        records = 0
-        tally = [0, 0]
         with trace_span(
             comm.tracer, "sf.bcast", sf=self.name, datatype=datatype.name
         ):
-            pairs = self._pairs(by_root=False)
-            if batch_data is not None:
-                prepared = self._prepared(datatype, by_root=False)
-            router = comm.router()
-            local: List[Tuple[int, int, Any]] = []
-            for (rpid, lpid), (roots, leaves) in pairs.items():
-                records += len(leaves)
-                if batch_data is None:
-                    items = [
-                        (lh, root_data(rpid, rh))
-                        for rh, lh in zip(_listed(roots), _listed(leaves))
-                    ]
-                    if rpid == lpid:
-                        local.append((lpid, rpid, items))
-                        continue
-                    blob = datatype.encode(items)
-                else:
-                    handles = prepared[(rpid, lpid)]
-                    blob = datatype.encode_batch(
-                        handles, batch_data(rpid, lpid, roots)
-                    )
-                    if rpid == lpid:
-                        local.append(
-                            (lpid, rpid, datatype.decode_batch(blob, handles))
-                        )
-                        continue
-                self._post(router, rpid, lpid, blob, len(leaves), tally)
-            inboxes = router.exchange()
-            for lpid, rpid, items in local:
-                self._deliver(lpid, rpid, items, leaf_set, batch_set)
-            for lpid in sorted(inboxes):
-                for src, _tag, blob in inboxes[lpid]:
-                    if batch_data is None:
-                        leaves = _listed(pairs[(src, lpid)][1])
-                        items = datatype.decode(blob, leaves)
-                    else:
-                        handles = prepared[(src, lpid)]
-                        items = datatype.decode_batch(blob, handles)
-                    self._deliver(lpid, src, items, leaf_set, batch_set)
-            self._charge(tally)
+            records = self._send(False, datatype, batch_data, batch_set)
             comm.counters.add("sf.ops.bcast")
             comm.counters.add("sf.records", records)
-        return self._stats(probe, "bcast", records, sf_ops=1)
-
-    def _gather(
-        self,
-        leaf_data: Callable[[int, Any], Any],
-        datatype: SFDatatype,
-        router: BufferedRouter,
-    ) -> Tuple[Dict[int, List[Tuple[Any, int, Any, Any]]], int]:
-        """Leaf→root transport shared by reduce and fetch_and_op.
-
-        Returns ``{root_pid: [(root handle, leaf pid, leaf handle, value)]}``
-        rows (unordered — callers sort) plus the record count.  One
-        superstep: posts, one exchange, decode.
-        """
-        pairs = self._pairs(by_root=True)
-        arrivals: Dict[int, List[Tuple[Any, int, Any, Any]]] = {}
-        records = 0
-        tally = [0, 0]
-        for (rpid, lpid), (roots, leaves) in pairs.items():
-            roots, leaves = _listed(roots), _listed(leaves)
-            values = [leaf_data(lpid, lh) for lh in leaves]
-            records += len(values)
-            if rpid == lpid:
-                arrivals.setdefault(rpid, []).extend(
-                    zip(roots, repeat(lpid), leaves, values)
-                )
-                continue
-            blob = datatype.encode(list(zip(roots, values)))
-            self._post(router, lpid, rpid, blob, len(values), tally)
-        self._charge(tally)
-        inboxes = router.exchange()
-        for rpid in sorted(inboxes):
-            rows = arrivals.setdefault(rpid, [])
-            for src, _tag, blob in inboxes[rpid]:
-                roots, leaves = map(_listed, pairs[(rpid, src)])
-                items = datatype.decode(blob, roots)
-                rows.extend(
-                    (rh, src, lh, value)
-                    for rh, lh, (_wire_rh, value) in zip(roots, leaves, items)
-                )
-        return arrivals, records
-
-    def _reduce_batches(
-        self,
-        batch_data: Callable[[int, int, Any], Any],
-        batch_set: Callable[[int, Any, np.ndarray], None],
-        op: str,
-        datatype: SFDatatype,
-        router: BufferedRouter,
-    ) -> int:
-        """The batch arm of :meth:`reduce`; returns the record count."""
-        pairs = self._pairs(by_root=True)
-        prepared = self._prepared(datatype, by_root=True)
-        arrived: Dict[int, List[Tuple[int, Any]]] = {}
-        records = 0
-        tally = [0, 0]
-        for (rpid, lpid), (roots, leaves) in pairs.items():
-            records += len(leaves)
-            blob = datatype.encode_batch(
-                prepared[(rpid, lpid)], batch_data(lpid, rpid, leaves)
-            )
-            if rpid == lpid:
-                arrived.setdefault(rpid, []).append((lpid, blob))
-            else:
-                self._post(router, lpid, rpid, blob, len(leaves), tally)
-        self._charge(tally)
-        inboxes = router.exchange()
-        for rpid in sorted(inboxes):
-            arrived.setdefault(rpid, []).extend(
-                (src, blob) for src, _tag, blob in inboxes[rpid]
-            )
-        for rpid in sorted(arrived):
-            runs = []
-            for lpid, blob in arrived[rpid]:
-                roots, leaves = pairs[(rpid, lpid)]
-                handles = prepared[(rpid, lpid)]
-                _roots, rows = datatype.decode_batch(blob, handles)
-                runs.append((lpid, roots, leaves, rows))
-            if runs:
-                batch_set(rpid, *_fold(op, runs))
-        return records
+        return self._stats(probe, "bcast", records)
 
     def reduce(
         self,
@@ -831,134 +677,49 @@ class StarForest:
     ) -> SFStats:
         """Leaf values combine onto their root; one superstep, always.
 
-        Per leaf: ``leaf_data(leaf_pid, leaf_handle)`` produces each
-        contribution; per root the contributions are folded with ``op`` in
-        the globally sorted ``(root handle, leaf pid, leaf handle)`` order
-        — the fold is deterministic even for non-associative float addition
-        — and handed to ``root_set(root_pid, root_handle, combined)``.
-        ``combined`` covers the *leaf* contributions only; a caller wanting
-        the root's own value in the fold merges it inside ``root_set``.
-
-        Per batch: ``batch_data(leaf_pid, root_pid, leaf_handles)`` returns
-        a part pair's contributions as one array — a row per leaf handle,
-        in wire order — which travels beside the pair's root handles;
+        ``batch_data(leaf_pid, root_pid, leaf_handles)`` returns a part
+        pair's contributions as one batch — a row per leaf handle, in wire
+        order — which travels beside the pair's root handles.  Per root the
+        contributions are folded with ``op`` in the globally sorted ``(root
+        handle, leaf pid, leaf handle)`` order — the fold is deterministic
+        even for non-associative float addition — vectorized as one array
+        operation per position within a root's run of contributions.
         ``batch_set(root_pid, root_handles, combined)`` then receives, once
         per root part, the root handles that got contributions (ascending)
-        and their folded rows.  The fold is the per-leaf one vectorized —
-        one array operation per position within a root's run of
-        contributions — so every root sees the same sequential fold and
-        float sums are bit-identical.
+        and their folded rows.  ``combined`` covers the *leaf*
+        contributions only; a caller wanting the root's own value in the
+        fold merges it inside ``batch_set``.
+
+        The per-item spelling ``reduce(leaf_data, root_set)`` —
+        ``leaf_data(leaf_pid, leaf_handle)`` per contribution,
+        ``root_set(root_pid, root_handle, combined)`` per root — runs
+        through the same batches and fold.
         """
         if op not in OPS:
             raise ValueError(f"unknown reduce op {op!r} (expected one of {OPS})")
-        if (batch_data is None) != (batch_set is None):
-            raise ValueError("reduce needs batch_data and batch_set together")
+        batch_data, batch_set = _spelling(
+            "reduce", (leaf_data, root_set), (batch_data, batch_set)
+        )
         comm = self.comm
         probe = CommProbe(comm.counters)
         with trace_span(
             comm.tracer, "sf.reduce", sf=self.name, op=op,
             datatype=datatype.name,
         ):
-            router = comm.router()
-            if batch_data is not None:
-                records = self._reduce_batches(
-                    batch_data, batch_set, op, datatype, router
+            pairs = self._pairs(by_root=True)
+            arrived: Dict[int, List[Tuple[int, Any, Any, Any]]] = {}
+
+            def gather(rpid: int, lpid: int, batch: Any) -> None:
+                arrived.setdefault(rpid, []).append(
+                    (lpid, *pairs[(rpid, lpid)], batch[1])
                 )
-            else:
-                arrivals, records = self._gather(leaf_data, datatype, router)
-                for rpid in sorted(arrivals):
-                    rows = sorted(
-                        arrivals[rpid], key=lambda row: (row[0], row[1], row[2])
-                    )
-                    current_rh: Any = None
-                    acc: Any = None
-                    started = False
-                    for rh, _lpid, _lh, value in rows:
-                        if started and rh == current_rh:
-                            acc = _combine(op, acc, value)
-                        else:
-                            if started:
-                                root_set(rpid, current_rh, acc)
-                            current_rh, acc, started = rh, value, True
-                    if started:
-                        root_set(rpid, current_rh, acc)
+
+            records = self._send(True, datatype, batch_data, gather)
+            for rpid in sorted(arrived):
+                batch_set(rpid, *_fold(op, arrived[rpid]))
             comm.counters.add("sf.ops.reduce")
             comm.counters.add("sf.records", records)
-        return self._stats(probe, f"reduce.{op}", records, sf_ops=1)
-
-    def fetch_and_op(
-        self,
-        leaf_data: Callable[[int, Any], Any],
-        root_get: Callable[[int, Any], Any],
-        root_set: Callable[[int, Any, Any], None],
-        op: str = "sum",
-        datatype: SFDatatype = GENERIC,
-    ) -> Tuple[Dict[Tuple[int, Any], Any], SFStats]:
-        """Atomic leaf read-and-update of roots; two supersteps, always.
-
-        Each leaf's contribution is applied to its root in the globally
-        sorted ``(root handle, leaf pid, leaf handle)`` order; the value
-        the root held *immediately before* that leaf's own update travels
-        back to the leaf.  Returns ``({(leaf_pid, leaf_handle): fetched},
-        stats)`` — the classic fetch-and-add when ``op="sum"``, which makes
-        disjoint range allocation off a shared counter a one-liner.
-        """
-        if op not in OPS:
-            raise ValueError(f"unknown reduce op {op!r} (expected one of {OPS})")
-        comm = self.comm
-        probe = CommProbe(comm.counters)
-        fetched: Dict[Tuple[int, Any], Any] = {}
-        with trace_span(
-            comm.tracer, "sf.fetch_and_op", sf=self.name, op=op,
-            datatype=datatype.name,
-        ):
-            router = comm.router()
-            arrivals, records = self._gather(leaf_data, datatype, router)
-            returns: Dict[Tuple[int, int], List[Tuple[Any, Any]]] = {}
-            for rpid in sorted(arrivals):
-                rows = sorted(
-                    arrivals[rpid], key=lambda row: (row[0], row[1], row[2])
-                )
-                current_rh: Any = None
-                acc: Any = None
-                started = False
-                for rh, lpid, lh, value in rows:
-                    if not started or rh != current_rh:
-                        if started:
-                            root_set(rpid, current_rh, acc)
-                        current_rh, started = rh, True
-                        acc = root_get(rpid, rh)
-                    returns.setdefault((rpid, lpid), []).append((lh, acc))
-                    acc = _combine(op, acc, value)
-                if started:
-                    root_set(rpid, current_rh, acc)
-            # Second superstep: fetched values travel back to the leaves.
-            router = comm.router()
-            tally = [0, 0]
-            for (rpid, lpid), items in sorted(returns.items()):
-                items.sort(key=lambda item: item[0])
-                records += len(items)
-                if rpid == lpid:
-                    for lh, value in items:
-                        fetched[(lpid, lh)] = value
-                    continue
-                self._post(
-                    router, rpid, lpid, datatype.encode(items), len(items), tally
-                )
-            self._charge(tally)
-            pairs = self._pairs(by_root=False)
-            inboxes = router.exchange()
-            for lpid in sorted(inboxes):
-                for src, _tag, blob in inboxes[lpid]:
-                    expected = _listed(pairs[(src, lpid)][1])
-                    items = datatype.decode(blob, expected)
-                    for lh, value in items:
-                        fetched[(lpid, lh)] = value
-            comm.counters.add("sf.ops.fetch_and_op")
-            comm.counters.add("sf.records", records)
-        return fetched, self._stats(
-            probe, f"fetch_and_op.{op}", records, sf_ops=2
-        )
+        return self._stats(probe, f"reduce.{op}", records)
 
     def __repr__(self) -> str:
         return (

@@ -603,21 +603,24 @@ class SnapshotStore:
             for section, ci, entry in epoch_sections(manifest):
                 chunk_list.append((seq, section, ci, entry, einfo.path))
         total_chunks = len(chunk_list)
-        reader_of: Dict[Tuple[int, str, int], int] = {}
-        chunk_records: Dict[Tuple[int, str, int], List[Any]] = {}
+        # Each reader's decoded records, its chunks in order: a record's
+        # index in its reader's list is its root handle below.
+        reader_records: List[List[Any]] = [[] for _ in range(nparts)]
+        chunk_at: Dict[Tuple[int, str, int], Tuple[int, int, int]] = {}
         for j, (seq, section, ci, entry, path) in enumerate(chunk_list):
             reader = j * nparts // total_chunks if total_chunks else 0
             records, nbytes = load_chunk(path, entry)
-            reader_of[(seq, section, ci)] = reader
-            chunk_records[(seq, section, ci)] = records
+            held = reader_records[reader]
+            chunk_at[(seq, section, ci)] = (reader, len(held), len(records))
+            held.extend(records)
             counters.add("store.chunks.read")
             counters.add("store.bytes.read", nbytes)
 
         # Phase 2 — fold the chain front-to-back into "live" record
-        # locations: identity -> (reader pid, chunk handle).  Removal
+        # locations: identity -> (reader pid, record index).  Removal
         # lists drop earlier entries; later upserts shadow earlier ones.
         # This is pure control-plane metadata (ids, not payloads).
-        live: Dict[str, Dict[Any, Tuple[int, Tuple[int, str, int, int]]]] = {
+        live: Dict[str, Dict[Any, Tuple[int, int]]] = {
             "v": {}, "e": {}, "t": {}, "f": {},
         }
         field_names: Dict[Tuple[int, str], str] = {}
@@ -647,10 +650,11 @@ class SnapshotStore:
                 for fkey in [k for k in live["f"] if k[0] not in alive]:
                     del live["f"][fkey]
             for section, ci, entry in epoch_sections(manifest):
-                rpid = reader_of[(seq, section, ci)]
-                records = chunk_records[(seq, section, ci)]
-                for row, rec in enumerate(records):
-                    loc = (rpid, (seq, section, ci, row))
+                rpid, start, count = chunk_at[(seq, section, ci)]
+                records = reader_records[rpid]
+                for index in range(start, start + count):
+                    rec = records[index]
+                    loc = (rpid, index)
                     if section == "verts":
                         live["v"][int(rec[0])] = loc
                     elif section == "elems":
@@ -671,8 +675,9 @@ class SnapshotStore:
         # column, else contiguous sorted-gid blocks (element j of M -> part
         # j*P//M).  Vertices follow the elements referencing them;
         # tag/field records go to every part holding all their key
-        # vertices (supersets cost a few duplicate deliveries, dropped at
-        # apply time by the key index).
+        # vertices — the intersection of those vertices' targets
+        # (supersets cost a few duplicate deliveries, dropped at apply time
+        # by the key index).
         ordered = sorted(live["e"])
         total = len(ordered)
         elem_target = {
@@ -683,62 +688,71 @@ class SnapshotStore:
             counters.add("store.bytes.read", nbytes)
             if owner is not None:
                 elem_target = dict(zip(ordered, owner.tolist()))
-        part_vgids: List[set] = [set() for _ in range(nparts)]
         vert_targets: Dict[int, set] = {}
-        for egid, (rpid, handle) in live["e"].items():
-            seq, section, ci, row = handle
+        for egid, (rpid, index) in live["e"].items():
             pid = elem_target[egid]
-            for vgid in chunk_records[(seq, section, ci)][row][1]:
-                vgid = int(vgid)
-                part_vgids[pid].add(vgid)
-                vert_targets.setdefault(vgid, set()).add(pid)
+            for vgid in reader_records[rpid][index][1]:
+                vert_targets.setdefault(int(vgid), set()).add(pid)
+        nowhere: set = set()
 
-        forest = StarForest(dmesh, name="store.load")
-        for egid, (rpid, handle) in live["e"].items():
-            forest.add_leaf(
-                elem_target[egid], ("e", egid), rpid, handle
+        def holders(key: Tuple[int, ...]) -> set:
+            return set.intersection(
+                *(vert_targets.get(g, nowhere) for g in key)
             )
-        for vgid, (rpid, handle) in live["v"].items():
-            for pid in vert_targets.get(vgid, ()):
-                forest.add_leaf(pid, ("v", vgid), rpid, handle)
-        for (name, dim, key), (rpid, handle) in live["t"].items():
-            for pid in range(nparts):
-                if all(g in part_vgids[pid] for g in key):
-                    forest.add_leaf(
-                        pid, ("t", name, dim, key), rpid, handle
-                    )
-        for (name, key), (rpid, handle) in live["f"].items():
-            for pid in range(nparts):
-                if all(g in part_vgids[pid] for g in key):
-                    forest.add_leaf(
-                        pid, ("f", name, key), rpid, handle
-                    )
 
-        # Phase 4 — one bcast redistributes every record.  root_data
-        # reads the record out of the owning reader's decoded chunk.
+        # Every part's wanted records as (identity, reader, index).  The
+        # identities sort ("e", ...) < ("f", ...) < ("t", ...) < ("v", ...);
+        # a part's leaf handles are ordinals in that order, so each pair's
+        # records travel in identity order.
+        wanted: List[List[Tuple[Any, int, int]]] = [[] for _ in range(nparts)]
+        for egid, (rpid, index) in live["e"].items():
+            wanted[elem_target[egid]].append((("e", egid), rpid, index))
+        for vgid, (rpid, index) in live["v"].items():
+            for pid in vert_targets.get(vgid, ()):
+                wanted[pid].append((("v", vgid), rpid, index))
+        for (name, dim, key), (rpid, index) in live["t"].items():
+            for pid in holders(key):
+                wanted[pid].append((("t", name, dim, key), rpid, index))
+        for (name, key), (rpid, index) in live["f"].items():
+            for pid in holders(key):
+                wanted[pid].append((("f", name, key), rpid, index))
+        pairs: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+        for pid, rows in enumerate(wanted):
+            rows.sort(key=lambda row: row[0])
+            for ordinal, (_identity, rpid, index) in enumerate(rows):
+                roots, leaves = pairs.setdefault((rpid, pid), ([], []))
+                roots.append(index)
+                leaves.append(ordinal)
+        forest = StarForest.from_columns(dmesh, pairs, name="store.load")
+
+        # Phase 4 — one bcast redistributes every record: each reader
+        # ships the records a part wants out of its decoded chunks.
         staged: List[Dict[str, Any]] = [
             {"e": {}, "v": {}, "t": [], "f": {}} for _ in range(nparts)
         ]
 
-        def root_data(rpid: int, handle: Any) -> Any:
-            seq, section, ci, row = handle
-            return chunk_records[(seq, section, ci)][row]
+        def send(rpid: int, _lpid: int, indices: np.ndarray) -> List[Any]:
+            records = reader_records[rpid]
+            return [records[index] for index in indices.tolist()]
 
-        def leaf_set(lpid: int, lh: Any, rec: Any) -> None:
-            st = staged[lpid]
-            if lh[0] == "e":
-                st["e"][lh[1]] = tuple(int(v) for v in rec[1])
-            elif lh[0] == "v":
-                st["v"][lh[1]] = (
-                    tuple(float(c) for c in rec[1]),
-                    (int(rec[2]), int(rec[3])),
-                )
-            elif lh[0] == "t":
-                st["t"].append((lh[1], lh[2], lh[3], rec[3]))
-            else:
-                st["f"].setdefault(lh[1], {})[lh[2]] = np.asarray(rec[1])
+        def land(lpid: int, _rpid: int, batch: Tuple[Any, List[Any]]) -> None:
+            st, rows = staged[lpid], wanted[lpid]
+            ordinals, recs = batch
+            for ordinal, rec in zip(ordinals.tolist(), recs):
+                lh = rows[ordinal][0]
+                if lh[0] == "e":
+                    st["e"][lh[1]] = tuple(int(v) for v in rec[1])
+                elif lh[0] == "v":
+                    st["v"][lh[1]] = (
+                        tuple(float(c) for c in rec[1]),
+                        (int(rec[2]), int(rec[3])),
+                    )
+                elif lh[0] == "t":
+                    st["t"].append((lh[1], lh[2], lh[3], rec[3]))
+                else:
+                    st["f"].setdefault(lh[1], {})[lh[2]] = np.asarray(rec[1])
 
-        forest.bcast(root_data, leaf_set)
+        forest.bcast(batch_data=send, batch_set=land)
         counters.add("store.records.loaded", forest.nleaves)
 
         # Phase 5 — build each part's serial mesh from its staged block,

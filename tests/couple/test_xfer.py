@@ -19,6 +19,7 @@ from repro.couple import (
     build_stages,
     transfer_between,
 )
+from repro.couple.xfer import elect
 from repro.field import Field, transfer_vertex_field
 from repro.mesh import rect_tri
 from repro.mesh.generate import delaunay_rect
@@ -113,8 +114,40 @@ def test_transfer_between_matches_serial_bit_for_bit(nsrc, ndst):
         checked += len(ids)
     assert checked >= dst.count(0)
     assert stats.nsrc == nsrc and stats.ndst == ndst
-    assert stats.sf_ops == 2
+    assert stats.sf_ops == 2 and stats.supersteps == 2
+    assert stats.messages == 2 * nsrc * ndst
     assert stats.points == checked
+
+
+def test_election_picks_what_min_over_the_winner_keys_picks():
+    """Candidates that tie on (contained, d2, gid) — duplicate gids from
+    several source parts among them — are told apart by their values, and
+    a full tie goes to the first part, as Python's ``min`` has it."""
+    rng = np.random.default_rng(7)
+    nsrc, npoints = 3, 60
+    candidates = [
+        (
+            rng.choice([-1.0, 0.0, -0.0, 2.0], (npoints, 2)),
+            rng.choice([3, 4], npoints),
+            rng.random(npoints) < 0.7,
+            rng.choice([0.0, 0.25], npoints),
+        )
+        for _s in range(nsrc)
+    ]
+    for j in range(0, npoints, 4):  # (contained, d2, gid) tie across parts
+        for values, gids, contained, d2 in candidates[1:]:
+            gids[j], contained[j], d2[j] = (
+                candidates[0][1][j], candidates[0][2][j], candidates[0][3][j]
+            )
+    values, contained = elect(candidates)
+    for j in range(npoints):
+        best = min(
+            (int(not c[2][j]), float(c[3][j]), int(c[1][j]),
+             tuple(float(v) for v in c[0][j]))
+            for c in candidates
+        )
+        assert np.array(best[3]).tobytes() == values[j].tobytes()
+        assert bool(contained[j]) == (best[0] == 0)
 
 
 def test_transfer_between_multicomponent():

@@ -355,7 +355,7 @@ def _list_writer(rows) -> bytes:
     codec._w_uint(out, len(rows))
     codec._w_uints(out, [len(row) for row in rows])
     codec._w_ints(out, [v for row in rows for v in row])
-    return codec._frame(codec.KIND_INT_ROWS, 0, bytes(out))
+    return codec._frame(codec.KIND_ROWS, 0, bytes(out))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -394,7 +394,7 @@ def test_int_rows_truncated_or_flipped_raise_codec_error(seed):
 def test_int_rows_reader_rejects_inconsistent_body():
     """A frame with a valid CRC whose columns disagree is still an error."""
     def framed(body: bytes) -> bytes:
-        return codec._frame(codec.KIND_INT_ROWS, 0, body)
+        return codec._frame(codec.KIND_ROWS, 0, body)
 
     good = codec.encode_int_rows(np.array([2, 1]), np.array([7, 8, 9]))
     body = bytes(good[codec.HEADER_SIZE:])

@@ -1,4 +1,4 @@
-"""Tests for the star-forest primitive: forest algebra, ops, obs wiring."""
+"""Tests for the star-forest primitive: construction, ops, obs wiring."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.parallel.codec import CodecError
 from repro.parallel.sf import (
     BUNDLES,
     GENERIC,
-    INT_ROWS,
     OPS,
     VALUES,
     SFComm,
@@ -57,24 +56,6 @@ def test_leaves_listing_sorted():
     assert "roots=2" in repr(sf) and "leaves=3" in repr(sf)
 
 
-def test_compose_chains_sharing():
-    comm = SFComm(4)
-    first = StarForest(comm, name="one")
-    first.add_leaf(2, "y", 1, "x")
-    first.add_leaf(3, "z", 1, "x")
-    second = StarForest(comm, name="two")
-    second.add_leaf(1, "x", 0, "root")
-    composed = first.compose(second)
-    assert composed.name == "one*two"
-    assert composed.leaves() == [
-        ((2, "y"), (0, "root")),
-        ((3, "z"), (0, "root")),
-    ]
-    other = StarForest(SFComm(4), name="foreign")
-    with pytest.raises(ValueError):
-        first.compose(other)
-
-
 # -- bcast ---------------------------------------------------------------------
 
 
@@ -113,21 +94,26 @@ def test_empty_forest_bcast_costs_one_superstep():
     assert stats.supersteps == 1 and stats.records == 0
 
 
-def test_bcast_batch_set_receives_part_pairs():
-    comm = SFComm(3, counters=PerfCounters())
-    sf = two_root_forest(comm)
-    batches = []
-    sf.bcast(
-        lambda pid, h: h.upper(),
-        batch_set=lambda lpid, rpid, items: batches.append(
-            (lpid, rpid, list(items))
-        ),
-    )
-    assert sorted(batches) == [
-        (0, 1, [("c", "R1")]),
-        (1, 0, [("a", "R0")]),
-        (2, 0, [("b", "R0")]),
-    ]
+def test_mixed_spellings_are_rejected():
+    """One call, one spelling: both halves of the per-item pair or both
+    halves of the batch pair, never a mix or a half."""
+    sf = two_root_forest(SFComm(3, counters=PerfCounters()))
+    item_data, item_set = (lambda pid, h: 1), (lambda pid, h, v: None)
+    batch_data = lambda pid, other, handles: [1] * len(handles)  # noqa: E731
+    batch_set = lambda pid, a, b: None  # noqa: E731
+    for call in (
+        lambda: sf.bcast(item_data, batch_set=batch_set),
+        lambda: sf.bcast(batch_data=batch_data, leaf_set=item_set),
+        lambda: sf.bcast(item_data),
+        lambda: sf.bcast(batch_set=batch_set),
+        lambda: sf.bcast(item_data, item_set, batch_data=batch_data,
+                         batch_set=batch_set),
+        lambda: sf.reduce(item_data, batch_set=batch_set),
+        lambda: sf.reduce(batch_data=batch_data, root_set=item_set),
+        lambda: sf.reduce(),
+    ):
+        with pytest.raises(ValueError, match="whole and alone"):
+            call()
 
 
 # -- reduce --------------------------------------------------------------------
@@ -171,30 +157,6 @@ def test_reduce_arrays_elementwise():
     assert np.array_equal(roots[Ent(0, 3)], [1.0, 5.0])
 
 
-# -- fetch_and_op --------------------------------------------------------------
-
-
-def test_fetch_and_add_allocates_disjoint_ranges():
-    comm = SFComm(4, counters=PerfCounters())
-    sf = StarForest(comm, name="alloc")
-    for pid in (1, 2, 3):
-        sf.add_leaf(pid, "want", 0, "counter")
-    counter = {"value": 100}
-    need = {1: 5, 2: 7, 3: 11}
-    fetched, stats = sf.fetch_and_op(
-        lambda pid, h: need[pid],
-        lambda pid, h: counter["value"],
-        lambda pid, h, v: counter.__setitem__("value", v),
-        op="sum",
-    )
-    # Each leaf sees the pre-update value: disjoint [start, start+need) ranges.
-    assert fetched == {(1, "want"): 100, (2, "want"): 105, (3, "want"): 112}
-    assert counter["value"] == 123
-    assert stats.supersteps == 2 and stats.sf_ops == 2
-    assert stats.op == "fetch_and_op.sum"
-    assert stats.records == 6  # three up, three back
-
-
 # -- datatypes -----------------------------------------------------------------
 
 
@@ -209,27 +171,28 @@ def test_values_datatype_checks_wire_handles():
         datatype=VALUES,
     )
     assert np.array_equal(got[Ent(0, 4)], [2.5])
+    blob = VALUES.encode(VALUES.prepare([Ent(0, 1)]), np.array([[1.0]]))
     # Length mismatches are a codec error, not silent truncation.
-    with pytest.raises(CodecError):
-        VALUES.decode(
-            VALUES.encode([(Ent(0, 1), np.array([1.0]))]),
-            [Ent(0, 1), Ent(0, 2)],
-        )
-    with pytest.raises(CodecError):
-        VALUES.decode(
-            VALUES.encode([(Ent(0, 1), np.array([1.0]))]), [Ent(0, 2)]
-        )
+    with pytest.raises(CodecError, match="carries 1 value"):
+        VALUES.decode(blob, VALUES.prepare([Ent(0, 1), Ent(0, 2)]))
+    # A frame naming other entities names the first one it disagrees on.
+    with pytest.raises(CodecError, match="names .* expects"):
+        VALUES.decode(blob, VALUES.prepare([Ent(0, 2)]))
+    handles, values = VALUES.decode(blob, VALUES.prepare([Ent(0, 1)]))
+    assert handles == [Ent(0, 1)] and values.tolist() == [[1.0]]
 
 
-def test_int_rows_and_generic_datatypes_roundtrip():
-    items = [("h0", (1, 2, 3)), ("h1", (4, 5))]
-    assert INT_ROWS.decode(INT_ROWS.encode(items), ["h0", "h1"]) == items
-    payloads = [("h0", {"k": [1, 2]}), ("h1", None)]
-    assert GENERIC.decode(GENERIC.encode(payloads), ["h0", "h1"]) == payloads
+def test_generic_datatype_roundtrip():
+    handles = GENERIC.prepare(["h0", "h1"])
+    payloads = [{"k": [1, 2]}, None]
+    blob = GENERIC.encode(handles, payloads)
+    assert GENERIC.decode(blob, handles) == (handles, payloads)
     with pytest.raises(CodecError):
-        GENERIC.decode(GENERIC.encode(payloads), ["h0"])
-    assert {d.name for d in (GENERIC, VALUES, BUNDLES, INT_ROWS)} == {
-        "generic", "values", "bundles", "int_rows",
+        GENERIC.decode(blob, ["h0"])
+    with pytest.raises(CodecError):
+        GENERIC.encode(["h0"], payloads)
+    assert {d.name for d in (GENERIC, VALUES, BUNDLES)} == {
+        "generic", "values", "bundles",
     }
 
 
@@ -392,9 +355,90 @@ def test_values_batch_checks_wire_handles():
     )
     datatype = VALUES.of_dim(0)
     handles = sf._prepared(datatype, by_root=False)[(0, 1)]
-    blob = datatype.encode_batch(handles, np.array([[1.0], [2.0]]))
+    blob = datatype.encode(handles, np.array([[1.0], [2.0]]))
     wrong = datatype.prepare(np.array([7, 8]))
-    with pytest.raises(CodecError, match="expects"):
-        datatype.decode_batch(blob, wrong)
-    leaves, values = datatype.decode_batch(blob, handles)
+    mismatch = "names M0_9 where the forest expects M0_8"
+    with pytest.raises(CodecError, match=mismatch):
+        datatype.decode(blob, wrong)
+    leaves, values = datatype.decode(blob, handles)
     assert leaves.tolist() == [7, 9] and values.tolist() == [[1.0], [2.0]]
+
+
+# -- one engine, two spellings ----------------------------------------------
+
+
+class Tap:
+    """Records every frame a forest posts, through the network's
+    fault-injector hook; passes every message on."""
+
+    def __init__(self):
+        self.frames = []
+
+    def on_post(self, src, dst, tag, payload):
+        for _tag, blob in payload if isinstance(payload, list) else ():
+            self.frames.append((src, dst, bytes(blob)))
+        return [(src, dst, tag, payload)]
+
+    def on_exchange(self):
+        return []
+
+    def end_superstep(self):
+        pass
+
+
+def entity_forest(comm):
+    """Four entity roots dealt over the parts, a leaf of each on every part
+    (the owner's own leaf stays local) — the shape of an owner→copy map."""
+    sf = StarForest(comm, name="ents")
+    for root in range(4):
+        for lpid in range(comm.nparts):
+            sf.add_leaf(
+                lpid, Ent(0, 5 * root + lpid), root % comm.nparts, Ent(0, root)
+            )
+    return sf
+
+
+SPELLINGS = {
+    "generic": (GENERIC, lambda pid, h: float(h.idx)),
+    "values": (VALUES, lambda pid, h: np.array([h.idx, -0.5 * h.idx])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_callback_spelling_is_the_batch_spelling(name):
+    """Per item or per batch: the same deliveries, records, bytes, messages
+    and frames — the callback spelling only lists the batches."""
+    datatype, payload = SPELLINGS[name]
+    runs = []
+    for spelling in ("items", "batches"):
+        comm = SFComm(3, counters=PerfCounters())
+        comm.fault_injector = tap = Tap()
+        sf = entity_forest(comm)
+        got = {}
+        if spelling == "items":
+            stats = sf.bcast(
+                payload, lambda pid, h, v: got.__setitem__((pid, h), v),
+                datatype=datatype,
+            )
+        else:
+
+            def land(lpid, _rpid, batch):
+                got.update(((lpid, h), v) for h, v in zip(*batch))
+
+            stats = sf.bcast(
+                batch_data=lambda rpid, _lpid, roots: (
+                    np.stack([payload(rpid, h) for h in roots])
+                    if datatype is VALUES
+                    else [payload(rpid, h) for h in roots]
+                ),
+                batch_set=land,
+                datatype=datatype,
+            )
+        runs.append((got, stats, tap.frames))
+    (got_i, stats_i, frames_i), (got_b, stats_b, frames_b) = runs
+    assert got_i.keys() == got_b.keys() and len(got_i) == 12
+    for key, value in got_i.items():
+        assert np.asarray(value).tobytes() == np.asarray(got_b[key]).tobytes()
+    for field in ("records", "encoded_bytes", "wire_bytes", "messages"):
+        assert getattr(stats_i, field) == getattr(stats_b, field)
+    assert frames_i == frames_b and len(frames_i) == 6

@@ -677,6 +677,15 @@ def test_star_forest_surface():
     assert Overlap is pt_Overlap
     assert "StarForest" in repro.__all__ and "Overlap" in repro.__all__
     assert OPS == ("replace", "sum", "min", "max")
+    # One engine: bcast and reduce over part-pair batches, nothing beside.
+    import repro.parallel as parallel_pkg
+    from repro.parallel import sf as sf_module
+
+    assert "INT_ROWS" not in parallel_pkg.__all__
+    assert not hasattr(parallel_pkg, "INT_ROWS")
+    assert not hasattr(sf_module, "INT_ROWS")
+    assert not hasattr(StarForest, "fetch_and_op")
+    assert not hasattr(StarForest, "compose")
 
     # Overlap is frozen and validated.
     ov = Overlap(depth=2, bridge_dim=1)
