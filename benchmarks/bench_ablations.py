@@ -24,6 +24,7 @@ from common import fmt_pct, write_result
 
 from repro.core import ParMA, imbalance_of
 from repro.core.selection import select_for_dimension
+from repro.mesh import Ent
 
 
 def _naive_selection(part, candidate, dim, quota, already):
@@ -31,11 +32,16 @@ def _naive_selection(part, candidate, dim, quota, already):
     mesh = part.mesh
     mesh_dim = mesh.dim()
     picks = []
-    for ent in sorted(part.remotes):
+    # Part-boundary entities shared with the candidate, in (dim, id) order.
+    shared = [
+        Ent(d, idx)
+        for d in range(mesh_dim)
+        for idx, pid in zip(*(col.tolist() for col in part.links(d)[:2]))
+        if pid == candidate
+    ]
+    for ent in shared:
         if len(picks) >= quota:
             break
-        if candidate not in part.remotes[ent]:
-            continue
         for element in mesh.adjacent(ent, mesh_dim):
             if element in already or part.is_ghost(element):
                 continue

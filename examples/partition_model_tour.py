@@ -43,7 +43,7 @@ def main() -> None:
         counts = part.entity_counts()
         print(f"  P{part.pid} (node {topo.node_of(part.pid)}): "
               f"{counts[2]} faces, {counts[1]} edges, {counts[0]} verts, "
-              f"{sum(1 for e in part.remotes if e.dim == 0)} shared verts")
+              f"{len(np.unique(part.links(0)[0]))} shared verts")
 
     # Residence parts: "the residence part of M0_i is {P0, P1, P2}".
     part0 = dm.part(0)
@@ -88,8 +88,8 @@ def main() -> None:
 
     # On-node vs off-node boundaries (Fig. 3's dashed vs solid lines).
     on = off = 0
-    for ent in part0.remotes:
-        for other in part0.remotes[ent]:
+    for d in range(3):
+        for other in part0.links(d)[1].tolist():
             if topo.same_node(0, other):
                 on += 1
             else:

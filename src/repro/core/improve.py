@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Set, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .candidates import candidate_parts
 from .imbalance import ENTITY_NAMES, heavy_parts, imbalance_of, imbalances
 from .priorities import PriorityList, parse_priorities
 from .schedule import migration_schedule
-from .selection import select_for_dimension
+from .selection import linked_to, select_for_dimension
 
 
 @dataclass
@@ -115,6 +115,7 @@ def _trim_by_higher_priority(
     }
     mesh = part.mesh
     added = {d: set() for d in higher_dims}
+    held = {d: set(linked_to(part, d, cand)) for d in higher_dims}
     kept = []
     for element in selected:
         trial = {}
@@ -123,8 +124,7 @@ def _trim_by_higher_priority(
             new = [
                 ent
                 for ent in mesh.adjacent(element, d)
-                if ent not in added[d]
-                and cand not in part.remotes.get(ent, {})
+                if ent not in added[d] and ent not in held[d]
             ]
             if len(added[d]) + len(new) > budgets[d]:
                 fits = False

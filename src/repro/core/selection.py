@@ -23,10 +23,16 @@ through the same boundary-shape mechanism), gated by the facet quota.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from ..mesh.entity import Ent
 from ..partition.part import Part
+
+
+def linked_to(part: Part, dim: int, pid: int) -> List[Ent]:
+    """The entities of ``dim`` part ``pid`` holds a copy of, in id order."""
+    ids, pids, _rids = part.links(dim)
+    return [Ent(dim, idx) for idx in ids[pids == pid].tolist()]
 
 
 def boundary_facet_count(part: Part, element: Ent) -> int:
@@ -54,11 +60,9 @@ def select_elements_by_boundary_rule(
     picks: List[Ent] = []
 
     def scan(strict: bool) -> None:
-        for facet in part.shared_entities(dim - 1):
+        for facet in linked_to(part, dim - 1, candidate):
             if len(picks) >= quota:
                 return
-            if candidate not in part.remotes[facet]:
-                continue
             for element in mesh.up(facet):
                 if element in already or part.is_ghost(element):
                     continue
@@ -124,9 +128,7 @@ def select_edge_cavities(
         return select_elements_by_boundary_rule(part, candidate, quota, already)
 
     def cavities():
-        for edge in part.shared_entities(1):
-            if candidate not in part.remotes[edge]:
-                continue
+        for edge in linked_to(part, 1, candidate):
             local_faces = sum(
                 1 for f in mesh.up(edge) if not part.is_ghost(f)
             )
@@ -155,9 +157,7 @@ def select_vertex_cavities(
     dim = mesh.dim()
 
     def cavities():
-        for vert in part.shared_entities(0):
-            if candidate not in part.remotes[vert]:
-                continue
+        for vert in linked_to(part, 0, candidate):
             cavity = [
                 e for e in mesh.adjacent(vert, dim) if not part.is_ghost(e)
             ]

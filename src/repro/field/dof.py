@@ -22,7 +22,7 @@ balance, and :func:`dof_loads` exposes it for direct comparison.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -60,10 +60,8 @@ class DofNumbering:
         for part in dmesh:
             ids = self._ids[part.pid]
             for dim in self.dims:
-                for ent in part.mesh.entities(dim):
-                    if part.is_ghost(ent) or not part.owns(ent):
-                        continue
-                    ids[ent] = next_id
+                for idx in part.owned_ids(dim).tolist():
+                    ids[Ent(dim, idx)] = next_id
                     next_id += 1
         self.total = next_id
 
@@ -71,13 +69,11 @@ class DofNumbering:
         router = dmesh.router()
         for part in dmesh:
             ids = self._ids[part.pid]
-            for ent in sorted(part.remotes):
-                if ent.dim not in self.dims or ent not in ids:
-                    continue
-                for other_pid, other_ent in sorted(part.remotes[ent].items()):
-                    router.post(
-                        part.pid, other_pid, _TAG_DOF, (other_ent, ids[ent])
-                    )
+            for dim in sorted(self.dims):
+                for idx, pid, rid in zip(*(c.tolist() for c in part.links(dim))):
+                    dof = ids.get(Ent(dim, idx))
+                    if dof is not None:
+                        router.post(part.pid, pid, _TAG_DOF, (Ent(dim, rid), dof))
         inboxes = router.exchange()
         for pid in sorted(inboxes):
             ids = self._ids[pid]

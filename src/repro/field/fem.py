@@ -160,9 +160,8 @@ class PoissonProblem:
         for part in self.dmesh:
             fa = a.on(part.pid)
             fb = b.on(part.pid)
-            for v in part.mesh.entities(0):
-                if part.is_ghost(v) or not part.owns(v):
-                    continue
+            for idx in part.owned_ids(0).tolist():
+                v = Ent(0, idx)
                 total += fa.get_scalar(v) * fb.get_scalar(v)
         return total
 

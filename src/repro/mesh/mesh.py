@@ -33,7 +33,7 @@ import numpy as np
 
 from ..gmodel.classify import classify_from_closure, classify_point
 from ..gmodel.model import Model, ModelEntity
-from .core import MeshCore, first_occurrence_unique
+from .core import MeshCore
 from .entity import Ent
 from .sets import SetManager
 from .tag import TagManager
@@ -518,16 +518,3 @@ def vertex_keys(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
     intermediate list per row.
     """
     return zip(*np.sort(rows, axis=1).T.tolist())
-
-
-def _ordered_unique(items: Iterator[Ent]) -> List[Ent]:
-    """First-occurrence dedupe; array inputs take the vectorized path."""
-    if isinstance(items, np.ndarray):
-        return first_occurrence_unique(items).tolist()
-    seen: set = set()
-    out: List[Ent] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out

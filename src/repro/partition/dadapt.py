@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..adapt.coarsen import collapse_edge
 from ..adapt.refine import split_edge
 from ..field.sizefield import SizeField, edge_size_ratio
@@ -87,17 +85,6 @@ def _split_local(
     return mid
 
 
-def _drop_dead_bookkeeping(part: Part) -> None:
-    """Purge gid/remote entries whose entities modification destroyed."""
-    for dim in range(4):
-        for idx in sorted(part.gid_index_set(dim)):
-            if not part.mesh.has(Ent(dim, idx)):
-                part.drop_gid(Ent(dim, idx))
-    for ent in [e for e in part.remotes if not part.mesh.has(e)]:
-        del part.remotes[ent]
-    part.links_version += 1
-
-
 def refine_distributed(
     dmesh: DistributedMesh,
     size: SizeField,
@@ -113,7 +100,7 @@ def refine_distributed(
     (4) remote links are rebuilt.  Ghosts must be deleted first.
     """
     for part in dmesh:
-        if part.ghosts:
+        if part.has_ghosts():
             raise ValueError("delete ghosts before distributed refinement")
     stats = DistributedAdaptStats()
     dim = dmesh.element_dim()
@@ -148,9 +135,7 @@ def refine_distributed(
         commands: Dict[int, List[Tuple[Ent, Tuple[float, ...], int]]] = {}
         for part in dmesh:
             mesh = part.mesh
-            for edge in sorted(part.remotes):
-                if edge.dim != 1 or not mesh.has(edge):
-                    continue
+            for edge in part.shared_entities(1):
                 if not part.owns(edge):
                     continue
                 if edge_size_ratio(mesh, size, edge) <= ratio:
@@ -167,12 +152,11 @@ def refine_distributed(
                 commands.setdefault(part.pid, []).append(
                     (edge, point, vertex_gid)
                 )
-                for other_pid, other_edge in sorted(
-                    part.remotes[edge].items()
-                ):
+                pids, rids = part.copies(edge)
+                for other_pid, rid in zip(pids.tolist(), rids.tolist()):
                     router.post(
                         part.pid, other_pid, _TAG_SPLIT,
-                        (other_edge, point, vertex_gid),
+                        (Ent(1, rid), point, vertex_gid),
                     )
 
         # Phase 3: every part executes its commanded splits (incoming
@@ -197,7 +181,6 @@ def refine_distributed(
         splits_this_pass += boundary_splits
 
         for part in dmesh:
-            _drop_dead_bookkeeping(part)
             _fresh_element_gids(dmesh, part)
         rebuild_links(dmesh)
         stats.passes += 1
@@ -222,7 +205,7 @@ def coarsen_distributed(
     (PUMI migrates such cavities inward first; see module docstring).
     """
     for part in dmesh:
-        if part.ghosts:
+        if part.has_ghosts():
             raise ValueError("delete ghosts before distributed coarsening")
     stats = DistributedAdaptStats()
 
@@ -253,7 +236,6 @@ def coarsen_distributed(
                 if collapse_edge(mesh, edge, keep=keep):
                     collapses += 1
         for part in dmesh:
-            _drop_dead_bookkeeping(part)
             _fresh_element_gids(dmesh, part)
         rebuild_links(dmesh)
         stats.passes += 1

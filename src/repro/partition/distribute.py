@@ -25,7 +25,7 @@ from ..obs.tracer import Tracer, trace_span
 from ..parallel.perf import PerfCounters
 from ..parallel.topology import MachineTopology
 from .dmesh import DistributedMesh
-from .links import link_answers, link_rows, ragged_arange, split_rows
+from .links import answer_columns, link_answers, ragged_arange, split_rows
 from .part import Part
 
 Assignment = Union[Dict[Ent, int], Sequence[int], np.ndarray]
@@ -116,9 +116,8 @@ def distribute(
                     ragged_arange(np.zeros(len(counts), dtype=np.int64), counts),
                 )
                 for pid, lengths, flat in split_rows(*answers):
-                    linked = dmesh.part(pid)
-                    linked.remotes.update(link_rows(lengths, flat))
-                    linked.links_version += 1
+                    _dim, ids, pids, rids = answer_columns(lengths, flat)
+                    dmesh.part(pid).replace_links(d, (), ids, pids, rids)
 
         # Future gid allocations must not collide with the global ids.
         for d in range(4):

@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..gmodel.model import Model
+from ..mesh.core import VERT_WIDTH
 from ..mesh.entity import Ent
 from ..obs.tracer import Tracer, current as current_tracer
 from ..parallel.network import Network
@@ -27,7 +28,7 @@ from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
 from .halo import HaloPlan
-from .links import link_answers, link_rows, split_rows, surface_ids
+from .links import answer_columns, link_answers, split_rows, surface_ids
 from .part import Part
 
 
@@ -114,7 +115,7 @@ class DistributedMesh:
     def halo_plan(self, dim: int) -> HaloPlan:
         """The owner↔copy graph of dimension ``dim`` under the current links.
 
-        Built from ``Part.remotes`` on first use and kept until
+        Built from the parts' link columns on first use and kept until
         :attr:`links_version` moves: set once, then communicated over by
         every ``synchronize``/``accumulate`` until the links change.
         """
@@ -186,12 +187,10 @@ class DistributedMesh:
 
     def shared_entity_count(self, dim: Optional[int] = None) -> int:
         """Total part-boundary entity copies across all parts."""
-        total = 0
-        for part in self.parts:
-            for ent in part.remotes:
-                if (dim is None or ent.dim == dim) and part.remotes[ent]:
-                    total += 1
-        return total
+        dims = range(4) if dim is None else (dim,)
+        return sum(
+            len(np.unique(part.links(d)[0])) for part in self.parts for d in dims
+        )
 
     def neighbor_map(self, dim: Optional[int] = None) -> Dict[int, Set[int]]:
         """Part adjacency graph: pid -> neighboring pids (sharing ``dim``)."""
@@ -212,74 +211,74 @@ class DistributedMesh:
         """
         from ..mesh.verify import verify as verify_mesh
 
-        # Identity of every linked entity, one batched gather per part and
-        # dimension; dead link ends have none and are reported below.
-        keys: List[Dict[Ent, Tuple[int, ...]]] = []
-        for part in self.parts:
-            known: Dict[Ent, Tuple[int, ...]] = {}
-            by_dim: List[List[Ent]] = [[], [], [], []]
-            for ent in part.remotes:
-                if part.mesh.has(ent):
-                    by_dim[ent.dim].append(ent)
-            for d, ents in enumerate(by_dim):
-                rows = part.entity_keys(d, [e.idx for e in ents]).tolist()
-                known.update(
-                    (e, tuple(g for g in row if g >= 0))
-                    for e, row in zip(ents, rows)
-                )
-            keys.append(known)
-
         for part in self.parts:
             if check_meshes and part.mesh.count(0):
-                verify_mesh(
-                    part.mesh,
-                    allow_dangling=bool(part.ghosts),
-                    check_classification=False,
-                )
-            for ent, copies in part.remotes.items():
-                if not part.mesh.has(ent):
-                    raise AssertionError(
-                        f"part {part.pid}: remote link from dead entity {ent}"
-                    )
-                key = keys[part.pid][ent]
-                for other_pid, other_ent in copies.items():
-                    if other_pid == part.pid:
-                        raise AssertionError(
-                            f"part {part.pid}: self remote link on {ent}"
-                        )
-                    other = self.part(other_pid)
-                    if not other.mesh.has(other_ent):
-                        raise AssertionError(
-                            f"part {part.pid}: {ent} links to dead "
-                            f"{other_ent} on part {other_pid}"
-                        )
-                    other_key = keys[other_pid].get(other_ent)
-                    if other_key is None:  # no link back: reported below
-                        other_key = other.entity_key(other_ent)
-                    if other_key != key:
-                        raise AssertionError(
-                            f"identity mismatch: part {part.pid} {ent} "
-                            f"(key {key}) vs part {other_pid} {other_ent} "
-                            f"(key {other_key})"
-                        )
-                    back = other.remotes.get(other_ent, {})
-                    if back.get(part.pid) != ent:
-                        raise AssertionError(
-                            f"asymmetric remote link: part {part.pid} {ent} "
-                            f"-> part {other_pid} {other_ent} not reciprocated"
-                        )
-            for ghost, (home_pid, home_ent) in part.ghost_home.items():
-                if not part.mesh.has(ghost):
-                    raise AssertionError(
-                        f"part {part.pid}: dead ghost {ghost}"
-                    )
-                if home_ent is not None and not self.part(home_pid).mesh.has(
-                    home_ent
+                verify_mesh(part.mesh, allow_dangling=part.has_ghosts(),
+                            check_classification=False)
+        for d in range(4):
+            self._verify_links(d)
+            for part in self.parts:
+                ghosts = part.ghost_ids(d)
+                for ghost, home, handle in zip(
+                    ghosts.tolist(), *part.homes(d, ghosts).tolist()
                 ):
-                    raise AssertionError(
-                        f"part {part.pid}: ghost {ghost} home entity is dead"
-                    )
+                    ghost = Ent(d, ghost)
+                    if not part.mesh.has(ghost):
+                        raise AssertionError(f"part {part.pid}: dead ghost {ghost}")
+                    if handle >= 0 and not self.part(home).mesh.has(Ent(d, handle)):
+                        raise AssertionError(
+                            f"part {part.pid}: ghost {ghost} home entity is dead"
+                        )
         self._verify_links_complete()
+
+    def _verify_links(self, d: int) -> None:
+        """Liveness, identity and symmetry of every dim-``d`` link: one
+        sort-join of all parts' ``(pid, id, rpid, rid)`` rows against their
+        reverse."""
+        pid, ids, rpid, rid = (np.concatenate(cols) for cols in zip(*(
+            (np.full(len(part.links(d)[0]), part.pid), *part.links(d))
+            for part in self.parts
+        )))
+        sides = [(pid == part.pid, rpid == part.pid, part) for part in self.parts]
+
+        def check(bad: np.ndarray, why: str, keys=None) -> None:
+            for k in np.flatnonzero(bad)[:1]:
+                a, b = ([tuple(g for g in row[k].tolist() if g >= 0)
+                         for row in keys] if keys else (None, None))
+                raise AssertionError(why.format(
+                    p=pid[k], e=Ent(d, int(ids[k])),
+                    q=rpid[k], f=Ent(d, int(rid[k])), a=a, b=b,
+                ))
+
+        alive, remote_alive = np.zeros((2, len(ids)), dtype=bool)
+        for here, there, part in sides:
+            live = part.mesh.entity_ids(d)
+            alive[here] = np.isin(ids[here], live)
+            remote_alive[there] = np.isin(rid[there], live)
+        check(~alive, "part {p}: remote link from dead entity {e}")
+        check(pid == rpid, "part {p}: self remote link on {e}")
+        check(~remote_alive, "part {p}: {e} links to dead {f} on part {q}")
+        keys, remote_keys = np.zeros((2, len(ids), VERT_WIDTH[d]), dtype=np.int64)
+        for here, there, part in sides:
+            keys[here] = part.entity_keys(d, ids[here])
+            remote_keys[there] = part.entity_keys(d, rid[there])
+        check(
+            (keys != remote_keys).any(axis=1),
+            "identity mismatch: part {p} {e} (key {a}) vs part {q} {f} (key {b})",
+            keys=(keys, remote_keys),
+        )
+        # Each end as a dense code; a row is reciprocated when the pair of
+        # its codes, swapped, is a row too.
+        span = int(max(ids.max(initial=0), rid.max(initial=0))) + 1
+        codes, ends = np.unique(
+            np.concatenate((pid * span + ids, rpid * span + rid)),
+            return_inverse=True,
+        )
+        n, near, far = len(codes), ends[: len(ids)], ends[len(ids):]
+        check(
+            ~np.isin(far * n + near, near * n + far),
+            "asymmetric remote link: part {p} {e} -> part {q} {f} not reciprocated",
+        )
 
     def _verify_links_complete(self) -> None:
         """Every identity on two or more part surfaces is linked among all
@@ -295,23 +294,25 @@ class DistributedMesh:
             idx = np.concatenate([ids for _part, ids in held])
             dest, lengths, flat = link_answers(
                 np.full(len(idx), d),
-                np.concatenate(
-                    [part.entity_keys(d, ids) for part, ids in held]
-                ),
-                np.repeat(
-                    [part.pid for part, _ids in held],
-                    [len(ids) for _part, ids in held],
-                ),
+                np.concatenate([part.entity_keys(d, ids) for part, ids in held]),
+                np.concatenate([np.full(len(ids), part.pid) for part, ids in held]),
                 idx,
             )
             for pid, rows, values in split_rows(dest, lengths, flat):
-                remotes = self.part(pid).remotes
-                for ent, copies in link_rows(rows, values):
-                    if remotes.get(ent) != copies:
-                        raise AssertionError(
-                            f"incomplete remote links: part {pid} {ent} is "
-                            f"held by {copies} but links {remotes.get(ent)}"
-                        )
+                want = np.column_stack(answer_columns(rows, values)[1:])
+                have = np.column_stack(self.part(pid).links(d))
+                have = have[np.isin(have[:, 0], want[:, 0])]
+                wrong = set(map(tuple, want.tolist())) ^ set(map(tuple, have.tolist()))
+                if wrong:
+                    ent = Ent(d, min(wrong)[0])
+                    named, linked = (
+                        [row[1:] for row in side.tolist() if row[0] == ent.idx]
+                        for side in (want, have)
+                    )
+                    raise AssertionError(
+                        f"incomplete remote links: part {pid} {ent} is held by "
+                        f"(part, handle) {named} but links {linked}"
+                    )
 
     def __repr__(self) -> str:
         counts = self.entity_counts().sum(axis=0)

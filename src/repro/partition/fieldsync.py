@@ -83,19 +83,14 @@ class DistributedField:
         Zero means the field is synchronized.
         """
         worst = 0.0
+        dim = self.entity_dim
         for part in self.dmesh:
-            field = self.fields[part.pid]
-            for ent, copies in part.remotes.items():
-                if ent.dim != self.entity_dim or not field.has(ent):
-                    continue
-                mine = field.get(ent)
-                for other_pid, other_ent in copies.items():
-                    other_field = self.fields[other_pid]
-                    if other_field.has(other_ent):
-                        diff = float(
-                            np.abs(mine - other_field.get(other_ent)).max()
-                        )
-                        worst = max(worst, diff)
+            mine = self.fields[part.pid]
+            for idx, pid, rid in zip(*(c.tolist() for c in part.links(dim))):
+                ent, other, theirs = Ent(dim, idx), Ent(dim, rid), self.fields[pid]
+                if mine.has(ent) and theirs.has(other):
+                    diff = np.abs(mine.get(ent) - theirs.get(other)).max()
+                    worst = max(worst, float(diff))
         return worst
 
     def _batch(self, pid: int, _peer: int, ids: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ before any migration).  Requested tag values travel with the copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -230,14 +229,12 @@ def _ring_forest(
         # elements adjacent to it (all holders are known: remote-copy
         # links are complete among real copies).
         for part in dmesh:
-            for ent in sorted(part.remotes):
-                if ent.dim != bdim:
-                    continue
-                for dest, dest_ent in sorted(part.remotes[ent].items()):
-                    router.post(
-                        part.pid, dest, _TAG_REQUEST,
-                        ("bridge", dest_ent, ()),
-                    )
+            _ids, pids, rids = part.links(bdim)
+            for dest, rid in zip(pids.tolist(), rids.tolist()):
+                router.post(
+                    part.pid, dest, _TAG_REQUEST,
+                    ("bridge", Ent(bdim, rid), ()),
+                )
     else:
         # Rings >= 1: query the front.  Ghost front entities are resolved
         # at their home part by gid; real shared ones at every co-holder.
@@ -250,17 +247,17 @@ def _ring_forest(
                     part.gid(e) for e in mesh.adjacent(b, dim)
                 ))
                 if part.is_ghost(b):
-                    home_pid = part.ghost_home[b][0]
                     router.post(
-                        part.pid, home_pid, _TAG_REQUEST,
+                        part.pid, part.owner(b), _TAG_REQUEST,
                         ("front", part.gid(b), have),
                     )
-                elif part.remotes.get(b):
-                    for dest, dest_ent in sorted(part.remotes[b].items()):
-                        router.post(
-                            part.pid, dest, _TAG_REQUEST,
-                            ("bridge", dest_ent, have),
-                        )
+                    continue
+                pids, rids = part.copies(b)
+                for dest, rid in zip(pids.tolist(), rids.tolist()):
+                    router.post(
+                        part.pid, dest, _TAG_REQUEST,
+                        ("bridge", Ent(bdim, rid), have),
+                    )
 
     requests = router.exchange()
 
@@ -282,14 +279,13 @@ def _ring_forest(
                 if ent is None or not part.mesh.has(ent):
                     continue
                 if refer:
-                    for q_pid, q_ent in sorted(
-                        part.remotes.get(ent, {}).items()
-                    ):
+                    pids, rids = part.copies(ent)
+                    for q_pid, rid in zip(pids.tolist(), rids.tolist()):
                         if q_pid == src:
                             continue
                         router.post(
                             part.pid, q_pid, _TAG_REFER,
-                            ("refer", q_ent, src, have),
+                            ("refer", Ent(bdim, rid), src, have),
                         )
             _queue_adjacent(part, ent, dim, src, have_set, queues, seen)
 
@@ -365,23 +361,15 @@ def _land_ghost_block(
         return []
     ids, created = _land_block(part, block, keep)
     elements = [Ent(dim, idx) for idx in ids.tolist()]
-    # A ghost block comes from one owner part.
-    home_pid = block.home_pid[keep].tolist()
-    home_idx = block.home_idx[keep].tolist()
-    owner = home_pid[0]
+    # A ghost block comes from one owner part; the closure entities'
+    # handles there are not shipped.
+    home_pid = block.home_pid[keep]
     for d in range(4):
         per_dim[d] += len(created[d])
-        if d == dim:
-            continue
-        ghosts = list(map(Ent, repeat(d), created[d].tolist()))
-        part.ghosts.update(ghosts)
-        part.ghost_home.update(zip(ghosts, repeat((owner, None))))
-    fresh = set(created[dim].tolist())
-    for element, pid, idx in zip(elements, home_pid, home_idx):
-        if element.idx in fresh:
-            part.ghosts.add(element)
-            part.ghost_home[element] = (pid, Ent(dim, idx))
-    part.links_version += 1
+        if d != dim:
+            part.add_ghosts(d, created[d], home_pid[0], -1)
+    fresh = np.isin(ids, created[dim])
+    part.add_ghosts(dim, ids[fresh], home_pid[fresh], block.home_idx[keep][fresh])
     if block.tags:
         mesh = part.mesh
         tags = [t for t, kept in zip(block.tags, keep.tolist()) if kept]
@@ -405,17 +393,12 @@ def delete_ghosts(dmesh: DistributedMesh) -> GhostDeleteStats:
         for part in dmesh:
             mesh = part.mesh
             core = mesh.core
-            by_dim: List[List[int]] = [[], [], [], []]
-            for ghost in part.ghosts:
-                by_dim[ghost.dim].append(ghost.idx)
+            by_dim = [part.ghost_ids(d) for d in range(4)]
             # Emptied first: the part's destroy listener then has no ghost
-            # entries to evict one by one.
-            part.ghosts.clear()
-            part.ghost_home.clear()
-            part.links_version += 1
+            # entries to evict.
+            part.clear_ghosts()
             for d in range(3, -1, -1):
-                ids = np.sort(np.asarray(by_dim[d], dtype=np.int64))[::-1]
-                ids = ids[core.alive[d][ids]]
+                ids = by_dim[d][::-1]
                 # A ghost that still bounds a surviving entity was promoted
                 # to a real boundary entity of this part and must stay.
                 ids = ids[core.nup[d][ids] == 0]

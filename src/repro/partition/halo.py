@@ -6,12 +6,11 @@ are owner copies, leaves every other copy (Knepley, Lange & Gorman, arXiv
 communicate over it many times.  Links change only when the mesh is
 migrated, ghosted, adapted or relinked, while a solver synchronizes many
 times in between.  So :class:`HaloPlan` derives both directions of the
-graph from ``Part.remotes`` once, as per-part-pair index columns already in
-wire order, and :meth:`~repro.partition.dmesh.DistributedMesh.halo_plan`
-caches one plan per entity dimension, keyed by the parts' ``links_version``
-counters.  Every writer of ``remotes``/``ghosts``/``ghost_home`` bumps its
-part's counter; code that edits links by hand must bump it too, or it
-synchronizes over a stale graph.
+graph from the parts' link columns once, as per-part-pair index columns
+already in wire order, and
+:meth:`~repro.partition.dmesh.DistributedMesh.halo_plan` caches one plan per
+entity dimension, keyed by the parts' ``links_version`` counters, which
+every link and ghost write of :class:`~repro.partition.part.Part` bumps.
 """
 
 from __future__ import annotations
@@ -26,23 +25,17 @@ from ..parallel.sf import StarForest
 Pairs = Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]]
 
 
-def _pair_columns(rows: List[Tuple[int, int, int, int]], by: int) -> Pairs:
+def _pair_columns(table: np.ndarray, by: int) -> Pairs:
     """Rows ``(root part, leaf part, root id, leaf id)`` as per-pair columns.
 
     Pairs come out ascending; within a pair, rows ascend by column ``by``
     (3 = leaf id, the order ``bcast`` ships; 2 = root id, ``reduce``'s).
     """
-    if not rows:
-        return {}
-    table = np.asarray(rows, dtype=np.int64)
     table = table[np.lexsort((table[:, by], table[:, 1], table[:, 0]))]
     cuts = np.flatnonzero((table[1:, :2] != table[:-1, :2]).any(axis=1)) + 1
-    bounds = [0, *cuts.tolist(), len(table)]
     return {
-        (int(table[start, 0]), int(table[start, 1])): (
-            table[start:end, 2].copy(), table[start:end, 3].copy(),
-        )
-        for start, end in zip(bounds[:-1], bounds[1:])
+        (int(rows[0, 0]), int(rows[0, 1])): (rows[:, 2].copy(), rows[:, 3].copy())
+        for rows in np.split(table, cuts) if len(rows)
     }
 
 
@@ -83,23 +76,23 @@ class HaloPlan:
     def __init__(self, dmesh: Any, dim: int) -> None:
         self.comm = dmesh
         self.dim = dim
-        sync: List[Tuple[int, int, int, int]] = []
-        accum: List[Tuple[int, int, int, int]] = []
+        cols = []
         for part in dmesh:
-            pid = part.pid
-            for ent, copies in part.remotes.items():
-                if ent.dim != dim:
-                    continue
-                owner = part.owner(ent)
-                if owner == pid:
-                    sync.extend(
-                        (pid, other_pid, ent.idx, other.idx)
-                        for other_pid, other in copies.items()
-                    )
-                else:
-                    accum.append((owner, pid, copies[owner].idx, ent.idx))
-        self.owner_to_copy = _pair_columns(sync, by=3)
-        self.copy_to_owner = _pair_columns(accum, by=2)
+            ids, pids, rids = part.links(dim)
+            # Rows ascend by (id, pid): an entity's first row names its
+            # smallest remote part, and its owner is that part or this one.
+            first = np.diff(ids, prepend=-1) != 0
+            owner = np.minimum(pids[first][np.cumsum(first) - 1], part.pid)
+            cols.append((np.full(len(ids), part.pid), ids, pids, rids, owner))
+        me, ids, pids, rids, owner = map(np.concatenate, zip(*cols))
+        sync = owner == me
+        accum = ~sync & (pids == owner)
+        self.owner_to_copy = _pair_columns(
+            np.column_stack((me, pids, ids, rids))[sync], by=3
+        )
+        self.copy_to_owner = _pair_columns(
+            np.column_stack((owner, me, rids, ids))[accum], by=2
+        )
         self.sync_roots = ids_by_part(self.owner_to_copy, 0)
         self.accum_leaves = ids_by_part(self.copy_to_owner, 1)
         self.accum_roots = ids_by_part(self.copy_to_owner, 0)

@@ -11,8 +11,8 @@ The array kernels under everything that derives remote-copy links —
   part necessarily lies on its part's topological surface;
 * :func:`link_answers` — the grouping job: copies of one identity held by
   two or more parts, answered to every holder with the list of the others;
-* :func:`link_rows` — reading the answers back as ``Part.remotes``
-  entries.
+* :func:`answer_columns` — reading the answers back as link columns for
+  :meth:`Part.replace_links <repro.partition.part.Part.replace_links>`.
 
 Link rows are ragged integer rows in CSR form (``lengths``, ``flat``), the
 columns of a kind-3 wire frame (:func:`repro.parallel.codec.encode_int_rows`).
@@ -23,11 +23,10 @@ holds the entity at ``Ent(dim, idx)`` and part ``qk`` holds it at
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..mesh.entity import Ent
 from .part import Part
 
 
@@ -54,8 +53,8 @@ def surface_masks(part: Part) -> List[np.ndarray]:
     fdim = dim - 1
     top = core.top[fdim]
     nup = core.nup[fdim][:top]
-    ghost_elements = [g.idx for g in part.ghosts if g.dim == dim]
-    if ghost_elements:
+    ghost_elements = part.ghost_ids(dim)
+    if len(ghost_elements):
         nup = nup - np.bincount(
             core.gather_down(dim, ghost_elements), minlength=top
         )
@@ -153,15 +152,12 @@ def split_rows(
         )
 
 
-def link_rows(
+def answer_columns(
     lengths: np.ndarray, flat: np.ndarray
-) -> Iterator[Tuple[Ent, Dict[int, Ent]]]:
-    """Answer rows as ``(local entity, {remote part: remote entity})``."""
-    values = flat.tolist()
-    end = 0
-    for n in lengths.tolist():
-        start, end = end, end + n
-        d = values[start]
-        yield Ent(d, values[start + 1]), {
-            values[i]: Ent(d, values[i + 1]) for i in range(start + 2, end, 2)
-        }
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Answer rows as link columns ``(dim, idx, pid, rid)``, one per named
+    copy, in row order."""
+    starts = np.cumsum(lengths) - lengths
+    pairs = flat[ragged_arange(starts + 2, lengths - 2)].reshape(-1, 2)
+    row = np.repeat(np.arange(len(lengths)), (lengths - 2) // 2)
+    return flat[starts][row], flat[starts + 1][row], pairs[:, 0], pairs[:, 1]

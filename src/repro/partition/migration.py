@@ -39,14 +39,14 @@ The relink protocol
 *Candidates.*  A source part, after landing and before removal (keys need
 the vertex gids of entities about to die, and the destroy listener evicts
 their links): the unique closure of its leaving elements per dimension, each
-entity's key (sorted vertex gids, :meth:`Part.entity_keys`) and the copies
-``remotes`` lists for it.  A destination part: the closure of the elements
+entity's key (sorted vertex gids, :meth:`Part.entity_keys`) and the link
+rows it has.  A destination part: the closure of the elements
 it landed (:func:`_capture_candidates`).
 
 *Surface filter.*  A copy can only be shared if it lies on its part's
 topological surface after the move
 (:func:`~repro.partition.links.surface_masks`).  Live candidates that ended
-up interior post nothing and lose their entry (:func:`_delta_post`).
+up interior post nothing and lose their links (:func:`_delta_post`).
 
 *Rows.*  To the key's home ``sum(key) % nparts``: a live surface candidate
 posts "I hold ``key`` at ``idx``"; a destroyed candidate that had copies
@@ -61,10 +61,10 @@ remove, so a handle is never recycled inside one ``migrate``).
 one ``lexsort`` by ``(dim, key, part, alive)``, drops tombstoned parts,
 dedupes copies named twice and answers every holder of a key left with two
 or more holders with the list of the others
-(:func:`~repro.partition.links.link_answers`); an answered entity's
-``remotes`` entry is replaced.  Posting parts then drop the entries of
-their own live candidates no answer came for, so an entity nobody else
-holds any more ends unshared.
+(:func:`~repro.partition.links.link_answers`); an answered entity's link
+rows are replaced.  Posting parts drop, in the same merge, the rows of their
+own live candidates no answer came for, so an entity nobody else holds any
+more ends unshared.
 
 *Why it is complete.*  A holder set changes only when some part creates a
 copy (only by landing) or destroys one (only by removal), so every entity
@@ -87,8 +87,7 @@ for it anyway.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,8 +108,8 @@ from ..parallel.codec import (
 from ..parallel.sf import BUNDLES, StarForest
 from .dmesh import DistributedMesh
 from .links import (
+    answer_columns,
     link_answers,
-    link_rows,
     ragged_arange,
     split_rows,
     surface_ids,
@@ -144,7 +143,7 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
     the mesh's counter registry.
     """
     for part in dmesh:
-        if part.ghosts:
+        if part.has_ghosts():
             raise ValueError(
                 f"part {part.pid} has ghosts; delete ghosts before migrating"
             )
@@ -584,8 +583,6 @@ def _remove_element(part: Part, element: Ent) -> None:
     _remove_elements(part, element.dim, np.array([element.idx]))
 
 
-
-
 # ---------------------------------------------------------------------------
 # relink: remote-copy links through a hash-home rendezvous
 # ---------------------------------------------------------------------------
@@ -677,9 +674,9 @@ def _home_answers(messages) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 #: What one part brings to a rendezvous: its candidate rows ``(home,
-#: lengths, flat)`` and the ``(dim, idx)`` keys of the ``remotes`` entries
-#: that are stale unless an answer restores them.
-Post = Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Set[Tuple[int, int]]]
+#: lengths, flat)`` and, per dimension, the ids whose links are stale unless
+#: an answer restores them.
+Post = Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[np.ndarray]]
 
 
 def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
@@ -688,13 +685,11 @@ def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
     Two supersteps: every posting part sends its candidate rows to the
     rows' homes; every home groups what it got and answers each holder of a
     key with two or more holders — posters and proxied third parties alike
-    — with the list of the others, which replaces that entity's ``remotes``
-    entry.  A posting part then drops its stale entries no answer came for
-    (after, not before: replacing an entry in place allocates and frees in
-    step, where wipe-then-refill walks the allocator through thousands of
-    net-new containers and the garbage collector with it).  Both exchanges
-    run even when nothing is posted, so a fixed call sequence costs a fixed
-    superstep count.
+    — with the list of the others, which replaces that entity's links.  A
+    posting part's stale ids no answer came for end unlinked: each part
+    applies both in one :meth:`~repro.partition.part.Part.replace_links`
+    per dimension.  Both exchanges run even when nothing is posted, so a
+    fixed call sequence costs a fixed superstep count.
     """
     router = dmesh.router()
     for pid, (rows, _stale) in posts.items():
@@ -709,15 +704,15 @@ def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
     responses = router.exchange()
     for pid in sorted(responses):
         part = dmesh.part(pid)
-        remotes = part.remotes
-        stale = posts[pid][1] if pid in posts else set()
-        for _src, _tag, blob in responses[pid]:
-            for ent, copies in link_rows(*decode_int_rows(blob)):
-                remotes[ent] = copies
-                stale.discard(ent)
-        for key in stale:
-            remotes.pop(key, None)
-        part.links_version += 1
+        stale = posts[pid][1] if pid in posts else [_NONE] * 4
+        frames = [decode_int_rows(blob) for _src, _tag, blob in responses[pid]]
+        dim, ids, pids, rids = answer_columns(*(
+            np.concatenate([_NONE, *(frame[k] for frame in frames)])
+            for k in (0, 1)
+        ))
+        for d in range(4):
+            row = dim == d
+            part.replace_links(d, stale[d], ids[row], pids[row], rids[row])
     dmesh.counters.add("migration.relinks")
 
 
@@ -740,13 +735,14 @@ def rebuild_links(dmesh: DistributedMesh) -> None:
             ],
             dmesh.nparts,
         )
-        posts[part.pid] = (rows, set(part.remotes))
+        posts[part.pid] = (rows, [part.links(d)[0] for d in range(4)])
     _rendezvous(dmesh, posts)
 
 
 #: One dimension of a part's delta candidates before removal: ``(ids, key
-#: rows, remote copies of the leading ids as they were)``.
-Captured = List[Tuple[np.ndarray, np.ndarray, List[Optional[Dict[int, Ent]]]]]
+#: rows, and the link rows of the leading ids as they were: each row's
+#: position in ids, pid, remote id)``.
+Captured = List[Tuple[np.ndarray, ...]]
 
 
 def _capture_candidates(
@@ -756,10 +752,10 @@ def _capture_candidates(
 
     Only entities in the closure of a moved element can gain or lose a
     copy.  Per dimension: the closure of the part's leaving elements
-    (``leaving``, their :func:`_closure_streams`) with the remote copies
-    each has now — removal evicts those links and the vertex gids the keys
-    are made of — followed by what only the closure of the ``landed``
-    element ids adds.
+    (``leaving``, their :func:`_closure_streams`) with the link rows each
+    has now — removal evicts those links and the vertex gids the keys are
+    made of — followed by what only the closure of the ``landed`` element
+    ids adds.
     """
     core = part.mesh.core
     arrived = _closure_streams(core, dim, landed) if len(landed) else None
@@ -774,8 +770,12 @@ def _capture_candidates(
             mask[arrived[d][0]] = True
             mask[left] = False
             ids = np.concatenate((left, np.flatnonzero(mask)))
-        copies = list(map(part.remotes.get, zip(repeat(d), left.tolist())))
-        captured.append((ids, part.entity_keys(d, ids), copies))
+        linked = part.links(d)
+        rows = np.isin(linked[0], left)
+        captured.append((
+            ids, part.entity_keys(d, ids), left.searchsorted(linked[0][rows]),
+            linked[1][rows], linked[2][rows],
+        ))
     return captured
 
 
@@ -785,34 +785,25 @@ def _delta_post(part: Part, captured: Captured, nparts: int) -> Post:
     A copy can only be shared if it lies on its part's surface after the
     move: live surface candidates post themselves (with the copies they
     knew as proxies) and destroyed candidates that had copies post a
-    tombstone (with the same).  Every live candidate's ``remotes`` entry is
-    stale — the answers restore what is still shared.
+    tombstone (with the same).  Every live candidate's links are stale —
+    the answers restore what is still shared.
     """
     alive_of = part.mesh.core.alive
     masks = surface_masks(part)
     pieces: List[Piece] = []
-    stale: Set[Tuple[int, int]] = set()
-    for d, (ids, keys, copies) in enumerate(captured):
+    stale = [_NONE] * 4
+    for d, (ids, keys, at, pids, rids) in enumerate(captured):
         alive = alive_of[d][ids]
-        stale.update(filter(
-            part.remotes.__contains__, zip(repeat(d), ids[alive].tolist())
-        ))
+        stale[d] = ids[alive]
         # (An emptied part has no surface, and nothing of it is alive.)
         surface = alive & masks[d][ids] if d < len(masks) else alive
-        posted = surface.copy()
-        ncopies = np.zeros(len(ids), dtype=np.int64)
-        pairs: List[int] = []
-        nleft = len(copies)  # the leading ids: closure of what left
-        had = np.fromiter(map(bool, copies), dtype=bool, count=nleft)
-        for k in np.flatnonzero(
-            had & (surface[:nleft] | ~alive[:nleft])
-        ).tolist():
-            posted[k] = True
-            ncopies[k] = len(copies[k])
-            for q, ent in copies[k].items():
-                pairs += (q, ent.idx)
+        # The copies a leading id had ride as proxies on its surface row
+        # or its tombstone.
+        proxy = (surface | ~alive)[at]
+        ncopies = np.bincount(at[proxy], minlength=len(ids))
+        posted = surface | (ncopies > 0)
         pieces.append((
             d, np.where(surface, ids, -1)[posted], keys[posted],
-            ncopies[posted], np.asarray(pairs, dtype=np.int64),
+            ncopies[posted], np.column_stack((pids, rids))[proxy].reshape(-1),
         ))
     return _candidate_rows(pieces, nparts), stale

@@ -12,27 +12,33 @@ bookkeeping the distributed representation needs:
   Gids are stored as a per-dimension int64 column indexed by entity handle
   (-1 = unset) with a gid→handle reverse dict, so single lookups stay O(1)
   and batch lookups (:meth:`gids_of`) are one vectorized gather;
-* **remote copies** — for part-boundary entities, the map
-  ``{other part id: remote entity handle}`` (the paper's duplicated
-  entities);
+* **links** — one row per remote copy of a part-boundary entity (the
+  paper's duplicated entities) in three read-only int64 columns per
+  dimension, ``(ids, pids, rids)``: part ``pids[k]`` holds local entity
+  ``ids[k]`` at ``rids[k]``; sorted by ``(id, pid)``, no duplicate or self
+  rows;
 * **ghosts** — read-only off-part copies created by ghosting, excluded from
-  ownership and balance accounting.
+  ownership and balance accounting: per dimension, two handle-indexed int64
+  columns, the home part (-1 = not a ghost) and home handle (-1 = unknown).
 
-Residence parts and ownership are derived, not stored: the residence part set
-of an entity is its own part plus its remote-copy parts, and the owning part
-is the smallest id in that set (the standard deterministic rule; the
-partition model can impose others).
+Only this class writes links and ghosts (:meth:`Part.replace_links`,
+:meth:`Part.add_ghosts`, :meth:`Part.clear_ghosts`, the destroy listener)
+and every write bumps :attr:`Part.links_version`.  Residence parts and
+ownership are derived, not stored: the residence part set of an entity is
+its own part plus its remote-copy parts, and the owning part is the
+smallest id in that set (the standard deterministic rule; the partition
+model can impose others).
 
 Because the mesh core reuses destroyed handles (free-list allocation), the
-part registers a destroy listener on its mesh and evicts gid/remote/ghost
+part registers a destroy listener on its mesh and evicts gid, link and ghost
 entries the moment their entity dies — a recycled handle can therefore never
 alias stale bookkeeping.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,26 +49,40 @@ from ..mesh.mesh import Mesh
 _UNSET = np.int64(-1)
 
 
+def _frozen(col: np.ndarray) -> np.ndarray:
+    col.flags.writeable = False
+    return col
+
+
+def _grown(col: np.ndarray, idx: int) -> np.ndarray:
+    """``col`` if its last axis has a slot ``idx``, else a copy at least
+    twice as long there, padded with -1."""
+    size = col.shape[-1]
+    if idx < size:
+        return col
+    grown = np.full(col.shape[:-1] + (max(2 * size, idx + 1),), _UNSET)
+    grown[..., :size] = col
+    return grown
+
+
+#: One dimension's link columns ``(ids, pids, rids)``.
+Links = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class Part:
     """One part of a distributed mesh."""
 
     def __init__(self, pid: int, mesh: Optional[Mesh] = None) -> None:
         self.pid = pid
-        #: remote copies: local entity -> {remote pid: remote entity}.
-        self.remotes: Dict[Ent, Dict[int, Ent]] = {}
-        #: ghost entities (read-only off-part copies) present locally.
-        self.ghosts: Set[Ent] = set()
-        #: for each ghost, the (owner pid, owner-local entity) it mirrors.
-        self.ghost_home: Dict[Ent, Tuple[int, Ent]] = {}
-        #: link-state counter: every write of ``remotes``, ``ghosts`` or
-        #: ``ghost_home`` bumps it, and views cached from the links (the
-        #: :meth:`~repro.partition.dmesh.DistributedMesh.halo_plan`) are
-        #: keyed by it — code that edits the links by hand must bump it too.
+        #: bumped by every link or ghost write; views cached from the links
+        #: (:meth:`~repro.partition.dmesh.DistributedMesh.halo_plan`) key on it.
         self.links_version = 0
+        self._links: List[Links] = [(_frozen(np.empty(0, np.int64)),) * 3] * 4
+        #: per-dim ghost columns indexed by entity handle: row 0 the home
+        #: part (-1 = not a ghost), row 1 the home handle (-1 = unknown).
+        self._ghosts = [np.full((2, 16), _UNSET) for _ in range(4)]
         #: per-dim gid columns indexed by entity handle; -1 = unset.
-        self._gid_arr: List[np.ndarray] = [
-            np.full(16, _UNSET, dtype=np.int64) for _ in range(4)
-        ]
+        self._gid_arr: List[np.ndarray] = [np.full(16, _UNSET) for _ in range(4)]
         self._by_gid: List[Dict[int, int]] = [{}, {}, {}, {}]
         self.mesh = mesh if mesh is not None else Mesh()
 
@@ -90,23 +110,94 @@ class Part:
         by_gid = self._by_gid[dim]
         for gid in gids[gids != _UNSET].tolist():
             by_gid.pop(gid, None)
-        if self.remotes or self.ghosts or self.ghost_home:
+        linked = self._links[dim][0]
+        at = np.minimum(linked.searchsorted(ids), len(linked) - 1)
+        if len(linked) and (linked[at] == ids).any():
+            self.replace_links(dim, ids, (), (), ())
+        ghosts = self._ghosts[dim]
+        known = ids[ids < ghosts.shape[1]]
+        if (ghosts[0, known] != _UNSET).any():
+            ghosts[:, known] = _UNSET
             self.links_version += 1
-            ents = list(map(Ent, repeat(dim), ids.tolist()))
-            self.ghosts.difference_update(ents)
-            for links in (self.remotes, self.ghost_home):
-                if links:
-                    for ent in ents:
-                        links.pop(ent, None)
+
+    # -- links -----------------------------------------------------------------
+
+    def links(self, dim: int) -> Links:
+        """The read-only link columns ``(ids, pids, rids)`` of one dimension."""
+        return self._links[dim]
+
+    def copies(self, ent: Ent) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pids, rids)`` of ``ent``'s remote copies, parts ascending."""
+        ids, pids, rids = self._links[ent.dim]
+        lo, hi = ids.searchsorted((ent.idx, ent.idx + 1))
+        return pids[lo:hi], rids[lo:hi]
+
+    def replace_links(self, dim: int, drop_ids, ids, pids, rids) -> None:
+        """Drop every row of the entities ``drop_ids`` and ``ids`` by mask,
+        then merge in the rows ``(ids[k], pids[k], rids[k])`` with one sort."""
+        new = [np.asarray(col, dtype=np.int64) for col in (ids, pids, rids)]
+        drop = np.concatenate((np.asarray(drop_ids, dtype=np.int64), new[0]))
+        if not len(drop):
+            return
+        old = self._links[dim]
+        keep = ~np.isin(old[0], drop)
+        rows = [np.concatenate((o[keep], n)) for o, n in zip(old, new)]
+        if len(new[0]):
+            order = np.lexsort((rows[1], rows[0]))
+            rows = [col[order] for col in rows]
+        self._links[dim] = tuple(map(_frozen, rows))
+        self.links_version += 1
+
+    @property
+    def remotes(self) -> Mapping[Ent, Mapping[int, Ent]]:
+        """A read-only ``{entity: {pid: remote entity}}`` view, built per access."""
+        view = {}
+        for d, (ids, pids, rids) in enumerate(self._links):
+            for idx, pid, rid in zip(ids.tolist(), pids.tolist(), rids.tolist()):
+                view.setdefault(Ent(d, idx), {})[pid] = Ent(d, rid)
+        return MappingProxyType(
+            {ent: MappingProxyType(copies) for ent, copies in view.items()}
+        )
+
+    # -- ghosts ----------------------------------------------------------------
+
+    def add_ghosts(self, dim: int, ids, home_pid, home_id) -> None:
+        """Mark ``ids`` as ghosts of the entities ``home_id`` (-1 = unknown)
+        on parts ``home_pid`` (arrays aligned with ``ids``, or scalars)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if len(ids):
+            self._ghosts[dim] = ghosts = _grown(self._ghosts[dim], ids.max())
+            ghosts[0, ids], ghosts[1, ids] = home_pid, home_id
+            self.links_version += 1
+
+    def clear_ghosts(self) -> None:
+        """Forget every ghost mark (the entities stay)."""
+        for ghosts in self._ghosts:
+            ghosts.fill(_UNSET)
+        self.links_version += 1
+
+    def ghost_ids(self, dim: int) -> np.ndarray:
+        """Handles of the ghosts of one dimension, ascending."""
+        return np.flatnonzero(self._ghosts[dim][0] != _UNSET)
+
+    def homes(self, dim: int, ids) -> np.ndarray:
+        """Rows ``(home parts, home handles; -1 = unknown)`` of ghosts ``ids``."""
+        return self._ghosts[dim][:, ids]
+
+    def has_ghosts(self) -> bool:
+        return any(len(self.ghost_ids(d)) for d in range(4))
+
+    @property
+    def ghosts(self) -> frozenset:
+        """A read-only set view of every ghost entity, built on each access."""
+        return frozenset(
+            Ent(d, idx) for d in range(4) for idx in self.ghost_ids(d).tolist()
+        )
 
     # -- global ids ----------------------------------------------------------
 
     def _gid_col(self, dim: int, idx: int) -> np.ndarray:
-        col = self._gid_arr[dim]
-        if idx >= len(col):
-            grown = np.full(max(2 * len(col), idx + 1), _UNSET, dtype=np.int64)
-            grown[: len(col)] = col
-            self._gid_arr[dim] = col = grown
+        self._gid_arr[dim] = col = _grown(self._gid_arr[dim], idx)
         return col
 
     def set_gid(self, ent: Ent, gid: int) -> None:
@@ -174,25 +265,12 @@ class Part:
 
     def gid_array(self, dim: int) -> np.ndarray:
         """The raw gid column for ``dim`` (handle-indexed; -1 = unset)."""
-        need = self.mesh.core.top[dim]
-        if need > len(self._gid_arr[dim]):
-            self._gid_col(dim, need - 1)
-        return self._gid_arr[dim]
+        return self._gid_col(dim, self.mesh.core.top[dim] - 1)
 
     def gids_of(self, dim: int, ids: np.ndarray) -> np.ndarray:
         """Vectorized gid lookup for an array of entity handles."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.empty(ids.shape, dtype=np.int64)
-        col = self._gid_arr[dim]
-        if int(ids.max()) >= len(col):
-            col = self._gid_col(dim, int(ids.max()))
-        return col[ids]
-
-    def gid_index_set(self, dim: int) -> Set[int]:
-        """Handles of dimension ``dim`` that currently carry a gid."""
-        col = self._gid_arr[dim]
-        return set(np.nonzero(col != _UNSET)[0].tolist())
+        return self._gid_col(dim, int(ids.max(initial=0)))[ids]
 
     # -- global identity -------------------------------------------------------
 
@@ -234,27 +312,28 @@ class Part:
 
     def residence(self, ent: Ent) -> Tuple[int, ...]:
         """Sorted residence-part ids of ``ent`` (always includes this part)."""
-        copies = self.remotes.get(ent)
-        if not copies:
-            return (self.pid,)
-        return tuple(sorted([self.pid, *copies.keys()]))
+        pids, _rids = self.copies(ent)
+        return tuple(sorted([self.pid, *pids.tolist()]))
 
     def is_shared(self, ent: Ent) -> bool:
         """True when ``ent`` is a part-boundary entity (has remote copies)."""
-        return bool(self.remotes.get(ent))
+        ids = self._links[ent.dim][0]
+        at = ids.searchsorted(ent.idx)
+        return bool(at < len(ids) and ids[at] == ent.idx)
 
     def is_ghost(self, ent: Ent) -> bool:
-        return ent in self.ghosts
+        ghosts = self._ghosts[ent.dim]
+        return bool(ent.idx < ghosts.shape[1] and ghosts[0, ent.idx] != _UNSET)
 
     def owner(self, ent: Ent) -> int:
         """Owning part id of ``ent`` — the smallest residence part.
 
         Ghosts are owned by their home part regardless of residence.
         """
-        home = self.ghost_home.get(ent)
-        if home is not None:
-            return home[0]
-        return self.residence(ent)[0]
+        if self.is_ghost(ent):
+            return int(self._ghosts[ent.dim][0, ent.idx])
+        pids, _rids = self.copies(ent)
+        return min(self.pid, int(pids[0])) if len(pids) else self.pid
 
     def owns(self, ent: Ent) -> bool:
         return self.owner(ent) == self.pid
@@ -263,9 +342,8 @@ class Part:
 
     def shared_entities(self, dim: int) -> Iterator[Ent]:
         """Part-boundary entities of one dimension, in id order."""
-        for ent in sorted(self.remotes):
-            if ent.dim == dim:
-                yield ent
+        for idx in np.unique(self._links[dim][0]).tolist():
+            yield Ent(dim, idx)
 
     def neighbors(self, dim: Optional[int] = None) -> Set[int]:
         """Part ids sharing any entity (of ``dim``, or of any dimension).
@@ -273,34 +351,33 @@ class Part:
         "A part Pi neighbors part Pj over entity type d if they share d
         dimensional mesh entities on part boundary" (paper, Section II-D).
         """
-        result: Set[int] = set()
-        for ent, copies in self.remotes.items():
-            if dim is None or ent.dim == dim:
-                result.update(copies.keys())
-        return result
+        dims = range(4) if dim is None else (dim,)
+        return set(np.concatenate([self._links[d][1] for d in dims]).tolist())
 
     # -- counting --------------------------------------------------------------
 
     def entity_count(self, dim: int) -> int:
         """Live non-ghost entities of one dimension on this part."""
-        total = self.mesh.count(dim)
-        ghosts = sum(1 for g in self.ghosts if g.dim == dim)
-        return total - ghosts
+        return self.mesh.count(dim) - len(self.ghost_ids(dim))
 
     def entity_counts(self) -> Tuple[int, int, int, int]:
         return tuple(self.entity_count(d) for d in range(4))  # type: ignore
 
+    def owned_ids(self, dim: int) -> np.ndarray:
+        """Handles of the entities of ``dim`` this part owns, ascending: the
+        live non-ghosts less those shared with a lower part."""
+        ids, pids, _rids = self._links[dim]
+        foreign = np.union1d(self.ghost_ids(dim), ids[pids < self.pid])
+        return np.setdiff1d(self.mesh.entity_ids(dim), foreign)
+
     def owned_count(self, dim: int) -> int:
         """Entities of ``dim`` this part owns (each counted once globally)."""
-        total = 0
-        for ent in self.mesh.entities(dim):
-            if ent not in self.ghosts and self.owns(ent):
-                total += 1
-        return total
+        return len(self.owned_ids(dim))
 
     def __repr__(self) -> str:
         v, e, f, r = self.entity_counts()
         return (
             f"Part({self.pid}, verts={v}, edges={e}, faces={f}, regions={r}, "
-            f"shared={len(self.remotes)}, ghosts={len(self.ghosts)})"
+            f"shared={sum(len(np.unique(ids)) for ids, _p, _r in self._links)}, "
+            f"ghosts={sum(len(self.ghost_ids(d)) for d in range(4))})"
         )

@@ -20,7 +20,7 @@ its owner is the smallest residence part unless a custom rule is installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..mesh.entity import Ent
 from .dmesh import DistributedMesh
@@ -66,8 +66,8 @@ class PartitionModel:
         residences = set()
         for part in dmesh:
             residences.add((part.pid,))
-            for ent in part.remotes:
-                residences.add(part.residence(ent))
+            for d in range(4):
+                residences.update(map(part.residence, part.shared_entities(d)))
         for residence in sorted(residences, key=lambda r: (len(r), r)):
             dim = max(mesh_dim - (len(residence) - 1), 0)
             pent = PartitionEntity(

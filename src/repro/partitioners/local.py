@@ -11,9 +11,7 @@ is one of the benchmark targets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
-
-import numpy as np
+from typing import Dict
 
 from ..mesh.entity import Ent
 from ..partition.dmesh import DistributedMesh
@@ -39,7 +37,7 @@ def local_partition(
     if factor == 1:
         return dmesh
     for part in dmesh:
-        if part.ghosts:
+        if part.has_ghosts():
             raise ValueError("delete ghosts before local partitioning")
 
     dim = dmesh.element_dim()

@@ -175,9 +175,7 @@ def state_from_dmesh(
         # Elements: one gid gather for the connectivity columns per part.
         ids = core.live_ids(dim)
         if len(ids):
-            ghost_ids = sorted(g.idx for g in part.ghosts if g.dim == dim)
-            if ghost_ids:
-                ids = ids[~np.isin(ids, np.asarray(ghost_ids, dtype=ids.dtype))]
+            ids = ids[~np.isin(ids, part.ghost_ids(dim))]
         if len(ids):
             etypes = np.unique(core.etype[dim][ids])
             for etype in etypes.tolist():
@@ -204,11 +202,7 @@ def state_from_dmesh(
         # Vertices: coordinates and classification, batch-gathered.
         vids = core.live_ids(0)
         if len(vids):
-            ghost_ids = sorted(g.idx for g in part.ghosts if g.dim == 0)
-            if ghost_ids:
-                vids = vids[
-                    ~np.isin(vids, np.asarray(ghost_ids, dtype=vids.dtype))
-                ]
+            vids = vids[~np.isin(vids, part.ghost_ids(0))]
         if len(vids):
             vgids = part.gids_of(0, vids)
             if (vgids < 0).any():
@@ -229,7 +223,7 @@ def state_from_dmesh(
         for name in part.mesh.tags.names():
             tag = part.mesh.tags.find(name)
             for ent, value in tag.items():
-                if ent in part.ghosts or not part.mesh.has(ent):
+                if part.is_ghost(ent) or not part.mesh.has(ent):
                     continue
                 state.tags.setdefault(
                     (name, ent.dim, part.entity_key(ent)), value
@@ -244,7 +238,7 @@ def state_from_dmesh(
                 # Migration deletes entities out from under runtime field
                 # stores; stale handles have no gid and are not state.
                 if (
-                    ent in part.ghosts
+                    part.is_ghost(ent)
                     or not part.mesh.has(ent)
                     or not part.has_gid(ent)
                 ):
@@ -680,12 +674,10 @@ def owned_gid_set(dmesh: DistributedMesh, dim: int) -> frozenset:
     Restores at different part counts must agree on this set exactly —
     it is the partition-independent identity of the mesh.
     """
-    out = set()
-    for part in dmesh:
-        for ent in part.mesh.entities(dim):
-            if part.owns(ent) and not part.is_ghost(ent):
-                out.add(part.gid(ent))
-    return frozenset(out)
+    return frozenset(
+        gid for part in dmesh
+        for gid in part.gids_of(dim, part.owned_ids(dim)).tolist()
+    )
 
 
 def element_partition(dmesh: DistributedMesh) -> List[List[int]]:
@@ -695,11 +687,9 @@ def element_partition(dmesh: DistributedMesh) -> List[List[int]]:
     """
     dim = dmesh.element_dim()
     return [
-        sorted(
-            part.gid(ent)
-            for ent in part.mesh.entities(dim)
-            if not part.is_ghost(ent)
-        )
+        sorted(part.gids_of(dim, np.setdiff1d(
+            part.mesh.entity_ids(dim), part.ghost_ids(dim)
+        )).tolist())
         for part in dmesh
     ]
 
@@ -711,7 +701,8 @@ def field_checksum(dmesh: DistributedMesh, dfield: DistributedField) -> float:
     values = []
     for part in dmesh:
         local = dfield.on(part.pid)
-        for ent in part.mesh.entities(dfield.entity_dim):
-            if part.owns(ent) and not part.is_ghost(ent) and local.has(ent):
+        for idx in part.owned_ids(dfield.entity_dim).tolist():
+            ent = Ent(dfield.entity_dim, idx)
+            if local.has(ent):
                 values.append(float(np.sum(local.get(ent))))
     return math.fsum(sorted(values))

@@ -5,14 +5,18 @@
 * the scalar path is gone — no ``Mesh.create``/``Mesh.destroy``/``add_up``/
   ``remove_up`` call on the migrate, ghost and unghost paths;
 * the ghost registry is the set of *created* entities, so an entity that
-  travels without a gid is still registered and stripped.
+  travels without a gid is still registered and stripped;
+* the link and ghost columns — a recycled handle carries no links and no
+  ghost home, and neither the columns nor the dict views can be written.
 """
 
 import numpy as np
+import pytest
 
 from repro.mesh import Ent, Mesh, MeshCore, box_tet
 from repro.parallel import PerfCounters
 from repro.partition import delete_ghosts, distribute, ghost_layer, migrate
+from repro.partition.migration import _remove_elements
 
 NPARTS = 8
 
@@ -43,12 +47,16 @@ def part_columns(dm):
                 part.gid_array(d)[: core.top[d]].tolist() for d in range(4)
             ],
             "by_gid": [sorted(part._by_gid[d].items()) for d in range(4)],
-            "remotes": sorted(
-                (ent, sorted(copies.items()))
-                for ent, copies in part.remotes.items()
-            ),
-            "ghosts": sorted(part.ghosts),
-            "ghost_home": sorted(part.ghost_home.items()),
+            "links": [
+                [col.tolist() for col in part.links(d)] for d in range(4)
+            ],
+            "ghosts": [
+                [
+                    col.tolist()
+                    for col in (part.ghost_ids(d), *part.homes(d, part.ghost_ids(d)))
+                ]
+                for d in range(4)
+            ],
             "counts": part.mesh.entity_counts(),
         })
     return state
@@ -68,7 +76,7 @@ def test_ghost_unghost_cycles_reuse_every_slot():
         # marks, free-lists and every column repeat exactly.
         assert part_columns(dm) == warm
     for was, now in zip(before, warm):
-        for key in ("n_alive", "by_gid", "remotes", "ghosts", "ghost_home", "counts"):
+        for key in ("n_alive", "by_gid", "links", "ghosts", "counts"):
             assert now[key] == was[key], key
         # Against the pre-ghost state: live handles and their gids are
         # untouched, and everything the ghosts added above the old top is
@@ -119,12 +127,12 @@ def test_gidless_closure_entity_is_registered_and_stripped():
     dm = distributed_box()
     owner = dm.part(3)
     # Strip the gid of an interior edge of an element part 2 will ghost.
-    shared_vertex = next(e for e in sorted(owner.remotes) if e.dim == 0
-                         and 2 in owner.remotes[e])
+    shared_vertex = next(
+        e for e in owner.shared_entities(0) if 2 in owner.copies(e)[0]
+    )
     element = owner.mesh.adjacent(shared_vertex, 3)[0]
     edge = next(
-        e for e in owner.mesh.adjacent(element, 1)
-        if e not in owner.remotes
+        e for e in owner.mesh.adjacent(element, 1) if not owner.is_shared(e)
     )
     owner.drop_gid(edge)
     key = tuple(sorted(owner.gid(v) for v in owner.mesh.verts_of(edge)))
@@ -138,12 +146,13 @@ def test_gidless_closure_entity_is_registered_and_stripped():
     )
     assert local is not None and not requester.has_gid(local)
     assert requester.is_ghost(local)
-    assert requester.ghost_home[local] == (3, None)
+    # Home part 3, home handle unknown: closure entities ship no handle.
+    assert [c.tolist() for c in requester.homes(1, [local.idx])] == [[3], [-1]]
 
     delete_ghosts(dm)
     dm.verify()
     assert [part.mesh.entity_counts() for part in dm] == before
-    assert not any(part.ghosts or part.ghost_home for part in dm)
+    assert not any(part.has_ghosts() for part in dm)
 
 
 def test_set_gids_follows_the_adopt_rule():
@@ -164,3 +173,53 @@ def test_set_gids_follows_the_adopt_rule():
     part.drop_gid(Ent(1, int(edges[0])))
     part.set_gids(1, edges[:2], np.asarray([90_003, 90_003]))
     assert part.gids_of(1, edges[:2]).tolist() == [90_003, -1]
+
+
+# -- the link and ghost columns: handle reuse and immutability ----------------
+
+
+def test_recycled_handles_carry_no_links_and_no_ghost_home():
+    """A destroyed shared vertex and a destroyed ghost element leave nothing
+    behind: the entities that reuse their handles are unlinked non-ghosts."""
+    dm = distributed_box()
+    part = dm.part(1)
+    mesh = part.mesh
+    vertex = next(part.shared_entities(0))
+    xyz = mesh.coords(vertex)
+    _remove_elements(part, 3, np.asarray(
+        [e.idx for e in mesh.adjacent(vertex, 3)], dtype=np.int64
+    ))
+    assert not mesh.has(vertex)
+    while (fresh := mesh.create_vertex(xyz)) != vertex:
+        pass
+    assert not part.is_shared(fresh) and part.residence(fresh) == (1,)
+    assert len(part.copies(fresh)[0]) == 0 and part.owns(fresh)
+
+    ghost_layer(dm)
+    ghost = Ent(3, int(part.ghost_ids(3)[0]))
+    etype, verts = mesh.etype(ghost), mesh.verts_of(ghost)
+    mesh.destroy(ghost)
+    reborn = mesh.create(etype, verts)
+    assert reborn == ghost
+    assert not part.is_ghost(reborn) and part.owns(reborn)
+    assert [c.tolist() for c in part.homes(3, [reborn.idx])] == [[-1], [-1]]
+
+
+def test_link_columns_and_views_are_read_only():
+    dm = distributed_box()
+    part = dm.part(0)
+    for d in range(3):
+        for col in part.links(d):
+            with pytest.raises(ValueError):
+                col[:1] = 7
+    ids, pids, rids = part.links(0)
+    assert len(ids) and (np.diff(ids) >= 0).all() and (pids != part.pid).all()
+    with pytest.raises(AttributeError):
+        part.remotes = {}
+    with pytest.raises(AttributeError):
+        part.ghosts = frozenset()
+    # The views are snapshots of the columns, not stores.
+    with pytest.raises(TypeError):
+        part.remotes[Ent(0, 0)] = {}
+    with pytest.raises(AttributeError):
+        part.ghosts.add(Ent(0, 0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import box_tet, rect_tri
+from repro.mesh import Ent, box_tet, rect_tri
 from repro.partition import (
     DistributedField,
     Overlap,
@@ -33,6 +33,17 @@ def dm():
 # -- ghosting ------------------------------------------------------------------
 
 
+def ghost_elements(part):
+    """``(ghost, home pid, home entity)`` of every ghost face, read from the
+    part's ghost columns."""
+    ids = part.ghost_ids(2)
+    homes, handles = part.homes(2, ids)
+    return [
+        (Ent(2, idx), home, Ent(2, handle))
+        for idx, home, handle in zip(ids.tolist(), homes.tolist(), handles.tolist())
+    ]
+
+
 def test_ghost_layer_counts_excluded_from_load(dm):
     before = dm.entity_counts().copy()
     stats = ghost_layer(dm)
@@ -50,10 +61,7 @@ def test_ghost_layer_counts_excluded_from_load(dm):
 def test_ghost_elements_mirror_their_home(dm):
     ghost_layer(dm)
     for part in dm:
-        for ghost in part.ghosts:
-            if ghost.dim != 2:
-                continue
-            home_pid, home_ent = part.ghost_home[ghost]
+        for ghost, home_pid, home_ent in ghost_elements(part):
             assert home_pid != part.pid
             home = dm.part(home_pid)
             assert home.gid(home_ent) == part.gid(ghost)
@@ -105,10 +113,7 @@ def test_ghost_tag_data_travels(dm):
     checked = 0
     for part in dm:
         tag = part.mesh.tag("load")
-        for ghost in part.ghosts:
-            if ghost.dim != 2:
-                continue
-            home_pid, home_ent = part.ghost_home[ghost]
+        for ghost, home_pid, home_ent in ghost_elements(part):
             expected = dm.part(home_pid).mesh.tag("load").get(home_ent)
             assert tag.get(ghost) == expected
             checked += 1

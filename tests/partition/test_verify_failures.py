@@ -1,9 +1,13 @@
 """Failure injection: the distributed verifier must catch corruptions.
 
-Each test corrupts one invariant behind the API's back and asserts
-``DistributedMesh.verify`` reports it — the verifier is what every other
-test trusts, so its own detection power needs proof.
+Each test corrupts one invariant through the part's own link and ghost
+writers (``Part.replace_links``, ``Part.add_ghosts``), which store whatever
+they are given, and asserts ``DistributedMesh.verify`` reports it, naming
+the part and the entity — the verifier is what every other test trusts, so
+its own detection power needs proof.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +31,32 @@ def dm():
 
 
 def shared_vertex(part):
-    return next(e for e in sorted(part.remotes) if e.dim == 0)
+    return next(part.shared_entities(0))
+
+
+def copies_of(part, ent):
+    """``{remote pid: remote handle}`` of one entity, from the columns."""
+    pids, rids = part.copies(ent)
+    return dict(zip(pids.tolist(), rids.tolist()))
+
+
+def set_copies(part, ent, copies):
+    """Replace ``ent``'s link rows by ``copies`` (``{pid: remote handle}``)."""
+    part.replace_links(
+        ent.dim, [ent.idx], [ent.idx] * len(copies), list(copies),
+        list(copies.values()),
+    )
+
+
+def drop_copy(part, ent, pid):
+    """Remove the one link row ``ent -> pid``."""
+    copies = copies_of(part, ent)
+    del copies[pid]
+    set_copies(part, ent, copies)
+
+
+def says(text):
+    return re.escape(text)
 
 
 def test_clean_distribution_verifies(dm):
@@ -37,9 +66,12 @@ def test_clean_distribution_verifies(dm):
 def test_detects_asymmetric_link(dm):
     part0 = dm.part(0)
     v = shared_vertex(part0)
-    other_pid, other_ent = next(iter(part0.remotes[v].items()))
-    del dm.part(other_pid).remotes[other_ent][0]
-    with pytest.raises(AssertionError, match="not reciprocated|identity"):
+    other_pid, other_idx = next(iter(copies_of(part0, v).items()))
+    drop_copy(dm.part(other_pid), Ent(0, other_idx), 0)
+    with pytest.raises(AssertionError, match=says(
+        f"asymmetric remote link: part 0 {v} -> part {other_pid} "
+        f"{Ent(0, other_idx)} not reciprocated"
+    )):
         dm.verify()
 
 
@@ -49,13 +81,16 @@ def test_detects_dangling_link_to_dead_entity(dm):
     # boundary entities; kill a linked vertex's closure instead: remove
     # every element of part 1 touching its copy, then the vertex itself.
     v = shared_vertex(part0)
-    other_pid, other_ent = next(iter(part0.remotes[v].items()))
+    other_pid, other_idx = next(iter(copies_of(part0, v).items()))
+    other_ent = Ent(0, other_idx)
     other = dm.part(other_pid)
     for element in list(other.mesh.adjacent(other_ent, 2)):
         _remove_element(other, element)
     # The vertex died with its cavity; part0's link now dangles.
     assert not other.mesh.has(other_ent)
-    with pytest.raises(AssertionError, match="dead"):
+    with pytest.raises(AssertionError, match=says(
+        f"part 0: {v} links to dead {other_ent} on part {other_pid}"
+    )):
         dm.verify()
 
 
@@ -65,37 +100,45 @@ def test_detects_identity_mismatch(dm):
     # Re-gid the local copy: the link now joins different identities.
     part0.drop_gid(v)
     part0.set_gid(v, 999_999)
-    with pytest.raises(AssertionError, match="identity mismatch"):
+    with pytest.raises(
+        AssertionError, match=says(f"identity mismatch: part 0 {v} (key (999999,))")
+    ):
         dm.verify()
 
 
 def test_detects_self_link(dm):
     part0 = dm.part(0)
     v = shared_vertex(part0)
-    part0.remotes[v][0] = v
-    with pytest.raises(AssertionError, match="self remote link"):
+    set_copies(part0, v, {**copies_of(part0, v), 0: v.idx})
+    with pytest.raises(
+        AssertionError, match=says(f"part 0: self remote link on {v}")
+    ):
         dm.verify()
 
 
 def test_detects_link_from_dead_entity(dm):
     part0 = dm.part(0)
-    # Fabricate a link entry keyed by a never-created entity.
-    part0.remotes[Ent(0, 10_000)] = {1: Ent(0, 0)}
-    with pytest.raises(AssertionError, match="dead entity"):
+    # Fabricate a link row keyed by a never-created entity.
+    set_copies(part0, Ent(0, 10_000), {1: 0})
+    with pytest.raises(AssertionError, match=says(
+        "part 0: remote link from dead entity M0_10000"
+    )):
         dm.verify()
 
 
 def test_detects_dead_ghost(dm):
     ghost_layer(dm)
     part0 = dm.part(0)
-    ghost = next(g for g in part0.ghosts if g.dim == 2)
-    home = part0.ghost_home[ghost]
-    # Destroying the ghost scrubs the registries via the destroy listener;
-    # corrupt them back to simulate a stale entry.
+    ghost = Ent(2, int(part0.ghost_ids(2)[0]))
+    home_pid, home_id = part0.homes(2, [ghost.idx])
+    # Destroying the ghost scrubs the ghost columns via the destroy
+    # listener; mark it back to simulate a stale entry.
     part0.mesh.destroy(ghost)
-    part0.ghosts.add(ghost)
-    part0.ghost_home[ghost] = home
-    with pytest.raises(AssertionError, match="dead ghost"):
+    assert not part0.is_ghost(ghost)
+    part0.add_ghosts(2, [ghost.idx], home_pid, home_id)
+    with pytest.raises(
+        AssertionError, match=says(f"part 0: dead ghost {ghost}")
+    ):
         dm.verify()
 
 
@@ -142,15 +185,15 @@ def test_detects_symmetrically_missing_link(dm3d, dim):
     dm.verify()
     assert dm.total_owned(dim) == mesh.count(dim)
     part0 = dm.part(0)
-    ent = next(e for e in sorted(part0.remotes) if e.dim == dim)
-    for other_pid, other_ent in part0.remotes.pop(ent).items():
-        back = dm.part(other_pid).remotes[other_ent]
-        del back[0]
-        if not back:
-            del dm.part(other_pid).remotes[other_ent]
+    ent = next(part0.shared_entities(dim))
+    for other_pid, other_idx in copies_of(part0, ent).items():
+        drop_copy(dm.part(other_pid), Ent(dim, other_idx), 0)
+    set_copies(part0, ent, {})
     # Symmetric, so the link walk alone has nothing to object to ...
     assert dm.total_owned(dim) == mesh.count(dim) + 1
-    with pytest.raises(AssertionError, match="incomplete remote links"):
+    with pytest.raises(
+        AssertionError, match=says(f"incomplete remote links: part 0 {ent} ")
+    ):
         dm.verify()
 
 
@@ -164,14 +207,15 @@ def test_detects_one_missing_holder_among_three():
     ]
     dm = distribute(mesh, quadrant)
     part0 = dm.part(0)
-    v = next(e for e in sorted(part0.remotes) if len(part0.remotes[e]) == 3)
-    dropped, dropped_ent = sorted(part0.remotes[v].items())[-1]
-    for pid, ent in [(0, v)] + sorted(part0.remotes[v].items())[:-1]:
-        del dm.part(pid).remotes[ent][dropped]
-    for pid in list(dm.part(dropped).remotes[dropped_ent]):
-        del dm.part(dropped).remotes[dropped_ent][pid]
-    del dm.part(dropped).remotes[dropped_ent]
-    with pytest.raises(AssertionError, match="incomplete remote links"):
+    v = next(e for e in part0.shared_entities(0) if len(copies_of(part0, e)) == 3)
+    holders = sorted(copies_of(part0, v).items())
+    dropped, dropped_idx = holders[-1]
+    for pid, idx in [(0, v.idx)] + holders[:-1]:
+        drop_copy(dm.part(pid), Ent(0, idx), dropped)
+    set_copies(dm.part(dropped), Ent(0, dropped_idx), {})
+    with pytest.raises(
+        AssertionError, match=says(f"incomplete remote links: part 0 {v} ")
+    ):
         dm.verify()
 
 
@@ -182,10 +226,10 @@ def test_completeness_holds_with_ghosts(dm):
     dm.verify()
     part0 = dm.part(0)
     v = shared_vertex(part0)
-    for other_pid, other_ent in part0.remotes.pop(v).items():
-        back = dm.part(other_pid).remotes[other_ent]
-        del back[0]
-        if not back:
-            del dm.part(other_pid).remotes[other_ent]
-    with pytest.raises(AssertionError, match="incomplete remote links"):
+    for other_pid, other_idx in copies_of(part0, v).items():
+        drop_copy(dm.part(other_pid), Ent(0, other_idx), 0)
+    set_copies(part0, v, {})
+    with pytest.raises(
+        AssertionError, match=says(f"incomplete remote links: part 0 {v} ")
+    ):
         dm.verify()

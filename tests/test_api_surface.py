@@ -107,6 +107,20 @@ def test_link_maintenance_surface():
     assert not hasattr(partition_pkg, "surface_closure")
     assert not hasattr(migration, "_surface_entity_ids")
     assert list(inspect.signature(rebuild_links).parameters) == ["dmesh"]
+    # Links and ghosts are columns on ``Part``: the per-row dict reader and
+    # the ghost-home dict are gone, and only ``Part`` writes the columns.
+    from repro.partition import links
+    from repro.partition.part import Part
+
+    assert not hasattr(links, "link_rows")
+    assert not hasattr(Part, "ghost_home")
+    assert not hasattr(Part, "gid_index_set")
+    for name in ("links", "copies", "replace_links", "add_ghosts",
+                 "clear_ghosts", "ghost_ids", "homes"):
+        assert callable(getattr(Part, name)), name
+    assert list(inspect.signature(Part.replace_links).parameters) == [
+        "self", "dim", "drop_ids", "ids", "pids", "rids",
+    ]
     mesh = rect_tri(2)
     dm = distribute(mesh, strips(mesh, 2))
     ids = surface_ids(dm.part(0))
