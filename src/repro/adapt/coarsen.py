@@ -112,10 +112,10 @@ def _try_collapse(
     created = []
     for etype, verts, eclass, ancestor in rebuilt:
         child = mesh.create(etype, verts, eclass)
-        mesh.classify_closure_missing(child)
         created.append(child)
         if tag is not None and ancestor is not None:
             tag.set(child, ancestor)
+    mesh.classify_closure(dim, [child.idx for child in created])
     for element in cavity:
         mesh.destroy(element, cascade=True)
     return True

@@ -78,10 +78,10 @@ def split_edge(
         for replaced in (a, b):
             child_verts = [mid if v == replaced else v for v in verts]
             child = mesh.create(etype, child_verts, eclass)
-            mesh.classify_closure_missing(child)
             created.append(child)
             if tag is not None and ancestor is not None:
                 tag.set(child, ancestor)
+    mesh.classify_closure(dim, [child.idx for child in created])
     for element in elements:
         mesh.destroy(element, cascade=True)
     return mid

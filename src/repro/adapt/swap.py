@@ -54,8 +54,7 @@ def swap_edge(mesh: Mesh, edge: Ent, min_gain: float = 1e-9) -> bool:
     classifications = [mesh.classification(f) for f in faces]
     tri1 = mesh.create(TRI, [a, d, c], classifications[0])
     tri2 = mesh.create(TRI, [d, b, c], classifications[1])
-    mesh.classify_closure_missing(tri1)
-    mesh.classify_closure_missing(tri2)
+    mesh.classify_closure(2, [tri1.idx, tri2.idx])
     for face in faces:
         mesh.destroy(face, cascade=True)
     assert mesh.has(tri1) and mesh.has(tri2)

@@ -27,7 +27,6 @@ import zlib
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..adapt import adapt
 from ..core.balancer import ParMA
@@ -97,6 +96,8 @@ def _refine_size(
     target is ``H_COARSE``, so only flagged elements trip the refinement
     band.  Returns ``(size_field, flagged_count)``.
     """
+    from scipy.spatial import cKDTree
+
     flagged = err >= FLAG_FRACTION * err.max()
     fc = np.ascontiguousarray(centroids[flagged])
     fpts = pts[flagged]

@@ -8,7 +8,7 @@ owner-to-copy synchronization of distributed fields lives in
 
 from .dof import DofNumbering, dof_imbalance, dof_loads
 from .fem import PoissonProblem, PoissonStats, solution_error
-from .field import Field, FieldManager
+from .field import Field
 from .metric import (
     AnalyticMetric,
     MetricField,
@@ -48,7 +48,6 @@ __all__ = [
     "DofNumbering",
     "ElementLocator",
     "Field",
-    "FieldManager",
     "MetricField",
     "MinSize",
     "PoissonProblem",

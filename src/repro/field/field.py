@@ -17,7 +17,7 @@ immediately, so a recycled handle never inherits a stale value.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -238,38 +238,3 @@ class Field:
             f"shape={self.shape}, {self._count} values)"
         )
 
-
-class FieldManager:
-    """Registry of the fields attached to one mesh."""
-
-    def __init__(self, mesh: Mesh) -> None:
-        self.mesh = mesh
-        self._fields: Dict[str, Field] = {}
-
-    def create(
-        self, name: str, entity_dim: int = 0, shape: Shape = 1
-    ) -> Field:
-        existing = self._fields.get(name)
-        if existing is not None:
-            if existing.entity_dim != entity_dim or existing.shape != (
-                (shape,) if isinstance(shape, int) else tuple(shape)
-            ):
-                raise ValueError(
-                    f"field {name!r} already exists with a different layout"
-                )
-            return existing
-        field = Field(self.mesh, name, entity_dim, shape)
-        self._fields[name] = field
-        return field
-
-    def find(self, name: str) -> Optional[Field]:
-        return self._fields.get(name)
-
-    def delete(self, name: str) -> None:
-        self._fields.pop(name, None)
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._fields))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._fields

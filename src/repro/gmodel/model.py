@@ -55,6 +55,8 @@ class Model:
         self._down: Dict[ModelEntity, List[ModelEntity]] = {}
         self._up: Dict[ModelEntity, List[ModelEntity]] = {}
         self._shapes: Dict[ModelEntity, Any] = {}
+        #: :meth:`cover` answers, keyed by sorted distinct classifications.
+        self._cover: Dict[Tuple[ModelEntity, ...], ModelEntity] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -65,6 +67,7 @@ class Model:
             self._entities[dim].add(ent)
             self._down[ent] = []
             self._up[ent] = []
+            self._cover.clear()
         return ent
 
     def add_adjacency(self, upper: ModelEntity, lower: ModelEntity) -> None:
@@ -79,6 +82,7 @@ class Model:
         if lower not in self._down[upper]:
             self._down[upper].append(lower)
             self._up[lower].append(upper)
+            self._cover.clear()
 
     def set_shape(self, ent: ModelEntity, shape: Any) -> None:
         """Attach a geometric shape evaluator to ``ent``."""
@@ -136,6 +140,21 @@ class Model:
         for dim in range(ent.dim - 1, -1, -1):
             result.extend(self.adjacent(ent, dim))
         return result
+
+    def cover(self, gents: Tuple[ModelEntity, ...]) -> ModelEntity:
+        """:func:`~repro.gmodel.classify.classify_from_closure`, memoized.
+
+        ``gents`` is the sorted tuple of a mesh entity's distinct vertex
+        classifications.  The rule depends only on that set, and the memo
+        holds only the rule's own answers (cleared whenever the topology
+        changes), so it is exact by construction.
+        """
+        found = self._cover.get(gents)
+        if found is None:
+            from .classify import classify_from_closure
+
+            found = self._cover[gents] = classify_from_closure(self, gents)
+        return found
 
     def shape(self, ent: ModelEntity) -> Optional[Any]:
         return self._shapes.get(ent)

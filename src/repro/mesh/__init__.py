@@ -5,7 +5,7 @@ stores with O(1) adjacency, geometric classification, the iterator/set/tag
 common utilities, generators, quality, verification, and IO.
 """
 
-from .build import classify_cheap, from_connectivity
+from .build import from_connectivity
 from .entity import Ent, edge, face, region, vert
 from .generate import (
     box_hex,
@@ -75,7 +75,6 @@ __all__ = [
     "box_hex",
     "box_tet",
     "classified_on",
-    "classify_cheap",
     "compact",
     "dead_fraction",
     "count",

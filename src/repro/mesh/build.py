@@ -21,42 +21,23 @@ incremental path produces when elements are created in the same order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..gmodel.model import Model, ModelEntity
+from ..gmodel.model import Model
 from .core import DOWN_WIDTH, VERT_WIDTH
 from .mesh import Mesh, vertex_keys
 from .topology import EDGE, VERTEX, type_info
 
 
-def _classify_block(
-    mesh: Mesh,
-    dim: int,
-    ids: np.ndarray,
-    cref: Optional[np.ndarray],
-    classes: Sequence[ModelEntity],
-) -> None:
-    """``ids[k]`` is classified on ``classes[cref[k] - 1]`` (0 = none)."""
-    if cref is None or not len(classes):
-        return
-    has = cref > 0
-    mesh._gclass[dim].update(
-        zip(ids[has].tolist(), [classes[c - 1] for c in cref[has].tolist()])
-    )
-
-
 def land_vertices(
-    mesh: Mesh,
-    coords: np.ndarray,
-    cref: Optional[np.ndarray] = None,
-    classes: Sequence[ModelEntity] = (),
+    mesh: Mesh, coords: np.ndarray, gclass: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Create ``len(coords)`` vertices in one block; returns their ids.
 
     Ids are what the same number of ``create_vertex`` calls would return
-    (free-list slots first).  ``cref``/``classes`` classify them, see
+    (free-list slots first).  ``gclass`` classifies them, see
     :func:`land_rows`.
     """
     coords = np.asarray(coords, dtype=float)
@@ -67,7 +48,8 @@ def land_vertices(
     if len(ids):
         mesh._coords[ids] = 0.0
         mesh._coords[ids, : coords.shape[1]] = coords
-    _classify_block(mesh, 0, ids, cref, classes)
+        if gclass is not None:
+            core.gclass[0][ids] = gclass
     return ids
 
 
@@ -111,8 +93,7 @@ def land_rows(
     dim: int,
     etypes: np.ndarray,
     verts: np.ndarray,
-    cref: Optional[np.ndarray] = None,
-    classes: Sequence[ModelEntity] = (),
+    gclass: Optional[np.ndarray] = None,
     down: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Find-or-create a block of explicit dim-``dim`` rows (``dim`` >= 1).
@@ -127,8 +108,9 @@ def land_rows(
     nothing is auto-derived.  A caller that derived the rows from their
     upper entities already knows the downward ids and passes them as
     ``down`` (same row order, template slot order, padded like ``verts``),
-    which skips the lookups.  New rows ``k`` with ``cref[k] > 0`` are
-    classified on ``classes[cref[k] - 1]``.
+    which skips the lookups.  ``gclass`` holds one classification code of
+    ``mesh`` per row (-1 = unset, see :meth:`Mesh.class_codes`); it
+    applies to the rows this call creates.
 
     Returns ``(ids, created)``: the local id of every row and the boolean
     mask of the rows this call created.
@@ -169,8 +151,8 @@ def land_rows(
         lookup.update(zip(vertex_keys(group_verts), group_ids.tolist()))
     if lowers:
         core.bulk_add_up(dim - 1, np.concatenate(lowers), np.concatenate(uppers))
-    if cref is not None:
-        _classify_block(mesh, dim, new_ids, np.asarray(cref)[created], classes)
+    if gclass is not None:
+        core.gclass[dim][new_ids] = np.asarray(gclass)[created]
     return ids, created
 
 
@@ -285,34 +267,5 @@ def from_connectivity(
     if classify:
         if model is None:
             raise ValueError("classify=True requires a geometric model")
-        classify_cheap(mesh, model)
+        mesh.classify_against(model)
     return mesh
-
-
-def classify_cheap(mesh: Mesh, model: Model, tol: float = 1e-9) -> None:
-    """Classify all entities against ``model``, fast-pathing the interior.
-
-    Vertices classify by point location.  A higher entity with any vertex
-    classified on the model's top-dimension entity must itself be interior,
-    which skips the full closure rule for the vast majority of entities; only
-    entities entirely on the domain boundary take the general path.
-    """
-    from ..gmodel.classify import classify_from_closure, classify_point
-
-    mesh.model = model
-    top_dim = model.dim()
-    for v in mesh.entities(0):
-        gent = classify_point(model, mesh.coords(v), tol)
-        if gent is None:
-            raise ValueError(f"vertex {v} lies outside the model")
-        mesh.set_classification(v, gent)
-    for dim in range(1, mesh.dim() + 1):
-        for ent in mesh.entities(dim):
-            gents = [mesh.classification(v) for v in mesh.verts_of(ent)]
-            interior = next((g for g in gents if g.dim == top_dim), None)
-            if interior is not None:
-                mesh.set_classification(ent, interior)
-            else:
-                mesh.set_classification(
-                    ent, classify_from_closure(model, gents)
-                )

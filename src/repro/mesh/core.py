@@ -12,6 +12,9 @@ indexed by integer entity handles:
 * ``up[d]``      — padded one-level upward rows (``nup[d]`` counts), each
   row kept **sorted ascending** so membership tests and removals are
   binary searches and wire traversals are deterministic,
+* ``gclass[d]``  — int16 geometric classification codes (−1 = unset; the
+  owning :class:`~repro.mesh.mesh.Mesh` maps codes to model entities),
+  reset when an entity dies,
 * ``free[d]``    — LIFO free-list of dead slots; :meth:`create` and the
   block allocator :meth:`alloc_block` pop it, so handles **are reused**.  Consumers that key external state by handle
   must register a destroy listener on the owning
@@ -59,6 +62,7 @@ class MeshCore:
         self.down: List[np.ndarray] = []
         self.nup: List[np.ndarray] = []
         self.up: List[np.ndarray] = []
+        self.gclass: List[np.ndarray] = []
         #: LIFO free-lists of dead slots, per dimension.
         self.free: List[List[int]] = [[] for _ in range(4)]
         self.n_alive = [0, 0, 0, 0]
@@ -78,6 +82,7 @@ class MeshCore:
         self.down.append(np.zeros((cap, max(DOWN_WIDTH[d], 1)), dtype=_ID))
         self.nup.append(np.zeros(cap, dtype=np.int32))
         self.up.append(np.zeros((cap, 4), dtype=_ID))
+        self.gclass.append(np.full(cap, -1, dtype=np.int16))
 
     # -- growth ------------------------------------------------------------
 
@@ -87,10 +92,11 @@ class MeshCore:
             return
         new = max(2 * cap, need)
 
-        def grown(arr: np.ndarray) -> np.ndarray:
-            shape = (new,) + arr.shape[1:]
-            out = np.zeros(shape, dtype=arr.dtype)
+        def grown(arr: np.ndarray, fill: int = 0) -> np.ndarray:
+            out = np.zeros((new,) + arr.shape[1:], dtype=arr.dtype)
             out[:cap] = arr
+            if fill:
+                out[cap:] = fill
             return out
 
         self.etype[d] = grown(self.etype[d])
@@ -101,6 +107,7 @@ class MeshCore:
         self.down[d] = grown(self.down[d])
         self.nup[d] = grown(self.nup[d])
         self.up[d] = grown(self.up[d])
+        self.gclass[d] = grown(self.gclass[d], -1)
 
     def _grow_up_width(self, d: int, need: int) -> None:
         width = self.up[d].shape[1]
@@ -208,6 +215,7 @@ class MeshCore:
         self.alive[dim][idx] = False
         self.nverts[dim][idx] = 0
         self.ndown[dim][idx] = 0
+        self.gclass[dim][idx] = -1
         self.n_alive[dim] -= 1
         self.free[dim].append(int(idx))
         self._version[dim] += 1
@@ -236,6 +244,7 @@ class MeshCore:
         self.alive[dim][ids] = False
         self.nverts[dim][ids] = 0
         self.ndown[dim][ids] = 0
+        self.gclass[dim][ids] = -1
         self.n_alive[dim] -= len(ids)
         self.free[dim].extend(ids.tolist())
         self._version[dim] += 1

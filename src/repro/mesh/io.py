@@ -15,7 +15,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..gmodel.model import Model, ModelEntity
+from ..gmodel.model import Model
 from .build import from_connectivity
 from .entity import Ent
 from .mesh import Mesh
@@ -86,24 +86,22 @@ def save_native(mesh: Mesh, path: Union[str, Path]) -> Path:
     live_verts = core.live_ids(0)
     local_of = np.zeros(max(core.top[0], 1), dtype=np.int64)
     local_of[live_verts] = np.arange(len(live_verts))
-    alive = np.zeros(max(core.top[0], 1), dtype=bool)
-    alive[live_verts] = True
     coords = mesh.coords_view()[live_verts]
     if len(elem_ids):
         conn = local_of[core.verts_matrix(dim, elem_ids)].astype(np.int64)
     else:
         conn = np.empty((0, 0), dtype=np.int64)
-    gclass = [
-        (int(local_of[idx]), gent.dim, gent.tag)
-        for idx, gent in sorted(mesh._gclass[0].items())
-        if idx < len(alive) and alive[idx]
-    ]
+    codes = core.gclass[0][live_verts]
+    has = codes >= 0
+    vclass = np.column_stack(
+        (np.flatnonzero(has), mesh.class_pairs()[codes[has]])
+    )
     meta = {"etype": etype, "dim": dim, "has_model": mesh.model is not None}
     np.savez_compressed(
         path,
         coords=coords,
         conn=conn,
-        vclass=np.asarray(gclass, dtype=np.int64).reshape(-1, 3),
+        vclass=vclass,
         meta=json.dumps(meta),
     )
     return path
@@ -112,21 +110,20 @@ def save_native(mesh: Mesh, path: Union[str, Path]) -> Path:
 def load_native(path: Union[str, Path], model: Optional[Model] = None) -> Mesh:
     """Rebuild a mesh from :func:`save_native` output.
 
-    Passing the original ``model`` restores full classification (vertices
-    from the snapshot, the rest re-derived); otherwise the mesh loads
-    unclassified.
+    Passing the original ``model`` restores full classification: vertices
+    from the snapshot, the rest re-derived by the closure rule.  A snapshot
+    holding no vertex classification is classified against ``model`` by
+    point location.  Without a model the mesh loads unclassified.
     """
     data = np.load(Path(path), allow_pickle=False)
     meta = json.loads(str(data["meta"]))
+    vclass = data["vclass"]
     mesh = from_connectivity(
-        data["coords"],
-        data["conn"],
-        int(meta["etype"]),
-        model=model,
-        classify=False,
+        data["coords"], data["conn"], int(meta["etype"]), model=model,
+        classify=model is not None and not len(vclass),
     )
-    if model is not None:
-        from .build import classify_cheap
-
-        classify_cheap(mesh, model)
+    if model is not None and len(vclass):
+        mesh.core.gclass[0][vclass[:, 0]] = mesh.class_codes(vclass[:, 1:])
+        dim = mesh.dim()
+        mesh.classify_closure(dim, mesh.entity_ids(dim))
     return mesh

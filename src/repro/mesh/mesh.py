@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..gmodel.classify import classify_from_closure, classify_point
+from ..gmodel.classify import classify_point
 from ..gmodel.model import Model, ModelEntity
 from .core import MeshCore
 from .entity import Ent
@@ -63,7 +63,11 @@ class Mesh:
         self._coords = np.zeros((_INITIAL_VERTEX_CAPACITY, 3), dtype=float)
         #: find-by-vertices lookup for edges/faces/regions (sorted vert tuples).
         self._lookup: Tuple[Dict[Tuple[int, ...], int], ...] = ({}, {}, {})
-        self._gclass: List[Dict[int, ModelEntity]] = [{}, {}, {}, {}]
+        #: Classification code table: code ``c`` of the ``core.gclass``
+        #: columns names ``_gents[c]`` (per mesh: meshes without a model
+        #: may still be classified).
+        self._gents: List[ModelEntity] = []
+        self._gcode: Dict[ModelEntity, int] = {}
         #: Tag component (arbitrary user data per entity).
         self.tags = TagManager()
         #: Set component (named entity groups).
@@ -144,7 +148,7 @@ class Mesh:
         are found or created recursively, so callers may build a mesh from
         element-to-vertex connectivity alone — the usual PUMI workflow.
         ``classification``, when given, applies only to the entity itself
-        (not to auto-created intermediates; see :meth:`classify_against`).
+        (not to auto-created intermediates; see :meth:`classify_closure`).
         """
         info = type_info(etype)
         if info.dim == 0:
@@ -208,7 +212,6 @@ class Mesh:
                 tuple(sorted(core.verts_row(ent.dim, ent.idx))), None
             )
         core.destroy(ent.dim, ent.idx)
-        self._gclass[ent.dim].pop(ent.idx, None)
         self.tags.drop_entity(ent)
         self.sets.drop_entity(ent)
         self._notify_destroy(ent.dim, np.array([ent.idx], dtype=np.int64))
@@ -247,10 +250,6 @@ class Mesh:
             lowers = np.unique(core.gather_down(dim, ids))
         core.destroy_block(dim, ids)
         id_list = ids.tolist()
-        gclass = self._gclass[dim]
-        if gclass:
-            for idx in id_list:
-                gclass.pop(idx, None)
         self.tags.drop_entities(dim, id_list)
         self.sets.drop_entities(dim, id_list)
         self._notify_destroy(dim, ids)
@@ -434,7 +433,9 @@ class Mesh:
 
     def classification(self, ent: Ent) -> Optional[ModelEntity]:
         """Geometric classification of ``ent`` (None when unset)."""
-        return self._gclass[ent.dim].get(ent.idx)
+        column = self.core.gclass[ent.dim]
+        code = column[ent.idx] if 0 <= ent.idx < len(column) else -1
+        return self._gents[code] if code >= 0 else None
 
     def set_classification(self, ent: Ent, gent: ModelEntity) -> None:
         if gent.dim < ent.dim:
@@ -442,49 +443,114 @@ class Mesh:
                 f"{ent} cannot be classified on lower-dimension {gent}"
             )
         self.core.check(ent.dim, ent.idx)
-        self._gclass[ent.dim][ent.idx] = gent
+        self.core.gclass[ent.dim][ent.idx] = self._code(gent)
+
+    def _code(self, gent: ModelEntity) -> int:
+        code = self._gcode.get(gent)
+        if code is None:
+            code = self._gcode[gent] = len(self._gents)
+            self._gents.append(gent)
+        return code
+
+    def class_codes(self, pairs: np.ndarray) -> np.ndarray:
+        """This mesh's ``core.gclass`` codes of ``(dim, tag)`` rows.
+
+        Codes are interned on first use; a row with ``dim == -1`` maps to
+        -1 (unset).
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if not len(pairs):
+            return np.empty(0, dtype=np.int16)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        table = np.asarray(
+            [
+                self._code(ModelEntity(d, t)) if d >= 0 else -1
+                for d, t in uniq.tolist()
+            ],
+            dtype=np.int16,
+        )
+        return table[inverse.reshape(-1)]
+
+    def class_pairs(self) -> np.ndarray:
+        """The code table as ``(ncodes, 2)`` ``(dim, tag)`` rows."""
+        return np.asarray(
+            [(g.dim, g.tag) for g in self._gents], dtype=np.int64
+        ).reshape(-1, 2)
+
+    def copy_classification(
+        self, src: Mesh, dim: int, src_ids: np.ndarray, ids: np.ndarray
+    ) -> None:
+        """Give entities ``ids`` of dim ``dim`` the classification that
+        ``src``'s ``src_ids`` have (one column gather and scatter)."""
+        lut = np.append(self.class_codes(src.class_pairs()), -1)
+        self.core.gclass[dim][ids] = lut[src.core.gclass[dim][src_ids]]
 
     def classify_against(self, model: Optional[Model] = None, tol: float = 1e-9) -> None:
         """(Re)classify every entity against a geometric model.
 
-        Vertices classify by point location; higher entities by the closure
-        rule over their vertices' classifications.
+        Vertices classify by point location; every other classification is
+        reset and re-derived by :meth:`classify_closure`.
         """
         model = model if model is not None else self.model
         if model is None:
             raise ValueError("no geometric model to classify against")
         self.model = model
-        for vert in self.entities(0):
-            gent = classify_point(model, self.coords(vert), tol)
-            if gent is None:
-                raise ValueError(
-                    f"vertex {vert} at {self.coords(vert)} lies outside the model"
-                )
-            self.set_classification(vert, gent)
-        for dim in range(1, self.dim() + 1):
-            for ent in self.entities(dim):
-                gents = [self.classification(v) for v in self.verts_of(ent)]
-                self.set_classification(ent, classify_from_closure(model, gents))
+        ids = self.entity_ids(0)
+        gents = [classify_point(model, x, tol) for x in self._coords[ids]]
+        if None in gents:
+            vert = Ent(0, int(ids[gents.index(None)]))
+            raise ValueError(
+                f"vertex {vert} at {self.coords(vert)} lies outside the model"
+            )
+        for column in self.core.gclass:
+            column[:] = -1
+        self.core.gclass[0][ids] = [self._code(g) for g in gents]
+        for dim in range(self.dim(), 0, -1):
+            self.classify_closure(dim, self.entity_ids(dim))
 
-    def classify_closure_missing(self, ent: Ent) -> None:
-        """Fill missing classification on ``ent``'s closure (incl. itself).
+    def classify_closure(self, dim: int, ids: np.ndarray) -> None:
+        """Classify the unset entities of the closures of ``ids`` (dim ``dim``).
 
-        Used by mesh modification: a newly created element's auto-created
-        boundary entities inherit classification from their vertices via the
-        closure rule.  Entities with unclassified vertices are skipped.
+        Every unclassified entity of dimension >= 1 among ``ids`` and
+        their bounding entities takes the closure rule over its vertices'
+        classifications (:meth:`Model.cover`), run once per distinct
+        sorted row of vertex codes.  Entities with an unclassified vertex
+        stay unset; without a model this is a no-op.
         """
-        if self.model is None:
+        model = self.model
+        if model is None:
             return
-        for d in range(1, ent.dim + 1):
-            for sub in self.adjacent(ent, d):
-                if self.classification(sub) is not None:
-                    continue
-                gents = [self.classification(v) for v in self.verts_of(sub)]
-                if any(g is None for g in gents):
-                    continue
-                self.set_classification(
-                    sub, classify_from_closure(self.model, gents)
+        core = self.core
+        vcode = core.gclass[0]
+        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        for d in range(dim, 0, -1):
+            todo = ids[core.gclass[d][ids] < 0]
+            if len(todo):
+                nverts = core.nverts[d][todo]
+                codes = vcode[core.verts[d][todo, : int(nverts.max())]]
+                # Pad short rows with their first code: the rule sees sets.
+                pad = np.arange(codes.shape[1]) >= nverts[:, None]
+                codes = np.where(pad, codes[:, :1], codes)
+                known = (codes >= 0).all(axis=1)
+                rows, inverse = np.unique(
+                    np.sort(codes[known], axis=1), axis=0, return_inverse=True
                 )
+                gents = self._gents
+                covers = [
+                    model.cover(tuple(sorted({gents[c] for c in row})))
+                    for row in rows.tolist()
+                ]
+                low = next((g for g in covers if g.dim < d), None)
+                if low is not None:
+                    raise ValueError(
+                        f"a dim-{d} entity cannot be classified on "
+                        f"lower-dimension {low}"
+                    )
+                core.gclass[d][todo[known]] = np.asarray(
+                    [self._code(g) for g in covers], dtype=np.int16
+                )[inverse.reshape(-1)]
+            if d > 1:
+                ids = np.unique(core.gather_down(d, ids))
 
     # -- misc -----------------------------------------------------------------
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Tuple
 
+import numpy as np
+
 from .entity import Ent
 from .mesh import Mesh
 
@@ -71,23 +73,24 @@ def compact(
         for v in mesh.verts_of(element):
             nv = vertex_map.get(v)
             if nv is None:
-                nv = new_mesh.create_vertex(
-                    mesh.coords(v), mesh.classification(v)
-                )
-                vertex_map[v] = nv
+                nv = vertex_map[v] = new_mesh.create_vertex(mesh.coords(v))
             new_verts.append(nv)
-        new_element = new_mesh.create(
-            mesh.etype(element), new_verts, mesh.classification(element)
-        )
-        new_mesh.classify_closure_missing(new_element)
-        element_map[element] = new_element
+        element_map[element] = new_mesh.create(mesh.etype(element), new_verts)
 
     # Isolated vertices (no elements) survive too.
     for v in mesh.entities(0):
         if v not in vertex_map and not mesh.up(v):
-            vertex_map[v] = new_mesh.create_vertex(
-                mesh.coords(v), mesh.classification(v)
-            )
+            vertex_map[v] = new_mesh.create_vertex(mesh.coords(v))
+
+    # Vertex and element classification carry over as column gathers; the
+    # intermediate entities re-derive theirs by the closure rule.
+    for d, ent_map in ((0, vertex_map), (dim, element_map)):
+        new_mesh.copy_classification(
+            mesh, d,
+            np.fromiter((e.idx for e in ent_map), np.int64, len(ent_map)),
+            np.fromiter((e.idx for e in ent_map.values()), np.int64, len(ent_map)),
+        )
+    new_mesh.classify_closure(dim, new_mesh.entity_ids(dim))
 
     _transfer_entity_data(mesh, new_mesh, vertex_map, element_map)
     return new_mesh, element_map, vertex_map

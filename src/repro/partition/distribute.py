@@ -187,12 +187,7 @@ def _build_part(
     global_ids.append(element_ids)
 
     for d, gids in enumerate(global_ids):
-        part.set_gids(d, np.arange(len(gids)), gids)
-        gclass = mesh._gclass[d]
-        if gclass:
-            local_mesh._gclass[d].update(
-                (local, gent)
-                for local, gent in enumerate(map(gclass.get, gids.tolist()))
-                if gent is not None
-            )
+        local = np.arange(len(gids))
+        part.set_gids(d, local, gids)
+        local_mesh.copy_classification(mesh, d, gids, local)
     return global_ids

@@ -91,7 +91,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gmodel.model import ModelEntity
 from ..mesh.build import land_rows, land_vertices
 from ..mesh.core import VERT_WIDTH, first_occurrence_unique
 from ..mesh.entity import Ent
@@ -352,26 +351,12 @@ def _pack_block(
     ones = np.ones(n, dtype=np.int64)
     streams = _closure_streams(core, dim, elems)
 
-    # Classification: one small code per distinct model entity (-1 = none).
-    gents: Dict[ModelEntity, int] = {}
-
-    def class_codes(d: int, ids: np.ndarray) -> np.ndarray:
-        gclass = mesh._gclass[d]
-        if not gclass:
-            return np.full(len(ids), -1, dtype=np.int64)
-        return np.fromiter(
-            (
-                -1 if gent is None else gents.setdefault(gent, len(gents))
-                for gent in map(gclass.get, ids.tolist())
-            ),
-            dtype=np.int64, count=len(ids),
-        )
-
     ev_flat, ev_n = streams[0]
     ev_n = ev_n.astype(np.int64)
     vert_ids, vref = _interner(ev_flat)
-    vert_class = class_codes(0, vert_ids)
-    elem_class = class_codes(dim, elems)
+    # Classification codes are the mesh's column codes (-1 = none).
+    vert_class = core.gclass[0][vert_ids].astype(np.int64)
+    elem_class = core.gclass[dim][elems].astype(np.int64)
 
     # Intermediates share one table: edges coded by id, faces after them.
     mid_dims = range(1, dim)
@@ -395,7 +380,7 @@ def _pack_block(
         mid_etype[rows] = core.etype[d][ids]
         mid_nverts[rows] = core.nverts[d][ids]
         mid_gid[rows] = part.gids_of(d, ids)
-        mid_class[rows] = class_codes(d, ids)
+        mid_class[rows] = core.gclass[d][ids]
         mid_verts[rows, : VERT_WIDTH[d]] = core.verts[d][ids]
     mid_vflat = mid_verts[np.arange(mid_verts.shape[1]) < mid_nverts[:, None]]
 
@@ -414,7 +399,6 @@ def _pack_block(
         (elem_class, ones),
     ])
     class_table, class_ref = _interner(class_stream[class_stream >= 0])
-    by_code = list(gents)
 
     def cref(codes: np.ndarray) -> np.ndarray:
         return _opt_refs(class_ref, codes)
@@ -423,10 +407,7 @@ def _pack_block(
     extras = (EXTRA_HOME if home else 0) | (EXTRA_TAGS if tags else 0)
     empty = np.empty(0, dtype=np.int64)
     return ElementBlock(
-        classes=np.asarray(
-            [(by_code[c].dim, by_code[c].tag) for c in class_table.tolist()],
-            dtype=np.int64,
-        ).reshape(len(class_table), 2),
+        classes=mesh.class_pairs()[class_table],
         gids=gids,
         vert_gref=gref(gid0[vert_ids]),
         vert_cref=cref(vert_class),
@@ -484,7 +465,8 @@ def _land_block(
     if len(dims) != 1:
         raise ValueError("an element block must hold elements of one dimension")
     dim = int(dims[0])
-    classes = [ModelEntity(d, t) for d, t in block.classes.tolist()]
+    # Block class refs (1-based, 0 = none) -> this mesh's column codes.
+    codes = np.concatenate(([-1], mesh.class_codes(block.classes)))
     pool = block.gids
 
     # Vertices, in first-seen order over the kept bundles.
@@ -499,7 +481,7 @@ def _land_block(
     )
     new = local < 0
     created[0] = land_vertices(
-        mesh, block.vert_coords[vrows[new]], block.vert_cref[vrows[new]], classes
+        mesh, block.vert_coords[vrows[new]], codes[block.vert_cref[vrows[new]]]
     ).astype(np.int64)
     part.set_gids(0, created[0], vgids[new])
     local[new] = created[0]
@@ -532,7 +514,7 @@ def _land_block(
             sel = mrows[rows]
             ids, fresh = land_rows(
                 mesh, d, block.mid_etype[sel], mid_verts[rows],
-                block.mid_cref[sel], classes,
+                codes[block.mid_cref[sel]],
             )
             gref = block.mid_gref[sel]
             part.set_gids(d, ids, np.where(gref > 0, pool[gref - 1], -1))
@@ -543,7 +525,7 @@ def _land_block(
         ragged_matrix(block.e_vrefs, block.e_nverts, -1)[keep]
     )
     ids, fresh = land_rows(
-        mesh, dim, block.e_etype[keep], elem_verts, block.e_cref[keep], classes
+        mesh, dim, block.e_etype[keep], elem_verts, codes[block.e_cref[keep]]
     )
     part.set_gids(dim, ids, pool[block.e_gref[keep]])
     created[dim] = ids[fresh]

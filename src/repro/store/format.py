@@ -211,14 +211,18 @@ def state_from_dmesh(
                     "has no global id"
                 )
             xyz_rows = mesh._coords[vids].tolist()
-            gclass = mesh._gclass[0]
+            # Code -1 (unset) picks the appended (-1, -1) row.
+            class_rows = np.vstack((mesh.class_pairs(), (-1, -1)))[
+                core.gclass[0][vids]
+            ].tolist()
             verts = state.verts
-            for idx, vgid, xyz in zip(vids.tolist(), vgids.tolist(), xyz_rows):
+            for vgid, xyz, (cdim, ctag) in zip(
+                vgids.tolist(), xyz_rows, class_rows
+            ):
                 if vgid not in verts:
-                    cls = gclass.get(idx)
                     verts[vgid] = (
                         (float(xyz[0]), float(xyz[1]), float(xyz[2])),
-                        (cls.dim, cls.tag) if cls is not None else (-1, -1),
+                        (cdim, ctag),
                     )
         for name in part.mesh.tags.names():
             tag = part.mesh.tags.find(name)

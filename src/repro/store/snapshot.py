@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..gmodel.model import Model, ModelEntity
+from ..gmodel.model import Model
 from ..mesh.build import from_connectivity
 from ..mesh.entity import Ent
 from ..obs.stats import CommProbe
@@ -794,14 +794,10 @@ class SnapshotStore:
             for local, egid in enumerate(block):
                 part.set_gid(Ent(dim, local), egid)
             if model is not None:
-                for local, vgid in enumerate(vgid_list):
-                    gdim, gtag = st["v"][vgid][1]
-                    if gdim >= 0:
-                        mesh.set_classification(
-                            Ent(0, local), ModelEntity(gdim, gtag)
-                        )
-                for element in mesh.entities(mesh.dim()):
-                    mesh.classify_closure_missing(element)
+                mesh.core.gclass[0][: len(vgid_list)] = mesh.class_codes(
+                    [st["v"][g][1] for g in vgid_list]
+                )
+                mesh.classify_closure(dim, mesh.entity_ids(dim))
         _restore_intermediate_gids(dmesh)
         rebuild_links(dmesh)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.field import Field, FieldManager
+from repro.field import Field
 from repro.mesh import Ent, rect_tri
 
 
@@ -121,21 +121,3 @@ def test_get_scalar_rejects_vector_field(mesh):
     with pytest.raises(ValueError):
         f.get_scalar(v)
 
-
-def test_manager_create_find_delete(mesh):
-    mgr = FieldManager(mesh)
-    f = mgr.create("p")
-    assert mgr.create("p") is f
-    assert mgr.find("p") is f
-    assert "p" in mgr
-    with pytest.raises(ValueError):
-        mgr.create("p", shape=3)  # layout conflict
-    mgr.delete("p")
-    assert mgr.find("p") is None
-
-
-def test_manager_names_sorted(mesh):
-    mgr = FieldManager(mesh)
-    mgr.create("b")
-    mgr.create("a")
-    assert list(mgr.names()) == ["a", "b"]

@@ -91,19 +91,17 @@ class Target:
                 mesh.create(etype, handles, gent)
 
     def _land_bulk(self, fresh, coords, vclasses, rows, classes):
-        table = sorted({g for per in classes.values() for g in per if g})
-
-        def crefs(per):
-            return np.asarray(
-                [table.index(g) + 1 if g else 0 for g in per], dtype=np.int64
+        def codes(per):
+            return self.mesh.class_codes(
+                [(g.dim, g.tag) if g else (-1, -1) for g in per]
             )
 
-        ids = land_vertices(self.mesh, coords, crefs(vclasses), table)
+        ids = land_vertices(self.mesh, coords, codes(vclasses))
         self.local.update(zip(fresh, ids.tolist()))
         for d in sorted(rows):
             etypes, vrows = rows[d]
             local = np.vectorize(lambda v: self.local.get(v, 0))(vrows)
-            land_rows(self.mesh, d, etypes, local, crefs(classes[d]), table)
+            land_rows(self.mesh, d, etypes, local, codes(classes[d]))
 
 
 def snapshot(mesh):
@@ -121,7 +119,10 @@ def snapshot(mesh):
             (core.verts_row(d, i), core.down_row(d, i), core.up_row(d, i))
             for i in live
         ]
-        out[f"class{d}"] = sorted(mesh._gclass[d].items())
+        out[f"class{d}"] = [
+            (i, mesh.classification(Ent(d, i)))
+            for i in np.flatnonzero(core.gclass[d] >= 0).tolist()
+        ]
     out["lookup"] = [sorted(table.items()) for table in mesh._lookup]
     out["coords"] = mesh.coords_view()[: core.top[0]][
         core.alive[0][: core.top[0]]

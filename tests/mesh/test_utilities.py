@@ -197,6 +197,23 @@ def test_native_roundtrip(tmp_path):
     assert len(corners) == 4
 
 
+def test_native_roundtrip_keeps_saved_vertex_classification(tmp_path):
+    """``load_native`` lands the saved vertex classes, not re-located ones."""
+    mesh = rect_tri(3)
+    model = mesh.model
+    # An interior vertex away from the bottom side, so that every entity
+    # around it still has a covering model entity.
+    interior = max(
+        (v for v in mesh.entities(0) if mesh.classification(v).dim == 2),
+        key=lambda v: mesh.coords(v)[1],
+    )
+    mesh.set_classification(interior, model.find(1, 0))
+    loaded = load_native(save_native(mesh, tmp_path / "m.npz"), model)
+    for v in mesh.entities(0):
+        assert loaded.classification(v) == mesh.classification(v)
+    assert loaded.classification(interior) == model.find(1, 0)
+
+
 def test_native_roundtrip_without_model(tmp_path):
     mesh = rect_tri(2, classify=False)
     path = save_native(mesh, tmp_path / "m.npz")

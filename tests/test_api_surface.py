@@ -778,3 +778,50 @@ def test_halo_plan_surface():
     assert forest.leaves() == [((1, 4), (0, 3))]
     assert VALUES.of_dim(0) is VALUES.of_dim(0)
     assert VALUES.of_dim(0).name == VALUES.name == "values"
+
+
+def test_classification_surface():
+    """Classification is an int16 column per dimension in ``MeshCore`` and
+    one closure classifier derives it: the per-entity dicts, the fast-path
+    classifier, the per-element closure filler and the unused field
+    registry are gone."""
+    import repro.field as field_pkg
+    import repro.mesh as mesh_pkg
+    from repro.mesh import Mesh, build
+
+    assert not hasattr(mesh_pkg, "classify_cheap")
+    assert not hasattr(build, "classify_cheap")
+    assert not hasattr(build, "_classify_block")
+    assert not hasattr(Mesh, "classify_closure_missing")
+    # No per-entity classification dict: the instance state is the core,
+    # the lookup tables, the code table and the components.
+    assert sorted(vars(Mesh())) == [
+        "_coords", "_destroy_listeners", "_gcode", "_gents", "_lookup",
+        "core", "model", "sets", "tags",
+    ]
+    assert not hasattr(field_pkg, "FieldManager")
+    assert "FieldManager" not in field_pkg.__all__
+    mesh = rect_tri(2)
+    assert [col.dtype for col in mesh.core.gclass] == [np.int16] * 4
+    for name in ("classify_closure", "classify_against", "class_codes",
+                 "class_pairs", "copy_classification"):
+        assert callable(getattr(Mesh, name)), name
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    """``import repro`` stays light: scipy loads only where it is used."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    package_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
