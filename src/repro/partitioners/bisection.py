@@ -18,24 +18,30 @@ Bisector = Callable[..., np.ndarray]
 
 
 def _subgraph(xadj, adjncy, eweights, ids):
-    """Extract the induced subgraph of ``ids`` (renumbered 0..len-1)."""
+    """Extract the induced subgraph of ``ids`` (renumbered 0..len-1).
+
+    Row ``r`` of the result is node ``ids[r]``'s CSR row with the edges
+    leaving ``ids`` masked out, in the original edge order.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
     remap = -np.ones(len(xadj) - 1, dtype=np.int64)
     remap[ids] = np.arange(len(ids))
-    sub_xadj = [0]
-    sub_adjncy = []
-    sub_ew = []
-    for i in ids:
-        for k in range(xadj[i], xadj[i + 1]):
-            j = remap[int(adjncy[k])]
-            if j >= 0:
-                sub_adjncy.append(j)
-                sub_ew.append(float(eweights[k]) if eweights is not None else 1.0)
-        sub_xadj.append(len(sub_adjncy))
-    return (
-        np.asarray(sub_xadj, dtype=np.int64),
-        np.asarray(sub_adjncy, dtype=np.int64),
-        np.asarray(sub_ew),
+    starts = xadj[ids]
+    lengths = xadj[ids + 1] - starts
+    row = np.repeat(np.arange(len(ids), dtype=np.int64), lengths)
+    # Edge positions of the selected rows, row after row.
+    pos = np.arange(len(row), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
     )
+    sub = remap[adjncy[pos]]
+    keep = sub >= 0
+    sub_xadj = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=len(ids)), out=sub_xadj[1:])
+    if eweights is None:
+        sub_ew = np.ones(int(keep.sum()))
+    else:
+        sub_ew = np.asarray(eweights, dtype=float)[pos[keep]]
+    return sub_xadj, sub[keep], sub_ew
 
 
 def recursive_bisection(

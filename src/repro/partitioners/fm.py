@@ -56,7 +56,8 @@ def fm_refine(
 
     ``ratio`` is side 0's target weight fraction; both sides may exceed
     their targets by the factor ``1 + eps``.  Stops early when a full pass
-    yields no improvement.
+    yields no improvement.  Each pass works on Python lists and floats
+    (one ``tolist()`` per array per pass), never on numpy scalars.
     """
     n = len(weights)
     side = np.asarray(side, dtype=np.int64).copy()
@@ -69,18 +70,23 @@ def fm_refine(
         max(total * ratio * (1.0 + eps), total * ratio + slack),
         max(total * (1.0 - ratio) * (1.0 + eps), total * (1.0 - ratio) + slack),
     )
+    targets = (total * ratio, total * (1.0 - ratio))
+    ptr = xadj.tolist()
+    adj = adjncy.tolist()
+    ew = eweights.tolist() if eweights is not None else [1.0] * len(adj)
+    node_w = weights.tolist()
+    pop, push = heapq.heappop, heapq.heappush
 
     for _pass in range(passes):
-        gains = _gains(xadj, adjncy, eweights, side)
-        heap = [(-gains[i], i) for i in range(n)]
+        gains = _gains(xadj, adjncy, eweights, side).tolist()
+        heap = [(-g, i) for i, g in enumerate(gains)]
         heapq.heapify(heap)
-        locked = np.zeros(n, dtype=bool)
+        locked = [False] * n
         side_weight = [
             float(weights[side == 0].sum()),
             float(weights[side == 1].sum()),
         ]
-
-        targets = (total * ratio, total * (1.0 - ratio))
+        part = side.tolist()
 
         def balance_metric() -> float:
             return max(
@@ -97,37 +103,37 @@ def fm_refine(
         best_improvement = 0.0
         best_prefix = 0
         while heap:
-            neg_gain, i = heapq.heappop(heap)
+            neg_gain, i = pop(heap)
             if locked[i] or -neg_gain != gains[i]:
                 continue  # stale heap entry
-            frm = int(side[i])
+            frm = part[i]
             to = 1 - frm
-            if side_weight[to] + weights[i] > max_side[to]:
+            if side_weight[to] + node_w[i] > max_side[to]:
                 locked[i] = True  # infeasible this pass
                 continue
             # Apply the move.
             locked[i] = True
-            side[i] = to
-            side_weight[frm] -= weights[i]
-            side_weight[to] += weights[i]
+            part[i] = to
+            side_weight[frm] -= node_w[i]
+            side_weight[to] += node_w[i]
             improvement += gains[i]
             moves.append(i)
             if improvement > best_improvement and balance_metric() <= acceptable:
                 best_improvement = improvement
                 best_prefix = len(moves)
             # Update neighbor gains.
-            for k in range(xadj[i], xadj[i + 1]):
-                j = int(adjncy[k])
+            for k in range(ptr[i], ptr[i + 1]):
+                j = adj[k]
                 if locked[j]:
                     continue
-                w = float(eweights[k]) if eweights is not None else 1.0
                 # j's edge to i flipped internal<->external.
-                gains[j] += 2.0 * w if side[j] != to else -2.0 * w
-                heapq.heappush(heap, (-gains[j], j))
+                gains[j] += 2.0 * ew[k] if part[j] != to else -2.0 * ew[k]
+                push(heap, (-gains[j], j))
 
         # Roll back everything after the best prefix.
         for i in moves[best_prefix:]:
-            side[i] = 1 - side[i]
+            part[i] = 1 - part[i]
+        side = np.array(part, dtype=np.int64)
         if best_improvement <= 0.0:
             break
     return side

@@ -24,20 +24,12 @@ import numpy as np
 
 from ..mesh.mesh import Mesh
 from .bisection import recursive_bisection
-from .graph import dual_graph, element_hypergraph
-
-
-def _connectivity_gain(hg, assignment, pins_of_element, element, to, counts):
-    """Change in the λ-1 metric if ``element`` moves to part ``to``."""
-    frm = assignment[element]
-    gain = 0
-    for j in pins_of_element[element]:
-        cnt = counts[j]
-        if cnt.get(frm, 0) == 1:
-            gain += 1  # part frm disappears from hyperedge j
-        if cnt.get(to, 0) == 0:
-            gain -= 1  # part to newly appears in hyperedge j
-    return gain
+from .graph import (
+    ElementGraph,
+    ElementHypergraph,
+    dual_graph,
+    element_hypergraph,
+)
 
 
 def refine_connectivity(
@@ -48,60 +40,87 @@ def refine_connectivity(
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Greedy λ-1 refinement; returns (assignment, moves made)."""
-    hg = element_hypergraph(mesh, weights)
+    return _refine(
+        dual_graph(mesh), element_hypergraph(mesh, weights), assignment,
+        eps, passes,
+    )
+
+
+def _refine(
+    graph: ElementGraph,
+    hg: ElementHypergraph,
+    assignment: np.ndarray,
+    eps: float,
+    passes: int,
+) -> Tuple[np.ndarray, int]:
+    """:func:`refine_connectivity` on an already-built dual graph/hypergraph.
+
+    Each pass visits, in index order, the elements on a part boundary: those
+    with a dual-graph neighbour on another part when the pass starts, plus
+    the neighbours of every element the pass moves.  An element moves
+    to the neighbouring part (lowest id on ties) that lowers the λ-1 metric
+    most without overfilling it.  ``table[j, p]`` counts hyperedge ``j``'s
+    pins on part ``p``, so a move's gain reads only the mover's hyperedges.
+    """
     assignment = assignment.copy()
     nparts = int(assignment.max()) + 1
 
-    # Per-element pin membership and per-hyperedge part counts.
-    pins_of_element = [[] for _ in range(hg.n)]
-    for j in range(hg.nedges):
-        for p in hg.pins[hg.eptr[j]: hg.eptr[j + 1]]:
-            pins_of_element[int(p)].append(j)
-    counts = []
-    for j in range(hg.nedges):
-        cnt: dict = {}
-        for p in hg.pins[hg.eptr[j]: hg.eptr[j + 1]]:
-            part = int(assignment[p])
-            cnt[part] = cnt.get(part, 0) + 1
-        counts.append(cnt)
+    # Per-element hyperedges (ascending) and the dense pin-count table.
+    edge_of_pin = np.repeat(np.arange(hg.nedges), np.diff(hg.eptr))
+    order = np.argsort(hg.pins, kind="stable")
+    edges_of = np.split(
+        edge_of_pin[order], np.cumsum(np.bincount(hg.pins, minlength=hg.n))[:-1]
+    )
+    table = np.zeros((hg.nedges, nparts), dtype=np.int32)
+    np.add.at(table, (edge_of_pin, assignment[hg.pins]), 1)
 
-    part_weight = np.zeros(nparts)
-    np.add.at(part_weight, assignment, hg.weights.astype(float))
-    max_weight = hg.weights.sum() / nparts * (1.0 + eps)
+    node_w = hg.weights.tolist()
+    part_weight = np.bincount(
+        assignment, weights=hg.weights.astype(float), minlength=nparts
+    ).tolist()
+    max_weight = float(hg.weights.sum() / nparts * (1.0 + eps))
 
-    graph = dual_graph(mesh)
+    ptr = graph.xadj.tolist()
+    adj = graph.adjncy.tolist()
+    src = np.repeat(np.arange(graph.n), np.diff(graph.xadj))
     total_moves = 0
     for _pass in range(passes):
+        part = assignment.tolist()
+        todo = np.zeros(hg.n, dtype=bool)
+        todo[src[assignment[src] != assignment[graph.adjncy]]] = True
+        todo = todo.tolist()
         moves = 0
         for i in range(hg.n):
-            frm = int(assignment[i])
-            neighbor_parts = {
-                int(assignment[j]) for j in graph.neighbors(i)
-            } - {frm}
+            if not todo[i]:
+                continue
+            frm = part[i]
+            neighbor_parts = {part[j] for j in adj[ptr[i]: ptr[i + 1]]}
+            neighbor_parts.discard(frm)
             if not neighbor_parts:
                 continue
+            rows = table[edges_of[i]]
+            lost = int((rows[:, frm] == 1).sum())
+            gained = (rows == 0).sum(axis=0).tolist()
             best_to = -1
             best_gain = 0
             for to in sorted(neighbor_parts):
-                if part_weight[to] + hg.weights[i] > max_weight:
+                if part_weight[to] + node_w[i] > max_weight:
                     continue
-                gain = _connectivity_gain(
-                    hg, assignment, pins_of_element, i, to, counts
-                )
+                gain = lost - gained[to]
                 if gain > best_gain:
                     best_gain = gain
                     best_to = to
-            if best_to >= 0:
-                for j in pins_of_element[i]:
-                    cnt = counts[j]
-                    cnt[frm] -= 1
-                    if cnt[frm] == 0:
-                        del cnt[frm]
-                    cnt[best_to] = cnt.get(best_to, 0) + 1
-                part_weight[frm] -= hg.weights[i]
-                part_weight[best_to] += hg.weights[i]
-                assignment[i] = best_to
-                moves += 1
+            if best_to < 0:
+                continue
+            table[edges_of[i], frm] -= 1
+            table[edges_of[i], best_to] += 1
+            part_weight[frm] -= node_w[i]
+            part_weight[best_to] += node_w[i]
+            part[i] = best_to
+            moves += 1
+            for j in adj[ptr[i]: ptr[i + 1]]:
+                todo[j] = True  # only the later ones are still to visit
+        assignment = np.array(part, dtype=np.int64)
         total_moves += moves
         if moves == 0:
             break
@@ -123,7 +142,8 @@ def phg(
         eps=eps, seed=seed,
     )
     if refine_passes > 0 and nparts > 1:
-        assignment, _moves = refine_connectivity(
-            mesh, assignment, eps=eps, passes=refine_passes, weights=weights
+        assignment, _moves = _refine(
+            graph, element_hypergraph(mesh, weights), assignment, eps,
+            refine_passes,
         )
     return assignment

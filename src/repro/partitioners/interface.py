@@ -10,7 +10,7 @@ be scored cheaply.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,21 +70,24 @@ def entity_counts_from_assignment(
     ``DistributedMesh.entity_counts()`` after ``distribute``.
     """
     dim = mesh.dim()
-    elements = list(mesh.entities(dim))
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (len(elements),):
+    core = mesh.core
+    ids = core.live_ids(dim).astype(np.int64)
+    parts = np.asarray(assignment, dtype=np.int64)
+    if parts.shape != (len(ids),):
         raise ValueError("assignment must have one entry per element")
     if nparts is None:
-        nparts = int(assignment.max()) + 1 if len(assignment) else 1
-    part_of = {e.idx: int(p) for e, p in zip(elements, assignment)}
+        nparts = int(parts.max()) + 1 if len(parts) else 1
 
     counts = np.zeros((nparts, 4), dtype=np.int64)
-    np.add.at(counts[:, dim], assignment, 1)
-    for d in range(dim):
-        for ent in mesh.entities(d):
-            holders = {part_of[e.idx] for e in mesh.adjacent(ent, dim)}
-            for p in holders:
-                counts[p, d] += 1
+    counts[:, dim] = np.bincount(parts, minlength=nparts)
+    # Walk the closure one dimension down at a time: the distinct
+    # (entity, part) pairs of dimension d are those of d + 1's downward rows.
+    for d in range(dim - 1, -1, -1):
+        parts = np.repeat(parts, core.ndown[d + 1][ids])
+        ids = core.gather_down(d + 1, ids).astype(np.int64)
+        pairs = np.unique(ids * nparts + parts)
+        ids, parts = pairs // nparts, pairs % nparts
+        counts[:, d] = np.bincount(parts, minlength=nparts)
     return counts
 
 

@@ -23,26 +23,33 @@ def heavy_edge_matching(
     eweights: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Greedy heavy-edge matching; returns each node's mate (or itself)."""
+    """Greedy heavy-edge matching; returns each node's mate (or itself).
+
+    Nodes are visited in a random order; each unmatched node takes its
+    heaviest unmatched neighbour (the first one on ties).  The walk runs
+    over Python lists, so no numpy scalar is indexed per edge.
+    """
     n = len(xadj) - 1
-    mate = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    for i in order:
+    mate = [-1] * n
+    ptr = xadj.tolist()
+    adj = adjncy.tolist()
+    ew = eweights.tolist()
+    for i in rng.permutation(n).tolist():
         if mate[i] != -1:
             continue
         best = -1
         best_w = -1.0
-        for k in range(xadj[i], xadj[i + 1]):
-            j = int(adjncy[k])
-            if mate[j] == -1 and j != i and eweights[k] > best_w:
+        for k in range(ptr[i], ptr[i + 1]):
+            j = adj[k]
+            if mate[j] == -1 and j != i and ew[k] > best_w:
                 best = j
-                best_w = float(eweights[k])
+                best_w = ew[k]
         if best == -1:
             mate[i] = i
         else:
             mate[i] = best
             mate[best] = i
-    return mate
+    return np.array(mate, dtype=np.int64)
 
 
 def contract(
@@ -52,44 +59,34 @@ def contract(
     eweights: np.ndarray,
     mate: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Contract matched pairs; returns (xadj, adjncy, weights, eweights, cmap)."""
-    n = len(weights)
-    cmap = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for i in range(n):
-        if cmap[i] != -1:
-            continue
-        j = int(mate[i])
-        cmap[i] = next_id
-        if j != i:
-            cmap[j] = next_id
-        next_id += 1
+    """Contract matched pairs; returns (xadj, adjncy, weights, eweights, cmap).
 
-    cweights = np.zeros(next_id, dtype=weights.dtype)
+    ``mate`` is a matching (an involution, as :func:`heavy_edge_matching`
+    returns).  Coarse node ids follow each pair's lower index, and each
+    coarse row lists its neighbours ascending.
+    """
+    n = len(weights)
+    nodes = np.arange(n, dtype=np.int64)
+    leader = np.minimum(nodes, np.asarray(mate, dtype=np.int64))
+    is_leader = leader == nodes
+    cmap = (np.cumsum(is_leader) - 1)[leader]
+    nc = int(is_leader.sum())
+
+    cweights = np.zeros(nc, dtype=weights.dtype)
     np.add.at(cweights, cmap, weights)
 
-    edge_accum: dict = {}
-    for i in range(n):
-        ci = cmap[i]
-        for k in range(xadj[i], xadj[i + 1]):
-            cj = cmap[int(adjncy[k])]
-            if ci == cj:
-                continue
-            key = (ci, cj)
-            edge_accum[key] = edge_accum.get(key, 0.0) + float(eweights[k])
-
-    cxadj = np.zeros(next_id + 1, dtype=np.int64)
-    for ci, _cj in edge_accum:
-        cxadj[ci + 1] += 1
-    np.cumsum(cxadj, out=cxadj)
-    cadjncy = np.zeros(int(cxadj[-1]), dtype=np.int64)
-    ceweights = np.zeros(int(cxadj[-1]))
-    cursor = cxadj[:-1].copy()
-    for (ci, cj), w in sorted(edge_accum.items()):
-        cadjncy[cursor[ci]] = cj
-        ceweights[cursor[ci]] = w
-        cursor[ci] += 1
-    return cxadj, cadjncy, cweights, ceweights, cmap
+    src = cmap[np.repeat(nodes, np.diff(xadj))]
+    dst = cmap[adjncy]
+    keep = src != dst
+    keys, slot = np.unique(src[keep] * nc + dst[keep], return_inverse=True)
+    # add.at sums each coarse edge's fine weights from 0.0 in CSR order, so
+    # the result does not depend on the sort; the partitioners' edge weights
+    # are integer-valued (sums of ones), so the sums are exact as well.
+    ceweights = np.zeros(len(keys))
+    np.add.at(ceweights, slot, np.asarray(eweights, dtype=float)[keep])
+    cxadj = np.zeros(nc + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // nc, minlength=nc), out=cxadj[1:])
+    return cxadj, keys % nc, cweights, ceweights, cmap
 
 
 def greedy_grow(
@@ -101,30 +98,33 @@ def greedy_grow(
 ) -> np.ndarray:
     """Grow side 0 by BFS from a pseudo-peripheral seed to the target weight."""
     n = len(weights)
-    side = np.ones(n, dtype=np.int64)
+    side = [1] * n
     total = float(weights.sum())
     target = total * ratio
+    ptr = xadj.tolist()
+    adj = adjncy.tolist()
+    w = weights.tolist()
 
     # Pseudo-peripheral seed: BFS twice from a random start.
     start = int(rng.integers(n))
     for _ in range(2):
-        dist = np.full(n, -1)
-        dist[start] = 0
+        seen = [False] * n
+        seen[start] = True
         queue = [start]
         head = 0
         while head < len(queue):
             i = queue[head]
             head += 1
-            for k in range(xadj[i], xadj[i + 1]):
-                j = int(adjncy[k])
-                if dist[j] == -1:
-                    dist[j] = dist[i] + 1
+            for k in range(ptr[i], ptr[i + 1]):
+                j = adj[k]
+                if not seen[j]:
+                    seen[j] = True
                     queue.append(j)
         start = queue[-1]
 
     grown = 0.0
-    dist = np.full(n, -1)
-    dist[start] = 0
+    seen = [False] * n
+    seen[start] = True
     queue = [start]
     head = 0
     while head < len(queue) and grown < target:
@@ -132,11 +132,11 @@ def greedy_grow(
         head += 1
         if side[i] == 1:
             side[i] = 0
-            grown += float(weights[i])
-        for k in range(xadj[i], xadj[i + 1]):
-            j = int(adjncy[k])
-            if dist[j] == -1:
-                dist[j] = dist[i] + 1
+            grown += float(w[i])
+        for k in range(ptr[i], ptr[i + 1]):
+            j = adj[k]
+            if not seen[j]:
+                seen[j] = True
                 queue.append(j)
     # Disconnected leftovers: sweep any unreached nodes if still underweight.
     if grown < target:
@@ -145,8 +145,8 @@ def greedy_grow(
                 break
             if side[i] == 1:
                 side[i] = 0
-                grown += float(weights[i])
-    return side
+                grown += float(w[i])
+    return np.array(side, dtype=np.int64)
 
 
 def multilevel_bisect(

@@ -197,11 +197,14 @@ def test_partition_single_part():
 def test_entity_counts_match_distribution():
     from repro.partition import distribute
 
-    mesh = box_tet(2)
-    a = partition(mesh, 3, method="rcb")
-    counts = entity_counts_from_assignment(mesh, a)
-    dm = distribute(mesh, a)
-    assert np.array_equal(counts, dm.entity_counts())
+    for mesh, nparts, method in [
+        (box_tet(2), 3, "rcb"),
+        (box_tet(4), 8, "hypergraph"),
+    ]:
+        a = partition(mesh, nparts, method=method)
+        counts = entity_counts_from_assignment(mesh, a)
+        dm = distribute(mesh, a)
+        assert np.array_equal(counts, dm.entity_counts())
 
 
 def test_imbalance_metric():
