@@ -54,7 +54,7 @@ Subpackages
     recovery driver behind ``python -m repro chaos``.
 ``repro.store``
     Parallel incremental snapshot I/O, the one on-disk format: chunked,
-    part-count-agnostic ``repro.store/1`` epochs with SHA-256 chunk
+    part-count-agnostic ``repro.store/2`` epochs with SHA-256 chunk
     manifests and an owner column that keeps the saved partition,
     differential epochs with deterministic compaction, star-forest
     repartition-on-load (``SnapshotStore``), and the content-addressed

@@ -10,15 +10,18 @@ rebuilt with ``b`` in ``a``'s place.  A collapse is rejected when it would
   vertex is always fine, collapsing a boundary vertex along its own model
   edge/face is fine, but collapsing a model vertex or across model entities
   would change the domain), or
-* invert or degenerate any rebuilt element (checked by signed measure), or
-* produce an element that already exists (topological collision).
+* invert or degenerate any rebuilt element (checked by signed measure),
+* produce an element that already exists (topological collision), or
+* create an edge or face that the closure rule would classify below its own
+  dimension (a disk-centre vertex slid onto the rim leaves rim-only faces).
 
 Rejected collapses leave the mesh untouched.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import combinations
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -97,8 +100,10 @@ def _try_collapse(
         ]
         if _simplex_measure(pts) <= min_quality:
             return False
-        if mesh.find(dim, new_verts) is not None:
-            return False  # would duplicate an existing element
+        if mesh.find(dim, new_verts) is not None or not _closure_classifiable(
+            mesh, new_verts, new_verts.index(kept)
+        ):
+            return False  # a duplicate element, or an unclassifiable one
         rebuilt.append(
             (
                 mesh.etype(element),
@@ -119,6 +124,23 @@ def _try_collapse(
     for element in cavity:
         mesh.destroy(element, cascade=True)
     return True
+
+
+def _closure_classifiable(mesh: Mesh, verts: Sequence[Ent], at: int) -> bool:
+    """Whether no new edge or face of the rebuilt simplex ``verts`` (each
+    passes through ``verts[at]``) lands, by the closure rule, on a model
+    entity below its own dimension."""
+    gents = [mesh.classification(v) for v in verts]
+    if mesh.model is None or None in gents:
+        return True  # classify_closure leaves such entities unset
+    others = [i for i in range(len(verts)) if i != at]
+    return not any(
+        mesh.find(d, [verts[at], *(verts[i] for i in rest)]) is None
+        and mesh.model.cover(tuple(sorted(
+            {gents[at], *(gents[i] for i in rest)}
+        ))).dim < d
+        for d in range(1, len(verts) - 1) for rest in combinations(others, d)
+    )
 
 
 def _simplex_measure(pts: List[np.ndarray]) -> float:

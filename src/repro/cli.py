@@ -32,7 +32,7 @@ release ships for quick experiments without writing a driver script:
     default epoch count.  Writes the deterministic recovery report (and a
     metrics JSON) to ``--out``.
 ``snapshot``
-    Save, parallel-load, or inspect a ``repro.store/1`` snapshot store
+    Save, parallel-load, or inspect a ``repro.store/2`` snapshot store
     (:mod:`repro.store`): ``save`` partitions a generated mesh and writes
     a chunked epoch (differential when the store has a tip), ``load``
     restores it on the saved partition — or at any ``--parts`` via the
@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_snap = sub.add_parser(
         "snapshot",
-        help="save/load/inspect/migrate-into a repro.store/1 snapshot store",
+        help="save/load/inspect/migrate-into a repro.store/2 snapshot store",
     )
     p_snap.add_argument(
         "action", choices=("save", "load", "inspect", "migrate")

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from .entity import Ent
 from .mesh import Mesh
 from .quality import measure
@@ -37,23 +39,23 @@ class MeshInvalidError(AssertionError):
 def _check_free_lists(mesh: Mesh, errors: List[str]) -> None:
     core = mesh.core
     for dim in range(4):
-        top = core.top[dim]
-        free = core.free[dim]
-        seen = set()
-        for idx in free:
-            if not 0 <= idx < top:
+        top, free = core.top[dim], np.asarray(core.free[dim], dtype=np.int64)
+        inside = (free >= 0) & (free < top)
+        live = inside & core.alive[dim][np.where(inside, free, 0)]
+        repeat = np.ones(len(free), dtype=bool)
+        repeat[np.unique(free, return_index=True)[1]] = False
+        for k in np.flatnonzero(~inside | live | repeat).tolist():
+            idx = int(free[k])
+            if not inside[k]:
                 errors.append(
                     f"M{dim}_{idx}: free-list entry out of range (top={top})"
                 )
-            elif core.alive[dim][idx]:
+            elif live[k]:
                 errors.append(f"M{dim}_{idx}: live entity on the free-list")
-            if idx in seen:
+            if repeat[k]:
                 errors.append(f"M{dim}_{idx}: duplicated on the free-list")
-            seen.add(idx)
-        dead = set(
-            i for i in range(top) if not core.alive[dim][i]
-        )
-        for idx in sorted(dead - seen):
+        for idx in np.setdiff1d(np.flatnonzero(~core.alive[dim][:top]),
+                                free).tolist():
             errors.append(f"M{dim}_{idx}: dead slot missing from the free-list")
 
 

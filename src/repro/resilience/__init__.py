@@ -6,7 +6,7 @@ or corrupt and which ranks to crash at which superstep, and the
 :class:`FaultInjector` executes the plan deterministically through hooks in
 :class:`~repro.parallel.network.Network` and the
 :func:`~repro.parallel.executor.spmd` executor.  On the recovery side,
-:class:`CheckpointManager` rotates atomic, hash-validated ``repro.store/1``
+:class:`CheckpointManager` rotates atomic, hash-validated ``repro.store/2``
 checkpoints (the partition, tags, fields and ghost configuration
 included), and :func:`resilient_spmd` runs a workload in checkpoint epochs,
 classifying failures as injected vs. real and restarting from the newest

@@ -1,7 +1,7 @@
 """Checkpoint lifecycle management: rotation, validation, fallback restore.
 
 :class:`CheckpointManager` is the operational policy a long run needs over
-one :class:`~repro.store.SnapshotStore` (``repro.store/1`` epochs:
+one :class:`~repro.store.SnapshotStore` (``repro.store/2`` epochs:
 chunked, hashed, differential after the first full snapshot, each staged
 in a ``*.tmp`` directory and renamed into place, so a crash mid-checkpoint
 never leaves a half-written "latest"):
@@ -90,7 +90,7 @@ class CheckpointManager:
     ----------
     root:
         Directory holding the checkpoints (created if needed).  Each
-        checkpoint is a ``repro.store/1`` epoch directory ``ckpt-<index>``.
+        checkpoint is a ``repro.store/2`` epoch directory ``ckpt-<index>``.
     keep:
         Retain the last ``keep`` checkpoints; older ones are deleted after
         each successful :meth:`save`.  ``keep=0`` is the explicit

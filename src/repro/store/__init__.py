@@ -1,7 +1,7 @@
-"""`repro.store`: parallel incremental snapshot I/O (``repro.store/1``).
+"""`repro.store`: parallel incremental snapshot I/O (``repro.store/2``).
 
 The one on-disk format of a distributed mesh (Hapla et al., arXiv
-2004.08729): canonical, part-count-agnostic chunked records in
+2004.08729): canonical, part-count-agnostic chunked columns in
 CRC-validated codec frames under a SHA-256 manifest, plus the one
 part-dependent file — the owner column that lets a load at the saved part
 count restore the saved partition (:mod:`repro.store.format`);

@@ -1,39 +1,40 @@
-"""The ``repro.store/1`` on-disk snapshot format: canonical, chunked, hashed.
+"""The ``repro.store/2`` on-disk snapshot format: canonical, columnar, hashed.
 
 Hapla et al. (arXiv 2004.08729) make parallel mesh I/O scale by writing one
 *canonical* on-disk layout — independent of the number of writing ranks —
 that any number of reading ranks can consume in disjoint chunks.  This
 module is that layout for a :class:`~repro.partition.dmesh.DistributedMesh`:
 
-* **canonical records** — owned entities only, identified by global ids
-  (vertices, elements) or sorted vertex-gid keys (tags, fields), sorted by
-  that identity; two distributions of the same mesh at *any* part counts
-  serialize to byte-identical records;
-* **fixed-size chunks** — each section's record list is sharded into
-  ``chunk_records``-sized chunks, one CRC-validated
-  :mod:`repro.parallel.codec` frame per chunk file, so parallel readers
-  deal chunks, not parts;
+* **canonical rows** — owned entities only, keyed by global id (``verts``
+  ``(gid, xyz, class)``, ``elems`` ``(gid, verts)``) or by sorted
+  vertex-gid key (a field's ``(key, value)``, padded as
+  :meth:`Part.entity_keys` pads it; tags, which stay records because
+  their values are arbitrary objects), sorted by that identity, so a mesh
+  at *any* part count extracts to the same rows;
+* **fixed-size chunks** — each section sharded into ``chunk_records``-row
+  chunks, one CRC-validated :mod:`repro.parallel.codec` frame per file: the
+  row-aligned columns, integers at the narrowest dtype that holds them;
 * **SHA-256 chunk manifest** — ``manifest.json`` names every chunk with
   its hash, record count and byte size; any integrity violation surfaces
   as a typed :class:`CorruptSnapshotError` naming the offending file and
   the full expected-vs-actual digests;
 * **the owner column** — the one part-dependent file of an epoch: the part
   id of every live element in ascending gid order, so a load at the saved
-  part count restores the saved partition.  It is control-plane metadata
-  like the removal lists — hashed, always written whole, outside the
-  canonical records and their diff.
+  part count restores the saved partition; hashed, written whole, outside
+  the canonical rows and their diff, like the removal lists.
 
-An epoch directory is self-describing: its manifest carries the format id,
-``kind`` (``"full"`` or ``"delta"``), the parent epoch index for deltas,
-the removal lists a delta applies, and the gid allocation floor.  See
-:mod:`repro.store.snapshot` for the store that writes chains of epochs and
-loads them in parallel at any part count.
+A manifest also carries ``kind`` (``"full"`` or ``"delta"``), the parent
+epoch, the removal lists a delta applies and the gid allocation floor.
+``repro.store/1`` epochs (record-list chunks) stay readable: their records
+become the same rows in :func:`load_chunk`.  One fold, ``_fold_chain``,
+serves both of :mod:`repro.store.snapshot`'s readers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -42,7 +43,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..mesh.entity import Ent
+from ..mesh.core import VERT_WIDTH
+from ..mesh.topology import type_info
 from ..parallel import codec
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
@@ -61,14 +63,14 @@ __all__ = [
     "read_epoch_manifest",
     "load_chunk",
     "load_owner",
-    "epoch_sections",
     "owned_gid_set",
     "element_partition",
     "field_checksum",
 ]
 
-#: Current snapshot format id, stored in every epoch manifest.
-FORMAT = "repro.store/1"
+#: Current snapshot format id, stored in every epoch manifest (epochs of
+#: the record-list format ``repro.store/1`` are read, never written).
+FORMAT = "repro.store/2"
 MANIFEST = "manifest.json"
 #: The owner column's file name inside an epoch directory.
 OWNER_FILE = "owner.bin"
@@ -76,9 +78,22 @@ OWNER_FILE = "owner.bin"
 #: several chunks (parallel readers need more chunks than ranks).
 DEFAULT_CHUNK_RECORDS = 256
 
-#: Section order is fixed; fields get synthetic ``field<i>`` section names
-#: (field names are arbitrary strings, unsafe as file names).
-_FIXED_SECTIONS = ("verts", "elems", "tags")
+_VERT_ROWS = np.dtype(
+    [("gid", np.int64), ("xyz", np.float64, (3,)), ("class", np.int64, (2,))]
+)
+#: The numpy kinds a stored column may have.
+_KINDS = {"gid": "u", "xyz": "f", "class": "iu", "verts": "u", "key": "iu",
+          "value": "f"}
+
+
+def _elem_rows(etype: int) -> np.dtype:
+    width = type_info(etype).nverts if etype >= 0 else 0
+    return np.dtype([("gid", np.int64), ("verts", np.int64, (width,))])
+
+
+def _field_rows(entity_dim: int, shape: Sequence[int]) -> np.dtype:
+    return np.dtype([("key", np.int64, (VERT_WIDTH[entity_dim],)),
+                     ("value", np.float64, tuple(int(s) for s in shape))])
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -86,7 +101,7 @@ class CorruptCheckpointError(RuntimeError):
 
 
 class CorruptSnapshotError(CorruptCheckpointError):
-    """A ``repro.store/1`` epoch failed integrity validation."""
+    """A ``repro.store`` epoch failed integrity validation."""
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -103,6 +118,31 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _records(items: Any) -> np.ndarray:
+    """Tag records (or their identities) as a 1-D object array."""
+    return np.fromiter(items, dtype=object)
+
+
+def _ident(rows: np.ndarray) -> np.ndarray:
+    """Rows' identities as one sortable column: gids; key rows as
+    structured scalars that order like their gid tuples (the padding moved
+    to the right); tag records' ``(name, dim, key)``."""
+    if rows.dtype == object:
+        return _records(record[:3] for record in rows)
+    ids = rows[rows.dtype.names[0]] if rows.dtype.names else rows
+    if ids.ndim == 1 or ids.shape[1] == 1:
+        return ids.reshape(-1)
+    top = np.iinfo(ids.dtype).max
+    ids = np.sort(np.where(ids < 0, top, ids), axis=1)
+    ids[ids == top] = -1
+    return ids.view([(f"g{i}", ids.dtype) for i in range(ids.shape[1])])[:, 0]
+
+
+def _padded(key: Sequence[int], width: int) -> Tuple[int, ...]:
+    """A sorted vertex-gid key left-padded with -1 to ``width``."""
+    return (-1,) * (width - len(key)) + tuple(int(g) for g in key)
+
+
 # ---------------------------------------------------------------------------
 # canonical state
 # ---------------------------------------------------------------------------
@@ -112,12 +152,10 @@ def _sha256(data: bytes) -> str:
 class SnapshotState:
     """The part-count-agnostic content of one snapshot epoch, plus ``owner``.
 
-    ``verts`` maps vertex gid -> ``((x, y, z), (class_dim, class_tag))``;
-    ``elems`` maps element gid -> bounding vertex gids in connectivity
-    order; ``tags`` maps ``(name, dim, entity key)`` -> value; ``fields``
-    maps field name -> ``{entity key: value array}``.  Ghost copies never
-    appear (they are reconstructible runtime state), and shared entities
-    appear exactly once.
+    ``verts``, ``elems`` and each ``fields[name]`` are row arrays sorted by
+    identity (see the module doc); ``tags`` maps ``(name, dim, entity
+    key)`` -> value.  Ghost copies never appear (they are reconstructible
+    runtime state), and shared entities appear exactly once.
 
     ``owner`` is the one part-dependent member: the part id of every live
     element of the *materialized* mesh in ascending gid order (so on a
@@ -129,16 +167,12 @@ class SnapshotState:
     element_dim: int = 2
     etype: int = -1
     gid_next: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    verts: Dict[int, Tuple[Tuple[float, float, float], Tuple[int, int]]] = (
-        field(default_factory=dict)
-    )
-    elems: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    verts: np.ndarray = field(default_factory=lambda: np.empty(0, _VERT_ROWS))
+    elems: np.ndarray = field(default_factory=lambda: np.empty(0, _elem_rows(-1)))
     tags: Dict[Tuple[str, int, Tuple[int, ...]], Any] = field(
         default_factory=dict
     )
-    fields: Dict[str, Dict[Tuple[int, ...], np.ndarray]] = field(
-        default_factory=dict
-    )
+    fields: Dict[str, np.ndarray] = field(default_factory=dict)
     #: field name -> (entity_dim, shape tuple)
     field_meta: Dict[str, Tuple[int, Tuple[int, ...]]] = field(
         default_factory=dict
@@ -159,98 +193,77 @@ def state_from_dmesh(
 ) -> SnapshotState:
     """Extract the canonical snapshot state of a distribution.
 
-    Iterating parts in pid order and keeping the first holder of each
-    global id makes the result deterministic; because every record is keyed
-    by global identity and carries no part-local data, the same mesh
+    Each part's rows are gathered in one pass and the parts folded as a
+    chain whose newest epoch is part 0, so the first holder of each
+    identity wins and the result is deterministic; because every row is
+    keyed by global identity and carries no part-local data, the same mesh
     distributed at 2 or 8 parts extracts to the *same* state — which is
     what makes differential epochs insensitive to migration.
     """
     dim = dmesh.element_dim()
-    state = SnapshotState(element_dim=dim, gid_next=list(dmesh._gid_next))
-    owner_of: Dict[int, int] = {}
+    etypes = np.unique(np.concatenate([
+        part.mesh.core.etype[dim][part.mesh.entity_ids(dim)] for part in dmesh
+    ])).tolist()
+    if len(etypes) > 1:
+        raise ValueError(
+            "repro.store snapshots support single-element-type meshes, "
+            f"found both {etypes[0]} and {etypes[1]}"
+        )
+    state = SnapshotState(
+        element_dim=dim,
+        etype=etypes[0] if etypes else -1,
+        gid_next=list(dmesh._gid_next),
+        field_meta={dfield.name: (dfield.entity_dim, dfield.on(0).shape)
+                    for dfield in fields},
+    )
+    parts = []
     for part in dmesh:
-        mesh = part.mesh
-        core = mesh.core
-
-        # Elements: one gid gather for the connectivity columns per part.
-        ids = core.live_ids(dim)
-        if len(ids):
-            ids = ids[~np.isin(ids, part.ghost_ids(dim))]
-        if len(ids):
-            etypes = np.unique(core.etype[dim][ids])
-            for etype in etypes.tolist():
-                if state.etype < 0:
-                    state.etype = etype
-                elif state.etype != etype:
-                    raise ValueError(
-                        "repro.store snapshots support single-element-type "
-                        f"meshes, found both {state.etype} and {etype}"
-                    )
-            egids = part.gids_of(dim, ids)
-            vert_gids = part.gid_array(0)[core.verts_matrix(dim, ids)]
-            if (egids < 0).any() or (vert_gids < 0).any():
-                missing = ids[egids < 0] if (egids < 0).any() else ids
+        mesh, core = part.mesh, part.mesh.core
+        real = {d: np.setdiff1d(mesh.entity_ids(d), part.ghost_ids(d))
+                for d in {0, dim, *(f.entity_dim for f in fields)}}
+        elems = np.empty(len(real[dim]), _elem_rows(state.etype))
+        elems["gid"] = part.gids_of(dim, real[dim])
+        elems["verts"] = part.gid_array(0)[
+            core.verts[dim][real[dim], : elems["verts"].shape[1]]
+        ]
+        verts = np.empty(len(real[0]), _VERT_ROWS)
+        verts["gid"] = part.gids_of(0, real[0])
+        verts["xyz"] = mesh._coords[real[0]]
+        # Code -1 (unset) picks the appended (-1, -1) row.
+        verts["class"] = np.vstack((mesh.class_pairs(), (-1, -1)))[
+            core.gclass[0][real[0]]
+        ]
+        # A real element's vertices are real, so they are checked too.
+        for d, gids in ((dim, elems["gid"]), (0, verts["gid"])):
+            if (gids < 0).any():
                 raise KeyError(
-                    f"part {part.pid}: M{dim}_{int(missing[0])} has no global id"
-                )
-            elems = state.elems
-            for egid, row in zip(egids.tolist(), vert_gids.tolist()):
-                if egid not in elems:
-                    elems[egid] = tuple(row)
-                    owner_of[egid] = part.pid
-
-        # Vertices: coordinates and classification, batch-gathered.
-        vids = core.live_ids(0)
-        if len(vids):
-            vids = vids[~np.isin(vids, part.ghost_ids(0))]
-        if len(vids):
-            vgids = part.gids_of(0, vids)
-            if (vgids < 0).any():
-                raise KeyError(
-                    f"part {part.pid}: M0_{int(vids[vgids < 0][0])} "
+                    f"part {part.pid}: M{d}_{int(real[d][gids < 0][0])} "
                     "has no global id"
                 )
-            xyz_rows = mesh._coords[vids].tolist()
-            # Code -1 (unset) picks the appended (-1, -1) row.
-            class_rows = np.vstack((mesh.class_pairs(), (-1, -1)))[
-                core.gclass[0][vids]
-            ].tolist()
-            verts = state.verts
-            for vgid, xyz, (cdim, ctag) in zip(
-                vgids.tolist(), xyz_rows, class_rows
-            ):
-                if vgid not in verts:
-                    verts[vgid] = (
-                        (float(xyz[0]), float(xyz[1]), float(xyz[2])),
-                        (cdim, ctag),
-                    )
-        for name in part.mesh.tags.names():
-            tag = part.mesh.tags.find(name)
-            for ent, value in tag.items():
-                if part.is_ghost(ent) or not part.mesh.has(ent):
-                    continue
-                state.tags.setdefault(
-                    (name, ent.dim, part.entity_key(ent)), value
-                )
-    for dfield in fields:
-        bucket = state.fields.setdefault(dfield.name, {})
-        shape = next(iter(dfield.fields.values())).shape
-        state.field_meta[dfield.name] = (dfield.entity_dim, tuple(shape))
-        for part in dmesh:
-            local = dfield.on(part.pid)
-            for ent, value in local.items():
-                # Migration deletes entities out from under runtime field
-                # stores; stale handles have no gid and are not state.
-                if (
-                    part.is_ghost(ent)
-                    or not part.mesh.has(ent)
-                    or not part.has_gid(ent)
-                ):
-                    continue
-                bucket.setdefault(part.entity_key(ent), np.asarray(value))
-    state.owner = np.asarray(
-        [owner_of[egid] for egid in sorted(owner_of)], dtype=np.int64
-    )
+        sections = {
+            "verts": (verts,),
+            "elems": (elems, np.full(len(elems), part.pid)),
+            "tags": (_records(
+                (name, ent.dim, part.entity_key(ent), value)
+                for name in mesh.tags.names()
+                for ent, value in mesh.tags.find(name).items()
+                if not part.is_ghost(ent) and mesh.has(ent)
+            ),),
+        }
+        for dfield in fields:
+            d, local = dfield.entity_dim, dfield.on(part.pid)
+            # Migration deletes entities out from under runtime field
+            # stores; stale handles have no gid and are not state.
+            held = np.intersect1d(local.set_ids(), real[d])
+            held = held[part.gids_of(d, held) >= 0]
+            rows = np.empty(len(held), _field_rows(d, local.shape))
+            rows["key"] = part.entity_keys(d, held)
+            rows["value"] = local.get_many(held).reshape(rows["value"].shape)
+            sections[("field", dfield.name)] = (rows,)
+        parts.append(({}, sections))
+    live = _fold_chain(parts[::-1])
+    _fill(state, live)
+    state.owner = live["elems"][1]
     return state
 
 
@@ -265,18 +278,29 @@ def _same_value(a: Any, b: Any) -> bool:
     return codec.dumps(a) == codec.dumps(b)
 
 
+def _changes(old: np.ndarray, new: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows of new that old lacks or holds otherwise, rows of old whose
+    identity new lacks)``; rows compare like ``np.array_equal``."""
+    if old.dtype != new.dtype or not len(old):
+        return new, old
+    a, b = _ident(old), _ident(new)
+    at = np.minimum(np.searchsorted(a, b), len(a) - 1)
+    return new[old[at] != new], old[~np.isin(a, b)]
+
+
 def diff_states(
     parent: SnapshotState, current: SnapshotState
 ) -> Tuple[SnapshotState, Dict[str, Any]]:
     """``(upserts, removed)`` turning ``parent`` into ``current``.
 
     ``upserts`` is a sparse :class:`SnapshotState` holding only new or
-    changed records; ``removed`` is the manifest-shaped removal dict
+    changed rows; ``removed`` is the manifest-shaped removal dict
     (vertex gids, element gids, tag triples, field keys per name).  The
     diff is content-based, so it captures exactly the entities adaptation
     created/destroyed and the fields dirtied since the parent — a pure
     migration, which moves entities without changing them, leaves the
-    vertex/element/tag columns untouched (field values are runtime state:
+    vertex/element/tag rows untouched (field values are runtime state:
     one whose only holding part handed the entity away drops out of the
     canonical state, and the diff records that as a removal).
     """
@@ -286,105 +310,139 @@ def diff_states(
         gid_next=list(current.gid_next),
         field_meta=dict(current.field_meta),
     )
+    upserts.verts, gone_verts = _changes(parent.verts, current.verts)
+    upserts.elems, gone_elems = _changes(parent.elems, current.elems)
+    upserts.tags = {
+        key: value for key, value in current.tags.items()
+        if key not in parent.tags or not _same_value(parent.tags[key], value)
+    }
     removed: Dict[str, Any] = {
-        "verts": sorted(set(parent.verts) - set(current.verts)),
-        "elems": sorted(set(parent.elems) - set(current.elems)),
+        "verts": gone_verts["gid"].tolist(),
+        "elems": gone_elems["gid"].tolist(),
         "tags": sorted(
             [name, dim, list(key)]
             for (name, dim, key) in set(parent.tags) - set(current.tags)
         ),
-        "fields": {
-            name: keys
-            for name in sorted(set(parent.fields) | set(current.fields))
-            if (keys := sorted(
-                list(key)
-                for key in set(parent.fields.get(name, {}))
-                - set(current.fields.get(name, {}))
-            ))
-        },
+        "fields": {},
     }
-    for gid, rec in current.verts.items():
-        old = parent.verts.get(gid)
-        if old is None or old != rec:
-            upserts.verts[gid] = rec
-    for gid, row in current.elems.items():
-        old = parent.elems.get(gid)
-        if old is None or old != row:
-            upserts.elems[gid] = row
-    for key, value in current.tags.items():
-        old = parent.tags.get(key)
-        if key not in parent.tags or not _same_value(old, value):
-            upserts.tags[key] = value
-    for name, bucket in current.fields.items():
-        old_bucket = parent.fields.get(name, {})
-        out = upserts.fields.setdefault(name, {})
-        for key, value in bucket.items():
-            old = old_bucket.get(key)
-            if old is None or not _same_value(old, value):
-                out[key] = value
+    for name in sorted(set(parent.fields) | set(current.fields)):
+        gone = parent.fields.get(name)
+        if name in current.fields:
+            new = current.fields[name]
+            upserts.fields[name], gone = _changes(
+                new[:0] if gone is None else gone, new
+            )
+        if len(gone):
+            removed["fields"][name] = [
+                [g for g in key if g >= 0] for key in gone["key"].tolist()
+            ]
     return upserts, removed
+
+
+# ---------------------------------------------------------------------------
+# the chain fold
+# ---------------------------------------------------------------------------
+
+
+def _fold_chain(
+    epochs: Sequence[Tuple[Dict[str, Any], Dict[Any, Tuple[np.ndarray, ...]]]],
+) -> Dict[Any, Tuple[np.ndarray, ...]]:
+    """The rows live after a chain of epochs, ascending by identity.
+
+    ``epochs``: oldest first, each epoch's removal dict and sections
+    (``"verts"``, ``"elems"``, ``"tags"``, ``("field", name)``), each its
+    rows plus any row-aligned columns to carry (the load: each row's
+    reader).  Removals drop older rows, then upserts follow; one
+    ``np.unique`` over the reversed events finds each identity's newest.
+    A section restarts after the last epoch lacking it or holding other
+    rows (a dropped field, another element type or field shape).
+    """
+    out: Dict[Any, Tuple[np.ndarray, ...]] = {}
+    for key, (rows, *_carried) in epochs[-1][1].items():
+        since = 1 + max([-1] + [
+            e for e, (_removed, sections) in enumerate(epochs)
+            if key not in sections or sections[key][0].dtype != rows.dtype
+        ])
+        events = []
+        for removed, sections in epochs[since:]:
+            if key == "tags":
+                gone = _records(
+                    (name, int(dim), tuple(int(g) for g in gids))
+                    for name, dim, gids in removed.get("tags", ())
+                )
+            elif isinstance(key, tuple):
+                width = rows.dtype["key"].shape[0]
+                gone = np.asarray([
+                    _padded(gids, width)
+                    for gids in removed.get("fields", {}).get(key[1], ())
+                ], dtype=np.int64).reshape(-1, width)
+            else:
+                gone = np.asarray(removed.get(key, ()), dtype=np.int64)
+            events += [_ident(gone), _ident(sections[key][0])]
+        flat = np.concatenate(events)
+        is_row = np.repeat(np.arange(len(events)) % 2 == 1,
+                           [len(ids) for ids in events])
+        newest = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+        live = (np.cumsum(is_row) - 1)[newest[is_row[newest]]]
+        out[key] = tuple(
+            np.concatenate(column)[live] for column in
+            zip(*(sections[key] for _removed, sections in epochs[since:]))
+        )
+    return out
+
+
+def _sections(state: SnapshotState) -> Dict[Any, Tuple[np.ndarray]]:
+    """``state`` as one epoch's sections for :func:`_fold_chain`."""
+    return {
+        "verts": (state.verts,),
+        "elems": (state.elems,),
+        "tags": (_records((*key, value) for key, value in state.tags.items()),),
+        **{("field", name): (state.fields[name],) for name in state.field_meta},
+    }
+
+
+def _fill(state: SnapshotState, live: Dict[Any, Tuple[np.ndarray, ...]]) -> None:
+    """Set ``state``'s rows to a :func:`_fold_chain` result's."""
+    state.verts, state.elems = live["verts"][0], live["elems"][0]
+    state.tags = {record[:3]: record[3] for record in live["tags"][0]}
+    state.fields = {key[1]: rows for key, (rows, *_) in live.items()
+                    if isinstance(key, tuple)}
 
 
 def apply_delta(
     state: SnapshotState, upserts: SnapshotState, removed: Dict[str, Any]
 ) -> None:
-    """Apply one delta epoch (removals, then upserts) to ``state`` in place."""
-    for gid in removed.get("verts", ()):
-        state.verts.pop(int(gid), None)
-    for gid in removed.get("elems", ()):
-        state.elems.pop(int(gid), None)
-    for name, dim, key in removed.get("tags", ()):
-        state.tags.pop((name, int(dim), tuple(int(g) for g in key)), None)
-    for name, keys in removed.get("fields", {}).items():
-        bucket = state.fields.get(name)
-        if bucket:
-            for key in keys:
-                bucket.pop(tuple(int(g) for g in key), None)
+    """Apply one delta epoch (removals, then upserts) to ``state`` in place:
+    the chain fold over the two.  The field set follows the delta's meta:
+    dropped fields disappear."""
+    _fill(state, _fold_chain(
+        [({}, _sections(state)), (removed, _sections(upserts))]
+    ))
     state.element_dim = upserts.element_dim
     state.etype = upserts.etype if upserts.etype >= 0 else state.etype
     state.gid_next = list(upserts.gid_next)
-    state.verts.update(upserts.verts)
-    state.elems.update(upserts.elems)
-    state.tags.update(upserts.tags)
-    # Field set follows the delta's meta: dropped fields disappear.
     state.field_meta = dict(upserts.field_meta)
-    for name in list(state.fields):
-        if name not in state.field_meta:
-            del state.fields[name]
-    for name, bucket in upserts.fields.items():
-        state.fields.setdefault(name, {}).update(bucket)
 
 
 # ---------------------------------------------------------------------------
-# chunked records on disk
+# chunked columns on disk
 # ---------------------------------------------------------------------------
 
 
-def _section_records(state: SnapshotState) -> Dict[str, List[Any]]:
-    """All sections as canonically sorted codec-encodable record lists."""
-    sections: Dict[str, List[Any]] = {
-        "verts": [
-            [gid, list(xyz), cdim, ctag]
-            for gid, (xyz, (cdim, ctag)) in sorted(state.verts.items())
-        ],
-        "elems": [
-            [gid, list(row)] for gid, row in sorted(state.elems.items())
-        ],
-        "tags": [
-            [name, dim, list(key), value]
-            for (name, dim, key), value in sorted(
-                state.tags.items(), key=lambda item: item[0]
-            )
-        ],
-    }
-    for i, name in enumerate(sorted(state.field_meta)):
-        sections[f"field{i}"] = [
-            [list(key), np.asarray(value)]
-            for key, value in sorted(
-                state.fields.get(name, {}).items(), key=lambda kv: kv[0]
-            )
-        ]
-    return sections
+def _columns(rows: np.ndarray) -> Dict[str, np.ndarray]:
+    """A row array as named columns, integers at the narrowest dtype that
+    holds them: a chunk's, or a load batch's, codec payload."""
+    out = {}
+    for name in rows.dtype.names:
+        column = out[name] = rows[name]
+        if column.dtype.kind == "i":
+            lo, hi = int(column.min(initial=0)), int(column.max(initial=0))
+            # Signed when any value is: the width that holds ``-hi - 1``.
+            out[name] = column.astype(np.promote_types(
+                np.min_scalar_type(lo),
+                np.min_scalar_type(hi if lo >= 0 else -hi - 1),
+            ))
+    return out
 
 
 def write_epoch(
@@ -403,15 +461,26 @@ def write_epoch(
 
     The directory is staged as ``<path>.tmp`` and renamed into place only
     after every chunk and the manifest are durably written.  All content is
-    byte-deterministic: sorted records, fixed chunking, ``sort_keys`` JSON,
-    no timestamps.
+    byte-deterministic: sorted rows, fixed chunking, integer widths chosen
+    by the values alone, ``sort_keys`` JSON, no timestamps.
     """
     path = Path(path)
     staging = path.with_name(path.name + ".tmp")
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    sections = _section_records(state)
+    names = sorted(state.field_meta)
+    sections: Dict[str, Any] = {
+        "verts": state.verts,
+        "elems": state.elems,
+        "tags": [
+            [name, dim, list(key), value]
+            for (name, dim, key), value in sorted(
+                state.tags.items(), key=lambda item: item[0]
+            )
+        ],
+        **{f"field{i}": state.fields[name] for i, name in enumerate(names)},
+    }
     manifest: Dict[str, Any] = {
         "format": FORMAT,
         "kind": kind,
@@ -429,7 +498,7 @@ def write_epoch(
                 "shape": list(state.field_meta[name][1]),
                 "section": f"field{i}",
             }
-            for i, name in enumerate(sorted(state.field_meta))
+            for i, name in enumerate(names)
         ],
         "sections": {},
         "payload_bytes": 0,
@@ -449,14 +518,14 @@ def write_epoch(
         }
 
     for section in sorted(sections):
-        records = sections[section]
+        rows = sections[section]
         chunks: List[Dict[str, Any]] = []
-        for ci in range(0, max(1, len(records)), chunk_records):
-            batch = records[ci : ci + chunk_records]
-            if not batch and chunks:
-                break
-            name = f"{section}-{len(chunks):06d}.bin"
-            chunks.append(put(name, batch, len(batch)))
+        for ci in range(0, max(1, len(rows)), chunk_records):
+            batch = rows[ci : ci + chunk_records]
+            payload = batch if isinstance(batch, list) else _columns(batch)
+            chunks.append(
+                put(f"{section}-{len(chunks):06d}.bin", payload, len(batch))
+            )
             manifest["records"] += len(batch)
         manifest["sections"][section] = chunks
     if state.owner is not None:
@@ -494,7 +563,7 @@ def _manifest_digest(manifest: Dict[str, Any]) -> str:
 
 
 def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and schema-check one epoch manifest.
+    """Parse and schema-check one epoch manifest (``repro.store/2`` or /1).
 
     Raises :class:`CorruptSnapshotError` naming the manifest file on any
     missing file, bad JSON, wrong format id, missing key, or content that
@@ -512,7 +581,9 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: unreadable manifest: {exc}"
         ) from None
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+    if not isinstance(manifest, dict) or (
+        manifest.get("format") not in (FORMAT, "repro.store/1")
+    ):
         raise CorruptSnapshotError(
             f"{manifest_path}: unsupported snapshot format "
             f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r} "
@@ -564,19 +635,76 @@ def _load_frame(path: Path, entry: Dict[str, Any]) -> Tuple[Any, int]:
         ) from None
 
 
+def _section_rows(manifest: Dict[str, Any], section: str) -> np.dtype:
+    """The row dtype of one section of an epoch (tags: object records)."""
+    if section == "verts":
+        return _VERT_ROWS
+    if section == "elems":
+        return _elem_rows(int(manifest["etype"]))
+    if section == "tags":
+        return np.dtype(object)
+    for meta in manifest.get("fields", []):
+        if meta["section"] == section:
+            return _field_rows(meta["entity_dim"], meta.get("shape", [1]))
+    raise ValueError(f"manifest names no field for section {section!r}")
+
+
+def _rows_of_columns(columns: Any, dtype: np.dtype, count: int) -> np.ndarray:
+    """A /2 payload as ``count`` rows, every column checked."""
+    if not isinstance(columns, dict) or sorted(columns) != sorted(dtype.names):
+        raise ValueError(f"payload is not the columns {list(dtype.names)}")
+    rows = np.empty(count, dtype)
+    for name in dtype.names:
+        column = columns[name]
+        if not (isinstance(column, np.ndarray) and column.dtype.kind in
+                _KINDS[name] and column.shape == rows[name].shape):
+            raise ValueError(
+                f"column {name!r} is not a {rows[name].shape} array of "
+                f"kind {_KINDS[name]!r}"
+            )
+        rows[name] = column
+    return rows
+
+
 def load_chunk(
-    path: Union[str, Path], entry: Dict[str, Any]
-) -> Tuple[List[Any], int]:
-    """One chunk's records, hash-validated; ``(records, bytes read)``."""
+    path: Union[str, Path],
+    manifest: Dict[str, Any],
+    section: str,
+    entry: Dict[str, Any],
+) -> Tuple[Any, int]:
+    """One chunk of ``section``, hash-validated; ``(rows, bytes read)``.
+
+    A ``repro.store/1`` chunk's records become the same rows (tags: records
+    ``(name, dim, key, value)``).  A /2 chunk comes from outside: anything
+    but the expected columns with ``count`` rows raises
+    :class:`CorruptSnapshotError` naming the file.
+    """
     path = Path(path)
-    records, nbytes = _load_frame(path, entry)
-    if not isinstance(records, list) or len(records) != int(entry["count"]):
-        raise CorruptSnapshotError(
-            f"{path / entry['file']}: chunk carries "
-            f"{len(records) if isinstance(records, list) else '?'} record(s) "
-            f"where the manifest promises {entry['count']}"
-        )
-    return records, nbytes
+    payload, nbytes = _load_frame(path, entry)
+    count = int(entry["count"])
+    try:
+        dtype = _section_rows(manifest, section)
+        if dtype != object and manifest["format"] == FORMAT:
+            return _rows_of_columns(payload, dtype, count), nbytes
+        if not isinstance(payload, list) or len(payload) != count:
+            raise ValueError(f"chunk does not carry the {count} record(s) "
+                             "the manifest promises")
+        if dtype == object:
+            return _records(
+                (name, int(dim), tuple(int(g) for g in key), value)
+                for name, dim, key, value in payload
+            ), nbytes
+        as_row = {
+            "verts": lambda gid, xyz, cdim, ctag: (gid, xyz, (cdim, ctag)),
+            "elems": lambda gid, verts: (gid, verts),
+        }.get(section, lambda key, value: (
+            _padded(key, dtype["key"].shape[0]), value
+        ))
+        return np.array(
+            [as_row(*record) for record in payload], dtype=dtype
+        ).reshape(count), nbytes
+    except (TypeError, ValueError) as exc:
+        raise CorruptSnapshotError(f"{path / entry['file']}: {exc}") from None
 
 
 def load_owner(
@@ -607,64 +735,6 @@ def load_owner(
             f"{entry['count']}) to parts below {nparts}"
         )
     return owner, nbytes
-
-
-def epoch_sections(manifest: Dict[str, Any]) -> List[Tuple[str, int, Dict]]:
-    """Flatten one manifest's chunk table as ``(section, ci, entry)`` rows."""
-    out: List[Tuple[str, int, Dict]] = []
-    for section in sorted(manifest["sections"]):
-        for ci, entry in enumerate(manifest["sections"][section]):
-            out.append((section, ci, entry))
-    return out
-
-
-def _field_name_of(manifest: Dict[str, Any], section: str) -> Optional[str]:
-    for meta in manifest.get("fields", []):
-        if meta["section"] == section:
-            return meta["name"]
-    return None
-
-
-def state_from_records(
-    manifest: Dict[str, Any],
-    section_records: Dict[str, List[Any]],
-) -> SnapshotState:
-    """Rebuild a (possibly sparse) state from decoded section records."""
-    state = SnapshotState(
-        element_dim=int(manifest["element_dim"]),
-        etype=int(manifest["etype"]),
-        gid_next=[int(g) for g in manifest["gid_next"]],
-    )
-    for meta in manifest.get("fields", []):
-        state.field_meta[meta["name"]] = (
-            int(meta["entity_dim"]),
-            tuple(int(s) for s in meta.get("shape", [1])),
-        )
-    for section, records in section_records.items():
-        if section == "verts":
-            for gid, xyz, cdim, ctag in records:
-                state.verts[int(gid)] = (
-                    tuple(float(c) for c in xyz),
-                    (int(cdim), int(ctag)),
-                )
-        elif section == "elems":
-            for gid, row in records:
-                state.elems[int(gid)] = tuple(int(v) for v in row)
-        elif section == "tags":
-            for name, dim, key, value in records:
-                state.tags[
-                    (name, int(dim), tuple(int(g) for g in key))
-                ] = value
-        else:
-            name = _field_name_of(manifest, section)
-            if name is None:
-                raise CorruptSnapshotError(
-                    f"manifest names no field for section {section!r}"
-                )
-            bucket = state.fields.setdefault(name, {})
-            for key, value in records:
-                bucket[tuple(int(g) for g in key)] = np.asarray(value)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +769,11 @@ def element_partition(dmesh: DistributedMesh) -> List[List[int]]:
 
 
 def field_checksum(dmesh: DistributedMesh, dfield: DistributedField) -> float:
-    """Order-independent fsum of a field over owned entities."""
-    import math
-
-    values = []
+    """Order-independent fsum of a field over owned entities: each value's
+    components summed, the sums sorted and added exactly."""
+    sums = []
     for part in dmesh:
         local = dfield.on(part.pid)
-        for idx in part.owned_ids(dfield.entity_dim).tolist():
-            ent = Ent(dfield.entity_dim, idx)
-            if local.has(ent):
-                values.append(float(np.sum(local.get(ent))))
-    return math.fsum(sorted(values))
+        ids = part.owned_ids(dfield.entity_dim)
+        sums.append(local.get_many(ids[local.has_many(ids)]).sum(axis=1))
+    return math.fsum(np.sort(np.concatenate(sums)).tolist())

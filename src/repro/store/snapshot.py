@@ -1,34 +1,34 @@
 """`SnapshotStore`: chains of full/delta epochs with parallel load.
 
-The store owns a directory of ``repro.store/1`` epoch directories
-(:mod:`repro.store.format`).  Saving extracts the canonical state of a
-:class:`~repro.partition.dmesh.DistributedMesh` and writes either a full
-epoch or — when a valid parent chain exists — a *differential* epoch
-holding only the records that changed since the parent (plus removal
-lists).  Chains are bounded (``full_every``) and compactable: rewriting
-any epoch as a full snapshot of its materialized chain is deterministic
-and in-place, so rotation can drop ancestors without losing restorable
-epochs.
+The store owns a directory of ``repro.store/2`` epoch directories
+(:mod:`repro.store.format`; /1 epochs stay readable).  Saving extracts the
+canonical rows of a :class:`~repro.partition.dmesh.DistributedMesh` and
+writes either a full epoch or — when a valid parent chain exists — a
+*differential* epoch holding only the rows that changed since the parent
+(plus removal lists).  Chains are bounded (``full_every``) and compactable:
+rewriting any epoch as a full snapshot of its materialized chain is
+deterministic and in-place, so rotation can drop ancestors without losing
+restorable epochs.
 
 Loading is the Hapla et al. (arXiv 2004.08729) parallel read: the target
-parts each take a *disjoint contiguous range of chunks* across the whole
-chain, decode them locally, and one
-:class:`~repro.parallel.sf.StarForest` bcast redistributes every record to
-the part that owns it under the target partition — at the saved part count
+parts each decode a *disjoint contiguous range of chunks* across the whole
+chain, the one chain fold (which also serves ``materialize``) keeps each
+identity's newest row and its reader, and one
+:class:`~repro.parallel.sf.StarForest` bcast moves every live row to the
+parts that need it under the target partition — at the saved part count
 the partition the epoch's owner column recorded, at any other count
-contiguous sorted-gid blocks; vertices/tags/fields follow to the parts
-whose elements reference them.  Restoring a snapshot written at 4 parts
-onto 4 parts puts every element back on the part that held it; onto 1, 2
-or 8 parts it yields identical owned-gid sets and field checksums.  The
-wire traffic is charged to ``sf.*``/``net.*`` counters and the comm
-matrix like every other distributed service, plus ``store.*`` counters
-for the I/O itself.
+contiguous sorted-gid blocks; vertices/tags/fields follow the elements
+that reference them.  Onto the saved part count every element returns to
+its part; onto 1, 2 or 8 parts the owned-gid sets and field checksums are
+identical.  The traffic is charged to ``sf.*``/``net.*`` counters and the
+comm matrix like every other distributed service, plus ``store.*``
+counters for the I/O itself.
 """
 
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,43 +36,37 @@ import numpy as np
 
 from ..gmodel.model import Model
 from ..mesh.build import from_connectivity
-from ..mesh.entity import Ent
+from ..mesh.core import VERT_WIDTH, first_occurrence_unique
 from ..obs.stats import CommProbe
 from ..obs.tracer import Tracer, current as current_tracer, trace_span
+from ..parallel import codec
 from ..parallel.perf import GLOBAL, PerfCounters
-from ..parallel.sf import StarForest
+from ..parallel.sf import SFDatatype, StarForest
 from ..parallel.topology import MachineTopology
 from ..partition.dmesh import DistributedMesh
 from ..partition.fieldsync import DistributedField
 from ..partition.migration import rebuild_links
-from ..partition.part import Part
 from .format import (
     DEFAULT_CHUNK_RECORDS,
     FORMAT,
-    MANIFEST,
     CorruptSnapshotError,
     SnapshotState,
-    apply_delta,
+    _columns,
+    _fill,
+    _fold_chain,
+    _ident,
+    _padded,
+    _records,
+    _rows_of_columns,
     diff_states,
-    epoch_sections,
     load_chunk,
     load_owner,
     read_epoch_manifest,
     state_from_dmesh,
-    state_from_records,
     write_epoch,
 )
 
 __all__ = ["EpochInfo", "SnapshotStore", "StoreStats"]
-
-
-def _key_index(part: Part, dims: Sequence[int]) -> Dict[Tuple[int, Tuple[int, ...]], Ent]:
-    """Map ``(dim, entity key)`` -> local entity for the requested dims."""
-    index: Dict[Tuple[int, Tuple[int, ...]], Ent] = {}
-    for d in dims:
-        for ent in part.mesh.entities(d):
-            index[(d, part.entity_key(ent))] = ent
-    return index
 
 
 def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
@@ -89,23 +83,10 @@ def _restore_intermediate_gids(dmesh: DistributedMesh) -> None:
     """
     dim = dmesh.element_dim()
     for d in range(1, dim):
-        ids_of, keys_of = [], []
-        for part in dmesh:
-            core = part.mesh.core
-            ids = core.live_ids(d)
-            rows = core.verts[d][ids]
-            used = np.arange(rows.shape[1]) < core.nverts[d][ids][:, None]
-            # Sorted vertex gids, short rows padded with -1 on the right:
-            # row order is then the order of the sorted-gid tuples.
-            keys = np.where(used, part.gids_of(0, rows), np.iinfo(np.int64).max)
-            keys.sort(axis=1)
-            keys[np.sort(~used, axis=1)] = -1
-            ids_of.append(ids)
-            keys_of.append(keys)
-        distinct, rank = np.unique(
-            np.concatenate(keys_of), axis=0, return_inverse=True
-        )
-        rank = rank.reshape(-1)
+        ids_of = [part.mesh.core.live_ids(d) for part in dmesh]
+        distinct, rank = np.unique(np.concatenate([
+            _ident(part.entity_keys(d, ids)) for part, ids in zip(dmesh, ids_of)
+        ]), return_inverse=True)
         base = dmesh._gid_next[d]
         start = 0
         for part, ids in zip(dmesh, ids_of):
@@ -128,15 +109,7 @@ class EpochInfo:
     step: int = -1
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "parent": self.parent,
-            "records": self.records,
-            "chunks": self.chunks,
-            "payload_bytes": self.payload_bytes,
-            "step": self.step,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "path"}
 
 
 @dataclass(frozen=True)
@@ -164,26 +137,11 @@ class StoreStats:
     extra: Dict[str, Any] = dataclass_field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "op": self.op,
-            "epoch": self.epoch,
-            "kind": self.kind,
-            "nparts": self.nparts,
-            "chain_length": self.chain_length,
-            "chunks": self.chunks,
-            "chunk_bytes": self.chunk_bytes,
-            "records": self.records,
-            "messages": self.messages,
-            "wire_bytes": self.wire_bytes,
-            "encoded_bytes": self.encoded_bytes,
-            "supersteps": self.supersteps,
-            "sf_ops": self.sf_ops,
-        }
-        return out
+        return {k: v for k, v in asdict(self).items() if k != "extra"}
 
 
 class SnapshotStore:
-    """A directory of chained ``repro.store/1`` epochs (see module doc).
+    """A directory of chained ``repro.store`` epochs (see module doc).
 
     Parameters
     ----------
@@ -327,23 +285,13 @@ class SnapshotStore:
                 raise CorruptSnapshotError(f"{self.root}: store is empty")
             index = info.index
         chain = self._chain(int(index))
-        state: Optional[SnapshotState] = None
-        for einfo, manifest in chain:
-            records: Dict[str, List[Any]] = {}
-            for section, _ci, entry in epoch_sections(manifest):
-                chunk, nbytes = load_chunk(einfo.path, entry)
-                records.setdefault(section, []).extend(chunk)
-                self.counters.add("store.chunks.read")
-                self.counters.add("store.bytes.read", nbytes)
-            epoch_state = state_from_records(manifest, records)
-            if state is None or manifest["kind"] == "full":
-                state = epoch_state
-            else:
-                apply_delta(state, epoch_state, manifest.get("removed", {}))
-        assert state is not None
-        state.owner, nbytes = load_owner(
-            chain[-1][0].path, chain[-1][1], len(state.elems)
+        top = chain[-1][1]
+        state = SnapshotState(
+            int(top["element_dim"]), int(top["etype"]),
+            [int(g) for g in top["gid_next"]], field_meta=_field_meta(top),
         )
+        _fill(state, _fold_chain(self._read_chain(chain, 1, self.counters)))
+        state.owner, nbytes = load_owner(chain[-1][0].path, top, len(state.elems))
         self.counters.add("store.bytes.read", nbytes)
         return state
 
@@ -364,18 +312,14 @@ class SnapshotStore:
         """
         with trace_span(self.tracer, "store.save", store=str(self.root)):
             state = state_from_dmesh(dmesh, fields)
-            parent: Optional[EpochInfo] = None
+            parent = None if full else self.tip()
             parent_state: Optional[SnapshotState] = None
-            if not full:
-                tip = self.tip()
-                if tip is not None:
-                    try:
-                        if len(self._chain(tip.index)) < self.full_every:
-                            parent_state = self.materialize(tip.index)
-                            parent = tip
-                    except CorruptSnapshotError:
-                        parent = None
-                        parent_state = None
+            if parent is not None:
+                try:
+                    if len(self._chain(parent.index)) < self.full_every:
+                        parent_state = self.materialize(parent.index)
+                except CorruptSnapshotError:
+                    pass  # a broken chain: write a full epoch
             idx = self.next_index()
             if parent_state is None:
                 info = self._write_epoch(idx, state, dmesh.nparts, extra)
@@ -512,19 +456,14 @@ class SnapshotStore:
     ) -> Tuple[DistributedMesh, Dict[str, DistributedField], StoreStats]:
         """Parallel restore at any part count; ``(dmesh, fields, stats)``.
 
-        Each target part reads a disjoint contiguous range of the chain's
-        chunks and decodes them locally; a single star-forest bcast then
-        moves every live record to the parts that need it under the target
-        partition (vertices and tag/field records to every part whose
-        elements reference them).  When ``nparts`` is the count the epoch
-        was saved at (the default) and the epoch has an owner column, the
-        target partition is the saved one — every element returns to the
-        part that held it, empty parts stay empty; at any other count
-        elements are dealt in contiguous sorted-gid blocks.  The result
-        carries rebuilt remote-copy links and re-derived intermediate-entity
-        gids — structurally verified equal to a fresh distribution of the
-        same mesh.  Local ids follow the sorted-gid build order, not the
-        saved local order.
+        Each target part decodes a disjoint contiguous range of the chain's
+        chunks; one star-forest bcast then moves every live row to the
+        parts that need it under the target partition: the saved one when
+        ``nparts`` is the saved count (the default) and the epoch has an
+        owner column — every element back on its part, empty parts empty —
+        else contiguous sorted-gid blocks.  The result carries rebuilt
+        remote-copy links and re-derived intermediate-entity gids; local ids
+        follow the sorted-gid build order, not the saved local order.
         """
         tip = self.tip()
         target_index = tip.index if (epoch is None and tip) else epoch
@@ -549,30 +488,25 @@ class SnapshotStore:
             tracer=use_tracer,
         )
         probe = CommProbe(use_counters)
-        before = {
-            name: use_counters.get(name)
-            for name in (
-                "store.chunks.read", "store.bytes.read", "sf.records"
-            )
-        }
+        names = ("store.chunks.read", "store.bytes.read", "sf.records")
+        before = [use_counters.get(name) for name in names]
         with trace_span(
             dmesh.tracer, "store.load", store=str(self.root),
             epoch=int(target_index), nparts=nparts,
         ):
             fields = self._load_into(dmesh, chain)
-
-        def delta(name: str) -> int:
-            return use_counters.get(name) - before[name]
-
+        chunks, chunk_bytes, records = (
+            use_counters.get(name) - got for name, got in zip(names, before)
+        )
         stats = StoreStats(
             op="load",
             epoch=int(target_index),
             kind=top_manifest["kind"],
             nparts=nparts,
             chain_length=len(chain),
-            chunks=delta("store.chunks.read"),
-            chunk_bytes=delta("store.bytes.read"),
-            records=delta("sf.records"),
+            chunks=chunks,
+            chunk_bytes=chunk_bytes,
+            records=records,
             messages=probe.messages(),
             wire_bytes=probe.wire_bytes(),
             encoded_bytes=probe.encoded_bytes(),
@@ -581,6 +515,36 @@ class SnapshotStore:
             extra=dict(top_manifest.get("extra", {})),
         )
         return dmesh, fields, stats
+
+    def _read_chain(
+        self,
+        chain: List[Tuple[EpochInfo, Dict[str, Any]]],
+        readers: int,
+        counters: PerfCounters,
+    ) -> List[Tuple[Dict[str, Any], Dict[Any, Tuple[Any, Any]]]]:
+        """The chain's chunks dealt to ``readers`` in disjoint contiguous
+        ranges and decoded, as :func:`_fold_chain` epochs whose rows carry
+        their reader.  (All readers share this process, but reader ``r``
+        touches only its own chunk files.)"""
+        total = sum(info.chunks for info, _manifest in chain)
+        epochs, j = [], 0
+        for einfo, manifest in chain:
+            names = {meta["section"]: ("field", meta["name"])
+                     for meta in manifest.get("fields", [])}
+            sections: Dict[Any, List[Tuple[Any, np.ndarray]]] = {}
+            for section in sorted(manifest["sections"]):
+                for entry in manifest["sections"][section]:
+                    rows, nbytes = load_chunk(einfo.path, manifest, section, entry)
+                    counters.add("store.chunks.read")
+                    counters.add("store.bytes.read", nbytes)
+                    sections.setdefault(names.get(section, section), []).append(
+                        (rows, np.full(len(rows), j * readers // total)))
+                    j += 1
+            epochs.append((manifest.get("removed", {}), {
+                key: tuple(map(np.concatenate, zip(*parts)))
+                for key, parts in sections.items()
+            }))
+        return epochs
 
     def _load_into(
         self,
@@ -591,252 +555,188 @@ class SnapshotStore:
         nparts = dmesh.nparts
         counters = dmesh.counters
         top_manifest = chain[-1][1]
-        etype = int(top_manifest["etype"])
 
-        # Phase 1 — deal the chain's chunks to the readers (= target
-        # parts) in disjoint contiguous ranges, and decode each range
-        # where it landed.  In this simulated runtime all readers share
-        # the process, but the assignment is the on-disk parallelism:
-        # reader r touches only its own chunk files.
-        chunk_list: List[Tuple[int, str, int, Dict[str, Any], Path]] = []
-        for seq, (einfo, manifest) in enumerate(chain):
-            for section, ci, entry in epoch_sections(manifest):
-                chunk_list.append((seq, section, ci, entry, einfo.path))
-        total_chunks = len(chunk_list)
-        # Each reader's decoded records, its chunks in order: a record's
-        # index in its reader's list is its root handle below.
-        reader_records: List[List[Any]] = [[] for _ in range(nparts)]
-        chunk_at: Dict[Tuple[int, str, int], Tuple[int, int, int]] = {}
-        for j, (seq, section, ci, entry, path) in enumerate(chunk_list):
-            reader = j * nparts // total_chunks if total_chunks else 0
-            records, nbytes = load_chunk(path, entry)
-            held = reader_records[reader]
-            chunk_at[(seq, section, ci)] = (reader, len(held), len(records))
-            held.extend(records)
-            counters.add("store.chunks.read")
-            counters.add("store.bytes.read", nbytes)
+        # Phases 1-2 — read, and fold to the newest row of each identity
+        # and its reader.  The roots are the live rows of all sections in
+        # identity order (elements < fields by name < tags < vertices); a
+        # row's handle is its place in that order.
+        live = _fold_chain(self._read_chain(chain, nparts, counters))
+        keys = sorted(live, key=lambda key: key if isinstance(key, tuple)
+                      else (key, ""))
+        offsets = np.cumsum([0] + [len(live[key][0]) for key in keys])
 
-        # Phase 2 — fold the chain front-to-back into "live" record
-        # locations: identity -> (reader pid, record index).  Removal
-        # lists drop earlier entries; later upserts shadow earlier ones.
-        # This is pure control-plane metadata (ids, not payloads).
-        live: Dict[str, Dict[Any, Tuple[int, int]]] = {
-            "v": {}, "e": {}, "t": {}, "f": {},
-        }
-        field_names: Dict[Tuple[int, str], str] = {}
-        for seq, (einfo, manifest) in enumerate(chain):
-            for meta in manifest.get("fields", []):
-                field_names[(seq, meta["section"])] = meta["name"]
-            removed = manifest.get("removed", {})
-            for gid in removed.get("verts", ()):
-                live["v"].pop(int(gid), None)
-            for gid in removed.get("elems", ()):
-                live["e"].pop(int(gid), None)
-            for name, dim, key in removed.get("tags", ()):
-                live["t"].pop(
-                    (name, int(dim), tuple(int(g) for g in key)), None
-                )
-            for name, keys in removed.get("fields", {}).items():
-                for key in keys:
-                    live["f"].pop(
-                        (name, tuple(int(g) for g in key)), None
-                    )
-            # A delta's field meta is authoritative: dropped fields lose
-            # every record, whatever epoch it came from.
-            if manifest["kind"] == "delta":
-                alive = {
-                    meta["name"] for meta in manifest.get("fields", [])
-                }
-                for fkey in [k for k in live["f"] if k[0] not in alive]:
-                    del live["f"][fkey]
-            for section, ci, entry in epoch_sections(manifest):
-                rpid, start, count = chunk_at[(seq, section, ci)]
-                records = reader_records[rpid]
-                for index in range(start, start + count):
-                    rec = records[index]
-                    loc = (rpid, index)
-                    if section == "verts":
-                        live["v"][int(rec[0])] = loc
-                    elif section == "elems":
-                        live["e"][int(rec[0])] = loc
-                    elif section == "tags":
-                        live["t"][
-                            (rec[0], int(rec[1]),
-                             tuple(int(g) for g in rec[2]))
-                        ] = loc
-                    else:
-                        name = field_names[(seq, section)]
-                        live["f"][
-                            (name, tuple(int(g) for g in rec[0]))
-                        ] = loc
-
-        # Phase 3 — target assignment.  Elements: the saved partition when
-        # loading at the saved part count from an epoch that has an owner
-        # column, else contiguous sorted-gid blocks (element j of M -> part
-        # j*P//M).  Vertices follow the elements referencing them;
-        # tag/field records go to every part holding all their key
-        # vertices — the intersection of those vertices' targets
-        # (supersets cost a few duplicate deliveries, dropped at apply time
-        # by the key index).
-        ordered = sorted(live["e"])
-        total = len(ordered)
-        elem_target = {
-            egid: j * nparts // total for j, egid in enumerate(ordered)
-        }
+        # Phase 3 — targets.  Elements: the saved partition when loading
+        # at the saved part count from an epoch with an owner column, else
+        # contiguous sorted-gid blocks (element j of M -> part j*P//M).
+        # Vertices follow their elements; a tag/field row goes to every
+        # part that receives all its key vertices (supersets cost a few
+        # duplicate deliveries, dropped by the key join).
+        elems = live["elems"][0]
+        total = len(elems)
+        target = np.arange(total, dtype=np.int64) * nparts // max(total, 1)
         if nparts == int(top_manifest.get("nparts", 1)):
             owner, nbytes = load_owner(chain[-1][0].path, top_manifest, total)
             counters.add("store.bytes.read", nbytes)
             if owner is not None:
-                elem_target = dict(zip(ordered, owner.tolist()))
-        vert_targets: Dict[int, set] = {}
-        for egid, (rpid, index) in live["e"].items():
-            pid = elem_target[egid]
-            for vgid in reader_records[rpid][index][1]:
-                vert_targets.setdefault(int(vgid), set()).add(pid)
-        nowhere: set = set()
+                target = owner.astype(np.int64)
+        vgids, slot = np.unique(elems["verts"], return_inverse=True)
+        receives = np.zeros((len(vgids) + 1, nparts), dtype=bool)
+        width = elems["verts"].shape[1]
+        receives[slot.reshape(-1), np.repeat(target, width)] = True
+        vgids = np.append(vgids, np.iinfo(np.int64).max)
 
-        def holders(key: Tuple[int, ...]) -> set:
-            return set.intersection(
-                *(vert_targets.get(g, nowhere) for g in key)
-            )
+        def leaves(key: Any, rows: Any) -> Tuple[np.ndarray, np.ndarray]:
+            """``(live row, part)`` per leaf of one section."""
+            if key == "elems":
+                return np.arange(total), target
+            if key == "verts":
+                gids = rows["gid"][:, None]
+            elif key == "tags":
+                gids = np.asarray(
+                    [_padded(record[2], VERT_WIDTH[3]) for record in rows],
+                    dtype=np.int64,
+                ).reshape(-1, VERT_WIDTH[3])
+            else:
+                gids = rows["key"]
+            at = np.searchsorted(vgids, gids)
+            at[vgids[at] != gids] = len(vgids) - 1  # received nowhere
+            return np.nonzero((receives[at] | (gids < 0)[..., None]).all(axis=1))
 
-        # Every part's wanted records as (identity, reader, index).  The
-        # identities sort ("e", ...) < ("f", ...) < ("t", ...) < ("v", ...);
-        # a part's leaf handles are ordinals in that order, so each pair's
-        # records travel in identity order.
-        wanted: List[List[Tuple[Any, int, int]]] = [[] for _ in range(nparts)]
-        for egid, (rpid, index) in live["e"].items():
-            wanted[elem_target[egid]].append((("e", egid), rpid, index))
-        for vgid, (rpid, index) in live["v"].items():
-            for pid in vert_targets.get(vgid, ()):
-                wanted[pid].append((("v", vgid), rpid, index))
-        for (name, dim, key), (rpid, index) in live["t"].items():
-            for pid in holders(key):
-                wanted[pid].append((("t", name, dim, key), rpid, index))
-        for (name, key), (rpid, index) in live["f"].items():
-            for pid in holders(key):
-                wanted[pid].append((("f", name, key), rpid, index))
-        pairs: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
-        for pid, rows in enumerate(wanted):
-            rows.sort(key=lambda row: row[0])
-            for ordinal, (_identity, rpid, index) in enumerate(rows):
-                roots, leaves = pairs.setdefault((rpid, pid), ([], []))
-                roots.append(index)
-                leaves.append(ordinal)
-        forest = StarForest.from_columns(dmesh, pairs, name="store.load")
+        hits = [leaves(key, live[key][0]) for key in keys]
+        root = np.concatenate(
+            [offsets[k] + rows for k, (rows, _pids) in enumerate(hits)]
+        )
+        pid = np.concatenate([pids for _rows, pids in hits]).astype(np.int64)
+        reader = np.concatenate(
+            [live[key][1][rows] for key, (rows, _pids) in zip(keys, hits)]
+        ).astype(np.int64)
+        # A leaf's handle is its root's too (a row reaches a part at most
+        # once), so each pair's rows travel in identity order.
+        pair = reader * nparts + pid
+        grouped = np.argsort(pair, kind="stable")
+        forest = StarForest.from_columns(dmesh, {
+            divmod(int(pair[idx[0]]), nparts): (root[idx], root[idx])
+            for idx in np.split(
+                grouped, np.flatnonzero(np.diff(pair[grouped])) + 1
+            ) if len(idx)
+        }, name="store.load")
 
-        # Phase 4 — one bcast redistributes every record: each reader
-        # ships the records a part wants out of its decoded chunks.
-        staged: List[Dict[str, Any]] = [
-            {"e": {}, "v": {}, "t": [], "f": {}} for _ in range(nparts)
+        # Phase 4 — one bcast: a reader ships a part, per section, the rows
+        # it holds that the part wants.
+        dtypes = [live[key][0].dtype for key in keys]
+        staged = [
+            [[np.empty(0, dtype)] for dtype in dtypes] for _ in range(nparts)
         ]
 
-        def send(rpid: int, _lpid: int, indices: np.ndarray) -> List[Any]:
-            records = reader_records[rpid]
-            return [records[index] for index in indices.tolist()]
+        def send(_rpid: int, _lpid: int, handles: np.ndarray) -> List[Any]:
+            at = np.searchsorted(offsets, handles, side="right") - 1
+            return [live[key][0][handles[at == k] - offsets[k]]
+                    for k, key in enumerate(keys)]
 
         def land(lpid: int, _rpid: int, batch: Tuple[Any, List[Any]]) -> None:
-            st, rows = staged[lpid], wanted[lpid]
-            ordinals, recs = batch
-            for ordinal, rec in zip(ordinals.tolist(), recs):
-                lh = rows[ordinal][0]
-                if lh[0] == "e":
-                    st["e"][lh[1]] = tuple(int(v) for v in rec[1])
-                elif lh[0] == "v":
-                    st["v"][lh[1]] = (
-                        tuple(float(c) for c in rec[1]),
-                        (int(rec[2]), int(rec[3])),
-                    )
-                elif lh[0] == "t":
-                    st["t"].append((lh[1], lh[2], lh[3], rec[3]))
-                else:
-                    st["f"].setdefault(lh[1], {})[lh[2]] = np.asarray(rec[1])
+            for held, rows in zip(staged[lpid], batch[1]):
+                held.append(rows)
 
-        forest.bcast(batch_data=send, batch_set=land)
+        forest.bcast(batch_data=send, batch_set=land, datatype=_Rows(dtypes))
         counters.add("store.records.loaded", forest.nleaves)
 
-        # Phase 5 — build each part's serial mesh from its staged block,
-        # then re-derive intermediate gids and rebuild remote-copy links
-        # (the migration rendezvous).
-        dim = int(top_manifest["element_dim"])
+        # Phase 5 — build each part's serial mesh from its rows in
+        # sorted-gid order, then re-derive intermediate gids and rebuild
+        # remote-copy links (the migration rendezvous).
+        received = [{
+            key: rows[np.argsort(_ident(rows), kind="stable")]
+            for key, rows in zip(keys, map(np.concatenate, sections))
+        } for sections in staged]
+        dim, etype = int(top_manifest["element_dim"]), int(top_manifest["etype"])
         dmesh._gid_next = [int(g) for g in top_manifest["gid_next"]]
         model = dmesh.model
-        for pid in range(nparts):
-            st = staged[pid]
-            block = sorted(st["e"])
-            if not block:
+        for part, got in zip(dmesh, received):
+            block, verts = got["elems"], got["verts"]
+            if not len(block):
                 continue
-            if etype < 0:
+            vgid_list = first_occurrence_unique(block["verts"].ravel())
+            if etype < 0 or not np.isin(vgid_list, verts["gid"]).all():
                 raise CorruptSnapshotError(
-                    f"{self.root}: elements present but no element type "
-                    "recorded"
+                    f"{self.root}: elements without a type or vertex rows"
                 )
-            local_of: Dict[int, int] = {}
-            conn_rows: List[List[int]] = []
-            for egid in block:
-                row = []
-                for vgid in st["e"][egid]:
-                    local = local_of.get(vgid)
-                    if local is None:
-                        local = local_of[vgid] = len(local_of)
-                    row.append(local)
-                conn_rows.append(row)
-            vgid_list = list(local_of)
-            coords = np.asarray([st["v"][g][0] for g in vgid_list])
-            mesh = from_connectivity(
-                coords, np.asarray(conn_rows, dtype=np.int64), etype
-            )
+            at = np.searchsorted(verts["gid"], vgid_list)
+            order = np.argsort(vgid_list)
+            conn = order[np.searchsorted(vgid_list, block["verts"], sorter=order)]
+            mesh = from_connectivity(verts["xyz"][at], conn, etype)
             mesh.model = model
-            part = dmesh.part(pid)
             part.mesh = mesh
-            for local, vgid in enumerate(vgid_list):
-                part.set_gid(Ent(0, local), vgid)
-            for local, egid in enumerate(block):
-                part.set_gid(Ent(dim, local), egid)
+            part.set_gids(0, np.arange(len(vgid_list)), vgid_list)
+            part.set_gids(dim, np.arange(len(block)), block["gid"])
             if model is not None:
                 mesh.core.gclass[0][: len(vgid_list)] = mesh.class_codes(
-                    [st["v"][g][1] for g in vgid_list]
+                    verts["class"][at]
                 )
                 mesh.classify_closure(dim, mesh.entity_ids(dim))
         _restore_intermediate_gids(dmesh)
         rebuild_links(dmesh)
 
-        # Tags and fields re-attach by entity identity.
-        tag_dims = sorted(
-            {dim_ for st in staged for _n, dim_, _k, _v in st["t"]}
-        )
-        field_metas = top_manifest.get("fields", [])
-        field_dims = sorted(
-            {int(meta["entity_dim"]) for meta in field_metas}
-        )
-        fields: Dict[str, DistributedField] = {}
-        for meta in field_metas:
-            fields[meta["name"]] = DistributedField(
-                dmesh,
-                meta["name"],
-                int(meta["entity_dim"]),
-                tuple(int(s) for s in meta.get("shape", [1])),
-            )
-        for pid in range(nparts):
-            part = dmesh.part(pid)
-            st = staged[pid]
-            index = _key_index(
-                part, sorted(set(tag_dims) | set(field_dims))
-            )
-            for name, dim_, key, value in sorted(
-                st["t"], key=lambda item: (item[0], item[1], item[2])
-            ):
-                ent = index.get((dim_, key))
+        # Tags and fields re-attach by entity identity: tags one by one,
+        # fields by a sorted join of their keys and the part's entity keys.
+        fields = {
+            name: DistributedField(dmesh, name, d, shape)
+            for name, (d, shape) in _field_meta(top_manifest).items()
+        }
+        for part, got in zip(dmesh, received):
+            for name, d, key, value in got["tags"]:
+                corners = [part.by_gid(0, g) for g in key]
+                if None in corners or (d == 0 and len(corners) != 1):
+                    continue
+                ent = part.mesh.find(d, corners) if d else corners[0]
                 if ent is not None:
                     part.mesh.tags.create(name)[ent] = value
-            for meta in field_metas:
-                bucket = st["f"].get(meta["name"], {})
-                local = fields[meta["name"]].on(pid)
-                entity_dim = int(meta["entity_dim"])
-                for key, value in sorted(
-                    bucket.items(), key=lambda kv: kv[0]
-                ):
-                    ent = index.get((entity_dim, key))
-                    if ent is not None:
-                        local.set(ent, value)
+            for name, dfield in fields.items():
+                rows, local = got[("field", name)], dfield.on(part.pid)
+                ids = part.mesh.entity_ids(dfield.entity_dim)
+                have = _ident(part.entity_keys(dfield.entity_dim, ids))
+                want = _ident(rows)
+                order = np.argsort(have, kind="stable")
+                at = order[np.minimum(
+                    np.searchsorted(have, want, sorter=order), len(ids) - 1
+                )]
+                hit = have[at] == want
+                local.set_many(
+                    ids[at[hit]], rows["value"][hit].reshape(-1, local.ncomp)
+                )
         return fields
+
+
+def _field_meta(manifest: Dict[str, Any]) -> Dict[str, Tuple[int, Tuple]]:
+    """One manifest's fields as name -> (entity dim, shape)."""
+    return {
+        meta["name"]: (int(meta["entity_dim"]),
+                       tuple(int(s) for s in meta.get("shape", [1])))
+        for meta in manifest.get("fields", [])
+    }
+
+
+class _Rows(SFDatatype):
+    """A load batch: per section, its rows as narrowed columns (tags: the
+    records), in one codec frame."""
+
+    name = "store.rows"
+
+    def __init__(self, dtypes: List[np.dtype]) -> None:
+        self.dtypes = dtypes
+
+    def encode(self, handles: Any, batch: Any) -> bytes:
+        return codec.dumps([
+            list(rows) if dtype == object else _columns(rows)
+            for rows, dtype in zip(batch, self.dtypes)
+        ])
+
+    def decode(self, blob: Any, handles: Any) -> Tuple[Any, List[Any]]:
+        sections = [
+            _records(payload) if dtype == object else _rows_of_columns(
+                payload, dtype, len(next(iter(payload.values())))
+            )
+            for payload, dtype in zip(codec.loads(blob), self.dtypes)
+        ]
+        if sum(map(len, sections)) != len(handles):
+            raise codec.CodecError(f"a store batch of {len(handles)} rows "
+                                   f"carries {sum(map(len, sections))}")
+        return handles, sections

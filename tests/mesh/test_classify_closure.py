@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import adapt, swap_pass
+from repro.adapt.coarsen import coarsen_pass, collapse_edge
 from repro.field import UniformSize
 from repro.gmodel import box_model, classify_from_closure
 from repro.gmodel.cylinder import cylinder_model
@@ -134,16 +135,33 @@ def test_classification_survives_adaptation(kind):
     assert stats.splits > 0
     verify(mesh)
     assert_closure_rule(mesh)
-    if kind == "cylinder":
-        # Its refinement already collapses edges.  A hard coarsening would
-        # slide disk-centre vertices onto the rim, which
-        # ``can_collapse_classification`` allows, and leave rim-only faces
-        # that no closure rule can classify.
-        assert stats.collapses > 0
-        return
+    # A hard coarsening.  On the cylinder it tries to slide disk-centre
+    # vertices onto the rim, which ``can_collapse_classification`` allows;
+    # the collapse must be rejected before it leaves rim-only faces that no
+    # closure rule can classify.
     stats = adapt(mesh, UniformSize(4 * h), max_passes=1)
     assert stats.collapses > 0
+    verify(mesh)
     assert_closure_rule(mesh)
+
+
+def test_unclassifiable_collapse_is_rejected_whole():
+    """Sliding the bottom-centre vertex onto a rim vertex would put the
+    rebuilt faces on the rim edge: the collapse is refused, mesh intact."""
+    mesh = cylinder_tets()
+    centre, rim = Ent(0, 0), Ent(0, 1)
+    assert mesh.classification(centre).dim == 2
+    assert mesh.classification(rim).dim == 0
+    edge = mesh.find(1, [centre, rim])
+    before = mesh.entity_counts()
+    assert not collapse_edge(mesh, edge, keep=rim)
+    assert mesh.entity_counts() == before
+    verify(mesh)
+    assert_closure_rule(mesh)
+    coarsened = cylinder_tets()
+    assert coarsen_pass(coarsened, UniformSize(1.5), ratio=0.9) > 0
+    verify(coarsened)
+    assert_closure_rule(coarsened)
 
 
 def test_classification_survives_swaps():

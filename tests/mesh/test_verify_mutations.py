@@ -103,6 +103,18 @@ def test_detects_duplicate_free_list_entry(mesh):
         verify(mesh)
 
 
+def test_detects_out_of_range_free_list_entry(mesh):
+    core = mesh.core
+    top = core.top[1]
+    core.free[1].append(top + 2)
+    core.free[1].append(-1)
+    with pytest.raises(MeshInvalidError) as excinfo:
+        verify(mesh)
+    message = str(excinfo.value)
+    assert f"M1_{top + 2}: free-list entry out of range (top={top})" in message
+    assert f"M1_-1: free-list entry out of range (top={top})" in message
+
+
 def test_error_message_names_every_entity(mesh):
     # Multiple corruptions: the report lists each by name, capped.
     core = mesh.core

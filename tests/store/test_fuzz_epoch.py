@@ -1,4 +1,4 @@
-"""Seeded truncate / bit-flip fuzz over every file of a ``repro.store/1`` chain.
+"""Seeded truncate / bit-flip fuzz over every file of a ``repro.store/2`` chain.
 
 In the style of ``tests/parallel/test_fuzz_codec.py``, one level up: the
 unit of damage is a file of an epoch directory — a chunk, the owner column
@@ -75,16 +75,17 @@ def read_load_at(store):
     )
 
 
+def columns(rows):
+    return {name: rows[name].tolist() for name in rows.dtype.names}
+
+
 def read_materialize(store):
     state = store.materialize(TIP)
     return (
-        state.verts,
-        state.elems,
+        columns(state.verts),
+        columns(state.elems),
         sorted(state.tags.items()),
-        {
-            name: sorted((k, v.tolist()) for k, v in bucket.items())
-            for name, bucket in sorted(state.fields.items())
-        },
+        {name: columns(rows) for name, rows in sorted(state.fields.items())},
         state.gid_next,
         state.owner.tolist(),
     )

@@ -480,7 +480,7 @@ def test_store_subpackage_all():
         "uninstall_cache",
     ):
         assert name in store.__all__, name
-    assert store.FORMAT == "repro.store/1"
+    assert store.FORMAT == "repro.store/2"
 
 
 def test_svc_subpackage_all():
