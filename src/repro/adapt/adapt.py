@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..field.sizefield import SizeField, edge_size_ratio
+from ..field.sizefield import SizeField, edge_size_ratios
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 from .coarsen import coarsen_pass
@@ -115,20 +115,13 @@ def adapt(
 
 def conformity(mesh: Mesh, size: SizeField) -> Dict[str, float]:
     """How well edge lengths match the size field: fraction in-band, extremes."""
-    total = 0
-    in_band = 0
-    worst_long = 0.0
-    worst_short = float("inf")
-    for edge in mesh.entities(1):
-        r = edge_size_ratio(mesh, size, edge)
-        total += 1
-        if 0.45 <= r <= 1.5:
-            in_band += 1
-        worst_long = max(worst_long, r)
-        worst_short = min(worst_short, r)
+    r = edge_size_ratios(mesh, size, mesh.entity_ids(1))
+    total = len(r)
     return {
         "edges": float(total),
-        "in_band_fraction": in_band / total if total else 1.0,
-        "max_ratio": worst_long,
-        "min_ratio": worst_short if total else 0.0,
+        "in_band_fraction": (
+            float(((0.45 <= r) & (r <= 1.5)).sum()) / total if total else 1.0
+        ),
+        "max_ratio": float(r.max(initial=0.0)),
+        "min_ratio": float(r.min()) if total else 0.0,
     }

@@ -166,14 +166,14 @@ def coarsen_pass(
 
     Shortest-relative-to-target first; returns collapses performed.
     """
-    from ..field.sizefield import edge_size_ratio
+    from ..field.sizefield import edge_size_ratio, edge_size_ratios
 
-    under = []
-    for edge in mesh.entities(1):
-        r = edge_size_ratio(mesh, size, edge)
-        if r < ratio:
-            under.append((r, edge))
-    under.sort(key=lambda item: (item[0], item[1]))
+    edges = mesh.entity_ids(1)
+    ratios = edge_size_ratios(mesh, size, edges)
+    under = sorted(
+        (r, Ent(1, idx))
+        for r, idx in zip(ratios.tolist(), edges.tolist()) if r < ratio
+    )
 
     collapses = 0
     for _r, edge in under:

@@ -13,20 +13,15 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.predictive import predicted_element_weight
+from ..core.predictive import predicted_weights
 from ..field.sizefield import SizeField
+from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 
 
 def estimate_element_count(mesh: Mesh, size: SizeField) -> float:
     """Expected number of elements after adapting ``mesh`` to ``size``."""
-    dim = mesh.dim()
-    return float(
-        sum(
-            predicted_element_weight(mesh, e, size)
-            for e in mesh.entities(dim)
-        )
-    )
+    return float(predicted_weights(mesh, size).sum())
 
 
 def estimate_counts_by_label(
@@ -38,11 +33,10 @@ def estimate_counts_by_label(
         raise KeyError(f"no ancestry tag {tag_name!r}")
     dim = mesh.dim()
     estimates: Dict[Any, float] = {}
-    for element in mesh.entities(dim):
-        label = tag.get(element)
-        estimates[label] = estimates.get(label, 0.0) + predicted_element_weight(
-            mesh, element, size
-        )
+    weights = predicted_weights(mesh, size)
+    for idx, weight in zip(mesh.entity_ids(dim).tolist(), weights.tolist()):
+        label = tag.get(Ent(dim, idx))
+        estimates[label] = estimates.get(label, 0.0) + weight
     return estimates
 
 

@@ -10,7 +10,7 @@ feature and coarse along it.
 :class:`MetricField` plugs into the existing isotropic machinery through a
 small trick: the adaptation driver refines edges with
 ``length / edge_target > ratio``, and an edge's length *in the metric* is
-``sqrt(e^T M e)``; setting ``edge_target = physical_length / metric_length``
+``sqrt(e^T M e)``; setting ``edge_targets = physical_length / metric_length``
 makes the existing ratio exactly the metric length, so refinement and
 coarsening become metric-driven with no driver changes.
 
@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 from .sizefield import SizeField
 
@@ -42,7 +41,7 @@ class MetricField(SizeField):
         Sampling both endpoints as well as the midpoint keeps steep metric
         gradients (a boundary layer thinner than the edge) from being
         aliased away, the same reason the isotropic
-        :meth:`SizeField.edge_target` samples the midpoint.
+        :meth:`SizeField.edge_targets` samples the midpoint.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -60,24 +59,24 @@ class MetricField(SizeField):
 
     # -- SizeField protocol ---------------------------------------------
 
-    def value(self, x: Sequence[float]) -> float:
+    def values(self, X: np.ndarray) -> np.ndarray:
         """Isotropic fallback: the size along the metric's stiffest axis."""
-        m = self.matrix(x)
-        eigmax = float(np.linalg.eigvalsh(m)[-1])
-        if eigmax <= 0:
+        eigmax = np.asarray(
+            [float(np.linalg.eigvalsh(self.matrix(x))[-1]) for x in X]
+        )
+        if (eigmax <= 0).any():
             raise ValueError("metric has no positive eigenvalue")
         return 1.0 / np.sqrt(eigmax)
 
-    def edge_target(self, mesh: Mesh, edge: Ent) -> float:
-        """Target making ``length / target`` equal the metric length."""
-        a, b = mesh.verts_of(edge)
-        pa = mesh.coords(a)
-        pb = mesh.coords(b)
-        length = float(np.linalg.norm(pb - pa))
-        metric = self.metric_length(pa, pb)
-        if metric <= 1e-300:
-            return float("inf")  # zero metric length: never refine
-        return length / metric
+    def edge_targets(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Targets making ``length / target`` equal the metric length."""
+        targets = np.empty(len(A))
+        for k, (pa, pb) in enumerate(zip(A, B)):
+            length = float(np.linalg.norm(pb - pa))
+            metric = self.metric_length(pa, pb)
+            # Zero metric length: never refine.
+            targets[k] = length / metric if metric > 1e-300 else float("inf")
+        return targets
 
 
 class AnalyticMetric(MetricField):

@@ -13,14 +13,16 @@ scenarios:
   tracking scenario of Fig. 8),
 * :class:`AnalyticSize` — any callable h(x).
 
-Also here: :func:`edge_size_ratio` (how far each edge is from its target)
-and :func:`current_vertex_sizes` (the mesh's existing resolution, the
-starting point for predictive load-balance estimates).
+Every field evaluates a block of points at once (:meth:`SizeField.values`);
+the one-point :meth:`SizeField.value` is its one-row call.  Also here:
+:func:`edge_size_ratios` (how far each edge of a block is from its target;
+:func:`edge_size_ratio` is its one-edge call) and
+:func:`current_vertex_sizes` (the mesh's existing resolution, the starting
+point for predictive load-balance estimates).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -30,27 +32,35 @@ from ..mesh.mesh import Mesh
 
 
 class SizeField:
-    """Base class: subclasses implement ``value(x) -> float``."""
+    """Base class: subclasses implement ``values(X) -> (n,) sizes``."""
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Prescribed sizes at the points ``X`` (one row each)."""
+        raise NotImplementedError
 
     def value(self, x: Sequence[float]) -> float:
-        raise NotImplementedError
+        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
     def at_vertex(self, mesh: Mesh, v: Ent) -> float:
         return self.value(mesh.coords(v))
 
-    def edge_target(self, mesh: Mesh, edge: Ent) -> float:
-        """Prescribed size for an edge.
+    def edge_targets(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Prescribed sizes of the segments ``A[k]``–``B[k]``.
 
         The minimum of the sizes at both endpoints and the midpoint —
         sampling the midpoint keeps refinement from aliasing past bands
         narrower than the current edge length (a shock thinner than h).
         """
+        return np.minimum(
+            np.minimum(self.values(A), self.values(B)),
+            self.values(0.5 * (A + B)),
+        )
+
+    def edge_target(self, mesh: Mesh, edge: Ent) -> float:
+        """Prescribed size for one edge (see :meth:`edge_targets`)."""
         a, b = mesh.verts_of(edge)
-        mid = 0.5 * (mesh.coords(a) + mesh.coords(b))
-        return min(
-            self.at_vertex(mesh, a),
-            self.at_vertex(mesh, b),
-            self.value(mid),
+        return float(
+            self.edge_targets(mesh.coords(a)[None], mesh.coords(b)[None])[0]
         )
 
 
@@ -62,8 +72,8 @@ class UniformSize(SizeField):
             raise ValueError(f"size must be positive, got {h}")
         self.h = float(h)
 
-    def value(self, x: Sequence[float]) -> float:
-        return self.h
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.full(len(X), self.h)
 
 
 class AnalyticSize(SizeField):
@@ -72,10 +82,14 @@ class AnalyticSize(SizeField):
     def __init__(self, fn: Callable[[np.ndarray], float]) -> None:
         self.fn = fn
 
-    def value(self, x: Sequence[float]) -> float:
-        h = float(self.fn(np.asarray(x, dtype=float)))
-        if h <= 0:
-            raise ValueError(f"size field returned non-positive size {h}")
+    def values(self, X: np.ndarray) -> np.ndarray:
+        h = np.asarray(
+            [float(self.fn(x)) for x in np.asarray(X, dtype=float)], dtype=float
+        )
+        if (h <= 0).any():
+            raise ValueError(
+                f"size field returned non-positive size {h[h <= 0][0]}"
+            )
         return h
 
 
@@ -109,11 +123,11 @@ class ShockPlaneSize(SizeField):
         self.h_coarse = float(h_coarse)
         self.width = float(width)
 
-    def value(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        n = min(len(self.normal), x.shape[0])
-        d = float(self.normal[:n] @ x[:n]) - self.offset
-        blend = 1.0 - math.exp(-((d / self.width) ** 2))
+    def values(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        n = min(len(self.normal), X.shape[1])
+        d = X[:, :n] @ self.normal[:n] - self.offset
+        blend = 1.0 - np.exp(-((d / self.width) ** 2))
         return self.h_fine + (self.h_coarse - self.h_fine) * blend
 
 
@@ -136,14 +150,13 @@ class SphereSize(SizeField):
         self.h_fine = float(h_fine)
         self.h_coarse = float(h_coarse)
 
-    def value(self, x: Sequence[float]) -> float:
-        x = np.asarray(x, dtype=float)
-        n = min(len(self.center), x.shape[0])
-        d = float(np.linalg.norm(x[:n] - self.center[:n]))
-        if d <= self.radius:
-            return self.h_fine
-        # Smooth growth back to coarse over one radius.
-        t = min((d - self.radius) / self.radius, 1.0)
+    def values(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        n = min(len(self.center), X.shape[1])
+        d = np.linalg.norm(X[:, :n] - self.center[:n], axis=1)
+        # Fine inside the sphere, smooth growth back to coarse over one
+        # radius outside it.
+        t = np.clip((d - self.radius) / self.radius, 0.0, 1.0)
         return self.h_fine + (self.h_coarse - self.h_fine) * t
 
     def moved_to(self, center: Sequence[float]) -> "SphereSize":
@@ -159,18 +172,29 @@ class MinSize(SizeField):
             raise ValueError("need at least one size field")
         self.fields = list(fields)
 
-    def value(self, x: Sequence[float]) -> float:
-        return min(f.value(x) for f in self.fields)
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce([f.values(X) for f in self.fields])
+
+
+def edge_size_ratios(mesh: Mesh, size: SizeField, ids) -> np.ndarray:
+    """Current length of each edge ``ids`` divided by its prescribed size.
+
+    > 1 means too long (refine); << 1 means too short (coarsen candidate).
+    One evaluation of the size field per block.
+    """
+    ends = mesh.core.verts[1][np.asarray(ids, dtype=np.int64), :2]
+    coords = mesh.coords_view()
+    A, B = coords[ends[:, 0]], coords[ends[:, 1]]
+    d = A - B
+    length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    return length / size.edge_targets(A, B)
 
 
 def edge_size_ratio(mesh: Mesh, size: SizeField, edge: Ent) -> float:
-    """Current length of ``edge`` divided by its prescribed size.
-
-    > 1 means too long (refine); << 1 means too short (coarsen candidate).
-    """
-    a, b = mesh.verts_of(edge)
-    length = float(np.linalg.norm(mesh.coords(a) - mesh.coords(b)))
-    return length / size.edge_target(mesh, edge)
+    """The ratio of one live edge (see :func:`edge_size_ratios`)."""
+    if edge.dim != 1 or not mesh.has(edge):
+        raise KeyError(f"{edge} is not a live edge")
+    return float(edge_size_ratios(mesh, size, [edge.idx])[0])
 
 
 def current_vertex_sizes(mesh: Mesh) -> Dict[Ent, float]:

@@ -6,13 +6,18 @@ Section II-C) — the mesh must remain conforming *across* part boundaries
 while every part modifies its piece.  This module provides the two
 bulk-synchronous operations the adaptive workflows need:
 
-* :func:`refine_distributed` — size-field refinement where part-boundary
-  edges are split *coordinately*: the owning part decides the split,
-  allocates the new vertex's global id, and instructs every residence part
-  to perform the identical local split at the identical (snapped) location.
-  Because every holder splits the same edge at the same point with the same
-  vertex gid, the copies stay conforming, and the remote-link rebuild keyed
-  on vertex gids re-discovers the new boundary entities.
+* :func:`refine_distributed` — size-field refinement on the one batched
+  split kernel (:func:`repro.adapt.refine.split_edges`).  Each part splits
+  its over-long interior edges in one call; then the owner of every
+  over-long *shared* edge decides its split, allocates the new vertex's
+  global id and posts one array payload per residence part (edges, size
+  ratios, snapped points, vertex gids), and every holder splits its
+  commanded edges in one call.  Both phases order edges by the same
+  handle-free key (:func:`repro.adapt.refine.split_order`: size ratio,
+  then midpoint), so the holders of a shared face split its edges in the
+  same order and triangulate it identically — the copies stay conforming,
+  and the remote-link rebuild keyed on vertex gids re-discovers the new
+  boundary entities.
 * :func:`coarsen_distributed` — edge collapse restricted to edges whose
   *removed* vertex is part-interior (an interior vertex exists on exactly
   one part, so the collapse is purely local and cannot desynchronize the
@@ -26,11 +31,13 @@ ghosting keep working on the adapted distributed mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from ..adapt.coarsen import collapse_edge
-from ..adapt.refine import split_edge
-from ..field.sizefield import SizeField, edge_size_ratio
+from ..adapt.refine import split_edges, split_order, split_points
+from ..field.sizefield import SizeField, edge_size_ratio, edge_size_ratios
 from ..mesh.entity import Ent
 from .dmesh import DistributedMesh
 from .migration import rebuild_links
@@ -65,24 +72,25 @@ class DistributedAdaptStats:
 def _fresh_element_gids(dmesh: DistributedMesh, part: Part) -> None:
     """Assign gids to any elements that lack one (children of splits)."""
     dim = dmesh.element_dim()
-    for element in part.mesh.entities(dim):
-        if not part.has_gid(element):
-            part.set_gid(element, dmesh.alloc_gid(dim))
+    ids = part.mesh.entity_ids(dim)
+    missing = ids[part.gids_of(dim, ids) < 0]
+    part.set_gids(dim, missing, dmesh.alloc_gids(dim, len(missing)))
 
 
-def _split_local(
-    dmesh: DistributedMesh,
-    part: Part,
-    edge: Ent,
-    point=None,
-    vertex_gid: Optional[int] = None,
-) -> Ent:
-    """Split one edge on one part, maintaining gid bookkeeping."""
-    mid = split_edge(part.mesh, edge, point=point, snap=(point is None))
-    part.set_gid(
-        mid, vertex_gid if vertex_gid is not None else dmesh.alloc_gid(0)
+def _split(
+    dmesh: DistributedMesh, part: Part, edges, ratios, points=None, gids=None
+) -> int:
+    """Split ``edges`` on one part in split-key order; the new vertices
+    take ``gids`` (aligned with ``edges``), or fresh ones."""
+    order = split_order(part.mesh, edges, ratios)
+    mids = split_edges(
+        part.mesh, edges[order],
+        points=None if points is None else points[order],
     )
-    return mid
+    part.set_gids(
+        0, mids, dmesh.alloc_gids(0, len(mids)) if gids is None else gids[order]
+    )
+    return len(mids)
 
 
 def refine_distributed(
@@ -94,10 +102,10 @@ def refine_distributed(
     """Refine the distributed mesh until every edge fits the size field.
 
     Each pass: (1) every part splits its over-long *interior* edges
-    locally; (2) owners of over-long *shared* edges broadcast split
-    commands (midpoint, new vertex gid, classification is implied by the
-    edge's own); (3) every residence part executes its commanded splits;
-    (4) remote links are rebuilt.  Ghosts must be deleted first.
+    locally; (2) owners of over-long *shared* edges post split commands
+    (edge, size ratio, snapped point, new vertex gid) to every copy;
+    (3) every residence part splits its commanded edges; (4) remote links
+    are rebuilt.  Ghosts must be deleted first.
     """
     for part in dmesh:
         if part.has_ghosts():
@@ -110,72 +118,48 @@ def refine_distributed(
     for _pass in range(max_passes):
         splits_this_pass = 0
 
-        # Phase 1: interior edges, purely local (longest first).
+        # Phase 1: interior edges, purely local.
         for part in dmesh:
-            mesh = part.mesh
-            over = []
-            for edge in mesh.entities(1):
-                if part.is_shared(edge):
-                    continue
-                r = edge_size_ratio(mesh, size, edge)
-                if r > ratio:
-                    over.append((r, edge))
-            over.sort(key=lambda item: (-item[0], item[1]))
-            for _r, edge in over:
-                if not mesh.has(edge) or part.is_shared(edge):
-                    continue
-                if edge_size_ratio(mesh, size, edge) <= ratio:
-                    continue
-                _split_local(dmesh, part, edge)
-                splits_this_pass += 1
-                stats.interior_splits += 1
+            edges = np.setdiff1d(part.mesh.entity_ids(1), part.links(1)[0])
+            ratios = edge_size_ratios(part.mesh, size, edges)
+            over = ratios > ratio
+            split = _split(dmesh, part, edges[over], ratios[over])
+            splits_this_pass += split
+            stats.interior_splits += split
 
-        # Phase 2: owners decide shared-edge splits and command all copies.
+        # Phase 2: owners decide shared-edge splits and command all copies,
+        # one array payload per destination.
         router = dmesh.router()
-        commands: Dict[int, List[Tuple[Ent, Tuple[float, ...], int]]] = {}
+        commands = []
         for part in dmesh:
-            mesh = part.mesh
-            for edge in part.shared_entities(1):
-                if not part.owns(edge):
-                    continue
-                if edge_size_ratio(mesh, size, edge) <= ratio:
-                    continue
-                a, b = mesh.verts_of(edge)
-                midpoint = 0.5 * (mesh.coords(a) + mesh.coords(b))
-                gclass = mesh.classification(edge)
-                if gclass is not None and mesh.model is not None:
-                    from ..gmodel.snap import snap_to_entity
-
-                    midpoint = snap_to_entity(mesh.model, gclass, midpoint)
-                vertex_gid = dmesh.alloc_gid(0)
-                point = tuple(midpoint)
-                commands.setdefault(part.pid, []).append(
-                    (edge, point, vertex_gid)
+            ids, pids, rids = part.links(1)
+            # The owner is the lowest residence part.
+            owned = np.setdiff1d(ids, ids[pids < part.pid])
+            ratios = edge_size_ratios(part.mesh, size, owned)
+            over = ratios > ratio
+            edges, ratios = owned[over], ratios[over]
+            points = split_points(part.mesh, edges)
+            gids = dmesh.alloc_gids(0, len(edges))
+            commands.append((edges, ratios, points, gids))
+            copied = np.isin(ids, edges)
+            for dest in np.unique(pids[copied]).tolist():
+                rows = copied & (pids == dest)
+                at = np.searchsorted(edges, ids[rows])
+                router.post(
+                    part.pid, dest, _TAG_SPLIT,
+                    (rids[rows], ratios[at], points[at], gids[at]),
                 )
-                pids, rids = part.copies(edge)
-                for other_pid, rid in zip(pids.tolist(), rids.tolist()):
-                    router.post(
-                        part.pid, other_pid, _TAG_SPLIT,
-                        (Ent(1, rid), point, vertex_gid),
-                    )
 
-        # Phase 3: every part executes its commanded splits (incoming
-        # plus, for owners, its own).  Exchange delivers an inbox for every
-        # part, so one loop covers both.
+        # Phase 3: every part splits its commanded edges (incoming plus,
+        # for owners, its own) in split-key order.
         inboxes = router.exchange()
         boundary_splits = 0
-        for pid in sorted(inboxes):
-            part = dmesh.part(pid)
-            ordered = [payload for _s, _t, payload in inboxes[pid]]
-            ordered.extend(commands.get(pid, []))
-            for edge, point, vertex_gid in sorted(ordered):
-                if not part.mesh.has(edge):
-                    raise AssertionError(
-                        f"part {pid}: commanded split edge {edge} is dead"
-                    )
-                _split_local(dmesh, part, edge, point=point,
-                             vertex_gid=vertex_gid)
-                boundary_splits += 1
+        for part, own in zip(dmesh, commands):
+            batches = [own] + [payload for _s, _t, payload in inboxes[part.pid]]
+            edges, ratios, points, gids = (
+                np.concatenate(cols) for cols in zip(*batches)
+            )
+            boundary_splits += _split(dmesh, part, edges, ratios, points, gids)
 
         stats.boundary_splits += boundary_splits
         splits_this_pass += boundary_splits
@@ -213,12 +197,12 @@ def coarsen_distributed(
         collapses = 0
         for part in dmesh:
             mesh = part.mesh
-            under = []
-            for edge in mesh.entities(1):
-                r = edge_size_ratio(mesh, size, edge)
-                if r < ratio:
-                    under.append((r, edge))
-            under.sort(key=lambda item: (item[0], item[1]))
+            edges = mesh.entity_ids(1)
+            ratios = edge_size_ratios(mesh, size, edges)
+            under = sorted(
+                (r, Ent(1, idx))
+                for r, idx in zip(ratios.tolist(), edges.tolist()) if r < ratio
+            )
             for _r, edge in under:
                 if not mesh.has(edge):
                     continue

@@ -151,11 +151,15 @@ class DistributedMesh:
 
     # -- global ids ---------------------------------------------------------
 
+    def alloc_gids(self, dim: int, n: int) -> np.ndarray:
+        """``n`` fresh, never-used global ids for dimension ``dim``."""
+        start = self._gid_next[dim]
+        self._gid_next[dim] += n
+        return np.arange(start, start + n, dtype=np.int64)
+
     def alloc_gid(self, dim: int) -> int:
         """A fresh, never-used global id for dimension ``dim``."""
-        gid = self._gid_next[dim]
-        self._gid_next[dim] += 1
-        return gid
+        return int(self.alloc_gids(dim, 1)[0])
 
     def note_gid(self, dim: int, gid: int) -> None:
         """Record an externally assigned gid so alloc never collides."""
@@ -207,6 +211,9 @@ class DistributedMesh:
         * shared entities' vertex gid sets agree across parts,
         * links are complete: every non-ghost identity held by two or more
           parts is linked among all its holders,
+        * the parts close up: on a 3-D mesh with a model, every face that
+          bounds one non-ghost element of its part and has no remote copy
+          is classified on the model boundary (otherwise it is a crack),
         * ghosts mirror a live entity on their home part.
         """
         from ..mesh.verify import verify as verify_mesh
@@ -230,6 +237,7 @@ class DistributedMesh:
                             f"part {part.pid}: ghost {ghost} home entity is dead"
                         )
         self._verify_links_complete()
+        self._verify_no_cracks()
 
     def _verify_links(self, d: int) -> None:
         """Liveness, identity and symmetry of every dim-``d`` link: one
@@ -313,6 +321,27 @@ class DistributedMesh:
                         f"incomplete remote links: part {pid} {ent} is held by "
                         f"(part, handle) {named} but links {linked}"
                     )
+
+    def _verify_no_cracks(self) -> None:
+        """Every unlinked part-surface face of a 3-D mesh with a model is
+        classified below dimension 3."""
+        if self.element_dim() != 3:
+            return
+        for part in self.parts:
+            mesh = part.mesh
+            if mesh.model is None or mesh.dim() != 3:
+                continue
+            faces = np.setdiff1d(
+                surface_ids(part)[2],
+                np.union1d(part.links(2)[0], part.ghost_ids(2)),
+            )
+            codes = mesh.core.gclass[2][faces]
+            dims = np.append(mesh.class_pairs()[:, 0], 3)[codes]
+            for face in faces[dims >= 3][:1].tolist():
+                raise AssertionError(
+                    f"part {part.pid}: {Ent(2, face)} bounds one element but "
+                    f"is neither linked nor on the model boundary (a crack)"
+                )
 
     def __repr__(self) -> str:
         counts = self.entity_counts().sum(axis=0)

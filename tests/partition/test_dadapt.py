@@ -182,3 +182,71 @@ def test_classification_preserved_by_boundary_split(dm2d):
                 # Boundary-classified vertices actually lie on the shape.
                 shape = model.shape(gent)
                 assert shape.contains(part.mesh.coords(v), tol=1e-9)
+
+
+# -- conformity across parts ---------------------------------------------------
+
+
+def assert_conforming(dm):
+    """Every facet identity bounds two elements over all parts, or one and
+    lies on the model boundary: no crack between parts."""
+    dim = dm.element_dim()
+    keys, users, low = [], [], []
+    for part in dm:
+        mesh = part.mesh
+        facets = mesh.entity_ids(dim - 1)
+        keys.append(part.entity_keys(dim - 1, facets))
+        users.append(mesh.core.nup[dim - 1][facets])
+        codes = mesh.core.gclass[dim - 1][facets]
+        low.append((codes >= 0) & (mesh.class_pairs()[codes, 0] < dim))
+    _uniq, inverse = np.unique(
+        np.concatenate(keys), axis=0, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    total = np.bincount(inverse, weights=np.concatenate(users))
+    boundary = np.bincount(inverse, weights=np.concatenate(low)) > 0
+    assert ((total == 2) | ((total == 1) & boundary)).all()
+
+
+def wing_case(nparts, n=4):
+    from repro.partitioners import partition
+    from repro.workloads import shock_size, wing_mesh
+
+    mesh = wing_mesh(n)
+    dm = distribute(mesh, partition(mesh, nparts, "rcb"), nparts=nparts)
+    return mesh, dm, shock_size(1.0 / n, refinement=2.0)
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 4, 8])
+def test_refine_distributed_conforms_at_part_counts(nparts):
+    from repro.adapt import refine_pass
+
+    mesh, dm, size = wing_case(nparts)
+    volume = sum(measure(mesh, e) for e in mesh.entities(3))
+    stats = refine_distributed(dm, size, max_passes=2)
+    assert stats.splits > 0
+    assert stats.boundary_splits > 0 or nparts == 1
+    check_all(dm)
+    assert_conforming(dm)
+    assert total_measure(dm) == pytest.approx(volume)
+    held = sum(part.mesh.count(3) for part in dm)
+    assert held == dm.total_owned(3)
+    if nparts == 1:
+        # One part has no shared edge: the serial pass, split for split.
+        serial = sum(refine_pass(mesh, size) for _ in range(2))
+        assert serial == stats.splits
+        assert mesh.entity_counts() == dm.part(0).mesh.entity_counts()
+
+
+def test_shared_faces_split_alike_on_every_holder():
+    """Two holders of a shared face split its edges in one (split-key)
+    order, so they triangulate it alike; ordering commanded splits by local
+    handle left one-sided faces in the middle of the domain."""
+    from repro.core import ParMA
+
+    _mesh, dm, size = wing_case(2, n=3)
+    ParMA(dm).predictive_balance(size)
+    stats = refine_distributed(dm, size, max_passes=1)
+    assert stats.boundary_splits > 0
+    dm.verify()
+    assert_conforming(dm)

@@ -233,3 +233,29 @@ def test_completeness_holds_with_ghosts(dm):
         AssertionError, match=says(f"incomplete remote links: part 0 {v} ")
     ):
         dm.verify()
+
+
+# -- cracks: a shared edge split on one holder only ----------------------------
+
+
+def test_detects_crack_between_parts(dm3d):
+    """Faces that bound one element, are linked nowhere and lie inside the
+    model are a crack, even though every link that exists is sound."""
+    from repro.adapt import split_edge
+    from repro.partition import rebuild_links
+
+    _mesh, dm = dm3d
+    part0 = dm.part(0)
+    edge = next(
+        e for e in part0.shared_entities(1)
+        if part0.mesh.classification(e).dim == 3
+    )
+    mid = split_edge(part0.mesh, edge)
+    part0.set_gid(mid, dm.alloc_gid(0))
+    rebuild_links(dm)
+    with pytest.raises(
+        AssertionError,
+        match=r"part 0: M2_\d+ bounds one element but is neither linked nor "
+        r"on the model boundary \(a crack\)",
+    ):
+        dm.verify()

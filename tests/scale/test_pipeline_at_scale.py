@@ -14,12 +14,16 @@ relinked by delta — compares the links it ends with against a from-scratch
 ``rebuild_links``, then checkpoints: ``save`` → ``load_at()`` must come back
 on the partition ParMA just paid for (same elements per part, same
 imbalances), and ``load_at(nparts=12)`` as the same mesh and field on 12.
+A third pass refines a 20,736-tet flow box on 32 parts around an oblique
+shock (one ``refine_distributed`` pass): the parts must close up with no
+crack and every new element must be owned exactly once.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ParMA, heavy_part_splitting, imbalances
+from repro.mesh.quality import measure
 from repro.parallel import PerfCounters
 from repro.partition import (
     DistributedField,
@@ -28,11 +32,12 @@ from repro.partition import (
     ghost_layer,
     migrate,
     rebuild_links,
+    refine_distributed,
     synchronize,
 )
 from repro.partitioners import element_centroids, partition
 from repro.store import SnapshotStore, element_partition, field_checksum
-from repro.workloads import aaa_mesh
+from repro.workloads import aaa_mesh, shock_size, wing_mesh
 
 pytestmark = pytest.mark.scale
 
@@ -153,3 +158,23 @@ def test_split_and_improve_at_bench_scale_match_the_link_oracle(tmp_path):
     assert field_checksum(narrower, fields["x"]) == pytest.approx(
         field_checksum(dm, field), abs=1e-9
     )
+
+
+def test_refine_distributed_at_bench_scale():
+    serial = wing_mesh(24)
+    assert serial.count(3) == 20_736
+    dm = distribute(
+        serial, partition(serial, NPARTS, "rcb"), nparts=NPARTS,
+        counters=PerfCounters(),
+    )
+    stats = refine_distributed(dm, shock_size(1.0 / 24, refinement=2.0),
+                               max_passes=1)
+    assert stats.interior_splits > 0 and stats.boundary_splits > 0
+    dm.verify()
+    held = sum(part.mesh.count(3) for part in dm)
+    gids = owned_gids(dm, 3)
+    assert held == len(gids) == len(set(gids)) > serial.count(3)
+    volume = sum(
+        measure(part.mesh, e) for part in dm for e in part.mesh.entities(3)
+    )
+    assert volume == pytest.approx(0.25)
