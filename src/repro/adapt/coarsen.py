@@ -21,13 +21,11 @@ Rejected collapses leave the mesh untouched.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
-from ..mesh.quality import measure
+from ..mesh.quality import tet_volume, tri_area
 
 
 def can_collapse_classification(mesh: Mesh, a: Ent, b: Ent) -> bool:
@@ -98,7 +96,9 @@ def _try_collapse(
         pts = [
             kept_coords if v == removed else mesh.coords(v) for v in verts
         ]
-        if _simplex_measure(pts) <= min_quality:
+        if len(pts) not in (3, 4):
+            raise ValueError("collapse supports simplex meshes (tri/tet)")
+        if (tri_area if len(pts) == 3 else tet_volume)(*pts) <= min_quality:
             return False
         if mesh.find(dim, new_verts) is not None or not _closure_classifiable(
             mesh, new_verts, new_verts.index(kept)
@@ -141,18 +141,6 @@ def _closure_classifiable(mesh: Mesh, verts: Sequence[Ent], at: int) -> bool:
         ))).dim < d
         for d in range(1, len(verts) - 1) for rest in combinations(others, d)
     )
-
-
-def _simplex_measure(pts: List[np.ndarray]) -> float:
-    if len(pts) == 3:
-        a, b, c = pts
-        return 0.5 * (
-            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        )
-    if len(pts) == 4:
-        a, b, c, d = pts
-        return float(np.linalg.det(np.stack([b - a, c - a, d - a]))) / 6.0
-    raise ValueError("collapse supports simplex meshes (tri/tet)")
 
 
 def coarsen_pass(

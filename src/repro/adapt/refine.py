@@ -198,8 +198,7 @@ def split_edges(
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1)
     core = mesh.core
-    bad = (edges < 0) | (edges >= core.top[1])
-    if bad.any() or not core.alive[1][edges].all():
+    if not core.alive_at(1, edges).all():
         raise KeyError("split batch names a dead edge")
     if len(np.unique(edges)) != len(edges):
         raise ValueError("split batch names an edge twice")

@@ -222,8 +222,7 @@ class MeshCore:
 
     def check_destroyable(self, dim: int, ids: np.ndarray) -> None:
         """Raise unless every id is live and bounds nothing."""
-        bad = (ids < 0) | (ids >= self.top[dim])
-        if bad.any() or not self.alive[dim][ids].all():
+        if not self.alive_at(dim, ids).all():
             raise KeyError(f"dim-{dim} destroy batch names a dead entity")
         if self.nup[dim][ids].any():
             raise ValueError(
@@ -253,6 +252,11 @@ class MeshCore:
 
     def is_alive(self, dim: int, idx: int) -> bool:
         return 0 <= idx < self.top[dim] and bool(self.alive[dim][idx])
+
+    def alive_at(self, dim: int, ids: np.ndarray) -> np.ndarray:
+        """:meth:`is_alive` over an id array of any shape."""
+        inside = (ids >= 0) & (ids < self.top[dim])
+        return inside & self.alive[dim][np.where(inside, ids, 0)]
 
     def check(self, dim: int, idx: int) -> None:
         if not self.is_alive(dim, idx):

@@ -18,16 +18,16 @@ from .mesh import Mesh
 from .topology import QUAD, TET, TRI
 
 
-def tri_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Signed area of triangle abc (positive when counter-clockwise in xy)."""
-    return 0.5 * float(
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    )
+def tri_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signed area of triangle abc (positive when counter-clockwise in xy);
+    broadcasts over leading axes."""
+    u, v = b - a, c - a
+    return 0.5 * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
-def tet_volume(a, b, c, d) -> float:
-    """Signed volume of tet abcd (positive for right-handed orientation)."""
-    return float(np.linalg.det(np.stack([b - a, c - a, d - a]))) / 6.0
+def tet_volume(a, b, c, d) -> np.ndarray:
+    """Signed volume of tet abcd (positive when right-handed), any leading axes."""
+    return np.linalg.det(np.stack([b - a, c - a, d - a], axis=-2)) / 6.0
 
 
 def measure(mesh: Mesh, ent: Ent) -> float:

@@ -1,151 +1,149 @@
-"""Mesh validity verification.
+"""Mesh validity, checked as PUMI's ``apf::verify`` does: each invariant is a
+whole-array fact about the :class:`MeshCore` columns of one dimension ``d``.
 
-``verify`` walks the whole representation and checks the invariants the rest
-of the code relies on; every mesh-modifying operation's tests call it.  The
-checks mirror PUMI's ``apf::verify``, applied to the SoA core arrays:
+* ``free[d]`` holds exactly the dead slots below ``top[d]``, once each;
+* a row of ``live_ids(d)`` has a dim-``d`` ``etype``, whose counts its
+  ``nverts`` and ``ndown`` are;
+* every ``down`` and ``up`` entry is live, and the ``(child, parent)`` pairs
+  of the ``down`` rows of ``d`` and the ``up`` rows of ``d - 1`` agree;
+* a row's ``verts`` are, as a set, its live children's ``verts``;
+* ``nup > 0`` below the mesh dimension, unless ``allow_dangling``;
+* ``up`` rows ascend strictly;
+* ``gclass`` is a ``class_pairs()`` code of dimension ``>= d``;
+* tri and tet elements have positive measure.
 
-* downward/upward consistency (i is in up(j) iff j is in down(i)),
-* upward rows sorted strictly ascending (the core's CSR row invariant),
-* canonical vertex tuples agree with downward entities' vertices,
-* no dangling entities (every edge/face below the mesh dimension bounds
-  something, unless ``allow_dangling``),
-* free-list consistency: the free-list holds exactly the dead slots below
-  the high-water mark, each once — a corrupt free-list would hand out live
-  or out-of-range handles,
-* geometric classification dimension >= entity dimension, and classification
-  present when the mesh carries a model,
-* for simplex elements, strictly positive measure (no inverted elements)
-  when ``check_volumes`` is set.
+The first ``_MAX_ERRORS`` flagged cells in ``(dim, idx, check, slot)``
+order are reported; an entity of the wrong type reports only that.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .entity import Ent
+from .core import MeshCore
 from .mesh import Mesh
-from .quality import measure
-from .topology import TET, TRI, type_info
+from .quality import tet_volume, tri_area
+from .topology import TET, TRI, TYPE_NAMES, TYPES
 
 _MAX_ERRORS = 20
+
+#: Per type code, then for an unknown code: dimension, nverts, ndown.
+_DIM, _NVERTS, _NDOWN = np.array([
+    (t.dim, t.nverts, t.downward_count(t.dim - 1) if t.dim else 0)
+    for _code, t in sorted(TYPES.items())
+] + [(-1, 0, 0)]).T
 
 
 class MeshInvalidError(AssertionError):
     """The mesh violates a representation invariant."""
 
 
-def _check_free_lists(mesh: Mesh, errors: List[str]) -> None:
-    core = mesh.core
-    for dim in range(4):
-        top, free = core.top[dim], np.asarray(core.free[dim], dtype=np.int64)
-        inside = (free >= 0) & (free < top)
-        live = inside & core.alive[dim][np.where(inside, free, 0)]
-        repeat = np.ones(len(free), dtype=bool)
-        repeat[np.unique(free, return_index=True)[1]] = False
-        for k in np.flatnonzero(~inside | live | repeat).tolist():
-            idx = int(free[k])
-            if not inside[k]:
-                errors.append(
-                    f"M{dim}_{idx}: free-list entry out of range (top={top})"
-                )
-            elif live[k]:
-                errors.append(f"M{dim}_{idx}: live entity on the free-list")
-            if repeat[k]:
-                errors.append(f"M{dim}_{idx}: duplicated on the free-list")
-        for idx in np.setdiff1d(np.flatnonzero(~core.alive[dim][:top]),
-                                free).tolist():
-            errors.append(f"M{dim}_{idx}: dead slot missing from the free-list")
+class _Flags(list):
+    """Per check, its flagged cells as ``(major, idx, rank, slot, row, check)``
+    columns and the ``text(row, slot)`` that formats one of them."""
+
+    def add(self, major: int, rank: int, at, bad: np.ndarray, text) -> None:
+        rows, slots = np.nonzero(bad) if bad.ndim == 2 else (np.flatnonzero(bad), 0)
+        if len(rows):
+            cells = np.broadcast_arrays(major, at[rows], rank, slots, rows, len(self))
+            self.append((np.stack(cells), text))
+
+    def report(self) -> str:
+        major, idx, rank, slots, rows, check = np.hstack([c for c, _ in self])
+        order = np.lexsort((slots, rank, idx, major))[:_MAX_ERRORS]
+        return f"mesh verification failed ({len(idx)} issue(s)):\n  " + "\n  ".join(
+            self[check[k]][1](rows[k], slots[k]) for k in order)
 
 
-def verify(
-    mesh: Mesh,
-    allow_dangling: bool = False,
-    check_classification: Optional[bool] = None,
-    check_volumes: bool = False,
-) -> None:
-    """Raise :class:`MeshInvalidError` on the first violated invariant."""
-    errors: List[str] = []
+def _rows(rows: np.ndarray, counts: np.ndarray, ids: np.ndarray):
+    """The padded rows of ``ids`` (any shape) and the mask of their prefixes."""
+    block = rows[ids]
+    return block, np.arange(block.shape[-1]) < counts[ids][..., None]
+
+
+def _dim(mesh: Mesh, d: int, flags: _Flags, dangling: bool, classes: bool,
+         volumes: bool) -> None:
+    """Flag the free list and the entities of dimension ``d``."""
+    core, ids = mesh.core, mesh.core.live_ids(d)
+    top, free = core.top[d], np.asarray(core.free[d], dtype=np.int64)
+    inside, at = (free >= 0) & (free < top), np.arange(len(free))
+    repeat = ~np.isin(at, np.unique(free, return_index=True)[1])
+    listed = np.bincount(free[inside], minlength=top) > 0
+    missing = np.flatnonzero(~core.alive[d][:top] & ~listed)
+    flags.add(d - 4, 0, at, ~inside | core.alive_at(d, free), lambda r, s: (
+        f"M{d}_{free[r]}: live entity on the free-list" if inside[r]
+        else f"M{d}_{free[r]}: free-list entry out of range (top={top})"))
+    flags.add(d - 4, 1, at, repeat,
+              lambda r, s: f"M{d}_{free[r]}: duplicated on the free-list")
+    flags.add(d - 4, 2, len(free) + missing, np.ones(len(missing), dtype=bool),
+              lambda r, s: f"M{d}_{missing[r]}: dead slot missing from the free-list")
+    etype = core.etype[d][ids].astype(np.int64)
+    code = np.where((etype >= 0) & (etype < len(TYPES)), etype, -1)
+    typed = _DIM[code] == d
+    flags.add(d, 0, ids, ~typed, lambda r, s: f"M{d}_{ids[r]}: type "
+              f"{TYPE_NAMES.get(etype[r], etype[r])} in dim-{d} store")
+
+    def flag(rank, bad, text):  # every name a text reads is bound once
+        flags.add(d, rank, ids, (bad.T & typed).T,
+                  lambda r, s: f"M{d}_{ids[r]}: " + text(r, s))
+
+    (verts, von), (down, don), (up, uon) = (_rows(rows[d], n[d], ids) for rows, n in (
+        (core.verts, core.nverts), (core.down, core.ndown), (core.up, core.nup)))
+    flag(1, von.sum(axis=1) != _NVERTS[code],
+         lambda r, s: f"{von[r].sum()} vertices, expected {_NVERTS[code[r]]}")
+    if d:
+        flag(2, don.sum(axis=1) != _NDOWN[code], lambda r, s: (
+            f"{don[r].sum()} downward entities, expected {_NDOWN[code[r]]}"))
+        child = don & core.alive_at(d - 1, down)
+        rows, on = _rows(core.up[d - 1], core.nup[d - 1], np.where(child, down, 0))
+        flag(3, don & ~(child & ((rows == ids[:, None, None]) & on).any(axis=2)),
+             lambda r, s: f"missing upward link from M{d - 1}_{down[r, s]}"
+             if child[r, s] else f"dead downward entity {down[r, s]}")
+        cverts, con = ((down[:, :, None], child[:, :, None]) if d == 1 else _rows(
+            core.verts[d - 1], core.nverts[d - 1], np.where(child, down, 0)))
+        con = con & child[:, :, None]
+        same = cverts[..., None] == verts[:, None, None, :]
+        stray = (con & ~(same & von[:, None, None, :]).any(axis=3)).any(axis=(1, 2))
+        unmet = (von & ~(same & con[..., None]).any(axis=(1, 2))).any(axis=1)
+        flag(4, con.any(axis=(1, 2)) & (stray | unmet), lambda r, s: (
+            f"downward closure vertices {sorted(set(cverts[r][con[r]].tolist()))}"
+            f" != canonical vertices {sorted(verts[r][von[r]].tolist())}"))
+    if dangling:
+        flag(5, core.nup[d][ids] == 0, lambda r, s: "dangles (bounds nothing)")
+    if d < 3:
+        flag(6, ((up[:, 1:] <= up[:, :-1]) & uon[:, 1:]).any(axis=1), lambda r, s: (
+            f"upward row not sorted ascending: {up[r][uon[r]].tolist()}"))
+        parent = uon & core.alive_at(d + 1, up)
+        rows, on = _rows(core.down[d + 1], core.ndown[d + 1], np.where(parent, up, 0))
+        flag(7, uon & ~(parent & ((rows == ids[:, None, None]) & on).any(axis=2)),
+             lambda r, s: f"upward link to M{d + 1}_{up[r, s]} not reciprocated"
+             if parent[r, s] else f"dead upward entity {up[r, s]}")
+    if classes:
+        gclass, table = core.gclass[d][ids].astype(np.int64), mesh.class_pairs()
+        coded = (gclass >= 0) & (gclass < len(table))
+        gdim = np.append(table[:, 0], d)[np.where(coded, gclass, -1)]
+        flag(8, ~coded | (gdim < d), lambda r, s: (
+            "unclassified" if gclass[r] == -1 else "classified on lower-dimension "
+            "G{}_{}".format(*table[gclass[r]]) if coded[r]
+            else f"unknown classification code {gclass[r]}"))
+    if volumes and d >= 2:
+        simplex, formula = ((TRI, tri_area), (TET, tet_volume))[d - 2]
+        pts = np.take(mesh.coords_view(), verts[:, :d + 1], axis=0, mode="clip")
+        size = np.where(code == simplex, formula(*pts.transpose(1, 0, 2)), np.inf)
+        flag(9, size <= 0.0, lambda r, s: f"non-positive measure {float(size[r])}")
+
+
+def verify(mesh: Mesh, allow_dangling: bool = False,
+           check_classification: Optional[bool] = None,
+           check_volumes: bool = False) -> None:
+    """Raise :class:`MeshInvalidError` listing the first violated invariants."""
     if check_classification is None:
         check_classification = mesh.model is not None
-    mesh_dim = mesh.dim()
-    core = mesh.core
-
-    _check_free_lists(mesh, errors)
-
-    for dim in range(mesh_dim + 1):
-        for idx in core.live_ids(dim).tolist():
-            ent = Ent(dim, idx)
-            info = type_info(int(core.etype[dim][idx]))
-            if info.dim != dim:
-                errors.append(f"{ent}: type {info.name} in dim-{dim} store")
-                continue
-            verts = core.verts_row(dim, idx)
-            if len(verts) != info.nverts:
-                errors.append(
-                    f"{ent}: {len(verts)} vertices, expected {info.nverts}"
-                )
-            if dim > 0:
-                down = core.down_row(dim, idx)
-                expected = info.downward_count(dim - 1)
-                if len(down) != expected:
-                    errors.append(
-                        f"{ent}: {len(down)} downward entities, "
-                        f"expected {expected}"
-                    )
-                down_verts = set()
-                for j in down:
-                    if not core.is_alive(dim - 1, j):
-                        errors.append(f"{ent}: dead downward entity {j}")
-                        continue
-                    if idx not in core.up_row(dim - 1, j):
-                        errors.append(
-                            f"{ent}: missing upward link from M{dim-1}_{j}"
-                        )
-                    down_verts.update(
-                        core.verts_row(dim - 1, j) if dim > 1 else (j,)
-                    )
-                if down_verts and down_verts != set(verts):
-                    errors.append(
-                        f"{ent}: downward closure vertices {sorted(down_verts)}"
-                        f" != canonical vertices {sorted(verts)}"
-                    )
-            if dim < mesh_dim and not allow_dangling:
-                if not core.nup[dim][idx]:
-                    errors.append(f"{ent}: dangles (bounds nothing)")
-            if dim < 3:
-                uppers = core.up_row(dim, idx)
-                if any(b <= a for a, b in zip(uppers, uppers[1:])):
-                    errors.append(
-                        f"{ent}: upward row not sorted ascending: {uppers}"
-                    )
-                for upper in uppers:
-                    if not core.is_alive(dim + 1, upper):
-                        errors.append(f"{ent}: dead upward entity {upper}")
-                    elif idx not in core.down_row(dim + 1, upper):
-                        errors.append(
-                            f"{ent}: upward link to M{dim+1}_{upper} not reciprocated"
-                        )
-            if check_classification:
-                gent = mesh.classification(ent)
-                if gent is None:
-                    errors.append(f"{ent}: unclassified")
-                elif gent.dim < dim:
-                    errors.append(
-                        f"{ent}: classified on lower-dimension {gent}"
-                    )
-            if check_volumes and info.code in (TRI, TET) and dim == mesh_dim:
-                size = measure(mesh, ent)
-                if size <= 0.0:
-                    errors.append(f"{ent}: non-positive measure {size}")
-            if errors and len(errors) >= _MAX_ERRORS:
-                break
-        if errors and len(errors) >= _MAX_ERRORS:
-            break
-
-    if errors:
-        summary = "\n  ".join(errors[:_MAX_ERRORS])
-        raise MeshInvalidError(
-            f"mesh verification failed ({len(errors)}+ issue(s)):\n  {summary}"
-        )
+    flags, top = _Flags(), mesh.dim()
+    for d in range(4):
+        _dim(mesh, d, flags, d < top and not allow_dangling, check_classification,
+             check_volumes and d == top)
+    if flags:
+        raise MeshInvalidError(flags.report())

@@ -28,7 +28,7 @@ from ..parallel.perf import PerfCounters, GLOBAL
 from ..parallel.routing import BufferedRouter
 from ..parallel.topology import MachineTopology, flat
 from .halo import HaloPlan
-from .links import answer_columns, link_answers, split_rows, surface_ids
+from .links import answer_columns, link_answers, surface_ids
 from .part import Part
 
 
@@ -202,10 +202,10 @@ class DistributedMesh:
 
     # -- integrity ---------------------------------------------------------------
 
-    def verify(self, check_meshes: bool = True) -> None:
+    def verify(self) -> None:
         """Check every distributed-representation invariant; raise on failure.
 
-        * each part's serial mesh is valid (optionally),
+        * each part's serial mesh is valid,
         * remote-copy links are symmetric and connect entities with equal
           gids and dimensions,
         * shared entities' vertex gid sets agree across parts,
@@ -219,23 +219,25 @@ class DistributedMesh:
         from ..mesh.verify import verify as verify_mesh
 
         for part in self.parts:
-            if check_meshes and part.mesh.count(0):
+            if part.mesh.count(0):
                 verify_mesh(part.mesh, allow_dangling=part.has_ghosts(),
                             check_classification=False)
         for d in range(4):
             self._verify_links(d)
-            for part in self.parts:
+            for part in self.parts:  # ghosts: one alive gather per home part
                 ghosts = part.ghost_ids(d)
-                for ghost, home, handle in zip(
-                    ghosts.tolist(), *part.homes(d, ghosts).tolist()
-                ):
-                    ghost = Ent(d, ghost)
-                    if not part.mesh.has(ghost):
-                        raise AssertionError(f"part {part.pid}: dead ghost {ghost}")
-                    if handle >= 0 and not self.part(home).mesh.has(Ent(d, handle)):
-                        raise AssertionError(
-                            f"part {part.pid}: ghost {ghost} home entity is dead"
-                        )
+                home, handle = part.homes(d, ghosts)
+                dead = ~part.mesh.core.alive_at(d, ghosts)
+                lost = np.zeros_like(dead)
+                for pid in np.unique(home[handle >= 0]).tolist():
+                    at = (home == pid) & (handle >= 0)
+                    lost[at] = ~self.part(pid).mesh.core.alive_at(d, handle[at])
+                for k in np.flatnonzero(dead | lost)[:1].tolist():
+                    ghost = Ent(d, int(ghosts[k]))
+                    raise AssertionError(
+                        f"part {part.pid}: dead ghost {ghost}" if dead[k] else
+                        f"part {part.pid}: ghost {ghost} home entity is dead"
+                    )
         self._verify_links_complete()
         self._verify_no_cracks()
 
@@ -260,9 +262,8 @@ class DistributedMesh:
 
         alive, remote_alive = np.zeros((2, len(ids)), dtype=bool)
         for here, there, part in sides:
-            live = part.mesh.entity_ids(d)
-            alive[here] = np.isin(ids[here], live)
-            remote_alive[there] = np.isin(rid[there], live)
+            alive[here] = part.mesh.core.alive_at(d, ids[here])
+            remote_alive[there] = part.mesh.core.alive_at(d, rid[there])
         check(~alive, "part {p}: remote link from dead entity {e}")
         check(pid == rpid, "part {p}: self remote link on {e}")
         check(~remote_alive, "part {p}: {e} links to dead {f} on part {q}")
@@ -306,21 +307,27 @@ class DistributedMesh:
                 np.concatenate([np.full(len(ids), part.pid) for part, ids in held]),
                 idx,
             )
-            for pid, rows, values in split_rows(dest, lengths, flat):
-                want = np.column_stack(answer_columns(rows, values)[1:])
-                have = np.column_stack(self.part(pid).links(d))
-                have = have[np.isin(have[:, 0], want[:, 0])]
-                wrong = set(map(tuple, want.tolist())) ^ set(map(tuple, have.tolist()))
-                if wrong:
-                    ent = Ent(d, min(wrong)[0])
-                    named, linked = (
-                        [row[1:] for row in side.tolist() if row[0] == ent.idx]
-                        for side in (want, have)
-                    )
-                    raise AssertionError(
-                        f"incomplete remote links: part {pid} {ent} is held by "
-                        f"(part, handle) {named} but links {linked}"
-                    )
+            # (pid, handle, rpid, rid) rows, derived and held, one code each.
+            want = np.column_stack((np.repeat(dest, (lengths - 2) // 2),
+                                    *answer_columns(lengths, flat)[1:]))
+            have = np.concatenate([np.column_stack(
+                (np.full(len(part.links(d)[0]), part.pid), *part.links(d))
+            ) for part in self.parts])
+            span = 1 + int(max(rows[:, 1::2].max(initial=0) for rows in (want, have)))
+            radix = (self.nparts, span, self.nparts, span)
+            codes = [np.ravel_multi_index(rows.T, radix) for rows in (want, have)]
+            key = [code // (self.nparts * span) for code in codes]  # (pid, handle)
+            have_codes = codes[1][np.isin(key[1], key[0])]  # of the derived keys
+            for code in np.setxor1d(codes[0], have_codes)[:1].tolist():
+                pid, handle = np.unravel_index(code, radix)[:2]
+                named, linked = (
+                    side[(side[:, 0] == pid) & (side[:, 1] == handle), 2:].tolist()
+                    for side in (want, have)
+                )
+                raise AssertionError(
+                    f"incomplete remote links: part {pid} {Ent(d, handle)} is held by "
+                    f"(part, handle) {named} but links {linked}"
+                )
 
     def _verify_no_cracks(self) -> None:
         """Every unlinked part-surface face of a 3-D mesh with a model is
@@ -335,12 +342,15 @@ class DistributedMesh:
                 surface_ids(part)[2],
                 np.union1d(part.links(2)[0], part.ghost_ids(2)),
             )
-            codes = mesh.core.gclass[2][faces]
-            dims = np.append(mesh.class_pairs()[:, 0], 3)[codes]
-            for face in faces[dims >= 3][:1].tolist():
+            codes, table = mesh.core.gclass[2][faces], mesh.class_pairs()
+            coded = (codes >= -1) & (codes < len(table))
+            dims = np.append(table[:, 0], 3)[np.where(coded, codes, -1)]
+            for k in np.flatnonzero(~coded | (dims >= 3))[:1].tolist():
+                face = Ent(2, int(faces[k]))
                 raise AssertionError(
-                    f"part {part.pid}: {Ent(2, face)} bounds one element but "
-                    f"is neither linked nor on the model boundary (a crack)"
+                    f"part {part.pid}: {face} bounds one element but is neither "
+                    f"linked nor on the model boundary (a crack)" if coded[k] else
+                    f"part {part.pid}: {face}: unknown classification code {codes[k]}"
                 )
 
     def __repr__(self) -> str:

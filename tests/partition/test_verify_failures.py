@@ -152,14 +152,6 @@ def test_detects_broken_part_mesh(dm):
         dm.verify()
 
 
-def test_check_meshes_flag_skips_serial_checks(dm):
-    part0 = dm.part(0)
-    core = part0.mesh.core
-    first_edge = int(core.live_ids(1)[0])
-    core.nup[1][first_edge] = 0
-    dm.verify(check_meshes=False)  # only link invariants checked
-
-
 # -- completeness: a link missing on *both* sides ----------------------------
 #
 # The symmetry walk only sees the links that exist, so deleting one link
