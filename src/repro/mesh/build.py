@@ -95,6 +95,7 @@ def land_rows(
     verts: np.ndarray,
     gclass: Optional[np.ndarray] = None,
     down: Optional[np.ndarray] = None,
+    probe: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Find-or-create a block of explicit dim-``dim`` rows (``dim`` >= 1).
 
@@ -108,9 +109,12 @@ def land_rows(
     nothing is auto-derived.  A caller that derived the rows from their
     upper entities already knows the downward ids and passes them as
     ``down`` (same row order, template slot order, padded like ``verts``),
-    which skips the lookups.  ``gclass`` holds one classification code of
-    ``mesh`` per row (-1 = unset, see :meth:`Mesh.class_codes`); it
-    applies to the rows this call creates.
+    which skips the lookups.  ``probe`` (a boolean mask over rows) limits
+    the find half to the flagged rows: a caller that knows a row is new —
+    one of its vertices was just created — spares its key lookup.
+    ``gclass`` holds one classification code of ``mesh`` per row (-1 =
+    unset, see :meth:`Mesh.class_codes`); it applies to the rows this call
+    creates.
 
     Returns ``(ids, created)``: the local id of every row and the boolean
     mask of the rows this call created.
@@ -127,7 +131,12 @@ def land_rows(
             raise ValueError(f"{info.name} row in a dim-{dim} block")
         rows = np.nonzero(etypes == etype)[0]
         group_verts = verts[rows, : info.nverts]
-        ids[rows] = _probe(lookup, group_verts)
+        if probe is None:
+            ids[rows] = _probe(lookup, group_verts)
+        else:
+            ask = probe[rows]
+            ids[rows] = -1
+            ids[rows[ask]] = _probe(lookup, group_verts[ask])
         groups.append((etype, rows, group_verts))
     created = ids < 0
     core = mesh.core

@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from ..mesh.core import VERT_WIDTH
+from ..mesh.core import VERT_WIDTH, first_seen
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 
@@ -243,8 +243,9 @@ class Part:
         """Vectorized gid assignment under the *adopt* rule.
 
         ``ids[k]`` takes ``gids[k]`` only when the gid is set (not -1), the
-        entity has no gid yet and the gid is still free on this part (first
-        row wins among equal gids in one call) — identity of non-vertex
+        entity has no gid yet and the gid is still free on this part —
+        judged row by row in order, so among rows naming one entity or one
+        gid the first that can take it wins — identity of non-vertex
         entities is their vertex-gid tuple, so their gids are advisory and
         a conflicting one is dropped rather than raised on.
         """
@@ -256,10 +257,27 @@ class Part:
         by_gid = self._by_gid[dim]
         take = (gids != _UNSET) & (col[ids] == _UNSET)
         take[take] = [g not in by_gid for g in gids[take].tolist()]
-        _uniq, first = np.unique(gids[take], return_index=True)
-        ids, gids = ids[take][first], gids[take][first]
-        col[ids] = gids
-        by_gid.update(zip(gids.tolist(), ids.tolist()))
+        rows = np.flatnonzero(take)
+        named = np.zeros(len(col), dtype=bool)
+        named[ids[rows]] = True
+        ranked = np.sort(gids[rows])
+        if named.sum() < len(rows) or (ranked[1:] == ranked[:-1]).any():
+            # Some entity or gid is named twice.  A row first among those
+            # left for both its entity and its gid takes it: no row before
+            # it can any more.  Rows sharing either with a winner come
+            # after it and lose.
+            left, rows = rows, []
+            while len(left):
+                won = left[np.intersect1d(
+                    first_seen(ids[left])[0], first_seen(gids[left])[0]
+                )]
+                rows.append(won)
+                left = left[
+                    ~np.isin(ids[left], ids[won]) & ~np.isin(gids[left], gids[won])
+                ]
+            rows = np.sort(np.concatenate(rows))
+        col[ids[rows]] = gids[rows]
+        by_gid.update(zip(gids[rows].tolist(), ids[rows].tolist()))
 
     # -- batch gid access ------------------------------------------------------
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import EDGE, TRI, Mesh, rect_tri
-from repro.mesh.core import MeshCore, first_occurrence_unique
+from repro.mesh.core import MeshCore, first_occurrence_unique, first_seen
 from repro.mesh.topology import VERTEX
 
 
@@ -18,6 +18,21 @@ def test_first_occurrence_unique_orders_by_first_hit():
     ids = np.array([7, 3, 7, 1, 3, 9, 1])
     assert first_occurrence_unique(ids).tolist() == [7, 3, 1, 9]
     assert first_occurrence_unique(np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_seen_groups_keys_in_first_hit_order(seed):
+    """Against np.unique: first positions ascending, and each entry's group;
+    negative and huge keys (the dense fallback) included."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-4, int(rng.integers(1, 40)), int(rng.integers(1, 300)))
+    if seed % 4 == 0:
+        keys = keys * 2**58
+    first, group = first_seen(keys)
+    uniq, at = np.unique(keys, return_index=True)
+    assert first.tolist() == sorted(at.tolist())
+    assert (keys[first][group] == keys).all()
+    assert first_seen(np.array([], dtype=np.int64))[0].tolist() == []
 
 
 def test_create_and_row_accessors():

@@ -14,7 +14,7 @@ Two properties under test:
 
 Both hold for frames built from bundle dicts (the list-of-dict view) and for
 frames the columnar writer produces straight from mesh arrays
-(``_pack_block``); for the latter, block → dict view → block is also the
+(``_pack_blocks``); for the latter, block → dict view → block is also the
 identity, i.e. the packer emits the view's canonical table order.
 """
 
@@ -437,7 +437,7 @@ def _columnar_dmesh(kind):
 def _columnar_block(seed):
     """A block packed from core arrays: random part, random element subset,
     half of them ghost-style (home, and sometimes tags)."""
-    from repro.partition.migration import _pack_block
+    from repro.partition.migration import _pack_blocks
 
     rng = random.Random(4000 + seed)
     dmesh = _columnar_dmesh(rng.choice(("tet", "tri", "prism")))
@@ -452,7 +452,9 @@ def _columnar_block(seed):
         for idx in chosen[::2]:
             tag.set(Ent(dim, idx), _random_tag_value(rng))
         tags = ("w", "absent")
-    return _pack_block(part, dim, np.asarray(chosen), home=ghost, tags=tags)
+    return _pack_blocks(
+        part, dim, np.asarray(chosen), [len(chosen)], home=ghost, tags=tags
+    )[0]
 
 
 def _block_columns(block):

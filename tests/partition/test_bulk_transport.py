@@ -223,3 +223,29 @@ def test_link_columns_and_views_are_read_only():
         part.remotes[Ent(0, 0)] = {}
     with pytest.raises(AttributeError):
         part.ghosts.add(Ent(0, 0))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_set_gids_adopts_row_by_row(seed):
+    """``set_gids`` over rows that repeat entities and gids equals applying
+    the adopt rule one row at a time, in order."""
+    from repro.partition.part import Part
+
+    rng = np.random.default_rng(seed)
+    part = Part(0)
+    held, taken = {}, {}
+    for idx, gid in zip(*rng.integers(0, 12, (2, 3)).tolist()):
+        if idx not in held and gid not in taken:
+            part.set_gid(Ent(1, idx), gid)
+            held[idx], taken[gid] = gid, idx
+    n = int(rng.integers(1, 30))
+    ids, gids = rng.integers(0, 10, n), rng.integers(-1, 12, n)
+    for idx, gid in zip(ids.tolist(), gids.tolist()):
+        if gid != -1 and idx not in held and gid not in taken:
+            held[idx], taken[gid] = gid, idx
+    part.set_gids(1, ids, gids)
+    assert part._by_gid[1] == taken
+    assert {
+        idx: int(part.gid_array(1)[idx]) for idx in range(12)
+        if part.has_gid(Ent(1, idx))
+    } == held

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.mesh import rect_tri
+from repro.mesh import box_tet, rect_tri
 from repro.partition import Overlap, distribute, ghost_layer
+from repro.partitioners import partition
 
 
 def strip(mesh, nparts, axis=0):
@@ -96,6 +97,55 @@ def test_depth_k_region_is_exact(maker, nparts, depth):
     assert stats.layers == depth
     expected = expected_regions(mesh, assignment, nparts, depth, bridge_dim=0)
     assert actual_regions(dm) == expected
+
+
+def ghost_gids(dm):
+    """Per part and dimension, the sorted gids of its ghosts."""
+    return {
+        part.pid: [
+            sorted(part.gids_of(d, part.ghost_ids(d)).tolist()) for d in range(4)
+        ]
+        for part in dm
+    }
+
+
+@pytest.mark.parametrize("maker", (lambda: rect_tri(8), lambda: box_tet(3)),
+                         ids=("2d", "3d"))
+def test_deepening_a_ghosted_mesh_equals_a_clean_call(maker):
+    """Depth 1, then depth 2, ends with exactly the ghosts of one clean
+    depth-2 call: ring 1 grows from every element ring 0 delivered, held
+    already or not."""
+    mesh = maker()
+    assignment = partition(mesh, 4, "rcb")
+    deepened, clean = (distribute(mesh, assignment, nparts=4) for _ in range(2))
+    ghost_layer(deepened, depth=1)
+    ghost_layer(deepened, depth=2)
+    ghost_layer(clean, depth=2)
+    deepened.verify()
+    assert ghost_gids(deepened) == ghost_gids(clean)
+    dim = mesh.dim()
+    assert sum(len(p.ghost_ids(dim)) for p in clean) == (152 if dim == 2 else 468)
+
+
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_ring_zero_is_one_superstep_and_later_rings_three(depth):
+    """Ring 0 is pushed from the owners' links (the bcast alone); every
+    later ring asks, refers and ships."""
+    mesh = rect_tri(6)
+    dm = distribute(mesh, blocks(mesh, 2))
+    assert ghost_layer(dm, depth=depth).supersteps == 1 + 3 * (depth - 1)
+
+
+@pytest.mark.parametrize("nparts", (1, 2), ids=("one-part", "no-links"))
+def test_depth_one_costs_one_superstep_with_nothing_shared(nparts):
+    """A one-part mesh, and two parts that share nothing (part 1 is empty):
+    no ghost, and still exactly the one superstep of the bcast."""
+    mesh = rect_tri(4)
+    dm = distribute(mesh, [0] * mesh.count(2), nparts=nparts)
+    assert all(not len(part.links(0)[0]) for part in dm)
+    stats = ghost_layer(dm, depth=1)
+    assert stats.ghosts_created == 0
+    assert stats.supersteps == 1 and stats.messages == 0
 
 
 def test_depth_zero_is_a_noop():

@@ -8,8 +8,10 @@ ghost (depth 1, then depth 2) → sync → unghost at 24,000 tets on 32 parts,
 checking after every step that the distributed representation verifies
 (link symmetry *and* completeness), that the owned element/vertex gid sets
 are the serial mesh's, and that every copy of a field value equals its
-owner's.  A second pass takes a spiked partition of the same mesh through
-heavy-part splitting and ParMA diffusion — dozens of small migrations, each
+owner's.  Ring 0 costs one superstep and every later ring three, and
+ghosting an already ghosted mesh one ring deeper gives exactly the ghosts
+of one clean depth-2 call.  A second pass takes a spiked partition of the
+same mesh through heavy-part splitting and ParMA diffusion — dozens of small migrations, each
 relinked by delta — compares the links it ends with against a from-scratch
 ``rebuild_links``, then checkpoints: ``save`` → ``load_at()`` must come back
 on the partition ParMA just paid for (same elements per part, same
@@ -64,6 +66,16 @@ def check(dm, serial, field=None):
         assert field.max_copy_disagreement() == 0.0
 
 
+def ghost_gids(dm):
+    """Per part and dimension, the sorted gids of its ghosts."""
+    return {
+        part.pid: [
+            sorted(part.gids_of(d, part.ghost_ids(d)).tolist()) for d in range(4)
+        ]
+        for part in dm
+    }
+
+
 def check_link_oracle(dm):
     """Links as the migrations left them == links rebuilt from scratch."""
     links = {part.pid: dict(part.remotes) for part in dm}
@@ -97,6 +109,8 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     for depth in (1, 2):
         stats = ghost_layer(dm, depth=depth)
         assert stats.ghosts_created > 0
+        # Ring 0 is pushed (one superstep); each later ring costs three.
+        assert stats.supersteps == 1 + 3 * (depth - 1)
         field.set_from_coords(lambda x: 1.0 + x[0] + 2.0 * x[1] - x[2])
         synchronize(field)
         check(dm, serial, field)
@@ -106,6 +120,17 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
         check(dm, serial, field)
         after = np.asarray([part.mesh.entity_counts() for part in dm])
         assert (after < counts).any() and not any(p.ghosts for p in dm)
+
+    # Deepening a ghosted mesh ends where one clean depth-2 call does.
+    ghost_layer(dm, depth=1)
+    ghost_layer(dm, depth=2)
+    check(dm, serial)
+    deepened = ghost_gids(dm)
+    delete_ghosts(dm)
+    ghost_layer(dm, depth=2)
+    assert ghost_gids(dm) == deepened
+    delete_ghosts(dm)
+    check(dm, serial)
 
 
 def test_split_and_improve_at_bench_scale_match_the_link_oracle(tmp_path):
