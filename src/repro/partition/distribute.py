@@ -7,8 +7,13 @@ per-part serial meshes containing each part's elements and their closure,
 global ids matching across parts, symmetric remote-copy links for all
 part-boundary entities, and copied geometric classification.
 
-Global ids are simply the global mesh's entity ids, which makes the
-distribution invertible and easy to debug.
+Distribution is a migration out of the serial mesh (paper, Section II-C):
+each part's elements are packed into one closure block and landed onto the
+empty part by the same two functions that :func:`~repro.partition.migrate`
+and :func:`~repro.partition.ghost_layer` ship closures with
+(:mod:`repro.partition.migration`).  Global ids are still simply the global
+mesh's entity ids, which makes the distribution invertible and easy to
+debug.
 """
 
 from __future__ import annotations
@@ -17,16 +22,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..mesh.build import from_connectivity
-from ..mesh.core import first_occurrence_unique
 from ..mesh.entity import Ent
-from ..mesh.mesh import Mesh, vertex_keys
+from ..mesh.mesh import Mesh
 from ..obs.tracer import Tracer, trace_span
 from ..parallel.perf import PerfCounters
 from ..parallel.topology import MachineTopology
 from .dmesh import DistributedMesh
 from .links import answer_columns, link_answers, ragged_arange, split_rows
-from .part import Part
+from .migration import _land_blocks, _pack_blocks
 
 Assignment = Union[Dict[Ent, int], Sequence[int], np.ndarray]
 
@@ -55,19 +58,27 @@ def distribute(
 
     if isinstance(assignment, dict):
         try:
-            parts_of = np.asarray(
-                [assignment[Ent(dim, i)] for i in element_ids.tolist()],
-                dtype=np.int64,
+            raw = np.asarray(
+                [assignment[Ent(dim, i)] for i in element_ids.tolist()]
             )
         except KeyError as missing:
             raise ValueError(f"assignment misses element {missing}") from None
     else:
-        parts_of = np.asarray(assignment, dtype=np.int64)
-        if parts_of.shape != (len(element_ids),):
+        raw = np.asarray(assignment)
+        if raw.shape != (len(element_ids),):
             raise ValueError(
-                f"assignment length {parts_of.shape} != element count "
+                f"assignment length {raw.shape} != element count "
                 f"{len(element_ids)}"
             )
+    with np.errstate(invalid="ignore"):
+        parts_of = raw.astype(np.int64)
+    bad = np.flatnonzero(parts_of != raw)  # NaN, inf, fractions
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(
+            f"element {Ent(dim, int(element_ids[k]))} assigned to "
+            f"non-integral part {raw[k].item()!r}"
+        )
     if len(parts_of) and parts_of.min() < 0:
         raise ValueError("negative part id in assignment")
     needed = int(parts_of.max()) + 1 if len(parts_of) else 1
@@ -86,22 +97,23 @@ def distribute(
     )
 
     with trace_span(dmesh.tracer, "distribute", nparts=nparts):
-        etypes = np.unique(mesh.core.etype[dim][element_ids])
-        single_type = int(etypes[0]) if len(etypes) == 1 else None
-
         # held[d]: per non-empty part, (pid, global ids of its dim-d
         # entities in local id order) — local ids are 0..n-1 on a fresh part.
         held: List[List[Tuple[int, np.ndarray]]] = [[] for _ in range(dim)]
+        gid_cols = [np.arange(mesh.core.top[d]) for d in range(dim + 1)]
         with trace_span(dmesh.tracer, "distribute.build_parts"):
             for pid in range(nparts):
                 local_elements = element_ids[parts_of == pid]
                 if not len(local_elements):
                     continue
-                global_ids = _build_part(
-                    mesh, dmesh.part(pid), local_elements, single_type
-                )
+                part = dmesh.part(pid)
+                _land_blocks(part, _pack_blocks(
+                    mesh, gid_cols, dim, local_elements, [len(local_elements)]
+                ))
                 for d in range(dim):  # elements are never shared
-                    held[d].append((pid, global_ids[d]))
+                    held[d].append(
+                        (pid, part.gid_array(d)[: part.mesh.core.top[d]])
+                    )
 
         # Symmetric remote links for entities held by more than one part:
         # the grouping job of the link rendezvous, keyed by global id.
@@ -124,70 +136,3 @@ def distribute(
             dmesh.note_gid(d, mesh.core.top[d])
     return dmesh
 
-
-def _build_part(
-    mesh: Mesh, part: Part, element_ids: np.ndarray, single_type: Optional[int]
-) -> List[np.ndarray]:
-    """Construct one part's serial mesh from the global elements
-    ``element_ids``: closure, global ids, copied classification.
-
-    Returns, per dimension, the global id of every local entity in local
-    id order (a fresh part's ids are ``0..n-1``).
-    """
-    dim = mesh.dim()
-    # Compact global vertex ids used by this part: first-occurrence order
-    # over the row-major element connectivity, extracted in one gather.
-    if single_type is not None:
-        vmat = mesh.core.verts_matrix(dim, element_ids)
-        global_verts = first_occurrence_unique(vmat.reshape(-1))
-        local_of = np.zeros(mesh.core.top[0], dtype=np.int64)
-        local_of[global_verts] = np.arange(len(global_verts))
-        local_mesh = from_connectivity(
-            mesh.coords_view()[global_verts], local_of[vmat], single_type
-        )
-    else:
-        seen: Dict[int, int] = {}
-        local_mesh = Mesh()
-        for idx in element_ids.tolist():
-            element = Ent(dim, idx)
-            row = []
-            for v in mesh.verts_of(element):
-                local = seen.get(v.idx)
-                if local is None:
-                    local = seen[v.idx] = len(seen)
-                    local_mesh.create_vertex(mesh.coords(v))
-                row.append(Ent(0, local))
-            local_mesh.create(mesh.etype(element), row)
-        global_verts = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    local_mesh.model = mesh.model
-    part.mesh = local_mesh
-
-    # Edges and faces match the global mesh by sorted global vertex ids,
-    # one lookup probe per row; elements were created in ``element_ids``
-    # order by both construction paths.
-    core = local_mesh.core
-    global_ids = [global_verts]
-    for d in range(1, dim):
-        nverts = core.nverts[d][: core.top[d]]
-        found = np.full(core.top[d], -1, dtype=np.int64)
-        for width in np.unique(nverts).tolist():
-            rows = np.flatnonzero(nverts == width)
-            keys = vertex_keys(global_verts[core.verts[d][rows, :width]])
-            found[rows] = np.fromiter(
-                (mesh._lookup[d - 1].get(key, -1) for key in keys),
-                dtype=np.int64, count=len(rows),
-            )
-        if (found < 0).any():
-            raise AssertionError(
-                f"part {part.pid}: local entity "
-                f"{Ent(d, int(np.flatnonzero(found < 0)[0]))} has no global "
-                f"match"
-            )
-        global_ids.append(found)
-    global_ids.append(element_ids)
-
-    for d, gids in enumerate(global_ids):
-        local = np.arange(len(gids))
-        part.set_gids(d, local, gids)
-        local_mesh.copy_classification(mesh, d, gids, local)
-    return global_ids

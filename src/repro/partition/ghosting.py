@@ -379,13 +379,15 @@ def _fill_ring(
     def pack(owner: int, requester: int, _elements: Any) -> ElementBlock:
         if (owner, requester) not in packed:
             elems, runs = outgoing[owner]
+            part = dmesh.part(owner)
             with trace_span(dmesh.tracer, "ghost_layer.pack"):
                 packed.update(zip(
                     ((owner, q) for q in runs),
                     _pack_blocks(
-                        dmesh.part(owner), dim, elems,
+                        part.mesh, [part.gid_array(d) for d in range(dim + 1)],
+                        dim, elems,
                         [run.stop - run.start for run in runs.values()],
-                        home=True, tags=tags,
+                        home=owner, tags=tags,
                     ),
                 ))
         return packed.pop((owner, requester))

@@ -32,8 +32,11 @@ operation.
    hash-home rendezvous, array-native end to end.
 
 No phase calls ``Mesh.create``/``Mesh.destroy`` per entity, and pack and
-land run once per part, not per part pair; ghosting ships and lands its
-copies through the same two functions.
+land run once per part, not per part pair.  Ghosting ships and lands its
+copies through the same two functions, and so does
+:func:`~repro.partition.distribute`: it packs each part's elements out of
+the serial mesh (its own ids as gids) and lands the block onto the empty
+part.
 
 The relink protocol
 -------------------
@@ -191,7 +194,8 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                 for dest, run in zip(dests, runs):
                     columns[(pid, dest)] = (run, np.arange(len(run)))
                 packed_blocks = _pack_blocks(
-                    part, dim, np.concatenate(runs), [len(run) for run in runs]
+                    part.mesh, [part.gid_array(d) for d in range(dim + 1)],
+                    dim, np.concatenate(runs), [len(run) for run in runs],
                 )
                 for dest, block in zip(dests, packed_blocks):
                     blocks[(pid, dest)] = block
@@ -359,14 +363,15 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
 
 
 def _pack_blocks(
-    part: Part,
+    mesh,
+    gid_cols: Sequence[np.ndarray],
     dim: int,
     elems: np.ndarray,
     counts: Sequence[int],
-    home: bool = False,
+    home: Optional[int] = None,
     tags: Sequence[str] = (),
 ) -> List[ElementBlock]:
-    """Closure blocks of dim-``dim`` elements of ``part``, one per run.
+    """Closure blocks of dim-``dim`` elements of ``mesh``, one per run.
 
     ``elems`` holds one run of elements per destination, back to back,
     ``counts[k]`` in run ``k``.  Each block is self-contained for
@@ -376,11 +381,13 @@ def _pack_blocks(
     tables intern in first-seen order of its own bundle-by-bundle traversal
     (vertices, intermediates, element), which is the canonical layout of
     :func:`repro.parallel.codec.block_from_bundles` — so every block is
-    the one its run packed alone would give.  ``home`` stamps every bundle
-    with this part and the element's handle (ghost copies); ``tags`` names
-    element tags whose values ride along.
+    the one its run packed alone would give.  ``gid_cols[d]`` is the
+    handle-indexed global id column of dimension ``d`` (-1 = unset): a
+    part's own columns, or the ids themselves for a serial mesh being
+    distributed.  ``home`` (a part id) stamps every bundle with that part
+    and the element's handle (ghost copies); ``tags`` names element tags
+    whose values ride along.
     """
-    mesh = part.mesh
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -418,14 +425,14 @@ def _pack_blocks(
         ids = mid_ids[rows]
         mid_etype[rows] = core.etype[d][ids]
         mid_nverts[rows] = core.nverts[d][ids]
-        mid_gid[rows] = part.gids_of(d, ids)
+        mid_gid[rows] = gid_cols[d][ids]
         mid_class[rows] = core.gclass[d][ids]
         mid_verts[rows, : VERT_WIDTH[d]] = core.verts[d][ids]
 
-    gid0 = part.gid_array(0)
-    elem_gid = part.gids_of(dim, elems)
+    gid0 = gid_cols[0]
+    elem_gid = gid_cols[dim][elems]
     if (gid0[vert_ids] < 0).any() or (elem_gid < 0).any():
-        raise KeyError(f"part {part.pid}: packed entity has no global id")
+        raise KeyError("packed entity has no global id")
     # The gid pool and the classification table intern the bundle-by-bundle
     # stream of (vertices, intermediates, element); every ref is read off
     # the stream at the entry's own position.
@@ -460,7 +467,7 @@ def _pack_blocks(
     ]
 
     present = [name for name in tags if mesh.tags.find(name) is not None]
-    extras = (EXTRA_HOME if home else 0) | (EXTRA_TAGS if tags else 0)
+    extras = (EXTRA_HOME if home is not None else 0) | (EXTRA_TAGS if tags else 0)
     empty = np.empty(0, dtype=np.int64)
     none = np.zeros(nseg + 1, dtype=np.int64)
     # (column, offsets of its runs): per-table columns by table run,
@@ -492,9 +499,10 @@ def _pack_blocks(
         "e_vrefs": (pool[at_v], ev_at),
         "extras": (np.full(n, extras, dtype=np.int64), e_at),
         "home_pid": (
-            (np.full(n, part.pid, dtype=np.int64), e_at) if home else (empty, none)
+            (np.full(n, home, dtype=np.int64), e_at)
+            if home is not None else (empty, none)
         ),
-        "home_idx": (elems, e_at) if home else (empty, none),
+        "home_idx": (elems, e_at) if home is not None else (empty, none),
         "tags": ([
             {name: mesh.tag(name).get(Ent(dim, idx)) for name in present}
             for idx in elems.tolist()

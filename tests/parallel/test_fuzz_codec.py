@@ -453,7 +453,9 @@ def _columnar_block(seed):
             tag.set(Ent(dim, idx), _random_tag_value(rng))
         tags = ("w", "absent")
     return _pack_blocks(
-        part, dim, np.asarray(chosen), [len(chosen)], home=ghost, tags=tags
+        part.mesh, [part.gid_array(d) for d in range(dim + 1)], dim,
+        np.asarray(chosen), [len(chosen)],
+        home=part.pid if ghost else None, tags=tags,
     )[0]
 
 

@@ -108,6 +108,17 @@ def test_assignment_validation():
         distribute(mesh, [-1] * mesh.count(2))
     with pytest.raises(ValueError):
         distribute(mesh, [5] * mesh.count(2), nparts=2)
+    # Non-integral or non-finite part ids are rejected, not truncated.
+    with pytest.raises(ValueError, match="element M2_1 .* non-integral"):
+        distribute(mesh, np.linspace(0, 1.9, mesh.count(2)))
+    nan_last = [0.0] * (mesh.count(2) - 1) + [float("nan")]
+    with pytest.raises(ValueError, match=f"element M2_{mesh.count(2) - 1} "):
+        distribute(mesh, nan_last)
+    with pytest.raises(ValueError, match="non-integral"):
+        distribute(mesh, {e: 0.5 for e in mesh.entities(2)})
+    # Integer-valued floats are still part ids.
+    dm = distribute(mesh, [0.0, 1.0] * (mesh.count(2) // 2))
+    assert dm.nparts == 2
 
 
 def test_empty_parts_allowed():

@@ -8,7 +8,8 @@ ghost (depth 1, then depth 2) → sync → unghost at 24,000 tets on 32 parts,
 checking after every step that the distributed representation verifies
 (link symmetry *and* completeness), that the owned element/vertex gid sets
 are the serial mesh's, and that every copy of a field value equals its
-owner's.  Ring 0 costs one superstep and every later ring three, and
+owner's; the distributed parts are also checked once against the former
+part builder (``tests/partition/test_distribute_oracle.py``).  Ring 0 costs one superstep and every later ring three, and
 ghosting an already ghosted mesh one ring deeper gives exactly the ghosts
 of one clean depth-2 call.  A second pass takes a spiked partition of the
 same mesh through heavy-part splitting and ParMA diffusion — dozens of small migrations, each
@@ -40,6 +41,10 @@ from repro.partition import (
 from repro.partitioners import element_centroids, partition
 from repro.store import SnapshotStore, element_partition, field_checksum
 from repro.workloads import aaa_mesh, shock_size, wing_mesh
+from tests.partition.test_distribute_oracle import (
+    assert_same_distribution,
+    reference_distribute,
+)
 
 pytestmark = pytest.mark.scale
 
@@ -87,11 +92,13 @@ def check_link_oracle(dm):
 def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     serial = aaa_mesh(n=N, seed=0)
     assert serial.count(3) == 24_000
-    dm = distribute(
-        serial, partition(serial, NPARTS, "rcb"), nparts=NPARTS,
-        counters=PerfCounters(),
-    )
+    assignment = partition(serial, NPARTS, "rcb")
+    dm = distribute(serial, assignment, nparts=NPARTS, counters=PerfCounters())
     check(dm, serial)
+    # The migration-built parts are the former part builder's, by gid.
+    assert_same_distribution(
+        dm, reference_distribute(serial, assignment, NPARTS)
+    )
 
     # Ring plan: every part hands 5 % of its elements to the next one.
     plan = {}
