@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 if TYPE_CHECKING:  # imported for annotations only: obs must stay cycle-free
     from ..parallel.perf import PerfCounters
@@ -69,6 +69,17 @@ class CommProbe:
 
     def seconds(self) -> float:
         return time.perf_counter() - self._t0
+
+    def cost(self) -> Dict[str, Any]:
+        """The window's :class:`CommStats` cost fields, as keyword arguments."""
+        return {
+            "messages": self.messages(),
+            "wire_bytes": self.wire_bytes(),
+            "supersteps": self.supersteps(),
+            "seconds": self.seconds(),
+            "encoded_bytes": self.encoded_bytes(),
+            "messages_coalesced": self.messages_coalesced(),
+        }
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,12 @@ Every buffer starts with a fixed 14-byte little-endian header::
     6       4     body length (bytes after the header)
     10      4     CRC-32 of the body
 
-The CRC is validated *before* any decoding, so truncated or bit-flipped
-buffers raise :class:`CodecError` instead of unpickling garbage.  Kinds:
+The header is checked field by field — a flag bit the kind does not define
+or a non-zero reserved byte is rejected — and the CRC *before* any
+decoding, so truncated or bit-flipped buffers raise :class:`CodecError`
+instead of unpickling garbage.  A pickled record is read only from a frame
+whose pickled flag is set, and a frame with the flag set must hold one.
+Kinds:
 
 ====  =======================  =============================================
 kind  constructor              schema
@@ -96,7 +100,16 @@ _KINDS = (KIND_VALUE, KIND_ELEMENTS, KIND_VALUES, KIND_ROWS)
 #: Header flag: the body contains at least one pickled fallback record.
 FLAG_PICKLED = 0x01
 
-_HEADER = struct.Struct("<2sBBBxII")
+#: The flag bits each kind defines: the kinds whose bodies hold generic
+#: records may carry pickled ones.
+_KIND_FLAGS = {
+    KIND_VALUE: FLAG_PICKLED,
+    KIND_ELEMENTS: FLAG_PICKLED,
+    KIND_VALUES: FLAG_PICKLED,
+    KIND_ROWS: 0,
+}
+
+_HEADER = struct.Struct("<2sBBBBII")
 HEADER_SIZE = _HEADER.size  # 14
 
 
@@ -111,22 +124,37 @@ class CodecError(ValueError):
 
 def _frame(kind: int, flags: int, body: bytes) -> bytes:
     return _HEADER.pack(
-        MAGIC, VERSION, kind, flags, len(body), zlib.crc32(body) & 0xFFFFFFFF
+        MAGIC, VERSION, kind, flags, 0, len(body),
+        zlib.crc32(body) & 0xFFFFFFFF,
     ) + body
 
 
-def _unframe(data: Any, expect_kind: int) -> memoryview:
-    """Validate a frame and return its body; raises :class:`CodecError`."""
+def _unframe(data: Any, expect_kind: int) -> Tuple[memoryview, List[int]]:
+    """Validate a frame; returns its body and the decode state
+    ``[flags, pickled records read]`` that :func:`_dec` and
+    :func:`_check_pickled` take.  Raises :class:`CodecError`."""
     buf = memoryview(data).cast("B") if not isinstance(data, bytes) else data
     if len(buf) < HEADER_SIZE:
         raise CodecError(f"buffer too short for header ({len(buf)} bytes)")
-    magic, version, kind, _flags, body_len, crc = _HEADER.unpack_from(buf, 0)
+    magic, version, kind, flags, reserved, body_len, crc = (
+        _HEADER.unpack_from(buf, 0)
+    )
     body = memoryview(buf)[HEADER_SIZE:]
     if (magic, version, kind, len(body)) != (MAGIC, VERSION, expect_kind, body_len):
         _reject_header(magic, version, kind, expect_kind, body_len, len(body))
+    if flags & ~_KIND_FLAGS[kind] or reserved:
+        raise CodecError(
+            f"bad header: flags {flags:#04x}, reserved byte {reserved:#04x}"
+        )
     if zlib.crc32(body) != crc:
         raise CodecError("CRC mismatch: buffer is corrupt")
-    return body
+    return body, [flags, 0]
+
+
+def _check_pickled(state: List[int]) -> None:
+    """Raise when a frame flagged as holding pickled records held none."""
+    if state[0] & FLAG_PICKLED and not state[1]:
+        raise CodecError("frame flagged as pickled holds no pickled record")
 
 
 def _reject_header(
@@ -383,7 +411,9 @@ def _take(buf, pos: int, n: int) -> Tuple[memoryview, int]:
     return buf[pos:pos + n], pos + n
 
 
-def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
+def _dec(buf, pos: int, end: int, state: List[int]) -> Tuple[Any, int]:
+    """Read one generic value; ``state`` is the frame's decode state
+    (:func:`_unframe`), which says whether a pickled record may occur."""
     if pos >= end:
         raise CodecError("truncated value stream")
     tag = buf[pos]
@@ -419,7 +449,7 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
         n, pos = _r_uint(buf, pos, end)
         items = []
         for _ in range(n):
-            item, pos = _dec(buf, pos, end)
+            item, pos = _dec(buf, pos, end, state)
             items.append(item)
         if tag == _T_TUPLE:
             return tuple(items), pos
@@ -432,8 +462,8 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
         n, pos = _r_uint(buf, pos, end)
         result: Dict[Any, Any] = {}
         for _ in range(n):
-            key, pos = _dec(buf, pos, end)
-            value, pos = _dec(buf, pos, end)
+            key, pos = _dec(buf, pos, end, state)
+            value, pos = _dec(buf, pos, end, state)
             result[key] = value
         return result, pos
     if tag == _T_NDARRAY:
@@ -458,6 +488,9 @@ def _dec(buf, pos: int, end: int) -> Tuple[Any, int]:
         arr, pos = _r_array(buf, pos, 1, dt)
         return arr[0], pos
     if tag == _T_PICKLE:
+        if not state[0] & FLAG_PICKLED:
+            raise CodecError("pickled record in a frame not flagged for one")
+        state[1] += 1
         n, pos = _r_uint(buf, pos, end)
         raw, pos = _take(buf, pos, n)
         return pickle.loads(raw), pos
@@ -476,17 +509,18 @@ def dumps(obj: Any) -> bytes:
 
 def loads(data: Any) -> Any:
     """Decode a kind-0 frame; raises :class:`CodecError` on a bad buffer."""
-    body = _unframe(data, KIND_VALUE)
-    if len(body) and body[0] == _T_LIST:
+    body, state = _unframe(data, KIND_VALUE)
+    if not state[0] and len(body) and body[0] == _T_LIST:
         if type(data) is bytes:
             bundle = _read_bundle(data, HEADER_SIZE)
         else:
             bundle = _read_bundle(bytes(body), 0)
         if bundle is not None:
             return bundle
-    obj, pos = _dec(body, 0, len(body))
+    obj, pos = _dec(body, 0, len(body), state)
     if pos != len(body):
         raise CodecError(f"{len(body) - pos} trailing byte(s) after value")
+    _check_pickled(state)
     return obj
 
 
@@ -628,11 +662,12 @@ class ElementBlock:
 
     * ``classes`` ``(nc, 2)`` — the classification table, ``(dim, tag)``;
       classification *refs* below are 1-based, 0 = unclassified;
-    * ``gids`` ``(ng,)`` — the global-id pool (all dimensions);
+    * ``gids`` ``(ng,)`` — the global-id pool (vertices and elements);
     * ``vert_gref``/``vert_cref``/``vert_coords`` — the vertex table;
-    * ``mid_dim``/``mid_gref`` (1-based, 0 = no gid)/``mid_etype``/
-      ``mid_cref``/``mid_nverts`` + flat ``mid_vrefs`` (gid-pool refs, the
-      sender's canonical vertex order) — the intermediate-entity table;
+    * ``mid_dim``/``mid_etype``/``mid_cref``/``mid_nverts`` + flat
+      ``mid_vrefs`` (gid-pool refs, the sender's canonical vertex order) —
+      the intermediate-entity table: an edge or face carries no gid, its
+      vertices identify it;
     * per bundle: ``b_vcounts`` + flat ``b_vrefs`` (vertex-table refs),
       ``b_mcounts`` + flat ``b_mrefs`` (mid-table refs), the element columns
       ``e_dim``/``e_etype``/``e_gref``/``e_cref``/``e_nverts`` + flat
@@ -648,10 +683,10 @@ class ElementBlock:
 
     __slots__ = (
         "classes", "gids", "vert_gref", "vert_cref", "vert_coords",
-        "mid_dim", "mid_gref", "mid_etype", "mid_cref", "mid_nverts",
-        "mid_vrefs", "b_vcounts", "b_vrefs", "b_mcounts", "b_mrefs",
-        "e_dim", "e_etype", "e_gref", "e_cref", "e_nverts", "e_vrefs",
-        "extras", "home_pid", "home_idx", "tags",
+        "mid_dim", "mid_etype", "mid_cref", "mid_nverts", "mid_vrefs",
+        "b_vcounts", "b_vrefs", "b_mcounts", "b_mrefs", "e_dim", "e_etype",
+        "e_gref", "e_cref", "e_nverts", "e_vrefs", "extras", "home_pid",
+        "home_idx", "tags",
     )
 
     def __init__(self, **columns: Any) -> None:
@@ -686,7 +721,6 @@ def encode_element_block(block: ElementBlock) -> bytes:
     # Section 4: intermediate-entity table (columns + CSR vertex refs).
     _w_uint(out, len(block.mid_dim))
     _w_u1(out, block.mid_dim)
-    _w_column(out, block.mid_gref)
     _w_u1(out, block.mid_etype)
     _w_column(out, block.mid_cref)
     _w_u1(out, block.mid_nverts)
@@ -718,7 +752,7 @@ def encode_element_block(block: ElementBlock) -> bytes:
 
 def decode_element_block(data: Any) -> ElementBlock:
     """Parse a kind-1 frame into an :class:`ElementBlock` (refs validated)."""
-    body = _unframe(data, KIND_ELEMENTS)
+    body, state = _unframe(data, KIND_ELEMENTS)
     end = len(body)
     pos = 0
     n, pos = _r_uint(body, pos, end)
@@ -750,12 +784,10 @@ def decode_element_block(data: Any) -> ElementBlock:
 
     n_mids, pos = _r_uint(body, pos, end)
     mid_dim, pos = r_bytes(pos, n_mids)
-    mid_gref, pos = _r_column(body, pos, n_mids)
     mid_etype, pos = r_bytes(pos, n_mids)
     mid_cref, pos = _r_column(body, pos, n_mids)
     mid_nverts, pos = r_bytes(pos, n_mids)
     mid_vrefs, pos = _r_column(body, pos, int(mid_nverts.sum()))
-    check_refs(mid_gref, n_gids + 1, "mid gid")
     check_refs(mid_cref, n_classes + 1, "mid classification")
     check_refs(mid_vrefs, n_gids, "mid vertex gid")
 
@@ -783,14 +815,15 @@ def decode_element_block(data: Any) -> ElementBlock:
         home_idx, pos = _r_column(body, pos, n_home)
     tags = []
     for _ in range(int(np.count_nonzero(extras & EXTRA_TAGS))):
-        value, pos = _dec(body, pos, end)
+        value, pos = _dec(body, pos, end, state)
         tags.append(value)
     if pos != end:
         raise CodecError(f"{end - pos} trailing byte(s) after element batch")
+    _check_pickled(state)
     return ElementBlock(
         classes=classes, gids=gids, vert_gref=vert_gref, vert_cref=vert_cref,
         vert_coords=coords.reshape(n_verts, 3), mid_dim=mid_dim,
-        mid_gref=mid_gref, mid_etype=mid_etype, mid_cref=mid_cref,
+        mid_etype=mid_etype, mid_cref=mid_cref,
         mid_nverts=mid_nverts, mid_vrefs=mid_vrefs, b_vcounts=b_vcounts,
         b_vrefs=b_vrefs, b_mcounts=b_mcounts, b_mrefs=b_mrefs, e_dim=e_dim,
         e_etype=e_etype, e_gref=e_gref, e_cref=e_cref, e_nverts=e_nverts,
@@ -802,8 +835,8 @@ def decode_element_block(data: Any) -> ElementBlock:
 def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
     """Intern a list of bundle dicts into an :class:`ElementBlock`.
 
-    A bundle is ``{"verts": [(gid, xyz, class)], "mids": [(dim, gid|None,
-    etype, vertex gids, class)], "element": (dim, gid, etype, vertex gids,
+    A bundle is ``{"verts": [(gid, xyz, class)], "mids": [(dim, etype,
+    vertex gids, class)], "element": (dim, gid, etype, vertex gids,
     class)}`` plus optional ``"tags"`` (dict) and ``"home"`` ``(pid,
     Ent)``, where a class is ``(dim, tag)`` or ``None``.  Tables intern in
     first-seen order, so the block (and its frame) is a pure function of
@@ -840,10 +873,8 @@ def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
             cols["b_vrefs"].append(vert_index.setdefault(key, len(vert_index)))
         cols["b_vcounts"].append(len(bundle["verts"]))
 
-        for d, gid, etype, vert_gids, gclass in bundle["mids"]:
-            row = (d, 0 if gid is None else gref(gid) + 1, etype,
-                   cref(gclass))
-            row += (tuple([gref(g) for g in vert_gids]),)
+        for d, etype, vert_gids, gclass in bundle["mids"]:
+            row = (d, etype, cref(gclass), tuple([gref(g) for g in vert_gids]))
             cols["b_mrefs"].append(mid_index.setdefault(row, len(mid_index)))
         cols["b_mcounts"].append(len(bundle["mids"]))
 
@@ -888,11 +919,10 @@ def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
         vert_cref=column([key[2] for key in vert_index]),
         vert_coords=coords,
         mid_dim=column([row[0] for row in mids]),
-        mid_gref=column([row[1] for row in mids]),
-        mid_etype=column([row[2] for row in mids]),
-        mid_cref=column([row[3] for row in mids]),
-        mid_nverts=column([len(row[4]) for row in mids]),
-        mid_vrefs=column([ref for row in mids for ref in row[4]]),
+        mid_etype=column([row[1] for row in mids]),
+        mid_cref=column([row[2] for row in mids]),
+        mid_nverts=column([len(row[3]) for row in mids]),
+        mid_vrefs=column([ref for row in mids for ref in row[3]]),
         tags=tags,
         **{name: column(values) for name, values in cols.items()},
     )
@@ -912,13 +942,12 @@ def bundles_from_block(block: ElementBlock) -> List[dict]:
     mid_rows = []
     cursor = 0
     mid_vrefs = block.mid_vrefs.tolist()
-    for d, g, et, c, nv in zip(
-        block.mid_dim.tolist(), block.mid_gref.tolist(),
-        block.mid_etype.tolist(), block.mid_cref.tolist(),
-        block.mid_nverts.tolist(),
+    for d, et, c, nv in zip(
+        block.mid_dim.tolist(), block.mid_etype.tolist(),
+        block.mid_cref.tolist(), block.mid_nverts.tolist(),
     ):
         mid_rows.append((
-            d, gid_pool[g - 1] if g else None, et,
+            d, et,
             tuple([gid_pool[r] for r in mid_vrefs[cursor:cursor + nv]]),
             class_rows[c],
         ))
@@ -1047,7 +1076,7 @@ def encode_value_columns(head: bytes, values: np.ndarray) -> bytes:
     crc = zlib.crc32(values, zlib.crc32(shape, zlib.crc32(head)))
     size = len(head) + len(shape) + values.nbytes
     return b"".join((
-        _HEADER.pack(MAGIC, VERSION, KIND_VALUES, 0, size, crc),
+        _HEADER.pack(MAGIC, VERSION, KIND_VALUES, 0, 0, size, crc),
         head, shape, values,
     ))
 
@@ -1055,7 +1084,7 @@ def encode_value_columns(head: bytes, values: np.ndarray) -> bytes:
 def _read_values(data: Any) -> Tuple[np.ndarray, np.ndarray, Any]:
     """A kind-2 frame's ``(dims, ids, values)``: ``values`` is one stacked
     array for a homogeneous frame, else a list of per-record arrays."""
-    body = _unframe(data, KIND_VALUES)
+    body, state = _unframe(data, KIND_VALUES)
     end = len(body)
     count, pos = _r_uint(body, 0, end)
     dims, pos = _r_array(body, pos, count, "u1")
@@ -1072,10 +1101,11 @@ def _read_values(data: Any) -> Tuple[np.ndarray, np.ndarray, Any]:
     else:
         values = []
         for _ in range(count):
-            value, pos = _dec(body, pos, end)
+            value, pos = _dec(body, pos, end, state)
             values.append(np.asarray(value))
     if pos != end:
         raise CodecError(f"{end - pos} trailing byte(s) after value batch")
+    _check_pickled(state)
     return dims, ids, values
 
 
@@ -1111,7 +1141,9 @@ def decode_value_columns(data: Any) -> Tuple[memoryview, np.ndarray]:
     generic records (values that were not float64 arrays of one shape) has
     no columnar form and raises :class:`CodecError`.
     """
-    body = _unframe(data, KIND_VALUES)
+    body, state = _unframe(data, KIND_VALUES)
+    if state[0]:
+        raise CodecError("value batch holds pickled records, not columns")
     end = len(body)
     count, pos = _r_uint(body, 0, end)
     pos += count  # the dims column: one byte per entity
@@ -1146,7 +1178,7 @@ def encode_int_rows(lengths: np.ndarray, flat: np.ndarray) -> bytes:
 
 def decode_int_rows(data: Any) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a kind-3 frame back into its ``(lengths, flat)`` columns."""
-    body = _unframe(data, KIND_ROWS)
+    body, _state = _unframe(data, KIND_ROWS)
     end = len(body)
     count, pos = _r_uint(body, 0, end)
     lengths, pos = _r_column(body, pos, count)

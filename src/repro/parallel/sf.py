@@ -671,12 +671,7 @@ class StarForest:
             nleaves=self.nleaves,
             records=records,
             sf_ops=1,
-            messages=probe.messages(),
-            wire_bytes=probe.wire_bytes(),
-            supersteps=probe.supersteps(),
-            seconds=probe.seconds(),
-            encoded_bytes=probe.encoded_bytes(),
-            messages_coalesced=probe.messages_coalesced(),
+            **probe.cost(),
         )
 
     # -- operations ---------------------------------------------------------

@@ -11,9 +11,10 @@ Distribution is a migration out of the serial mesh (paper, Section II-C):
 each part's elements are packed into one closure block and landed onto the
 empty part by the same two functions that :func:`~repro.partition.migrate`
 and :func:`~repro.partition.ghost_layer` ship closures with
-(:mod:`repro.partition.migration`).  Global ids are still simply the global
-mesh's entity ids, which makes the distribution invertible and easy to
-debug.
+(:mod:`repro.partition.migration`).  Vertex and element global ids are
+simply the global mesh's entity ids, which makes the distribution
+invertible and easy to debug; edges and faces are matched across parts by
+their sorted vertex gids, like everywhere else.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..obs.tracer import Tracer, trace_span
 from ..parallel.perf import PerfCounters
 from ..parallel.topology import MachineTopology
 from .dmesh import DistributedMesh
-from .links import answer_columns, link_answers, ragged_arange, split_rows
+from .links import answer_columns, link_answers, split_rows, surface_ids
 from .migration import _land_blocks, _pack_blocks
 
 Assignment = Union[Dict[Ent, int], Sequence[int], np.ndarray]
@@ -97,10 +98,11 @@ def distribute(
     )
 
     with trace_span(dmesh.tracer, "distribute", nparts=nparts):
-        # held[d]: per non-empty part, (pid, global ids of its dim-d
-        # entities in local id order) — local ids are 0..n-1 on a fresh part.
-        held: List[List[Tuple[int, np.ndarray]]] = [[] for _ in range(dim)]
-        gid_cols = [np.arange(mesh.core.top[d]) for d in range(dim + 1)]
+        # held[d]: per non-empty part, (pid, ids, keys) of its dim-d surface
+        # entities — the only ones another part can hold too.
+        held: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(dim)
+        ]
         with trace_span(dmesh.tracer, "distribute.build_parts"):
             for pid in range(nparts):
                 local_elements = element_ids[parts_of == pid]
@@ -108,28 +110,25 @@ def distribute(
                     continue
                 part = dmesh.part(pid)
                 _land_blocks(part, _pack_blocks(
-                    mesh, gid_cols, dim, local_elements, [len(local_elements)]
+                    mesh, np.arange(mesh.core.top[0]),
+                    np.arange(mesh.core.top[dim]), dim, local_elements,
+                    [len(local_elements)],
                 ))
-                for d in range(dim):  # elements are never shared
-                    held[d].append(
-                        (pid, part.gid_array(d)[: part.mesh.core.top[d]])
-                    )
+                for d, ids in enumerate(surface_ids(part)):
+                    held[d].append((pid, ids, part.entity_keys(d, ids)))
 
         # Symmetric remote links for entities held by more than one part:
-        # the grouping job of the link rendezvous, keyed by global id.
+        # the grouping job of the link rendezvous, keyed by entity key.
         with trace_span(dmesh.tracer, "distribute.link_boundaries"):
             for d, holders in enumerate(held):
-                gids = np.concatenate([g for _pid, g in holders])
-                counts = [len(g) for _pid, g in holders]
+                pids, ids, keys = zip(*holders)
                 answers = link_answers(
-                    np.full(len(gids), d),
-                    gids[:, None],
-                    np.repeat([pid for pid, _g in holders], counts),
-                    ragged_arange(np.zeros(len(counts), dtype=np.int64), counts),
+                    np.full(sum(map(len, ids)), d), np.concatenate(keys),
+                    np.repeat(pids, list(map(len, ids))), np.concatenate(ids),
                 )
                 for pid, lengths, flat in split_rows(*answers):
-                    _dim, ids, pids, rids = answer_columns(lengths, flat)
-                    dmesh.part(pid).replace_links(d, (), ids, pids, rids)
+                    _dim, *columns = answer_columns(lengths, flat)
+                    dmesh.part(pid).replace_links(d, (), *columns)
 
         # Future gid allocations must not collide with the global ids.
         for d in range(4):

@@ -196,12 +196,7 @@ def synchronize(dfield: DistributedField) -> SyncStats:
         values_sent=sent,
         entity_dim=dfield.entity_dim,
         sf_ops=1,
-        messages=probe.messages(),
-        wire_bytes=probe.wire_bytes(),
-        supersteps=probe.supersteps(),
-        seconds=probe.seconds(),
-        encoded_bytes=probe.encoded_bytes(),
-        messages_coalesced=probe.messages_coalesced(),
+        **probe.cost(),
     )
 
 
@@ -249,10 +244,5 @@ def accumulate(dfield: DistributedField) -> AccumulateStats:
         synced=sync.values_sent,
         entity_dim=dfield.entity_dim,
         sf_ops=1 + sync.sf_ops,
-        messages=probe.messages(),
-        wire_bytes=probe.wire_bytes(),
-        supersteps=probe.supersteps(),
-        seconds=probe.seconds(),
-        encoded_bytes=probe.encoded_bytes(),
-        messages_coalesced=probe.messages_coalesced(),
+        **probe.cost(),
     )

@@ -11,11 +11,12 @@ operation.
 1. **pack** — each source part gathers the downward closure of all the
    elements it sends in one call (:func:`_pack_blocks`), straight from its
    core arrays, and cuts it into one
-   :class:`~repro.parallel.codec.ElementBlock` per destination (vertex
-   coordinates, intermediate entities and elements as columns, with global
-   ids, types and geometric classification interned once per block); the
-   plan is the integer columns of a :class:`~repro.parallel.sf.StarForest`
-   rooted at the elements;
+   :class:`~repro.parallel.codec.ElementBlock` per destination (vertices,
+   intermediate entities and elements as columns, with types and geometric
+   classification interned once per block; vertices and elements carry
+   global ids, an intermediate entity only its vertices, which identify
+   it); the plan is the integer columns of a
+   :class:`~repro.parallel.sf.StarForest` rooted at the elements;
 2. **unpack** — one forest ``bcast`` ships one block per part pair and each
    destination lands all the blocks it got in one call
    (:func:`_land_blocks` → :func:`~repro.mesh.build.land_rows`, one call
@@ -35,8 +36,8 @@ No phase calls ``Mesh.create``/``Mesh.destroy`` per entity, and pack and
 land run once per part, not per part pair.  Ghosting ships and lands its
 copies through the same two functions, and so does
 :func:`~repro.partition.distribute`: it packs each part's elements out of
-the serial mesh (its own ids as gids) and lands the block onto the empty
-part.
+the serial mesh (its own vertex and element ids as gids) and lands the
+block onto the empty part.
 
 The relink protocol
 -------------------
@@ -194,8 +195,8 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                 for dest, run in zip(dests, runs):
                     columns[(pid, dest)] = (run, np.arange(len(run)))
                 packed_blocks = _pack_blocks(
-                    part.mesh, [part.gid_array(d) for d in range(dim + 1)],
-                    dim, np.concatenate(runs), [len(run) for run in runs],
+                    part.mesh, part.gid_array(0), part.gid_array(dim), dim,
+                    np.concatenate(runs), [len(run) for run in runs],
                 )
                 for dest, block in zip(dests, packed_blocks):
                     blocks[(pid, dest)] = block
@@ -258,12 +259,7 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
         elements_moved=moved,
         per_dimension=tuple(packed),
         sf_ops=1,
-        messages=probe.messages(),
-        wire_bytes=probe.wire_bytes(),
-        supersteps=probe.supersteps(),
-        seconds=probe.seconds(),
-        encoded_bytes=probe.encoded_bytes(),
-        messages_coalesced=probe.messages_coalesced(),
+        **probe.cost(),
     )
 
 
@@ -364,7 +360,8 @@ def _bounds(counts: np.ndarray) -> np.ndarray:
 
 def _pack_blocks(
     mesh,
-    gid_cols: Sequence[np.ndarray],
+    vert_gids: np.ndarray,
+    elem_gids: np.ndarray,
     dim: int,
     elems: np.ndarray,
     counts: Sequence[int],
@@ -375,18 +372,19 @@ def _pack_blocks(
 
     ``elems`` holds one run of elements per destination, back to back,
     ``counts[k]`` in run ``k``.  Each block is self-contained for
-    reconstruction: vertices with coordinates, intermediate entities and the
-    elements, all with global ids, types and classification.  The closure
-    streams and the core gathers are taken once for all runs; each run's
-    tables intern in first-seen order of its own bundle-by-bundle traversal
-    (vertices, intermediates, element), which is the canonical layout of
+    reconstruction: vertices with coordinates and global ids, intermediate
+    entities by their vertices, and the elements with global ids, all with
+    types and classification.  The closure streams and the core gathers
+    are taken once for all runs; each run's tables intern in first-seen
+    order of its own bundle-by-bundle traversal (vertices, intermediates,
+    element), which is the canonical layout of
     :func:`repro.parallel.codec.block_from_bundles` — so every block is
-    the one its run packed alone would give.  ``gid_cols[d]`` is the
-    handle-indexed global id column of dimension ``d`` (-1 = unset): a
-    part's own columns, or the ids themselves for a serial mesh being
-    distributed.  ``home`` (a part id) stamps every bundle with that part
-    and the element's handle (ghost copies); ``tags`` names element tags
-    whose values ride along.
+    the one its run packed alone would give.  ``vert_gids`` and
+    ``elem_gids`` are the handle-indexed global id columns of the vertices
+    and the elements (-1 = unset): a part's own columns, or the ids
+    themselves for a serial mesh being distributed.  ``home`` (a part id)
+    stamps every bundle with that part and the element's handle (ghost
+    copies); ``tags`` names element tags whose values ride along.
     """
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
@@ -417,7 +415,6 @@ def _pack_blocks(
     mid_ids = mid_codes - face_base * (mid_dim == 2)
     mid_etype = np.zeros(len(mid_ids), dtype=np.int64)
     mid_nverts = np.zeros(len(mid_ids), dtype=np.int64)
-    mid_gid = np.full(len(mid_ids), -1, dtype=np.int64)
     mid_class = np.full(len(mid_ids), -1, dtype=np.int64)
     mid_verts = np.full((len(mid_ids), VERT_WIDTH[max(dim - 1, 1)]), -1, np.int64)
     for d in mid_dims:
@@ -425,32 +422,32 @@ def _pack_blocks(
         ids = mid_ids[rows]
         mid_etype[rows] = core.etype[d][ids]
         mid_nverts[rows] = core.nverts[d][ids]
-        mid_gid[rows] = gid_cols[d][ids]
         mid_class[rows] = core.gclass[d][ids]
         mid_verts[rows, : VERT_WIDTH[d]] = core.verts[d][ids]
 
-    gid0 = gid_cols[0]
-    elem_gid = gid_cols[dim][elems]
-    if (gid0[vert_ids] < 0).any() or (elem_gid < 0).any():
+    elem_gid = elem_gids[elems]
+    if (vert_gids[vert_ids] < 0).any() or (elem_gid < 0).any():
         raise KeyError("packed entity has no global id")
-    # The gid pool and the classification table intern the bundle-by-bundle
-    # stream of (vertices, intermediates, element); every ref is read off
-    # the stream at the entry's own position.
-    mid_at = b_mrefs + m_starts[m_seg]
-    at_v, at_m, at_e = _interleave_at([ev_n, b_mcounts, np.ones(n, np.int64)])
-    pool_seg = np.repeat(seg, ev_n + b_mcounts + 1)
-    pool = np.empty(len(pool_seg), dtype=np.int64)
-    pool[at_v], pool[at_m], pool[at_e] = gid0[ev_flat], mid_gid[mid_at], elem_gid
-    has = pool >= 0
-    gids, g_starts, g_refs, _first = _interner(pool[has], pool_seg[has], nseg)
-    pool[has] = g_refs
-    klass = np.empty(len(pool_seg), dtype=np.int64)
+    # The gid pool interns the bundle-by-bundle stream of (vertices,
+    # element), the classification table that of (vertices, intermediates,
+    # element); every ref is read off its stream at the entry's own
+    # position.
+    one = np.ones(n, dtype=np.int64)
+    at_v, at_e = _interleave_at([ev_n, one])
+    stream = np.empty(len(ev_flat) + n, dtype=np.int64)
+    stream[at_v], stream[at_e] = vert_gids[ev_flat], elem_gid
+    gids, g_starts, grefs, _first = _interner(
+        stream, np.repeat(seg, ev_n + 1), nseg
+    )
+    v_grefs, e_grefs = grefs[at_v], grefs[at_e]
+    at_v, at_m, at_e = _interleave_at([ev_n, b_mcounts, one])
+    klass = np.empty(len(ev_flat) + len(b_mrefs) + n, dtype=np.int64)
     klass[at_v] = core.gclass[0][ev_flat]
-    klass[at_m] = mid_class[mid_at]
+    klass[at_m] = mid_class[b_mrefs + m_starts[m_seg]]
     klass[at_e] = core.gclass[dim][elems]
     has = klass >= 0
     class_table, c_starts, c_refs, _first = _interner(
-        klass[has], pool_seg[has], nseg
+        klass[has], np.repeat(seg, ev_n + b_mcounts + 1)[has], nseg
     )
     klass[has] = c_refs
     cref = _refs(klass, has)
@@ -462,7 +459,7 @@ def _pack_blocks(
     hit = (
         mid_verts[:, :, None] == ragged_matrix(ev_flat, ev_n, -1)[host][:, None, :]
     ).argmax(axis=2)
-    mid_vrefs = ragged_matrix(pool[at_v], ev_n, -1)[host[:, None], hit][
+    mid_vrefs = ragged_matrix(v_grefs, ev_n, -1)[host[:, None], hit][
         np.arange(mid_verts.shape[1]) < mid_nverts[:, None]
     ]
 
@@ -474,15 +471,13 @@ def _pack_blocks(
     # per-bundle columns by element run, flat ones by their CSR offsets.
     e_at = _bounds(counts)
     ev_at = _bounds(ev_n)[e_at]
-    mid_pool = pool[at_m][m_first]
     columns = {
         "classes": (mesh.class_pairs()[class_table], c_starts),
         "gids": (gids, g_starts),
-        "vert_gref": (pool[at_v][v_first], v_starts),
+        "vert_gref": (v_grefs[v_first], v_starts),
         "vert_cref": (cref[at_v][v_first], v_starts),
         "vert_coords": (mesh.coords_view()[vert_ids], v_starts),
         "mid_dim": (mid_dim, m_starts),
-        "mid_gref": (_refs(mid_pool, mid_gid >= 0), m_starts),
         "mid_etype": (mid_etype, m_starts),
         "mid_cref": (cref[at_m][m_first], m_starts),
         "mid_nverts": (mid_nverts, m_starts),
@@ -493,10 +488,10 @@ def _pack_blocks(
         "b_mrefs": (b_mrefs, _bounds(b_mcounts)[e_at]),
         "e_dim": (np.full(n, dim, dtype=np.int64), e_at),
         "e_etype": (core.etype[dim][elems].astype(np.int64), e_at),
-        "e_gref": (pool[at_e], e_at),
+        "e_gref": (e_grefs, e_at),
         "e_cref": (cref[at_e], e_at),
         "e_nverts": (ev_n, e_at),
-        "e_vrefs": (pool[at_v], ev_at),
+        "e_vrefs": (v_grefs, ev_at),
         "extras": (np.full(n, extras, dtype=np.int64), e_at),
         "home_pid": (
             (np.full(n, home, dtype=np.int64), e_at)
@@ -608,8 +603,8 @@ def _land_dim(
     looked up only when none of its vertices and lower entities is
     ``fresh`` (created by this landing).  ``distinct`` says every row is
     its own entity already (elements; the rows of a single block).  Sets
-    ``tables[d]`` and ``fresh[d]``; returns every row's id, the rows that
-    created one, and for every row the first row of its entity.
+    ``tables[d]`` and ``fresh[d]``; returns every row's id and the rows
+    that created one.
     """
     keys = np.sort(verts, axis=1)
     if distinct:
@@ -630,7 +625,7 @@ def _land_dim(
     tables[d] = (keys[lead], ids)
     fresh[d] = np.zeros(mesh.core.top[d], dtype=bool)
     fresh[d][ids[created]] = True
-    return ids[group], lead[created], lead[group]
+    return ids[group], lead[created]
 
 
 def _by_receiver(land: Callable[[int, List[ElementBlock]], None]):
@@ -768,28 +763,22 @@ def _land_blocks(
         ))))
         mrows, mid_dim, m_block = mrows[order], mid_dim[order], m_block[order]
         mid_verts = local_verts(vref_mat[order])
-        gref = _cat(blocks, "mid_gref")[mrows]
-        mid_gid = np.where(gref > 0, pool[np.maximum(gref - 1 + p_at[m_block], 0)], -1)
         mid_etype = _cat(blocks, "mid_etype")[mrows]
         mid_class = codes[_cat(blocks, "mid_cref", c_at)[mrows]]
         for d in range(1, dim):
             rows = np.flatnonzero(mid_dim == d)
             if not len(rows):
                 continue
-            ids, made, first = _land_dim(
+            ids, made = _land_dim(
                 mesh, d, mid_etype[rows], mid_verts[rows], mid_class[rows],
                 fresh, tables, distinct=len(blocks) == 1,
             )
-            # A later row naming its entity's first gid again adopts nothing.
-            gids = mid_gid[rows]
-            again = (first != np.arange(len(rows))) & (gids == gids[first])
-            part.set_gids(d, ids[~again], gids[~again])
             created[d] = (ids[made], m_block[rows][made])
 
     # Elements, in bundle order.
     erows = np.flatnonzero(keep)
     e_block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])[erows]
-    ids, made, _first = _land_dim(
+    ids, made = _land_dim(
         mesh, dim, _cat(blocks, "e_etype")[erows],
         local_verts(ragged_matrix(
             _cat(blocks, "e_vrefs", p_at), _cat(blocks, "e_nverts"), -1

@@ -252,10 +252,7 @@ def state_from_dmesh(
         }
         for dfield in fields:
             d, local = dfield.entity_dim, dfield.on(part.pid)
-            # Migration deletes entities out from under runtime field
-            # stores; stale handles have no gid and are not state.
             held = np.intersect1d(local.set_ids(), real[d])
-            held = held[part.gids_of(d, held) >= 0]
             rows = np.empty(len(held), _field_rows(d, local.shape))
             rows["key"] = part.entity_keys(d, held)
             rows["value"] = local.get_many(held).reshape(rows["value"].shape)
@@ -743,11 +740,17 @@ def load_owner(
 
 
 def owned_gid_set(dmesh: DistributedMesh, dim: int) -> frozenset:
-    """The global set of owned (non-ghost) entity gids of one dimension.
+    """The global set of owned (non-ghost) vertex or element gids.
 
     Restores at different part counts must agree on this set exactly —
-    it is the partition-independent identity of the mesh.
+    it is the partition-independent identity of the mesh.  Edges and faces
+    carry no gids (their vertex-gid keys identify them), so an
+    intermediate ``dim`` raises ``ValueError``.
     """
+    if 0 < dim < dmesh.element_dim():
+        raise ValueError(
+            f"dim-{dim} entities have no gids; compare their entity keys"
+        )
     return frozenset(
         gid for part in dmesh
         for gid in part.gids_of(dim, part.owned_ids(dim)).tolist()

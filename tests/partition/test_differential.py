@@ -6,7 +6,8 @@ ghost deletion, then field synchronize + accumulate — runs serially
 *identical* global invariants:
 
 * per-dimension owned entity counts,
-* the owned-gid set for every dimension,
+* the owned identity set for every dimension (vertex and element gids,
+  edge and face keys),
 * the field checksum after :func:`synchronize` (coordinate-derived values,
   summed with :func:`math.fsum` so the result is order-independent),
 * the field checksum after :func:`accumulate` (integer-valued element
@@ -48,13 +49,17 @@ def _coord_value(xyz):
 
 
 def owned_gids(dm):
-    """Owned-gid set per dimension — the partition-independent identity."""
-    sets = {dim: set() for dim in range(dm.element_dim() + 1)}
+    """Owned identity set per dimension — the partition-independent
+    identity: gids of vertices and elements, keys (sorted vertex gids) of
+    the edges and faces between them."""
+    top = dm.element_dim()
+    sets = {dim: set() for dim in range(top + 1)}
     for part in dm:
         for dim in sets:
+            identity = part.gid if dim in (0, top) else part.entity_key
             for ent in part.mesh.entities(dim):
                 if part.owns(ent) and not part.is_ghost(ent):
-                    sets[dim].add(part.gid(ent))
+                    sets[dim].add(identity(ent))
     return {dim: frozenset(gids) for dim, gids in sets.items()}
 
 

@@ -87,8 +87,9 @@ def test_gids_unique_per_part_and_consistent(dmesh2d):
     mesh, dm = dmesh2d
     for part in dm:
         for dim in range(3):
-            gids = [part.gid(e) for e in part.mesh.entities(dim)]
-            assert len(gids) == len(set(gids))
+            identity = part.gid if dim in (0, 2) else part.entity_key
+            ids = [identity(e) for e in part.mesh.entities(dim)]
+            assert len(ids) == len(set(ids))
 
 
 def test_assignment_dict_form():
@@ -223,8 +224,9 @@ def _mixed_mesh():
 def test_bulk_build_matches_per_entity_reference(kind, nparts):
     """gids, classification and links as the per-entity loop derives them:
     every local entity matched to the global mesh by its sorted global
-    vertex ids, one ``set_gid``/``classification`` read at a time, holders
-    grouped by gid in a dict."""
+    vertex ids (its key), one gid/``classification`` read at a time,
+    holders grouped by matched global entity in a dict.  Only vertices and
+    elements carry gids."""
     mesh = {"tri": lambda: rect_tri(5), "tet": lambda: box_tet(3),
             "mixed": _mixed_mesh}[kind]()
     dim = mesh.dim()
@@ -244,8 +246,11 @@ def test_bulk_build_matches_per_entity_reference(kind, nparts):
                 ]
                 match = verts[0] if d == 0 else mesh.find(d, verts)
                 assert match is not None
-                assert part.gid(ent) == match.idx
-                assert part.by_gid(d, match.idx) == ent
+                if d in (0, dim):
+                    assert part.gid(ent) == match.idx
+                    assert part.by_gid(d, match.idx) == ent
+                else:
+                    assert not part.has_gid(ent)
                 assert local.classification(ent) == mesh.classification(match)
                 if d == 0:
                     assert (local.coords(ent) == mesh.coords(match)).all()
@@ -253,7 +258,7 @@ def test_bulk_build_matches_per_entity_reference(kind, nparts):
     for part in dm:
         expected = {
             ent: {q: other for q, other in held if q != part.pid}
-            for (d, _gid), held in holders.items() if len(held) > 1 and d < dim
+            for (d, _idx), held in holders.items() if len(held) > 1 and d < dim
             for pid, ent in held if pid == part.pid
         }
         assert part.remotes == expected

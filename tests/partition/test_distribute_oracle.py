@@ -5,16 +5,18 @@ part, packed by ``_pack_blocks`` and landed onto the empty part by
 ``_land_blocks``.  The reference below is the builder it used before —
 ``from_connectivity`` for one element type, a per-entity ``Mesh.create``
 loop for mixed meshes, and one ``mesh._lookup`` probe per edge and face to
-find its global id — kept here verbatim as the oracle.
+find its global entity — kept here as the oracle, less the edge and face
+gids it used to set: only vertices and elements carry gids, an edge or a
+face is identified by its key (sorted vertex gids).
 
 Both give every part the same vertices and elements in the same local
-order, the same coordinates, the same edge and face gids with the same
+order, the same coordinates, the same edge and face keys with the same
 classification, and the same links.  Only the *local ids* of edges and
 faces may differ: ``_land_blocks`` numbers a block's intermediates by
 ``(dim, vertex-gid tuple)``, while ``from_connectivity`` numbers them by
 sorted local vertex key and the per-entity loop by creation order.  So
-edges and faces are compared as gid sets, and links as
-``(gid, remote part, remote gid)`` triples.
+edges and faces are compared as key sets, and links as
+``(identity, remote part, remote identity)`` rows.
 """
 
 import tracemalloc
@@ -45,8 +47,9 @@ def _build_part(
 ) -> List[np.ndarray]:
     """The former part builder: closure, global ids, copied classification.
 
-    Returns, per dimension, the global id of every local entity in local
-    id order (a fresh part's ids are ``0..n-1``).
+    Returns, per dimension, the global mesh's id of every local entity in
+    local id order (a fresh part's ids are ``0..n-1``); vertices and
+    elements take them as gids.
     """
     dim = mesh.dim()
     if single_type is not None:
@@ -92,7 +95,8 @@ def _build_part(
 
     for d, gids in enumerate(global_ids):
         local = np.arange(len(gids))
-        part.set_gids(d, local, gids)
+        if d in (0, dim):
+            part.set_gids(d, local, gids)
         local_mesh.copy_classification(mesh, d, gids, local)
     return global_ids
 
@@ -132,24 +136,37 @@ def reference_distribute(mesh: Mesh, assignment, nparts: int) -> DistributedMesh
     return dmesh
 
 
+def _identity(part: Part, d: int, ids: np.ndarray) -> np.ndarray:
+    """One identity row per entity: the gid of a vertex or an element, the
+    key (sorted vertex gids) of an edge or a face."""
+    if d in (0, part.mesh.dim()):
+        return part.gids_of(d, ids)[:, None]
+    return part.entity_keys(d, ids)
+
+
 def _classified(part: Part, d: int) -> np.ndarray:
-    """Rows ``(gid, class dim, class tag)`` of a part's dim-``d`` entities
-    in local id order (``(-1, -1)`` = unclassified)."""
+    """Rows ``(identity, class dim, class tag)`` of a part's dim-``d``
+    entities in local id order (``(-1, -1)`` = unclassified)."""
     top = part.mesh.core.top[d]
     codes = part.mesh.core.gclass[d][:top].astype(np.int64)
     pairs = np.vstack((part.mesh.class_pairs(), [(-1, -1)]))
-    return np.column_stack((part.gid_array(d)[:top], pairs[codes]))
+    return np.column_stack((_identity(part, d, np.arange(top)), pairs[codes]))
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _link_triples(dm: DistributedMesh, part: Part, d: int) -> np.ndarray:
-    """A part's dim-``d`` links as sorted ``(gid, pid, remote gid)`` rows."""
+    """A part's dim-``d`` links as sorted ``(identity, pid, remote
+    identity)`` rows."""
     ids, pids, rids = part.links(d)
-    rgids = np.empty(len(rids), dtype=np.int64)
+    here = _identity(part, d, ids)
+    there = np.empty_like(here)
     for q in np.unique(pids).tolist():
         at = pids == q
-        rgids[at] = dm.part(q).gids_of(d, rids[at])
-    rows = np.column_stack((part.gids_of(d, ids), pids, rgids)).reshape(-1, 3)
-    return rows[np.lexsort(rows.T[::-1])]
+        there[at] = _identity(dm.part(q), d, rids[at])
+    return _sorted_rows(np.column_stack((here, pids, there)))
 
 
 def assert_same_distribution(dm: DistributedMesh, ref: DistributedMesh) -> None:
@@ -166,7 +183,7 @@ def assert_same_distribution(dm: DistributedMesh, ref: DistributedMesh) -> None:
                 np.testing.assert_array_equal(got, exp)
             else:
                 np.testing.assert_array_equal(
-                    got[np.argsort(got[:, 0])], exp[np.argsort(exp[:, 0])]
+                    _sorted_rows(got), _sorted_rows(exp)
                 )
             np.testing.assert_array_equal(
                 _link_triples(dm, part, d), _link_triples(ref, want, d)

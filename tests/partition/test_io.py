@@ -176,21 +176,34 @@ def test_roundtrip_fields(tmp_path):
             assert f.get(v) == pytest.approx(x[0] + 2.0 * x[1])
 
 
-def test_all_entities_have_gids_after_restore(tmp_path):
-    """The all-entities-carry-gids invariant survives the round-trip."""
-    mesh = box_tet(2)
-    dm = distribute(mesh, strips(mesh, 2, axis=2))
-    restored, _ = roundtrip(dm, tmp_path, model=mesh.model)
+@pytest.mark.parametrize("make", [lambda: box_tet(2), lambda: rect_tri(5)])
+@pytest.mark.parametrize("nparts", [None, 3])
+def test_restore_gives_vertices_and_elements_gids_and_keys_identify(
+    tmp_path, make, nparts
+):
+    """After a load every vertex and element carries a gid, no edge or face
+    does, no two live entities of a part share a key, and a shared entity
+    has one key on every holder."""
+    mesh = make()
+    dm = distribute(mesh, strips(mesh, 2, axis=1))
+    restored, _ = roundtrip(dm, tmp_path, model=mesh.model, nparts=nparts)
+    restored.verify()
+    top = restored.element_dim()
     for part in restored:
-        for dim in range(4):
-            for ent in part.mesh.entities(dim):
-                assert part.has_gid(ent), (part.pid, ent)
-    # Shared entities carry the same gid on every holder.
+        for dim in range(top + 1):
+            ids = part.mesh.entity_ids(dim)
+            gids = part.gids_of(dim, ids)
+            if dim in (0, top):
+                assert (gids >= 0).all(), (part.pid, dim)
+            else:
+                assert (gids < 0).all(), (part.pid, dim)
+            keys = part.entity_keys(dim, ids)
+            assert len(np.unique(keys, axis=0)) == len(ids), (part.pid, dim)
     for part in restored:
         for ent, copies in part.remotes.items():
             for other_pid, other_ent in copies.items():
                 other = restored.part(other_pid)
-                assert other.gid(other_ent) == part.gid(ent)
+                assert other.entity_key(other_ent) == part.entity_key(ent)
 
 
 def test_ghosted_mesh_roundtrip_excludes_ghosts(tmp_path):
@@ -374,41 +387,3 @@ def test_object_array_in_part_file_is_rejected_never_unpickled(tmp_path):
         convert_dmesh2(path, store)
     assert not _Tripwire.fired
     assert store.epochs() == []
-
-
-def _reference_intermediate_gids(dmesh):
-    """The scalar loop ``_restore_intermediate_gids`` replaced, verbatim in
-    effect: gid = base + rank of the sorted vertex-gid tuple."""
-    expected = {}
-    dim = dmesh.element_dim()
-    for d in range(1, dim):
-        keys = set()
-        for part in dmesh:
-            for ent in part.mesh.entities(d):
-                keys.add(tuple(sorted(
-                    part.gid(v) for v in part.mesh.verts_of(ent)
-                )))
-        gid_of = {key: i for i, key in enumerate(sorted(keys))}
-        for part in dmesh:
-            for ent in part.mesh.entities(d):
-                key = tuple(sorted(
-                    part.gid(v) for v in part.mesh.verts_of(ent)
-                ))
-                expected[(part.pid, ent)] = gid_of[key]
-        expected[("count", d)] = len(keys)
-    return expected
-
-
-@pytest.mark.parametrize("make", [lambda: box_tet(3), lambda: rect_tri(5)])
-def test_restored_intermediate_gids_match_the_reference_loop(tmp_path, make):
-    mesh = make()
-    dm = distribute(mesh, strips(mesh, 4))
-    restored, _ = roundtrip(dm, tmp_path, model=mesh.model, nparts=2)
-    restored.verify()
-    expected = _reference_intermediate_gids(restored)
-    for d in range(1, restored.element_dim()):
-        # The loader starts each dimension's gids at the manifest's base.
-        base = restored._gid_next[d] - expected[("count", d)]
-        for part in restored:
-            for ent in part.mesh.entities(d):
-                assert part.gid(ent) == base + expected[(part.pid, ent)]

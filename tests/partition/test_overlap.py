@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.field import UniformSize
 from repro.mesh import box_tet, rect_tri
-from repro.partition import Overlap, distribute, ghost_layer
+from repro.partition import Overlap, distribute, ghost_layer, refine_distributed
 from repro.partitioners import partition
 
 
@@ -100,13 +101,22 @@ def test_depth_k_region_is_exact(maker, nparts, depth):
 
 
 def ghost_gids(dm):
-    """Per part and dimension, the sorted gids of its ghosts."""
-    return {
-        part.pid: [
-            sorted(part.gids_of(d, part.ghost_ids(d)).tolist()) for d in range(4)
-        ]
-        for part in dm
-    }
+    """Per part and dimension, the sorted identities of its ghosts: the gids
+    of vertices and elements, the keys (sorted vertex gids) of edges and
+    faces."""
+    top = dm.element_dim()
+    out = {}
+    for part in dm:
+        out[part.pid] = []
+        for d in range(top + 1):
+            ids = part.ghost_ids(d)
+            if d in (0, top):
+                out[part.pid].append(sorted(part.gids_of(d, ids).tolist()))
+            else:
+                out[part.pid].append(
+                    sorted(map(tuple, part.entity_keys(d, ids).tolist()))
+                )
+    return out
 
 
 @pytest.mark.parametrize("maker", (lambda: rect_tri(8), lambda: box_tet(3)),
@@ -188,3 +198,23 @@ def test_argument_spellings_are_exclusive():
         ghost_layer(dm, 0, 2)
     with pytest.raises(TypeError):
         ghost_layer(dm, bridge_dim=0)
+
+
+@pytest.mark.parametrize("bridge_dim", (1, 2))
+def test_deep_rings_cross_refined_edges_and_faces(bridge_dim):
+    """Refinement creates edges and faces nobody numbers; a depth-2 ring
+    bridged by them still finds each front entity at its home by key."""
+    mesh = box_tet(3)
+    assignment = partition(mesh, 4, "rcb")
+    deep, shallow = (distribute(mesh, assignment, nparts=4) for _ in range(2))
+    for dm in (deep, shallow):
+        refine_distributed(dm, UniformSize(0.25), max_passes=1)
+    ghost_layer(shallow, overlap=Overlap(depth=1, bridge_dim=bridge_dim))
+    ghost_layer(deep, overlap=Overlap(depth=2, bridge_dim=bridge_dim))
+    deep.verify()
+    for got, ring0 in zip(deep, shallow):
+        ghosts, first = (
+            set(map(tuple, part.entity_keys(3, part.ghost_ids(3)).tolist()))
+            for part in (got, ring0)
+        )
+        assert first and ghosts > first, got.pid

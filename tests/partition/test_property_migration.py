@@ -276,18 +276,11 @@ def _apply_ops(nparts, seed):
                 continue
             part, element = _holder_of(dm, gids[pick % len(gids)])
             verts = part.mesh.verts_of(element)
-            edge_gids = {}
-            for edge in part.mesh.down(element):
-                key = tuple(sorted(
-                    part.gid(v) for v in part.mesh.verts_of(edge)
-                ))
-                edge_gids[key] = part.gid(edge)
             graveyard.append({
                 "etype": part.mesh.etype(element),
                 "gid": part.gid(element),
                 "vgids": [part.gid(v) for v in verts],
                 "coords": [part.mesh.coords(v).tolist() for v in verts],
-                "edge_gids": edge_gids,
             })
             _remove_element(part, element)
             rebuild_links(dm)
@@ -316,14 +309,6 @@ def _apply_ops(nparts, seed):
                 local.append(v)
             element = target.mesh.create(record["etype"], local)
             target.set_gid(element, record["gid"])
-            # Implicitly created boundary edges need their recorded gids
-            # back, or the gid-keyed ghost registry won't track them.
-            for edge in target.mesh.down(element):
-                if not target.has_gid(edge):
-                    key = tuple(sorted(
-                        target.gid(v) for v in target.mesh.verts_of(edge)
-                    ))
-                    target.set_gid(edge, record["edge_gids"][key])
             rebuild_links(dm)
         elif op == "migrate":
             delete_ghosts(dm)

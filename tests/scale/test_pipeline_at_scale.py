@@ -72,13 +72,22 @@ def check(dm, serial, field=None):
 
 
 def ghost_gids(dm):
-    """Per part and dimension, the sorted gids of its ghosts."""
-    return {
-        part.pid: [
-            sorted(part.gids_of(d, part.ghost_ids(d)).tolist()) for d in range(4)
-        ]
-        for part in dm
-    }
+    """Per part and dimension, the sorted identities of its ghosts: the gids
+    of vertices and elements, the keys (sorted vertex gids) of edges and
+    faces."""
+    top = dm.element_dim()
+    out = {}
+    for part in dm:
+        out[part.pid] = []
+        for d in range(top + 1):
+            ids = part.ghost_ids(d)
+            if d in (0, top):
+                out[part.pid].append(sorted(part.gids_of(d, ids).tolist()))
+            else:
+                out[part.pid].append(
+                    sorted(map(tuple, part.entity_keys(d, ids).tolist()))
+                )
+    return out
 
 
 def check_link_oracle(dm):
@@ -95,7 +104,8 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     assignment = partition(serial, NPARTS, "rcb")
     dm = distribute(serial, assignment, nparts=NPARTS, counters=PerfCounters())
     check(dm, serial)
-    # The migration-built parts are the former part builder's, by gid.
+    # The migration-built parts are the former part builder's, by gid
+    # and key.
     assert_same_distribution(
         dm, reference_distribute(serial, assignment, NPARTS)
     )

@@ -66,10 +66,18 @@ def build_chain(root):
     return store
 
 
+def owned_edge_keys(dm):
+    """The owned edges' keys (sorted vertex gids): edges carry no gids."""
+    return frozenset(
+        key for part in dm
+        for key in map(tuple, part.entity_keys(1, part.owned_ids(1)).tolist())
+    )
+
+
 def read_load_at(store):
     dm, fields, _stats = store.load_at(epoch=TIP)
     return (
-        [owned_gid_set(dm, d) for d in range(3)],
+        [owned_gid_set(dm, 0), owned_edge_keys(dm), owned_gid_set(dm, 2)],
         element_partition(dm),
         {n: round(field_checksum(dm, f), 9) for n, f in sorted(fields.items())},
     )

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.mesh import rect_tri
+from repro.field import AnalyticSize
+from repro.mesh import box_tet, rect_tri
 from repro.obs import Tracer
 from repro.parallel.perf import PerfCounters
-from repro.partition import DistributedField, distribute, migrate
+from repro.partition import (
+    DistributedField,
+    distribute,
+    migrate,
+    refine_distributed,
+)
+from repro.partitioners import partition
 from repro.store import (
     CorruptSnapshotError,
     SnapshotCache,
@@ -234,3 +241,45 @@ def test_install_current_uninstall():
     finally:
         uninstall_cache()
     assert current_cache() is None
+
+
+def _values_by_key(dm, dfield):
+    """``({key: value}, values held)`` of a field over every part's copies."""
+    d = dfield.entity_dim
+    by_key, held = {}, 0
+    for part in dm:
+        local = dfield.on(part.pid)
+        ids = part.mesh.entity_ids(d)
+        ids = ids[local.has_many(ids)]
+        held += len(ids)
+        by_key.update(zip(
+            map(tuple, part.entity_keys(d, ids).tolist()),
+            local.get_many(ids).ravel().tolist(),
+        ))
+    return by_key, held
+
+
+def test_refined_edge_and_face_fields_checkpoint_whole(tmp_path):
+    """Refinement creates edges and faces nobody numbers; fields on them
+    come back from a checkpoint complete, matched by key."""
+    mesh = box_tet(3)
+    dm = distribute(mesh, partition(mesh, 2, method="rcb"))
+    refine_distributed(
+        dm, AnalyticSize(lambda x: 0.15 if x[0] < 0.3 else 1.0), max_passes=1
+    )
+    fields = []
+    for d in (1, 2):
+        dfield = DistributedField(dm, f"on{d}", d, 1)
+        for part in dm:
+            ids = part.mesh.entity_ids(d)
+            keys = part.entity_keys(d, ids)
+            dfield.on(part.pid).set_many(ids, (keys + 1).prod(axis=1) + 0.5)
+        fields.append(dfield)
+    store = SnapshotStore(tmp_path / "st")
+    store.save(dm, fields)
+    restored, loaded, _stats = store.load_at(model=mesh.model)
+    restored.verify()
+    for dfield in fields:
+        want = _values_by_key(dm, dfield)
+        assert want[1] == sum(part.mesh.count(dfield.entity_dim) for part in dm)
+        assert _values_by_key(restored, loaded[dfield.name]) == want
