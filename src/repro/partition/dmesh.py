@@ -206,9 +206,8 @@ class DistributedMesh:
         """Check every distributed-representation invariant; raise on failure.
 
         * each part's serial mesh is valid,
-        * remote-copy links are symmetric and connect entities with equal
-          gids and dimensions,
-        * shared entities' vertex gid sets agree across parts,
+        * remote-copy links are symmetric and connect entities of one
+          dimension with equal keys (sorted vertex gids),
         * links are complete: every non-ghost identity held by two or more
           parts is linked among all its holders,
         * the parts close up: on a 3-D mesh with a model, every face that
