@@ -92,6 +92,11 @@ def test_entity_key_shapes():
     rows = part.entity_keys(2, faces)
     assert rows.shape == (len(faces), 4) and (rows[:, 0] == -1).all()
     assert tuple(rows[0, 1:].tolist()) == part.entity_key(Ent(2, int(faces[0])))
+    # ``by_key`` is its inverse: a key names one live entity, or none.
+    for ent in (v, e, Ent(2, int(faces[0]))):
+        assert part.by_key(ent.dim, part.entity_key(ent)) == ent
+    assert part.by_key(1, (key[0], -5)) is None
+    assert part.by_key(0, key) is None
 
 
 def test_link_maintenance_surface():
