@@ -130,8 +130,9 @@ def distribute(
                     _dim, *columns = answer_columns(lengths, flat)
                     dmesh.part(pid).replace_links(d, (), *columns)
 
-        # Future gid allocations must not collide with the global ids.
-        for d in range(4):
+        # Future gid allocations must not collide with the global ids (of
+        # vertices and elements: the only entities that carry one).
+        for d in (0, dim):
             dmesh.note_gid(d, mesh.core.top[d])
     return dmesh
 

@@ -67,10 +67,12 @@ class DistributedMesh:
         self.parts: List[Part] = [Part(pid) for pid in range(nparts)]
         for part in self.parts:
             part.mesh.model = model
-        # Central gid allocation: one counter per dimension.  A real MPI
-        # implementation hands each part a strided id range; in this
-        # single-process simulation a shared counter gives the same
-        # uniqueness guarantee deterministically.
+        # Central gid allocation: one counter per dimension, of which only
+        # the vertex and element ones move (edges and faces are identified
+        # by their sorted vertex gids); all four are kept so manifests stay
+        # four entries long.  A real MPI implementation hands each part a
+        # strided id range; in this single-process simulation a shared
+        # counter gives the same uniqueness guarantee deterministically.
         self._gid_next = [0, 0, 0, 0]
         self._network: Optional[Network] = None
         #: The halo plans of one link state: ``(links_version, {dim: plan})``.

@@ -14,7 +14,8 @@ bookkeeping the distributed representation needs:
   matched.  Gids are stored as a per-dimension int64 column indexed by
   entity handle (-1 = unset) with a gid→handle reverse dict, so single
   lookups stay O(1) and batch lookups (:meth:`gids_of`) are one vectorized
-  gather;
+  gather; only the vertex and element columns are ever written, those of
+  the dimensions between stay empty;
 * **links** — one row per remote copy of a part-boundary entity (the
   paper's duplicated entities) in three read-only int64 columns per
   dimension, ``(ids, pids, rids)``: part ``pids[k]`` holds local entity

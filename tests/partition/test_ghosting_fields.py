@@ -171,6 +171,31 @@ def test_accumulate_sums_copies(dm):
     assert df.max_copy_disagreement() == 0
 
 
+def test_ghosts_never_contribute_to_accumulate(dm):
+    """Every ghost vertex copy holds a huge value; each owner's sum is over
+    the real copies only."""
+    ghost_layer(dm, depth=2)
+    df = DistributedField(dm, "a")
+    ghosts = 0
+    for part in dm:
+        field = df.on(part.pid)
+        for v in part.mesh.entities(0):
+            ghost = part.is_ghost(v)
+            ghosts += ghost
+            field.set(v, 1e9 if ghost else 1.0 + part.pid)
+    assert ghosts > 0
+    accumulate(df)
+    owned = 0
+    for part in dm:
+        for v in part.mesh.entities(0):
+            if part.is_ghost(v) or not part.owns(v):
+                continue
+            want = sum(1.0 + q for q in part.residence(v))
+            assert df.on(part.pid).get_scalar(v) == want
+            owned += 1
+    assert owned == 25  # rect_tri(4): every vertex has exactly one owner
+
+
 def test_field_set_from_coords_consistent_needs_no_sync(dm):
     df = DistributedField(dm, "x")
     df.set_from_coords(lambda x: x[0] + 2 * x[1])

@@ -73,30 +73,41 @@ def actual_regions(dm):
     return out
 
 
+def rcb(mesh, nparts):
+    return list(partition(mesh, nparts, "rcb"))
+
+
 @pytest.mark.parametrize("depth", (1, 2, 3))
 @pytest.mark.parametrize(
-    "maker,nparts",
+    "make_mesh,maker,nparts,bridge_dim",
     (
-        (lambda mesh: strip(mesh, 4), 4),
-        (lambda mesh: strip(mesh, 8), 8),
-        (lambda mesh: blocks(mesh, 2), 4),
+        (lambda: rect_tri(8), lambda mesh: strip(mesh, 4), 4, 0),
+        (lambda: rect_tri(8), lambda mesh: strip(mesh, 8), 8, 0),
+        (lambda: rect_tri(8), lambda mesh: blocks(mesh, 2), 4, 0),
+        (lambda: box_tet(3), lambda mesh: rcb(mesh, 4), 4, 0),
+        (lambda: box_tet(3), lambda mesh: rcb(mesh, 4), 4, 1),
+        (lambda: box_tet(3), lambda mesh: rcb(mesh, 4), 4, 2),
     ),
-    ids=("strip4", "strip8", "blocks2x2"),
+    ids=("strip4", "strip8", "blocks2x2", "box-rcb4-b0", "box-rcb4-b1",
+         "box-rcb4-b2"),
 )
-def test_depth_k_region_is_exact(maker, nparts, depth):
+def test_depth_k_region_is_exact(make_mesh, maker, nparts, bridge_dim, depth):
     """The distributed overlap equals the serial ring expansion, exactly.
 
-    The 2×2 block partition is the hard case: the second ring wraps part
-    corners onto diagonal neighbors the first ring never talked to, which
-    only the referral pass can reach.
+    The 2×2 block partition is the hard case in 2-D: the second ring wraps
+    part corners onto diagonal neighbors the first ring never talked to,
+    which only the referral to the other holders reaches.  The 3-D RCB
+    cases cross edge- and face-bridged rings between four tet parts.
     """
-    mesh = rect_tri(8)
+    mesh = make_mesh()
     assignment = maker(mesh)
-    dm = distribute(mesh, assignment)
-    stats = ghost_layer(dm, overlap=Overlap(depth=depth))
+    dm = distribute(mesh, assignment, nparts=nparts)
+    stats = ghost_layer(
+        dm, overlap=Overlap(depth=depth, bridge_dim=bridge_dim)
+    )
     dm.verify()
     assert stats.layers == depth
-    expected = expected_regions(mesh, assignment, nparts, depth, bridge_dim=0)
+    expected = expected_regions(mesh, assignment, nparts, depth, bridge_dim)
     assert actual_regions(dm) == expected
 
 
@@ -123,8 +134,8 @@ def ghost_gids(dm):
                          ids=("2d", "3d"))
 def test_deepening_a_ghosted_mesh_equals_a_clean_call(maker):
     """Depth 1, then depth 2, ends with exactly the ghosts of one clean
-    depth-2 call: ring 1 grows from every element ring 0 delivered, held
-    already or not."""
+    depth-2 call: ring 1 grows from every element ring 0 shipped, whether
+    the receiver held it already or not."""
     mesh = maker()
     assignment = partition(mesh, 4, "rcb")
     deepened, clean = (distribute(mesh, assignment, nparts=4) for _ in range(2))
@@ -138,12 +149,12 @@ def test_deepening_a_ghosted_mesh_equals_a_clean_call(maker):
 
 
 @pytest.mark.parametrize("depth", (1, 2, 3))
-def test_ring_zero_is_one_superstep_and_later_rings_three(depth):
+def test_ring_zero_is_one_superstep_and_later_rings_two(depth):
     """Ring 0 is pushed from the owners' links (the bcast alone); every
-    later ring asks, refers and ships."""
+    later ring refers its front to the other holders and ships."""
     mesh = rect_tri(6)
     dm = distribute(mesh, blocks(mesh, 2))
-    assert ghost_layer(dm, depth=depth).supersteps == 1 + 3 * (depth - 1)
+    assert ghost_layer(dm, depth=depth).supersteps == 1 + 2 * (depth - 1)
 
 
 @pytest.mark.parametrize("nparts", (1, 2), ids=("one-part", "no-links"))

@@ -1,23 +1,32 @@
 """Differential test: per-part ghosting and migration against per-pair ones.
 
 The oracle below is the transport ``ghost_layer`` and ``migrate`` used to
-run: ring 0 *pulled* with a request round (every part asks each co-holder of
-a shared bridge entity for the elements around it, and the holder queues
-them one ``Mesh.adjacent`` walk at a time), and one ``_pack_block`` per
-sending part *pair* and one ``_land_block`` per receiving part *pair*.  The
-program now pushes ring 0 from each owner's links, packs once per sending
-part and lands once per receiving part.  Every case runs both on two copies
-of one distributed mesh and asserts that every part ends identical — every
+run: every ring *pulled* with a request round (a part asks each co-holder of
+a bridge entity on its front for the elements around it, naming the ones
+it holds, a ghost front entity's home refers the request to the entity's
+other holders, and each holder queues them one ``Mesh.adjacent`` walk at a
+time), and one ``_pack_block`` per sending part *pair* and one
+``_land_block`` per receiving part *pair*.  The program now pushes every
+ring from the owners, packs once per sending part and lands once per
+receiving part.  Every case runs both on two copies of one distributed
+mesh.
+
+Migration and depth-1 ghosting must end with every part identical — every
 ``MeshCore`` column (live prefix, free-lists included), coordinates,
 lookups, classification table, gids and entity keys, ghost homes, links and
-tags — and that
-the element frames each put on the wire are byte-identical, read through
-the network's ``fault_injector.on_post`` hook.
+tags — and with byte-identical element frames on the wire, read through the
+network's ``fault_injector.on_post`` hook.  Only the arrays' spare capacity
+may differ: a per-part landing grows them once where the per-pair one grew
+them step by step, and nothing reads past a column's live prefix (or an
+upward row past its count).
 
-Only the arrays' spare capacity may differ: a per-part landing grows them
-once where the per-pair one grew them step by step, and nothing reads
-past a column's live prefix (or an upward row past its count).
+From ring 1 on, the push queues each ring in another order, so its frames
+and the ghosts' local numbering differ.  Deeper calls must agree on the
+ghost counts, the multiset of shipped ``(sender, receiver, element gid)``
+and, per part, every ghost's identity, home and tag values.
 """
+
+from collections import Counter
 
 from typing import Any, Dict, List, Set, Tuple
 
@@ -419,15 +428,21 @@ class ElementTap:
 
     def __init__(self) -> None:
         self.frames: List[bytes] = []
+        #: ``(sender, receiver, element gid)`` of every bundle posted.
+        self.shipped: List[Tuple[int, int, int]] = []
 
     def on_post(self, src: int, dst: int, tag: int, payload: Any):
         for _tag, item in payload if isinstance(payload, list) else ():
             if isinstance(item, (bytes, bytearray)):
                 try:
-                    decode_element_block(item)
+                    block = decode_element_block(item)
                 except CodecError:
                     continue
                 self.frames.append(bytes(item))
+                self.shipped.extend(
+                    (src, dst, gid)
+                    for gid in block.gids[block.e_gref].tolist()
+                )
         return [(src, dst, tag, payload)]
 
     def on_exchange(self):
@@ -438,13 +453,18 @@ class ElementTap:
 
 
 def tapped(dmesh, fn, *args, **kwargs):
+    result, tap = tapped_all(dmesh, fn, *args, **kwargs)
+    return result, tap.frames
+
+
+def tapped_all(dmesh, fn, *args, **kwargs):
     tap = ElementTap()
     dmesh.fault_injector = tap
     try:
         result = fn(dmesh, *args, **kwargs)
     finally:
         dmesh.fault_injector = None
-    return result, tap.frames
+    return result, tap
 
 
 def part_state(part) -> Dict[str, Any]:
@@ -481,6 +501,32 @@ def part_state(part) -> Dict[str, Any]:
     return state
 
 
+def ghost_state(part, top: int) -> Dict[str, Any]:
+    """What ghosting leaves on one part, independent of local numbering:
+    the live counts and, per dimension, every ghost's identity (the gid of
+    a vertex or element, the key of an edge or face) with its home and its
+    tag values."""
+    mesh = part.mesh
+    state: Dict[str, Any] = {"n_alive": list(mesh.core.n_alive)}
+    for d in range(top + 1):
+        ids = part.ghost_ids(d)
+        if d in (0, top):
+            identity = part.gids_of(d, ids).tolist()
+        else:
+            identity = list(map(tuple, part.entity_keys(d, ids).tolist()))
+        state[f"ghosts{d}"] = sorted(
+            (ident, *home, sorted(
+                (name, repr(tag.get(Ent(d, idx))))
+                for name, tag in mesh.tags._tags.items()
+                if tag.has(Ent(d, idx))
+            ))
+            for ident, idx, home in zip(
+                identity, ids.tolist(), part.homes(d, ids).T.tolist()
+            )
+        )
+    return state
+
+
 def assert_same_parts(got, want) -> None:
     for part, oracle in zip(got, want):
         mine, theirs = part_state(part), part_state(oracle)
@@ -511,14 +557,24 @@ def twins(kind: str, nparts: int):
 
 
 def check_ghosts(got, want, **kwargs) -> None:
-    stats, frames = tapped(got, ghost_layer, overlap=Overlap(
-        depth=kwargs.get("depth", 1), bridge_dim=kwargs.get("bridge_dim", 0)
+    depth = kwargs.get("depth", 1)
+    stats, tap = tapped_all(got, ghost_layer, overlap=Overlap(
+        depth=depth, bridge_dim=kwargs.get("bridge_dim", 0)
     ), tags=kwargs.get("tags", ()))
-    (total, per_dim), oracle_frames = tapped(want, oracle_ghost_layer, **kwargs)
+    (total, per_dim), oracle = tapped_all(want, oracle_ghost_layer, **kwargs)
     assert stats.ghosts_created == total
     assert list(stats.per_dimension) == per_dim
-    assert frames == oracle_frames and frames
-    assert_same_parts(got, want)
+    assert tap.frames
+    if depth == 1:
+        assert tap.frames == oracle.frames
+        assert_same_parts(got, want)
+        return
+    assert Counter(tap.shipped) == Counter(oracle.shipped)
+    top = got.element_dim()
+    for part, oracle_part in zip(got, want):
+        assert ghost_state(part, top) == ghost_state(oracle_part, top), (
+            f"part {part.pid}: ghosts differ"
+        )
 
 
 # -- cases -----------------------------------------------------------------------
@@ -534,6 +590,18 @@ def test_ghost_layer_equals_the_pull_oracle(kind, nparts, depth, bridge_dim):
         pytest.skip("no such bridge below the element dimension")
     check_ghosts(got, want, depth=depth, bridge_dim=bridge_dim)
     got.verify()
+
+
+@pytest.mark.parametrize("kind", sorted(MESHES))
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_each_ghost_is_shipped_once(kind, depth):
+    """On a clean call, the element bundles on the wire are exactly the
+    ghosts created: no ring ships an element twice, or one the receiver
+    holds."""
+    dm, _twin = twins(kind, 4)
+    stats, tap = tapped_all(dm, ghost_layer, depth=depth)
+    assert len(tap.shipped) == stats.ghosts_created > 0
+    assert len(set(tap.shipped)) == len(tap.shipped)
 
 
 @pytest.mark.parametrize("kind", ("rect_tri", "box_tet"))

@@ -9,7 +9,7 @@ checking after every step that the distributed representation verifies
 (link symmetry *and* completeness), that the owned element/vertex gid sets
 are the serial mesh's, and that every copy of a field value equals its
 owner's; the distributed parts are also checked once against the former
-part builder (``tests/partition/test_distribute_oracle.py``).  Ring 0 costs one superstep and every later ring three, and
+part builder (``tests/partition/test_distribute_oracle.py``).  Ring 0 costs one superstep and every later ring two, and
 ghosting an already ghosted mesh one ring deeper gives exactly the ghosts
 of one clean depth-2 call.  A second pass takes a spiked partition of the
 same mesh through heavy-part splitting and ParMA diffusion — dozens of small migrations, each
@@ -126,8 +126,8 @@ def test_distribute_migrate_ghost_sync_unghost_at_bench_scale():
     for depth in (1, 2):
         stats = ghost_layer(dm, depth=depth)
         assert stats.ghosts_created > 0
-        # Ring 0 is pushed (one superstep); each later ring costs three.
-        assert stats.supersteps == 1 + 3 * (depth - 1)
+        # Ring 0 is pushed (one superstep); each later ring costs two.
+        assert stats.supersteps == 1 + 2 * (depth - 1)
         field.set_from_coords(lambda x: 1.0 + x[0] + 2.0 * x[1] - x[2])
         synchronize(field)
         check(dm, serial, field)
