@@ -1,20 +1,18 @@
 """Recursive k-way partitioning driven by two-way bisection.
 
-Splits the node set into ``nparts`` pieces by recursive application of a
-two-way method (multilevel by default), handling arbitrary (non-power-of-2)
-part counts by biasing each bisection's target ratio.  This is the driver
-behind both the "graph" and "hypergraph" methods of the Zoltan-like facade.
+Splits the node set into ``nparts`` pieces by recursive multilevel two-way
+bisection, handling arbitrary (non-power-of-2) part counts by biasing each
+bisection's target ratio.  This is the driver behind both the "graph" and
+"hypergraph" methods of the Zoltan-like facade.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .multilevel import multilevel_bisect
-
-Bisector = Callable[..., np.ndarray]
 
 
 def _subgraph(xadj, adjncy, eweights, ids):
@@ -52,7 +50,6 @@ def recursive_bisection(
     eweights: Optional[np.ndarray] = None,
     eps: float = 0.05,
     seed: int = 0,
-    bisector: Bisector = multilevel_bisect,
 ) -> np.ndarray:
     """Partition a CSR graph into ``nparts``; returns a part id per node."""
     if nparts < 1:
@@ -67,14 +64,14 @@ def recursive_bisection(
     eps_level = (1.0 + eps) ** (1.0 / levels) - 1.0
     _recurse(
         xadj, adjncy, weights, eweights, np.arange(n), 0, nparts, eps_level,
-        seed, bisector, assignment,
+        seed, assignment,
     )
     return assignment
 
 
 def _recurse(
     xadj, adjncy, weights, eweights, ids, first_part, nparts, eps, seed,
-    bisector, assignment,
+    assignment,
 ) -> None:
     if nparts == 1 or len(ids) == 0:
         assignment[ids] = first_part
@@ -82,7 +79,7 @@ def _recurse(
     left_parts = nparts // 2
     ratio = left_parts / nparts
     sub_xadj, sub_adjncy, sub_ew = _subgraph(xadj, adjncy, eweights, ids)
-    side = bisector(
+    side = multilevel_bisect(
         sub_xadj, sub_adjncy, weights[ids], sub_ew,
         ratio=ratio, eps=eps, seed=seed,
     )
@@ -94,9 +91,9 @@ def _recurse(
         left_ids, right_ids = ids[:half], ids[half:]
     _recurse(
         xadj, adjncy, weights, eweights, left_ids, first_part, left_parts,
-        eps, seed * 2 + 1, bisector, assignment,
+        eps, seed * 2 + 1, assignment,
     )
     _recurse(
         xadj, adjncy, weights, eweights, right_ids, first_part + left_parts,
-        nparts - left_parts, eps, seed * 2 + 2, bisector, assignment,
+        nparts - left_parts, eps, seed * 2 + 2, assignment,
     )

@@ -6,14 +6,23 @@ moves the boundary node with the best cut-gain whose move keeps both sides
 within the balance tolerance, locks it, and at the end of each pass rolls
 back to the best prefix seen — the classic hill-climbing-with-lookahead that
 escapes local minima a greedy pass cannot.
+
+As in Zoltan PHG and METIS, a pass ends after ``max(n // 20, 50)`` moves in a
+row without a new best prefix, moves the rollback would only undo; the
+pinned partitions stay bit for bit by measurement, not by construction.
+Every node still enters the heap: a boundary-only heap cut 897 faces, not
+877, on 16 parts of ``aaa_mesh(6)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
+
+#: FM passes per call; a pass that improves nothing ends the call sooner.
+PASSES = 4
 
 
 def cut_weight(
@@ -35,11 +44,8 @@ def _gains(xadj, adjncy, eweights, side) -> np.ndarray:
     n = len(xadj) - 1
     src = np.repeat(np.arange(n), np.diff(xadj))
     w = eweights if eweights is not None else np.ones(len(adjncy))
-    external = np.where(side[src] != side[adjncy], w, 0.0)
-    internal = np.where(side[src] == side[adjncy], w, 0.0)
-    gains = np.zeros(n)
-    np.add.at(gains, src, external - internal)
-    return gains
+    # bincount sums each node's terms in CSR order, one fixed summation order.
+    return np.bincount(src, np.where(side[src] != side[adjncy], w, -w), n)
 
 
 def fm_refine(
@@ -50,14 +56,14 @@ def fm_refine(
     eweights: Optional[np.ndarray] = None,
     ratio: float = 0.5,
     eps: float = 0.05,
-    passes: int = 4,
 ) -> np.ndarray:
     """Refine a two-way partition in place-and-return.
 
     ``ratio`` is side 0's target weight fraction; both sides may exceed
-    their targets by the factor ``1 + eps``.  Stops early when a full pass
-    yields no improvement.  Each pass works on Python lists and floats
-    (one ``tolist()`` per array per pass), never on numpy scalars.
+    their targets by the factor ``1 + eps``.  A pass stops after
+    ``max(n // 20, 50)`` moves without a new best prefix, and a pass that
+    improves nothing ends the call.  Each pass works on Python lists and floats (one ``tolist()``
+    per array per pass), never on numpy scalars.
     """
     n = len(weights)
     side = np.asarray(side, dtype=np.int64).copy()
@@ -76,10 +82,12 @@ def fm_refine(
     ew = eweights.tolist() if eweights is not None else [1.0] * len(adj)
     node_w = weights.tolist()
     pop, push = heapq.heappop, heapq.heappush
+    stall = max(n // 20, 50)
 
-    for _pass in range(passes):
-        gains = _gains(xadj, adjncy, eweights, side).tolist()
-        heap = [(-g, i) for i, g in enumerate(gains)]
+    for _pass in range(PASSES):
+        g = _gains(xadj, adjncy, eweights, side)
+        gains = g.tolist()
+        heap = list(zip((-g).tolist(), range(n)))
         heapq.heapify(heap)
         locked = [False] * n
         side_weight = [
@@ -121,6 +129,8 @@ def fm_refine(
             if improvement > best_improvement and balance_metric() <= acceptable:
                 best_improvement = improvement
                 best_prefix = len(moves)
+            elif len(moves) - best_prefix >= stall:
+                break  # rolled back below anyway
             # Update neighbor gains.
             for k in range(ptr[i], ptr[i + 1]):
                 j = adj[k]

@@ -31,6 +31,9 @@ from .graph import (
     element_hypergraph,
 )
 
+#: λ-1 refinement passes after the recursive bisection.
+REFINE_PASSES = 2
+
 
 def refine_connectivity(
     mesh: Mesh,
@@ -59,20 +62,19 @@ def _refine(
     with a dual-graph neighbour on another part when the pass starts, plus
     the neighbours of every element the pass moves.  An element moves
     to the neighbouring part (lowest id on ties) that lowers the λ-1 metric
-    most without overfilling it.  ``table[j, p]`` counts hyperedge ``j``'s
+    most without overfilling it.  ``table[j][p]`` counts hyperedge ``j``'s
     pins on part ``p``, so a move's gain reads only the mover's hyperedges.
     """
     assignment = assignment.copy()
     nparts = int(assignment.max()) + 1
 
-    # Per-element hyperedges (ascending) and the dense pin-count table.
+    # Per-element hyperedges (CSR slices, ascending) and the pin-count table.
     edge_of_pin = np.repeat(np.arange(hg.nedges), np.diff(hg.eptr))
-    order = np.argsort(hg.pins, kind="stable")
-    edges_of = np.split(
-        edge_of_pin[order], np.cumsum(np.bincount(hg.pins, minlength=hg.n))[:-1]
-    )
+    edges = edge_of_pin[np.argsort(hg.pins, kind="stable")].tolist()
+    at = [0] + np.cumsum(np.bincount(hg.pins, minlength=hg.n)).tolist()
     table = np.zeros((hg.nedges, nparts), dtype=np.int32)
     np.add.at(table, (edge_of_pin, assignment[hg.pins]), 1)
+    table = table.tolist()
 
     node_w = hg.weights.tolist()
     part_weight = np.bincount(
@@ -98,22 +100,22 @@ def _refine(
             neighbor_parts.discard(frm)
             if not neighbor_parts:
                 continue
-            rows = table[edges_of[i]]
-            lost = int((rows[:, frm] == 1).sum())
-            gained = (rows == 0).sum(axis=0).tolist()
+            rows = [table[j] for j in edges[at[i]: at[i + 1]]]
+            lost = sum(row[frm] == 1 for row in rows)
             best_to = -1
             best_gain = 0
             for to in sorted(neighbor_parts):
                 if part_weight[to] + node_w[i] > max_weight:
                     continue
-                gain = lost - gained[to]
+                gain = lost - sum(row[to] == 0 for row in rows)
                 if gain > best_gain:
                     best_gain = gain
                     best_to = to
             if best_to < 0:
                 continue
-            table[edges_of[i], frm] -= 1
-            table[edges_of[i], best_to] += 1
+            for row in rows:
+                row[frm] -= 1
+                row[best_to] += 1
             part_weight[frm] -= node_w[i]
             part_weight[best_to] += node_w[i]
             part[i] = best_to
@@ -133,7 +135,6 @@ def phg(
     eps: float = 0.05,
     seed: int = 0,
     weights: Optional[np.ndarray] = None,
-    refine_passes: int = 2,
 ) -> np.ndarray:
     """Partition a mesh's elements with the PHG-style pipeline."""
     graph = dual_graph(mesh, weights)
@@ -141,9 +142,7 @@ def phg(
         graph.xadj, graph.adjncy, graph.weights.astype(float), nparts,
         eps=eps, seed=seed,
     )
-    if refine_passes > 0 and nparts > 1:
-        assignment, _moves = _refine(
-            graph, element_hypergraph(mesh, weights), assignment, eps,
-            refine_passes,
-        )
+    if nparts > 1:
+        hg = element_hypergraph(mesh, weights)
+        assignment, _moves = _refine(graph, hg, assignment, eps, REFINE_PASSES)
     return assignment

@@ -14,7 +14,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fm import cut_weight, fm_refine
+from .fm import fm_refine
+
+#: Graphs at most this many nodes are bisected directly, not coarsened.
+COARSE_LIMIT = 120
 
 
 def heavy_edge_matching(
@@ -157,44 +160,32 @@ def multilevel_bisect(
     ratio: float = 0.5,
     eps: float = 0.05,
     seed: int = 0,
-    coarse_limit: int = 120,
-    fm_passes: int = 4,
 ) -> np.ndarray:
     """Two-way multilevel bisection; returns a 0/1 side per node."""
     rng = np.random.default_rng(seed)
     if eweights is None:
         eweights = np.ones(len(adjncy))
-    return _bisect_level(
-        xadj, adjncy, weights, eweights, ratio, eps, rng, coarse_limit,
-        fm_passes,
-    )
+    return _bisect_level(xadj, adjncy, weights, eweights, ratio, eps, rng)
 
 
 def _bisect_level(
-    xadj, adjncy, weights, eweights, ratio, eps, rng, coarse_limit, fm_passes
+    xadj, adjncy, weights, eweights, ratio, eps, rng
 ) -> np.ndarray:
     n = len(weights)
-    if n <= coarse_limit or len(adjncy) == 0:
+    if n <= COARSE_LIMIT or len(adjncy) == 0:
         side = greedy_grow(xadj, adjncy, weights, ratio, rng)
-        return fm_refine(
-            xadj, adjncy, weights, side, eweights, ratio, eps, fm_passes
-        )
+        return fm_refine(xadj, adjncy, weights, side, eweights, ratio, eps)
 
     mate = heavy_edge_matching(xadj, adjncy, eweights, rng)
     if (mate == np.arange(n)).all():
         # Matching made no progress (e.g. edgeless graph): bisect directly.
         side = greedy_grow(xadj, adjncy, weights, ratio, rng)
-        return fm_refine(
-            xadj, adjncy, weights, side, eweights, ratio, eps, fm_passes
-        )
+        return fm_refine(xadj, adjncy, weights, side, eweights, ratio, eps)
     cxadj, cadjncy, cweights, ceweights, cmap = contract(
         xadj, adjncy, weights, eweights, mate
     )
     coarse_side = _bisect_level(
-        cxadj, cadjncy, cweights, ceweights, ratio, eps, rng, coarse_limit,
-        fm_passes,
+        cxadj, cadjncy, cweights, ceweights, ratio, eps, rng
     )
     side = coarse_side[cmap]
-    return fm_refine(
-        xadj, adjncy, weights, side, eweights, ratio, eps, fm_passes
-    )
+    return fm_refine(xadj, adjncy, weights, side, eweights, ratio, eps)

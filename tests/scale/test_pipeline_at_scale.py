@@ -19,7 +19,11 @@ on the partition ParMA just paid for (same elements per part, same
 imbalances), and ``load_at(nparts=12)`` as the same mesh and field on 12.
 A third pass refines a 20,736-tet flow box on 32 parts around an oblique
 shock (one ``refine_distributed`` pass): the parts must close up with no
-crack and every new element must be owned exactly once.
+crack and every new element must be owned exactly once.  Last, the
+hypergraph partition of the 24,000-tet mesh on 32 parts is pinned by digest,
+as ``tests/partitioners/test_golden_partition.py`` pins the small ones: FM's
+early exit keeps the assignment bit for bit by measurement, not by
+construction, so the largest partition the suite runs is checked too.
 """
 
 import numpy as np
@@ -45,6 +49,7 @@ from tests.partition.test_distribute_oracle import (
     assert_same_distribution,
     reference_distribute,
 )
+from tests.partitioners.test_golden_partition import _digest
 
 pytestmark = pytest.mark.scale
 
@@ -220,3 +225,9 @@ def test_refine_distributed_at_bench_scale():
         measure(part.mesh, e) for part in dm for e in part.mesh.entities(3)
     )
     assert volume == pytest.approx(0.25)
+
+
+def test_hypergraph_partition_at_bench_scale_is_golden():
+    """Pinned before FM passes stopped early; they must not move it."""
+    assignment = partition(aaa_mesh(n=N, seed=0), NPARTS, "hypergraph")
+    assert _digest(assignment) == "c69671f85a70c067"
