@@ -99,12 +99,14 @@ _KINDS = (KIND_VALUE, KIND_ELEMENTS, KIND_VALUES, KIND_ROWS)
 
 #: Header flag: the body contains at least one pickled fallback record.
 FLAG_PICKLED = 0x01
+#: Header flag of kind 1: the block carries owner columns (migration).
+FLAG_OWNERS = 0x02
 
 #: The flag bits each kind defines: the kinds whose bodies hold generic
-#: records may carry pickled ones.
+#: records may carry pickled ones, and an element block may carry owners.
 _KIND_FLAGS = {
     KIND_VALUE: FLAG_PICKLED,
-    KIND_ELEMENTS: FLAG_PICKLED,
+    KIND_ELEMENTS: FLAG_PICKLED | FLAG_OWNERS,
     KIND_VALUES: FLAG_PICKLED,
     KIND_ROWS: 0,
 }
@@ -674,11 +676,16 @@ class ElementBlock:
       ``e_vrefs``, and the ``extras`` flag column;
     * ``home_pid``/``home_idx`` — one entry per bundle flagged ``EXTRA_HOME``
       (the ghost's owner part and the element's handle there);
-    * ``tags`` — one dict per bundle flagged ``EXTRA_TAGS``.
+    * ``tags`` — one dict per bundle flagged ``EXTRA_TAGS``;
+    * ``owner_pid``/``owner_idx`` — empty, or (a migration block, header
+      flag ``FLAG_OWNERS``) one entry per table row, the vertex table's
+      rows then the intermediate table's: the entity's owner part and its
+      handle there.
 
     :func:`encode_element_block`/:func:`decode_element_block` move a block
     to and from bytes; :func:`encode_element_batch`/
-    :func:`decode_element_batch` are the list-of-dict view on top.
+    :func:`decode_element_batch` are the list-of-dict view on top (which
+    carries no owner columns).
     """
 
     __slots__ = (
@@ -686,7 +693,7 @@ class ElementBlock:
         "mid_dim", "mid_etype", "mid_cref", "mid_nverts", "mid_vrefs",
         "b_vcounts", "b_vrefs", "b_mcounts", "b_mrefs", "e_dim", "e_etype",
         "e_gref", "e_cref", "e_nverts", "e_vrefs", "extras", "home_pid",
-        "home_idx", "tags",
+        "home_idx", "tags", "owner_pid", "owner_idx",
     )
 
     def __init__(self, **columns: Any) -> None:
@@ -747,6 +754,14 @@ def encode_element_block(block: ElementBlock) -> bytes:
         _w_column(out, block.home_idx)
     for tags in block.tags:
         _enc(tags, out, state)
+
+    # Section 7 (flagged): owner columns, one entry per table row.
+    if len(block.owner_pid):
+        if len(block.owner_pid) != len(block.vert_gref) + len(block.mid_dim):
+            raise CodecError("owner columns must cover every table row")
+        _w_column(out, block.owner_pid)
+        _w_column(out, block.owner_idx)
+        state[0] |= FLAG_OWNERS
     return _frame(KIND_ELEMENTS, state[0], bytes(out))
 
 
@@ -817,6 +832,10 @@ def decode_element_block(data: Any) -> ElementBlock:
     for _ in range(int(np.count_nonzero(extras & EXTRA_TAGS))):
         value, pos = _dec(body, pos, end, state)
         tags.append(value)
+    owner_pid = owner_idx = np.empty(0, dtype=np.int64)
+    if state[0] & FLAG_OWNERS:
+        owner_pid, pos = _r_column(body, pos, n_verts + n_mids)
+        owner_idx, pos = _r_column(body, pos, n_verts + n_mids)
     if pos != end:
         raise CodecError(f"{end - pos} trailing byte(s) after element batch")
     _check_pickled(state)
@@ -828,7 +847,7 @@ def decode_element_block(data: Any) -> ElementBlock:
         b_vrefs=b_vrefs, b_mcounts=b_mcounts, b_mrefs=b_mrefs, e_dim=e_dim,
         e_etype=e_etype, e_gref=e_gref, e_cref=e_cref, e_nverts=e_nverts,
         e_vrefs=e_vrefs, extras=extras, home_pid=home_pid, home_idx=home_idx,
-        tags=tags,
+        tags=tags, owner_pid=owner_pid, owner_idx=owner_idx,
     )
 
 
@@ -908,6 +927,7 @@ def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
             raise CodecError("integer out of range for wire column") from None
 
     mids = list(mid_index)
+    none = np.empty(0, dtype=np.int64)
     coords = np.frombuffer(
         b"".join(key[1] for key in vert_index), dtype="<f8"
     ).reshape(len(vert_index), 3)
@@ -924,12 +944,20 @@ def block_from_bundles(bundles: Sequence[dict]) -> ElementBlock:
         mid_nverts=column([len(row[3]) for row in mids]),
         mid_vrefs=column([ref for row in mids for ref in row[3]]),
         tags=tags,
+        owner_pid=none,
+        owner_idx=none,
         **{name: column(values) for name, values in cols.items()},
     )
 
 
 def bundles_from_block(block: ElementBlock) -> List[dict]:
-    """The list-of-dict view of a block (inverse of :func:`block_from_bundles`)."""
+    """The list-of-dict view of a block (inverse of :func:`block_from_bundles`).
+
+    Raises :class:`CodecError` for a block with owner columns, which the
+    view cannot carry.
+    """
+    if len(block.owner_pid):
+        raise CodecError("the bundle view carries no owner columns")
     gid_pool = block.gids.tolist()
     class_rows = [None] + [tuple(row) for row in block.classes.tolist()]
     vert_rows = [

@@ -2,15 +2,18 @@
 
 The array kernels under everything that derives remote-copy links —
 :func:`~repro.partition.distribute.distribute` (in process),
-:func:`~repro.partition.migration.rebuild_links` and the ``migrate`` delta
-(at the hash homes of their rendezvous) and
+:func:`~repro.partition.migration.rebuild_links` (at the hash homes of its
+rendezvous), ``migrate``'s relink (at the owners) and
 :meth:`DistributedMesh.verify <repro.partition.dmesh.DistributedMesh.verify>`
 (as the completeness oracle).  Nothing here communicates.
 
 * :func:`surface_ids` — the candidate set: an entity shared with another
   part necessarily lies on its part's topological surface;
-* :func:`link_answers` — the grouping job: copies of one identity held by
-  two or more parts, answered to every holder with the list of the others;
+* :func:`link_answers` — the grouping job: copies of one identity (an
+  entity key, or an owner's handle) held by two or more parts, answered
+  to every holder with the list of the others;
+* :func:`link_owners` — every entity's owner (its lowest holder) and its
+  handle there, read off a part's link columns;
 * :func:`answer_columns` — reading the answers back as link columns for
   :meth:`Part.replace_links <repro.partition.part.Part.replace_links>`.
 
@@ -18,16 +21,16 @@ Link rows are ragged integer rows in CSR form (``lengths``, ``flat``), the
 columns of a kind-3 wire frame (:func:`repro.parallel.codec.encode_int_rows`).
 An *answer* row is ``(dim, idx, q0, j0, q1, j1, ...)``: the receiving part
 holds the entity at ``Ent(dim, idx)`` and part ``qk`` holds it at
-``Ent(dim, jk)``.
+``Ent(dim, jk)``; a row with no pairs says nobody else does.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .part import Part
+from .part import Links, Part
 
 
 def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -76,48 +79,50 @@ def surface_ids(part: Part) -> List[np.ndarray]:
     return [np.flatnonzero(mask) for mask in surface_masks(part)]
 
 
+def link_owners(
+    pid: int, links: Links, ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Owner part and the handle there of part ``pid``'s entities ``ids``,
+    read off one dimension's link columns ``links``: the lowest holder,
+    :meth:`Part.owner <repro.partition.part.Part.owner>`'s rule."""
+    lids, pids, rids = links
+    if not len(lids):
+        return np.full(len(ids), pid, dtype=np.int64), ids
+    # Rows sort by (id, pid): an id's first row names its lowest copy.
+    at = np.minimum(lids.searchsorted(ids), len(lids) - 1)
+    remote = (lids[at] == ids) & (pids[at] < pid)
+    return np.where(remote, pids[at], pid), np.where(remote, rids[at], ids)
+
+
 def link_answers(
     dim: np.ndarray,
     keys: np.ndarray,
     pid: np.ndarray,
     idx: np.ndarray,
-    alive: Optional[np.ndarray] = None,
+    lone: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group copy records by identity; answer the holders of shared ones.
 
-    One record per known copy: the entity's dimension, its identity (a row
-    of the fixed-width integer matrix ``keys``), the holding part and the
-    handle there.  ``alive`` false marks a *tombstone*: that part destroyed
-    its copy, which cancels every other record naming the same part for the
-    same identity.  Several records of one copy count once.
+    One record per copy: the entity's dimension, its identity (a row of the
+    fixed-width integer matrix ``keys``), the holding part and the handle
+    there.  ``lone`` answers the holder of an identity held once too.
 
     Returns ``(dest, lengths, flat)``: one answer row per holder of every
-    identity left with two or more holders, sorted by destination part
-    ``dest`` (stable: ascending ``(dim, key)`` within a destination), with
-    the other holders in ascending part order.
+    identity with two or more holders (or one, with ``lone``), sorted by
+    destination part ``dest`` (stable: ascending ``(dim, key)`` within a
+    destination), with the other holders in ascending part order.
     """
-    n = len(dim)
-    if alive is None:
-        alive = np.ones(n, dtype=bool)
     order = np.lexsort(
-        (alive, pid) + tuple(keys[:, k] for k in range(keys.shape[1] - 1, -1, -1))
+        (pid,) + tuple(keys[:, k] for k in range(keys.shape[1] - 1, -1, -1))
         + (dim,)
     )
-    dim, keys, pid, idx, alive = (
-        dim[order], keys[order], pid[order], idx[order], alive[order]
-    )
-    new_key = np.ones(n, dtype=bool)
+    dim, keys, pid, idx = dim[order], keys[order], pid[order], idx[order]
+    new_key = np.ones(len(dim), dtype=bool)
     new_key[1:] = (dim[1:] != dim[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
-    new_holder = new_key.copy()
-    new_holder[1:] |= pid[1:] != pid[:-1]
-    # A tombstone sorts first within its (identity, part) run, so keeping
-    # only run heads that are alive drops the whole run with it.
-    keep = new_holder & alive
-    group = np.cumsum(new_key)[keep] - 1
-    size = np.bincount(group)
-    keep[keep] = size[group] >= 2
-    dim, pid, idx = dim[keep], pid[keep], idx[keep]
-    size = size[size >= 2]
+    size = np.diff(np.append(np.flatnonzero(new_key), len(dim)))
+    shared = size >= (1 if lone else 2)
+    keep = np.repeat(shared, size)
+    dim, pid, idx, size = dim[keep], pid[keep], idx[keep], size[shared]
     start = np.repeat(np.cumsum(size) - size, size)
     size = np.repeat(size, size)
 

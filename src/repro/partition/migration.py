@@ -27,10 +27,10 @@ operation.
    entities left bounding nothing in one closure sweep
    (:func:`_remove_elements` → ``Mesh.destroy_block`` per dimension; their
    copies may live on, on other parts);
-4. **relink** — remote-copy links are repaired *by delta*: only entities in
-   the closure of a moved element can gain or lose a copy, so only they are
-   posted — by the parts that sent or received them — through a two-superstep
-   hash-home rendezvous, array-native end to end.
+4. **relink** — remote-copy links are repaired *through the owners*: only
+   copies a landing created or a removal destroyed change a holder set, so
+   only they are reported, each to its entity's owner, which answers every
+   holder (two supersteps, neighbours only, array-native end to end).
 
 No phase calls ``Mesh.create``/``Mesh.destroy`` per entity, and pack and
 land run once per part, not per part pair.  Ghosting ships and lands its
@@ -42,58 +42,46 @@ block onto the empty part.
 The relink protocol
 -------------------
 
-*Candidates.*  A source part, after landing and before removal (keys need
-the vertex gids of entities about to die, and the destroy listener evicts
-their links): the unique closure of its leaving elements per dimension, each
-entity's key (sorted vertex gids, :meth:`Part.entity_keys`) and the link
-rows it has.  A destination part: the closure of the elements
-it landed (:func:`_capture_candidates`).
+An entity's owner is its lowest holder
+(:meth:`~repro.partition.part.Part.owner`); links being symmetric, every
+holder knows it and its handle there.  Three supersteps per ``migrate``:
 
-*Surface filter.*  A copy can only be shared if it lies on its part's
-topological surface after the move
-(:func:`~repro.partition.links.surface_masks`).  Live candidates that ended
-up interior post nothing and lose their links (:func:`_delta_post`).
+*Ship.*  A block carries one ``(owner part, owner handle)`` pair per row
+of its vertex and intermediate tables, read off the source's links
+(:func:`~repro.partition.links.link_owners`).
 
-*Rows.*  To the key's home ``sum(key) % nparts``: a live surface candidate
-posts "I hold ``key`` at ``idx``"; a destroyed candidate that had copies
-posts a *tombstone*; and a source's rows carry the copies it knew inline as
-*proxies* — "``q`` holds ``key`` at ``j``" — which is how a third party (a
-part sharing the entity that neither sent nor received around it) gets its
-answer without scanning or posting anything.  A tombstone cancels a stale
-proxy: the third party destroyed its copy in the same call (land precedes
-remove, so a handle is never recycled inside one ``migrate``).
+*Post to the owner.*  After landing and removal, only changed copies post
+a row ``(dim, owner idx, idx)`` to their owner: a copy a landing created
+posts its handle (the owner read off the block row that created it), a
+copy a removal destroyed posts ``-1``, a *tombstone*.  No keys, no surface
+filter; an owner's own rows stay off the wire.
 
-*Home, answers, apply.*  Each home concatenates the rows it received, runs
-one ``lexsort`` by ``(dim, key, part, alive)``, drops tombstoned parts,
-dedupes copies named twice and answers every holder of a key left with two
-or more holders with the list of the others
-(:func:`~repro.partition.links.link_answers`); an answered entity's link
-rows are replaced.  Posting parts drop, in the same merge, the rows of their
-own live candidates no answer came for, so an entity nobody else holds any
-more ends unshared.
+*Answer.*  Per changed entity, the owner joins its own copy, its link rows
+as they were before removal and the posted rows, drops tombstoned parts
+and answers **every** surviving holder with the list of the others
+(:func:`_owner_answers`), which replaces that entity's links there — an
+empty list clears them.
 
-*Why it is complete.*  A holder set changes only when some part creates a
-copy (only by landing) or destroys one (only by removal), so every entity
-whose holders change is in the closure of a moved element.  Its source held
-it before and, links being symmetric, knew every old holder; every new
-holder is a destination and posts itself; a third party always ends with at
-least one co-holder (the destination), so only posting parts ever need the
-"now unshared" outcome.
+*Why it is complete.*  A holder set changes only when a part creates a copy
+(only by landing) or destroys one (only by removal), and every such copy
+reports to the owner, which held the entity before the call and knew every
+old holder, so it sees the whole new holder set; third parties (holders
+that neither sent nor received around it) learn it from the answer.  An
+owner that destroyed its own copy answers from the link rows it had: land
+precedes remove, so no handle is recycled inside one ``migrate``.  Two
+supersteps cannot do it: if ``Q`` ships an entity to ``C`` and ``T`` ships
+it to ``D`` in one call, ``C`` and ``D`` learn of each other only through a
+relay.
 
-:func:`rebuild_links` is the same rendezvous fed every surface entity of
-every part, all rows alive, no proxies, links wiped first — for callers with
-no plan to take a delta from (loaders, distributed adaptation) and as the
-oracle the delta is tested against (``tests/partition/test_relink_delta.py``).
-``migrate`` itself falls back to it when one call moves at least
-:data:`_REBUILD_SHARE` of the mesh's elements: an incremental update cannot
-beat a rebuild when (nearly) everything moves, because every shared entity
-then costs a tombstone and proxies on top of the row a rebuild would post
-for it anyway.
+:func:`rebuild_links` derives every link from scratch instead, through a
+hash-home rendezvous keyed on each surface entity's sorted vertex gids:
+for callers with no migration to take changes from (loaders, distributed
+adaptation), and the oracle of ``tests/partition/test_relink_delta.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,24 +104,25 @@ from .dmesh import DistributedMesh
 from .links import (
     answer_columns,
     link_answers,
+    link_owners,
     ragged_arange,
     split_rows,
     surface_ids,
-    surface_masks,
 )
-from .part import Part
+from .part import Links, Part
 
 #: A migration plan: for each source part, the elements it sends away.
 MigrationPlan = Dict[int, Dict[Ent, int]]
 
 _TAG_CANDIDATE = 2
 _TAG_LINKS = 3
+_TAG_CHANGE = 4
 
-#: ``migrate`` relinks by delta while one call moves less than this share of
-#: the mesh's elements, and by :func:`rebuild_links` from there on: when
-#: (nearly) every element moves, every shared entity costs a tombstone and
-#: proxies on top of the row a rebuild would post for it anyway.
-_REBUILD_SHARE = 0.5
+#: Ragged integer rows bound for other parts: ``(dest, lengths, flat)``,
+#: sorted by ``dest``; and the rows one part received from ``src``: ``(src,
+#: lengths, flat)``.
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Frame = Tuple[int, np.ndarray, np.ndarray]
 
 
 def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
@@ -156,7 +145,6 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
     probe = CommProbe(dmesh.counters)
     tracer = dmesh.tracer
     dim = dmesh.element_dim()
-    total = sum(part.mesh.count(dim) for part in dmesh)
     moved = 0
     packed = [0, 0, 0, 0]
 
@@ -197,6 +185,7 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                 packed_blocks = _pack_blocks(
                     part.mesh, part.gid_array(0), part.gid_array(dim), dim,
                     np.concatenate(runs), [len(run) for run in runs],
+                    owners=part,
                 )
                 for dest, block in zip(dests, packed_blocks):
                     blocks[(pid, dest)] = block
@@ -208,11 +197,22 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
                 removals[pid] = np.asarray(leaving)
                 moved += len(leaving)
 
-        landed: Dict[int, np.ndarray] = {}
+        changes: Dict[int, List[Change]] = {}
 
         def land(pid: int, arrived: List[ElementBlock]) -> None:
-            ids, _created = _land_blocks(dmesh.part(pid), arrived)
-            landed[pid] = np.concatenate((landed.get(pid, _NONE), ids))
+            # Each created vertex or intermediate entity reports to the
+            # owner its block's table row names.
+            _ids, created = _land_blocks(dmesh.part(pid), arrived)
+            owner_pid, owner_idx = (
+                _cat(arrived, name) for name in ("owner_pid", "owner_idx")
+            )
+            at = _starts([len(block.owner_pid) for block in arrived])
+            mid_at = at + [len(block.vert_gref) for block in arrived]
+            for d, (ids, block, row) in enumerate(created[:dim]):
+                row = (mid_at if d else at)[block] + row
+                changes.setdefault(pid, []).append(
+                    (np.full(len(ids), d), owner_pid[row], owner_idx[row], ids)
+                )
 
         receive, flush = _by_receiver(land)
         with trace_span(tracer, "migrate.unpack"):
@@ -223,37 +223,20 @@ def migrate(dmesh: DistributedMesh, plan: MigrationPlan) -> MigrateStats:
             )
             flush()
 
-        # Relink by delta unless the call moves so much of the mesh that
-        # tombstones and proxies would outweigh a from-scratch rebuild.
-        by_delta = moved < _REBUILD_SHARE * total
-        streams: Dict[int, Streams] = {}
-        captured: Dict[int, Captured] = {}
-        if by_delta:
-            with trace_span(tracer, "migrate.relink"):
-                for pid in sorted(set(removals) | set(landed)):
-                    part = dmesh.part(pid)
-                    if pid in removals:
-                        streams[pid] = _closure_streams(
-                            part.mesh.core, dim, removals[pid]
-                        )
-                    captured[pid] = _capture_candidates(
-                        part, dim, streams.get(pid), landed.get(pid, _NONE)
-                    )
-
+        # The owners answer from the links as they were before removal
+        # (the destroy listener evicts the rows of what dies).
+        before = {part.pid: [part.links(d) for d in range(dim)] for part in dmesh}
         with trace_span(tracer, "migrate.remove"):
             for pid, leaving in removals.items():
-                _remove_elements(
-                    dmesh.part(pid), dim, leaving, streams.get(pid)
+                destroyed = _remove_elements(dmesh.part(pid), dim, leaving)
+                changes.setdefault(pid, []).extend(
+                    (np.full(len(ids), d), *link_owners(pid, before[pid][d], ids),
+                     np.full(len(ids), -1))
+                    for d, ids in enumerate(destroyed[:dim])
                 )
 
         with trace_span(tracer, "migrate.relink"):
-            if by_delta:
-                _rendezvous(dmesh, {
-                    pid: _delta_post(dmesh.part(pid), rows, dmesh.nparts)
-                    for pid, rows in captured.items()
-                })
-            else:
-                rebuild_links(dmesh)
+            _owner_relink(dmesh, changes, before)
     dmesh.counters.add("migration.elements", moved)
     return MigrateStats(
         elements_moved=moved,
@@ -367,6 +350,7 @@ def _pack_blocks(
     counts: Sequence[int],
     home: Optional[int] = None,
     tags: Sequence[str] = (),
+    owners: Optional[Part] = None,
 ) -> List[ElementBlock]:
     """Closure blocks of dim-``dim`` elements of ``mesh``, one per run.
 
@@ -384,7 +368,10 @@ def _pack_blocks(
     and the elements (-1 = unset): a part's own columns, or the ids
     themselves for a serial mesh being distributed.  ``home`` (a part id)
     stamps every bundle with that part and the element's handle (ghost
-    copies); ``tags`` names element tags whose values ride along.
+    copies); ``tags`` names element tags whose values ride along;
+    ``owners`` (the part ``mesh`` belongs to) stamps every vertex and
+    intermediate table row with its entity's owner part and handle there,
+    read off the part's links (migration).
     """
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
@@ -463,9 +450,26 @@ def _pack_blocks(
         np.arange(mid_verts.shape[1]) < mid_nverts[:, None]
     ]
 
+    # Owner columns: a block's vertex rows, then its intermediate rows.
+    owner_pid = owner_idx = empty = np.empty(0, dtype=np.int64)
+    o_starts = np.zeros(nseg + 1, dtype=np.int64)
+    if owners is not None:
+        o_starts = v_starts + m_starts
+        at = np.concatenate((
+            np.arange(len(vert_ids)) + m_starts[vert_seg],
+            np.arange(len(mid_ids)) + v_starts[mid_seg + 1],
+        ))
+        table_dim = np.concatenate((np.zeros(len(vert_ids), np.int64), mid_dim))
+        table_ids = np.concatenate((vert_ids, mid_ids))
+        owner_pid, owner_idx = np.empty((2, len(at)), dtype=np.int64)
+        for d in range(dim):
+            rows = table_dim == d
+            owner_pid[at[rows]], owner_idx[at[rows]] = link_owners(
+                owners.pid, owners.links(d), table_ids[rows]
+            )
+
     present = [name for name in tags if mesh.tags.find(name) is not None]
     extras = (EXTRA_HOME if home is not None else 0) | (EXTRA_TAGS if tags else 0)
-    empty = np.empty(0, dtype=np.int64)
     none = np.zeros(nseg + 1, dtype=np.int64)
     # (column, offsets of its runs): per-table columns by table run,
     # per-bundle columns by element run, flat ones by their CSR offsets.
@@ -502,6 +506,8 @@ def _pack_blocks(
             {name: mesh.tag(name).get(Ent(dim, idx)) for name in present}
             for idx in elems.tolist()
         ], e_at) if tags else ([], none),
+        "owner_pid": (owner_pid, o_starts),
+        "owner_idx": (owner_idx, o_starts),
     }
     return [
         ElementBlock(**{
@@ -653,8 +659,10 @@ def _by_receiver(land: Callable[[int, List[ElementBlock]], None]):
     return receive, flush
 
 
-#: Per dimension, the ids a landing created and the block each came from.
-Created = List[Tuple[np.ndarray, np.ndarray]]
+#: Per dimension, the ids a landing created, the block each came from and
+#: its row there (in the vertex table, the intermediate table or the
+#: bundles).
+Created = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _land_blocks(
@@ -680,11 +688,11 @@ def _land_blocks(
 
     Returns the local element ids of the kept bundles (block by block, in
     bundle order) and, per dimension, the ids this call created with the
-    block each came from.
+    block each came from and its row there.
     """
     mesh = part.mesh
     none = np.empty(0, dtype=np.int64)
-    created: Created = [(none, none)] * 4
+    created: Created = [(none, none, none)] * 4
     if keeps is None:
         keeps = [np.ones(len(block), dtype=bool) for block in blocks]
     keep = np.concatenate([none.astype(bool), *keeps])
@@ -725,7 +733,7 @@ def _land_blocks(
     )
     part.set_gids(0, local[new], vgids[new])
     v_block = np.searchsorted(v_at, lead, side="right") - 1
-    created[0] = (local[new], v_block)
+    created[0] = (local[new], v_block, lead - v_at[v_block])
     vert_of = np.full(len(pool), -1, dtype=np.int64)
     vert_of[vpool] = local[group]
     # Each shipped vertex's rank in gid order, for sorting by gid tuple.
@@ -773,7 +781,8 @@ def _land_blocks(
                 mesh, d, mid_etype[rows], mid_verts[rows], mid_class[rows],
                 fresh, tables, distinct=len(blocks) == 1,
             )
-            created[d] = (ids[made], m_block[rows][made])
+            at = rows[made]
+            created[d] = (ids[made], m_block[at], mrows[at] - m_at[m_block[at]])
 
     # Elements, in bundle order.
     erows = np.flatnonzero(keep)
@@ -787,13 +796,12 @@ def _land_blocks(
         distinct=True,
     )
     part.set_gids(dim, ids, pool[_cat(blocks, "e_gref", p_at)[erows]])
-    created[dim] = (ids[made], e_block[made])
+    e_at = _starts([len(block) for block in blocks])
+    created[dim] = (ids[made], e_block[made], erows[made] - e_at[e_block[made]])
     return ids, created
 
 
-def _remove_elements(
-    part: Part, dim: int, elems: np.ndarray, streams: Optional[Streams] = None
-) -> None:
+def _remove_elements(part: Part, dim: int, elems: np.ndarray) -> List[np.ndarray]:
     """Destroy dim-``dim`` elements and the boundary entities left unused.
 
     One closure sweep: the elements go in the order given, then each lower
@@ -801,22 +809,24 @@ def _remove_elements(
     the order a per-element sweep would have reached them (an entity dies
     with the last removed element that holds it) — so the free-lists end
     up exactly as the scalar loop left them.  Part bookkeeping is evicted
-    by the destroy listener.  ``streams`` is the elements'
-    :func:`_closure_streams`, when the caller already has it.
+    by the destroy listener.  Returns the ids destroyed, per dimension up
+    to ``dim``.
     """
     mesh = part.mesh
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
+    destroyed = [_NONE] * dim + [elems]
     if not len(elems):
-        return
-    if streams is None:
-        streams = _closure_streams(core, dim, elems)
+        return destroyed
+    streams = _closure_streams(core, dim, elems)
     mesh.destroy_block(dim, elems)
     for d in range(dim - 1, -1, -1):
         flat = streams[d][0]
         _ids, last = np.unique(flat[::-1], return_index=True)
         candidates = flat[np.sort(len(flat) - 1 - last)]
-        mesh.destroy_block(d, candidates[core.nup[d][candidates] == 0])
+        destroyed[d] = candidates[core.nup[d][candidates] == 0]
+        mesh.destroy_block(d, destroyed[d])
+    return destroyed
 
 
 def _remove_element(part: Part, element: Ent) -> None:
@@ -825,50 +835,22 @@ def _remove_element(part: Part, element: Ent) -> None:
 
 
 # ---------------------------------------------------------------------------
-# relink: remote-copy links through a hash-home rendezvous
+# relink: remote-copy links through the owners, or a hash-home rendezvous
 # ---------------------------------------------------------------------------
 #
-# A *candidate row* on the wire is ``(dim + 4 * n, idx, key..., q0, j0, ...,
-# q(n-1), j(n-1))``: the posting part holds the entity with sorted
-# vertex-gid ``key`` at ``Ent(dim, idx)`` — or, with ``idx == -1``, held it
-# and destroyed it (a tombstone) — and knew ``n`` other copies before the
-# move, part ``qk`` holding ``Ent(dim, jk)`` (proxies, posted on behalf of
-# parts that may not post themselves).  A full rebuild posts ``n == 0`` rows
-# only: ``(dim, idx, key...)``.
+# A *change* row on the wire is ``(dim, owner idx, idx)``: the posting part
+# now holds the entity its owner holds at ``Ent(dim, owner idx)`` at
+# ``Ent(dim, idx)`` (a copy it created by landing) or, with ``idx == -1``,
+# destroyed its copy (a tombstone).  A *candidate* row of the rebuild is
+# ``(dim, idx, key...)``: the posting part holds the entity with sorted
+# vertex-gid ``key`` at ``Ent(dim, idx)``.  Both are answered with answer
+# rows (:mod:`repro.partition.links`).
 
-
-#: One dimension of a part's candidates: ``(dim, idx, key rows, copies per
-#: row, flat (q, j) pairs of those copies)``.
-Piece = Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _NONE = np.empty(0, dtype=np.int64)
 
-
-def _candidate_rows(
-    pieces: Sequence[Piece], nparts: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wire rows of one part's candidates, sorted by hash home.
-
-    Returns ``(home, lengths, flat)``; a row's home is the sum of its key
-    modulo ``nparts`` (in int64, so every poster wraps alike).
-    """
-    homes, lengths, flats = [_NONE], [_NONE], [_NONE]
-    for d, idx, keys, ncopies, copies in pieces:
-        used = keys >= 0
-        nkey = used.sum(axis=1)
-        n = 2 + nkey + 2 * ncopies
-        starts = np.cumsum(n) - n
-        flat = np.empty(int(n.sum()), dtype=np.int64)
-        flat[starts] = d + 4 * ncopies
-        flat[starts + 1] = idx
-        flat[ragged_arange(starts + 2, nkey)] = keys[used]
-        flat[ragged_arange(starts + 2 + nkey, 2 * ncopies)] = copies
-        homes.append(np.where(used, keys, 0).sum(axis=1) % nparts)
-        lengths.append(n)
-        flats.append(flat)
-    home, n, flat = map(np.concatenate, (homes, lengths, flats))
-    order = np.argsort(home, kind="stable")
-    starts = (np.cumsum(n) - n)[order]
-    return home[order], n[order], flat[ragged_arange(starts, n[order])]
+#: Changed copies on one part, as columns ``(dims, owner pids, owner
+#: handles, own handles)``; an own handle of -1 is a destroyed copy.
+Change = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _post_rows(
@@ -887,164 +869,173 @@ def _post_rows(
     dmesh.counters.add("net.messages.coalesced", len(lengths))
 
 
-def _home_answers(messages) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rendezvous at one hash home: the candidate frames it received,
-    in source order, to answer rows for every holder of a shared key."""
-    frames = [decode_int_rows(blob) for _src, _tag, blob in messages]
-    lengths = np.concatenate([rows for rows, _values in frames])
-    flat = np.concatenate([values for _rows, values in frames])
-    src = np.repeat(
-        [src for src, _tag, _blob in messages],
-        [len(rows) for rows, _values in frames],
+def _exchange(
+    dmesh: DistributedMesh, tag: int, rows: Dict[int, Rows], local: bool = False
+) -> Dict[int, List[Frame]]:
+    """One superstep: every part posts its rows to their destinations;
+    returns each part's received frames.  With ``local``, a part's rows to
+    itself do not go on the wire: they come back as its last frame."""
+    router = dmesh.router()
+    kept: Dict[int, List[Frame]] = {}
+    for pid in sorted(rows):
+        dest, lengths, flat = rows[pid]
+        if local:
+            home = dest == pid
+            cut = np.repeat(home, lengths)
+            if home.any():
+                kept[pid] = [(pid, lengths[home], flat[cut])]
+            dest, lengths, flat = dest[~home], lengths[~home], flat[~cut]
+        _post_rows(dmesh, router, pid, tag, dest, lengths, flat)
+    return {
+        pid: [(src, *decode_int_rows(blob)) for src, _tag, blob in inbox]
+        + kept.get(pid, [])
+        for pid, inbox in router.exchange().items()
+    }
+
+
+def _apply_answers(
+    part: Part, frames: Sequence[Frame], stale: Sequence[np.ndarray] = (_NONE,) * 4
+) -> None:
+    """Replace the links of every entity an answer row names (a row naming
+    nobody clears them), and drop those of the ``stale`` ids no answer
+    names: one :meth:`~repro.partition.part.Part.replace_links` per
+    dimension."""
+    lengths, flat = (
+        np.concatenate([_NONE, *(frame[k] for frame in frames)]) for k in (1, 2)
     )
-    starts = np.cumsum(lengths) - lengths
-    dim = flat[starts] & 3
-    ncopies = flat[starts] >> 2
-    idx = flat[starts + 1]
-    nkey = lengths - 2 - 2 * ncopies
-    keys = ragged_matrix(flat[ragged_arange(starts + 2, nkey)], nkey, -1)
-    proxies = flat[ragged_arange(starts + 2 + nkey, 2 * ncopies)].reshape(-1, 2)
-    row = np.repeat(np.arange(len(lengths)), ncopies)
-    return link_answers(
-        np.concatenate((dim, dim[row])),
-        np.concatenate((keys, keys[row])),
-        np.concatenate((src, proxies[:, 0])),
-        np.concatenate((idx, proxies[:, 1])),
-        np.concatenate((idx >= 0, np.ones(len(row), dtype=bool))),
-    )
+    heads = np.cumsum(lengths) - lengths
+    dim, ids, pids, rids = answer_columns(lengths, flat)
+    for d in range(4):
+        row = dim == d
+        drop = np.concatenate((stale[d], flat[heads + 1][flat[heads] == d]))
+        part.replace_links(d, drop, ids[row], pids[row], rids[row])
 
 
-#: What one part brings to a rendezvous: its candidate rows ``(home,
-#: lengths, flat)`` and, per dimension, the ids whose links are stale unless
-#: an answer restores them.
-Post = Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[np.ndarray]]
+def _owner_relink(
+    dmesh: DistributedMesh, changes: Dict[int, List[Change]],
+    before: Dict[int, List[Links]],
+) -> None:
+    """Repair the links of every changed entity through its owner.
 
-
-def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Post]) -> None:
-    """Match posted candidates at their hash homes; write the links back.
-
-    Two supersteps: every posting part sends its candidate rows to the
-    rows' homes; every home groups what it got and answers each holder of a
-    key with two or more holders — posters and proxied third parties alike
-    — with the list of the others, which replaces that entity's links.  A
-    posting part's stale ids no answer came for end unlinked: each part
-    applies both in one :meth:`~repro.partition.part.Part.replace_links`
-    per dimension.  Both exchanges run even when nothing is posted, so a
+    Two supersteps: every part posts its changed copies to their owners,
+    and every owner answers (:func:`_owner_answers`) from its links as they
+    were before removal (``before``).  An owner's own changes and answers
+    stay off the wire.  Both exchanges run even when nothing changed, so a
     fixed call sequence costs a fixed superstep count.
     """
-    router = dmesh.router()
-    for pid, (rows, _stale) in posts.items():
-        _post_rows(dmesh, router, pid, _TAG_CANDIDATE, *rows)
-    inboxes = router.exchange()
-    router = dmesh.router()
-    for home in sorted(inboxes):
-        if inboxes[home]:
-            _post_rows(
-                dmesh, router, home, _TAG_LINKS, *_home_answers(inboxes[home])
-            )
-    responses = router.exchange()
+    posts: Dict[int, Rows] = {}
+    for pid, columns in changes.items():
+        dim, opid, oidx, idx = (
+            np.concatenate([_NONE, *(col[k] for col in columns)]) for k in range(4)
+        )
+        order = np.argsort(opid, kind="stable")
+        posts[pid] = (
+            opid[order], np.full(len(order), 3),
+            np.column_stack((dim, oidx, idx))[order].reshape(-1),
+        )
+    inboxes = _exchange(dmesh, _TAG_CHANGE, posts, local=True)
+    responses = _exchange(dmesh, _TAG_LINKS, {
+        pid: _owner_answers(pid, frames, before[pid], dmesh.nparts)
+        for pid, frames in inboxes.items() if frames
+    }, local=True)
+    for pid in sorted(responses):
+        if responses[pid]:
+            _apply_answers(dmesh.part(pid), responses[pid])
+    dmesh.counters.add("migration.relinks")
+
+
+def _owner_answers(
+    owner: int, frames: Sequence[Frame], links: Sequence[Links], nparts: int
+) -> Rows:
+    """One owner's answers to the change rows it got (``frames``, its own
+    included), joined with its own copy and its link rows as they were
+    before removal; a tombstone cancels the record of the part that
+    destroyed its copy.  Entities are coded ``4 * owner handle + dim``."""
+    rows = np.concatenate([flat for _src, _n, flat in frames]).reshape(-1, 3)
+    src = np.repeat(
+        [src for src, _n, _flat in frames], [len(n) for _src, n, _flat in frames]
+    )
+    code = 4 * rows[:, 1] + rows[:, 0]
+    changed = np.unique(code)
+    lcode, lpid, lrid = (
+        np.concatenate([4 * col[0] + d if k == 0 else col[k]
+                        for d, col in enumerate(links)]) for k in range(3)
+    )
+    old = np.isin(lcode, changed)
+    alive = rows[:, 2] >= 0
+    entity = np.concatenate((changed, lcode[old], code[alive]))
+    holder = np.concatenate((np.full(len(changed), owner), lpid[old], src[alive]))
+    handle = np.concatenate((changed // 4, lrid[old], rows[alive, 2]))
+    live = ~np.isin(
+        entity * nparts + holder, code[~alive] * nparts + src[~alive]
+    )
+    entity, holder, handle = entity[live], holder[live], handle[live]
+    return link_answers(entity % 4, entity[:, None] // 4, holder, handle, lone=True)
+
+
+def _home_answers(frames: Sequence[Frame]) -> Rows:
+    """The rendezvous at one hash home: the candidate frames it received,
+    in source order, to answer rows for every holder of a shared key."""
+    lengths = np.concatenate([n for _src, n, _flat in frames])
+    flat = np.concatenate([flat for _src, _n, flat in frames])
+    src = np.repeat(
+        [src for src, _n, _flat in frames], [len(n) for _src, n, _flat in frames]
+    )
+    starts = np.cumsum(lengths) - lengths
+    nkey = lengths - 2
+    keys = ragged_matrix(flat[ragged_arange(starts + 2, nkey)], nkey, -1)
+    return link_answers(flat[starts], keys, src, flat[starts + 1])
+
+
+def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Rows]) -> None:
+    """Match posted candidates at their hash homes; rewrite every link.
+
+    Two supersteps: every part sends its candidate rows to the rows' homes;
+    every home groups what it got and answers each holder of a key with
+    two or more holders with the list of the others, which replaces the
+    part's links (every old row is stale).  Both exchanges run even when
+    nothing is posted, so a fixed call sequence costs a fixed superstep
+    count.
+    """
+    inboxes = _exchange(dmesh, _TAG_CANDIDATE, posts)
+    responses = _exchange(dmesh, _TAG_LINKS, {
+        home: _home_answers(frames) for home, frames in inboxes.items() if frames
+    })
     for pid in sorted(responses):
         part = dmesh.part(pid)
-        stale = posts[pid][1] if pid in posts else [_NONE] * 4
-        frames = [decode_int_rows(blob) for _src, _tag, blob in responses[pid]]
-        dim, ids, pids, rids = answer_columns(*(
-            np.concatenate([_NONE, *(frame[k] for frame in frames)])
-            for k in (0, 1)
-        ))
-        for d in range(4):
-            row = dim == d
-            part.replace_links(d, stale[d], ids[row], pids[row], rids[row])
+        _apply_answers(part, responses[pid], [part.links(d)[0] for d in range(4)])
     dmesh.counters.add("migration.relinks")
 
 
 def rebuild_links(dmesh: DistributedMesh) -> None:
     """Recompute every remote-copy link from vertex global ids.
 
-    The from-scratch row source of :func:`_rendezvous`: every existing
-    link is stale and every part posts all of its surface entities
-    (:func:`~repro.partition.links.surface_ids`; ghosts excluded).  For
-    callers with no plan to take a delta from — loaders, distributed
-    adaptation — and the oracle ``migrate``'s delta is tested against.
+    Every part posts all of its surface entities
+    (:func:`~repro.partition.links.surface_ids`; ghosts excluded) to the
+    hash home ``sum(key) % nparts`` of their keys, and the homes group them
+    (:func:`_rendezvous`).  For callers with no migration to take a delta
+    from — loaders, distributed adaptation — and the oracle ``migrate``'s
+    owner relink is tested against.
     """
     posts = {}
     for part in dmesh:
-        rows = _candidate_rows(
-            [
-                (d, ids, part.entity_keys(d, ids),
-                 np.zeros(len(ids), dtype=np.int64), _NONE)
-                for d, ids in enumerate(surface_ids(part))
-            ],
-            dmesh.nparts,
+        homes, lengths, flats = [_NONE], [_NONE], [_NONE]
+        for d, ids in enumerate(surface_ids(part)):
+            keys = part.entity_keys(d, ids)
+            used = keys >= 0
+            n = 2 + used.sum(axis=1)
+            starts = np.cumsum(n) - n
+            flat = np.empty(int(n.sum()), dtype=np.int64)
+            flat[starts] = d
+            flat[starts + 1] = ids
+            flat[ragged_arange(starts + 2, n - 2)] = keys[used]
+            homes.append(np.where(used, keys, 0).sum(axis=1) % dmesh.nparts)
+            lengths.append(n)
+            flats.append(flat)
+        home, n, flat = map(np.concatenate, (homes, lengths, flats))
+        order = np.argsort(home, kind="stable")
+        starts = (np.cumsum(n) - n)[order]
+        posts[part.pid] = (
+            home[order], n[order], flat[ragged_arange(starts, n[order])]
         )
-        posts[part.pid] = (rows, [part.links(d)[0] for d in range(4)])
     _rendezvous(dmesh, posts)
-
-
-#: One dimension of a part's delta candidates before removal: ``(ids, key
-#: rows, and the link rows of the leading ids as they were: each row's
-#: position in ids, pid, remote id)``.
-Captured = List[Tuple[np.ndarray, ...]]
-
-
-def _capture_candidates(
-    part: Part, dim: int, leaving: Optional[Streams], landed: np.ndarray
-) -> Captured:
-    """Delta candidates of one part, taken after landing, before removal.
-
-    Only entities in the closure of a moved element can gain or lose a
-    copy.  Per dimension: the closure of the part's leaving elements
-    (``leaving``, their :func:`_closure_streams`) with the link rows each
-    has now — removal evicts those links and the vertex gids the keys are
-    made of — followed by what only the closure of the ``landed`` element
-    ids adds.
-    """
-    core = part.mesh.core
-    arrived = _closure_streams(core, dim, landed) if len(landed) else None
-    captured: Captured = []
-    for d in range(dim):
-        # Unique ids through handle masks: two scatters and a scan.
-        mask = np.zeros(core.top[d], dtype=bool)
-        if leaving:
-            mask[leaving[d][0]] = True
-        ids = left = np.flatnonzero(mask)
-        if arrived:
-            mask[arrived[d][0]] = True
-            mask[left] = False
-            ids = np.concatenate((left, np.flatnonzero(mask)))
-        linked = part.links(d)
-        rows = np.isin(linked[0], left)
-        captured.append((
-            ids, part.entity_keys(d, ids), left.searchsorted(linked[0][rows]),
-            linked[1][rows], linked[2][rows],
-        ))
-    return captured
-
-
-def _delta_post(part: Part, captured: Captured, nparts: int) -> Post:
-    """What one part posts for a delta relink, after removal.
-
-    A copy can only be shared if it lies on its part's surface after the
-    move: live surface candidates post themselves (with the copies they
-    knew as proxies) and destroyed candidates that had copies post a
-    tombstone (with the same).  Every live candidate's links are stale —
-    the answers restore what is still shared.
-    """
-    alive_of = part.mesh.core.alive
-    masks = surface_masks(part)
-    pieces: List[Piece] = []
-    stale = [_NONE] * 4
-    for d, (ids, keys, at, pids, rids) in enumerate(captured):
-        alive = alive_of[d][ids]
-        stale[d] = ids[alive]
-        # (An emptied part has no surface, and nothing of it is alive.)
-        surface = alive & masks[d][ids] if d < len(masks) else alive
-        # The copies a leading id had ride as proxies on its surface row
-        # or its tombstone.
-        proxy = (surface | ~alive)[at]
-        ncopies = np.bincount(at[proxy], minlength=len(ids))
-        posted = surface | (ncopies > 0)
-        pieces.append((
-            d, np.where(surface, ids, -1)[posted], keys[posted],
-            ncopies[posted], np.column_stack((pids, rids))[proxy].reshape(-1),
-        ))
-    return _candidate_rows(pieces, nparts), stale

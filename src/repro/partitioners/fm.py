@@ -10,8 +10,11 @@ escapes local minima a greedy pass cannot.
 As in Zoltan PHG and METIS, a pass ends after ``max(n // 20, 50)`` moves in a
 row without a new best prefix, moves the rollback would only undo; the
 pinned partitions stay bit for bit by measurement, not by construction.
-Every node still enters the heap: a boundary-only heap cut 897 faces, not
-877, on 16 parts of ``aaa_mesh(6)``.
+Every node is still a candidate: a boundary-only heap cut 897 faces, not
+877, on 16 parts of ``aaa_mesh(6)``.  A pass does not heapify all ``n`` of
+them, though: it sorts them once into a reserve (most gain first, then
+lowest index) and pops the smaller of the reserve's head and a heap that
+holds only the entries pushed since, which is one heap's pop order.
 """
 
 from __future__ import annotations
@@ -87,8 +90,13 @@ def fm_refine(
     for _pass in range(PASSES):
         g = _gains(xadj, adjncy, eweights, side)
         gains = g.tolist()
-        heap = list(zip((-g).tolist(), range(n)))
-        heapq.heapify(heap)
+        # The pass's first entries, already in heap order, merged with a
+        # heap of the entries pushed since: the same pop order as one heap
+        # of both (equal entries are one node's, and the second is stale).
+        order = np.lexsort((np.arange(n), -g))
+        reserve = list(zip((-g)[order].tolist(), order.tolist()))
+        next_up = 0
+        heap = []
         locked = [False] * n
         side_weight = [
             float(weights[side == 0].sum()),
@@ -110,8 +118,14 @@ def fm_refine(
         improvement = 0.0
         best_improvement = 0.0
         best_prefix = 0
-        while heap:
-            neg_gain, i = pop(heap)
+        while True:
+            if heap and (next_up == n or heap[0] < reserve[next_up]):
+                neg_gain, i = pop(heap)
+            elif next_up < n:
+                neg_gain, i = reserve[next_up]
+                next_up += 1
+            else:
+                break
             if locked[i] or -neg_gain != gains[i]:
                 continue  # stale heap entry
             frm = part[i]

@@ -261,9 +261,12 @@ def _one_frame_per_kind():
         "home": (1, Ent(2, 3)),
         "tags": {"w": 2.5},
     }
+    owned = codec.block_from_bundles([triangle])
+    owned.owner_pid, owned.owner_idx = np.array([0, 1, 0]), np.array([7, 8, 9])
     return [
         (codec.dumps({"a": [1, 2, 3]}), codec.loads),
         (codec.encode_element_batch([triangle]), codec.decode_element_block),
+        (codec.encode_element_block(owned), codec.decode_element_block),
         (codec.encode_value_columns(
             codec.value_head(0, ids), np.ones((5, 2))
         ), codec.decode_value_columns),
@@ -545,6 +548,82 @@ def test_columnar_frames_round_trip_and_reject_corruption(seed):
     flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
     with pytest.raises(codec.CodecError):
         codec.decode_element_block(bytes(flipped))
+
+
+def _migration_block(kind, pid):
+    """The block part ``pid`` packs for a migration of every third of its
+    elements: owner columns on."""
+    from repro.partition.migration import _pack_blocks
+
+    dmesh = _columnar_dmesh(kind)
+    part = dmesh.part(pid)
+    dim = dmesh.element_dim()
+    chosen = part.mesh.entity_ids(dim)[::3]
+    return part, _pack_blocks(
+        part.mesh, part.gid_array(0), part.gid_array(dim), dim, chosen,
+        [len(chosen)], owners=part,
+    )[0]
+
+
+@pytest.mark.parametrize("kind", ("tet", "tri", "prism"))
+@pytest.mark.parametrize("pid", (1, 2))
+def test_owner_columns_round_trip_and_reject_corruption(kind, pid):
+    """Section 7 of a migration frame: one (owner part, owner handle) pair
+    per table row, flagged in the header; without it the frame is the
+    same block's frame byte for byte, unflagged."""
+    part, block = _migration_block(kind, pid)
+    rows = len(block.vert_gref) + len(block.mid_dim)
+    assert len(block.owner_pid) == len(block.owner_idx) == rows
+    assert (block.owner_pid < pid).any()
+    for gid, owner, handle in zip(
+        block.gids[block.vert_gref].tolist(), block.owner_pid[: len(block.vert_gref)],
+        block.owner_idx[: len(block.vert_gref)],
+    ):
+        vertex = part.by_gid(0, gid)
+        assert owner == part.owner(vertex)
+        if owner == pid:
+            assert handle == vertex.idx
+
+    blob = codec.encode_element_block(block)
+    assert blob[4] == codec.FLAG_OWNERS
+    parsed = codec.decode_element_block(blob)
+    assert repr(_block_columns(parsed)) == repr(_block_columns(block))
+    assert codec.encode_element_block(parsed) == blob
+    with pytest.raises(codec.CodecError, match="no owner columns"):
+        codec.decode_element_batch(blob)
+
+    plain, short = (codec.ElementBlock(**{
+        name: getattr(block, name) for name in codec.ElementBlock.__slots__
+    }) for _ in range(2))
+    plain.owner_pid = plain.owner_idx = np.empty(0, dtype=np.int64)
+    bare = codec.encode_element_block(plain)
+    assert bare[4] == 0
+    body, bare_body = blob[codec.HEADER_SIZE:], bare[codec.HEADER_SIZE:]
+    assert body.startswith(bare_body) and len(body) > len(bare_body)
+
+    # Every truncation inside the section, under a valid header and CRC,
+    # and the flag on the wrong body either way, raise.
+    for end in range(len(bare_body), len(body)):
+        with pytest.raises(codec.CodecError):
+            codec.decode_element_block(
+                codec._frame(codec.KIND_ELEMENTS, codec.FLAG_OWNERS, body[:end])
+            )
+    with pytest.raises(codec.CodecError, match="trailing"):
+        codec.decode_element_block(codec._frame(codec.KIND_ELEMENTS, 0, body))
+    with pytest.raises(codec.CodecError, match="truncated"):
+        codec.decode_element_block(
+            codec._frame(codec.KIND_ELEMENTS, codec.FLAG_OWNERS, bare_body)
+        )
+    # A flipped bit in the section fails the CRC.
+    for at in range(len(bare), len(blob)):
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << (at % 8)
+        with pytest.raises(codec.CodecError, match="CRC"):
+            codec.decode_element_block(bytes(flipped))
+    # The writer refuses owner columns that miss a table row.
+    short.owner_pid, short.owner_idx = block.owner_pid[1:], block.owner_idx[1:]
+    with pytest.raises(codec.CodecError, match="every table row"):
+        codec.encode_element_block(short)
 
 
 # -- bundles: a router's [(int tag, bytes)] message ------------------------------

@@ -1,8 +1,9 @@
-"""The delta relink against its oracle.
+"""The owner relink against its oracle.
 
-``migrate`` repairs part-boundary links from what it moved (candidates,
-proxies, tombstones — see ``repro.partition.migration``).  After *every*
-migrate here the links must equal, as mappings, what a from-scratch
+``migrate`` repairs part-boundary links from what it moved: every copy it
+created or destroyed is reported to the entity's owner, which answers
+every holder (see ``repro.partition.migration``).  After *every* migrate
+here the links must equal, as mappings, what a from-scratch
 ``rebuild_links`` derives on the same state, and ``verify`` (symmetry +
 completeness) must pass.  Named plans pin the adversarial cases of the
 protocol; seeded random plans cover the rest on triangles, tets and a
@@ -21,13 +22,6 @@ from repro.partition import (
     move_elements_to_new_part,
     rebuild_links,
 )
-from repro.partition import migration
-
-
-@pytest.fixture(autouse=True)
-def always_by_delta(monkeypatch):
-    """Every plan here relinks by delta, the all-move ones included."""
-    monkeypatch.setattr(migration, "_REBUILD_SHARE", 2.0)
 
 
 def prism_tet():
@@ -63,6 +57,13 @@ def quadrants(mesh):
 def quadrant_dmesh(kind):
     mesh = MESHES[kind]()
     return distribute(mesh, quadrants(mesh), nparts=4)
+
+
+def scattered_dmesh(kind, nparts, seed):
+    mesh = MESHES[kind]()
+    rng = np.random.default_rng(seed)
+    return distribute(mesh, rng.integers(0, nparts, mesh.count(mesh.dim())),
+                      nparts=nparts)
 
 
 def links(dm):
@@ -168,9 +169,9 @@ def test_two_sources_around_one_vertex_to_two_destinations(kind):
 
 @pytest.mark.parametrize("kind", MESHES)
 def test_third_party_destroys_its_copy_in_the_same_call(kind):
-    """Part Q's row carries a proxy for part T's copy; T ships its only
-    element on that vertex away in the same call, so the proxy is stale and
-    T's tombstone must cancel it."""
+    """Part Q and part T both hold a vertex; T ships its only element on
+    it away in the same call as Q ships one, so the owner's old link row
+    for T is stale and T's tombstone must cancel it."""
     mesh = MESHES[kind]()
     rng = np.random.default_rng(5)
     dm = distribute(mesh, rng.integers(0, 4, mesh.count(mesh.dim())), nparts=4)
@@ -192,6 +193,83 @@ def test_third_party_destroys_its_copy_in_the_same_call(kind):
     moved(dm, plan)
     assert dm.part(t).by_gid(0, gid) is None
     assert dest in shared_vertices(dm).get(gid, {dest: None})
+
+
+@pytest.mark.parametrize("kind", MESHES)
+def test_owner_leaves_an_entity_two_others_keep(kind):
+    """The owner ships every element around a vertex to one of the two
+    other holders, which posts nothing (it held the vertex): the owner's
+    own tombstone is the only change, and it answers both survivors without
+    holding the vertex any more."""
+    dm = scattered_dmesh(kind, 4, 7)
+    gid, held = next(
+        (g, h) for g, h in shared_vertices(dm).items() if len(h) == 3
+    )
+    owner, *others = sorted(held)
+    moved(dm, {owner: {
+        e: others[-1] for e in elements_on(dm.part(owner), held[owner])
+    }})
+    assert dm.part(owner).by_gid(0, gid) is None
+    assert sorted(shared_vertices(dm)[gid]) == others
+    for pid in others:
+        part = dm.part(pid)
+        assert part.residence(part.by_gid(0, gid)) == tuple(others)
+
+
+@pytest.mark.parametrize("kind", MESHES)
+@pytest.mark.parametrize("leaver", ("owner", "other"))
+def test_a_tombstone_leaves_one_holder_unlinked(kind, leaver):
+    """Of a vertex's two holders, one ships every element on it to a part
+    that does not hold it: the vertex ends on the other holder and the
+    destination.  Then the other holder ships its elements there too, and
+    the destination, alone, must end with no link rows for it — whether
+    the last to leave was the owner (its own tombstone) or not (its
+    tombstone goes to the destination, which answers itself)."""
+    dm = scattered_dmesh(kind, 4, 11)
+    for gid, held in shared_vertices(dm).items():
+        outside = [p for p in range(4) if p not in held]
+        if len(held) != 2 or not outside:
+            continue
+        dest = max(outside) if leaver == "owner" else min(outside)
+        last = min(held) if leaver == "owner" else max(held)
+        if (last < dest) == (leaver == "owner"):
+            break
+    else:
+        pytest.fail("no vertex on two parts to empty that way")
+    first = next(p for p in held if p != last)
+    for pid in (first, last):
+        vertex = dm.part(pid).by_gid(0, gid)
+        moved(dm, {pid: {e: dest for e in elements_on(dm.part(pid), vertex)}})
+    assert gid not in shared_vertices(dm)
+    part = dm.part(dest)
+    vertex = part.by_gid(0, gid)
+    assert vertex is not None and not part.is_shared(vertex)
+    assert part.residence(vertex) == (dest,)
+
+
+@pytest.mark.parametrize("kind", MESHES)
+def test_two_sources_create_one_entity_on_two_parts(kind):
+    """Two holders of a vertex each send one element on it to a part that
+    does not hold it, so the vertex is created on two new parts in one
+    call; a third holder that neither sends nor receives learns about both
+    from the owner's answer."""
+    dm = scattered_dmesh(kind, 8, 3)
+    for gid, held in shared_vertices(dm).items():
+        if len(held) >= 3 and len(held) <= 6:
+            break
+    else:
+        pytest.fail("no vertex on three to six parts")
+    owner, second, third = sorted(held)[:3]
+    fresh = [p for p in range(8) if p not in held][:2]
+    plan = {
+        pid: {elements_on(dm.part(pid), held[pid])[0]: dest}
+        for pid, dest in zip((owner, third), fresh)
+    }
+    moved(dm, plan)
+    holders = shared_vertices(dm)[gid]
+    assert set(fresh) <= set(holders)
+    part = dm.part(second)
+    assert part.residence(part.by_gid(0, gid)) == tuple(sorted(holders))
 
 
 @pytest.mark.parametrize("kind", MESHES)

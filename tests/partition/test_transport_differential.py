@@ -6,10 +6,10 @@ a bridge entity on its front for the elements around it, naming the ones
 it holds, a ghost front entity's home refers the request to the entity's
 other holders, and each holder queues them one ``Mesh.adjacent`` walk at a
 time), and one ``_pack_block`` per sending part *pair* and one
-``_land_block`` per receiving part *pair*.  The program now pushes every
-ring from the owners, packs once per sending part and lands once per
-receiving part.  Every case runs both on two copies of one distributed
-mesh.
+``_land_block`` per receiving part *pair*; its migration relinks with
+``rebuild_links``.  The program now pushes every ring from the owners,
+packs once per sending part and lands once per receiving part.  Every case
+runs both on two copies of one distributed mesh.
 
 Migration and depth-1 ghosting must end with every part identical — every
 ``MeshCore`` column (live prefix, free-lists included), coordinates,
@@ -68,8 +68,24 @@ def _opt_refs(ref, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack_block(part, dim, elems, home=False, tags=()) -> ElementBlock:
-    """One part pair's closure block, packed alone."""
+def _owner_column(part, dims, ids):
+    """``(owner pids, owner handles)`` of entities, one ``Part.owner`` and
+    one ``Part.copies`` read each."""
+    pairs = []
+    for d, idx in zip(dims, ids):
+        ent = Ent(int(d), int(idx))
+        owner = part.owner(ent)
+        pids, rids = part.copies(ent)
+        pairs.append((owner, int(idx) if owner == part.pid
+                      else int(rids[pids.tolist().index(owner)])))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _pack_block(
+    part, dim, elems, home=False, tags=(), owners=False
+) -> ElementBlock:
+    """One part pair's closure block, packed alone; ``owners`` adds the
+    owner columns of its vertex and intermediate tables (migration)."""
     mesh = part.mesh
     core = mesh.core
     elems = np.asarray(elems, dtype=np.int64)
@@ -123,6 +139,12 @@ def _pack_block(part, dim, elems, home=False, tags=()) -> ElementBlock:
     present = [name for name in tags if mesh.tags.find(name) is not None]
     extras = (EXTRA_HOME if home else 0) | (EXTRA_TAGS if tags else 0)
     empty = np.empty(0, dtype=np.int64)
+    owner_pid = owner_idx = empty
+    if owners:
+        owner_pid, owner_idx = _owner_column(
+            part, np.concatenate((np.zeros(len(vert_ids), np.int64), mid_dim)),
+            np.concatenate((vert_ids, mid_ids)),
+        )
     return ElementBlock(
         classes=mesh.class_pairs()[class_table],
         gids=gids,
@@ -151,6 +173,8 @@ def _pack_block(part, dim, elems, home=False, tags=()) -> ElementBlock:
             {name: mesh.tag(name).get(Ent(dim, idx)) for name in present}
             for idx in elems.tolist()
         ] if tags else [],
+        owner_pid=owner_pid,
+        owner_idx=owner_idx,
     )
 
 
@@ -356,7 +380,6 @@ def oracle_ghost_layer(dmesh, depth=1, bridge_dim=0, tags=()) -> Tuple[int, List
 
 def oracle_migrate(dmesh, plan) -> Tuple[int, List[int]]:
     dim = dmesh.element_dim()
-    total = sum(part.mesh.count(dim) for part in dmesh)
     moved = 0
     packed = [0, 0, 0, 0]
     blocks = {}
@@ -375,7 +398,7 @@ def oracle_migrate(dmesh, plan) -> Tuple[int, List[int]]:
             queue.append(element.idx)
             leaving.append(element.idx)
         for dest, queue in queues.items():
-            block = _pack_block(part, dim, np.asarray(queue))
+            block = _pack_block(part, dim, np.asarray(queue), owners=True)
             blocks[(pid, dest)] = block
             packed[0] += int(block.b_vcounts.sum())
             mids = np.bincount(block.mid_dim[block.b_mrefs], minlength=4)
@@ -385,38 +408,14 @@ def oracle_migrate(dmesh, plan) -> Tuple[int, List[int]]:
         if leaving:
             removals[pid] = np.asarray(leaving)
             moved += len(leaving)
-    landed: Dict[int, List[np.ndarray]] = {}
-
-    def land(lpid, _rpid, block):
-        ids, _created = _land_block(dmesh.part(lpid), block)
-        landed.setdefault(lpid, []).append(ids)
-
     forest.bcast(
         batch_data=lambda rpid, lpid, _e: blocks[(rpid, lpid)],
-        batch_set=land, datatype=BUNDLES,
+        batch_set=lambda lpid, _rpid, block: _land_block(dmesh.part(lpid), block),
+        datatype=BUNDLES,
     )
-    by_delta = moved < migration._REBUILD_SHARE * total
-    streams, captured = {}, {}
-    if by_delta:
-        for pid in sorted(set(removals) | set(landed)):
-            part = dmesh.part(pid)
-            if pid in removals:
-                streams[pid] = migration._closure_streams(
-                    part.mesh.core, dim, removals[pid]
-                )
-            captured[pid] = migration._capture_candidates(
-                part, dim, streams.get(pid),
-                np.concatenate(landed.get(pid, [migration._NONE])),
-            )
     for pid, leaving in removals.items():
-        migration._remove_elements(dmesh.part(pid), dim, leaving, streams.get(pid))
-    if by_delta:
-        migration._rendezvous(dmesh, {
-            pid: migration._delta_post(dmesh.part(pid), rows, dmesh.nparts)
-            for pid, rows in captured.items()
-        })
-    else:
-        migration.rebuild_links(dmesh)
+        migration._remove_elements(dmesh.part(pid), dim, leaving)
+    migration.rebuild_links(dmesh)
     return moved, packed
 
 

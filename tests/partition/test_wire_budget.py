@@ -12,9 +12,9 @@ one superstep off the ghost scenario.
 
 The relink budgets below them pin link maintenance on its own: a
 from-scratch ``rebuild_links`` ships byte for byte what it shipped before
-its rendezvous went array-native, and ``migrate``'s delta relink ships a
-typical step (5 % of every part, ring-wise) in a sixth of a rebuild's
-bytes.
+its rendezvous went array-native, and ``migrate``'s owner relink ships a
+typical step (5 % of every part, ring-wise) in a tenth of a rebuild's
+bytes and a quarter of its messages.
 """
 
 import math
@@ -115,22 +115,25 @@ def test_ring_migration_budget():
 
 @pytest.fixture
 def relinks(monkeypatch):
-    """Comm cost of every link rendezvous run during the test, in order."""
+    """Comm cost of every link exchange run during the test, in order: the
+    owner relink of a ``migrate`` and the rendezvous of a rebuild."""
     costs = []
-    rendezvous = migration._rendezvous
 
-    def measured(dm, posts):
-        probe = CommProbe(dm.counters)
-        rendezvous(dm, posts)
-        costs.append({
-            "rows": probe.messages_coalesced(),
-            "encoded_bytes": probe.encoded_bytes(),
-            "wire_bytes": probe.wire_bytes(),
-            "messages": probe.messages(),
-            "supersteps": probe.supersteps(),
-        })
+    def measure(exchange):
+        def measured(dm, *args):
+            probe = CommProbe(dm.counters)
+            exchange(dm, *args)
+            costs.append({
+                "rows": probe.messages_coalesced(),
+                "encoded_bytes": probe.encoded_bytes(),
+                "wire_bytes": probe.wire_bytes(),
+                "messages": probe.messages(),
+                "supersteps": probe.supersteps(),
+            })
+        return measured
 
-    monkeypatch.setattr(migration, "_rendezvous", measured)
+    for name in ("_owner_relink", "_rendezvous"):
+        monkeypatch.setattr(migration, name, measure(getattr(migration, name)))
     return costs
 
 
@@ -157,7 +160,12 @@ def test_rebuild_links_ships_exactly_what_it_shipped(relinks):
 
 
 def test_ring_step_delta_budget(relinks):
-    """The typical shape the file never had: one 5 % ring step."""
+    """The typical shape the file never had: one 5 % ring step.
+
+    Tightened when the delta went through the owners instead of hash
+    homes: rows 1,938 -> 1,682, encoded bytes 22,202 -> 13,054, wire bytes
+    21,989 -> 13,744, messages 128 -> 30 (posts and answers go to
+    neighbours only)."""
     dm = distributed_box(8)
     edim = dm.element_dim()
     plan = {}
@@ -172,18 +180,19 @@ def test_ring_step_delta_budget(relinks):
     assert stats.supersteps == 3
     (delta,) = relinks
     assert delta["supersteps"] == 2
-    assert delta["rows"] <= 1_938
-    assert delta["encoded_bytes"] <= 22_202
-    assert delta["wire_bytes"] <= 21_989
-    assert delta["messages"] <= 128
+    assert delta["rows"] <= 1_682
+    assert delta["encoded_bytes"] <= 13_054
+    assert delta["wire_bytes"] <= 13_744
+    assert delta["messages"] <= 30
 
-    # The same state relinked from scratch: same links, six times the bytes.
+    # The same state relinked from scratch: same links, ten times the bytes.
     links = {part.pid: dict(part.remotes) for part in dm}
     rebuild_links(dm)
     rebuild = relinks[1]
     assert {part.pid: dict(part.remotes) for part in dm} == links
     assert rebuild["rows"] == 14_270
     assert delta["encoded_bytes"] < rebuild["encoded_bytes"]
-    assert delta["encoded_bytes"] <= 0.17 * rebuild["encoded_bytes"]
-    assert delta["wire_bytes"] <= 0.19 * rebuild["wire_bytes"]
+    assert delta["encoded_bytes"] <= 0.10 * rebuild["encoded_bytes"]
+    assert delta["wire_bytes"] <= 0.12 * rebuild["wire_bytes"]
+    assert delta["messages"] <= 0.25 * rebuild["messages"]
     dm.verify()
