@@ -100,10 +100,6 @@ def _try_collapse(
             raise ValueError("collapse supports simplex meshes (tri/tet)")
         if (tri_area if len(pts) == 3 else tet_volume)(*pts) <= min_quality:
             return False
-        if mesh.find(dim, new_verts) is not None or not _closure_classifiable(
-            mesh, new_verts, new_verts.index(kept)
-        ):
-            return False  # a duplicate element, or an unclassifiable one
         rebuilt.append(
             (
                 mesh.etype(element),
@@ -112,6 +108,14 @@ def _try_collapse(
                 tag.get(element) if tag is not None else None,
             )
         )
+    # A duplicate element or an unclassifiable one rejects the collapse;
+    # one walk per dimension covers the whole cavity.
+    rows = [[v.idx for v in verts] for _etype, verts, _c, _a in rebuilt]
+    if rows and (
+        (mesh.core.find_rows(dim, rows) >= 0).any()
+        or not _closure_classifiable(mesh, rows, kept.idx)
+    ):
+        return False
 
     # Commit: build replacements first, then drop the whole old cavity.
     created = []
@@ -126,20 +130,31 @@ def _try_collapse(
     return True
 
 
-def _closure_classifiable(mesh: Mesh, verts: Sequence[Ent], at: int) -> bool:
-    """Whether no new edge or face of the rebuilt simplex ``verts`` (each
-    passes through ``verts[at]``) lands, by the closure rule, on a model
-    entity below its own dimension."""
-    gents = [mesh.classification(v) for v in verts]
-    if mesh.model is None or None in gents:
-        return True  # classify_closure leaves such entities unset
-    others = [i for i in range(len(verts)) if i != at]
+def _closure_classifiable(
+    mesh: Mesh, rows: Sequence[Sequence[int]], kept: int
+) -> bool:
+    """Whether no new edge or face of the rebuilt simplices ``rows``
+    (vertex ids) through vertex ``kept`` lands, by the closure rule, on a
+    model entity below its own dimension.  Simplices with an unclassified
+    vertex are skipped: classify_closure leaves such entities unset."""
+    if mesh.model is None:
+        return True
+    gents = {v: mesh.classification(Ent(0, v)) for row in rows for v in row}
+    subs = {}
+    for row in rows:
+        if None in (gents[v] for v in row):
+            continue
+        others = [v for v in row if v != kept]
+        for d in range(1, len(row) - 1):
+            subs.setdefault(d, []).extend(
+                (kept, *rest) for rest in combinations(others, d)
+            )
     return not any(
-        mesh.find(d, [verts[at], *(verts[i] for i in rest)]) is None
-        and mesh.model.cover(tuple(sorted(
-            {gents[at], *(gents[i] for i in rest)}
-        ))).dim < d
-        for d in range(1, len(verts) - 1) for rest in combinations(others, d)
+        idx < 0 and mesh.model.cover(
+            tuple(sorted({gents[v] for v in sub}))
+        ).dim < d
+        for d, block in subs.items()
+        for sub, idx in zip(block, mesh.core.find_rows(d, block).tolist())
     )
 
 

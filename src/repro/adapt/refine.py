@@ -20,7 +20,9 @@ that has the best priority among the remaining edges in each of its
 elements (a local maximum on the edge–element conflict graph) and applies
 all of them at once: children by index arithmetic on the templates, one
 :func:`~repro.mesh.build.land_vertices`, one
-:func:`~repro.mesh.build.land_rows` per dimension, one
+:func:`~repro.mesh.build.land_rows` per dimension (probing nothing, as
+every row holds a new midpoint, with downward rows joined against the
+cavities' old closure), one
 :meth:`~repro.mesh.mesh.Mesh.classify_closure` and one
 :meth:`~repro.mesh.mesh.Mesh.destroy_block` per dimension.
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from ..gmodel.model import ModelEntity
 from ..gmodel.snap import snap_to_entity
-from ..mesh.build import land_rows, land_vertices
+from ..mesh.build import _joined_down, land_rows, land_vertices
 from ..mesh.core import VERT_WIDTH
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
@@ -126,6 +128,12 @@ def _closure_rows(
     return types[first], block[first]
 
 
+def _sorted_verts(core, d: int, ids: np.ndarray) -> np.ndarray:
+    """Sorted vertex rows of dim-``d`` entities, left-padded with -1."""
+    used = np.arange(VERT_WIDTH[d]) < core.nverts[d][ids][:, None]
+    return np.sort(np.where(used, core.verts[d][ids], -1), axis=1)
+
+
 def _split_round(
     mesh: Mesh,
     dim: int,
@@ -154,11 +162,32 @@ def _split_round(
         children[at + j, np.argmax(rows == end[:, None], axis=1)] = mids[k]
     ctypes = np.repeat(etypes, 2)
 
+    # Every row holding a midpoint is new, so nothing is probed; a row's
+    # downward ids join the cavities' old closure with the rows landed just
+    # before it (a child's bounding entity either holds its midpoint or is
+    # one of its parent's).
+    closure = {dim: elements}
+    for d in range(dim - 1, 0, -1):
+        closure[d] = np.unique(core.gather_down(d + 1, closure[d + 1]))
+    table = None
     for d in range(1, dim):
-        land_rows(mesh, d, *_closure_rows(ctypes, children, d, mids))
+        types, block = _closure_rows(ctypes, children, d, mids)
+        ids, _created = land_rows(
+            mesh, d, types, block,
+            down=_joined_down(types, block, *table) if d > 1 else None,
+            probe=np.zeros(len(types), dtype=bool),
+        )
+        table = (
+            np.concatenate((
+                _sorted_verts(core, d, closure[d]), np.sort(block, axis=1)
+            )),
+            np.concatenate((closure[d], ids)),
+        )
     child_ids, _created = land_rows(
         mesh, dim, ctypes, children,
         gclass=np.repeat(core.gclass[dim][elements], 2),
+        down=_joined_down(ctypes, children, *table) if dim > 1 else None,
+        probe=np.zeros(len(ctypes), dtype=bool),
     )
     mesh.classify_closure(dim, child_ids)
     tag = mesh.tags.find(ancestry_tag) if ancestry_tag else None

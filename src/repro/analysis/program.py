@@ -432,7 +432,7 @@ class Program:
         home, name = self._origin(home, name)
         return home.classes.get(name) if home else None
 
-    def _lookup_method(
+    def _method_in_mro(
         self, cls: ClassInfo, name: str, seen: Optional[Set[int]] = None
     ) -> List[FunctionInfo]:
         """``name`` on ``cls`` or, first match wins, its analyzed bases."""
@@ -443,7 +443,7 @@ class Program:
         for base in cls.bases:
             base_cls = self._base_class(base, cls.module)
             if base_cls is not None and id(base_cls) not in seen:
-                found = self._lookup_method(base_cls, name, seen)
+                found = self._method_in_mro(base_cls, name, seen)
                 if found:
                     return found
         return []
@@ -487,7 +487,7 @@ class Program:
             and receiver.id in ("self", "cls")
             and caller.cls is not None
         ):
-            return self._lookup_method(caller.cls, func.attr), False
+            return self._method_in_mro(caller.cls, func.attr), False
         dotted = self.module_ref(receiver, caller)
         if dotted is None:
             return list(self._methods.get(func.attr, [])), False

@@ -151,10 +151,10 @@ def weighted_diffusion(
         for pid, values in carried.items():
             part = dmesh.part(pid)
             tag = part.mesh.tag(weight_tag)
-            for gid, value in values.items():
-                landed = part.by_gid(dim, gid)
-                if landed is not None:
-                    tag.set(landed, value)
+            landed = part.handles(dim, list(values))
+            for idx, value in zip(landed.tolist(), values.values()):
+                if idx >= 0:
+                    tag.set(Ent(dim, idx), value)
 
     loads = part_weights(dmesh, weight_tag)
     mean = loads.mean()

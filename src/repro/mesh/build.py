@@ -6,8 +6,12 @@ receiving thousands of entities that way is dominated by per-entity Python
 overhead.  :func:`land_vertices` and :func:`land_rows` are the one bulk
 find-or-create kernel: they take a block of vertices, or a block of
 explicit closure rows of one dimension, and land them on a possibly
-non-empty mesh with block allocation, template-derived downward rows, one
-``bulk_add_up`` and one lookup update.  Migration and ghosting land received
+non-empty mesh with block allocation, template-derived downward rows and
+one ``bulk_add_up``; the core arrays are all they write, so existing
+entities are found by the core's adjacency walk
+(:meth:`~repro.mesh.core.MeshCore.find_rows`) or, where the caller holds
+the rows below, by one sorted join against them (:func:`_joined_down`, the
+join migration and refinement share).  Migration and ghosting land received
 element closures through it (:mod:`repro.partition.migration`);
 :func:`from_connectivity` derives the unique edge/face rows of a whole mesh
 with NumPy ``sort``/``unique`` passes and lands them on an empty one,
@@ -21,13 +25,13 @@ incremental path produces when elements are created in the same order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..gmodel.model import Model
 from .core import DOWN_WIDTH, VERT_WIDTH
-from .mesh import Mesh, vertex_keys
+from .mesh import Mesh
 from .topology import EDGE, VERTEX, type_info
 
 
@@ -53,39 +57,78 @@ def land_vertices(
     return ids
 
 
-def _probe(lookup, rows: np.ndarray) -> np.ndarray:
-    """Ids of the entities on vertex rows ``rows`` (-1 where absent)."""
-    if not lookup:
-        return np.full(len(rows), -1, dtype=np.int64)
-    return np.fromiter(
-        (lookup.get(key, -1) for key in vertex_keys(rows)),
-        dtype=np.int64, count=len(rows),
-    )
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of a small-int matrix (entries >= -1), equal
+    exactly where the rows are: the rows as digits of one number, made
+    dense again whenever the next digit would overflow."""
+    base = int(rows.max(initial=-1)) + 2
+    code = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # codes stay below it
+    for k in range(rows.shape[1]):
+        if bound * base >= 2**62:
+            uniq, code = np.unique(code, return_inverse=True)
+            code, bound = code.reshape(-1), len(uniq)
+        code = code * base + (rows[:, k] + 1)
+        bound *= base
+    return code
 
 
-def _down_rows(mesh: Mesh, etype: int, verts: np.ndarray) -> np.ndarray:
-    """One-level downward ids of rows of one type, by template + lookup."""
-    info = type_info(etype)
-    if info.dim == 1:
-        return verts
-    if info.dim == 2:
-        templates = [(a, b) for a, b in info.edges]
-    else:
-        templates = [locals_ for _ftype, locals_ in info.faces]
-    lookup = mesh._lookup[info.dim - 2]
-    down = np.empty((len(verts), len(templates)), dtype=np.int64)
-    # Group template slots by width so each group is one rectangular probe.
-    for width in sorted({len(t) for t in templates}):
-        slots = [k for k, t in enumerate(templates) if len(t) == width]
-        locals_ = np.asarray([templates[k] for k in slots], dtype=np.int64)
-        found = _probe(lookup, verts[:, locals_].reshape(-1, width))
-        down[:, slots] = found.reshape(len(verts), len(slots))
-    if (down < 0).any():
-        raise ValueError(
-            f"cannot land {info.name} rows: a bounding entity is missing "
-            f"(every closure entity must be landed first)"
-        )
+def _match_rows(keys: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """``ids`` of the rows of ``keys`` (distinct) equal to each ``query``
+    row, -1 where none is."""
+    codes = _row_codes(np.concatenate((keys, query)))
+    table, asked = codes[: len(keys)], codes[len(keys):]
+    order = np.argsort(table)
+    table, ids = table[order], ids[order]
+    at = np.minimum(np.searchsorted(table, asked), len(table) - 1)
+    return np.where(table[at] == asked, ids[at], -1)
+
+
+def _down_rows(
+    etypes: np.ndarray,
+    verts: np.ndarray,
+    find: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """One-level downward ids of rows by type template: ``find`` resolves
+    a block of equal-size vertex rows of the dimension below to ids (-1 =
+    none).  Padded with -1, like :func:`land_rows` reads it."""
+    infos = [type_info(etype) for etype in np.unique(etypes).tolist()]
+    width = max(info.downward_count(info.dim - 1) for info in infos)
+    down = np.full((len(verts), width), -1, dtype=np.int64)
+    for info in infos:
+        if info.dim == 2:
+            templates = list(info.edges)
+        else:
+            templates = [locals_ for _ftype, locals_ in info.faces]
+        rows = np.flatnonzero(etypes == info.code)
+        # Template slots grouped by size: each group is one rectangular find.
+        for size in sorted({len(t) for t in templates}):
+            slots = [k for k, t in enumerate(templates) if len(t) == size]
+            locals_ = np.asarray([templates[k] for k in slots], dtype=np.int64)
+            found = find(verts[rows][:, locals_].reshape(-1, size))
+            if (found < 0).any():
+                raise ValueError(
+                    f"cannot land {info.name} rows: a bounding entity is "
+                    f"missing (every closure entity must be landed first)"
+                )
+            down[rows[:, None], slots] = found.reshape(len(rows), len(slots))
     return down
+
+
+def _joined_down(
+    etypes: np.ndarray, verts: np.ndarray, keys: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """:func:`_down_rows` joined against a table of the entities below:
+    ``keys`` their sorted vertex rows (left-padded with -1), ``ids`` their
+    local ids — no walk of the mesh."""
+    width = keys.shape[1]
+
+    def find(rows: np.ndarray) -> np.ndarray:
+        query = np.full((len(rows), width), -1, dtype=np.int64)
+        query[:, width - rows.shape[1]:] = np.sort(rows, axis=1)
+        return _match_rows(keys, ids, query)
+
+    return _down_rows(etypes, verts, find)
 
 
 def land_rows(
@@ -101,17 +144,18 @@ def land_rows(
 
     ``verts[k]`` holds row ``k``'s canonical local vertex ids (padded on
     the right when types of different size are mixed) and ``etypes[k]``
-    its type code; rows must be distinct entities.  Rows whose sorted
-    vertex key is already in the mesh resolve to the existing entity; the
-    rest are created in row order with the ids the same sequence of
-    ``create`` calls would return, their downward rows taken from the type
-    templates by lookup — so the dimension below must be landed first and
-    nothing is auto-derived.  A caller that derived the rows from their
-    upper entities already knows the downward ids and passes them as
-    ``down`` (same row order, template slot order, padded like ``verts``),
-    which skips the lookups.  ``probe`` (a boolean mask over rows) limits
-    the find half to the flagged rows: a caller that knows a row is new —
-    one of its vertices was just created — spares its key lookup.
+    its type code; rows must be distinct entities.  Rows whose vertices
+    already carry an entity of ``dim`` resolve to it; the rest are created
+    in row order with the ids the same sequence of ``create`` calls would
+    return, their downward rows taken from the type templates by
+    :meth:`~repro.mesh.core.MeshCore.find_rows` — so the dimension below
+    must be landed first and nothing is auto-derived.  A caller that
+    derived the rows from their upper entities, or that holds the rows
+    below (:func:`_joined_down`), already knows the downward ids and passes
+    them as ``down`` (same row order, template slot order, padded like
+    ``verts``), which skips those walks.  ``probe`` (a boolean mask over
+    rows) limits the find half to the flagged rows: a caller that knows a
+    row is new — one of its vertices was just created — spares its walk.
     ``gclass`` holds one classification code of ``mesh`` per row (-1 =
     unset, see :meth:`Mesh.class_codes`); it applies to the rows this call
     creates.
@@ -123,7 +167,7 @@ def land_rows(
     verts = np.asarray(verts, dtype=np.int64)
     n = len(etypes)
     ids = np.empty(n, dtype=np.int64)
-    lookup = mesh._lookup[dim - 1]
+    core = mesh.core
     groups = []
     for etype in np.unique(etypes).tolist():
         info = type_info(etype)
@@ -131,15 +175,11 @@ def land_rows(
             raise ValueError(f"{info.name} row in a dim-{dim} block")
         rows = np.nonzero(etypes == etype)[0]
         group_verts = verts[rows, : info.nverts]
-        if probe is None:
-            ids[rows] = _probe(lookup, group_verts)
-        else:
-            ask = probe[rows]
-            ids[rows] = -1
-            ids[rows[ask]] = _probe(lookup, group_verts[ask])
+        ask = np.ones(len(rows), dtype=bool) if probe is None else probe[rows]
+        ids[rows] = -1
+        ids[rows[ask]] = core.find_rows(dim, group_verts[ask])
         groups.append((etype, rows, group_verts))
     created = ids < 0
-    core = mesh.core
     new_ids = core.alloc_block(dim, int(created.sum()))
     ids[created] = new_ids
     lowers, uppers = [], []
@@ -149,15 +189,19 @@ def land_rows(
             continue
         group_verts = group_verts[fresh]
         group_ids = ids[rows[fresh]]
-        if down is None:
-            group_down = _down_rows(mesh, etype, group_verts)
+        if dim == 1:
+            group_down = group_verts
+        elif down is None:
+            group_down = _down_rows(
+                np.full(len(group_verts), etype), group_verts,
+                lambda rows: core.find_rows(dim - 1, rows),
+            )
         else:
             ndown = type_info(etype).downward_count(dim - 1)
             group_down = down[rows[fresh], :ndown]
         core.write_block(dim, group_ids, etype, group_verts, group_down)
         lowers.append(group_down.reshape(-1))
         uppers.append(np.repeat(group_ids, group_down.shape[1]))
-        lookup.update(zip(vertex_keys(group_verts), group_ids.tolist()))
     if lowers:
         core.bulk_add_up(dim - 1, np.concatenate(lowers), np.concatenate(uppers))
     if gclass is not None:
@@ -220,13 +264,17 @@ def from_connectivity(
 
     # Each level's downward ids fall out of the derivation (the inverse of
     # ``np.unique``, or a sorted join on the edge keys), so the kernel is
-    # handed them instead of probing its lookup once per bounding entity.
+    # handed them instead of walking the mesh once per bounding entity;
+    # every row is new, so none is probed either.
     n_elems = len(elements)
     edge_locals = np.asarray(info.edges, dtype=np.int64)
     edge_keys, edges, edge_of = _unique_rows(
         elements[:, edge_locals].reshape(-1, 2)
     )
-    edge_ids, _ = land_rows(mesh, 1, np.full(len(edges), EDGE, np.int16), edges)
+    edge_ids, _ = land_rows(
+        mesh, 1, np.full(len(edges), EDGE, np.int16), edges,
+        probe=np.zeros(len(edges), dtype=bool),
+    )
     elem_down = edge_ids[edge_of].reshape(n_elems, -1)
 
     if info.dim == 3:
@@ -262,7 +310,7 @@ def from_connectivity(
             start += len(faces)
         face_ids, _ = land_rows(
             mesh, 2, np.concatenate(types), np.concatenate(rows),
-            down=np.concatenate(downs),
+            down=np.concatenate(downs), probe=np.zeros(start, dtype=bool),
         )
         elem_down = np.empty((n_elems, len(info.faces)), dtype=np.int64)
         for slots, face_of in slots_of:
@@ -270,7 +318,7 @@ def from_connectivity(
 
     land_rows(
         mesh, info.dim, np.full(n_elems, etype, dtype=np.int16), elements,
-        down=elem_down,
+        down=elem_down, probe=np.zeros(n_elems, dtype=bool),
     )
 
     if classify:

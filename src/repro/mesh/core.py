@@ -357,6 +357,45 @@ class MeshCore:
         mask = np.arange(width) < n[:, None]
         return rows[ids][:, :width][mask]
 
+    def find_rows(self, dim: int, rows: np.ndarray) -> np.ndarray:
+        """Ids of the live dim-``dim`` entities on exactly the vertices of
+        each row, -1 where there is none.
+
+        ``rows`` holds vertex slots in any order, padded with -1; every row
+        names at least one.  An adjacency walk, not a table: from each
+        row's least-used vertex up one dimension at a time, keeping only
+        the candidates whose vertices all lie in the row; a dim-``dim``
+        survivor with as many vertices as the row is its entity.  The cost
+        is the rows' local degree, whatever the mesh size.  A dead vertex
+        bounds nothing, so a row naming one finds nothing.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.full(len(rows), -1, dtype=np.int64)
+        if not rows.size:
+            return out
+        used = rows >= 0
+        width = rows.shape[1]
+        degree = np.where(used, self.nup[0][rows], np.iinfo(_ID).max)
+        owner = np.arange(len(rows))
+        cand = rows[owner, degree.argmin(axis=1)]
+        for d in range(1, dim + 1):
+            counts = self.nup[d - 1][cand]
+            block = self.up[d - 1][cand]
+            cand = block[np.arange(block.shape[1]) < counts[:, None]]
+            owner = np.repeat(owner, counts)
+            # Only the first ``width`` vertices are compared: a candidate
+            # with more, and all it bounds, fails the final count instead.
+            cols = min(width, VERT_WIDTH[d])
+            inside = (
+                self.verts[d][cand, :cols, None] == rows[owner][:, None, :]
+            ).any(axis=2)
+            inside |= np.arange(cols) >= self.nverts[d][cand][:, None]
+            keep = inside.all(axis=1)
+            owner, cand = owner[keep], cand[keep]
+        match = self.nverts[dim][cand] == used.sum(axis=1)[owner]
+        out[owner[match]] = cand[match]
+        return out
+
     def verts_matrix(self, dim: int, ids: np.ndarray) -> np.ndarray:
         """``(len(ids), nverts)`` vertex-id matrix for uniform-type ids."""
         ids = np.asarray(ids, dtype=_ID)

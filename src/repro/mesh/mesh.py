@@ -7,7 +7,10 @@ is O(1) (i.e., not a function of mesh size)" (paper, Section I).
 (:class:`repro.mesh.core.MeshCore`): per-dimension SoA arrays holding
 one-level downward and upward adjacencies plus canonical vertex tuples;
 every adjacency query — any (d, d') pair, upward or downward, one or many
-levels — resolves by walking only the entities local to the query.
+levels — resolves by walking only the entities local to the query.  So
+does "which entity lies on these vertices" (:meth:`Mesh.find`, and the
+landing kernel's probes): an upward walk from the least-used vertex, so the
+core arrays are the one store of the topology.
 
 The mesh also carries the other per-entity state PUMI maintains:
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from ..gmodel.classify import classify_point
 from ..gmodel.model import Model, ModelEntity
-from .core import MeshCore
+from .core import VERT_WIDTH, MeshCore
 from .entity import Ent
 from .sets import SetManager
 from .tag import TagManager
@@ -41,7 +44,6 @@ from .topology import (
     EDGE,
     TRI,
     VERTEX,
-    TypeInfo,
     type_info,
 )
 
@@ -61,8 +63,6 @@ class Mesh:
         #: Array-native topology storage (SoA/CSR; see repro.mesh.core).
         self.core = MeshCore()
         self._coords = np.zeros((_INITIAL_VERTEX_CAPACITY, 3), dtype=float)
-        #: find-by-vertices lookup for edges/faces/regions (sorted vert tuples).
-        self._lookup: Tuple[Dict[Tuple[int, ...], int], ...] = ({}, {}, {})
         #: Classification code table: code ``c`` of the ``core.gclass``
         #: columns names ``_gents[c]`` (per mesh: meshes without a model
         #: may still be classified).
@@ -145,8 +145,9 @@ class Mesh:
         """Find or create the entity of type ``etype`` on ``verts``.
 
         Intermediate bounding entities (edges of a face, faces of a region)
-        are found or created recursively, so callers may build a mesh from
-        element-to-vertex connectivity alone — the usual PUMI workflow.
+        are found, one walk per level, or created recursively, so callers
+        may build a mesh from element-to-vertex connectivity alone — the
+        usual PUMI workflow.
         ``classification``, when given, applies only to the entity itself
         (not to auto-created intermediates; see :meth:`classify_closure`).
         """
@@ -160,37 +161,38 @@ class Mesh:
             )
         if len(set(vert_ids)) != len(vert_ids):
             raise ValueError(f"{info.name} has repeated vertices: {vert_ids}")
-        key = tuple(sorted(vert_ids))
-        existing = self._lookup[info.dim - 1].get(key)
-        if existing is not None:
-            return Ent(info.dim, existing)
-        down_ids = self._build_downward(info, vert_ids)
-        idx = self.core.create(info.dim, etype, vert_ids, down_ids)
-        core = self.core
-        for down_idx in down_ids:
-            core.add_up(info.dim - 1, down_idx, idx)
-        self._lookup[info.dim - 1][key] = idx
-        ent = Ent(info.dim, idx)
+        existing = int(self.core.find_rows(info.dim, [vert_ids])[0])
+        if existing < 0:
+            existing = self._add(etype, vert_ids)
+        ent = Ent(info.dim, existing)
         if classification is not None:
             self.set_classification(ent, classification)
         return ent
 
-    def _build_downward(
-        self, info: TypeInfo, vert_ids: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        """Find-or-create the one-level boundary of a new entity."""
-        vert_ents = [Ent(0, v) for v in vert_ids]
+    def _add(self, etype: int, vert_ids: Sequence[int]) -> int:
+        """Create the absent entity of type ``etype`` on ``vert_ids``; its
+        one-level boundary is found in one walk, the missing part created
+        first (template order)."""
+        info = type_info(etype)
         if info.dim == 1:
-            return vert_ids
-        if info.dim == 2:
-            return tuple(
-                self.create(EDGE, (vert_ents[a], vert_ents[b])).idx
-                for a, b in info.edges
+            down = list(vert_ids)
+        else:
+            subs = (
+                [(EDGE, pair) for pair in info.edges] if info.dim == 2
+                else info.faces
             )
-        return tuple(
-            self.create(ftype, [vert_ents[i] for i in locals_]).idx
-            for ftype, locals_ in info.faces
-        )
+            rows = np.full((len(subs), VERT_WIDTH[info.dim - 1]), -1)
+            for k, (_stype, locals_) in enumerate(subs):
+                rows[k, : len(locals_)] = [vert_ids[i] for i in locals_]
+            down = self.core.find_rows(info.dim - 1, rows).tolist()
+            for k, (stype, locals_) in enumerate(subs):
+                if down[k] < 0:
+                    down[k] = self._add(stype, [vert_ids[i] for i in locals_])
+        core = self.core
+        idx = core.create(info.dim, etype, vert_ids, down)
+        for down_idx in down:
+            core.add_up(info.dim - 1, down_idx, idx)
+        return idx
 
     # ------------------------------------------------------------------
     # destruction
@@ -207,10 +209,6 @@ class Mesh:
         if core.nup[ent.dim][ent.idx]:
             raise ValueError(f"cannot destroy {ent}: higher entities remain")
         down_ids = core.down_row(ent.dim, ent.idx)
-        if ent.dim >= 1:
-            self._lookup[ent.dim - 1].pop(
-                tuple(sorted(core.verts_row(ent.dim, ent.idx))), None
-            )
         core.destroy(ent.dim, ent.idx)
         self.tags.drop_entity(ent)
         self.sets.drop_entity(ent)
@@ -228,8 +226,8 @@ class Mesh:
         """Destroy the entities ``ids`` of one dimension in one sweep.
 
         The bulk twin of :meth:`destroy` (no cascade): every id must be
-        live, distinct and have no surviving upward user.  Lookup,
-        classification, tag and set entries are evicted, the destroy
+        live, distinct and have no surviving upward user.
+        Classification, tag and set entries are evicted, the destroy
         listeners get one ``(dim, ids)`` call, the lower rows lose their
         upward links in one vectorized pass, and the slots reach the
         free-list in the order given — exactly what a ``destroy`` loop
@@ -241,12 +239,6 @@ class Mesh:
         core = self.core
         core.check_destroyable(dim, ids)
         if dim >= 1:
-            lookup = self._lookup[dim - 1]
-            counts = core.nverts[dim][ids]
-            for width in np.unique(counts).tolist():
-                rows = core.verts[dim][ids[counts == width], :width]
-                for key in vertex_keys(rows):
-                    lookup.pop(key, None)
             lowers = np.unique(core.gather_down(dim, ids))
         core.destroy_block(dim, ids)
         id_list = ids.tolist()
@@ -269,14 +261,15 @@ class Mesh:
     def find(self, dim: int, verts: Sequence[Ent]) -> Optional[Ent]:
         """The live entity of ``dim`` on exactly these vertices, or None.
 
-        O(1): every non-vertex dimension keeps a sorted-vertex-tuple lookup
-        (regions included — no neighbourhood scan).
+        O(local degree) by adjacency: a one-row
+        :meth:`~repro.mesh.core.MeshCore.find_rows` walk up from the
+        least-used vertex, never a table of the whole mesh.
         """
         if not 1 <= dim <= 3:
             raise ValueError(f"find() supports dims 1..3, got {dim}")
-        vert_ids = tuple(sorted(self._vert_id(v) for v in verts))
-        idx = self._lookup[dim - 1].get(vert_ids)
-        return Ent(dim, idx) if idx is not None else None
+        vert_ids = [self._vert_id(v) for v in verts]
+        idx = int(self.core.find_rows(dim, [vert_ids])[0]) if vert_ids else -1
+        return Ent(dim, idx) if idx >= 0 else None
 
     def count(self, dim: int) -> int:
         """Number of live entities of dimension ``dim`` — O(1)."""
@@ -581,12 +574,3 @@ class Mesh:
             return v.idx
         raise TypeError(f"expected an Ent vertex handle, got {type(v).__name__}")
 
-
-def vertex_keys(rows: np.ndarray) -> Iterator[Tuple[int, ...]]:
-    """The find-by-vertices lookup keys (sorted vertex-id tuples) of a
-    rectangular block of vertex rows.
-
-    Column-wise ``tolist`` + ``zip`` builds the key tuples without an
-    intermediate list per row.
-    """
-    return zip(*np.sort(rows, axis=1).T.tolist())

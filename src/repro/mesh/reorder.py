@@ -96,38 +96,45 @@ def compact(
     return new_mesh, element_map, vertex_map
 
 
-def _entity_map(mesh, new_mesh, vertex_map, ent) -> Ent:
-    """Map any old entity to its new counterpart via vertex identity."""
-    if ent.dim == 0:
-        return vertex_map[ent]
-    new_verts = [vertex_map[v] for v in mesh.verts_of(ent)]
-    found = new_mesh.find(ent.dim, new_verts)
-    if found is None:
-        raise KeyError(f"{ent} has no counterpart in the compacted mesh")
-    return found
-
-
 def _transfer_entity_data(mesh, new_mesh, vertex_map, element_map) -> None:
-    for name in mesh.tags.names():
-        old_tag = mesh.tags.find(name)
+    """Carry tags and sets over, each old entity to the new one on its
+    mapped vertices (one walk of the new mesh per dimension)."""
+    names, set_names = list(mesh.tags.names()), list(mesh.sets.names())
+    if not names and not set_names:
+        return
+    new_of = [np.full(mesh.core.top[0], -1, dtype=np.int64)]
+    new_of[0][[v.idx for v in vertex_map]] = [
+        v.idx for v in vertex_map.values()
+    ]
+    core = mesh.core
+    for d in range(1, 4):
+        ids = mesh.entity_ids(d)
+        used = np.arange(core.verts[d].shape[1]) < core.nverts[d][ids][:, None]
+        col = np.full(core.top[d], -1, dtype=np.int64)
+        col[ids] = new_mesh.core.find_rows(
+            d, np.where(used, new_of[0][core.verts[d][ids]], -1)
+        )
+        new_of.append(col)
+
+    def mapped(ent):
+        """``ent``'s counterpart, or None (dead, or of a dimension gone)."""
+        if not mesh.has(ent) or new_of[ent.dim][ent.idx] < 0:
+            return None
+        return Ent(ent.dim, int(new_of[ent.dim][ent.idx]))
+
+    for name in names:
         new_tag = new_mesh.tag(name)
-        for ent, value in old_tag.items():
-            if not mesh.has(ent):
-                continue
-            try:
-                new_tag.set(_entity_map(mesh, new_mesh, vertex_map, ent), value)
-            except KeyError:
-                continue  # entity of a dimension not present anymore
-    for name in mesh.sets.names():
+        for ent, value in mesh.tags.find(name).items():
+            new = mapped(ent)
+            if new is not None:
+                new_tag.set(new, value)
+    for name in set_names:
         old_set = mesh.sets.find(name)
         new_set = new_mesh.sets.create(name, ordered=old_set.ordered)
         for ent in old_set:
-            if not mesh.has(ent):
-                continue
-            try:
-                new_set.add(_entity_map(mesh, new_mesh, vertex_map, ent))
-            except KeyError:
-                continue
+            new = mapped(ent)
+            if new is not None:
+                new_set.add(new)
 
 
 def dead_fraction(mesh: Mesh) -> float:

@@ -7,16 +7,14 @@ Three views over the same :class:`~repro.obs.tracer.Tracer`:
   ``about:tracing`` / Perfetto load directly.  ``pid`` is the part and
   ``tid`` the rank a span ran for, per the repo convention.
 * :func:`metrics_dict` — a strict-JSON document with the per-superstep
-  part-to-part communication matrix, counters, timers, timelines and the
+  part-to-part communication matrix, counters, timelines and the
   span-tree summary.  ``BENCH_*.json`` files and ``python -m repro trace``
   both emit this.
 * :func:`text_report` — an aligned, human-readable rendering of the same.
 
 Strictness matters: ``json.dumps`` happily emits ``Infinity``, which is not
 valid JSON and breaks downstream parsers, so every writer here passes
-``allow_nan=False`` and timers serialize through
-:meth:`~repro.parallel.perf.TimerStat.to_dict` (a never-fired timer's
-``min`` becomes ``null`` instead of ``Infinity``).
+``allow_nan=False``.
 """
 
 from __future__ import annotations
@@ -159,10 +157,6 @@ def metrics_dict(
         payload["spans"] = [_span_dict(root) for root in tracer.roots]
     if counters is not None:
         payload["counters"] = dict(sorted(counters.counters().items()))
-        payload["timers"] = {
-            name: stat.to_dict()
-            for name, stat in sorted(counters.timers().items())
-        }
     if extra:
         payload.update(extra)
     return payload
@@ -251,11 +245,6 @@ def text_report(
             width = max(len(name) for name in snapshot)
             for name in sorted(snapshot):
                 lines.append(f"{name:<{width}} {snapshot[name]:>12}")
-        for name, stat in sorted(counters.timers().items()):
-            lines.append(
-                f"{name}: n={stat.count} total={stat.total:.6f}s "
-                f"mean={stat.mean:.6f}s"
-            )
     return "\n".join(lines)
 
 

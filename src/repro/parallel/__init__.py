@@ -26,7 +26,7 @@ from .comm import (
 from .executor import RankFailure, SpmdError, spmd
 from .neighbors import dense_exchange, neighbor_exchange
 from .network import Message, Network, wire_size
-from .perf import GLOBAL, PerfCounters, TimerStat
+from .perf import GLOBAL, PerfCounters
 from .routing import BufferedRouter, NodeRouter
 from .sf import (
     BUNDLES,
@@ -80,7 +80,6 @@ __all__ = [
     "SpmdError",
     "StarForest",
     "VALUES",
-    "TimerStat",
     "TopologyError",
     "TwoLevelComm",
     "codec",

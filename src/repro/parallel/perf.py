@@ -10,61 +10,20 @@ entities, and the benchmark harness reads the totals.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
-
-
-@dataclass
-class TimerStat:
-    """Accumulated wall-clock statistics for one named timer."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = 0.0
-
-    def record(self, elapsed: float) -> None:
-        self.count += 1
-        self.total += elapsed
-        if elapsed < self.min:
-            self.min = elapsed
-        if elapsed > self.max:
-            self.max = elapsed
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Optional[float]]:
-        """Strict-JSON-safe form: a never-fired timer's ``min`` is ``None``.
-
-        ``min`` starts at ``float("inf")`` so :meth:`record` can take
-        minima, but ``inf`` serializes as the invalid-JSON token
-        ``Infinity``; exporters must go through this method.
-        """
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": None if self.count == 0 else self.min,
-            "max": self.max,
-        }
+from typing import Dict
 
 
 class PerfCounters:
-    """Thread-safe registry of named counters and timers.
+    """Thread-safe registry of named counters.
 
-    Counters are plain integers incremented with :meth:`add`; timers are
-    accumulated wall-clock intervals recorded with the :meth:`timer` context
-    manager.  A single instance may be shared by many simulated ranks.
+    Counters are plain integers incremented with :meth:`add` (wall time is
+    the tracer's job: :mod:`repro.obs` spans time every layer).  A single
+    instance may be shared by many simulated ranks.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._timers: Dict[str, TimerStat] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount`` (creates it at zero)."""
@@ -81,66 +40,20 @@ class PerfCounters:
         with self._lock:
             return dict(self._counters)
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager recording one wall-clock interval under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                stat = self._timers.get(name)
-                if stat is None:
-                    stat = self._timers[name] = TimerStat()
-                stat.record(elapsed)
-
-    def register_timer(self, name: str) -> TimerStat:
-        """Pre-declare a timer (count 0) so reports list it even if unused."""
-        with self._lock:
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            return stat
-
-    def timer_stat(self, name: str) -> Optional[TimerStat]:
-        with self._lock:
-            return self._timers.get(name)
-
-    def timers(self) -> Dict[str, TimerStat]:
-        with self._lock:
-            return dict(self._timers)
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._timers.clear()
 
     def merge(self, other: "PerfCounters") -> None:
-        """Fold another registry's counters and timers into this one."""
+        """Fold another registry's counters into this one."""
         for name, value in other.counters().items():
             self.add(name, value)
-        with self._lock:
-            for name, stat in other.timers().items():
-                mine = self._timers.get(name)
-                if mine is None:
-                    mine = self._timers[name] = TimerStat()
-                mine.count += stat.count
-                mine.total += stat.total
-                mine.min = min(mine.min, stat.min)
-                mine.max = max(mine.max, stat.max)
 
     def report(self) -> str:
-        """Human-readable multi-line report of counters then timers."""
-        lines = []
-        for name in sorted(self.counters()):
-            lines.append(f"{name}: {self.get(name)}")
-        for name, stat in sorted(self.timers().items()):
-            lines.append(
-                f"{name}: n={stat.count} total={stat.total:.6f}s "
-                f"mean={stat.mean:.6f}s max={stat.max:.6f}s"
-            )
-        return "\n".join(lines)
+        """Human-readable multi-line report of the counters."""
+        return "\n".join(
+            f"{name}: {value}" for name, value in sorted(self.counters().items())
+        )
 
 
 #: Default shared registry used when callers do not supply their own.

@@ -398,13 +398,10 @@ def _land_ghost_blocks(
     if not blocks:
         return 0
     dim = int(blocks[0].e_dim[0])
-    held = part._by_gid[dim]
     gids = np.concatenate([block.gids[block.e_gref] for block in blocks])
     keep = np.zeros(len(gids), dtype=bool)
     keep[first_seen(gids)[0]] = True
-    keep &= np.fromiter(
-        (gid not in held for gid in gids.tolist()), dtype=bool, count=len(gids)
-    )
+    keep &= part.handles(dim, gids) < 0
     cuts = np.cumsum([len(block) for block in blocks])[:-1]
     ids, created = _land_blocks(part, blocks, np.split(keep, cuts))
     owner = np.asarray([int(block.home_pid[0]) for block in blocks])

@@ -85,10 +85,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..mesh.build import land_rows, land_vertices
+from ..mesh.build import _joined_down, _row_codes, land_rows, land_vertices
 from ..mesh.core import VERT_WIDTH, first_seen
 from ..mesh.entity import Ent
-from ..mesh.topology import type_info
 from ..obs.stats import CommProbe, MigrateStats
 from ..obs.tracer import trace_span
 from ..parallel.codec import (
@@ -531,65 +530,6 @@ def _starts(sizes: Sequence[int]) -> np.ndarray:
     return _bounds(np.asarray(sizes, dtype=np.int64))[:-1]
 
 
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One int64 per row of a small-int matrix (entries >= -1), equal
-    exactly where the rows are: the rows as digits of one number, made
-    dense again whenever the next digit would overflow."""
-    base = int(rows.max(initial=-1)) + 2
-    code = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # codes stay below it
-    for k in range(rows.shape[1]):
-        if bound * base >= 2**62:
-            uniq, code = np.unique(code, return_inverse=True)
-            code, bound = code.reshape(-1), len(uniq)
-        code = code * base + (rows[:, k] + 1)
-        bound *= base
-    return code
-
-
-def _match_rows(keys: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """``ids`` of the rows of ``keys`` (distinct) equal to each ``query``
-    row, -1 where none is."""
-    codes = _row_codes(np.concatenate((keys, query)))
-    table, asked = codes[: len(keys)], codes[len(keys):]
-    order = np.argsort(table)
-    table, ids = table[order], ids[order]
-    at = np.minimum(np.searchsorted(table, asked), len(table) - 1)
-    return np.where(table[at] == asked, ids[at], -1)
-
-
-def _joined_down(
-    etypes: np.ndarray, verts: np.ndarray, keys: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """One-level downward ids of rows, by type template joined against the
-    entities below: ``keys`` their sorted vertex rows (left-padded with -1),
-    ``ids`` their local ids.  Padded with -1, like ``land_rows`` reads it."""
-    infos = [type_info(etype) for etype in np.unique(etypes).tolist()]
-    width = max(info.downward_count(info.dim - 1) for info in infos)
-    down = np.full((len(verts), width), -1, dtype=np.int64)
-    for info in infos:
-        if info.dim == 2:
-            templates = list(info.edges)
-        else:
-            templates = [locals_ for _ftype, locals_ in info.faces]
-        rows = np.flatnonzero(etypes == info.code)
-        for size in sorted({len(t) for t in templates}):
-            slots = [k for k, t in enumerate(templates) if len(t) == size]
-            locals_ = np.asarray([templates[k] for k in slots], dtype=np.int64)
-            query = np.full((len(rows) * len(slots), keys.shape[1]), -1, np.int64)
-            query[:, keys.shape[1] - size:] = np.sort(
-                verts[rows][:, locals_].reshape(-1, size), axis=1
-            )
-            found = _match_rows(keys, ids, query)
-            if (found < 0).any():
-                raise ValueError(
-                    f"cannot land {info.name} rows: a bounding entity is "
-                    f"not in the block (a closure ships whole)"
-                )
-            down[rows[:, None], slots] = found.reshape(len(rows), len(slots))
-    return down
-
-
 def _land_dim(
     mesh,
     d: int,
@@ -720,11 +660,7 @@ def _land_blocks(
     vpool = _cat(blocks, "vert_gref", p_at)[vrows]
     first, group = first_seen(pool[vpool])
     vgids = pool[vpool][first]
-    by_gid = part._by_gid[0]
-    local = np.fromiter(
-        (by_gid.get(g, -1) for g in vgids.tolist()), dtype=np.int64,
-        count=len(vgids),
-    )
+    local = part.handles(0, vgids)
     new = np.flatnonzero(local < 0)
     lead = vrows[first[new]]
     local[new] = land_vertices(

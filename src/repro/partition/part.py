@@ -12,10 +12,10 @@ bookkeeping the distributed representation needs:
   (edges, and faces of a 3-D mesh) is identified by its sorted vertex-gid
   key (:meth:`entity_keys`), which is how copies on different parts are
   matched.  Gids are stored as a per-dimension int64 column indexed by
-  entity handle (-1 = unset) with a gid→handle reverse dict, so single
-  lookups stay O(1) and batch lookups (:meth:`gids_of`) are one vectorized
-  gather; only the vertex and element columns are ever written, those of
-  the dimensions between stay empty;
+  entity handle (-1 = unset) and nothing else: handle → gid
+  (:meth:`gids_of`) is one gather, gid → handle (:meth:`handles`) one
+  sorted join over the column; only the vertex and element columns are
+  ever written, those of the dimensions between stay empty;
 * **links** — one row per remote copy of a part-boundary entity (the
   paper's duplicated entities) in three read-only int64 columns per
   dimension, ``(ids, pids, rids)``: part ``pids[k]`` holds local entity
@@ -42,7 +42,7 @@ alias stale bookkeeping.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class Part:
         self._ghosts = [np.full((2, 16), _UNSET) for _ in range(4)]
         #: per-dim gid columns indexed by entity handle; -1 = unset.
         self._gid_arr: List[np.ndarray] = [np.full(16, _UNSET) for _ in range(4)]
-        self._by_gid: List[Dict[int, int]] = [{}, {}, {}, {}]
         self.mesh = mesh if mesh is not None else Mesh()
 
     # -- mesh attachment -----------------------------------------------------
@@ -108,12 +107,7 @@ class Part:
         the handle may already name a different live entity.
         """
         col = self._gid_arr[dim]
-        known = ids[ids < len(col)]
-        gids = col[known]
-        col[known] = _UNSET
-        by_gid = self._by_gid[dim]
-        for gid in gids[gids != _UNSET].tolist():
-            by_gid.pop(gid, None)
+        col[ids[ids < len(col)]] = _UNSET
         linked = self._links[dim][0]
         at = np.minimum(linked.searchsorted(ids), len(linked) - 1)
         if len(linked) and (linked[at] == ids).any():
@@ -138,17 +132,28 @@ class Part:
 
     def replace_links(self, dim: int, drop_ids, ids, pids, rids) -> None:
         """Drop every row of the entities ``drop_ids`` and ``ids`` by mask,
-        then merge in the rows ``(ids[k], pids[k], rids[k])`` with one sort."""
+        then merge in the rows ``(ids[k], pids[k], rids[k])``.
+
+        The kept rows stay sorted by ``(id, pid)`` and share no id with a
+        new row, so only the new rows are sorted, then placed where their
+        ids fall among the kept ones.
+        """
         new = [np.asarray(col, dtype=np.int64) for col in (ids, pids, rids)]
         drop = np.concatenate((np.asarray(drop_ids, dtype=np.int64), new[0]))
         if not len(drop):
             return
         old = self._links[dim]
         keep = ~np.isin(old[0], drop)
-        rows = [np.concatenate((o[keep], n)) for o, n in zip(old, new)]
+        rows = [col[keep] for col in old]
         if len(new[0]):
-            order = np.lexsort((rows[1], rows[0]))
-            rows = [col[order] for col in rows]
+            order = np.lexsort((new[1], new[0]))
+            at = np.searchsorted(rows[0], new[0][order]) + np.arange(len(order))
+            kept = np.ones(len(rows[0]) + len(order), dtype=bool)
+            kept[at] = False
+            merged = [np.empty(len(kept), dtype=np.int64) for _ in rows]
+            for out, k, n in zip(merged, rows, new):
+                out[at], out[kept] = n[order], k
+            rows = merged
         self._links[dim] = tuple(map(_frozen, rows))
         self.links_version += 1
 
@@ -221,16 +226,27 @@ class Part:
         return ent.idx < len(col) and col[ent.idx] != _UNSET
 
     def by_gid(self, dim: int, gid: int) -> Optional[Ent]:
-        idx = self._by_gid[dim].get(gid)
-        return Ent(dim, idx) if idx is not None else None
+        """The entity carrying ``gid``, or None (one row of :meth:`handles`)."""
+        idx = int(self.handles(dim, [gid])[0])
+        return Ent(dim, idx) if idx >= 0 else None
+
+    def handles(self, dim: int, gids) -> np.ndarray:
+        """Handles of the entities carrying ``gids``, -1 where none does:
+        one sorted join over the gid column."""
+        gids = np.asarray(gids, dtype=np.int64)
+        col = self._gid_arr[dim]
+        held = np.flatnonzero(col != _UNSET)
+        if not len(held):
+            return np.full(gids.shape, -1, dtype=np.int64)
+        order = held[np.argsort(col[held])]
+        at = np.minimum(np.searchsorted(col[order], gids), len(order) - 1)
+        hit = order[at]
+        return np.where(col[hit] == gids, hit, -1)
 
     def drop_gid(self, ent: Ent) -> None:
         col = self._gid_arr[ent.dim]
         if ent.idx < len(col):
-            gid = col[ent.idx]
-            if gid != _UNSET:
-                col[ent.idx] = _UNSET
-                self._by_gid[ent.dim].pop(int(gid), None)
+            col[ent.idx] = _UNSET
 
     def set_gids(self, dim: int, ids: np.ndarray, gids: np.ndarray) -> None:
         """Vectorized gid assignment: ``ids[k]`` takes ``gids[k]``.
@@ -253,23 +269,20 @@ class Part:
         if len(ids) == 0:
             return
         col = self._gid_col(dim, int(ids.max()))
-        by_gid = self._by_gid[dim]
         if (col[ids] != _UNSET).any() or len(np.unique(ids)) < len(ids):
             raise ValueError(
                 f"part {self.pid}: a dim-{dim} entity already has a gid or "
                 f"is named twice"
             )
-        gid_list = gids.tolist()
         if (
-            (gids < 0).any() or len(set(gid_list)) < len(gid_list)
-            or any(g in by_gid for g in gid_list)
+            (gids < 0).any() or len(np.unique(gids)) < len(gids)
+            or np.isin(gids, col).any()
         ):
             raise ValueError(
                 f"part {self.pid}: a dim-{dim} gid is negative or already "
                 f"taken"
             )
         col[ids] = gids
-        by_gid.update(zip(gid_list, ids.tolist()))
 
     # -- batch gid access ------------------------------------------------------
 
@@ -321,12 +334,13 @@ class Part:
     def by_key(self, dim: int, key: Sequence[int]) -> Optional[Ent]:
         """The live dim-``dim`` entity whose key (:meth:`entity_key`) is
         ``key``, or None."""
-        corners = [self.by_gid(0, gid) for gid in key]
-        if not corners or None in corners:
+        corners = self.handles(0, key)
+        if not len(corners) or (corners < 0).any():
             return None
         if dim == 0:
-            return corners[0] if len(corners) == 1 else None
-        return self.mesh.find(dim, corners)
+            return Ent(0, int(corners[0])) if len(corners) == 1 else None
+        idx = int(self.mesh.core.find_rows(dim, corners[None, :])[0])
+        return Ent(dim, idx) if idx >= 0 else None
 
     # -- residence / ownership -------------------------------------------------
 

@@ -37,6 +37,7 @@ import numpy as np
 from ..gmodel.model import Model
 from ..mesh.build import from_connectivity
 from ..mesh.core import VERT_WIDTH, first_occurrence_unique
+from ..mesh.entity import Ent
 from ..obs.stats import CommProbe
 from ..obs.tracer import Tracer, current as current_tracer, trace_span
 from ..parallel import codec
@@ -649,31 +650,49 @@ class SnapshotStore:
                 mesh.classify_closure(dim, mesh.entity_ids(dim))
         rebuild_links(dmesh)
 
-        # Tags and fields re-attach by entity identity: tags one by one,
-        # fields by a sorted join of their keys and the part's entity keys.
+        # Tags and fields re-attach by entity identity: a sorted join of
+        # their keys and the part's entity keys, one per dimension.
         fields = {
             name: DistributedField(dmesh, name, d, shape)
             for name, (d, shape) in _field_meta(top_manifest).items()
         }
         for part, got in zip(dmesh, received):
-            for name, d, key, value in got["tags"]:
-                ent = part.by_key(d, key)
-                if ent is not None:
-                    part.mesh.tags.create(name)[ent] = value
+            records = got["tags"]
+            dims = np.asarray([record[1] for record in records], dtype=np.int64)
+            found = np.full(len(records), -1, dtype=np.int64)
+            for d in np.unique(dims).tolist():
+                at = np.flatnonzero(dims == d)
+                found[at] = _local_ids(part, d, np.asarray(
+                    [_padded(records[k][2], VERT_WIDTH[d]) for k in at.tolist()],
+                    dtype=np.int64,
+                ))
+            for (name, d, _key, value), idx in zip(records, found.tolist()):
+                if idx >= 0:
+                    part.mesh.tags.create(name)[Ent(d, idx)] = value
             for name, dfield in fields.items():
                 rows, local = got[("field", name)], dfield.on(part.pid)
-                ids = part.mesh.entity_ids(dfield.entity_dim)
-                have = _ident(part.entity_keys(dfield.entity_dim, ids))
-                want = _ident(rows)
-                order = np.argsort(have, kind="stable")
-                at = order[np.minimum(
-                    np.searchsorted(have, want, sorter=order), len(ids) - 1
-                )]
-                hit = have[at] == want
+                ids = _local_ids(part, dfield.entity_dim, rows)
+                hit = ids >= 0
                 local.set_many(
-                    ids[at[hit]], rows["value"][hit].reshape(-1, local.ncomp)
+                    ids[hit], rows["value"][hit].reshape(-1, local.ncomp)
                 )
         return fields
+
+
+def _local_ids(part, dim: int, rows: np.ndarray) -> np.ndarray:
+    """Local ids of the part's dim-``dim`` entities whose identities
+    (:func:`~repro.store.format._ident`) are those of ``rows``, -1 where the
+    part holds none: one sorted join against its entity keys."""
+    ids = part.mesh.entity_ids(dim)
+    want = _ident(rows)
+    if not len(ids):
+        return np.full(len(want), -1, dtype=np.int64)
+    have = _ident(part.entity_keys(dim, ids))
+    order = np.argsort(have, kind="stable")
+    at = order[np.minimum(
+        np.searchsorted(have, want, sorter=order), len(ids) - 1
+    )]
+    return np.where(have[at] == want, ids[at], -1)
 
 
 def _field_meta(manifest: Dict[str, Any]) -> Dict[str, Tuple[int, Tuple]]:

@@ -123,7 +123,6 @@ def snapshot(mesh):
             (i, mesh.classification(Ent(d, i)))
             for i in np.flatnonzero(core.gclass[d] >= 0).tolist()
         ]
-    out["lookup"] = [sorted(table.items()) for table in mesh._lookup]
     out["coords"] = mesh.coords_view()[: core.top[0]][
         core.alive[0][: core.top[0]]
     ].tolist()

@@ -4,8 +4,9 @@
 part, packed by ``_pack_blocks`` and landed onto the empty part by
 ``_land_blocks``.  The reference below is the builder it used before —
 ``from_connectivity`` for one element type, a per-entity ``Mesh.create``
-loop for mixed meshes, and one ``mesh._lookup`` probe per edge and face to
-find its global entity — kept here as the oracle, less the edge and face
+loop for mixed meshes, and one probe per edge and face of a
+sorted-vertex-tuple table of the serial mesh to find its global entity —
+kept here as the oracle, less the edge and face
 gids it used to set: only vertices and elements carry gids, an edge or a
 face is identified by its key (sorted vertex gids).
 
@@ -29,7 +30,7 @@ from repro.mesh import TET, Ent, box_tet, rect_tri
 from repro.mesh.build import from_connectivity
 from repro.mesh.core import first_occurrence_unique
 from repro.mesh.generate import extrude_to_prisms
-from repro.mesh.mesh import Mesh, vertex_keys
+from repro.mesh.mesh import Mesh
 from repro.mesh.verify import verify
 from repro.partition import DistributedMesh, distribute
 from repro.partition.links import (
@@ -80,15 +81,16 @@ def _build_part(
     core = local_mesh.core
     global_ids = [global_verts]
     for d in range(1, dim):
-        nverts = core.nverts[d][: core.top[d]]
-        found = np.full(core.top[d], -1, dtype=np.int64)
-        for width in np.unique(nverts).tolist():
-            rows = np.flatnonzero(nverts == width)
-            keys = vertex_keys(global_verts[core.verts[d][rows, :width]])
-            found[rows] = np.fromiter(
-                (mesh._lookup[d - 1].get(key, -1) for key in keys),
-                dtype=np.int64, count=len(rows),
-            )
+        table = {
+            tuple(sorted(mesh.core.verts_row(d, idx))): idx
+            for idx in mesh.entity_ids(d).tolist()
+        }
+        found = np.asarray([
+            table.get(tuple(sorted(
+                global_verts[list(core.verts_row(d, idx))].tolist()
+            )), -1)
+            for idx in range(core.top[d])
+        ], dtype=np.int64)
         assert (found >= 0).all(), f"part {part.pid}: entity without match"
         global_ids.append(found)
     global_ids.append(element_ids)

@@ -194,7 +194,7 @@ def _land_block(part, block, keep=None):
         block.b_vrefs[np.repeat(keep, block.b_vcounts)]
     )
     vgids = pool[block.vert_gref[vrows]]
-    by_gid = part._by_gid[0]
+    by_gid = {g: i for i, g in enumerate(part.gid_array(0).tolist()) if g >= 0}
     local = np.fromiter(
         (by_gid.get(g, -1) for g in vgids.tolist()), dtype=np.int64,
         count=len(vgids),
@@ -245,7 +245,7 @@ def _land_block(part, block, keep=None):
 
 def _land_ghost_block(part, block, per_dim) -> List[Ent]:
     dim = int(block.e_dim[0])
-    held = part._by_gid[dim]
+    held = set(part.gid_array(dim).tolist())
     keep = np.fromiter(
         (gid not in held for gid in block.gids[block.e_gref].tolist()),
         dtype=bool, count=len(block),
@@ -475,7 +475,6 @@ def part_state(part) -> Dict[str, Any]:
         "n_alive": list(core.n_alive),
         "free": [list(free) for free in core.free],
         "coords": mesh.coords_view().tolist(),
-        "lookup": [dict(lookup) for lookup in mesh._lookup],
         "classes": mesh.class_pairs().tolist(),
         "tags": {
             name: sorted(tag._data.items())
@@ -492,7 +491,6 @@ def part_state(part) -> Dict[str, Any]:
             for row, count in zip(core.up[d][:top], core.nup[d][:top])
         ]
         state[f"gid{d}"] = part.gid_array(d)[:top].tolist()
-        state[f"by_gid{d}"] = sorted(part._by_gid[d].items())
         state[f"key{d}"] = part.entity_keys(d, core.live_ids(d)).tolist()
         state[f"links{d}"] = [col.tolist() for col in part.links(d)]
         ghosts = part.ghost_ids(d)

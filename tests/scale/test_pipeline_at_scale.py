@@ -24,12 +24,15 @@ hypergraph partition of the 24,000-tet mesh on 32 parts is pinned by digest,
 as ``tests/partitioners/test_golden_partition.py`` pins the small ones: FM's
 early exit keeps the assignment bit for bit by measurement, not by
 construction, so the largest partition the suite runs is checked too.
+And on the ghosted 32-part mesh, ``MeshCore.find_rows`` walks every live
+entity's own vertex row back to that entity.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ParMA, heavy_part_splitting, imbalances
+from repro.mesh.core import VERT_WIDTH
 from repro.mesh.quality import measure
 from repro.parallel import PerfCounters
 from repro.partition import (
@@ -225,6 +228,25 @@ def test_refine_distributed_at_bench_scale():
         measure(part.mesh, e) for part in dm for e in part.mesh.entities(3)
     )
     assert volume == pytest.approx(0.25)
+
+
+def test_find_rows_walks_back_to_every_entity_at_bench_scale():
+    """The adjacency walk is the one find: on every part of the ghosted
+    24,000-tet mesh, each live entity's own vertex row (reversed, so any
+    padding comes first) walks back to that entity."""
+    serial = aaa_mesh(n=N, seed=0)
+    dm = distribute(
+        serial, partition(serial, NPARTS, "rcb"), nparts=NPARTS,
+        counters=PerfCounters(),
+    )
+    assert ghost_layer(dm, depth=1).ghosts_created > 0
+    for part in dm:
+        core = part.mesh.core
+        for dim in (1, 2, 3):
+            ids = core.live_ids(dim)
+            used = np.arange(VERT_WIDTH[dim]) < core.nverts[dim][ids][:, None]
+            rows = np.where(used, core.verts[dim][ids], -1)[:, ::-1]
+            assert np.array_equal(core.find_rows(dim, rows), ids), (part.pid, dim)
 
 
 def test_hypergraph_partition_at_bench_scale_is_golden():

@@ -303,16 +303,6 @@ def test_segment_param():
     assert seg.param([9.0, 0.0]) == 1.0
 
 
-def test_perf_timers_snapshot():
-    from repro.parallel import PerfCounters
-
-    perf = PerfCounters()
-    with perf.timer("t"):
-        pass
-    snap = perf.timers()
-    assert "t" in snap and snap["t"].count == 1
-
-
 # -- consolidated top-level API ---------------------------------------------------
 
 
@@ -798,11 +788,17 @@ def test_classification_surface():
     assert not hasattr(build, "classify_cheap")
     assert not hasattr(build, "_classify_block")
     assert not hasattr(Mesh, "classify_closure_missing")
-    # No per-entity classification dict: the instance state is the core,
-    # the lookup tables, the code table and the components.
+    # No per-entity dict: the instance state is the core, the code table
+    # and the components (entities are found by the core's adjacency walk).
     assert sorted(vars(Mesh())) == [
-        "_coords", "_destroy_listeners", "_gcode", "_gents", "_lookup",
+        "_coords", "_destroy_listeners", "_gcode", "_gents",
         "core", "model", "sets", "tags",
+    ]
+    # Nor on a part: gids are columns, gid -> handle a join over them.
+    from repro.partition.part import Part
+
+    assert sorted(vars(Part(0))) == [
+        "_ghosts", "_gid_arr", "_links", "_mesh", "links_version", "pid",
     ]
     assert not hasattr(field_pkg, "FieldManager")
     assert "FieldManager" not in field_pkg.__all__
