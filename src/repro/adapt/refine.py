@@ -45,8 +45,8 @@ import numpy as np
 
 from ..gmodel.model import ModelEntity
 from ..gmodel.snap import snap_to_entity
-from ..mesh.build import _joined_down, land_rows, land_vertices
-from ..mesh.core import VERT_WIDTH
+from ..mesh.build import _joined_down, _row_codes, land_rows, land_vertices
+from ..mesh.core import VERT_WIDTH, first_seen
 from ..mesh.entity import Ent
 from ..mesh.mesh import Mesh
 from ..mesh.topology import EDGE, type_info
@@ -123,8 +123,7 @@ def _closure_rows(
     types, block = np.concatenate(types), np.concatenate(blocks)
     new = np.isin(block, fresh).any(axis=1)
     types, block = types[new], block[new]
-    _keys, first = np.unique(np.sort(block, axis=1), axis=0, return_index=True)
-    first.sort()
+    first, _group = first_seen(_row_codes(np.sort(block, axis=1)))
     return types[first], block[first]
 
 
