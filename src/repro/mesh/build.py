@@ -59,8 +59,9 @@ def land_vertices(
 
 def _row_codes(rows: np.ndarray) -> np.ndarray:
     """One int64 per row of a small-int matrix (entries >= -1), equal
-    exactly where the rows are: the rows as digits of one number, made
-    dense again whenever the next digit would overflow."""
+    exactly where the rows are and ordered as the rows are
+    lexicographically: the rows as digits of one number, made dense again
+    (order kept) whenever the next digit would overflow."""
     base = int(rows.max(initial=-1)) + 2
     code = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # codes stay below it
@@ -216,10 +217,11 @@ def _unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys in lexicographic order, one row per key in the orientation of its
     first occurrence, and for every input row the position of its entity.
     """
-    keys, first, inverse = np.unique(
-        np.sort(rows, axis=1), axis=0, return_index=True, return_inverse=True
+    keys = np.sort(rows, axis=1)
+    _codes, first, inverse = np.unique(
+        _row_codes(keys), return_index=True, return_inverse=True
     )
-    return keys, rows[first], inverse.reshape(-1)
+    return keys[first], rows[first], inverse.reshape(-1)
 
 
 def from_connectivity(
