@@ -911,7 +911,8 @@ def _owner_answers(
 
 def _home_answers(frames: Sequence[Frame]) -> Rows:
     """The rendezvous at one hash home: the candidate frames it received,
-    in source order, to answer rows for every holder of a shared key."""
+    in any order (:func:`link_answers` sorts), to answer rows for every
+    holder of a shared key."""
     lengths = np.concatenate([n for _src, n, _flat in frames])
     flat = np.concatenate([flat for _src, _n, flat in frames])
     src = np.repeat(
@@ -929,14 +930,15 @@ def _rendezvous(dmesh: DistributedMesh, posts: Dict[int, Rows]) -> None:
     Two supersteps: every part sends its candidate rows to the rows' homes;
     every home groups what it got and answers each holder of a key with
     two or more holders with the list of the others, which replaces the
-    part's links (every old row is stale).  Both exchanges run even when
+    part's links (every old row is stale).  Rows a part would post to
+    itself stay off the wire.  Both exchanges run even when
     nothing is posted, so a fixed call sequence costs a fixed superstep
     count.
     """
-    inboxes = _exchange(dmesh, _TAG_CANDIDATE, posts)
+    inboxes = _exchange(dmesh, _TAG_CANDIDATE, posts, local=True)
     responses = _exchange(dmesh, _TAG_LINKS, {
         home: _home_answers(frames) for home, frames in inboxes.items() if frames
-    })
+    }, local=True)
     for pid in sorted(responses):
         part = dmesh.part(pid)
         _apply_answers(part, responses[pid], [part.links(d)[0] for d in range(4)])
