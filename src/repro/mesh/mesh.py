@@ -516,6 +516,8 @@ class Mesh:
         sorted row of vertex codes.  Entities with an unclassified vertex
         stay unset; without a model this is a no-op.
         """
+        from .build import _row_codes
+
         model = self.model
         if model is None:
             return
@@ -531,9 +533,13 @@ class Mesh:
                 pad = np.arange(codes.shape[1]) >= nverts[:, None]
                 codes = np.where(pad, codes[:, :1], codes)
                 known = (codes >= 0).all(axis=1)
-                rows, inverse = np.unique(
-                    np.sort(codes[known], axis=1), axis=0, return_inverse=True
+                # Row codes order as the rows do, so class codes are
+                # interned in the rows' lexicographic order.
+                rows = np.sort(codes[known], axis=1)
+                _codes, first, inverse = np.unique(
+                    _row_codes(rows), return_index=True, return_inverse=True
                 )
+                rows = rows[first]
                 gents = self._gents
                 covers = [
                     model.cover(tuple(sorted({gents[c] for c in row})))
