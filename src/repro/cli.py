@@ -38,8 +38,7 @@ release ships for quick experiments without writing a driver script:
     restores it on the saved partition — or at any ``--parts`` via the
     star-forest redistribution — and prints a deterministic parity
     signature (owned-gid and partition digests + field checksums),
-    ``inspect`` dumps the epoch chain, ``migrate`` converts a checkpoint
-    directory an earlier version wrote (``--from``) into one full epoch.
+    and ``inspect`` dumps the epoch chain.  It reads no other format.
 ``serve``
     Run a JSON job list through the multi-tenant mesh-job service
     (:mod:`repro.svc`): bounded admission, locality-aware gang placement
@@ -317,7 +316,6 @@ def cmd_snapshot(args) -> int:
     from repro.store import (
         CorruptCheckpointError,
         SnapshotStore,
-        convert_dmesh2,
         element_partition,
         field_checksum,
         owned_gid_set,
@@ -327,17 +325,7 @@ def cmd_snapshot(args) -> int:
         return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
     store = SnapshotStore(Path(args.store), chunk_records=args.chunk_records)
-    if args.action == "migrate":
-        if not args.source:
-            print("repro snapshot: migrate needs --from <dir>", file=sys.stderr)
-            return 2
-        try:
-            info = convert_dmesh2(args.source, store)
-        except CorruptCheckpointError as exc:
-            print(f"repro snapshot: {exc}", file=sys.stderr)
-            return 1
-        doc = {"migrated": info.to_dict(), "store": str(store.root)}
-    elif args.action == "save":
+    if args.action == "save":
         from repro.partition import DistributedField, distribute
         from repro.partitioners import partition
 
@@ -630,19 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_snap = sub.add_parser(
         "snapshot",
-        help="save/load/inspect/migrate-into a repro.store/2 snapshot store",
+        help="save/load/inspect a repro.store/2 snapshot store",
     )
-    p_snap.add_argument(
-        "action", choices=("save", "load", "inspect", "migrate")
-    )
+    p_snap.add_argument("action", choices=("save", "load", "inspect"))
     p_snap.add_argument(
         "--store", required=True, help="snapshot store directory"
-    )
-    p_snap.add_argument(
-        "--from",
-        dest="source",
-        default=None,
-        help="migrate: the old-format checkpoint directory to convert",
     )
     p_snap.add_argument(
         "--kind", default="rect", choices=("rect", "box", "aaa", "wing")

@@ -15,7 +15,7 @@ from .generate import (
     rect_quad,
     rect_tri,
 )
-from .io import load_native, save_native, write_vtk
+from .io import write_vtk
 from .iterator import boundary_entities, classified_on, count, iterate
 from .core import MeshCore, first_occurrence_unique
 from .mesh import Mesh
@@ -87,7 +87,6 @@ __all__ = [
     "first_occurrence_unique",
     "from_connectivity",
     "iterate",
-    "load_native",
     "mean_ratio_tet",
     "mean_ratio_tri",
     "measure",
@@ -98,7 +97,6 @@ __all__ = [
     "rect_quad",
     "rect_tri",
     "region",
-    "save_native",
     "tet_volume",
     "tri_area",
     "type_info",

@@ -1,25 +1,20 @@
-"""Mesh input/output: VTK legacy export and a native snapshot format.
+"""Mesh output: VTK legacy export.
 
 VTK legacy ASCII is the exchange format for visualizing results (ParaView
-renders the figures corresponding to the paper's mesh images); the native
-format is a compact ``.npz`` snapshot preserving coordinates, connectivity,
-classification and element-dimension tags, sufficient to round-trip the
-meshes used by benchmarks without regenerating them.
+renders the figures corresponding to the paper's mesh images).  A mesh is
+persisted as a :mod:`repro.store` snapshot of its distribution.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..gmodel.model import Model
-from .build import from_connectivity
 from .entity import Ent
 from .mesh import Mesh
-from .topology import VTK_TYPES, type_info
+from .topology import VTK_TYPES
 
 
 def write_vtk(
@@ -70,60 +65,3 @@ def write_vtk(
 
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def save_native(mesh: Mesh, path: Union[str, Path]) -> Path:
-    """Snapshot the mesh (single element type) to a ``.npz`` file."""
-    path = Path(path)
-    dim = mesh.dim()
-    core = mesh.core
-    elem_ids = core.live_ids(dim)
-    etypes = np.unique(core.etype[dim][elem_ids])
-    if len(etypes) > 1:
-        raise ValueError("native format supports single-element-type meshes")
-    etype = int(etypes[0]) if len(etypes) else None
-
-    live_verts = core.live_ids(0)
-    local_of = np.zeros(max(core.top[0], 1), dtype=np.int64)
-    local_of[live_verts] = np.arange(len(live_verts))
-    coords = mesh.coords_view()[live_verts]
-    if len(elem_ids):
-        conn = local_of[core.verts_matrix(dim, elem_ids)].astype(np.int64)
-    else:
-        conn = np.empty((0, 0), dtype=np.int64)
-    codes = core.gclass[0][live_verts]
-    has = codes >= 0
-    vclass = np.column_stack(
-        (np.flatnonzero(has), mesh.class_pairs()[codes[has]])
-    )
-    meta = {"etype": etype, "dim": dim, "has_model": mesh.model is not None}
-    np.savez_compressed(
-        path,
-        coords=coords,
-        conn=conn,
-        vclass=vclass,
-        meta=json.dumps(meta),
-    )
-    return path
-
-
-def load_native(path: Union[str, Path], model: Optional[Model] = None) -> Mesh:
-    """Rebuild a mesh from :func:`save_native` output.
-
-    Passing the original ``model`` restores full classification: vertices
-    from the snapshot, the rest re-derived by the closure rule.  A snapshot
-    holding no vertex classification is classified against ``model`` by
-    point location.  Without a model the mesh loads unclassified.
-    """
-    data = np.load(Path(path), allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    vclass = data["vclass"]
-    mesh = from_connectivity(
-        data["coords"], data["conn"], int(meta["etype"]), model=model,
-        classify=model is not None and not len(vclass),
-    )
-    if model is not None and len(vclass):
-        mesh.core.gclass[0][vclass[:, 0]] = mesh.class_codes(vclass[:, 1:])
-        dim = mesh.dim()
-        mesh.classify_closure(dim, mesh.entity_ids(dim))
-    return mesh

@@ -19,7 +19,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..obs.tracer import Tracer, trace_span
 from .comm import Comm, CommWorld, CommAbortedError
@@ -58,26 +58,10 @@ class RankFailure:
         }
 
 
-def _normalize(failure: Union["RankFailure", tuple]) -> RankFailure:
-    if isinstance(failure, RankFailure):
-        return failure
-    rank, exc, tb = failure
-    return RankFailure(
-        rank=rank,
-        exc_type=type(exc).__name__,
-        message=str(exc),
-        traceback=tb,
-        injected=bool(getattr(exc, "injected_fault", False)),
-        superstep=getattr(exc, "superstep", None),
-        exception=exc,
-    )
-
-
 class SpmdError(RuntimeError):
     """One or more ranks raised; carries structured per-rank records.
 
-    ``records`` holds :class:`RankFailure` entries sorted by rank;
-    ``failures`` keeps the legacy ``(rank, exception, traceback)`` tuples.
+    ``records`` holds :class:`RankFailure` entries sorted by rank.
     ``leaked_threads`` counts rank worker threads that were still alive
     when the executor gave up joining them (they are daemon threads, so
     they cannot keep the process alive, but they indicate a rank program
@@ -86,13 +70,8 @@ class SpmdError(RuntimeError):
 
     leaked_threads: int = 0
 
-    def __init__(
-        self, failures: Sequence[Union[RankFailure, tuple]]
-    ) -> None:
-        self.records: List[RankFailure] = [_normalize(f) for f in failures]
-        self.failures = [
-            (r.rank, r.exception, r.traceback) for r in self.records
-        ]
+    def __init__(self, records: Sequence[RankFailure]) -> None:
+        self.records: List[RankFailure] = list(records)
         first = self.records[0]
         detail = "".join(
             f"\n--- rank {r.rank} raised {r.exc_type}: {r.message} ---"

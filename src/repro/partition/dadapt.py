@@ -34,14 +34,12 @@ ghosting keep working on the adapted distributed mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..adapt.coarsen import collapse_edge, collapse_order
 from ..adapt.refine import split_edges, split_order, split_points
 from ..field.sizefield import SizeField, edge_size_ratio, edge_size_ratios
-from ..mesh.entity import Ent
 from .dmesh import DistributedMesh
 from .migration import rebuild_links
 from .part import Part
@@ -182,8 +180,11 @@ def coarsen_distributed(
 ) -> DistributedAdaptStats:
     """Collapse under-resolved edges whose removed vertex is part-interior.
 
-    A vertex interior to a part exists nowhere else, so the collapse is
-    purely local; shared entities of the cavity survive by find-or-create.
+    A vertex interior to a part exists nowhere else, and neither does any
+    entity it bounds (an edge held by two parts has its ends on both, and
+    ``DistributedMesh.verify`` checks that every holder is linked), so the
+    collapse is purely local; shared entities of the cavity survive by
+    find-or-create.
     Edges needing coarsening whose *both* endpoints are shared are skipped
     (PUMI migrates such cavities inward first; see module docstring).
     """
@@ -201,10 +202,9 @@ def coarsen_distributed(
                     continue
                 a, b = mesh.verts_of(edge)
                 # Only an interior vertex may be removed.
-                keep: Optional[Ent] = None
-                if not part.is_shared(a) and not _touches_boundary(part, a):
+                if not part.is_shared(a):
                     keep = b
-                elif not part.is_shared(b) and not _touches_boundary(part, b):
+                elif not part.is_shared(b):
                     keep = a
                 else:
                     continue
@@ -222,37 +222,22 @@ def coarsen_distributed(
     return stats
 
 
-def _touches_boundary(part: Part, vertex: Ent) -> bool:
-    """Whether any entity adjacent to ``vertex`` is part-shared.
-
-    Removing such a vertex rebuilds elements that own shared faces/edges,
-    which is safe topologically but changes which elements bound them —
-    conservatively skipped so collapses never disturb the part boundary.
-    """
-    mesh = part.mesh
-    for edge in mesh.up(vertex):
-        if part.is_shared(edge):
-            return True
-    return False
-
-
 def adapt_distributed(
     dmesh: DistributedMesh,
     size: SizeField,
     refine_ratio: float = 1.5,
     coarsen_ratio: float = 0.45,
     max_passes: int = 6,
-    do_coarsen: bool = True,
 ) -> DistributedAdaptStats:
-    """Refine then coarsen the distributed mesh to the size field."""
+    """Refine then coarsen the distributed mesh to the size field (a
+    refine-only caller calls :func:`refine_distributed`)."""
     stats = refine_distributed(
         dmesh, size, ratio=refine_ratio, max_passes=max_passes
     )
-    if do_coarsen:
-        coarsen_stats = coarsen_distributed(
-            dmesh, size, ratio=coarsen_ratio, max_passes=max_passes
-        )
-        stats.collapses = coarsen_stats.collapses
-        stats.passes += coarsen_stats.passes
-        stats.converged = stats.converged and coarsen_stats.converged
+    coarsen_stats = coarsen_distributed(
+        dmesh, size, ratio=coarsen_ratio, max_passes=max_passes
+    )
+    stats.collapses = coarsen_stats.collapses
+    stats.passes += coarsen_stats.passes
+    stats.converged = stats.converged and coarsen_stats.converged
     return stats

@@ -8,8 +8,8 @@ count restore the saved partition (:mod:`repro.store.format`);
 full/differential epoch chains with deterministic compaction and
 star-forest repartition-on-load (:mod:`repro.store.snapshot`); a
 content-addressed warm-start cache for the serving tier
-(:mod:`repro.store.cache`); and the decode-only converter for checkpoint
-directories an earlier version wrote (:mod:`repro.store.convert`).  The
+(:mod:`repro.store.cache`).  The store reads no other format: converting
+another layout is a job for a tool outside the library.  The
 resilience layer's :class:`~repro.resilience.CheckpointManager` is rotation
 and fallback policy over one :class:`SnapshotStore`.
 """
@@ -35,7 +35,6 @@ from .cache import (
     install_cache,
     uninstall_cache,
 )
-from .convert import convert_dmesh2
 
 __all__ = [
     "DEFAULT_CHUNK_RECORDS",
@@ -49,7 +48,6 @@ __all__ = [
     "StoreStats",
     "apply_delta",
     "cache_key",
-    "convert_dmesh2",
     "current_cache",
     "diff_states",
     "element_partition",

@@ -24,10 +24,10 @@ module is that layout for a :class:`~repro.partition.dmesh.DistributedMesh`:
   the canonical rows and their diff, like the removal lists.
 
 A manifest also carries ``kind`` (``"full"`` or ``"delta"``), the parent
-epoch, the removal lists a delta applies and the gid allocation floor.
-``repro.store/1`` epochs (record-list chunks) stay readable: their records
-become the same rows in :func:`load_chunk`.  One fold, ``_fold_chain``,
-serves both of :mod:`repro.store.snapshot`'s readers.
+epoch, the removal lists a delta applies, the gid allocation floor and a
+digest of itself.  This is the only format the store reads or writes; a
+manifest naming any other is a :class:`CorruptSnapshotError`.  One fold,
+``_fold_chain``, serves both of :mod:`repro.store.snapshot`'s readers.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ __all__ = [
     "field_checksum",
 ]
 
-#: Current snapshot format id, stored in every epoch manifest (epochs of
-#: the record-list format ``repro.store/1`` are read, never written).
+#: The snapshot format id, stored in every epoch manifest.
 FORMAT = "repro.store/2"
 MANIFEST = "manifest.json"
 #: The owner column's file name inside an epoch directory.
@@ -159,9 +158,10 @@ class SnapshotState:
 
     ``owner`` is the one part-dependent member: the part id of every live
     element of the *materialized* mesh in ascending gid order (so on a
-    sparse delta state it is longer than ``elems``), or ``None`` when the
-    state did not come from a partition.  It is not a record section: no
-    diff sees it and :meth:`record_count` does not count it.
+    sparse delta state it is longer than ``elems``); every saved or loaded
+    state has one, and only a sparse :func:`diff_states` result leaves it
+    ``None``.  It is not a record section: no diff sees it and
+    :meth:`record_count` does not count it.
     """
 
     element_dim: int = 2
@@ -525,12 +525,11 @@ def write_epoch(
             )
             manifest["records"] += len(batch)
         manifest["sections"][section] = chunks
-    if state.owner is not None:
-        # Packed at the narrowest unsigned width that holds ``nparts - 1``.
-        width = np.min_scalar_type(int(nparts) - 1)
-        manifest["owner"] = put(
-            OWNER_FILE, state.owner.astype(width), len(state.owner)
-        )
+    # Packed at the narrowest unsigned width that holds ``nparts - 1``.
+    width = np.min_scalar_type(int(nparts) - 1)
+    manifest["owner"] = put(
+        OWNER_FILE, state.owner.astype(width), len(state.owner)
+    )
     if kind == "delta":
         manifest["removed"] = removed or {
             "verts": [],
@@ -560,13 +559,13 @@ def _manifest_digest(manifest: Dict[str, Any]) -> str:
 
 
 def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and schema-check one epoch manifest (``repro.store/2`` or /1).
+    """Parse and schema-check one ``repro.store/2`` epoch manifest.
 
     Raises :class:`CorruptSnapshotError` naming the manifest file on any
-    missing file, bad JSON, wrong format id, missing key, or content that
-    does not match the digest the manifest carries of itself (the manifest
-    names every other file's hash, so it is the one file nothing else
-    vouches for; epochs written before the digest existed carry none).
+    missing file, bad JSON, other format id, missing key (the owner column
+    and the manifest's digest of itself included), or content that does
+    not match that digest (the manifest names every other file's hash, so
+    it is the one file nothing else vouches for).
     """
     path = Path(path)
     manifest_path = path / MANIFEST
@@ -578,17 +577,15 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: unreadable manifest: {exc}"
         ) from None
-    if not isinstance(manifest, dict) or (
-        manifest.get("format") not in (FORMAT, "repro.store/1")
-    ):
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         raise CorruptSnapshotError(
             f"{manifest_path}: unsupported snapshot format "
             f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r} "
-            f"(expected {FORMAT!r}; a checkpoint directory written by an "
-            "older version converts with `python -m repro snapshot migrate`)"
+            f"(expected {FORMAT!r})"
         )
     for key in (
-        "kind", "index", "element_dim", "etype", "gid_next", "sections",
+        "kind", "index", "element_dim", "etype", "gid_next", "nparts",
+        "sections", "owner", "manifest_sha256",
     ):
         if key not in manifest:
             raise CorruptSnapshotError(
@@ -598,8 +595,8 @@ def read_epoch_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise CorruptSnapshotError(
             f"{manifest_path}: delta epoch names no parent"
         )
-    digest = manifest.get("manifest_sha256")
-    if digest is not None and digest != _manifest_digest(manifest):
+    digest = manifest["manifest_sha256"]
+    if digest != _manifest_digest(manifest):
         raise CorruptSnapshotError(
             f"{manifest_path}: integrity failure: manifest content does "
             f"not match its own sha256 {digest}"
@@ -647,7 +644,7 @@ def _section_rows(manifest: Dict[str, Any], section: str) -> np.dtype:
 
 
 def _rows_of_columns(columns: Any, dtype: np.dtype, count: int) -> np.ndarray:
-    """A /2 payload as ``count`` rows, every column checked."""
+    """A payload as ``count`` rows, every column checked."""
     if not isinstance(columns, dict) or sorted(columns) != sorted(dtype.names):
         raise ValueError(f"payload is not the columns {list(dtype.names)}")
     rows = np.empty(count, dtype)
@@ -671,54 +668,40 @@ def load_chunk(
 ) -> Tuple[Any, int]:
     """One chunk of ``section``, hash-validated; ``(rows, bytes read)``.
 
-    A ``repro.store/1`` chunk's records become the same rows (tags: records
-    ``(name, dim, key, value)``).  A /2 chunk comes from outside: anything
-    but the expected columns with ``count`` rows raises
-    :class:`CorruptSnapshotError` naming the file.
+    A chunk comes from outside: anything but the expected columns with
+    ``count`` rows (tags: ``count`` records ``(name, dim, key, value)``)
+    raises :class:`CorruptSnapshotError` naming the file.
     """
     path = Path(path)
     payload, nbytes = _load_frame(path, entry)
     count = int(entry["count"])
     try:
         dtype = _section_rows(manifest, section)
-        if dtype != object and manifest["format"] == FORMAT:
-            return _rows_of_columns(payload, dtype, count), nbytes
-        if not isinstance(payload, list) or len(payload) != count:
-            raise ValueError(f"chunk does not carry the {count} record(s) "
-                             "the manifest promises")
         if dtype == object:
+            if not isinstance(payload, list) or len(payload) != count:
+                raise ValueError(f"chunk does not carry the {count} "
+                                 "record(s) the manifest promises")
             return _records(
                 (name, int(dim), tuple(int(g) for g in key), value)
                 for name, dim, key, value in payload
             ), nbytes
-        as_row = {
-            "verts": lambda gid, xyz, cdim, ctag: (gid, xyz, (cdim, ctag)),
-            "elems": lambda gid, verts: (gid, verts),
-        }.get(section, lambda key, value: (
-            _padded(key, dtype["key"].shape[0]), value
-        ))
-        return np.array(
-            [as_row(*record) for record in payload], dtype=dtype
-        ).reshape(count), nbytes
+        return _rows_of_columns(payload, dtype, count), nbytes
     except (TypeError, ValueError) as exc:
         raise CorruptSnapshotError(f"{path / entry['file']}: {exc}") from None
 
 
 def load_owner(
     path: Union[str, Path], manifest: Dict[str, Any], live_elements: int
-) -> Tuple[Optional[np.ndarray], int]:
+) -> Tuple[np.ndarray, int]:
     """The epoch's owner column, hash-validated; ``(column, bytes read)``.
 
-    ``(None, 0)`` for an epoch written before the column existed — it loads
-    by regrouping.  A column that is present must be ``live_elements`` part
-    ids below the manifest's ``nparts``, else :class:`CorruptSnapshotError`
-    naming the file: never a silent fall-back that discards the partition.
+    It must be ``live_elements`` part ids below the manifest's ``nparts``,
+    else :class:`CorruptSnapshotError` naming the file: never a silent
+    fall-back that discards the partition.
     """
-    entry = manifest.get("owner")
-    if entry is None:
-        return None, 0
+    entry = manifest["owner"]
     owner, nbytes = _load_frame(Path(path), entry)
-    nparts = int(manifest.get("nparts", 1))
+    nparts = int(manifest["nparts"])
     if not (
         isinstance(owner, np.ndarray)
         and owner.dtype.kind == "u"

@@ -1,7 +1,7 @@
 """`SnapshotStore`: chains of full/delta epochs with parallel load.
 
 The store owns a directory of ``repro.store/2`` epoch directories
-(:mod:`repro.store.format`; /1 epochs stay readable).  Saving extracts the
+(:mod:`repro.store.format`).  Saving extracts the
 canonical rows of a :class:`~repro.partition.dmesh.DistributedMesh` and
 writes either a full epoch or — when a valid parent chain exists — a
 *differential* epoch holding only the rows that changed since the parent
@@ -225,6 +225,19 @@ class SnapshotStore:
         infos = self.epochs()
         return infos[-1] if infos else None
 
+    def _index_or_tip(self, index: Optional[int]) -> int:
+        """``index``, else the tip's; with no readable epoch, the newest
+        directory's manifest error (it names the file), else "empty"."""
+        if index is not None:
+            return int(index)
+        tip = self.tip()
+        if tip is not None:
+            return tip.index
+        dirs = self.indexed_dirs()
+        if dirs:
+            read_epoch_manifest(dirs[-1][1])
+        raise CorruptSnapshotError(f"{self.root}: store is empty")
+
     # -- chain resolution ----------------------------------------------------
 
     def _chain(self, index: int) -> List[Tuple[EpochInfo, Dict[str, Any]]]:
@@ -254,12 +267,7 @@ class SnapshotStore:
 
     def materialize(self, index: Optional[int] = None) -> SnapshotState:
         """The full state at epoch ``index`` (default: the tip), read serially."""
-        info = self.tip() if index is None else None
-        if index is None:
-            if info is None:
-                raise CorruptSnapshotError(f"{self.root}: store is empty")
-            index = info.index
-        chain = self._chain(int(index))
+        chain = self._chain(self._index_or_tip(index))
         top = chain[-1][1]
         state = SnapshotState(
             int(top["element_dim"]), int(top["etype"]),
@@ -345,19 +353,15 @@ class SnapshotStore:
         epochs.  Afterwards the epoch's ancestors are prunable.
         """
         with trace_span(self.tracer, "store.compact", store=str(self.root)):
-            tip = self.tip()
-            if index is None:
-                if tip is None:
-                    raise CorruptSnapshotError(f"{self.root}: store is empty")
-                index = tip.index
-            path = self._epoch_path(int(index))
+            index = self._index_or_tip(index)
+            path = self._epoch_path(index)
             manifest = read_epoch_manifest(path)
             if manifest["kind"] == "full":
                 return self._info(manifest, path)
             info = self._write_epoch(
-                int(index),
-                self.materialize(int(index)),
-                int(manifest.get("nparts", 1)),
+                index,
+                self.materialize(index),
+                int(manifest["nparts"]),
                 manifest.get("extra"),
             )
             self.counters.add("store.compactions")
@@ -434,22 +438,15 @@ class SnapshotStore:
         Each target part decodes a disjoint contiguous range of the chain's
         chunks; one star-forest bcast then moves every live row to the
         parts that need it under the target partition: the saved one when
-        ``nparts`` is the saved count (the default) and the epoch has an
-        owner column — every element back on its part, empty parts empty —
-        else contiguous sorted-gid blocks.  The result carries rebuilt
+        ``nparts`` is the saved count (the default) — every element back on
+        its part, empty parts empty — else contiguous sorted-gid blocks.  The result carries rebuilt
         remote-copy links and re-derived intermediate-entity gids; local ids
         follow the sorted-gid build order, not the saved local order.
         """
-        tip = self.tip()
-        target_index = tip.index if (epoch is None and tip) else epoch
-        if target_index is None:
-            raise CorruptSnapshotError(f"{self.root}: store is empty")
-        chain = self._chain(int(target_index))
+        target_index = self._index_or_tip(epoch)
+        chain = self._chain(target_index)
         top_manifest = chain[-1][1]
-        nparts = (
-            int(top_manifest.get("nparts", 1)) if nparts is None
-            else int(nparts)
-        )
+        nparts = int(top_manifest["nparts"] if nparts is None else nparts)
         if nparts < 1:
             raise ValueError(f"need at least one part, got {nparts}")
         use_counters = counters if counters is not None else self.counters
@@ -467,7 +464,7 @@ class SnapshotStore:
         before = [use_counters.get(name) for name in names]
         with trace_span(
             dmesh.tracer, "store.load", store=str(self.root),
-            epoch=int(target_index), nparts=nparts,
+            epoch=target_index, nparts=nparts,
         ):
             fields = self._load_into(dmesh, chain)
         chunks, chunk_bytes, records = (
@@ -475,7 +472,7 @@ class SnapshotStore:
         )
         stats = StoreStats(
             op="load",
-            epoch=int(target_index),
+            epoch=target_index,
             kind=top_manifest["kind"],
             nparts=nparts,
             chain_length=len(chain),
@@ -540,20 +537,20 @@ class SnapshotStore:
                       else (key, ""))
         offsets = np.cumsum([0] + [len(live[key][0]) for key in keys])
 
-        # Phase 3 — targets.  Elements: the saved partition when loading
-        # at the saved part count from an epoch with an owner column, else
-        # contiguous sorted-gid blocks (element j of M -> part j*P//M).
+        # Phase 3 — targets.  Elements: the saved partition (the owner
+        # column) when loading at the saved part count, else contiguous
+        # sorted-gid blocks (element j of M -> part j*P//M).
         # Vertices follow their elements; a tag/field row goes to every
         # part that receives all its key vertices (supersets cost a few
         # duplicate deliveries, dropped by the key join).
         elems = live["elems"][0]
         total = len(elems)
-        target = np.arange(total, dtype=np.int64) * nparts // max(total, 1)
-        if nparts == int(top_manifest.get("nparts", 1)):
+        if nparts == int(top_manifest["nparts"]):
             owner, nbytes = load_owner(chain[-1][0].path, top_manifest, total)
             counters.add("store.bytes.read", nbytes)
-            if owner is not None:
-                target = owner.astype(np.int64)
+            target = owner.astype(np.int64)
+        else:
+            target = np.arange(total, dtype=np.int64) * nparts // max(total, 1)
         vgids, slot = np.unique(elems["verts"], return_inverse=True)
         receives = np.zeros((len(vgids) + 1, nparts), dtype=bool)
         width = elems["verts"].shape[1]

@@ -1,11 +1,10 @@
 """Tests for the three common utilities (iterator, set, tag) and IO."""
 
-import numpy as np
 import pytest
 
 from repro.mesh import TRI, Ent, Mesh, rect_tri
 from repro.mesh.iterator import boundary_entities, classified_on, count, iterate
-from repro.mesh.io import load_native, save_native, write_vtk
+from repro.mesh.io import write_vtk
 from repro.mesh.sets import EntitySet, SetManager
 from repro.mesh.tag import Tag, TagManager
 
@@ -179,47 +178,6 @@ def test_write_vtk_with_cell_data(tmp_path):
     text = write_vtk(mesh, tmp_path / "m.vtk", {"load": values}).read_text()
     assert "CELL_DATA 2" in text
     assert "SCALARS load double 1" in text
-
-
-def test_native_roundtrip(tmp_path):
-    mesh = rect_tri(3)
-    path = save_native(mesh, tmp_path / "m.npz")
-    loaded = load_native(path, model=mesh.model)
-    assert loaded.entity_counts() == mesh.entity_counts()
-    assert np.allclose(
-        loaded.coords_view()[: loaded.count(0)],
-        mesh.coords_view()[: mesh.count(0)],
-    )
-    # Classification restored.
-    corners = [
-        v for v in loaded.entities(0) if loaded.classification(v).dim == 0
-    ]
-    assert len(corners) == 4
-
-
-def test_native_roundtrip_keeps_saved_vertex_classification(tmp_path):
-    """``load_native`` lands the saved vertex classes, not re-located ones."""
-    mesh = rect_tri(3)
-    model = mesh.model
-    # An interior vertex away from the bottom side, so that every entity
-    # around it still has a covering model entity.
-    interior = max(
-        (v for v in mesh.entities(0) if mesh.classification(v).dim == 2),
-        key=lambda v: mesh.coords(v)[1],
-    )
-    mesh.set_classification(interior, model.find(1, 0))
-    loaded = load_native(save_native(mesh, tmp_path / "m.npz"), model)
-    for v in mesh.entities(0):
-        assert loaded.classification(v) == mesh.classification(v)
-    assert loaded.classification(interior) == model.find(1, 0)
-
-
-def test_native_roundtrip_without_model(tmp_path):
-    mesh = rect_tri(2, classify=False)
-    path = save_native(mesh, tmp_path / "m.npz")
-    loaded = load_native(path)
-    assert loaded.entity_counts() == mesh.entity_counts()
-    assert loaded.classification(Ent(0, 0)) is None
 
 
 def test_write_vtk_3d(tmp_path):

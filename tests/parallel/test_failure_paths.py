@@ -101,11 +101,11 @@ def test_secondary_aborts_filtered_out_of_failures_attribute():
 
     with pytest.raises(SpmdError) as info:
         spmd(3, prog, counters=PerfCounters(), timeout=30.0)
-    failures = info.value.failures
+    records = info.value.records
     # Only the primary failure survives filtering; the ranks woken by the
     # abort (CommAbortedError) are dropped.
-    assert [rank for rank, _exc, _tb in failures] == [1]
-    assert not any(isinstance(exc, CommAbortedError) for _r, exc, _t in failures)
+    assert [r.rank for r in records] == [1]
+    assert not any(isinstance(r.exception, CommAbortedError) for r in records)
 
 
 def test_all_aborted_failures_reported_when_no_primary():
@@ -120,7 +120,7 @@ def test_all_aborted_failures_reported_when_no_primary():
     # With no non-abort failure, the aborts themselves are the report —
     # an empty SpmdError would hide that the job died.
     assert any(
-        isinstance(exc, CommAbortedError) for _r, exc, _t in info.value.failures
+        isinstance(r.exception, CommAbortedError) for r in info.value.records
     )
 
 
@@ -136,7 +136,7 @@ def test_multi_rank_failures_sorted_by_rank():
 
     with pytest.raises(SpmdError) as info:
         spmd(3, prog, counters=PerfCounters(), timeout=30.0)
-    ranks = [rank for rank, _exc, _tb in info.value.failures]
+    ranks = [r.rank for r in info.value.records]
     assert ranks == sorted(ranks) and ranks[0] == 0
     # The headline names the lowest-ranked primary failure, not the first
     # to be appended.
@@ -150,9 +150,10 @@ def test_failures_carry_formatted_tracebacks():
 
     with pytest.raises(SpmdError) as info:
         spmd(2, prog, counters=PerfCounters(), timeout=5.0)
-    (rank, exc, tb), = info.value.failures
-    assert rank == 1 and isinstance(exc, RuntimeError)
-    assert "carry my traceback" in tb and "Traceback" in tb
+    (record,) = info.value.records
+    assert record.rank == 1 and isinstance(record.exception, RuntimeError)
+    assert "carry my traceback" in record.traceback
+    assert "Traceback" in record.traceback
 
 
 def test_abort_wakeup_leaves_results_for_successful_ranks_unreported():
@@ -193,9 +194,6 @@ def test_spmd_error_exposes_structured_records():
     d = record.to_dict()
     assert d["rank"] == 1 and d["exc_type"] == "KeyError"
     assert "exception" not in d
-    # Legacy tuple view stays consistent with the records.
-    (rank, exc, tb) = info.value.failures[0]
-    assert (rank, exc, tb) == (record.rank, record.exception, record.traceback)
 
 
 def test_records_carry_superstep_of_failure():

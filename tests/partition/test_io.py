@@ -2,18 +2,12 @@
 
 These ran against ``partition/io.py`` (``repro.dmesh/2``) until that format
 was retired; the same behaviours are now asked of the one checkpoint
-format, ``repro.store/1`` through :class:`SnapshotStore` — and, for the two
-never-unpickle tests, of the ``repro.dmesh/2`` converter.  A chunk file is
+format, ``repro.store/2`` through :class:`SnapshotStore`.  A chunk file is
 to a store epoch what a part file was to the old directory, so the
 format-poking tests damage those.  The test ids did not move.
 """
 
-import hashlib
-import io
 import json
-import pickle
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +22,7 @@ from repro.partition import (
 from repro.store import (
     CorruptCheckpointError,
     SnapshotStore,
-    convert_dmesh2,
     element_partition,
-)
-
-DMESH2_FIXTURE = (
-    Path(__file__).resolve().parents[1] / "data" / "dmesh2-rect3-2parts"
 )
 
 
@@ -327,63 +316,3 @@ def test_missing_part_file_is_typed(tmp_path):
     (path / "elems-000000.bin").unlink()
     with pytest.raises(CorruptCheckpointError, match="missing"):
         store.load_at()
-
-
-# -- the old directories: decoded, never unpickled -----------------------------
-
-
-def tampered_dmesh2(tmp_path, **arrays):
-    """A copy of the ``repro.dmesh/2`` fixture whose ``part1.npz`` has the
-    given members replaced — and the manifest hash redone, so only the
-    parser stands between the member and the program."""
-    path = tmp_path / "old"
-    shutil.copytree(DMESH2_FIXTURE, path)
-    part_file = path / "part1.npz"
-    members = dict(np.load(part_file))
-    members.update(arrays)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **members)
-    part_file.write_bytes(buffer.getvalue())
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["files"]["part1.npz"] = hashlib.sha256(
-        buffer.getvalue()
-    ).hexdigest()
-    (path / "manifest.json").write_text(json.dumps(manifest))
-    return path
-
-
-def test_pickled_blob_is_rejected_not_unpickled(tmp_path):
-    path = tampered_dmesh2(
-        tmp_path,
-        tag_blob=np.frombuffer(pickle.dumps({}), dtype=np.uint8),
-    )
-    store = SnapshotStore(tmp_path / "st")
-    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz.*CodecError"):
-        convert_dmesh2(path, store)
-    assert store.epochs() == []
-
-
-class _Tripwire:
-    """Unpickling this flips a flag — proof a loader ran ``pickle``."""
-
-    fired = False
-
-    def __reduce__(self):
-        return (_trip, ())
-
-
-def _trip():
-    _Tripwire.fired = True
-    return 0
-
-
-def test_object_array_in_part_file_is_rejected_never_unpickled(tmp_path):
-    path = tampered_dmesh2(
-        tmp_path, vgids=np.asarray([_Tripwire()], dtype=object)
-    )
-    _Tripwire.fired = False
-    store = SnapshotStore(tmp_path / "st")
-    with pytest.raises(CorruptCheckpointError, match=r"part1\.npz"):
-        convert_dmesh2(path, store)
-    assert not _Tripwire.fired
-    assert store.epochs() == []

@@ -1,9 +1,8 @@
 """CheckpointManager over its one ``SnapshotStore``: deltas, rotation,
-fallback, other part counts — and what it does with an old-format entry."""
+fallback, other part counts — and what it does with a foreign entry."""
 
+import json
 import logging
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +15,11 @@ from repro.resilience import (
     resilient_spmd,
 )
 from repro.store import (
-    convert_dmesh2,
     element_partition,
     field_checksum,
     owned_gid_set,
 )
 from repro.store.format import FORMAT as STORE_FORMAT, read_epoch_manifest
-
-DMESH2_FIXTURE = (
-    Path(__file__).resolve().parents[1] / "data" / "dmesh2-rect3-2parts"
-)
 
 
 def strips(mesh, nparts):
@@ -91,32 +85,34 @@ def test_store_backend_restore_at_other_part_count(tmp_path):
         ) < 1e-9
 
 
-def test_old_format_entry_is_skipped_and_names_the_converter(tmp_path):
-    """A ``repro.dmesh/2`` directory an earlier version left behind is input
-    from outside the program: restore skips it like any unrestorable epoch,
-    says how to convert it, and rotation still ages it out."""
+def test_foreign_format_entry_is_skipped_and_logged(tmp_path, caplog):
+    """A directory in a layout this program does not write is input from
+    outside it: restore skips it like any unrestorable epoch, logs which
+    one and why, and rotation still ages it out."""
     root = tmp_path / "ck"
-    shutil.copytree(DMESH2_FIXTURE, root / "ckpt-000000")
+    (root / "ckpt-000000").mkdir(parents=True)
+    manifest = root / "ckpt-000000" / "manifest.json"
+    manifest.write_text(json.dumps({"format": "repro.dmesh/2", "nparts": 2}))
     manager = CheckpointManager(root, keep=2)
     (old,) = manager.checkpoints()
     assert old.index == 0 and old.step == -1 and not manager.validate(old)
-    with pytest.raises(NoCheckpointError, match="snapshot migrate"):
-        manager.restore()
+    with caplog.at_level(logging.WARNING, "repro.resilience.checkpoint"):
+        with pytest.raises(NoCheckpointError, match="unsupported snapshot"):
+            manager.restore()
+    (record,) = caplog.records
+    assert "skipping corrupt checkpoint ckpt-000000" in record.getMessage()
+    assert str(manifest) in record.getMessage()
     other = manager._store().inspect()["other_dirs"]
     assert [d["path"] for d in other] == ["ckpt-000000"]
-    assert "snapshot migrate" in other[0]["error"]
+    assert "'repro.dmesh/2'" in other[0]["error"]
 
-    # Converted into the manager's own store it is the newest checkpoint,
-    # on the partition and at the step it was saved with.
-    convert_dmesh2(root / "ckpt-000000", manager._store())
-    restored, fields, info = manager.restore()
-    restored.verify()
-    assert (info.index, info.step) == (1, 3)
-    assert [len(gids) for gids in element_partition(restored)] == [9, 9]
-    assert set(fields) == {"u"}
-
-    manager.save(restored, step=4, fields=list(fields.values()))
+    dm, mesh = make_dmesh(nparts=2, n=3)
+    for step in (1, 2):
+        manager.save(dm, step=step)
     assert [i.index for i in manager.checkpoints()] == [1, 2]
+    restored, _, info = manager.restore(model=mesh.model)
+    restored.verify()
+    assert (info.index, info.step) == (2, 2)
 
 
 def test_corrupt_store_epoch_skipped_and_logged(tmp_path, caplog):

@@ -1,96 +1,27 @@
-"""``repro.store/2``: chunks are checked columns, and /1 epochs still fold in.
+"""``repro.store/2``: chunks are checked columns.
 
-A /2 chunk of ``verts``/``elems``/``field<i>`` is one codec frame of
+A chunk of ``verts``/``elems``/``field<i>`` is one codec frame of
 row-aligned arrays.  It comes from outside the program, so every column is
-checked on decode; a /1 epoch's record chunks become the same rows, so a /2
-delta on top of a /1 base reads exactly like a fresh /2 save.
+checked on decode.
 """
 
 import hashlib
 import json
 import math
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.mesh import Ent, box_tet, rect_tri
 from repro.parallel import codec
-from repro.partition import DistributedField, distribute, migrate
+from repro.partition import DistributedField, distribute
 from repro.store import (
     FORMAT,
     CorruptSnapshotError,
     SnapshotStore,
-    element_partition,
     field_checksum,
-    state_from_dmesh,
 )
 from repro.store.format import _manifest_digest
-
-PRE_OWNER_STORE = (
-    Path(__file__).resolve().parents[1] / "data" / "store1-pre-owner"
-)
-
-
-def columns(rows):
-    return {name: rows[name].tolist() for name in rows.dtype.names}
-
-
-def content(state):
-    """Everything a state holds, as plain comparable values."""
-    return (
-        columns(state.verts),
-        columns(state.elems),
-        sorted(state.tags.items()),
-        {name: columns(rows) for name, rows in sorted(state.fields.items())},
-        state.field_meta,
-        state.gid_next,
-        state.etype,
-        None if state.owner is None else state.owner.tolist(),
-    )
-
-
-def loaded(store, nparts):
-    dm, fields, _stats = store.load_at(nparts=nparts)
-    dm.verify()
-    return (
-        element_partition(dm),
-        content(state_from_dmesh(dm, [fields[n] for n in sorted(fields)])),
-    )
-
-
-# -- a /2 delta on a /1 base -----------------------------------------------------
-
-
-def test_mixed_chain_reads_like_a_fresh_save(tmp_path):
-    shutil.copytree(PRE_OWNER_STORE, tmp_path / "mixed")
-    mixed = SnapshotStore(tmp_path / "mixed", chunk_records=8)
-    dm, fields, _stats = mixed.load_at()
-    u = fields["u"]
-    moving = list(dm.part(0).mesh.entities(2))[:3]
-    migrate(dm, {0: {e: 1 for e in moving}})
-    part = dm.part(1)
-    for v in list(part.mesh.entities(0))[:4]:
-        u.on(1).set(v, np.array([0.25 * part.gid(v) - 1.0]))
-    tip = mixed.save(dm, [u])
-    assert tip.kind == "delta" and tip.records > 0
-    formats = [
-        json.loads((info.path / "manifest.json").read_text())["format"]
-        for info in mixed.epochs()
-    ]
-    assert formats == ["repro.store/1", FORMAT]
-
-    fresh = SnapshotStore(tmp_path / "fresh", chunk_records=8)
-    assert fresh.save(dm, [u]).kind == "full"
-    assert content(mixed.materialize()) == content(fresh.materialize())
-    for nparts in (1, 2, 4):
-        assert loaded(mixed, nparts) == loaded(fresh, nparts)
-    # The compacted chain is a /2 full epoch, byte for byte the fresh one's.
-    assert mixed.compact().kind == "full"
-    a, b = mixed.tip().path, fresh.tip().path
-    for name in sorted(p.name for p in b.iterdir() if p.name != "manifest.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # -- checked columns -----------------------------------------------------------

@@ -3,13 +3,12 @@
 It is the one part-dependent file of an epoch — hashed like every chunk,
 written whole beside full *and* delta records, carried by ``materialize``,
 ``compact``, ``prune`` and the warm-start cache, ignored at any other part
-count, and absent from epochs written before it existed.
+count, and required: a manifest that names no owner column is refused.
 """
 
 import hashlib
 import json
-import shutil
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -27,11 +26,6 @@ from repro.store import (
     owned_gid_set,
 )
 from repro.store.format import _manifest_digest
-
-PRE_OWNER_STORE = (
-    Path(__file__).resolve().parents[1] / "data" / "store1-pre-owner"
-)
-
 
 def reversed_strips(mesh, nparts):
     """Strips along x, numbered right to left: never the loader's own
@@ -237,46 +231,45 @@ def test_a_save_that_dies_midway_leaves_no_epoch(tmp_path, monkeypatch):
     assert not list(store.root.rglob("*.tmp"))
 
 
-# -- epochs without the column --------------------------------------------------
+# -- manifests the one reader refuses -----------------------------------------
 
 
-def test_epoch_without_the_column_loads_by_regrouping(tmp_path):
+def as_store1(manifest):
+    manifest["format"] = "repro.store/1"
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+
+
+def without_digest(manifest):
+    del manifest["manifest_sha256"]
+
+
+def without_owner(manifest):
+    del manifest["owner"]
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+
+
+@pytest.mark.parametrize("edit, why", [
+    (as_store1, "unsupported snapshot format 'repro.store/1'"),
+    (without_digest, "misses 'manifest_sha256'"),
+    (without_owner, "misses 'owner'"),
+], ids=["store1", "no-digest", "no-owner"])
+def test_an_old_or_incomplete_manifest_is_refused_naming_it(
+    tmp_path, edit, why
+):
+    """Only ``repro.store/2`` with its owner column and digest loads: an
+    earlier layout is an error naming the manifest, never a regrouping."""
     mesh = rect_tri(4)
     dm = distribute(mesh, reversed_strips(mesh, 3))
     store = SnapshotStore(tmp_path / "st")
-    epoch = store.save(dm, [gid_field(dm)]).path
-    manifest = json.loads((epoch / "manifest.json").read_text())
-    # As an epoch written before this column (and the digest) existed.
-    del manifest["owner"], manifest["manifest_sha256"]
-    (epoch / "manifest.json").write_text(json.dumps(manifest))
-    (epoch / "owner.bin").unlink()
-    assert store.materialize().owner is None
-    restored, fields, _ = store.load_at(model=mesh.model)
-    restored.verify()
-    assert element_partition(restored) == regrouped(dm, 3)
-    assert set(fields) == {"temp"}
-
-
-def test_epoch_written_by_the_parent_commit_still_loads(tmp_path):
-    """Real bytes from before the column: see ``tests/data/README.md``."""
-    shutil.copytree(PRE_OWNER_STORE, tmp_path / "st")
-    store = SnapshotStore(tmp_path / "st")
-    dm, fields, stats = store.load_at()
-    dm.verify()
-    assert dm.nparts == 2 and stats.extra == {"step": 7}
-    assert element_partition(dm) == regrouped(dm, 2)
-    for part in dm:
-        tag = part.mesh.tags.find("mark")
-        for e in part.mesh.entities(2):
-            assert tag.get(e) == 10 * part.gid(e)
-        u = fields["u"].on(part.pid)
-        for v in part.mesh.entities(0):
-            x = part.mesh.coords(v)
-            assert u.get(v) == pytest.approx(2.0 * x[0] + x[1])
-    # The next save is a delta on top of it that does carry the column.
-    moving = list(dm.part(0).mesh.entities(2))[:3]
-    migrate(dm, {0: {e: 1 for e in moving}})
-    assert store.save(dm, list(fields.values())).kind == "delta"
-    restored, _, _ = store.load_at()
-    assert_same_partition(restored, dm)
-    assert element_partition(restored) != regrouped(dm, 2)
+    path = store.save(dm, [gid_field(dm)]).path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    message = f"{re.escape(str(path))}: .*{re.escape(why)}"
+    for read in (store.load_at, store.materialize, store.compact,
+                 lambda: store.load_at(nparts=2, epoch=0)):
+        with pytest.raises(CorruptSnapshotError, match=message):
+            read()
+    assert store.epochs() == []
+    (other,) = store.inspect()["other_dirs"]
+    assert why in other["error"]

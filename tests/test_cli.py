@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -75,6 +77,36 @@ def test_unknown_kind_fails():
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_snapshot_has_no_migrate_verb(tmp_path, capsys):
+    """``snapshot`` reads and writes one format; nothing converts into it."""
+    for argv in (
+        ["snapshot", "migrate", "--store", str(tmp_path / "st")],
+        ["snapshot", "load", "--store", str(tmp_path / "st"),
+         "--from", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert not (tmp_path / "st").exists()
+
+
+def test_snapshot_load_refuses_another_format_naming_the_manifest(
+    tmp_path, capsys
+):
+    store = tmp_path / "st"
+    argv = ["snapshot", "save", "--store", str(store), "--n", "3",
+            "--parts", "2"]
+    assert main(argv) == 0
+    (manifest,) = store.glob("*/manifest.json")
+    doc = json.loads(manifest.read_text())
+    doc["format"] = "repro.store/1"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["snapshot", "load", "--store", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'repro.store/1'" in err
 
 
 def test_analyze_clean_package(capsys):
