@@ -1,14 +1,13 @@
 """`SnapshotStore`: chains of full/delta epochs with parallel load.
 
 The store owns a directory of ``repro.store/2`` epoch directories
-(:mod:`repro.store.format`).  Saving extracts the
-canonical rows of a :class:`~repro.partition.dmesh.DistributedMesh` and
-writes either a full epoch or — when a valid parent chain exists — a
-*differential* epoch holding only the rows that changed since the parent
-(plus removal lists).  Chains are bounded (``full_every``) and compactable:
-rewriting any epoch as a full snapshot of its materialized chain is
-deterministic and in-place, so rotation can drop ancestors without losing
-restorable epochs.
+(:mod:`repro.store.format`).  Saving extracts the canonical rows of a
+:class:`~repro.partition.dmesh.DistributedMesh` and writes either a full
+epoch or — when a valid parent chain exists — a *differential* epoch
+holding only the rows that changed since the parent (plus removal lists).
+Chains are bounded (``full_every``) and compactable: rewriting any epoch
+as a full snapshot of its materialized chain is deterministic and
+in-place, so rotation can drop ancestors without losing restorable epochs.
 
 Loading is the Hapla et al. (arXiv 2004.08729) parallel read: the target
 parts each decode a *disjoint contiguous range of chunks* across the whole
@@ -439,9 +438,10 @@ class SnapshotStore:
         chunks; one star-forest bcast then moves every live row to the
         parts that need it under the target partition: the saved one when
         ``nparts`` is the saved count (the default) — every element back on
-        its part, empty parts empty — else contiguous sorted-gid blocks.  The result carries rebuilt
-        remote-copy links and re-derived intermediate-entity gids; local ids
-        follow the sorted-gid build order, not the saved local order.
+        its part, empty parts empty — else contiguous sorted-gid blocks.
+        The result carries rebuilt remote-copy links and re-derived
+        intermediate-entity gids; local ids follow the sorted-gid build
+        order, not the saved local order.
         """
         target_index = self._index_or_tip(epoch)
         chain = self._chain(target_index)
